@@ -125,7 +125,7 @@ def cmd_validate(args) -> int:
     elif kind == "kernel":
         spec, _ = obj
         kr = validate_kernel(spec, tol)
-        report.verdict("positive", kr.positive, kr.residuals.get("covariance", 0.0))
+        report.verdict("positive", kr.positive, kr.residuals.get("positivity", 0.0))
         report.verdict("covariant", kr.covariant, kr.residuals.get("covariance", 0.0))
         report.verdict("alpha_cocycle", kr.alpha_ok, kr.residuals.get("alpha", 0.0))
     elif kind == "cpmap":

@@ -16,7 +16,12 @@ import numpy as np
 
 from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from .fingroup import FiniteGroup, MultiplierRep
-from .kernels import DilationResidualError, ExtremalityCertificate, _hermitian_witness
+from .kernels import (
+    DilationResidualError,
+    ExtremalityCertificate,
+    _certify_commutant,
+    _hermitian_witness,
+)
 from .numlin import (
     DEFAULT_TOL,
     DimensionError,
@@ -443,8 +448,11 @@ def cp_extremal(
 
     Computed from the constrained commutant of the dilation: directions D
     commuting with the algebra representation and the dilation symmetry and
-    compressed to zero by the intertwiner certify convex splits.  The
-    commuting-twist generator set is cross-checked when available.
+    compressed to zero by the intertwiner certify convex splits.  The system
+    holds only the images of generating sets of the algebra and the group;
+    the basis is then re-checked against every matrix unit and every group
+    element.  The commuting-twist generator set is cross-checked when
+    available.
     """
     if dilation is None:
         dilation = ksgns(spec, tol)
@@ -467,16 +475,24 @@ def cp_extremal(
     for a in range(spec.n_v):
         for b in range(spec.n_v):
             constraints.append(np.outer(dilation.j[:, a], dilation.j[:, b].conj()))
-    generators = list(dilation.pi_units)
-    if dilation.sym is not None:
-        group = spec.symmetry.group
-        generators += [dilation.sym(g) for g in group.elements() if g != group.identity]
+    # E_{0b} and E_{b0} generate a block of size >= 2; E_{00} is a block of size 1
+    blocks = spec.algebra.blocks
+    pi_gens = [
+        dilation.pi_units[k]
+        for k, (i, a, b) in enumerate(spec.algebra.unit_index())
+        if (a == 0 or b == 0) and (a != b or blocks[i] == 1)
+    ]
+    group_gens = spec.symmetry.group.generators() if dilation.sym is not None else ()
+    generators = pi_gens + [dilation.sym(s) for s in group_gens]
     basis = constrained_commutant(generators, constraints, hermitian_only=False, dim=n, tol=tol)
+    full = dilation.pi_units
+    if dilation.sym is not None:
+        full = np.concatenate([full, dilation.sym.matrices])
+    _certify_commutant(basis, full, tol)
 
     if dilation.sym_bar is not None:
         alt = constrained_commutant(
-            list(dilation.pi_units)
-            + [dilation.sym_bar(g) for g in spec.symmetry.group.elements()],
+            pi_gens + [dilation.sym_bar(s) for s in group_gens],
             constraints,
             hermitian_only=False,
             dim=n,

@@ -84,6 +84,19 @@ class FiniteGroup:
     def prod(self, g, h) -> int:
         return int(self.mul[g, h])
 
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, chosen greedily: each new generator is the
+        smallest element outside the subgroup generated so far.  Empty for
+        the trivial group."""
+        gens, span = [], {self.identity}
+        for g in self.elements():
+            if len(span) == self.order:
+                break
+            if g not in span:
+                gens.append(g)
+                span = set(closure(self, gens))
+        return tuple(gens)
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -139,6 +152,20 @@ class FiniteGroup:
                             a.prod(xa, xb) * nb + b.prod(ya, yb)
                         )
         return FiniteGroup(mul)
+
+
+def closure(group: FiniteGroup, gens) -> tuple[int, ...]:
+    """Sorted members of the subgroup generated by ``gens``.
+
+    Positive words suffice: in a finite group every inverse is a power.
+    """
+    members = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        new = {group.prod(a, b) for a in frontier for b in gens} - members
+        members |= new
+        frontier = list(new)
+    return tuple(sorted(members))
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .kernels import (
     CovariantKernelSpec,
     DilationResidualError,
     ExtremalityCertificate,
+    _certify_commutant,
     _hermitian_witness,
 )
 from .numlin import (
@@ -818,8 +819,10 @@ def observable_extremal(
 ) -> ExtremalityCertificate:
     """Extremality of the covariant observable encoded by the block data:
     directions on the base fiber commuting with the subgroup representation
-    and compressed to zero by every component's blocks certify splits."""
-    generators = [data.rho(i) for i in range(len(data.sub.members))]
+    and compressed to zero by every component's blocks certify splits.  The
+    commutant is solved over a generating set of the subgroup and re-checked
+    against all of it."""
+    generators = [data.rho(s) for s in data.rho.group.generators()]
     constraints = []
     for blk, ops in zip(data.decomposition.blocks, data.lambda_blocks):
         for a in range(blk.multiplicity):
@@ -829,6 +832,7 @@ def observable_extremal(
     basis = constrained_commutant(
         generators, constraints, hermitian_only=False, dim=data.base_dim, tol=tol
     )
+    _certify_commutant(basis, data.rho.matrices, tol)
     if not basis:
         return ExtremalityCertificate(True, None, None, 0)
     witness = _hermitian_witness(basis, tol)

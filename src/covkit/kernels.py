@@ -156,7 +156,11 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
                         first = first or ("covariance", a, x, y)
     residuals["covariance"] = float(err_cov)
 
-    positive = psd_check(spec.grand_matrix(), tol)
+    grand = spec.grand_matrix()
+    positive = psd_check(grand, tol)
+    # magnitude of the most negative eigenvalue, 0 when there is none
+    low = np.linalg.eigvalsh(0.5 * (grand + grand.conj().T)).min() if grand.size else 0.0
+    residuals["positivity"] = max(0.0, -float(low))
     if not positive:
         first = first or ("positivity",)
     return KernelReport(positive, covariant, alpha_ok, first, residuals)
@@ -349,12 +353,28 @@ def _hermitian_witness(basis, tol):
     """A norm-one Hermitian element of the span of ``basis``, or None."""
     for d in basis:
         h = 0.5 * (d + d.conj().T)
-        if frob(h) > 1e-8:
+        if frob(h) > tol.recon_fro:
             return h / np.linalg.norm(h, 2)
         h = 0.5j * (d.conj().T - d)
-        if frob(h) > 1e-8:
+        if frob(h) > tol.recon_fro:
             return h / np.linalg.norm(h, 2)
     return None
+
+
+def _certify_commutant(basis, full, tol):
+    """Re-check a commutant basis solved over generating sets against every
+    matrix of the full set ``full`` (an (m, n, n) stack), in one batched
+    product, so the verdict rests on the whole algebra and group."""
+    if not basis:
+        return
+    d = np.stack(basis)[:, None]
+    comm = d @ full[None] - full[None] @ d
+    worst = float(np.linalg.norm(comm, axis=(2, 3)).max())
+    bound = tol.recon_fro * max(1.0, float(np.linalg.norm(full, axis=(1, 2)).max()))
+    if worst > bound:
+        raise DilationResidualError(
+            f"commutant basis fails the full commutation check ({worst:.2e} > {bound:.2e})"
+        )
 
 
 def kernel_extremal(
@@ -368,7 +388,9 @@ def kernel_extremal(
 
     The constrained commutant of the dilation representation is computed
     with one functional per matrix entry of factors[x]^+ D factors[y] for
-    each (x, y) in Z; the kernel is extreme iff only D = 0 survives.  When Z
+    each (x, y) in Z; the kernel is extreme iff only D = 0 survives.  It is
+    solved over the images of a generating set of the group and re-checked
+    against every group element.  When Z
     is symmetric the search space is all matrices, otherwise Hermitian ones.
     On non-extremality the certificate carries a Hermitian witness and the
     two perturbed kernels built from I +- D, which agree with the original
@@ -390,7 +412,7 @@ def kernel_extremal(
         for a in range(spec.n_v):
             for b in range(spec.n_v):
                 constraints.append(np.outer(fx[:, a], fy[:, b].conj()))
-    generators = [decomp.sym(g) for g in spec.action.group.elements() if g != spec.action.group.identity]
+    generators = [decomp.sym(s) for s in spec.action.group.generators()]
 
     basis = constrained_commutant(
         generators,
@@ -399,6 +421,7 @@ def kernel_extremal(
         dim=decomp.rank,
         tol=tol,
     )
+    _certify_commutant(basis, decomp.sym.matrices, tol)
     if not basis:
         return ExtremalityCertificate(True, None, None, 0)
 

@@ -133,13 +133,22 @@ def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def null_space(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel ``{x : a @ x = 0}``."""
+    """Orthonormal basis (columns) of the kernel ``{x : a @ x = 0}``.
+
+    A tall system is first reduced to its square triangular factor R (a = QR,
+    same singular values and right singular vectors), so no rows x rows
+    matrix is ever formed.  Singular values up to ``rank_rel`` times the
+    scale (spectral norm, floored at 1) count as zero, so a system that is
+    zero up to roundoff has the whole space as its kernel.
+    """
     a = as_matrix(a)
     n = a.shape[1]
     if a.shape[0] == 0 or n == 0:
         return np.eye(n, dtype=np.complex128)
+    if a.shape[0] > n:
+        a = np.linalg.qr(a, mode="r")
     _, sv, vh = np.linalg.svd(a)
-    r = int(np.sum(sv > tol.rank_rel * sv[0])) if sv.size and sv[0] > 0 else 0
+    r = int(np.sum(sv > tol.rank_rel * max(1.0, sv[0])))
     return vh[r:].conj().T
 
 
@@ -250,10 +259,3 @@ def lstsq_define(pairs, tol: Tolerances = DEFAULT_TOL):
     residual = frob(l @ big_in - big_tgt)
     return l, residual
 
-
-def group_orthonormalize(vectors, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the given vectors."""
-    a = np.stack([np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors])
-    _, sv, vh = np.linalg.svd(a)
-    r = int(np.sum(sv > tol.rank_rel * sv[0])) if sv.size and sv[0] > 0 else 0
-    return vh[:r].conj().T

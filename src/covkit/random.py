@@ -18,6 +18,7 @@ from .fingroup import (
     MultiplierRep,
     SubgroupData,
     TwoCocycle,
+    closure,
     complete_irreps,
     irrep_decompose,
 )
@@ -148,25 +149,10 @@ def all_subgroups(group: FiniteGroup) -> list[SubgroupData]:
     gens_list += [(a,) for a in elems]
     gens_list += [(a, b) for a in elems for b in elems if a < b]
     for gens in gens_list:
-        members = _closure(group, gens)
+        members = closure(group, gens)
         found[members] = SubgroupData(group, members)
     found[tuple(sorted(elems))] = SubgroupData(group, tuple(elems))
     return sorted(found.values(), key=lambda s: (len(s.members), s.members))
-
-
-def _closure(group: FiniteGroup, gens) -> tuple[int, ...]:
-    members = {group.identity}
-    frontier = set(gens)
-    while frontier:
-        members |= frontier
-        new = set()
-        for a in members:
-            for b in frontier:
-                new.add(group.prod(a, b))
-                new.add(group.prod(b, a))
-                new.add(group.inv(b))
-        frontier = new - members
-    return tuple(sorted(members))
 
 
 def rand_covariant_kernel(

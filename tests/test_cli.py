@@ -107,6 +107,24 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["validate", path]) == 2
 
 
+def test_cli_validate_kernel_reports_positivity_residual(tmp_path, capsys):
+    path = write(tmp_path, "kernel.json", ones_kernel_doc())
+    assert main(["validate", path]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts["positive"]["ok"] and verdicts["positive"]["residual"] <= 1e-12
+
+    # blocks [[1, 2], [2, 1]] are covariant but have eigenvalue -1
+    doc = json.loads(ones_kernel_doc())
+    doc["payload"]["blocks"][0][1] = specfile.matrix_out(2.0 * np.ones((1, 1)))
+    doc["payload"]["blocks"][1][0] = specfile.matrix_out(2.0 * np.ones((1, 1)))
+    path = write(tmp_path, "negative.json", json.dumps(doc))
+    assert main(["validate", path]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts["covariant"]["ok"]
+    assert not verdicts["positive"]["ok"]
+    assert verdicts["positive"]["residual"] == pytest.approx(1.0)
+
+
 def test_cli_dilate_kernel(tmp_path, capsys):
     path = write(tmp_path, "kernel.json", ones_kernel_doc())
     assert main(["dilate", path]) == 0

@@ -1,0 +1,202 @@
+"""Extremality commutants solved over generating sets.
+
+The commutant of a representation equals the commutant of the images of a
+generating set, so the extremality routes solve over generating sets of the
+group and of the algebra and then re-check the basis against everything.
+These tests pin that equivalence down on random covariant objects.
+"""
+
+import numpy as np
+import pytest
+
+from covkit import cpmaps, instruments, kernels
+from covkit.cpmaps import cp_extremal, ksgns
+from covkit.fingroup import FiniteGroup, closure, heisenberg_rep
+from covkit.instruments import as_cpmap, lambda_from_observable, observable_extremal, phase_space
+from covkit.kernels import DilationResidualError, _certify_commutant, _hermitian_witness, kernel_extremal
+from covkit.numlin import Tolerances, constrained_commutant
+from covkit.random import (
+    all_subgroups,
+    rand_covariant_cpmap,
+    rand_covariant_kernel,
+    rand_covariant_observable,
+)
+
+GROUPS = {
+    "Z3": FiniteGroup.cyclic(3),
+    "Z4": FiniteGroup.cyclic(4),
+    "Z6": FiniteGroup.cyclic(6),
+    "D4": FiniteGroup.dihedral(4),
+    "S3": FiniteGroup.symmetric(3),
+    "S4": FiniteGroup.symmetric(4),
+}
+
+
+# ---------------------------------------------------------------------------
+# generating sets of groups
+# ---------------------------------------------------------------------------
+
+
+def _named_groups():
+    out = [("trivial", FiniteGroup.trivial())]
+    out += [(f"Z{n}", FiniteGroup.cyclic(n)) for n in range(1, 9)]
+    out += [(f"D{n}", FiniteGroup.dihedral(n)) for n in range(3, 7)]
+    out += [(f"S{n}", FiniteGroup.symmetric(n)) for n in (3, 4)]
+    z2, z3, s3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3), FiniteGroup.symmetric(3)
+    out += [
+        ("Z2xZ2", FiniteGroup.direct_product(z2, z2)),
+        ("Z2xS3", FiniteGroup.direct_product(z2, s3)),
+        ("Z3xZ4", FiniteGroup.direct_product(z3, FiniteGroup.cyclic(4))),
+    ]
+    out += [(f"WH{d}", heisenberg_rep(d)[0]) for d in range(1, 6)]
+    return out
+
+
+@pytest.mark.parametrize("name,group", _named_groups(), ids=[n for n, _ in _named_groups()])
+def test_generators_close_to_the_whole_group(name, group):
+    gens = group.generators()
+    assert closure(group, gens) == tuple(range(group.order))
+    # greedy: each generator is the smallest element outside the span so far
+    for k, g in enumerate(gens):
+        span = closure(group, gens[:k])
+        assert g not in span
+        assert all(h in span for h in range(g))
+    assert group.generators() == gens
+
+
+def test_generators_of_trivial_group_are_empty():
+    assert FiniteGroup.trivial().generators() == ()
+    assert FiniteGroup.cyclic(1).generators() == ()
+
+
+def test_generator_counts():
+    assert FiniteGroup.cyclic(7).generators() == (1,)
+    assert len(heisenberg_rep(4)[0].generators()) == 2
+    assert len(FiniteGroup.symmetric(4).generators()) <= 3
+
+
+def test_closure_of_subsets():
+    s4 = FiniteGroup.symmetric(4)
+    assert closure(s4, ()) == (s4.identity,)
+    assert len(closure(s4, (1,))) == 2  # a transposition
+    assert len(closure(s4, (1, 2))) == 6  # permutations fixing the first letter
+    z8 = FiniteGroup.cyclic(8)
+    assert closure(z8, (2,)) == (0, 2, 4, 6)
+    assert closure(z8, (2, 3)) == tuple(range(8))
+
+
+# ---------------------------------------------------------------------------
+# commutant over generating sets == commutant over the full set
+# ---------------------------------------------------------------------------
+
+
+def _projector(basis, n):
+    if not basis:
+        return np.zeros((n * n, n * n), dtype=complex)
+    b = np.stack([d.reshape(-1) for d in basis], axis=1)
+    return b @ b.conj().T
+
+
+def _assert_same_commutant(call, full, n):
+    """The recorded solve over generators against the full set, with the
+    route's constraints and without them (a larger, rarely trivial space)."""
+    gens, constraints, kwargs, basis = call
+    for cons, small in ((constraints, basis), ((), constrained_commutant(gens, (), **kwargs))):
+        ref = constrained_commutant(full, cons, **kwargs)
+        assert len(small) == len(ref)
+        assert np.linalg.norm(_projector(small, n) - _projector(ref, n)) < 1e-8
+
+
+class _Recorder:
+    """Wraps ``constrained_commutant`` and keeps each call and its answer."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, generators, constraints=(), **kwargs):
+        basis = constrained_commutant(generators, constraints, **kwargs)
+        self.calls.append((list(generators), list(constraints), kwargs, basis))
+        return basis
+
+
+@pytest.mark.parametrize("name", ["Z3", "Z6", "D4", "S3", "S4"])
+def test_cp_commutant_over_generators_equals_full(name, monkeypatch):
+    group = GROUPS[name]
+    rng = np.random.default_rng(7 + group.order)
+    recorder = _Recorder()
+    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
+    for blocks in ((2,), (1, 1)):
+        spec = rand_covariant_cpmap(rng, blocks, group, n_v=2)
+        dil = ksgns(spec)
+        recorder.calls.clear()
+        cp_extremal(spec, dil)
+        assert len(recorder.calls[0][0]) < dil.pi_units.shape[0] + group.order
+        _assert_same_commutant(
+            recorder.calls[0], list(dil.pi_units) + list(dil.sym.matrices), dil.rank
+        )
+
+
+@pytest.mark.parametrize("name", ["Z4", "Z6", "D4", "S3", "S4"])
+def test_kernel_commutant_over_generators_equals_full(name, monkeypatch):
+    group = GROUPS[name]
+    rng = np.random.default_rng(11 + group.order)
+    recorder = _Recorder()
+    monkeypatch.setattr(kernels, "constrained_commutant", recorder)
+    for trial in range(3):
+        spec = rand_covariant_kernel(rng, group, max_x=3, n_v=2)
+        dec = kernels.kolmogorov_decompose(spec)
+        # one symmetric and one non-symmetric Z (complex and Hermitian solves)
+        for z in ([(0, 0)], [(0, spec.x_size - 1)]):
+            recorder.calls.clear()
+            kernel_extremal(spec, z, dec)
+            if not recorder.calls:
+                continue
+            assert len(recorder.calls[0][0]) == len(group.generators())
+            _assert_same_commutant(recorder.calls[0], list(dec.sym.matrices), dec.rank)
+
+
+@pytest.mark.parametrize("name", ["Z6", "D4", "S3", "S4"])
+def test_observable_commutant_over_generators_equals_full(name, monkeypatch):
+    group = GROUPS[name]
+    rng = np.random.default_rng(13 + group.order)
+    recorder = _Recorder()
+    monkeypatch.setattr(instruments, "constrained_commutant", recorder)
+    proper = [s for s in all_subgroups(group) if 1 < len(s.members) < group.order]
+    sub = max(proper, key=lambda s: (len(s.members), s.members))
+    spec = rand_covariant_observable(rng, sub, v_dim=3)
+    data = lambda_from_observable(spec, seed=3)
+    observable_extremal(data)
+    assert len(recorder.calls[0][0]) == len(data.rho.group.generators())
+    _assert_same_commutant(recorder.calls[0], list(data.rho.matrices), data.base_dim)
+
+
+def test_phase_space_cp_extremal_stacks_at_most_ten_generators(monkeypatch):
+    recorder = _Recorder()
+    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
+    b1 = np.diag([0.5, 0.0]).astype(complex)
+    b2 = np.diag([0.0, 0.5]).astype(complex)
+    cert = cp_extremal(as_cpmap(phase_space(2, [b1, b2])))
+    assert recorder.calls
+    assert max(len(gens) for gens, *_ in recorder.calls) <= 10
+    assert not cert.extreme and cert.freedom == 3
+
+
+# ---------------------------------------------------------------------------
+# the full-set certificate and the witness threshold
+# ---------------------------------------------------------------------------
+
+
+def test_certify_commutant_rejects_a_non_commuting_basis():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    full = np.stack([np.eye(2, dtype=complex), x])
+    _certify_commutant([np.eye(2) / np.sqrt(2), x / np.sqrt(2)], full, Tolerances())
+    with pytest.raises(DilationResidualError):
+        _certify_commutant([z / np.sqrt(2)], full, Tolerances())
+
+
+def test_hermitian_witness_threshold_follows_recon_fro():
+    tiny = 1e-9 * np.eye(2, dtype=complex)
+    assert _hermitian_witness([tiny], Tolerances()) is None
+    witness = _hermitian_witness([tiny], Tolerances(recon_fro=1e-10))
+    assert np.allclose(witness, np.eye(2))

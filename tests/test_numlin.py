@@ -108,6 +108,54 @@ def test_null_space_rank_completeness():
             assert np.linalg.norm(a @ ns) <= 1e-9 * smax * np.sqrt(ns.shape[1])
 
 
+def _reference_projector(a, tol=numlin.DEFAULT_TOL):
+    # kernel projector from the full-matrices SVD of the unreduced system
+    _, sv, vh = np.linalg.svd(a)
+    r = int(np.sum(sv > tol.rank_rel * sv[0])) if sv.size and sv[0] > 0 else 0
+    v = vh[r:].conj().T
+    return v @ v.conj().T, a.shape[1] - r
+
+
+def _rank_deficient(rng, m, n, r):
+    left = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+    right = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+    return left @ right
+
+
+@pytest.mark.parametrize(
+    "m,n,r", [(600, 40, 27), (600, 40, 40), (300, 25, 1), (41, 40, 39), (120, 16, 0)]
+)
+def test_null_space_tall_rank_deficient_matches_full_svd(m, n, r):
+    rng = np.random.default_rng(m + 7 * n + r)
+    a = _rank_deficient(rng, m, n, r) if r else np.zeros((m, n), dtype=complex)
+    ns = null_space(a)
+    proj, freedom = _reference_projector(a)
+    assert ns.shape == (n, freedom) == (n, n - r)
+    assert np.linalg.norm(ns.conj().T @ ns - np.eye(freedom)) < 1e-10
+    assert np.linalg.norm(ns @ ns.conj().T - proj) < 1e-10
+
+
+def test_null_space_with_zero_rows_appended():
+    rng = np.random.default_rng(11)
+    a = _rank_deficient(rng, 12, 30, 9)  # wide: 21-dimensional kernel
+    tall = np.vstack([a, np.zeros((500, 30), dtype=complex)])
+    ns_wide, ns_tall = null_space(a), null_space(tall)
+    proj, freedom = _reference_projector(tall)
+    assert ns_wide.shape[1] == ns_tall.shape[1] == freedom == 21
+    assert np.linalg.norm(ns_tall @ ns_tall.conj().T - proj) < 1e-10
+    assert np.linalg.norm(ns_wide @ ns_wide.conj().T - proj) < 1e-10
+
+
+def test_null_space_of_roundoff_level_system_is_everything():
+    rng = np.random.default_rng(5)
+    noise = 1e-17 * (rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))
+    assert null_space(noise).shape == (4, 4)
+    # a scalar unitary up to roundoff commutes with every matrix
+    almost_scalar = np.exp(0.3j) * np.eye(2) + 1e-17 * noise[:2, :2]
+    assert len(constrained_commutant([almost_scalar])) == 4
+    assert len(constrained_commutant([almost_scalar], hermitian_only=True)) == 4
+
+
 def test_commutant_of_irreducible_pair_is_scalar():
     basis = constrained_commutant([PAULI_X, PAULI_Z])
     assert len(basis) == 1

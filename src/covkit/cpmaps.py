@@ -498,7 +498,7 @@ def cp_extremal(
             dim=n,
             tol=tol,
         )
-        if bool(alt) != bool(basis):
+        if len(alt) != len(basis):
             raise DilationResidualError(
                 "commuting-twist generators disagree with the dilation generators"
             )

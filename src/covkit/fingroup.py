@@ -50,25 +50,23 @@ class FiniteGroup:
             raise GroupStructureError("multiplication table must be square and nonempty")
         if mul.min() < 0 or mul.max() >= n:
             raise GroupStructureError("table entries out of range")
-        ident = None
-        for e in range(n):
-            if all(mul[e, g] == g and mul[g, e] == g for g in range(n)):
-                ident = e
-                break
-        if ident is None:
+        idx = np.arange(n)
+        units = np.flatnonzero(np.all(mul == idx, axis=1) & np.all(mul.T == idx, axis=1))
+        if units.size == 0:
             raise GroupStructureError("no identity element")
-        inv = np.full(n, -1, dtype=np.int64)
+        ident = int(units[0])
+        hits = mul == ident
+        inv = hits.argmax(axis=1)
+        bad = np.flatnonzero((hits.sum(axis=1) != 1) | (mul[inv, idx] != ident))
+        if bad.size:
+            raise GroupStructureError(f"element {bad[0]} has no two-sided inverse")
+        # exhaustive associativity check, one row g at a time:
+        # (gh)k against g(hk) for every h, k
         for g in range(n):
-            hits = np.where(mul[g] == ident)[0]
-            if len(hits) != 1 or mul[hits[0], g] != ident:
-                raise GroupStructureError(f"element {g} has no two-sided inverse")
-            inv[g] = hits[0]
-        # exhaustive associativity check; group orders here stay small
-        for g in range(n):
-            for h in range(n):
-                if not np.array_equal(mul[mul[g, h]], mul[g][mul[h]]):
-                    raise GroupStructureError(f"associativity fails at ({g}, {h})")
-        object.__setattr__(self, "identity", int(ident))
+            fails = np.any(mul[mul[g]] != mul[g][mul], axis=1)
+            if fails.any():
+                raise GroupStructureError(f"associativity fails at ({g}, {fails.argmax()})")
+        object.__setattr__(self, "identity", ident)
         object.__setattr__(self, "inverse", inv)
 
     @property
@@ -182,12 +180,15 @@ class GroupAction:
         n, m = table.shape
         if n != g.order:
             raise GroupStructureError("action table has wrong number of rows")
+        if table.size and (table.min() < 0 or table.max() >= m):
+            raise GroupStructureError("action table entries out of range")
         if not np.array_equal(table[g.identity], np.arange(m)):
             raise GroupStructureError("identity must act trivially")
+        # (ab).x against a.(b.x) for every b, x, one row a at a time
         for a in g.elements():
-            for b in g.elements():
-                if not np.array_equal(table[g.prod(a, b)], table[a][table[b]]):
-                    raise GroupStructureError(f"action not compatible at ({a}, {b})")
+            fails = np.any(table[g.mul[a]] != table[a][table], axis=1)
+            if fails.any():
+                raise GroupStructureError(f"action not compatible at ({a}, {fails.argmax()})")
 
     @property
     def set_size(self) -> int:
@@ -244,15 +245,18 @@ class SubgroupData:
         g = self.parent
         members = tuple(sorted(set(int(m) for m in self.members)))
         object.__setattr__(self, "members", members)
-        mem = set(members)
-        if g.identity not in mem:
+        if members and (members[0] < 0 or members[-1] >= g.order):
+            raise GroupStructureError("subgroup members out of range")
+        if g.identity not in members:
             raise GroupStructureError("subgroup must contain the identity")
+        cols = np.array(members)
+        mask = np.zeros(g.order, dtype=bool)
+        mask[cols] = True
         for a in members:
-            if g.inv(a) not in mem:
+            if not mask[g.inverse[a]]:
                 raise GroupStructureError("subgroup not closed under inverse")
-            for b in members:
-                if g.prod(a, b) not in mem:
-                    raise GroupStructureError("subgroup not closed under multiplication")
+            if not mask[g.mul[a, cols]].all():
+                raise GroupStructureError("subgroup not closed under multiplication")
         seen, cosets = set(), []
         for x in g.elements():
             if x in seen:
@@ -360,16 +364,16 @@ def cocycle_violation(c: TwoCocycle, tol: float = 1e-10):
         bad = np.argwhere(np.abs(np.abs(v) - 1.0) > tol)[0]
         return ("modulus", int(bad[0]), int(bad[1]))
     e = g.identity
+    bad = np.flatnonzero((np.abs(v[e] - 1.0) > tol) | (np.abs(v[:, e] - 1.0) > tol))
+    if bad.size:
+        return ("normalization", int(bad[0]))
+    # c(a, bk) c(b, k) against c(ab, k) c(a, b) for every b, k, one row a at a time
     for a in g.elements():
-        if abs(v[e, a] - 1.0) > tol or abs(v[a, e] - 1.0) > tol:
-            return ("normalization", a)
-    for a in g.elements():
-        for b in g.elements():
-            for k in g.elements():
-                lhs = v[a, g.prod(b, k)] * v[b, k]
-                rhs = v[g.prod(a, b), k] * v[a, b]
-                if abs(lhs - rhs) > tol:
-                    return ("cocycle", a, b, k)
+        lhs = v[a][g.mul] * v
+        rhs = v[g.mul[a]] * v[a][:, None]
+        hits = np.argwhere(np.abs(lhs - rhs) > tol)
+        if hits.size:
+            return ("cocycle", a, int(hits[0, 0]), int(hits[0, 1]))
     return None
 
 
@@ -470,18 +474,28 @@ class MultiplierRep:
 def rep_violation(u: MultiplierRep, tol: Tolerances = DEFAULT_TOL):
     """First violated representation identity, or None."""
     g = u.group
+    mats = u.matrices
     if frob(u(g.identity) - np.eye(u.dim)) > tol.recon_fro:
         return ("identity",)
     if u.unitary_flag:
-        for a in g.elements():
-            if not is_unitary(u(a), tol):
-                return ("unitary", a)
+        # is_unitary allows unitary_fro * max(1, |U|_2), so a matrix within
+        # unitary_fro of unitarity passes it; it decides (or raises on) the
+        # rest, non-finite matrices included
+        with np.errstate(invalid="ignore", over="ignore"):
+            gram = np.conj(np.swapaxes(mats, 1, 2)) @ mats - np.eye(u.dim)
+            near = np.linalg.norm(gram, axis=(1, 2)) <= tol.unitary_fro
+        for a in np.flatnonzero(~near):
+            if not is_unitary(mats[a], tol):
+                return ("unitary", int(a))
+    # U(a) U(b) against c(a, b) U(ab) for every b, one row a at a time
+    c = u.cocycle.values
     for a in g.elements():
-        for b in g.elements():
-            lhs = u(a) @ u(b)
-            rhs = u.cocycle(a, b) * u(g.prod(a, b))
-            if frob(lhs - rhs) > tol.recon_fro * max(1.0, frob(rhs)):
-                return ("product", a, b)
+        rhs = c[a][:, None, None] * mats[g.mul[a]]
+        resid = np.linalg.norm(mats[a] @ mats - rhs, axis=(1, 2))
+        bound = tol.recon_fro * np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2)))
+        hits = np.flatnonzero(resid > bound)
+        if hits.size:
+            return ("product", a, int(hits[0]))
     return None
 
 

@@ -123,13 +123,13 @@ def psd_factor(a, tol: Tolerances = DEFAULT_TOL):
 
 
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Numerical rank, with the cutoff of :func:`null_space` (``rank_rel``
+    times the spectral norm floored at 1), so rank + nullity = columns."""
     a = as_matrix(a)
     if a.size == 0:
         return 0
     sv = np.linalg.svd(a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol.rank_rel * sv[0]))
+    return int(np.sum(sv > tol.rank_rel * max(1.0, sv[0])))
 
 
 def null_space(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

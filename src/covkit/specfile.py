@@ -9,6 +9,7 @@ constructors.  Unknown fields are rejected.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -33,23 +34,32 @@ class SpecFileError(ValueError):
     """The document does not conform to the format."""
 
 
-def _complex_out(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def matrix_out(mat) -> list:
     mat = np.asarray(mat, dtype=np.complex128)
-    return [[_complex_out(z) for z in row] for row in mat]
+    return np.stack([mat.real, mat.imag], -1).tolist()
+
+
+def _is_real(v) -> bool:
+    # bool is an int subclass, so isinstance alone would admit true and false
+    return isinstance(v, (int, float)) and v is not True and v is not False
 
 
 def _complex_in(obj, path):
     if (
         not isinstance(obj, (list, tuple))
         or len(obj) != 2
-        or not all(isinstance(v, (int, float)) for v in obj)
+        or not _is_real(obj[0])
+        or not _is_real(obj[1])
     ):
-        raise SpecFileError(f"{path}: complex numbers are [re, im] pairs")
-    return complex(obj[0], obj[1])
+        raise SpecFileError(f"{path}: complex numbers are [re, im] pairs of real numbers")
+    try:
+        z = complex(obj[0], obj[1])
+    except OverflowError:  # an integer beyond the float range
+        z = None
+    # json parses NaN, Infinity and overlong floats to non-finite values
+    if z is None or not cmath.isfinite(z):
+        raise SpecFileError(f"{path}: complex entries must be finite")
+    return z
 
 
 def matrix_in(obj, path) -> np.ndarray:

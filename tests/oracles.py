@@ -7,6 +7,10 @@ pinned entries) together with range containment in every positive
 component.  No dilations or commutants are involved, so the verdicts are an
 independent check of the engine's decision procedures; every non-extreme
 verdict is backed by an explicit validated split.
+
+The file also keeps the element-by-element loop forms of the group, action,
+subgroup, cocycle and representation checks, as references for the batched
+checks in ``covkit.fingroup``.
 """
 
 import dataclasses
@@ -23,7 +27,7 @@ from covkit.instruments import (
     validate_observable,
 )
 from covkit.kernels import CovariantKernelSpec, validate_kernel
-from covkit.numlin import hermitian_basis, null_space, vec
+from covkit.numlin import DEFAULT_TOL, frob, hermitian_basis, is_unitary, null_space, vec
 
 
 def _range_projector(mat, tol=1e-9):
@@ -365,3 +369,100 @@ def cpmap_kernel_form(spec: CPMapSpec):
         blocks=blocks,
     )
     return kernel, [(m, m)]
+
+
+# ---------------------------------------------------------------------------
+# loop forms of the group, action, cocycle and representation checks
+# ---------------------------------------------------------------------------
+#
+# Element by element, exactly as the checks in covkit.fingroup were first
+# written; the batched checks must report the same first violation.
+
+
+def group_table_violation(mul):
+    """Message of the first group axiom a square in-range table breaks, or
+    None."""
+    mul = np.asarray(mul, dtype=np.int64)
+    n = mul.shape[0]
+    ident = None
+    for e in range(n):
+        if all(mul[e, g] == g and mul[g, e] == g for g in range(n)):
+            ident = e
+            break
+    if ident is None:
+        return "no identity element"
+    for g in range(n):
+        hits = np.where(mul[g] == ident)[0]
+        if len(hits) != 1 or mul[hits[0], g] != ident:
+            return f"element {g} has no two-sided inverse"
+    for g in range(n):
+        for h in range(n):
+            if not np.array_equal(mul[mul[g, h]], mul[g][mul[h]]):
+                return f"associativity fails at ({g}, {h})"
+    return None
+
+
+def action_violation(group, table):
+    """Message of the first action axiom an in-range table breaks, or None."""
+    table = np.asarray(table, dtype=np.int64)
+    if not np.array_equal(table[group.identity], np.arange(table.shape[1])):
+        return "identity must act trivially"
+    for a in group.elements():
+        for b in group.elements():
+            if not np.array_equal(table[group.prod(a, b)], table[a][table[b]]):
+                return f"action not compatible at ({a}, {b})"
+    return None
+
+
+def subgroup_violation(group, members):
+    """Message of the first subgroup axiom ``members`` breaks, or None."""
+    mem = set(members)
+    if group.identity not in mem:
+        return "subgroup must contain the identity"
+    for a in sorted(mem):
+        if group.inv(a) not in mem:
+            return "subgroup not closed under inverse"
+        for b in sorted(mem):
+            if group.prod(a, b) not in mem:
+                return "subgroup not closed under multiplication"
+    return None
+
+
+def cocycle_violation_loop(c, tol=1e-10):
+    """First violated cocycle identity in lexicographic order, or None."""
+    g = c.group
+    v = c.values
+    if np.any(np.abs(np.abs(v) - 1.0) > tol):
+        bad = np.argwhere(np.abs(np.abs(v) - 1.0) > tol)[0]
+        return ("modulus", int(bad[0]), int(bad[1]))
+    e = g.identity
+    for a in g.elements():
+        if abs(v[e, a] - 1.0) > tol or abs(v[a, e] - 1.0) > tol:
+            return ("normalization", a)
+    for a in g.elements():
+        for b in g.elements():
+            for k in g.elements():
+                lhs = v[a, g.prod(b, k)] * v[b, k]
+                rhs = v[g.prod(a, b), k] * v[a, b]
+                if abs(lhs - rhs) > tol:
+                    return ("cocycle", a, b, k)
+    return None
+
+
+def rep_violation_loop(u, tol=DEFAULT_TOL):
+    """First violated representation identity in lexicographic order, or
+    None; a non-finite matrix raises where ``is_unitary`` does."""
+    g = u.group
+    if frob(u(g.identity) - np.eye(u.dim)) > tol.recon_fro:
+        return ("identity",)
+    if u.unitary_flag:
+        for a in g.elements():
+            if not is_unitary(u(a), tol):
+                return ("unitary", a)
+    for a in g.elements():
+        for b in g.elements():
+            lhs = u(a) @ u(b)
+            rhs = u.cocycle(a, b) * u(g.prod(a, b))
+            if frob(lhs - rhs) > tol.recon_fro * max(1.0, frob(rhs)):
+                return ("product", a, b)
+    return None

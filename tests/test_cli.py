@@ -249,3 +249,44 @@ def test_cli_json_out(tmp_path, capsys):
     assert main(["validate", path, "--json-out", str(target)]) == 0
     stdout_report = capsys.readouterr().out
     assert json.loads(target.read_text()) == json.loads(stdout_report)
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ("[true, 0]", "pairs of real numbers"),
+        ("[0, false]", "pairs of real numbers"),
+        ("[NaN, 0]", "must be finite"),
+        ("[0, -Infinity]", "must be finite"),
+        ("[1e400, 0]", "must be finite"),
+    ],
+)
+def test_cli_validate_rejects_non_numeric_entries(tmp_path, capsys, entry, message):
+    text = state_doc(np.diag([0.25, 0.75]).astype(complex))
+    doc = json.loads(text)
+    doc["payload"]["matrix"][1][0] = "ENTRY"
+    text = json.dumps(doc).replace('"ENTRY"', entry)
+    path = write(tmp_path, "rho.json", text)
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "payload.matrix[1][0]" in err and message in err
+
+
+def _matrix_out_by_entry(mat):
+    # the per-entry form matrix_out replaced
+    mat = np.asarray(mat, dtype=np.complex128)
+    return [[[float(np.real(z)), float(np.imag(z))] for z in row] for row in mat]
+
+
+def test_matrix_out_matches_per_entry_form():
+    rng = np.random.default_rng(12)
+    for shape in [(1, 1), (3, 3), (2, 5), (7, 4)]:
+        mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mat[rng.random(shape) < 0.3] *= 1e-310  # subnormal entries
+        mat.flat[-1] = complex(5e-324, -0.0)
+        mat[0, 0] = complex(-0.0, -0.0)
+        out = specfile.matrix_out(mat)
+        assert json.dumps(out) == json.dumps(_matrix_out_by_entry(mat))
+        assert "-0.0" in json.dumps(out)
+    real = np.arange(6.0).reshape(2, 3) - 2.0
+    assert json.dumps(specfile.matrix_out(real)) == json.dumps(_matrix_out_by_entry(real))

@@ -222,3 +222,24 @@ def test_lstsq_define_connects_two_factorizations():
 def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(psd_eig=0.0)
+
+
+def test_rank_of_roundoff_level_matrix_is_zero():
+    rng = np.random.default_rng(5)
+    noise = 1e-17 * (rng.normal(size=(8, 4)) + 1j * rng.normal(size=(8, 4)))
+    assert numlin.rank(noise) == 0
+    assert numlin.rank(noise) + null_space(noise).shape[1] == 4
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-3, 1.0, 1e4])
+def test_rank_plus_nullity_is_column_count(scale):
+    rng = np.random.default_rng(int(-np.log10(scale)) + 20)
+    for _ in range(12):
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        left = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+        right = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+        a = scale * (left @ right)
+        assert numlin.rank(a) + null_space(a).shape[1] == a.shape[1]
+        if scale >= 1e-3:
+            assert numlin.rank(a) == r

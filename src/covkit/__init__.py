@@ -35,7 +35,6 @@ from .cstar import (
     ModuleSpace,
     TensorSplit,
     alg_positive,
-    algebra_element,
     form_eval,
     form_positive,
 )

@@ -130,7 +130,7 @@ def cmd_validate(args) -> int:
         report.verdict("alpha_cocycle", kr.alpha_ok, kr.residuals.get("alpha", 0.0))
     elif kind == "cpmap":
         cr = cp_validate(obj, tol)
-        report.verdict("completely_positive", cr.cp)
+        report.verdict("completely_positive", cr.cp, cr.residuals["positivity"])
         report.verdict("covariant", cr.covariant, cr.residuals.get("covariance", 0.0))
         report.verdict("normal", cr.normal)
         if cr.zero_map:

@@ -29,9 +29,9 @@ from .numlin import (
     constrained_commutant,
     frob,
     is_unitary,
-    lstsq_define,
     psd_check,
     psd_factor,
+    psd_status,
     rank,
 )
 
@@ -87,9 +87,9 @@ class CPMapSpec:
         return self.module.n_v
 
     def value_of(self, bmat) -> np.ndarray:
-        """Form matrix of the map at an arbitrary algebra element."""
+        """Form matrix of the map at an algebra element (or a stack of them)."""
         coeffs = self.algebra.coefficients(bmat)
-        return np.tensordot(coeffs, self.values, axes=(0, 0))
+        return np.tensordot(coeffs, self.values, axes=(-1, 0))
 
     def unit_value(self) -> np.ndarray:
         return self.value_of(self.algebra.one())
@@ -100,27 +100,25 @@ class CPMapSpec:
 
     def grand_kernel(self) -> np.ndarray:
         """Block matrix of S at unit(i)^+ unit(j); PSD iff the map is CP."""
-        alg, nv = self.algebra, self.n_v
-        adj = alg.adjoint_table()
-        prod = alg.unit_product_table()
-        m = alg.n_units
-        out = np.zeros((m * nv, m * nv), dtype=np.complex128)
-        for i in range(m):
-            for j in range(m):
-                k = prod[(adj[i], j)]
-                if k is not None:
-                    out[i * nv : (i + 1) * nv, j * nv : (j + 1) * nv] = self.values[k]
-        return out
+        return _grand(self.algebra, self.values)
 
     def choi(self) -> np.ndarray:
         """Choi-type block matrix [S at E_{bd}]; requires a single block."""
         if len(self.algebra.blocks) != 1:
             raise DimensionError("choi() needs a single full matrix block")
         n, nv = self.algebra.blocks[0], self.n_v
-        out = np.zeros((n * nv, n * nv), dtype=np.complex128)
-        for k, (_, a, b) in enumerate(self.algebra.unit_index()):
-            out[a * nv : (a + 1) * nv, b * nv : (b + 1) * nv] = self.values[k]
-        return out
+        return self.values.reshape(n, n, nv, nv).transpose(0, 2, 1, 3).reshape(n * nv, n * nv)
+
+
+def _grand(alg: FiniteCStarAlgebra, stack) -> np.ndarray:
+    """Block matrix with block (k1, k2) equal to stack[index of unit(k1)^+ unit(k2)],
+    zero where that product vanishes."""
+    m, d = alg.n_units, stack.shape[1]
+    k = alg.unit_product_table()[alg.adjoint_table()]
+    out = np.zeros((m, d, m, d), dtype=np.complex128)
+    i, j = np.nonzero(k >= 0)
+    out[i, :, j, :] = stack[k[i, j]]
+    return out.reshape(m * d, m * d)
 
 
 @dataclass(frozen=True)
@@ -139,31 +137,30 @@ class CPReport:
 
 
 def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> CPReport:
-    residuals = {}
-    cp = psd_check(spec.grand_kernel(), tol)
+    """Complete positivity (with the magnitude of the grand kernel's most
+    negative eigenvalue as its residual) and covariance, checked one group
+    element at a time over every matrix unit at once."""
+    cp, positivity = psd_status(spec.grand_kernel(), tol)
+    residuals = {"positivity": positivity}
     zero = frob(spec.values) <= tol.recon_fro
 
     covariant = True
     if spec.symmetry is not None:
-        group = spec.symmetry.group
+        alg, sym = spec.algebra, spec.symmetry
         scale = max(1.0, float(np.abs(spec.values).max()))
         worst = 0.0
-        for g in group.elements():
-            ug = spec.symmetry.u(g)
-            if not spec.algebra.contains(ug @ spec.algebra.one() @ ug.conj().T, tol):
+        for g in sym.group.elements():
+            outside, size = alg.outside_norms(sym.u(g))
+            if np.any(outside > tol.recon_fro * np.maximum(1.0, size)):
+                # b -> u b u^+ leaves the algebra
                 covariant = False
                 residuals["action"] = float("inf")
                 break
-            uinv = spec.symmetry.rep.inv_mat(g)
-            for unit in spec.algebra.units():
-                moved = spec.beta(g, unit)
-                if not spec.algebra.contains(moved, tol):
-                    covariant = False
-                    break
-                lhs = spec.value_of(moved)
-                rhs = uinv.conj().T @ spec.value_of(unit) @ uinv
-                worst = max(worst, frob(lhs - rhs))
-        residuals.setdefault("covariance", worst)
+            uinv = sym.rep.inv_mat(g)
+            lhs = alg.transport(sym.u(g), spec.values)
+            rhs = uinv.conj().T @ spec.values @ uinv
+            worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max()))
+        residuals["covariance"] = worst
         if worst > tol.recon_fro * scale:
             covariant = False
     return CPReport(cp=cp, covariant=covariant, zero_map=zero, residuals=residuals)
@@ -190,20 +187,23 @@ class KSGNSDilation:
 
     def pi(self, bmat) -> np.ndarray:
         coeffs = self.spec.algebra.coefficients(bmat)
-        return np.tensordot(coeffs, self.pi_units, axes=(0, 0))
+        return np.tensordot(coeffs, self.pi_units, axes=(-1, 0))
 
     def r_of(self, bmat) -> np.ndarray:
         coeffs = self.spec.algebra.coefficients(bmat)
-        return np.tensordot(coeffs, self.r_blocks, axes=(0, 0))
+        return np.tensordot(coeffs, self.r_blocks, axes=(-1, 0))
 
 
 def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     """Minimal covariant dilation of a valid covariant CP map.
 
-    The grand kernel over the matrix-unit basis is factored, the algebra
-    representation is solved unit by unit over the spanning blocks, the
-    dilation representation from the covariance relation, and every defining
-    identity is certified against the tolerances.
+    The grand kernel over the matrix-unit basis is factored as F^+ F with F
+    of full row rank N; the column blocks of F are the dilation blocks
+    r(E_k).  The algebra representation and the dilation representation
+    solve L F = target through one pseudo-inverse F^+.  The target of
+    pi(E^i_ab) is r(E^i_ad) on the columns of E^i_bd and zero elsewhere, so
+    pi(E^i_ab) = sum_d r(E^i_ad) F^+[E^i_bd] and no target is formed.
+    Every defining identity is then certified against the tolerances.
     """
     report = cp_validate(spec, tol)
     if not report.ok:
@@ -211,110 +211,125 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     alg, nv = spec.algebra, spec.n_v
     m = alg.n_units
     n_dil, f = psd_factor(spec.grand_kernel(), tol)
-    r_blocks = (
-        np.stack([f[:, k * nv : (k + 1) * nv] for k in range(m)])
-        if n_dil
-        else np.zeros((m, 0, nv), dtype=np.complex128)
-    )
-    residuals = {}
-    stacked = np.hstack(list(r_blocks)) if n_dil else None
+    r_blocks = np.ascontiguousarray(f.reshape(n_dil, m, nv).transpose(1, 0, 2))
+    pinv = np.linalg.pinv(f) if n_dil else np.zeros((m * nv, 0), dtype=np.complex128)
     scale = max(1.0, frob(f))
 
-    # the algebra representation: pi(b) r(c) = r(bc) on spanning blocks
-    prod = alg.unit_product_table()
-    pi_units = np.zeros((m, n_dil, n_dil), dtype=np.complex128)
-    worst = 0.0
-    for kb in range(m):
-        targets = np.hstack(
-            [
-                r_blocks[prod[(kb, kc)]]
-                if prod[(kb, kc)] is not None
-                else np.zeros((n_dil, nv))
-                for kc in range(m)
-            ]
-        )
-        if n_dil:
-            pi_units[kb], res = lstsq_define([(stacked, targets)], tol)
-            worst = max(worst, res)
-    residuals["pi_solve"] = worst
+    pi_units, worst = _solve_pi(alg, f, pinv)
+    residuals = {"pi_solve": worst}
     if worst > tol.recon_fro * scale:
         raise DilationResidualError(f"algebra representation residual {worst:.2e}")
 
-    dil = KSGNSDilation(spec, n_dil, r_blocks, _unit_j(alg, r_blocks, n_dil, nv), pi_units, None, None, residuals)
+    index = alg.unit_index()
+    j = np.zeros((n_dil, nv), dtype=np.complex128)
+    for k in np.flatnonzero(index[:, 1] == index[:, 2]):
+        j += r_blocks[k]
+    dil = KSGNSDilation(spec, n_dil, r_blocks, j, pi_units, None, None, residuals)
     _certify_pi(dil, tol)
 
     sym = sym_bar = None
     if spec.symmetry is not None and n_dil:
-        group = spec.symmetry.group
+        group, u, rep = spec.symmetry.group, spec.symmetry.u, spec.symmetry.rep
         mats = np.zeros((group.order, n_dil, n_dil), dtype=np.complex128)
         worst = 0.0
         for g in group.elements():
-            targets = []
-            for unit in alg.units():
-                moved_coeffs = alg.coefficients(spec.beta(g, unit))
-                r_moved = np.tensordot(moved_coeffs, r_blocks, axes=(0, 0))
-                targets.append(r_moved @ spec.symmetry.rep(g))
-            mats[g], res = lstsq_define([(stacked, np.hstack(targets))], tol)
-            worst = max(worst, res)
+            # the target r(beta_g(E_k)) rep(g) for every unit k, as one block row
+            moved = alg.transport(u(g), r_blocks) @ rep(g)
+            targets = moved.transpose(1, 0, 2).reshape(n_dil, m * nv)
+            mats[g] = targets @ pinv
+            worst = max(worst, frob(mats[g] @ f - targets))
         residuals["sym_solve"] = worst
         if worst > tol.recon_fro * scale:
             raise DilationResidualError(f"dilation representation residual {worst:.2e}")
-        sym = MultiplierRep(group, spec.symmetry.rep.cocycle, mats)
+        sym = MultiplierRep(group, rep.cocycle, mats)
         sym_bar = _build_bar(spec, pi_units, sym, alg, tol)
         dil = replace(dil, sym=sym, sym_bar=sym_bar)
         _certify_covariant(dil, tol)
     return dil
 
 
-def _unit_j(alg, r_blocks, n_dil, nv):
-    j = np.zeros((n_dil, nv), dtype=np.complex128)
-    for k, (_, a, b) in enumerate(alg.unit_index()):
-        if a == b:
-            j += r_blocks[k]
-    return j
+def _solve_pi(alg, f, pinv):
+    """pi(E^i_ab) = R^i_a F^+[E^i_b.] for every unit, block by block, where
+    R^i_a holds the columns of F at the units E^i_a., and the largest solve
+    residual ||pi(E^i_ab) F - target||.  That residual equals
+    ||R^i_a (F^+ F - I)[E^i_b.]||, so it needs no target either."""
+    n_dil, cols = f.shape
+    nv = cols // alg.n_units
+    pi_units = np.zeros((alg.n_units, n_dil, n_dil), dtype=np.complex128)
+    defect = pinv @ f - np.eye(cols)
+    worst = 0.0
+    for i, n in enumerate(alg.blocks):
+        first, stop = alg.unit_offsets[i], alg.unit_offsets[i + 1]
+        rows = f[:, first * nv : stop * nv].reshape(n_dil, n, n * nv).transpose(1, 0, 2)
+        right = pinv[first * nv : stop * nv].reshape(n, n * nv, n_dil)
+        pi_units[first:stop] = (rows[:, None] @ right[None]).reshape(n * n, n_dil, n_dil)
+        gaps = defect[first * nv : stop * nv].reshape(n, n * nv, cols)
+        for a in range(n):
+            worst = max(worst, float(np.linalg.norm(rows[a] @ gaps, axis=(1, 2)).max(initial=0.0)))
+    return pi_units, worst
 
 
 def _build_bar(spec, pi_units, sym, alg, tol):
     """sym_bar(g) = pi(u_g^+) sym(g) when u_g lies in the algebra."""
-    group = spec.symmetry.group
-    mats = np.zeros((group.order,) + pi_units.shape[1:], dtype=np.complex128)
-    for g in group.elements():
-        ug = spec.symmetry.u(g)
-        if not alg.contains(ug, tol):
-            return None
-        coeffs = alg.coefficients(ug.conj().T)
-        mats[g] = np.tensordot(coeffs, pi_units, axes=(0, 0)) @ sym(g)
+    u = spec.symmetry.u.matrices
+    if not alg.contains(u, tol):
+        return None
+    coeffs = alg.coefficients(u.conj().transpose(0, 2, 1))
+    mats = np.tensordot(coeffs, pi_units, axes=(1, 0)) @ sym.matrices
     cocycle = spec.symmetry.u.cocycle.conj().multiply(spec.symmetry.rep.cocycle)
-    return MultiplierRep(group, cocycle, mats)
+    return MultiplierRep(spec.symmetry.group, cocycle, mats)
+
+
+def _norms(stack) -> np.ndarray:
+    """Frobenius norm of every matrix of a stack, in one pass over its
+    real and imaginary parts."""
+    stack = np.ascontiguousarray(stack, dtype=np.complex128)
+    flat = stack.view(np.float64).reshape(stack.shape[:-2] + (2 * stack.shape[-2] * stack.shape[-1],))
+    return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
 def _certify_pi(dil: KSGNSDilation, tol):
+    """Certify pi as a unital *-representation and the dilation as minimal.
+
+    Reconstruction, adjointness, unitality and minimality are checked
+    directly.  Multiplicativity goes through the block factorization: with
+    A_k = V^+ pi_k V = T_k + E_k (T_k = E_ab (x) I_r in block i), eps_k =
+    ||E_k||, delta = ||V^+ V - I|| < 1 and T_k T_l = T_kl exactly,
+
+        ||pi_k pi_l - pi_kl|| <= [eps_k + eps_l + eps_k eps_l + eps_kl
+                                  + (1 + delta) ||pi_k|| ||pi_l|| delta] / (1 - delta)
+
+    (Frobenius norms; eps_kl = 0 where E_k E_l = 0).  The reported
+    ``pi_multiplicative`` is the largest such bound, which costs m N^3 work
+    where the products over all pairs cost m^2 N^3.
+    """
     alg = dil.spec.algebra
-    n, nv = dil.rank, dil.spec.n_v
+    n, pi = dil.rank, dil.pi_units
     scale = max(1.0, frob(dil.j) ** 2)
-    worst = 0.0
-    for k, unit in enumerate(alg.units()):
-        worst = max(
-            worst,
-            frob(dil.j.conj().T @ dil.pi_units[k] @ dil.j - dil.spec.values[k]),
-        )
+    worst = float(_norms(dil.j.conj().T @ pi @ dil.j - dil.spec.values).max())
     dil.residuals["reconstruction"] = worst
     if worst > tol.recon_fro * scale:
         raise DilationResidualError(f"reconstruction residual {worst:.2e}")
 
+    worst_adj = float(_norms(pi.conj().transpose(0, 2, 1) - pi[alg.adjoint_table()]).max())
+    index = alg.unit_index()
+    unital = frob(pi[index[:, 1] == index[:, 2]].sum(axis=0) - np.eye(n))
+    try:
+        _, _, eps, delta = _block_factor(pi, alg)
+    except NotSingleBlockError as exc:
+        raise DilationResidualError(f"algebra representation does not factor: {exc}") from exc
+    if delta >= 1.0:
+        raise DilationResidualError(f"block intertwiner is far from unitary ({delta:.2e})")
     prod = alg.unit_product_table()
-    adj = alg.adjoint_table()
-    worst_mult = worst_adj = 0.0
-    for k1 in range(alg.n_units):
-        worst_adj = max(worst_adj, frob(dil.pi_units[k1].conj().T - dil.pi_units[adj[k1]]))
-        for k2 in range(alg.n_units):
-            target = (
-                dil.pi_units[prod[(k1, k2)]]
-                if prod[(k1, k2)] is not None
-                else np.zeros((n, n))
-            )
-            worst_mult = max(worst_mult, frob(dil.pi_units[k1] @ dil.pi_units[k2] - target))
-    unital = frob(dil.pi(alg.one()) - np.eye(n))
+    norms = _norms(pi)
+    bound = (
+        eps[:, None]
+        + eps[None, :]
+        + np.outer(eps, eps)
+        + np.where(prod >= 0, eps[prod], 0.0)
+        + (1.0 + delta) * delta * np.outer(norms, norms)
+    ) / (1.0 - delta)
+    worst_mult = float(bound.max())
     dil.residuals.update(
         {"pi_multiplicative": worst_mult, "pi_adjoint": worst_adj, "pi_unital": unital}
     )
@@ -323,31 +338,26 @@ def _certify_pi(dil: KSGNSDilation, tol):
         raise DilationResidualError("algebra representation certification failed")
 
     # minimality: the blocks pi(unit) j span the dilation space
-    if dil.rank:
-        stacked = np.hstack(list(dil.r_blocks))
-        if rank(stacked, tol) != dil.rank:
-            raise DilationResidualError("dilation is not minimal")
+    if n and rank(dil.r_blocks.transpose(1, 0, 2).reshape(n, -1), tol) != n:
+        raise DilationResidualError("dilation is not minimal")
 
 
 def _certify_covariant(dil: KSGNSDilation, tol):
+    """Unitarity, intertwining and twist of the dilation representation, and
+    the commuting twist's commutation and cocycle, batched over the matrix
+    units (or the group) one group element at a time."""
     spec = dil.spec
-    group = spec.symmetry.group
-    n = dil.rank
+    alg, group = spec.algebra, spec.symmetry.group
+    n, pi, s = dil.rank, dil.pi_units, dil.sym.matrices
     limit = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)), frob(dil.j))
-    worst_unit = max(
-        (frob(dil.sym(g).conj().T @ dil.sym(g) - np.eye(n)) for g in group.elements()),
-        default=0.0,
-    )
-    worst_j = max(
-        (frob(dil.j @ spec.symmetry.rep(g) - dil.sym(g) @ dil.j) for g in group.elements()),
-        default=0.0,
-    )
+    worst_unit = float(_norms(s.conj().transpose(0, 2, 1) @ s - np.eye(n)).max())
+    worst_j = float(_norms(dil.j @ spec.symmetry.rep.matrices - s @ dil.j).max())
     worst_tw = 0.0
     for g in group.elements():
-        for k, unit in enumerate(spec.algebra.units()):
-            lhs = dil.sym(g) @ dil.pi_units[k]
-            rhs = dil.pi(spec.beta(g, unit)) @ dil.sym(g)
-            worst_tw = max(worst_tw, frob(lhs - rhs))
+        # sym(g) pi(E_k) - pi(beta_g(E_k)) sym(g) for every unit k
+        diff = s[g] @ pi
+        diff -= alg.transport(spec.symmetry.u(g), pi) @ s[g]
+        worst_tw = max(worst_tw, float(_norms(diff).max()))
     dil.residuals.update(
         {"sym_unitary": worst_unit, "sym_j": worst_j, "sym_twist": worst_tw}
     )
@@ -355,68 +365,80 @@ def _certify_covariant(dil: KSGNSDilation, tol):
         raise DilationResidualError("covariant dilation certification failed")
 
     if dil.sym_bar is not None:
-        worst_comm = 0.0
-        for g in group.elements():
-            for k in range(spec.algebra.n_units):
-                worst_comm = max(
-                    worst_comm,
-                    frob(dil.sym_bar(g) @ dil.pi_units[k] - dil.pi_units[k] @ dil.sym_bar(g)),
-                )
-        coc = 0.0
-        cocycle = dil.sym_bar.cocycle
+        bar, cocycle = dil.sym_bar.matrices, dil.sym_bar.cocycle.values
+        worst_comm = coc = 0.0
         for a in group.elements():
-            for b in group.elements():
-                coc = max(
-                    coc,
-                    frob(
-                        dil.sym_bar(a) @ dil.sym_bar(b)
-                        - cocycle(a, b) * dil.sym_bar(group.prod(a, b))
-                    ),
-                )
+            diff = bar[a] @ pi
+            diff -= pi @ bar[a]
+            worst_comm = max(worst_comm, float(_norms(diff).max()))
+            # sym_bar(a) sym_bar(b) - c(a, b) sym_bar(ab) for every b
+            rows = bar[a] @ bar - cocycle[a][:, None, None] * bar[group.mul[a]]
+            coc = max(coc, float(_norms(rows).max()))
         dil.residuals.update({"bar_commutes": worst_comm, "bar_cocycle": coc})
         if worst_comm > limit or coc > limit:
             raise DilationResidualError("commuting twist certification failed")
 
 
 class NotSingleBlockError(ValueError):
-    """The representation is not a unital representation of one full block."""
+    """The representation does not factor as the direct sum over the
+    algebra's blocks of b_i (x) I_{r_i}."""
 
 
-def factor_rep_tensor(pi_units: np.ndarray, block_size: int, tol: Tolerances = DEFAULT_TOL):
-    """Identify a unital representation of a full matrix block with
-    b -> b (x) I_r: returns ``(r, V)`` with V unitary and
-    V^+ pi(E_{ab}) V = E_{ab} (x) I_r.
+def _block_factor(pi_units: np.ndarray, algebra: FiniteCStarAlgebra):
+    """Block factorization of a unital representation given by the images
+    of the matrix units.
+
+    For block i, C_i is an orthonormal basis of the range of pi(E^i_00)
+    (r_i columns) and V_i = [pi(E^i_00) C_i, ..., pi(E^i_{n-1,0}) C_i];
+    V = [V_1 ... V_k].  Returns the multiplicities, V, eps_k =
+    ||V^+ pi(E_k) V - T_k|| for every unit k, where T_k is E_ab (x) I_{r_i}
+    in block i, and delta = ||V^+ V - I|| (Frobenius norms).
     """
-    n = block_size
-    if pi_units.shape[0] != n * n:
-        raise NotSingleBlockError("need the images of all n^2 matrix units")
+    if pi_units.ndim != 3 or pi_units.shape[0] != algebra.n_units:
+        raise NotSingleBlockError("need the images of all matrix units")
     big = pi_units.shape[1]
-    if big % n != 0:
-        raise NotSingleBlockError("dimension is not a multiple of the block size")
-    r = big // n
+    mult, cols = [], []
+    for i, n in enumerate(algebra.blocks):
+        first = algebra.unit_offsets[i]
+        p00 = pi_units[first]
+        w, vecs = np.linalg.eigh(0.5 * (p00 + p00.conj().T))
+        corner = vecs[:, w > 0.5]
+        r = corner.shape[1]
+        # pi(E^i_a0) C_i at columns a r .. (a + 1) r of V_i
+        cols.append((pi_units[first : first + n * n : n] @ corner).transpose(1, 0, 2).reshape(big, n * r))
+        mult.append(r)
+    if sum(n * r for n, r in zip(algebra.blocks, mult)) != big:
+        raise NotSingleBlockError("corner projection ranks do not fill the representation space")
+    v = np.hstack(cols)
+    delta = frob(v.conj().T @ v - np.eye(big))
+    defect = v.conj().T @ (pi_units @ v)
+    defect[_tensor_pattern(algebra, mult)] -= 1.0
+    return tuple(mult), v, _norms(defect), delta
 
-    def unit(a, b):
-        return pi_units[a * n + b]
 
-    p00 = unit(0, 0)
-    w, v = np.linalg.eigh(0.5 * (p00 + p00.conj().T))
-    cols = v[:, w > 0.5]
-    if cols.shape[1] != r:
-        raise NotSingleBlockError("corner projection rank does not match multiplicity")
-    columns = np.zeros((big, big), dtype=np.complex128)
-    for i in range(n):
-        blockcols = unit(i, 0) @ cols
-        columns[:, i * r : (i + 1) * r] = blockcols
-    if not is_unitary(columns, tol):
+def _tensor_pattern(algebra, mult):
+    """Indices (unit, row, col) of the unit entries of every T_k."""
+    out, start = [], 0
+    for i, (n, r) in enumerate(zip(algebra.blocks, mult)):
+        a, b, lam = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), np.arange(r), indexing="ij"))
+        out.append((algebra.unit_offsets[i] + a * n + b, start + a * r + lam, start + b * r + lam))
+        start += n * r
+    return tuple(np.concatenate(part) for part in zip(*out))
+
+
+def factor_rep_tensor(
+    pi_units: np.ndarray, algebra: FiniteCStarAlgebra, tol: Tolerances = DEFAULT_TOL
+):
+    """Identify a unital representation of the algebra with the direct sum
+    over its blocks of b_i -> b_i (x) I_{r_i}: returns ``(r, V)`` with
+    ``r`` the tuple of multiplicities, V unitary and V^+ pi(E^i_ab) V =
+    E_ab (x) I_{r_i} in block i (blocks in order, zero elsewhere)."""
+    mult, v, eps, _ = _block_factor(np.asarray(pi_units, dtype=np.complex128), algebra)
+    if not is_unitary(v, tol):
         raise NotSingleBlockError("assembled intertwiner is not unitary")
-    for a in range(n):
-        for b in range(n):
-            target = np.kron(np.eye(n)[:, [a]] @ np.eye(n)[[b], :], np.eye(r))
-            if frob(columns.conj().T @ unit(a, b) @ columns - target) > tol.recon_fro * max(
-                1.0, np.sqrt(big)
-            ):
-                raise NotSingleBlockError("representation does not factor through the block")
-    return r, columns
+    if eps.max(initial=0.0) > tol.recon_fro * max(1.0, np.sqrt(v.shape[0])):
+        raise NotSingleBlockError("representation does not factor through the blocks")
+    return mult, v
 
 
 def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DEFAULT_TOL):
@@ -424,20 +446,15 @@ def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DE
     algebra; the count equals the rank of the Choi matrix."""
     if len(spec.algebra.blocks) != 1:
         raise NotSingleBlockError("kraus extraction needs a single full block")
-    n = spec.algebra.blocks[0]
-    r, v = factor_rep_tensor(dilation.pi_units, n, tol)
-    jprime = v.conj().T @ dilation.j
-    ops = [
-        np.stack([jprime[i * r + lam] for i in range(n)])
-        for lam in range(r)
-    ]
-    worst = 0.0
-    for k, unit in enumerate(spec.algebra.units()):
-        total = sum(a.conj().T @ unit @ a for a in ops)
-        worst = max(worst, frob(total - spec.values[k]))
+    n, nv = spec.algebra.blocks[0], spec.n_v
+    (r,), v = factor_rep_tensor(dilation.pi_units, spec.algebra, tol)
+    ops = (v.conj().T @ dilation.j).reshape(n, r, nv).transpose(1, 0, 2)
+    # sum_l A_l^+ E_ab A_l = sum_l conj(row a of A_l)^T (row b of A_l)
+    total = np.einsum("lav,lbw->abvw", ops.conj(), ops).reshape(n * n, nv, nv)
+    worst = float(_norms(total - spec.values).max())
     if worst > tol.recon_fro * max(1.0, frob(dilation.j) ** 2):
         raise DilationResidualError(f"kraus reconstruction residual {worst:.2e}")
-    return ops
+    return list(ops)
 
 
 def cp_extremal(
@@ -476,12 +493,9 @@ def cp_extremal(
         for b in range(spec.n_v):
             constraints.append(np.outer(dilation.j[:, a], dilation.j[:, b].conj()))
     # E_{0b} and E_{b0} generate a block of size >= 2; E_{00} is a block of size 1
-    blocks = spec.algebra.blocks
-    pi_gens = [
-        dilation.pi_units[k]
-        for k, (i, a, b) in enumerate(spec.algebra.unit_index())
-        if (a == 0 or b == 0) and (a != b or blocks[i] == 1)
-    ]
+    blk, a, b = spec.algebra.unit_index().T
+    size = np.asarray(spec.algebra.blocks)[blk]
+    pi_gens = list(dilation.pi_units[((a == 0) | (b == 0)) & ((a != b) | (size == 1))])
     group_gens = spec.symmetry.group.generators() if dilation.sym is not None else ()
     generators = pi_gens + [dilation.sym(s) for s in group_gens]
     basis = constrained_commutant(generators, constraints, hermitian_only=False, dim=n, tol=tol)
@@ -511,12 +525,7 @@ def cp_extremal(
 
     perturbed = []
     for sign in (+1.0, -1.0):
-        values = np.stack(
-            [
-                dilation.j.conj().T @ (np.eye(n) + sign * witness) @ dilation.pi_units[k] @ dilation.j
-                for k in range(spec.algebra.n_units)
-            ]
-        )
+        values = dilation.j.conj().T @ (np.eye(n) + sign * witness) @ dilation.pi_units @ dilation.j
         perturbed.append(replace(spec, values=values))
     return ExtremalityCertificate(False, witness, tuple(perturbed), len(basis))
 
@@ -615,28 +624,17 @@ def subminimal(
     one_coeffs = right.coefficients(right.one())
     e_one = np.tensordot(one_coeffs, e_units, axes=(0, 0))
     residuals["unital"] = frob(e_one - np.eye(n))
+    pi_left = dilation.pi_units[: left.n_units]
     worst = 0.0
-    for kc in range(right.n_units):
-        for kb in range(left.n_units):
-            worst = max(
-                worst,
-                frob(e_units[kc] @ dilation.pi_units[kb] - dilation.pi_units[kb] @ e_units[kc]),
-            )
+    for e in e_units:
+        worst = max(worst, float(np.linalg.norm(e @ pi_left - pi_left @ e, axis=(1, 2)).max()))
     residuals["commutes"] = worst
     lim = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)))
     if residuals["unital"] > lim or worst > lim:
         raise DilationResidualError("subminimal map failed unitality/commutation")
 
     # complete positivity of E as a map on the right factor
-    radj = right.adjoint_table()
-    rprod = right.unit_product_table()
-    grand = np.zeros((right.n_units * n, right.n_units * n), dtype=np.complex128)
-    for k1 in range(right.n_units):
-        for k2 in range(right.n_units):
-            ku = rprod[(radj[k1], k2)]
-            if ku is not None:
-                grand[k1 * n : (k1 + 1) * n, k2 * n : (k2 + 1) * n] = e_units[ku]
-    if not psd_check(grand, tol):
+    if not psd_check(_grand(right, e_units), tol):
         raise DilationResidualError("subminimal map is not completely positive")
 
     # covariance against the second factor's action
@@ -646,13 +644,11 @@ def subminimal(
         and spec.symmetry.u_factors is not None
     ):
         _, u_right = spec.symmetry.u_factors
-        group = spec.symmetry.group
         worst = 0.0
-        for g in group.elements():
-            for kc, cunit in enumerate(right.units()):
-                moved = u_right(g) @ cunit @ u_right(g).conj().T
-                e_moved = np.tensordot(right.coefficients(moved), e_units, axes=(0, 0))
-                worst = max(worst, frob(dilation.sym(g) @ e_units[kc] - e_moved @ dilation.sym(g)))
+        for g in spec.symmetry.group.elements():
+            sg = dilation.sym(g)
+            diff = sg @ e_units - right.transport(u_right(g), e_units) @ sg
+            worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
         residuals["covariance"] = worst
         if worst > lim:
             raise DilationResidualError("subminimal map failed covariance")

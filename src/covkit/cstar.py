@@ -9,10 +9,16 @@ every sesquilinear form is given by a matrix T via s(v, w) = v^+ T w.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, frob, psd_check
+from .numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, psd_check
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -44,17 +50,38 @@ class FiniteCStarAlgebra:
     def linear_dim(self) -> int:
         return sum(b * b for b in self.blocks)
 
-    def block_offset(self, i: int) -> int:
-        return sum(self.blocks[:i])
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Start of each block on the defining space, with the total last."""
+        return _frozen(np.concatenate([[0], np.cumsum(self.blocks)]))
 
-    def unit_index(self):
-        """Triples (block, row, col) in the order the unit basis is listed."""
-        out = []
-        for i, n in enumerate(self.blocks):
-            for a in range(n):
-                for b in range(n):
-                    out.append((i, a, b))
-        return out
+    @cached_property
+    def unit_offsets(self) -> np.ndarray:
+        """Index of each block's first matrix unit, with the total last."""
+        return _frozen(np.concatenate([[0], np.cumsum([b * b for b in self.blocks])]))
+
+    def block_offset(self, i: int) -> int:
+        return int(self.offsets[i])
+
+    def unit_index(self) -> np.ndarray:
+        """(n_units, 3) array of (block, row, col), in the order the unit
+        basis is listed: block-major, then row-major inside a block."""
+        return self._unit_index
+
+    @cached_property
+    def _unit_index(self) -> np.ndarray:
+        parts = [
+            np.stack([np.full(n * n, i), np.repeat(np.arange(n), n), np.tile(np.arange(n), n)], 1)
+            for i, n in enumerate(self.blocks)
+        ]
+        return _frozen(np.concatenate(parts))
+
+    @cached_property
+    def unit_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column of each matrix unit on the defining space."""
+        blk, a, b = self._unit_index.T
+        off = self.offsets[blk]
+        return _frozen(off + a), _frozen(off + b)
 
     def unit(self, i: int, a: int, b: int) -> np.ndarray:
         m = np.zeros((self.defining_dim, self.defining_dim), dtype=np.complex128)
@@ -74,50 +101,101 @@ class FiniteCStarAlgebra:
         return np.eye(self.defining_dim, dtype=np.complex128)
 
     def coefficients(self, mat) -> np.ndarray:
-        """Coordinates of an algebra element in the matrix-unit basis."""
-        mat = as_matrix(mat)
-        if mat.shape != (self.defining_dim, self.defining_dim):
+        """Coordinates in the matrix-unit basis of an algebra element, or of
+        every matrix in a stack (..., D, D) -> (..., n_units)."""
+        mat = np.asarray(mat, dtype=np.complex128)
+        if mat.shape[-2:] != (self.defining_dim, self.defining_dim):
             raise DimensionError("element has the wrong size for this algebra")
-        out = np.empty(self.n_units, dtype=np.complex128)
-        for k, (i, a, b) in enumerate(self.unit_index()):
-            off = self.block_offset(i)
-            out[k] = mat[off + a, off + b]
-        return out
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix contains NaN or Inf entries")
+        rows, cols = self.unit_positions
+        return mat[..., rows, cols]
 
     def element(self, coefficients) -> np.ndarray:
+        """Inverse of :meth:`coefficients`, also on stacks (..., n_units)."""
         coefficients = np.asarray(coefficients, dtype=np.complex128)
-        if coefficients.shape != (self.n_units,):
+        if coefficients.shape[-1:] != (self.n_units,):
             raise DimensionError("need one coefficient per matrix unit")
-        m = np.zeros((self.defining_dim, self.defining_dim), dtype=np.complex128)
-        for k, (i, a, b) in enumerate(self.unit_index()):
-            off = self.block_offset(i)
-            m[off + a, off + b] = coefficients[k]
+        d = self.defining_dim
+        m = np.zeros(coefficients.shape[:-1] + (d, d), dtype=np.complex128)
+        rows, cols = self.unit_positions
+        m[..., rows, cols] = coefficients
         return m
 
     def contains(self, mat, tol: Tolerances = DEFAULT_TOL) -> bool:
-        """True iff the matrix vanishes outside the block-diagonal pattern."""
-        mat = as_matrix(mat)
-        if mat.shape != (self.defining_dim, self.defining_dim):
+        """True iff the matrix (every matrix of a stack) vanishes outside the
+        block-diagonal pattern."""
+        mat = np.asarray(mat, dtype=np.complex128)
+        if mat.shape[-2:] != (self.defining_dim, self.defining_dim):
             return False
-        residual = mat - self.element(self.coefficients(mat))
-        return frob(residual) <= tol.recon_fro * max(1.0, frob(mat))
+        residual = np.linalg.norm(mat - self.element(self.coefficients(mat)), axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(mat, axis=(-2, -1)))
+        return bool(np.all(residual <= tol.recon_fro * scale))
 
     def block_of(self, mat, i: int) -> np.ndarray:
         off, n = self.block_offset(i), self.blocks[i]
         return as_matrix(mat)[off : off + n, off : off + n]
 
-    def unit_product_table(self):
-        """(k1, k2) -> index of unit(k1) @ unit(k2), or None when zero."""
-        idx = {t: k for k, t in enumerate(self.unit_index())}
-        table = {}
-        for k1, (i, a, b) in enumerate(self.unit_index()):
-            for k2, (j, c, d) in enumerate(self.unit_index()):
-                table[(k1, k2)] = idx[(i, a, d)] if (i == j and b == c) else None
-        return table
+    def unit_product_table(self) -> np.ndarray:
+        """(n_units, n_units) array: index of unit(k1) @ unit(k2), or -1 when
+        the product is zero."""
+        return self._product_table
 
-    def adjoint_table(self):
-        idx = {t: k for k, t in enumerate(self.unit_index())}
-        return [idx[(i, b, a)] for (i, a, b) in self.unit_index()]
+    @cached_property
+    def _product_table(self) -> np.ndarray:
+        blk, a, b = self._unit_index.T
+        n = np.asarray(self.blocks)[blk]
+        # E^i_ab E^j_cd = E^i_ad when i == j and b == c
+        hit = (blk[:, None] == blk[None, :]) & (b[:, None] == a[None, :])
+        target = (self.unit_offsets[blk] + a * n)[:, None] + b[None, :]
+        return _frozen(np.where(hit, target, -1))
+
+    def adjoint_table(self) -> np.ndarray:
+        """Index of unit(k)^+ for every unit k."""
+        return self._adjoint_table
+
+    @cached_property
+    def _adjoint_table(self) -> np.ndarray:
+        blk, a, b = self._unit_index.T
+        return _frozen(self.unit_offsets[blk] + b * np.asarray(self.blocks)[blk] + a)
+
+    def transport(self, u, stack) -> np.ndarray:
+        """The linear map E_c -> stack[c] evaluated at u E_k u^+ for every
+        unit k: out[k] = sum_c coefficients(u E_k u^+)[c] stack[c].
+
+        The coefficient of E^j_cd in u E^i_ab u^+ is w_ca conj(w_db) with
+        w = u restricted to (block j) x (block i), so each pair of blocks is
+        one product with kron(w, conj(w)), and pairs where w vanishes are
+        skipped.
+        """
+        u = as_matrix(u)
+        stack = np.asarray(stack, dtype=np.complex128)
+        if u.shape != (self.defining_dim, self.defining_dim) or stack.shape[0] != self.n_units:
+            raise DimensionError("transport needs a defining-space matrix and one entry per unit")
+        off, uoff = self.offsets, self.unit_offsets
+        flat = stack.reshape(self.n_units, -1)
+        out = np.zeros(flat.shape, dtype=np.complex128)
+        mass = np.add.reduceat(np.add.reduceat(np.abs(u), off[:-1], axis=0), off[:-1], axis=1)
+        for j, i in zip(*np.nonzero(mass)):
+            w = u[off[j] : off[j + 1], off[i] : off[i + 1]]
+            out[uoff[i] : uoff[i + 1]] += np.kron(w, w.conj()).T @ flat[uoff[j] : uoff[j + 1]]
+        return out.reshape(stack.shape)
+
+    def outside_norms(self, u) -> tuple[np.ndarray, np.ndarray]:
+        """Frobenius norm of the part of u E_k u^+ outside the algebra, for
+        every unit k, and the norm of u E_k u^+ itself.
+
+        Entry (p, q) of u E_k u^+ is u[p, row_k] conj(u[q, col_k]); the
+        squared mass outside is a sum of non-negative terms over pairs of
+        distinct blocks, so it carries no cancellation.
+        """
+        u = as_matrix(u)
+        mass = np.add.reduceat(np.abs(u) ** 2, self.offsets[:-1], axis=0)  # (blocks, D)
+        rows, cols = self.unit_positions
+        left, right = mass[:, rows], mass[:, cols]
+        apart = 1.0 - np.eye(len(self.blocks))
+        outside = np.sqrt(np.einsum("jk,jl,lk->k", left, apart, right))
+        return outside, np.sqrt(left.sum(0) * right.sum(0))
 
 
 @dataclass(frozen=True)
@@ -198,10 +276,6 @@ def form_eval(t, v, w) -> np.ndarray:
 def form_positive(t, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Positivity of the form s(v, w) = v^+ t w, equivalently of ``t``."""
     return psd_check(t, tol)
-
-
-def algebra_element(alg: FiniteCStarAlgebra, coefficients) -> np.ndarray:
-    return alg.element(coefficients)
 
 
 def alg_positive(alg: FiniteCStarAlgebra, a, tol: Tolerances = DEFAULT_TOL) -> bool:

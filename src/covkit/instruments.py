@@ -42,6 +42,7 @@ from .numlin import (
     lstsq_define,
     psd_check,
     psd_factor,
+    psd_status,
     rank,
 )
 
@@ -145,8 +146,7 @@ class ValidationReport:
 
 def validate_observable(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
     checks = {}
-    psd_ok = all(psd_check(m, tol) for m in spec.effects)
-    checks["effects_psd"] = (psd_ok, 0.0)
+    checks["effects_psd"] = psd_status(spec.effects, tol)
     total = spec.effects.sum(axis=0)
     res = frob(total - np.eye(spec.v_dim))
     checks["normalization"] = (res <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), res)
@@ -244,7 +244,7 @@ def choi_from_kraus(ops, k_dim, v_dim) -> np.ndarray:
 def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
     checks = {}
     k, v = spec.k_dim, spec.v_dim
-    checks["outcomes_cp"] = (all(psd_check(c, tol) for c in spec.choi), 0.0)
+    checks["outcomes_cp"] = psd_status(spec.choi, tol)
     total = sum(spec.outcome_map(w, np.eye(k)) for w in range(spec.n_outcomes))
     res = frob(total - np.eye(v))
     checks["normalization"] = (res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)

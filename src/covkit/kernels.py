@@ -24,8 +24,8 @@ from .numlin import (
     frob,
     is_unitary,
     lstsq_define,
-    psd_check,
     psd_factor,
+    psd_status,
     rank,
 )
 
@@ -157,10 +157,7 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
     residuals["covariance"] = float(err_cov)
 
     grand = spec.grand_matrix()
-    positive = psd_check(grand, tol)
-    # magnitude of the most negative eigenvalue, 0 when there is none
-    low = np.linalg.eigvalsh(0.5 * (grand + grand.conj().T)).min() if grand.size else 0.0
-    residuals["positivity"] = max(0.0, -float(low))
+    positive, residuals["positivity"] = psd_status(grand, tol)
     if not positive:
         first = first or ("positivity",)
     return KernelReport(positive, covariant, alpha_ok, first, residuals)

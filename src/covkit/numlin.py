@@ -83,13 +83,30 @@ def psd_check(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"psd_check needs a square matrix, got {a.shape}")
-    if a.shape[0] == 0:
-        return True
-    s = _scale(a)
-    if frob(a - a.conj().T) > tol.psd_eig * s:
-        return False
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    return bool(w.min() >= -tol.psd_eig * s)
+    return psd_status(a, tol)[0]
+
+
+def psd_status(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
+    """Positivity verdict and residual for a square matrix or a stack of
+    them, from one eigenvalue computation.
+
+    The verdict is that of :func:`psd_check` for every matrix; the residual
+    is the magnitude of the most negative eigenvalue of the Hermitian parts,
+    0 when there is none.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"psd_status needs square matrices, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains NaN or Inf entries")
+    if a.size == 0:
+        return True, 0.0
+    adjoint = np.swapaxes(a.conj(), -1, -2)
+    scale = np.maximum(1.0, np.linalg.norm(a, 2, axis=(-2, -1)))
+    hermitian = np.linalg.norm(a - adjoint, axis=(-2, -1)) <= tol.psd_eig * scale
+    low = np.linalg.eigvalsh(0.5 * (a + adjoint)).min(axis=-1)
+    ok = bool(np.all(hermitian) and np.all(low >= -tol.psd_eig * scale))
+    return ok, max(0.0, -float(low.min()))
 
 
 def psd_factor(a, tol: Tolerances = DEFAULT_TOL):

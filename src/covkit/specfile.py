@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -65,11 +66,56 @@ def _complex_in(obj, path):
 def matrix_in(obj, path) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SpecFileError(f"{path}: matrices are nested row-major arrays")
+    # the whole matrix at once: a rectangular array of [re, im] pairs whose
+    # entries are all JSON numbers (not booleans) and finite
+    try:
+        pairs = np.array(obj, dtype=np.float64)
+        kinds = set(map(type, chain.from_iterable(chain.from_iterable(obj))))
+    except (TypeError, ValueError, OverflowError):
+        pairs = kinds = None
+    if (
+        pairs is not None
+        and pairs.ndim == 3
+        and pairs.shape[2] == 2
+        and kinds <= {int, float}
+        and np.isfinite(pairs).all()
+    ):
+        return pairs.view(np.complex128)[..., 0]
+    # entry by entry, to name the first bad one
     rows = [[_complex_in(z, f"{path}[{i}][{j}]") for j, z in enumerate(r)] for i, r in enumerate(obj)]
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise SpecFileError(f"{path}: ragged matrix")
     return np.array(rows, dtype=np.complex128)
+
+
+def _int_in(obj, path) -> int:
+    # bool is an int subclass; JSON floats and strings are not integers
+    if type(obj) is not int:
+        raise SpecFileError(f"{path}: expected an integer")
+    return obj
+
+
+def _int_list_in(obj, path) -> list:
+    if not isinstance(obj, list):
+        raise SpecFileError(f"{path}: expected an array of integers")
+    if set(map(type, obj)) - {int}:
+        for i, v in enumerate(obj):
+            _int_in(v, f"{path}[{i}]")
+    return obj
+
+
+def _int_table_in(obj, path) -> np.ndarray:
+    """A rectangular table of JSON integers as an int64 array."""
+    if not isinstance(obj, list):
+        raise SpecFileError(f"{path}: expected an array of arrays of integers")
+    rows = [_int_list_in(r, f"{path}[{i}]") for i, r in enumerate(obj)]
+    if len({len(r) for r in rows}) > 1:
+        raise SpecFileError(f"{path}: ragged table")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        raise SpecFileError(f"{path}: integer out of range") from None
 
 
 def _check_fields(obj, path, required, optional=()):
@@ -83,6 +129,11 @@ def _check_fields(obj, path, required, optional=()):
         raise SpecFileError(f"{path}: missing fields {sorted(missing)}")
 
 
+def _module_in(obj) -> ModuleSpace:
+    _check_fields(obj, "payload.module", ["k", "n_v"])
+    return ModuleSpace(_int_in(obj["k"], "payload.module.k"), _int_in(obj["n_v"], "payload.module.n_v"))
+
+
 # -- groups ------------------------------------------------------------------
 
 
@@ -91,20 +142,20 @@ def group_in(obj, path="group") -> FiniteGroup:
         raise SpecFileError(f"{path}: expected an object")
     if "mul" in obj:
         _check_fields(obj, path, ["mul"])
-        return FiniteGroup(np.array(obj["mul"], dtype=np.int64))
+        return FiniteGroup(_int_table_in(obj["mul"], f"{path}.mul"))
     _check_fields(obj, path, ["name"], ["n", "d"])
     name = obj.get("name")
     if name == "cyclic":
-        return FiniteGroup.cyclic(int(obj["n"]))
+        return FiniteGroup.cyclic(_int_in(obj.get("n"), f"{path}.n"))
     if name == "dihedral":
-        return FiniteGroup.dihedral(int(obj["n"]))
+        return FiniteGroup.dihedral(_int_in(obj.get("n"), f"{path}.n"))
     if name == "symmetric":
-        n = int(obj["n"])
+        n = _int_in(obj.get("n"), f"{path}.n")
         if n > 4:
             raise SpecFileError(f"{path}: symmetric groups supported up to n = 4")
         return FiniteGroup.symmetric(n)
     if name == "heisenberg":
-        return heisenberg_rep(int(obj["d"]))[0]
+        return heisenberg_rep(_int_in(obj.get("d"), f"{path}.d"))[0]
     raise SpecFileError(f"{path}: unknown group constructor {name!r}")
 
 
@@ -140,12 +191,11 @@ def kernel_in(payload) -> tuple[CovariantKernelSpec, list]:
         ["z_pairs"],
     )
     group = group_in(payload["group"])
-    action = GroupAction(group, np.array(payload["action"], dtype=np.int64))
+    action = GroupAction(group, _int_table_in(payload["action"], "payload.action"))
     alpha = matrix_in(payload["alpha"], "payload.alpha")
     sigma = TwoCocycle(group, matrix_in(payload["sigma"], "payload.sigma"))
     rep = rep_in(payload["rep"], group, "payload.rep")
-    _check_fields(payload["module"], "payload.module", ["k", "n_v"])
-    module = ModuleSpace(int(payload["module"]["k"]), int(payload["module"]["n_v"]))
+    module = _module_in(payload["module"])
     rows = payload["blocks"]
     x = action.set_size
     if not isinstance(rows, list) or len(rows) != x:
@@ -157,7 +207,10 @@ def kernel_in(payload) -> tuple[CovariantKernelSpec, list]:
         ]
     )
     spec = CovariantKernelSpec(action, alpha, sigma, rep, module, blocks)
-    z_pairs = [(int(a), int(b)) for a, b in payload.get("z_pairs", [[i, i] for i in range(x)])]
+    z = _int_table_in(payload.get("z_pairs", [[i, i] for i in range(x)]), "payload.z_pairs")
+    if len(z) and z.shape[1:] != (2,):
+        raise SpecFileError("payload.z_pairs: entries are [x, y] pairs of points")
+    z_pairs = [(int(a), int(b)) for a, b in z]
     return spec, z_pairs
 
 
@@ -181,9 +234,8 @@ def kernel_out(spec: CovariantKernelSpec, z_pairs=None) -> dict:
 
 def cpmap_in(payload) -> CPMapSpec:
     _check_fields(payload, "payload", ["blocks", "module", "values"], ["symmetry", "tensor"])
-    algebra = FiniteCStarAlgebra(tuple(int(b) for b in payload["blocks"]))
-    _check_fields(payload["module"], "payload.module", ["k", "n_v"])
-    module = ModuleSpace(int(payload["module"]["k"]), int(payload["module"]["n_v"]))
+    algebra = FiniteCStarAlgebra(tuple(_int_list_in(payload["blocks"], "payload.blocks")))
+    module = _module_in(payload["module"])
     values = np.stack(
         [matrix_in(v, f"payload.values[{i}]") for i, v in enumerate(payload["values"])]
     )
@@ -201,8 +253,8 @@ def cpmap_in(payload) -> CPMapSpec:
         t = payload["tensor"]
         _check_fields(t, "payload.tensor", ["left_blocks", "right_blocks"])
         tensor = TensorSplit(
-            FiniteCStarAlgebra(tuple(int(b) for b in t["left_blocks"])),
-            FiniteCStarAlgebra(tuple(int(b) for b in t["right_blocks"])),
+            FiniteCStarAlgebra(tuple(_int_list_in(t["left_blocks"], "payload.tensor.left_blocks"))),
+            FiniteCStarAlgebra(tuple(_int_list_in(t["right_blocks"], "payload.tensor.right_blocks"))),
         )
     return CPMapSpec(algebra, module, values, symmetry, tensor)
 
@@ -229,7 +281,7 @@ def cpmap_out(spec: CPMapSpec) -> dict:
 
 def _symmetry_in(payload, need_out_rep):
     group = group_in(payload["group"])
-    sub = SubgroupData(group, tuple(int(m) for m in payload["subgroup"]))
+    sub = SubgroupData(group, tuple(_int_list_in(payload["subgroup"], "payload.subgroup")))
     rep = rep_in(payload["rep"], group, "payload.rep")
     out_rep = None
     if need_out_rep:
@@ -276,7 +328,7 @@ def instrument_out(spec: InstrumentSpec) -> dict:
 
 def phase_space_in(payload):
     _check_fields(payload, "payload", ["d", "seed_ops"])
-    d = int(payload["d"])
+    d = _int_in(payload["d"], "payload.d")
     ops = [matrix_in(b, f"payload.seed_ops[{i}]") for i, b in enumerate(payload["seed_ops"])]
     return d, ops
 
@@ -291,7 +343,7 @@ def group_payload_in(payload):
     group = group_in(payload["group"])
     out = {"group": group}
     if "action" in payload:
-        out["action"] = GroupAction(group, np.array(payload["action"], dtype=np.int64))
+        out["action"] = GroupAction(group, _int_table_in(payload["action"], "payload.action"))
     if "cocycle" in payload:
         out["cocycle"] = TwoCocycle(group, matrix_in(payload["cocycle"], "payload.cocycle"))
     if "rep" in payload:

@@ -10,7 +10,10 @@ verdict is backed by an explicit validated split.
 
 The file also keeps the element-by-element loop forms of the group, action,
 subgroup, cocycle and representation checks, as references for the batched
-checks in ``covkit.fingroup``.
+checks in ``covkit.fingroup``, and the loop forms of the matrix-unit
+coordinates, tables and transport and of the all-pairs multiplicativity
+residual, as references for ``covkit.cstar`` and the dilation certificate in
+``covkit.cpmaps``.
 """
 
 import dataclasses
@@ -350,8 +353,8 @@ def cpmap_kernel_form(spec: CPMapSpec):
     blocks = np.zeros((m + 1, m + 1, nv, nv), dtype=complex)
     for i in range(m):
         for j in range(m):
-            kk = prod[(adj[i], j)]
-            if kk is not None:
+            kk = prod[adj[i], j]
+            if kk >= 0:
                 blocks[i, j] = spec.values[kk]
     for i in range(m):
         blocks[m, i] = spec.values[i]
@@ -466,3 +469,63 @@ def rep_violation_loop(u, tol=DEFAULT_TOL):
             if frob(lhs - rhs) > tol.recon_fro * max(1.0, frob(rhs)):
                 return ("product", a, b)
     return None
+
+
+# -- matrix units and the dilation certificate, element by element -------------
+
+
+def _units_loop(alg):
+    """(block, row, col, offset) of every matrix unit, in basis order."""
+    out = []
+    for i, n in enumerate(alg.blocks):
+        off = sum(alg.blocks[:i])
+        for a in range(n):
+            for b in range(n):
+                out.append((i, a, b, off))
+    return out
+
+
+def coefficients_loop(alg, mat):
+    mat = np.asarray(mat, dtype=complex)
+    return np.array([mat[off + a, off + b] for (_, a, b, off) in _units_loop(alg)], dtype=complex)
+
+
+def element_loop(alg, coeffs):
+    m = np.zeros((alg.defining_dim, alg.defining_dim), dtype=complex)
+    for k, (_, a, b, off) in enumerate(_units_loop(alg)):
+        m[off + a, off + b] = coeffs[k]
+    return m
+
+
+def unit_tables_loop(alg):
+    """Product table as a dict (k1, k2) -> index of the product, or None
+    when it vanishes, and the adjoint table as a list."""
+    units = [(i, a, b) for (i, a, b, _) in _units_loop(alg)]
+    idx = {t: k for k, t in enumerate(units)}
+    prod = {}
+    for k1, (i, a, b) in enumerate(units):
+        for k2, (j, c, d) in enumerate(units):
+            prod[(k1, k2)] = idx[(i, a, d)] if (i == j and b == c) else None
+    adj = [idx[(i, b, a)] for (i, a, b) in units]
+    return prod, adj
+
+
+def transport_loop(alg, u, stack):
+    """stack evaluated at u E_k u^+ for every unit k, through the loop-form
+    coefficients."""
+    out = []
+    for i, a, b, off in _units_loop(alg):
+        moved = np.outer(u[:, off + a], u[:, off + b].conj())
+        out.append(np.tensordot(coefficients_loop(alg, moved), stack, axes=(0, 0)))
+    return np.stack(out)
+
+
+def multiplicativity_loop(alg, pi_units):
+    """max over all pairs of units of ||pi(E_k) pi(E_l) - pi(E_k E_l)||."""
+    prod, _ = unit_tables_loop(alg)
+    n = pi_units.shape[1]
+    worst = 0.0
+    for (k1, k2), kk in prod.items():
+        target = pi_units[kk] if kk is not None else np.zeros((n, n))
+        worst = max(worst, frob(pi_units[k1] @ pi_units[k2] - target))
+    return worst

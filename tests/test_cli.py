@@ -290,3 +290,147 @@ def test_matrix_out_matches_per_entry_form():
         assert "-0.0" in json.dumps(out)
     real = np.arange(6.0).reshape(2, 3) - 2.0
     assert json.dumps(specfile.matrix_out(real)) == json.dumps(_matrix_out_by_entry(real))
+
+
+def _matrix_in_by_entry(obj):
+    # the entry-by-entry form matrix_in falls back to
+    return np.array([[complex(re, im) for re, im in row] for row in obj], dtype=np.complex128)
+
+
+def test_matrix_in_matches_per_entry_form():
+    rng = np.random.default_rng(13)
+    for shape in [(1, 1), (3, 3), (2, 5)]:
+        mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        mat[rng.random(shape) < 0.3] *= 1e-310
+        mat[0, 0] = complex(-0.0, -0.0)
+        obj = json.loads(json.dumps(specfile.matrix_out(mat)))
+        obj[-1][-1] = [3, -4]  # JSON integers
+        got, want = specfile.matrix_in(obj, "m"), _matrix_in_by_entry(obj)
+        assert got.dtype == np.complex128 and got.shape == shape
+        assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        ([[[0, 1], [True, 0]]], "m[0][1]: complex numbers are [re, im] pairs of real numbers"),
+        ([[[0, 1], [0, float("nan")]]], "m[0][1]: complex entries must be finite"),
+        ([[[float("-inf"), 1]]], "m[0][0]: complex entries must be finite"),
+        ([[[0, 0]], [[10**400, 0]]], "m[1][0]: complex entries must be finite"),
+        ([[[0, 0], [1, 0]], [[2, 0]]], "m: ragged matrix"),
+        ([[[0, 0, 0]]], "m[0][0]: complex numbers are [re, im] pairs of real numbers"),
+        ([[[0, 0], 5]], "m[0][1]: complex numbers are [re, im] pairs of real numbers"),
+        ([[[0, 0], ["1", 0]]], "m[0][1]: complex numbers are [re, im] pairs of real numbers"),
+        ([[[0, 0], [None, 0]]], "m[0][1]: complex numbers are [re, im] pairs of real numbers"),
+        ([[[[0, 0], [0, 0]]]], "m[0][0]: complex numbers are [re, im] pairs of real numbers"),
+        ([[0, 0]], "m[0][0]: complex numbers are [re, im] pairs of real numbers"),
+        ([], "m: matrices are nested row-major arrays"),
+    ],
+)
+def test_matrix_in_names_the_first_bad_entry(obj, message):
+    with pytest.raises(specfile.SpecFileError) as info:
+        specfile.matrix_in(obj, "m")
+    assert str(info.value) == message
+
+
+def _observable_doc_with(edit):
+    doc = json.loads(flip_observable_doc())
+    edit(doc["payload"])
+    return json.dumps(doc)
+
+
+def _set(obj, key, value):
+    obj[key] = value
+
+
+INTEGER_FIELD_CASES = [
+    (specfile.document("group", {"group": {"mul": [[0, 1], [1, 0.7]]}}), "group.mul[1][1]"),
+    (specfile.document("group", {"group": {"mul": [[0, True], [1, 0]]}}), "group.mul[0][1]"),
+    (specfile.document("group", {"group": {"name": "cyclic", "n": "3"}}), "group.n"),
+    (specfile.document("group", {"group": {"name": "dihedral", "n": 4.0}}), "group.n"),
+    (
+        specfile.document("group", {"group": {"name": "cyclic", "n": 2}, "action": [[0, 1], [1, "0"]]}),
+        "payload.action[1][1]",
+    ),
+    (_observable_doc_with(lambda p: _set(p, "subgroup", [True])), "payload.subgroup[0]"),
+    (phase_space_doc().replace('"d": 2', '"d": 2.0'), "payload.d"),
+    (
+        ones_kernel_doc().replace('"n_v": 1', '"n_v": true'),
+        "payload.module.n_v",
+    ),
+    (
+        specfile.document("cpmap", {"blocks": [2.5], "module": {"k": 1, "n_v": 1}, "values": []}),
+        "payload.blocks[0]",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,path", INTEGER_FIELD_CASES, ids=[c[1] for c in INTEGER_FIELD_CASES])
+def test_cli_rejects_non_integer_integer_fields(tmp_path, capsys, text, path):
+    file = write(tmp_path, "doc.json", text)
+    assert main(["validate", file]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: expected an integer" in err
+
+
+def test_cli_rejects_bad_z_pairs(tmp_path, capsys):
+    doc = json.loads(ones_kernel_doc())
+    doc["payload"]["z_pairs"] = [[0, 0], [1, 0.5]]
+    assert main(["extremal", write(tmp_path, "k.json", json.dumps(doc))]) == 2
+    assert "payload.z_pairs[1][1]: expected an integer" in capsys.readouterr().err
+    doc["payload"]["z_pairs"] = [[0, 0, 1]]
+    assert main(["extremal", write(tmp_path, "k.json", json.dumps(doc))]) == 2
+    assert "payload.z_pairs" in capsys.readouterr().err
+
+
+def _validate_verdicts(tmp_path, capsys, text):
+    assert main(["validate", write(tmp_path, "doc.json", text)]) == 1
+    return json.loads(capsys.readouterr().out)["verdicts"]
+
+
+def test_cli_effects_psd_reports_most_negative_eigenvalue(tmp_path, capsys):
+    # effects diag(1.5, -0.5) and diag(-0.5, 1.5): covariant, normalized
+    verdicts = _validate_verdicts(tmp_path, capsys, flip_observable_doc(p=1.5))
+    assert verdicts["normalization"]["ok"] and verdicts["covariance"]["ok"]
+    assert not verdicts["effects_psd"]["ok"]
+    assert verdicts["effects_psd"]["residual"] == pytest.approx(0.5)
+
+
+def test_cli_outcomes_cp_reports_most_negative_eigenvalue(tmp_path, capsys):
+    d = 2
+    b = np.zeros((d, d), dtype=complex)
+    b[0, 0] = 1.0 / np.sqrt(d)
+    spec = phase_space(d, [b])
+    payload = specfile.instrument_out(spec)
+    choi = spec.choi - 0.1 * np.eye(spec.choi.shape[1])
+    payload["choi"] = [specfile.matrix_out(c) for c in choi]
+    verdicts = _validate_verdicts(tmp_path, capsys, specfile.document("instrument", payload))
+    assert not verdicts["outcomes_cp"]["ok"]
+    low = np.linalg.eigvalsh(choi).min()
+    assert verdicts["outcomes_cp"]["residual"] == pytest.approx(-low)
+
+
+def test_cli_completely_positive_reports_most_negative_eigenvalue(tmp_path, capsys):
+    # the transpose map on M_2: its Choi matrix is the swap, eigenvalue -1
+    values = []
+    for a in range(2):
+        for b in range(2):
+            unit = np.zeros((2, 2), dtype=complex)
+            unit[a, b] = 1.0
+            values.append(unit.T)
+    payload = {
+        "blocks": [2],
+        "module": {"k": 1, "n_v": 2},
+        "values": [specfile.matrix_out(v) for v in values],
+    }
+    verdicts = _validate_verdicts(tmp_path, capsys, specfile.document("cpmap", payload))
+    assert not verdicts["completely_positive"]["ok"]
+    assert verdicts["completely_positive"]["residual"] == pytest.approx(1.0)
+
+    capsys.readouterr()
+    valid = [np.trace(v) / 2.0 * np.eye(2) for v in values]
+    payload["values"] = [specfile.matrix_out(v) for v in valid]
+    assert main(["validate", write(tmp_path, "ok.json", specfile.document("cpmap", payload))]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts["completely_positive"]["ok"]
+    assert verdicts["completely_positive"]["residual"] <= 1e-12

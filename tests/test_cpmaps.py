@@ -68,8 +68,8 @@ def test_ksgns_identity_channel():
     dil = ksgns(identity_channel())
     assert dil.rank == 2
     # the algebra representation is (equivalent to) the identity representation
-    r, v = factor_rep_tensor(dil.pi_units, 2)
-    assert r == 1
+    r, v = factor_rep_tensor(dil.pi_units, M2)
+    assert r == (1,)
     assert np.allclose(dil.j @ dil.j.conj().T, np.eye(2), atol=1e-9)
 
 
@@ -78,8 +78,8 @@ def test_ksgns_trace_form():
     dil = ksgns(spec)
     # grand kernel is the 4x4 Hilbert-Schmidt Gram of the matrix units
     assert dil.rank == 4
-    r, _ = factor_rep_tensor(dil.pi_units, 2)
-    assert r == 2
+    r, _ = factor_rep_tensor(dil.pi_units, M2)
+    assert r == (2,)
     assert abs(np.linalg.norm(dil.j) ** 2 - 2.0) < 1e-9  # j^+ j = tr(I) = 2
     ops = kraus_extract(spec, dil)
     assert len(ops) == 2
@@ -121,8 +121,8 @@ def test_kraus_reproduces_on_random_elements():
 def test_factor_rep_tensor_identity():
     alg = FiniteCStarAlgebra.full(2)
     pi_units = np.stack(list(alg.units()))
-    r, v = factor_rep_tensor(pi_units, 2)
-    assert r == 1
+    r, v = factor_rep_tensor(pi_units, alg)
+    assert r == (1,)
     assert np.allclose(np.abs(v), np.eye(2), atol=1e-9)
 
 
@@ -130,8 +130,8 @@ def test_factor_rep_tensor_doubled():
     alg = FiniteCStarAlgebra.full(2)
     pi_units = np.stack([np.kron(np.eye(2), u) for u in alg.units()])
     # b -> I (x) b is equivalent to b (x) I with multiplicity 2
-    r, v = factor_rep_tensor(pi_units, 2)
-    assert r == 2
+    r, v = factor_rep_tensor(pi_units, alg)
+    assert r == (2,)
     for u, p in zip(alg.units(), pi_units):
         assert np.allclose(v.conj().T @ p @ v, np.kron(u, np.eye(2)), atol=1e-9)
 
@@ -140,7 +140,7 @@ def test_factor_rep_tensor_rejects_bad_dim():
     alg = FiniteCStarAlgebra.full(2)
     pi_units = np.stack(list(alg.units()))  # acting on C^2
     with pytest.raises(NotSingleBlockError):
-        factor_rep_tensor(pi_units, 3)
+        factor_rep_tensor(pi_units, FiniteCStarAlgebra.full(3))
 
 
 def oracle_choi_extreme(spec):

@@ -33,8 +33,8 @@ def test_cp_map_kernel_decomposition_agrees_with_dilation():
     prod = spec.algebra.unit_product_table()
     for i in range(m):
         for j in range(m):
-            k = prod[(adj[i], j)]
-            if k is not None:
+            k = prod[adj[i], j]
+            if k >= 0:
                 blocks[i, j] = spec.values[k]
     kernel = CovariantKernelSpec(
         action=GroupAction.trivial(g, m),

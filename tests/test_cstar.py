@@ -19,9 +19,9 @@ def test_matrix_unit_adjoints_and_products():
     assert np.allclose(e01.conj().T, e10)
     assert np.allclose(e01 @ e10, alg.unit(0, 0, 0))
     table = alg.unit_product_table()
-    idx = {t: k for k, t in enumerate(alg.unit_index())}
-    assert table[(idx[(0, 0, 1)], idx[(0, 1, 0)])] == idx[(0, 0, 0)]
-    assert table[(idx[(0, 0, 1)], idx[(0, 0, 1)])] is None
+    idx = {tuple(t): k for k, t in enumerate(alg.unit_index().tolist())}
+    assert table[idx[(0, 0, 1)], idx[(0, 1, 0)]] == idx[(0, 0, 0)]
+    assert table[idx[(0, 0, 1)], idx[(0, 0, 1)]] == -1
 
 
 def test_unit_sum_is_identity():

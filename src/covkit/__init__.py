@@ -39,7 +39,10 @@ from .cstar import (
     form_positive,
 )
 from .kernels import (
+    Check,
+    Checks,
     CovariantKernelSpec,
+    DilationResidualError,
     ExtremalityCertificate,
     KolmogorovDecomposition,
     equivalence_unitary,
@@ -63,7 +66,6 @@ from .instruments import (
     CovariantInstrumentData,
     CovariantObservableData,
     InstrumentSpec,
-    MeasureConvention,
     NaimarkData,
     ObservableSpec,
     Symmetry,

@@ -37,6 +37,7 @@ from .instruments import (
     validate_observable,
 )
 from .kernels import (
+    Checks,
     DilationResidualError,
     EquivalenceError,
     KernelValidationError,
@@ -44,7 +45,7 @@ from .kernels import (
     kolmogorov_decompose,
     validate_kernel,
 )
-from .numlin import NotPositiveError, Tolerances, psd_check
+from .numlin import NotPositiveError, Tolerances, frob, psd_check
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -103,9 +104,9 @@ def _load_file(path):
     return specfile.load(text)
 
 
-def _merge_checks(report: Report, checks: dict):
-    for name, (ok, residual) in checks.items():
-        report.verdict(name, ok, residual)
+def _merge_checks(report: Report, checks: Checks):
+    for name, check in checks.items():
+        report.verdict(name, check.ok, check.residual)
 
 
 def cmd_validate(args) -> int:
@@ -123,26 +124,19 @@ def cmd_validate(args) -> int:
             bad = rep_violation(obj["rep"], tol)
             report.verdict("rep", bad is None)
     elif kind == "kernel":
-        spec, _ = obj
-        kr = validate_kernel(spec, tol)
-        report.verdict("positive", kr.positive, kr.residuals.get("positivity", 0.0))
-        report.verdict("covariant", kr.covariant, kr.residuals.get("covariance", 0.0))
-        report.verdict("alpha_cocycle", kr.alpha_ok, kr.residuals.get("alpha", 0.0))
+        _merge_checks(report, validate_kernel(obj[0], tol))
     elif kind == "cpmap":
-        cr = cp_validate(obj, tol)
-        report.verdict("completely_positive", cr.cp, cr.residuals["positivity"])
-        report.verdict("covariant", cr.covariant, cr.residuals.get("covariance", 0.0))
-        report.verdict("normal", cr.normal)
-        if cr.zero_map:
+        _merge_checks(report, cp_validate(obj, tol))
+        if frob(obj.values) <= tol.recon_fro:
             report.artifact("warning", "validation note", message="the map is zero")
     elif kind == "observable":
-        _merge_checks(report, validate_observable(obj, tol).checks)
+        _merge_checks(report, validate_observable(obj, tol))
     elif kind == "instrument":
-        _merge_checks(report, validate_instrument(obj, tol).checks)
+        _merge_checks(report, validate_instrument(obj, tol))
     elif kind == "phase_space":
         d, ops = obj
         spec = phase_space(d, ops, tol)
-        _merge_checks(report, validate_instrument(spec, tol).checks)
+        _merge_checks(report, validate_instrument(spec, tol))
     elif kind == "state":
         report.verdict("positive", psd_check(obj, tol))
         report.verdict("unit_trace", abs(np.trace(obj).real - 1.0) <= 1e-8,
@@ -158,8 +152,7 @@ def cmd_dilate(args) -> int:
     if kind == "kernel":
         spec, _ = obj
         dec = kolmogorov_decompose(spec, tol)
-        for name, res in dec.residuals.items():
-            report.verdict(name, True, res)
+        _merge_checks(report, dec.checks)
         report.artifact(
             "decomposition",
             "minimal covariant factorization of the kernel blocks",
@@ -169,8 +162,7 @@ def cmd_dilate(args) -> int:
         )
     elif kind == "cpmap":
         dil = ksgns(obj, tol)
-        for name, res in dil.residuals.items():
-            report.verdict(name, True, res)
+        _merge_checks(report, dil.checks)
         report.artifact(
             "dilation",
             "minimal covariant dilation: intertwiner, algebra representation",
@@ -181,8 +173,7 @@ def cmd_dilate(args) -> int:
         )
     elif kind == "observable":
         naim = naimark(obj, tol)
-        for name, res in naim.residuals.items():
-            report.verdict(name, True, res)
+        _merge_checks(report, naim.checks)
         report.artifact(
             "naimark",
             "minimal covariant Naimark dilation: fibers, isometry, transport blocks",
@@ -195,8 +186,7 @@ def cmd_dilate(args) -> int:
         )
     elif kind == "instrument":
         dil = ksgns(as_cpmap(obj), tol)
-        for name, res in dil.residuals.items():
-            report.verdict(name, True, res)
+        _merge_checks(report, dil.checks)
         report.artifact(
             "dilation",
             "minimal covariant dilation of the instrument as a CP map",
@@ -267,7 +257,7 @@ def cmd_kraus(args) -> int:
     if kind == "cpmap":
         dil = ksgns(obj, tol)
         ops = kraus_extract(obj, dil, tol)
-        report.verdict("reconstruction", True, dil.residuals["reconstruction"])
+        report.verdict("reconstruction", *dil.checks["reconstruction"])
         report.artifact(
             "kraus",
             "Kraus family reproducing the map; count equals the Choi rank",

@@ -17,6 +17,8 @@ import numpy as np
 from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from .fingroup import FiniteGroup, MultiplierRep
 from .kernels import (
+    Check,
+    Checks,
     DilationResidualError,
     ExtremalityCertificate,
     _certify_commutant,
@@ -121,49 +123,34 @@ def _grand(alg: FiniteCStarAlgebra, stack) -> np.ndarray:
     return out.reshape(m * d, m * d)
 
 
-@dataclass(frozen=True)
-class CPReport:
-    cp: bool
-    covariant: bool
-    zero_map: bool
-    residuals: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.cp and self.covariant
-
-    # normality is automatic at finite dimension; recorded for the report
-    normal: bool = True
-
-
-def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> CPReport:
+def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
     """Complete positivity (with the magnitude of the grand kernel's most
-    negative eigenvalue as its residual) and covariance, checked one group
-    element at a time over every matrix unit at once."""
-    cp, positivity = psd_status(spec.grand_kernel(), tol)
-    residuals = {"positivity": positivity}
-    zero = frob(spec.values) <= tol.recon_fro
-
-    covariant = True
+    negative eigenvalue as its residual), covariance, checked one group
+    element at a time over every matrix unit at once, and normality, which
+    is automatic at finite dimension.  Where some b -> u b u^+ leaves the
+    algebra, the covariance residual is the largest part of a u E_k u^+
+    outside it."""
+    checks = Checks(completely_positive=Check(*psd_status(spec.grand_kernel(), tol)))
+    covariant, worst = True, 0.0
     if spec.symmetry is not None:
         alg, sym = spec.algebra, spec.symmetry
-        scale = max(1.0, float(np.abs(spec.values).max()))
-        worst = 0.0
+        leaves = 0.0
         for g in sym.group.elements():
             outside, size = alg.outside_norms(sym.u(g))
             if np.any(outside > tol.recon_fro * np.maximum(1.0, size)):
-                # b -> u b u^+ leaves the algebra
-                covariant = False
-                residuals["action"] = float("inf")
-                break
+                leaves = max(leaves, float(outside.max()))
+                continue
             uinv = sym.rep.inv_mat(g)
             lhs = alg.transport(sym.u(g), spec.values)
             rhs = uinv.conj().T @ spec.values @ uinv
             worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max()))
-        residuals["covariance"] = worst
-        if worst > tol.recon_fro * scale:
-            covariant = False
-    return CPReport(cp=cp, covariant=covariant, zero_map=zero, residuals=residuals)
+        if leaves:
+            covariant, worst = False, leaves
+        else:
+            covariant = worst <= tol.recon_fro * max(1.0, float(np.abs(spec.values).max()))
+    checks["covariant"] = Check(covariant, worst)
+    checks["normal"] = Check(True, 0.0)
+    return checks
 
 
 @dataclass(frozen=True)
@@ -183,7 +170,7 @@ class KSGNSDilation:
     pi_units: np.ndarray  # (n_units, N, N)
     sym: MultiplierRep | None
     sym_bar: MultiplierRep | None
-    residuals: dict = field(default_factory=dict)
+    checks: Checks = field(default_factory=Checks)
 
     def pi(self, bmat) -> np.ndarray:
         coeffs = self.spec.algebra.coefficients(bmat)
@@ -207,7 +194,7 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     """
     report = cp_validate(spec, tol)
     if not report.ok:
-        raise ValueError(f"cp map invalid: {report.residuals}")
+        raise ValueError(f"cp map invalid: {', '.join(report.failed())}")
     alg, nv = spec.algebra, spec.n_v
     m = alg.n_units
     n_dil, f = psd_factor(spec.grand_kernel(), tol)
@@ -216,16 +203,14 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     scale = max(1.0, frob(f))
 
     pi_units, worst = _solve_pi(alg, f, pinv)
-    residuals = {"pi_solve": worst}
-    if worst > tol.recon_fro * scale:
-        raise DilationResidualError(f"algebra representation residual {worst:.2e}")
+    checks = Checks().require(tol.recon_fro * scale, "algebra representation solve failed", pi_solve=worst)
 
     index = alg.unit_index()
     j = np.zeros((n_dil, nv), dtype=np.complex128)
     for k in np.flatnonzero(index[:, 1] == index[:, 2]):
         j += r_blocks[k]
-    dil = KSGNSDilation(spec, n_dil, r_blocks, j, pi_units, None, None, residuals)
-    _certify_pi(dil, tol)
+    dil = KSGNSDilation(spec, n_dil, r_blocks, j, pi_units, None, None)
+    checks.update(_certify_pi(dil, tol))
 
     sym = sym_bar = None
     if spec.symmetry is not None and n_dil:
@@ -238,14 +223,12 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
             targets = moved.transpose(1, 0, 2).reshape(n_dil, m * nv)
             mats[g] = targets @ pinv
             worst = max(worst, frob(mats[g] @ f - targets))
-        residuals["sym_solve"] = worst
-        if worst > tol.recon_fro * scale:
-            raise DilationResidualError(f"dilation representation residual {worst:.2e}")
+        checks.require(tol.recon_fro * scale, "dilation representation solve failed", sym_solve=worst)
         sym = MultiplierRep(group, rep.cocycle, mats)
         sym_bar = _build_bar(spec, pi_units, sym, alg, tol)
         dil = replace(dil, sym=sym, sym_bar=sym_bar)
-        _certify_covariant(dil, tol)
-    return dil
+        checks.update(_certify_covariant(dil, tol))
+    return replace(dil, checks=checks)
 
 
 def _solve_pi(alg, f, pinv):
@@ -288,7 +271,7 @@ def _norms(stack) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
-def _certify_pi(dil: KSGNSDilation, tol):
+def _certify_pi(dil: KSGNSDilation, tol) -> Checks:
     """Certify pi as a unital *-representation and the dilation as minimal.
 
     Reconstruction, adjointness, unitality and minimality are checked
@@ -306,10 +289,11 @@ def _certify_pi(dil: KSGNSDilation, tol):
     alg = dil.spec.algebra
     n, pi = dil.rank, dil.pi_units
     scale = max(1.0, frob(dil.j) ** 2)
-    worst = float(_norms(dil.j.conj().T @ pi @ dil.j - dil.spec.values).max())
-    dil.residuals["reconstruction"] = worst
-    if worst > tol.recon_fro * scale:
-        raise DilationResidualError(f"reconstruction residual {worst:.2e}")
+    checks = Checks().require(
+        tol.recon_fro * scale,
+        "reconstruction failed",
+        reconstruction=float(_norms(dil.j.conj().T @ pi @ dil.j - dil.spec.values).max()),
+    )
 
     worst_adj = float(_norms(pi.conj().transpose(0, 2, 1) - pi[alg.adjoint_table()]).max())
     index = alg.unit_index()
@@ -317,9 +301,9 @@ def _certify_pi(dil: KSGNSDilation, tol):
     try:
         _, _, eps, delta = _block_factor(pi, alg)
     except NotSingleBlockError as exc:
-        raise DilationResidualError(f"algebra representation does not factor: {exc}") from exc
+        raise DilationResidualError(f"algebra representation does not factor: {exc}", checks) from exc
     if delta >= 1.0:
-        raise DilationResidualError(f"block intertwiner is far from unitary ({delta:.2e})")
+        raise DilationResidualError(f"block intertwiner is far from unitary ({delta:.2e})", checks)
     prod = alg.unit_product_table()
     norms = _norms(pi)
     bound = (
@@ -329,20 +313,21 @@ def _certify_pi(dil: KSGNSDilation, tol):
         + np.where(prod >= 0, eps[prod], 0.0)
         + (1.0 + delta) * delta * np.outer(norms, norms)
     ) / (1.0 - delta)
-    worst_mult = float(bound.max())
-    dil.residuals.update(
-        {"pi_multiplicative": worst_mult, "pi_adjoint": worst_adj, "pi_unital": unital}
+    checks.require(
+        tol.recon_fro * max(1.0, np.sqrt(max(n, 1))),
+        "algebra representation certification failed",
+        pi_multiplicative=float(bound.max()),
+        pi_adjoint=worst_adj,
+        pi_unital=unital,
     )
-    limit = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)))
-    if worst_mult > limit or worst_adj > limit or unital > limit:
-        raise DilationResidualError("algebra representation certification failed")
 
     # minimality: the blocks pi(unit) j span the dilation space
     if n and rank(dil.r_blocks.transpose(1, 0, 2).reshape(n, -1), tol) != n:
-        raise DilationResidualError("dilation is not minimal")
+        raise DilationResidualError("dilation is not minimal", checks)
+    return checks
 
 
-def _certify_covariant(dil: KSGNSDilation, tol):
+def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
     """Unitarity, intertwining and twist of the dilation representation, and
     the commuting twist's commutation and cocycle, batched over the matrix
     units (or the group) one group element at a time."""
@@ -358,11 +343,9 @@ def _certify_covariant(dil: KSGNSDilation, tol):
         diff = s[g] @ pi
         diff -= alg.transport(spec.symmetry.u(g), pi) @ s[g]
         worst_tw = max(worst_tw, float(_norms(diff).max()))
-    dil.residuals.update(
-        {"sym_unitary": worst_unit, "sym_j": worst_j, "sym_twist": worst_tw}
-    )
-    if worst_unit > tol.unitary_fro * max(1.0, np.sqrt(max(n, 1))) or worst_j > limit or worst_tw > limit:
-        raise DilationResidualError("covariant dilation certification failed")
+    message = "covariant dilation certification failed"
+    checks = Checks().require(tol.unitary_fro * max(1.0, np.sqrt(max(n, 1))), message, sym_unitary=worst_unit)
+    checks.require(limit, message, sym_j=worst_j, sym_twist=worst_tw)
 
     if dil.sym_bar is not None:
         bar, cocycle = dil.sym_bar.matrices, dil.sym_bar.cocycle.values
@@ -374,9 +357,8 @@ def _certify_covariant(dil: KSGNSDilation, tol):
             # sym_bar(a) sym_bar(b) - c(a, b) sym_bar(ab) for every b
             rows = bar[a] @ bar - cocycle[a][:, None, None] * bar[group.mul[a]]
             coc = max(coc, float(_norms(rows).max()))
-        dil.residuals.update({"bar_commutes": worst_comm, "bar_cocycle": coc})
-        if worst_comm > limit or coc > limit:
-            raise DilationResidualError("commuting twist certification failed")
+        checks.require(limit, "commuting twist certification failed", bar_commutes=worst_comm, bar_cocycle=coc)
+    return checks
 
 
 class NotSingleBlockError(ValueError):
@@ -567,7 +549,7 @@ class SubminimalMap:
     dilation reproducing the joint map."""
 
     e_units: np.ndarray  # (n_units of the second factor, N, N)
-    residuals: dict
+    checks: Checks
 
     def of(self, algebra, cmat) -> np.ndarray:
         coeffs = algebra.coefficients(cmat)
@@ -608,7 +590,6 @@ def subminimal(
                 )
         e_units[kc] = pinv.conj().T @ w @ pinv
 
-    residuals = {}
     scale = max(1.0, frob(dilation.j) ** 2)
     # reconstruction over all unit pairs
     worst = 0.0
@@ -616,26 +597,23 @@ def subminimal(
         for kc, cunit in enumerate(right.units()):
             lhs = dilation.j.conj().T @ dilation.pi_units[kb] @ e_units[kc] @ dilation.j
             worst = max(worst, frob(lhs - spec.value_of(split.embed(bunit, cunit))))
-    residuals["reconstruction"] = worst
-    if worst > tol.recon_fro * scale:
-        raise DilationResidualError(f"subminimal reconstruction residual {worst:.2e}")
+    checks = Checks().require(tol.recon_fro * scale, "subminimal reconstruction failed", reconstruction=worst)
 
     # unital and commuting with pi
     one_coeffs = right.coefficients(right.one())
     e_one = np.tensordot(one_coeffs, e_units, axes=(0, 0))
-    residuals["unital"] = frob(e_one - np.eye(n))
     pi_left = dilation.pi_units[: left.n_units]
     worst = 0.0
     for e in e_units:
         worst = max(worst, float(np.linalg.norm(e @ pi_left - pi_left @ e, axis=(1, 2)).max()))
-    residuals["commutes"] = worst
     lim = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)))
-    if residuals["unital"] > lim or worst > lim:
-        raise DilationResidualError("subminimal map failed unitality/commutation")
+    checks.require(
+        lim, "subminimal map failed unitality/commutation", unital=frob(e_one - np.eye(n)), commutes=worst
+    )
 
     # complete positivity of E as a map on the right factor
     if not psd_check(_grand(right, e_units), tol):
-        raise DilationResidualError("subminimal map is not completely positive")
+        raise DilationResidualError("subminimal map is not completely positive", checks)
 
     # covariance against the second factor's action
     if (
@@ -649,7 +627,5 @@ def subminimal(
             sg = dilation.sym(g)
             diff = sg @ e_units - right.transport(u_right(g), e_units) @ sg
             worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
-        residuals["covariance"] = worst
-        if worst > lim:
-            raise DilationResidualError("subminimal map failed covariance")
-    return SubminimalMap(e_units=e_units, residuals=residuals)
+        checks.require(lim, "subminimal map failed covariance", covariance=worst)
+    return SubminimalMap(e_units=e_units, checks=checks)

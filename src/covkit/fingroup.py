@@ -526,13 +526,6 @@ class IrrepDecomposition:
     blocks: tuple[IrrepBlock, ...]
     basis: np.ndarray  # the change-of-basis unitary V
 
-    def block_offsets(self) -> list[int]:
-        offs, pos = [], 0
-        for blk in self.blocks:
-            offs.append(pos)
-            pos += blk.dim * blk.multiplicity
-        return offs
-
     def assembled(self, g) -> np.ndarray:
         """The block-diagonal matrix the decomposition asserts for U(g)."""
         parts = [np.kron(blk.rep(g), np.eye(blk.multiplicity)) for blk in self.blocks]

@@ -4,13 +4,12 @@ block-operator structure of covariant observables, the Kraus-family
 structure of covariant instruments, the square-integrable specialization,
 the discrete phase-space construction, and an outcome sampler.
 
-Outcome spaces are coset spaces of a finite group; all measures follow the
-counting convention of :class:`MeasureConvention`.
+Outcome spaces are coset spaces of a finite group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +25,8 @@ from .fingroup import (
     irrep_decompose,
 )
 from .kernels import (
+    Check,
+    Checks,
     CovariantKernelSpec,
     DilationResidualError,
     ExtremalityCertificate,
@@ -40,40 +41,12 @@ from .numlin import (
     frob,
     is_unitary,
     lstsq_define,
+    offsets,
     psd_check,
     psd_factor,
     psd_status,
     rank,
 )
-
-
-@dataclass(frozen=True)
-class MeasureConvention:
-    """Counting-type measures on G, H, and the coset space.
-
-    Each coset carries weight 1, H carries the uniform probability, and each
-    group element carries weight 1/|H|, so integrating over the group equals
-    summing section-point values over cosets.
-    """
-
-    group_order: int
-    h_order: int
-
-    @property
-    def omega_size(self) -> int:
-        return self.group_order // self.h_order
-
-    @property
-    def group_weight(self) -> float:
-        return 1.0 / self.h_order
-
-    @property
-    def h_weight(self) -> float:
-        return 1.0 / self.h_order
-
-    @property
-    def omega_weight(self) -> float:
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -101,9 +74,6 @@ class Symmetry:
     @property
     def n_outcomes(self) -> int:
         return self.sub.n_cosets
-
-    def measures(self) -> MeasureConvention:
-        return MeasureConvention(self.group.order, len(self.sub.members))
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +105,11 @@ class ObservableSpec:
         return self.effects.shape[0]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    checks: dict  # name -> (bool, residual)
-
-    def failed(self):
-        return [k for k, (good, _) in self.checks.items() if not good]
-
-
-def validate_observable(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
-    checks = {}
-    checks["effects_psd"] = psd_status(spec.effects, tol)
+def validate_observable(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
+    checks = Checks(effects_psd=Check(*psd_status(spec.effects, tol)))
     total = spec.effects.sum(axis=0)
     res = frob(total - np.eye(spec.v_dim))
-    checks["normalization"] = (res <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), res)
+    checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), res)
     sym = spec.symmetry
     worst = 0.0
     for g in sym.group.elements():
@@ -157,8 +117,8 @@ def validate_observable(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> 
         for w in range(spec.n_outcomes):
             lhs = ug @ spec.effects[w] @ ug.conj().T
             worst = max(worst, frob(lhs - spec.effects[sym.action.apply(g, w)]))
-    checks["covariance"] = (worst <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), worst)
-    return ValidationReport(all(good for good, _ in checks.values()), checks)
+    checks["covariance"] = Check(worst <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), worst)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +201,12 @@ def choi_from_kraus(ops, k_dim, v_dim) -> np.ndarray:
     return out
 
 
-def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
-    checks = {}
+def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
     k, v = spec.k_dim, spec.v_dim
-    checks["outcomes_cp"] = psd_status(spec.choi, tol)
+    checks = Checks(outcomes_cp=Check(*psd_status(spec.choi, tol)))
     total = sum(spec.outcome_map(w, np.eye(k)) for w in range(spec.n_outcomes))
     res = frob(total - np.eye(v))
-    checks["normalization"] = (res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)
+    checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)
     sym = spec.symmetry
     worst = 0.0
     for g in sym.group.elements():
@@ -256,8 +215,8 @@ def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> 
             lhs = wg @ spec.choi[w] @ wg.conj().T
             worst = max(worst, frob(lhs - spec.choi[sym.action.apply(g, w)]))
     scale = max(1.0, float(np.abs(spec.choi).max()) * k * v)
-    checks["covariance"] = (worst <= tol.recon_fro * scale, worst)
-    return ValidationReport(all(good for good, _ in checks.values()), checks)
+    checks["covariance"] = Check(worst <= tol.recon_fro * scale, worst)
+    return checks
 
 
 def marginal_observable(spec: InstrumentSpec) -> ObservableSpec:
@@ -334,29 +293,21 @@ class NaimarkData:
     fiber_dims: tuple[int, ...]
     factors: tuple[np.ndarray, ...]  # per outcome, (m(w), V)
     cocycle_blocks: dict  # g -> list of per-outcome unitaries
-    residuals: dict
+    checks: Checks = field(default_factory=Checks)
 
     @property
     def total_dim(self) -> int:
         return int(sum(self.fiber_dims))
 
-    def offsets(self) -> list[int]:
-        offs, pos = [], 0
-        for m in self.fiber_dims:
-            offs.append(pos)
-            pos += m
-        return offs
+    def offsets(self) -> np.ndarray:
+        return offsets(self.fiber_dims)
 
     def isometry(self) -> np.ndarray:
         return np.vstack(list(self.factors))
 
     def projection(self, w) -> np.ndarray:
-        n = self.total_dim
-        p = np.zeros((n, n), dtype=np.complex128)
-        off = self.offsets()[w]
-        for i in range(self.fiber_dims[w]):
-            p[off + i, off + i] = 1.0
-        return p
+        outcome = np.repeat(np.arange(len(self.fiber_dims)), self.fiber_dims)
+        return np.diag(outcome == w).astype(np.complex128)
 
     def assembled_rep(self) -> MultiplierRep:
         sym = self.spec.symmetry
@@ -366,11 +317,7 @@ class NaimarkData:
         for g in sym.group.elements():
             for w in range(self.spec.n_outcomes):
                 src = sym.action.apply(sym.group.inv(g), w)
-                blk = self.cocycle_blocks[g][w]
-                mats[g][
-                    offs[w] : offs[w] + self.fiber_dims[w],
-                    offs[src] : offs[src] + self.fiber_dims[src],
-                ] = blk
+                mats[g][offs[w] : offs[w + 1], offs[src] : offs[src + 1]] = self.cocycle_blocks[g][w]
         return MultiplierRep(sym.group, sym.rep.cocycle, mats)
 
 
@@ -389,7 +336,7 @@ def naimark(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> NaimarkData:
         fiber_dims.append(m)
 
     blocks: dict = {}
-    residuals = {"cocycle_solve": 0.0}
+    worst = 0.0
     for g in sym.group.elements():
         per = []
         for w in range(spec.n_outcomes):
@@ -399,38 +346,43 @@ def naimark(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> NaimarkData:
                 continue
             target = factors[w] @ sym.rep(g)
             blk, res = lstsq_define([(factors[src], target)], tol)
-            residuals["cocycle_solve"] = max(residuals["cocycle_solve"], res)
-            if res > tol.recon_fro * max(1.0, frob(factors[src])):
-                raise DilationResidualError(
-                    f"fiber transport failed at g={g}, outcome={w}: residual {res:.2e}"
-                )
+            # each transport is held to the scale of its own source fiber
+            Checks().require(
+                tol.recon_fro * max(1.0, frob(factors[src])),
+                f"fiber transport failed at g={g}, outcome={w}",
+                cocycle_solve=res,
+            )
+            worst = max(worst, res)
             if not is_unitary(blk, tol):
                 raise DilationResidualError("transport block is not unitary")
             per.append(blk)
         blocks[g] = per
 
-    data = NaimarkData(spec, tuple(fiber_dims), tuple(factors), blocks, residuals)
-    _certify_naimark(data, tol)
-    return data
+    data = NaimarkData(spec, tuple(fiber_dims), tuple(factors), blocks)
+    # every transport passed its own bound above
+    checks = Checks(cocycle_solve=Check(True, worst))
+    checks.update(_certify_naimark(data, tol))
+    return replace(data, checks=checks)
 
 
-def _certify_naimark(data: NaimarkData, tol):
+def _certify_naimark(data: NaimarkData, tol) -> Checks:
     spec, sym = data.spec, data.spec.symmetry
     k_iso = data.isometry()
-    res_iso = frob(k_iso.conj().T @ k_iso - np.eye(spec.v_dim))
-    data.residuals["isometry"] = res_iso
     worst = 0.0
     for w in range(spec.n_outcomes):
         compressed = k_iso.conj().T @ data.projection(w) @ k_iso
         worst = max(worst, frob(compressed - spec.effects[w]))
-    data.residuals["compression"] = worst
     lim = tol.recon_fro * max(1.0, np.sqrt(spec.v_dim))
-    if res_iso > lim or worst > lim:
-        raise DilationResidualError("naimark compression identities failed")
+    checks = Checks().require(
+        lim,
+        "naimark compression identities failed",
+        isometry=frob(k_iso.conj().T @ k_iso - np.eye(spec.v_dim)),
+        compression=worst,
+    )
     # minimality: the fibers are spanned by projected isometry columns
     for w in range(spec.n_outcomes):
         if rank(data.factors[w], tol) != data.fiber_dims[w]:
-            raise DilationResidualError("naimark dilation is not minimal")
+            raise DilationResidualError("naimark dilation is not minimal", checks)
     # assembled representation: intertwining and the block cocycle identity
     rep_big = data.assembled_rep()
     worst_j = max(
@@ -440,7 +392,7 @@ def _certify_naimark(data: NaimarkData, tol):
         ),
         default=0.0,
     )
-    data.residuals["intertwining"] = worst_j
+    checks.require(lim, "naimark covariance identities failed", intertwining=worst_j)
     coc = 0.0
     cocycle = sym.rep.cocycle
     for a in sym.group.elements():
@@ -454,9 +406,11 @@ def _certify_naimark(data: NaimarkData, tol):
                     @ data.cocycle_blocks[b][mid]
                 )
                 coc = max(coc, frob(lhs - rhs))
-    data.residuals["block_cocycle"] = coc
-    if worst_j > lim or coc > tol.recon_fro * max(1.0, np.sqrt(max(data.total_dim, 1))):
-        raise DilationResidualError("naimark covariance identities failed")
+    return checks.require(
+        tol.recon_fro * max(1.0, np.sqrt(max(data.total_dim, 1))),
+        "naimark covariance identities failed",
+        block_cocycle=coc,
+    )
 
 
 @dataclass(frozen=True)
@@ -469,18 +423,12 @@ class DecomposableOp:
     blocks: tuple[np.ndarray, ...]  # blocks[w]: fiber T^{-1}(w) -> fiber w
 
     def assemble(self) -> np.ndarray:
-        offs, pos = [], 0
-        for m in self.fiber_dims:
-            offs.append(pos)
-            pos += m
+        offs = offsets(self.fiber_dims)
         inv = {self.perm[w]: w for w in range(len(self.perm))}
-        out = np.zeros((pos, pos), dtype=np.complex128)
+        out = np.zeros((offs[-1], offs[-1]), dtype=np.complex128)
         for w in range(len(self.perm)):
             src = inv[w]
-            out[
-                offs[w] : offs[w] + self.fiber_dims[w],
-                offs[src] : offs[src] + self.fiber_dims[src],
-            ] = self.blocks[w]
+            out[offs[w] : offs[w + 1], offs[src] : offs[src + 1]] = self.blocks[w]
         return out
 
     def is_unitary_op(self, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -497,10 +445,8 @@ def decomposable_extract(
     violating the intertwining, reporting the worst outcome."""
     perm = tuple(int(p) for p in perm)
     fiber_dims = tuple(int(m) for m in fiber_dims)
-    offs, pos = [], 0
-    for m in fiber_dims:
-        offs.append(pos)
-        pos += m
+    offs = offsets(fiber_dims)
+    pos = int(offs[-1])
     op = np.asarray(op, dtype=np.complex128)
     if op.shape != (pos, pos):
         raise DimensionError("operator does not match the fiber layout")
@@ -510,14 +456,10 @@ def decomposable_extract(
     worst, worst_w = 0.0, None
     for w in range(len(perm)):
         p_w = np.zeros((pos, pos))
-        p_w[offs[w] : offs[w] + fiber_dims[w], offs[w] : offs[w] + fiber_dims[w]] = np.eye(
-            fiber_dims[w]
-        )
+        p_w[offs[w] : offs[w + 1], offs[w] : offs[w + 1]] = np.eye(fiber_dims[w])
         p_tw = np.zeros((pos, pos))
         tw = perm[w]
-        p_tw[offs[tw] : offs[tw] + fiber_dims[tw], offs[tw] : offs[tw] + fiber_dims[tw]] = np.eye(
-            fiber_dims[tw]
-        )
+        p_tw[offs[tw] : offs[tw + 1], offs[tw] : offs[tw + 1]] = np.eye(fiber_dims[tw])
         res = frob(op @ p_w - p_tw @ op)
         if res > worst:
             worst, worst_w = res, w
@@ -530,9 +472,7 @@ def decomposable_extract(
     blocks = []
     for w in range(len(perm)):
         src = inv[w]
-        blocks.append(
-            op[offs[w] : offs[w] + fiber_dims[w], offs[src] : offs[src] + fiber_dims[src]].copy()
-        )
+        blocks.append(op[offs[w] : offs[w + 1], offs[src] : offs[src + 1]].copy())
     out = DecomposableOp(perm, fiber_dims, tuple(blocks))
 
     # adjoint identity: the adjoint's block at w equals blocks[T(w)]^+
@@ -540,7 +480,7 @@ def decomposable_extract(
     worst_adj = 0.0
     for w in range(len(perm)):
         tw = perm[w]
-        blk = adj[offs[w] : offs[w] + fiber_dims[w], offs[tw] : offs[tw] + fiber_dims[tw]]
+        blk = adj[offs[w] : offs[w + 1], offs[tw] : offs[tw + 1]]
         worst_adj = max(worst_adj, frob(blk - out.blocks[tw].conj().T))
     if worst_adj > tol.recon_fro * max(1.0, frob(op)):
         raise DilationResidualError("adjoint block identity failed")
@@ -712,24 +652,23 @@ class CovariantObservableData:
 
 def validate_observable_data(
     data: CovariantObservableData, tol: Tolerances = DEFAULT_TOL
-) -> ValidationReport:
-    checks = {}
+) -> Checks:
     worst = 0.0
     for blk, ops in zip(data.decomposition.blocks, data.lambda_blocks):
         total = sum(op.conj().T @ op for op in ops)
         worst = max(worst, frob(total - np.eye(blk.multiplicity)))
-    checks["block_normalization"] = (worst <= 1e-7, worst)
+    checks = Checks(block_normalization=Check(worst <= 1e-7, worst))
 
     lam = data.assembled_map()
-    checks["totality"] = (rank(lam, tol) == data.base_dim, 0.0)
+    checks["totality"] = Check(rank(lam, tol) == data.base_dim, 0.0)
 
     u = data.decomposition.rep
     pos = {m: i for i, m in enumerate(data.sub.members)}
     worst = 0.0
     for mem in data.sub.members:
         worst = max(worst, frob(lam @ u(mem) - data.rho(pos[mem]) @ lam))
-    checks["subgroup_intertwining"] = (worst <= tol.recon_fro * max(1.0, frob(lam)), worst)
-    return ValidationReport(all(good for good, _ in checks.values()), checks)
+    checks["subgroup_intertwining"] = Check(worst <= tol.recon_fro * max(1.0, frob(lam)), worst)
+    return checks
 
 
 def observable_from_lambda(
@@ -1104,7 +1043,7 @@ class SqStructure:
     seed_matrix: np.ndarray  # PSD, trace one
     b_ops: tuple
     constant: float
-    residuals: dict
+    checks: Checks
 
 
 def sq_structure(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> SqStructure:
@@ -1120,28 +1059,31 @@ def sq_structure(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> SqStruc
     data = B_from_instrument(spec, tol)
     total = sum(b.conj().T @ b for b in data.b_ops)
     seed = d * total
-    residuals = {"trace": abs(np.trace(seed).real - 1.0)}
-    if not psd_check(seed, DEFAULT_TOL):
-        raise DilationResidualError("recovered seed is not positive")
-    if residuals["trace"] > 1e-8:
-        raise DilationResidualError("recovered seed is not trace one")
-    worst = max(
+    checks = Checks().require(
+        tol.psd_eig * max(1.0, np.linalg.norm(seed, 2)),
+        "recovered seed is not positive",
+        positive=psd_status(seed, tol)[1],
+    )
+    checks.require(tol.recon_fro, "recovered seed is not trace one", trace=abs(np.trace(seed).real - 1.0))
+    subgroup_commutant = max(
         (
             frob(seed @ sym.rep(mem) - sym.rep(mem) @ seed)
             for mem in sym.sub.members
         ),
         default=0.0,
     )
-    residuals["subgroup_commutant"] = worst
     marg = marginal_observable(spec)
     worst = 0.0
     for w in range(spec.n_outcomes):
         us = sym.rep(sym.sub.section[w])
         worst = max(worst, frob(marg.effects[w] - us @ seed @ us.conj().T / d))
-    residuals["observable_form"] = worst
-    if max(residuals.values()) > 1e-8:
-        raise DilationResidualError(f"square-integrable structure residuals {residuals}")
-    return SqStructure(seed, data.b_ops, d, residuals)
+    checks.require(
+        tol.recon_fro,
+        "square-integrable structure failed",
+        subgroup_commutant=subgroup_commutant,
+        observable_form=worst,
+    )
+    return SqStructure(seed, data.b_ops, d, checks)
 
 
 def phase_space(d: int, b_ops, tol: Tolerances = DEFAULT_TOL) -> InstrumentSpec:

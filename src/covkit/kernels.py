@@ -10,6 +10,7 @@ family alpha, and a multiplier representation on the fiber.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,9 +35,46 @@ class KernelValidationError(ValueError):
     """Operation requires a valid covariant kernel."""
 
 
+class Check(NamedTuple):
+    """One verdict of a certificate and the residual it rests on."""
+
+    ok: bool
+    residual: float
+
+
+class Checks(dict):
+    """A certificate: each check's name mapped to its :class:`Check`, in the
+    order checked."""
+
+    @property
+    def ok(self) -> bool:
+        return all(check.ok for check in self.values())
+
+    def failed(self) -> list[str]:
+        return [name for name, check in self.items() if not check.ok]
+
+    def require(self, bound, message, **residuals) -> Checks:
+        """Record each residual against ``bound``, then raise
+        :class:`DilationResidualError` carrying this certificate if one
+        exceeds it."""
+        for name, residual in residuals.items():
+            self[name] = Check(bool(residual <= bound), float(residual))
+        for name in residuals:
+            if not self[name].ok:
+                raise DilationResidualError(
+                    f"{message}: {name} residual {self[name].residual:.2e} > {bound:.2e}", self
+                )
+        return self
+
+
 class DilationResidualError(RuntimeError):
     """A solve that is exact in exact arithmetic exceeded its tolerance;
-    usually a sign of inconsistent alpha / cocycle data."""
+    usually a sign of inconsistent alpha / cocycle data.  ``checks`` is the
+    certificate up to and including the failed check."""
+
+    def __init__(self, message, checks: Checks | None = None):
+        super().__init__(message)
+        self.checks = Checks() if checks is None else checks
 
 
 @dataclass(frozen=True)
@@ -91,38 +129,16 @@ class CovariantKernelSpec:
         return self.sigma.multiply(self.rep.cocycle)
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    positive: bool
-    covariant: bool
-    alpha_ok: bool
-    first_violation: tuple | None
-    residuals: dict
-
-    @property
-    def ok(self) -> bool:
-        return self.positive and self.covariant and self.alpha_ok
-
-
-def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) -> KernelReport:
-    """Check positivity, the alpha composition rule, and block covariance."""
+def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
+    """Check the alpha composition rule, block covariance and positivity, as
+    the verdicts ``alpha_cocycle``, ``covariant`` and ``positive``."""
     g = spec.action.group
-    first = None
-    residuals = {}
+    checks = Checks()
 
-    if np.any(np.abs(spec.alpha) < 1e-14):
-        return KernelReport(False, False, False, ("alpha_zero",), {})
-
-    alpha_ok = True
-    err_alpha = 0.0
-    ident_err = np.abs(spec.alpha[g.identity] - 1.0).max()
-    err_alpha = max(err_alpha, float(ident_err))
-    if ident_err > tol.recon_fro:
-        alpha_ok = False
-        first = first or ("alpha_identity",)
+    err_alpha = float(np.abs(spec.alpha[g.identity] - 1.0).max())
+    alpha_ok = err_alpha <= tol.recon_fro
     if cocycle_violation(spec.sigma) is not None:
         alpha_ok = False
-        first = first or ("sigma_invalid",)
     else:
         for a in g.elements():
             for b in g.elements():
@@ -130,12 +146,9 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
                     lhs = spec.alpha[g.prod(a, b), x]
                     rhs = spec.sigma(a, b) * spec.alpha[b, x] * spec.alpha[a, spec.action.apply(b, x)]
                     err_alpha = max(err_alpha, abs(lhs - rhs))
-        if err_alpha > tol.recon_fro * max(1.0, float(np.abs(spec.alpha).max()) ** 2):
-            alpha_ok = False
-            first = first or ("alpha_cocycle",)
-    residuals["alpha"] = float(err_alpha)
+        alpha_ok &= err_alpha <= tol.recon_fro * max(1.0, float(np.abs(spec.alpha).max()) ** 2)
+    checks["alpha_cocycle"] = Check(bool(alpha_ok), float(err_alpha))
 
-    covariant = True
     err_cov = 0.0
     scale = max(1.0, float(np.abs(spec.blocks).max()) * float(np.abs(spec.alpha).max()) ** 2)
     for a in g.elements():
@@ -148,19 +161,10 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
                     * spec.alpha[a, y]
                     * (ua_inv.conj().T @ spec.blocks[x, y] @ ua_inv)
                 )
-                err = frob(lhs - rhs)
-                if err > err_cov:
-                    err_cov = err
-                    if err > tol.recon_fro * scale:
-                        covariant = False
-                        first = first or ("covariance", a, x, y)
-    residuals["covariance"] = float(err_cov)
-
-    grand = spec.grand_matrix()
-    positive, residuals["positivity"] = psd_status(grand, tol)
-    if not positive:
-        first = first or ("positivity",)
-    return KernelReport(positive, covariant, alpha_ok, first, residuals)
+                err_cov = max(err_cov, frob(lhs - rhs))
+    checks["covariant"] = Check(err_cov <= tol.recon_fro * scale, err_cov)
+    checks["positive"] = Check(*psd_status(spec.grand_matrix(), tol))
+    return checks
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,7 @@ class KolmogorovDecomposition:
     rank: int
     factors: np.ndarray  # (|X|, rank, n_V)
     sym: MultiplierRep  # dimension = rank, cocycle = sigma * rep.cocycle
-    residuals: dict = field(default_factory=dict)
+    checks: Checks = field(default_factory=Checks)
 
     def stacked(self) -> np.ndarray:
         return np.hstack(list(self.factors))
@@ -180,13 +184,10 @@ class KolmogorovDecomposition:
 
 def _solve_dilation_rep(spec, factors, n_dil, tol):
     """Solve the dilation unitaries from sym(g) factors[x] =
-    alpha(g, x)^{-1} factors[g x] rep(g) and certify them."""
+    alpha(g, x)^{-1} factors[g x] rep(g); returns them with the solve's
+    certificate."""
     g = spec.action.group
-    if n_dil == 0:
-        mats = np.zeros((g.order, 0, 0), dtype=np.complex128)
-        return MultiplierRep(g, spec.dilation_cocycle(), mats), 0.0
     stacked_in = np.hstack(list(factors))
-    scale = max(1.0, frob(stacked_in))
     mats = np.zeros((g.order, n_dil, n_dil), dtype=np.complex128)
     worst = 0.0
     for a in g.elements():
@@ -198,18 +199,17 @@ def _solve_dilation_rep(spec, factors, n_dil, tol):
         )
         mats[a], res = lstsq_define([(stacked_in, targets)], tol)
         worst = max(worst, res)
-        if res > tol.recon_fro * scale:
-            raise DilationResidualError(
-                f"dilation solve residual {res:.2e} at group element {a}; "
-                "alpha / cocycle data is inconsistent with the blocks"
-            )
-    sym = MultiplierRep(g, spec.dilation_cocycle(), mats)
-    return sym, worst
+    checks = Checks().require(
+        tol.recon_fro * max(1.0, frob(stacked_in)),
+        "dilation solve failed; alpha / cocycle data is inconsistent with the blocks",
+        dilation_solve=worst,
+    )
+    return MultiplierRep(g, spec.dilation_cocycle(), mats), checks
 
 
-def _certify_decomposition(spec, decomp, tol):
+def _certify_decomposition(spec, decomp, tol) -> Checks:
     g = spec.action.group
-    residuals = dict(decomp.residuals)
+    checks = Checks()
     n = decomp.rank
     grand = spec.grand_matrix()
     scale = max(1.0, np.linalg.norm(grand, 2)) if grand.size else 1.0
@@ -221,14 +221,10 @@ def _certify_decomposition(spec, decomp, tol):
                 recon,
                 frob(decomp.factors[x].conj().T @ decomp.factors[y] - spec.blocks[x, y]),
             )
-    residuals["reconstruction"] = recon
-    if recon > tol.recon_fro * scale:
-        raise DilationResidualError(f"factor reconstruction residual {recon:.2e}")
+    checks.require(tol.recon_fro * scale, "factor reconstruction failed", reconstruction=recon)
 
     unit = max((frob(decomp.sym(a).conj().T @ decomp.sym(a) - np.eye(n)) for a in g.elements()), default=0.0)
-    residuals["unitarity"] = unit
-    if unit > tol.unitary_fro * max(1.0, np.sqrt(n)):
-        raise DilationResidualError(f"dilation unitaries off by {unit:.2e}")
+    checks.require(tol.unitary_fro * max(1.0, np.sqrt(n)), "dilation unitaries failed", unitarity=unit)
 
     cocycle = spec.dilation_cocycle()
     coc = 0.0
@@ -238,9 +234,7 @@ def _certify_decomposition(spec, decomp, tol):
                 coc,
                 frob(decomp.sym(a) @ decomp.sym(b) - cocycle(a, b) * decomp.sym(g.prod(a, b))),
             )
-    residuals["cocycle"] = coc
-    if coc > tol.recon_fro * max(1.0, np.sqrt(n)):
-        raise DilationResidualError(f"dilation cocycle residual {coc:.2e}")
+    checks.require(tol.recon_fro * max(1.0, np.sqrt(n)), "dilation cocycle failed", cocycle=coc)
 
     inter = 0.0
     for a in g.elements():
@@ -248,10 +242,9 @@ def _certify_decomposition(spec, decomp, tol):
             lhs = decomp.sym(a) @ decomp.factors[x]
             rhs = decomp.factors[spec.action.apply(a, x)] @ spec.rep(a) / spec.alpha[a, x]
             inter = max(inter, frob(lhs - rhs))
-    residuals["intertwining"] = inter
-    if inter > tol.recon_fro * max(1.0, scale):
-        raise DilationResidualError(f"covariant intertwining residual {inter:.2e}")
-    return replace(decomp, residuals=residuals)
+    return checks.require(
+        tol.recon_fro * max(1.0, scale), "covariant intertwining failed", intertwining=inter
+    )
 
 
 def kolmogorov_decompose(
@@ -269,9 +262,9 @@ def kolmogorov_decompose(
     factoring; the result is another minimal decomposition of the same
     kernel, useful for exercising uniqueness up to a connecting unitary.
     """
-    report = validate_kernel(spec, tol)
-    if not report.ok:
-        raise KernelValidationError(f"kernel invalid: {report.first_violation}")
+    checks = validate_kernel(spec, tol)
+    if not checks.ok:
+        raise KernelValidationError(f"kernel invalid: {', '.join(checks.failed())}")
     grand = spec.grand_matrix()
     if basis_permutation is not None:
         perm = np.asarray(basis_permutation, dtype=np.int64)
@@ -286,11 +279,10 @@ def kolmogorov_decompose(
     factors = np.stack(
         [f[:, x * nv : (x + 1) * nv] for x in range(spec.x_size)]
     ) if n_dil else np.zeros((spec.x_size, 0, nv), dtype=np.complex128)
-    sym, solve_res = _solve_dilation_rep(spec, factors, n_dil, tol)
-    decomp = KolmogorovDecomposition(
-        spec, n_dil, factors, sym, {"dilation_solve": solve_res}
-    )
-    return _certify_decomposition(spec, decomp, tol)
+    sym, checks = _solve_dilation_rep(spec, factors, n_dil, tol)
+    decomp = KolmogorovDecomposition(spec, n_dil, factors, sym)
+    checks.update(_certify_decomposition(spec, decomp, tol))
+    return replace(decomp, checks=checks)
 
 
 def transform_decomposition(decomp: KolmogorovDecomposition, q) -> KolmogorovDecomposition:
@@ -299,7 +291,7 @@ def transform_decomposition(decomp: KolmogorovDecomposition, q) -> KolmogorovDec
     factors = np.stack([q @ decomp.factors[x] for x in range(decomp.spec.x_size)])
     mats = np.stack([q @ decomp.sym(g) @ q.conj().T for g in decomp.spec.action.group.elements()])
     sym = MultiplierRep(decomp.spec.action.group, decomp.sym.cocycle, mats)
-    return KolmogorovDecomposition(decomp.spec, decomp.rank, factors, sym, dict(decomp.residuals))
+    return replace(decomp, factors=factors, sym=sym)
 
 
 class EquivalenceError(RuntimeError):
@@ -366,12 +358,11 @@ def _certify_commutant(basis, full, tol):
         return
     d = np.stack(basis)[:, None]
     comm = d @ full[None] - full[None] @ d
-    worst = float(np.linalg.norm(comm, axis=(2, 3)).max())
-    bound = tol.recon_fro * max(1.0, float(np.linalg.norm(full, axis=(1, 2)).max()))
-    if worst > bound:
-        raise DilationResidualError(
-            f"commutant basis fails the full commutation check ({worst:.2e} > {bound:.2e})"
-        )
+    Checks().require(
+        tol.recon_fro * max(1.0, float(np.linalg.norm(full, axis=(1, 2)).max())),
+        "commutant basis fails the full commutation check",
+        commutant=float(np.linalg.norm(comm, axis=(2, 3)).max()),
+    )
 
 
 def kernel_extremal(

@@ -62,6 +62,12 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def offsets(sizes) -> np.ndarray:
+    """Start of each block of a direct sum with the given block sizes, with
+    the total last."""
+    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+
+
 def _scale(a) -> float:
     # Spectral-norm based scale, floored at 1 so absolute and relative
     # tolerances agree for O(1) inputs.

@@ -83,7 +83,7 @@ def test_criterion_1_kolmogorov_reconstruction():
         )
         dec = kolmogorov_decompose(spec)
         for key in worst:
-            worst[key] = max(worst[key], dec.residuals[key])
+            worst[key] = max(worst[key], dec.checks[key].residual)
     elapsed = time.perf_counter() - start
     assert all(v <= 1e-8 for v in worst.values()), worst
     assert elapsed < 60.0
@@ -122,9 +122,9 @@ def test_criterion_3_ksgns_certification():
         )
         dil = ksgns(spec)
         for key in keys:
-            worst = max(worst, dil.residuals[key])
+            worst = max(worst, dil.checks[key].residual)
         if dil.sym_bar is not None:
-            worst = max(worst, dil.residuals["bar_commutes"])
+            worst = max(worst, dil.checks["bar_commutes"].residual)
     assert worst <= 1e-8
     announce(3, f"50 covariant dilations certified, worst residual {worst:.2e}")
 

@@ -7,6 +7,7 @@ from covkit import specfile
 from covkit.cli import main
 from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle
 from covkit.instruments import ObservableSpec, Symmetry, phase_space
+from covkit.random import rand_covariant_cpmap
 
 
 def write(tmp_path, name, text):
@@ -410,6 +411,25 @@ def test_cli_outcomes_cp_reports_most_negative_eigenvalue(tmp_path, capsys):
     assert verdicts["outcomes_cp"]["residual"] == pytest.approx(-low)
 
 
+def test_cli_cpmap_covariance_reports_the_part_outside_the_algebra(tmp_path, capsys):
+    # Z_2 acting on C + C by the Hadamard: H E_00 H^+ has off-diagonal mass 1/2
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    payload = {
+        "blocks": [1, 1],
+        "module": {"k": 1, "n_v": 1},
+        "values": [specfile.matrix_out(np.ones((1, 1)))] * 2,
+        "symmetry": {
+            "group": {"name": "cyclic", "n": 2},
+            "u": {"matrices": [specfile.matrix_out(np.eye(2)), specfile.matrix_out(h)]},
+            "rep": {"matrices": [specfile.matrix_out(np.eye(1))] * 2},
+        },
+    }
+    verdicts = _validate_verdicts(tmp_path, capsys, specfile.document("cpmap", payload))
+    assert verdicts["completely_positive"]["ok"]
+    assert not verdicts["covariant"]["ok"]
+    assert verdicts["covariant"]["residual"] == pytest.approx(np.sqrt(0.5))
+
+
 def test_cli_completely_positive_reports_most_negative_eigenvalue(tmp_path, capsys):
     # the transpose map on M_2: its Choi matrix is the swap, eigenvalue -1
     values = []
@@ -434,3 +454,47 @@ def test_cli_completely_positive_reports_most_negative_eigenvalue(tmp_path, caps
     verdicts = json.loads(capsys.readouterr().out)["verdicts"]
     assert verdicts["completely_positive"]["ok"]
     assert verdicts["completely_positive"]["residual"] <= 1e-12
+
+
+def _cpmap_doc():
+    spec = rand_covariant_cpmap(np.random.default_rng(3), (2,), FiniteGroup.cyclic(3), n_v=2)
+    return specfile.document("cpmap", specfile.cpmap_out(spec))
+
+
+def _instrument_doc():
+    d, ops = specfile.load(phase_space_doc())[1]
+    return specfile.document("instrument", specfile.instrument_out(phase_space(d, ops)))
+
+
+KSGNS_VERDICTS = {
+    "pi_solve", "reconstruction", "pi_multiplicative", "pi_adjoint", "pi_unital",
+    "sym_solve", "sym_unitary", "sym_j", "sym_twist",
+}
+VERDICT_NAMES = {
+    ("validate", "kernel"): {"positive", "covariant", "alpha_cocycle"},
+    ("validate", "cpmap"): {"completely_positive", "covariant", "normal"},
+    ("validate", "observable"): {"effects_psd", "normalization", "covariance"},
+    ("validate", "instrument"): {"outcomes_cp", "normalization", "covariance"},
+    ("dilate", "kernel"): {"dilation_solve", "reconstruction", "unitarity", "cocycle", "intertwining"},
+    # u lies in M_2, so the commuting twist is certified too
+    ("dilate", "cpmap"): KSGNS_VERDICTS | {"bar_commutes", "bar_cocycle"},
+    ("dilate", "observable"): {"cocycle_solve", "isometry", "compression", "intertwining", "block_cocycle"},
+    # the phase-space translations permute the outcome blocks: no commuting twist
+    ("dilate", "instrument"): KSGNS_VERDICTS,
+}
+DOCUMENTS = {
+    "kernel": ones_kernel_doc,
+    "cpmap": _cpmap_doc,
+    "observable": lambda: flip_observable_doc(0.3),
+    "instrument": _instrument_doc,
+}
+
+
+@pytest.mark.parametrize("command,kind", sorted(VERDICT_NAMES))
+def test_cli_verdict_names_per_kind(tmp_path, capsys, command, kind):
+    path = write(tmp_path, f"{kind}.json", DOCUMENTS[kind]())
+    assert main([command, path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == kind
+    assert set(report["verdicts"]) == VERDICT_NAMES[command, kind]
+    assert all(v["ok"] for v in report["verdicts"].values())

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
+from covkit import specfile
+from covkit.cli import main
 from covkit.cpmaps import (
     CPMapSpec,
     NotSingleBlockError,
@@ -51,17 +55,21 @@ def depolarizing():
 
 def test_trace_form_is_cp():
     report = cp_validate(trace_form())
-    assert report.cp and report.ok and report.normal
+    assert report["completely_positive"].ok and report.ok and report["normal"].ok
 
 
 def test_transpose_is_not_cp():
-    assert not cp_validate(transpose_map()).cp
+    assert not cp_validate(transpose_map())["completely_positive"].ok
 
 
-def test_zero_map_flagged():
+def test_zero_map_flagged(tmp_path, capsys):
     spec = CPMapSpec(M2, ModuleSpace(k=1, n_v=1), np.zeros((4, 1, 1)))
-    report = cp_validate(spec)
-    assert report.cp and report.zero_map
+    assert cp_validate(spec)["completely_positive"].ok
+    path = tmp_path / "zero.json"
+    path.write_text(specfile.document("cpmap", specfile.cpmap_out(spec)))
+    assert main(["validate", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["artifacts"]["warning"]["message"] == "the map is zero"
 
 
 def test_ksgns_identity_channel():
@@ -175,7 +183,7 @@ def test_unitary_mixture_not_extreme():
         assert not oracle_choi_extreme(spec)
         for neighbour in cert.perturbed:
             rep = cp_validate(neighbour)
-            assert rep.cp
+            assert rep["completely_positive"].ok
             assert np.allclose(neighbour.unit_value(), spec.unit_value(), atol=1e-8)
     for w in (0.0, 1.0):
         spec = channel_spec([np.sqrt(w) * u + 0.0j] if w else [v])
@@ -198,14 +206,14 @@ def test_random_covariant_cpmaps_certify(blocks, group):
     for _ in range(3):
         spec = rand_covariant_cpmap(rng, blocks, group, n_v=2)
         report = cp_validate(spec)
-        assert report.ok, report.residuals
+        assert report.ok, report
         dil = ksgns(spec)
-        assert dil.residuals["reconstruction"] <= 1e-8
-        assert dil.residuals["pi_multiplicative"] <= 1e-8
-        assert dil.residuals["pi_adjoint"] <= 1e-8
-        assert dil.residuals["sym_twist"] <= 1e-8
+        assert dil.checks["reconstruction"].residual <= 1e-8
+        assert dil.checks["pi_multiplicative"].residual <= 1e-8
+        assert dil.checks["pi_adjoint"].residual <= 1e-8
+        assert dil.checks["sym_twist"].residual <= 1e-8
         if dil.sym_bar is not None:
-            assert dil.residuals["bar_commutes"] <= 1e-8
+            assert dil.checks["bar_commutes"].residual <= 1e-8
 
 
 def product_tensor_spec(state=(0.25, 0.75)):

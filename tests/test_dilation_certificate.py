@@ -18,7 +18,7 @@ from covkit.cpmaps import (
 from covkit.cstar import FiniteCStarAlgebra
 from covkit.fingroup import FiniteGroup
 from covkit.instruments import as_cpmap, phase_space
-from covkit.kernels import DilationResidualError
+from covkit.kernels import Check, Checks, DilationResidualError
 from covkit.numlin import DEFAULT_TOL
 from covkit.random import rand_covariant_cpmap, rand_unitary
 
@@ -144,7 +144,7 @@ def _cases():
 @pytest.mark.parametrize("spec", list(_cases()))
 def test_pi_multiplicative_bounds_the_all_pairs_residual(spec):
     dil = ksgns(spec)
-    bound = dil.residuals["pi_multiplicative"]
+    bound = dil.checks["pi_multiplicative"].residual
     brute = multiplicativity_loop(spec.algebra, dil.pi_units)
     assert brute <= bound <= 1e-8 * max(1.0, np.sqrt(dil.rank))
 
@@ -165,7 +165,7 @@ def test_perturbed_pi_unit_raises():
         x = rng.normal(size=pi.shape[1:]) + 1j * rng.normal(size=pi.shape[1:])
         pi[k] += 1e-6 * x / np.linalg.norm(x)
         with pytest.raises(DilationResidualError):
-            _certify_pi(replace(dil, pi_units=pi, residuals={}), DEFAULT_TOL)
+            _certify_pi(replace(dil, pi_units=pi), DEFAULT_TOL)
 
 
 def test_certificate_catches_a_perturbation_only_multiplicativity_sees():
@@ -183,13 +183,14 @@ def test_certificate_catches_a_perturbation_only_multiplicativity_sees():
     pi = dil.pi_units.copy()
     pi[k01] += x
     pi[k10] += x.conj().T
-    broken = replace(dil, pi_units=pi, residuals={})
-    with pytest.raises(DilationResidualError, match="certification failed"):
-        _certify_pi(broken, DEFAULT_TOL)
-    res = broken.residuals
-    assert res["reconstruction"] < 1e-12 and res["pi_adjoint"] < 1e-12 and res["pi_unital"] < 1e-12
+    before = dict(dil.checks)
+    with pytest.raises(DilationResidualError, match="certification failed") as exc:
+        _certify_pi(replace(dil, pi_units=pi), DEFAULT_TOL)
+    assert dil.checks == before  # the certifier fills a fresh certificate
+    res = exc.value.checks
+    assert res["reconstruction"].residual < 1e-12 and res["pi_adjoint"].residual < 1e-12 and res["pi_unital"].residual < 1e-12
     brute = multiplicativity_loop(spec.algebra, pi)
-    assert 1e-7 < brute <= res["pi_multiplicative"]
+    assert 1e-7 < brute <= res["pi_multiplicative"].residual
 
 
 @pytest.mark.parametrize("order", [None, (2, 0, 1), (1, 2, 0)])
@@ -252,18 +253,18 @@ def test_twist_certificates_check_every_group_element():
 
     mats = dil.sym.matrices.copy()
     mats[last] = w @ mats[last]
-    broken = replace(dil, sym=replace(dil.sym, matrices=mats), residuals={})
-    with pytest.raises(DilationResidualError, match="covariant dilation"):
+    broken = replace(dil, sym=replace(dil.sym, matrices=mats))
+    with pytest.raises(DilationResidualError, match="covariant dilation") as exc:
         _certify_covariant(broken, DEFAULT_TOL)
-    res = broken.residuals
-    assert res["sym_unitary"] < 1e-12 and res["sym_j"] < 1e-12 and res["sym_twist"] > 1e-8
+    res = exc.value.checks
+    assert res["sym_unitary"].residual < 1e-12 and res["sym_j"].residual < 1e-12 and res["sym_twist"].residual > 1e-8
 
     bars = dil.sym_bar.matrices.copy()
     bars[last] = w @ bars[last]
-    broken = replace(dil, sym_bar=replace(dil.sym_bar, matrices=bars), residuals={})
-    with pytest.raises(DilationResidualError, match="commuting twist"):
+    broken = replace(dil, sym_bar=replace(dil.sym_bar, matrices=bars))
+    with pytest.raises(DilationResidualError, match="commuting twist") as exc:
         _certify_covariant(broken, DEFAULT_TOL)
-    assert broken.residuals["bar_commutes"] > 1e-8
+    assert exc.value.checks["bar_commutes"].residual > 1e-8
 
 
 def test_pi_solve_matches_explicit_targets():
@@ -286,3 +287,13 @@ def test_pi_solve_matches_explicit_targets():
         want_worst = max(want_worst, np.linalg.norm(sol @ f - targets))
     assert want_worst > 0.1
     assert worst == pytest.approx(want_worst, rel=1e-9)
+
+
+def test_checks_require_records_every_residual_then_raises():
+    checks = Checks().require(1.0, "first", a=0.5)
+    with pytest.raises(DilationResidualError, match="second: c residual 2.00e[+]00") as exc:
+        checks.require(1.0, "second", b=1.0, c=2.0, d=0.0)
+    assert exc.value.checks is checks
+    assert list(checks) == ["a", "b", "c", "d"]
+    assert checks["b"] == Check(True, 1.0) and checks["c"] == Check(False, 2.0)
+    assert checks.failed() == ["c"] and not checks.ok

@@ -7,7 +7,6 @@ from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle
 from covkit.instruments import (
     CovariantInstrumentData,
     InstrumentSpec,
-    MeasureConvention,
     ObservableSpec,
     Symmetry,
     B_from_instrument,
@@ -35,6 +34,7 @@ from covkit.instruments import (
     wigner_rotation,
 )
 from covkit.kernels import kernel_extremal, validate_kernel
+from covkit.numlin import Tolerances
 from covkit.random import (
     all_subgroups,
     rand_covariant_instrument,
@@ -122,25 +122,6 @@ def test_validate_rejects_unnormalized():
     bad = ObservableSpec(spec.effects * 2.0, spec.symmetry)
     report = validate_observable(bad)
     assert not report.ok and "normalization" in report.failed()
-
-
-def test_measure_convention():
-    mc = MeasureConvention(group_order=6, h_order=2)
-    assert mc.omega_size == 3
-    assert mc.group_weight == 0.5
-    # integrating over the group equals summing over cosets and the subgroup
-    g = FiniteGroup.symmetric(3)
-    transposition = next(a for a in range(1, 6) if g.prod(a, a) == g.identity)
-    sub = cosets(g, [0, transposition])
-    rng = np.random.default_rng(0)
-    f = rng.normal(size=6)
-    lhs = f.sum() * mc.group_weight
-    rhs = sum(
-        f[g.prod(sub.section[w], h)] * mc.h_weight
-        for w in range(sub.n_cosets)
-        for h in sub.members
-    )
-    assert abs(lhs - rhs) < 1e-12
 
 
 def test_naimark_projective_observable():
@@ -575,6 +556,19 @@ def test_sq_structure_mixed_seed():
     spec = phase_space(2, [b1, b2])
     st = sq_structure(spec)
     assert np.allclose(st.seed_matrix, np.eye(2) / 2.0, atol=1e-9)
+
+
+def test_sq_structure_follows_the_callers_tolerances():
+    # a seed of trace 1 + 1e-5 passes every check at recon_fro = 1e-4
+    group, _, w0 = heisenberg_rep(2)
+    symmetry = Symmetry(SubgroupData(group, (group.identity,)), rep=w0, out_rep=w0)
+    b = _ps_seed_ops(2)[0] * np.sqrt(1.0 + 1e-5)
+    loose = Tolerances(recon_fro=1e-4)
+    spec = instrument_from_B(CovariantInstrumentData((b,)), symmetry, loose)
+    st = sq_structure(spec, loose)
+    assert st.checks.ok
+    assert list(st.checks) == ["positive", "trace", "subgroup_commutant", "observable_form"]
+    assert st.checks["trace"].residual == pytest.approx(1e-5, rel=1e-6)
 
 
 def test_phase_space_extremality_ground_truth():

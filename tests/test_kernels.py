@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,8 +71,23 @@ def test_validate_flip_kernel():
 
 def test_validate_detects_nonpositive():
     report = validate_kernel(flip_all_ones_kernel(off_diag=2.0))
-    assert not report.positive
-    assert report.covariant  # covariance still holds for this block pattern
+    assert not report["positive"].ok
+    assert report["covariant"].ok  # covariance still holds for this block pattern
+
+
+@pytest.mark.parametrize("weight", [0.0, 1e-13])
+def test_vanishing_alpha_fails_the_composition_rule_only(weight):
+    # alpha(1, 0) alpha(1, 1) must equal alpha(0, 0) = 1; positivity is computed
+    spec = flip_all_ones_kernel()
+    alpha = spec.alpha.copy()
+    alpha[1, 0] = weight
+    spec = replace(spec, alpha=alpha)
+    report = validate_kernel(spec)
+    assert report["positive"].ok and report["positive"].residual <= 1e-12
+    assert not report["alpha_cocycle"].ok
+    assert report["alpha_cocycle"].residual == pytest.approx(1.0 - weight, abs=1e-15)
+    with pytest.raises(KernelValidationError, match="alpha_cocycle"):
+        kolmogorov_decompose(spec)
 
 
 def test_kolmogorov_all_ones_rank_one():
@@ -105,10 +122,10 @@ def test_random_covariant_kernels_validate_and_decompose(maker):
         report = validate_kernel(spec)
         assert report.ok, report
         dec = kolmogorov_decompose(spec)
-        assert dec.residuals["reconstruction"] <= 1e-8
-        assert dec.residuals["unitarity"] <= 1e-8
-        assert dec.residuals["cocycle"] <= 1e-8
-        assert dec.residuals["intertwining"] <= 1e-8
+        assert dec.checks["reconstruction"].residual <= 1e-8
+        assert dec.checks["unitarity"].residual <= 1e-8
+        assert dec.checks["cocycle"].residual <= 1e-8
+        assert dec.checks["intertwining"].residual <= 1e-8
 
 
 def test_covariant_transport_consistency():

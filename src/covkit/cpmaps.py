@@ -4,8 +4,8 @@ marginals over a tensor split, and subminimal dilations.
 
 A map is stored by its form matrices on the matrix-unit basis of the
 algebra and extended linearly.  Complete positivity is positivity of the
-grand kernel matrix over the unit basis; for a single matrix block this is
-the usual Choi criterion.
+Choi matrix of every block (Choi's criterion), and the factorizations of
+those matrices give the Kraus family and the minimal dilation.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .numlin import (
     constrained_commutant,
     frob,
     is_unitary,
-    psd_check,
     psd_factor,
     psd_status,
     rank,
@@ -100,37 +99,54 @@ class CPMapSpec:
         u = self.symmetry.u
         return u(g) @ bmat @ u(g).conj().T
 
-    def grand_kernel(self) -> np.ndarray:
-        """Block matrix of S at unit(i)^+ unit(j); PSD iff the map is CP."""
-        return _grand(self.algebra, self.values)
+    def choi_blocks(self) -> list[np.ndarray]:
+        """Choi matrix C_i[(b, v), (d, w)] = S(E^i_bd)[v, w] of every block."""
+        return _choi_blocks(self.algebra, self.values)
 
     def choi(self) -> np.ndarray:
-        """Choi-type block matrix [S at E_{bd}]; requires a single block."""
+        """Choi matrix of a single-block algebra."""
         if len(self.algebra.blocks) != 1:
             raise DimensionError("choi() needs a single full matrix block")
-        n, nv = self.algebra.blocks[0], self.n_v
-        return self.values.reshape(n, n, nv, nv).transpose(0, 2, 1, 3).reshape(n * nv, n * nv)
+        return self.choi_blocks()[0]
 
 
-def _grand(alg: FiniteCStarAlgebra, stack) -> np.ndarray:
-    """Block matrix with block (k1, k2) equal to stack[index of unit(k1)^+ unit(k2)],
-    zero where that product vanishes."""
-    m, d = alg.n_units, stack.shape[1]
-    k = alg.unit_product_table()[alg.adjoint_table()]
-    out = np.zeros((m, d, m, d), dtype=np.complex128)
-    i, j = np.nonzero(k >= 0)
-    out[i, :, j, :] = stack[k[i, j]]
-    return out.reshape(m * d, m * d)
+def _choi_blocks(alg: FiniteCStarAlgebra, stack) -> list[np.ndarray]:
+    """Choi matrix of every block of a stack of unit images.  Because
+    E_ab^+ E_cd = delta_ac E_bd, the grand kernel [S(E_k^+ E_l)] over the
+    matrix units is the direct sum of I_{n_i} (x) C_i."""
+    d, out = stack.shape[1], []
+    for i, n in enumerate(alg.blocks):
+        part = stack[alg.unit_offsets[i] : alg.unit_offsets[i + 1]]
+        out.append(part.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d))
+    return out
+
+
+def _cp_status(alg: FiniteCStarAlgebra, stack, tol) -> tuple[bool, float]:
+    """Complete positivity of a stack of unit images: every Choi block is
+    tested against its own scale, and the residual is the largest."""
+    status = [psd_status(c, tol) for c in _choi_blocks(alg, stack)]
+    return all(ok for ok, _ in status), max(res for _, res in status)
+
+
+def kraus_from_choi(choi, k_dim, v_dim, tol: Tolerances = DEFAULT_TOL):
+    """Kraus operators B_j (K x V) of a CP map from its Choi block matrix,
+    with a deterministic gauge: descending eigenvalues, first significant
+    entry rotated real positive."""
+    n, f = psd_factor(choi, tol)
+    lead = f[np.arange(n), np.argmax(np.abs(f) > 1e-12, axis=1)]
+    lead[np.abs(lead) <= 1e-12] = 1.0
+    return list((f / (lead / np.abs(lead))[:, None]).reshape(n, k_dim, v_dim))
 
 
 def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
-    """Complete positivity (with the magnitude of the grand kernel's most
-    negative eigenvalue as its residual), covariance, checked one group
-    element at a time over every matrix unit at once, and normality, which
-    is automatic at finite dimension.  Where some b -> u b u^+ leaves the
-    algebra, the covariance residual is the largest part of a u E_k u^+
-    outside it."""
-    checks = Checks(completely_positive=Check(*psd_status(spec.grand_kernel(), tol)))
+    """Complete positivity, covariance, checked one group element at a time
+    over every matrix unit at once, and normality, which is automatic at
+    finite dimension.  Complete positivity passes if every block's Choi
+    matrix passes :func:`psd_status` against its own scale; the residual is
+    the most negative eigenvalue over the blocks, that of the grand kernel.
+    Where some b -> u b u^+ leaves the algebra, the covariance residual is
+    the largest part of a u E_k u^+ outside it."""
+    checks = Checks(completely_positive=Check(*_cp_status(spec.algebra, spec.values, tol)))
     covariant, worst = True, 0.0
     if spec.symmetry is not None:
         alg, sym = spec.algebra, spec.symmetry
@@ -160,7 +176,9 @@ class KSGNSDilation:
     ``r_blocks[k]`` is the dilation image of the k-th matrix unit acting on
     the module (pi(unit) j); ``sym`` intertwines the module representation
     into the dilation, ``sym_bar`` is its commuting twist pi(u_g^+) sym(g)
-    when every u_g lies in the algebra.
+    when every u_g lies in the algebra.  :func:`ksgns` lays the dilation
+    space out as the direct sum of C^{n_i} (x) C^{r_i}, where pi(E^i_ab) is
+    E_ab (x) I_{r_i}.
     """
 
     spec: CPMapSpec
@@ -176,44 +194,42 @@ class KSGNSDilation:
         coeffs = self.spec.algebra.coefficients(bmat)
         return np.tensordot(coeffs, self.pi_units, axes=(-1, 0))
 
-    def r_of(self, bmat) -> np.ndarray:
-        coeffs = self.spec.algebra.coefficients(bmat)
-        return np.tensordot(coeffs, self.r_blocks, axes=(-1, 0))
-
 
 def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     """Minimal covariant dilation of a valid covariant CP map.
 
-    The grand kernel over the matrix-unit basis is factored as F^+ F with F
-    of full row rank N; the column blocks of F are the dilation blocks
-    r(E_k).  The algebra representation and the dilation representation
-    solve L F = target through one pseudo-inverse F^+.  The target of
-    pi(E^i_ab) is r(E^i_ad) on the columns of E^i_bd and zero elsewhere, so
-    pi(E^i_ab) = sum_d r(E^i_ad) F^+[E^i_bd] and no target is formed.
-    Every defining identity is then certified against the tolerances.
+    Block i's Choi matrix factors into r_i = rank C_i Kraus operators A^i_l
+    (n_i x n_V), so S(b) = sum_{i,l} A^i_l^+ b_i A^i_l.  On the dilation
+    space, the direct sum of C^{n_i} (x) C^{r_i}, row (i, a, l) of j is row a
+    of A^i_l and pi(E^i_ab) = E_ab (x) I_{r_i} exactly, so the rank is
+    N = sum_i n_i r_i.  The dilation blocks r(E_k) = pi(E_k) j stack into F
+    of full row rank N, and the group representation solves sym(g) F =
+    target through one pseudo-inverse of F.  Every defining identity is then
+    certified against the tolerances.
     """
     report = cp_validate(spec, tol)
     if not report.ok:
         raise ValueError(f"cp map invalid: {', '.join(report.failed())}")
     alg, nv = spec.algebra, spec.n_v
     m = alg.n_units
-    n_dil, f = psd_factor(spec.grand_kernel(), tol)
-    r_blocks = np.ascontiguousarray(f.reshape(n_dil, m, nv).transpose(1, 0, 2))
-    pinv = np.linalg.pinv(f) if n_dil else np.zeros((m * nv, 0), dtype=np.complex128)
-    scale = max(1.0, frob(f))
-
-    pi_units, worst = _solve_pi(alg, f, pinv)
-    checks = Checks().require(tol.recon_fro * scale, "algebra representation solve failed", pi_solve=worst)
-
-    index = alg.unit_index()
-    j = np.zeros((n_dil, nv), dtype=np.complex128)
-    for k in np.flatnonzero(index[:, 1] == index[:, 2]):
-        j += r_blocks[k]
+    rows, mult = [], []
+    for n, choi in zip(alg.blocks, spec.choi_blocks()):
+        ops = np.reshape(kraus_from_choi(choi, n, nv, tol), (-1, n, nv))
+        rows.append(ops.transpose(1, 0, 2).reshape(-1, nv))
+        mult.append(len(ops))
+    j = np.concatenate(rows).astype(np.complex128)
+    n_dil = len(j)
+    pi_units = np.zeros((m, n_dil, n_dil), dtype=np.complex128)
+    pi_units[_tensor_pattern(alg, mult)] = 1.0
+    r_blocks = pi_units @ j
     dil = KSGNSDilation(spec, n_dil, r_blocks, j, pi_units, None, None)
-    checks.update(_certify_pi(dil, tol))
+    checks = _certify_pi(dil, tol)
 
     sym = sym_bar = None
     if spec.symmetry is not None and n_dil:
+        f = r_blocks.transpose(1, 0, 2).reshape(n_dil, m * nv)
+        pinv = np.linalg.pinv(f)
+        scale = max(1.0, frob(f))
         group, u, rep = spec.symmetry.group, spec.symmetry.u, spec.symmetry.rep
         mats = np.zeros((group.order, n_dil, n_dil), dtype=np.complex128)
         worst = 0.0
@@ -229,27 +245,6 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
         dil = replace(dil, sym=sym, sym_bar=sym_bar)
         checks.update(_certify_covariant(dil, tol))
     return replace(dil, checks=checks)
-
-
-def _solve_pi(alg, f, pinv):
-    """pi(E^i_ab) = R^i_a F^+[E^i_b.] for every unit, block by block, where
-    R^i_a holds the columns of F at the units E^i_a., and the largest solve
-    residual ||pi(E^i_ab) F - target||.  That residual equals
-    ||R^i_a (F^+ F - I)[E^i_b.]||, so it needs no target either."""
-    n_dil, cols = f.shape
-    nv = cols // alg.n_units
-    pi_units = np.zeros((alg.n_units, n_dil, n_dil), dtype=np.complex128)
-    defect = pinv @ f - np.eye(cols)
-    worst = 0.0
-    for i, n in enumerate(alg.blocks):
-        first, stop = alg.unit_offsets[i], alg.unit_offsets[i + 1]
-        rows = f[:, first * nv : stop * nv].reshape(n_dil, n, n * nv).transpose(1, 0, 2)
-        right = pinv[first * nv : stop * nv].reshape(n, n * nv, n_dil)
-        pi_units[first:stop] = (rows[:, None] @ right[None]).reshape(n * n, n_dil, n_dil)
-        gaps = defect[first * nv : stop * nv].reshape(n, n * nv, cols)
-        for a in range(n):
-            worst = max(worst, float(np.linalg.norm(rows[a] @ gaps, axis=(1, 2)).max(initial=0.0)))
-    return pi_units, worst
 
 
 def _build_bar(spec, pi_units, sym, alg, tol):
@@ -425,12 +420,13 @@ def factor_rep_tensor(
 
 def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DEFAULT_TOL):
     """Kraus family A_l with S_b = sum_l A_l^+ b A_l, for a single-block
-    algebra; the count equals the rank of the Choi matrix."""
+    algebra: the operators that the dilation of :func:`ksgns` stacks in j
+    (row (a, l) of j is row a of A_l), so the count equals the rank of the
+    Choi matrix."""
     if len(spec.algebra.blocks) != 1:
         raise NotSingleBlockError("kraus extraction needs a single full block")
     n, nv = spec.algebra.blocks[0], spec.n_v
-    (r,), v = factor_rep_tensor(dilation.pi_units, spec.algebra, tol)
-    ops = (v.conj().T @ dilation.j).reshape(n, r, nv).transpose(1, 0, 2)
+    ops = dilation.j.reshape(n, dilation.rank // n, nv).transpose(1, 0, 2)
     # sum_l A_l^+ E_ab A_l = sum_l conj(row a of A_l)^T (row b of A_l)
     total = np.einsum("lav,lbw->abvw", ops.conj(), ops).reshape(n * n, nv, nv)
     worst = float(_norms(total - spec.values).max())
@@ -612,7 +608,7 @@ def subminimal(
     )
 
     # complete positivity of E as a map on the right factor
-    if not psd_check(_grand(right, e_units), tol):
+    if not _cp_status(right, e_units, tol)[0]:
         raise DilationResidualError("subminimal map is not completely positive", checks)
 
     # covariance against the second factor's action

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cpmaps import CPMapSpec, CPSymmetry, cp_extremal, ksgns
+from .cpmaps import CPMapSpec, CPSymmetry, cp_extremal, kraus_from_choi, ksgns
 from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from .fingroup import (
     FiniteGroup,
@@ -176,23 +176,6 @@ class InstrumentSpec:
         return out
 
 
-def kraus_from_choi(choi, k_dim, v_dim, tol: Tolerances = DEFAULT_TOL):
-    """Kraus operators B_j (K x V) of a CP map from its Choi block matrix,
-    with a deterministic gauge: descending eigenvalues, first significant
-    entry rotated real positive."""
-    n, f = psd_factor(choi, tol)
-    ops = []
-    for j in range(n):
-        b = f[j].reshape(k_dim, v_dim)
-        flat = b.reshape(-1)
-        lead = np.flatnonzero(np.abs(flat) > 1e-12)
-        if len(lead):
-            phase = flat[lead[0]] / abs(flat[lead[0]])
-            b = b / phase
-        ops.append(b)
-    return ops
-
-
 def choi_from_kraus(ops, k_dim, v_dim) -> np.ndarray:
     out = np.zeros((k_dim * v_dim, k_dim * v_dim), dtype=np.complex128)
     for b in ops:
@@ -210,10 +193,10 @@ def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> 
     sym = spec.symmetry
     worst = 0.0
     for g in sym.group.elements():
+        # W_g C_w W_g^+ - C_{gw} for every outcome w
         wg = np.kron(sym.out_rep(g).conj(), sym.rep(g))
-        for w in range(spec.n_outcomes):
-            lhs = wg @ spec.choi[w] @ wg.conj().T
-            worst = max(worst, frob(lhs - spec.choi[sym.action.apply(g, w)]))
+        diff = wg @ spec.choi @ wg.conj().T - spec.choi[sym.action.table[g]]
+        worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
     scale = max(1.0, float(np.abs(spec.choi).max()) * k * v)
     checks["covariance"] = Check(worst <= tol.recon_fro * scale, worst)
     return checks

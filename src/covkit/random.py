@@ -73,11 +73,6 @@ def conj_rep(rep: MultiplierRep) -> MultiplierRep:
     )
 
 
-def tensor_rep(a: MultiplierRep, b: MultiplierRep) -> MultiplierRep:
-    mats = np.stack([np.kron(a(g), b(g)) for g in a.group.elements()])
-    return MultiplierRep(a.group, a.cocycle.multiply(b.cocycle), mats)
-
-
 def subrep_of_dim(rng, rep: MultiplierRep, dim: int, seed: int = 0) -> MultiplierRep | None:
     """A random subrepresentation of exact dimension ``dim`` assembled from
     the irreducible content of an ordinary ``rep``; None if impossible."""

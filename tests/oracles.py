@@ -13,7 +13,10 @@ subgroup, cocycle and representation checks, as references for the batched
 checks in ``covkit.fingroup``, and the loop forms of the matrix-unit
 coordinates, tables and transport and of the all-pairs multiplicativity
 residual, as references for ``covkit.cstar`` and the dilation certificate in
-``covkit.cpmaps``.
+``covkit.cpmaps``; the grand kernel over the matrix units, as the reference
+for the Choi blocks; and the loop forms of the kernel and instrument
+covariance residuals, as references for ``covkit.kernels`` and
+``covkit.instruments``.
 """
 
 import dataclasses
@@ -528,4 +531,58 @@ def multiplicativity_loop(alg, pi_units):
     for (k1, k2), kk in prod.items():
         target = pi_units[kk] if kk is not None else np.zeros((n, n))
         worst = max(worst, frob(pi_units[k1] @ pi_units[k2] - target))
+    return worst
+
+
+def unit_kernel_loop(spec: CPMapSpec):
+    """The grand kernel: block (k1, k2) is S(E_k1^+ E_k2) over the matrix
+    units, zero where that product vanishes; PSD iff the map is CP."""
+    m, nv = spec.algebra.n_units, spec.n_v
+    prod, adj = unit_tables_loop(spec.algebra)
+    out = np.zeros((m * nv, m * nv), dtype=complex)
+    for k1 in range(m):
+        for k2 in range(m):
+            kk = prod[(adj[k1], k2)]
+            if kk is not None:
+                out[k1 * nv : (k1 + 1) * nv, k2 * nv : (k2 + 1) * nv] = spec.values[kk]
+    return out
+
+
+def alpha_cocycle_loop(spec: CovariantKernelSpec):
+    """max |alpha(e, x) - 1| and max |alpha(ab, x) - sigma(a, b) alpha(b, x)
+    alpha(a, bx)| over all (a, b, x)."""
+    g = spec.action.group
+    worst = float(np.abs(spec.alpha[g.identity] - 1.0).max())
+    for a in g.elements():
+        for b in g.elements():
+            for x in range(spec.x_size):
+                lhs = spec.alpha[g.prod(a, b), x]
+                rhs = spec.sigma(a, b) * spec.alpha[b, x] * spec.alpha[a, spec.action.apply(b, x)]
+                worst = max(worst, abs(lhs - rhs))
+    return worst
+
+
+def kernel_covariance_loop(spec: CovariantKernelSpec):
+    """max ||T[ax, ay] - conj(alpha(a, x)) alpha(a, y) U(a)^-+ T[x, y] U(a)^-1||
+    over all (a, x, y)."""
+    worst = 0.0
+    for a in spec.action.group.elements():
+        ua_inv = spec.rep.inv_mat(a)
+        for x in range(spec.x_size):
+            for y in range(spec.x_size):
+                lhs = spec.blocks[spec.action.apply(a, x), spec.action.apply(a, y)]
+                rhs = np.conj(spec.alpha[a, x]) * spec.alpha[a, y] * (ua_inv.conj().T @ spec.blocks[x, y] @ ua_inv)
+                worst = max(worst, frob(lhs - rhs))
+    return worst
+
+
+def instrument_covariance_loop(spec: InstrumentSpec):
+    """max ||W_g C_w W_g^+ - C_{gw}|| over all (g, w), with W_g =
+    conj(out_rep(g)) (x) rep(g)."""
+    sym = spec.symmetry
+    worst = 0.0
+    for g in sym.group.elements():
+        wg = np.kron(sym.out_rep(g).conj(), sym.rep(g))
+        for w in range(spec.n_outcomes):
+            worst = max(worst, frob(wg @ spec.choi[w] @ wg.conj().T - spec.choi[sym.action.apply(g, w)]))
     return worst

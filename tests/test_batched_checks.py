@@ -3,8 +3,11 @@ against their element-by-element loop forms in ``oracles``.
 
 Each check must report the same first violation in lexicographic order, or
 raise the same message, on valid inputs, on one corruption and on two
-corruptions at once.
+corruptions at once.  The batched kernel and instrument residuals must
+equal their loop forms on valid and perturbed inputs.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +23,17 @@ from covkit.fingroup import (
     heisenberg_rep,
     rep_violation,
 )
+from covkit.instruments import phase_space, validate_instrument
+from covkit.kernels import validate_kernel
 from covkit.numlin import Tolerances
-from covkit.random import all_subgroups
+from covkit.random import all_subgroups, rand_covariant_instrument, rand_covariant_kernel
 from oracles import (
     action_violation,
+    alpha_cocycle_loop,
     cocycle_violation_loop,
     group_table_violation,
+    instrument_covariance_loop,
+    kernel_covariance_loop,
     rep_violation_loop,
     subgroup_violation,
 )
@@ -313,3 +321,68 @@ def test_rep_non_finite_raises_like_loop():
     # an earlier non-unitary matrix is reported before the non-finite one
     mats[1] *= 2.0
     assert rep_violation(_with(rep, mats)) == rep_violation_loop(_with(rep, mats)) == ("unitary", 1)
+
+
+KERNEL_GROUPS = {"Z4": FiniteGroup.cyclic(4), "D4": GROUPS["D4"], "S3": GROUPS["S3"], "S4": GROUPS["S4"]}
+
+
+def _kernels(name):
+    """A random covariant kernel, and copies with one alpha entry, one block
+    pair or one sigma entry perturbed."""
+    rng = _rng(name, 3)
+    group = KERNEL_GROUPS[name]
+    spec = rand_covariant_kernel(rng, group, max_x=4, n_v=2)
+    g = int(rng.integers(1, group.order))
+    x, y = (int(i) for i in rng.integers(spec.x_size, size=2))
+    alpha = spec.alpha.copy()
+    alpha[g, x] *= np.exp(0.3j)
+    blocks = spec.blocks.copy()
+    blocks[x, y] += 1e-3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    sigma = spec.sigma.values.copy()
+    sigma[g, g] *= np.exp(0.2j)
+    return [
+        (True, spec),
+        (False, replace(spec, alpha=alpha)),
+        (False, replace(spec, blocks=blocks)),
+        (False, replace(spec, sigma=TwoCocycle(group, sigma))),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_kernel_checks_match_loop(name):
+    for valid, spec in _kernels(name):
+        report = validate_kernel(spec)
+        assert report.ok == valid
+        want_alpha, want_cov = alpha_cocycle_loop(spec), kernel_covariance_loop(spec)
+        assert report["alpha_cocycle"].residual == pytest.approx(want_alpha, rel=1e-12, abs=1e-14)
+        assert report["covariant"].residual == pytest.approx(want_cov, rel=1e-12, abs=1e-14)
+        if not valid:
+            assert max(want_alpha, want_cov) > 1e-4
+
+
+def test_kernel_alpha_residual_when_sigma_is_not_a_cocycle():
+    group = GROUPS["Z2"]
+    spec = rand_covariant_kernel(_rng("Z2", 4), group, max_x=2, n_v=1, nontrivial_alpha=False)
+    spec = replace(spec, sigma=TwoCocycle(group, np.array([[1, 1], [1, 2]])))
+    assert cocycle_violation(spec.sigma) is not None
+    check = validate_kernel(spec)["alpha_cocycle"]
+    assert not check.ok
+    assert check.residual == 1.0
+
+
+def test_instrument_covariance_matches_loop():
+    rng = _rng("instrument")
+    specs = [phase_space(3, [np.eye(3) / 3.0])]
+    specs += [rand_covariant_instrument(rng, sub, k_dim=2, v_dim=2) for sub in all_subgroups(GROUPS["S3"])[:3]]
+    for spec in specs:
+        check = validate_instrument(spec)["covariance"]
+        assert check.ok
+        assert check.residual == pytest.approx(instrument_covariance_loop(spec), rel=1e-12, abs=1e-14)
+        choi = spec.choi.copy()
+        w = int(rng.integers(spec.n_outcomes))
+        x = rng.normal(size=choi.shape[1:]) + 1j * rng.normal(size=choi.shape[1:])
+        choi[w] += 1e-4 * (x + x.conj().T)
+        broken = replace(spec, choi=choi)
+        check = validate_instrument(broken)["covariance"]
+        assert not check.ok
+        assert check.residual == pytest.approx(instrument_covariance_loop(broken), rel=1e-12)

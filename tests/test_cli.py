@@ -467,7 +467,7 @@ def _instrument_doc():
 
 
 KSGNS_VERDICTS = {
-    "pi_solve", "reconstruction", "pi_multiplicative", "pi_adjoint", "pi_unital",
+    "reconstruction", "pi_multiplicative", "pi_adjoint", "pi_unital",
     "sym_solve", "sym_unitary", "sym_j", "sym_twist",
 }
 VERDICT_NAMES = {

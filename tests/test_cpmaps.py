@@ -12,6 +12,7 @@ from covkit.cpmaps import (
     cp_validate,
     factor_rep_tensor,
     kraus_extract,
+    kraus_from_choi,
     ksgns,
     marginals,
     subminimal,
@@ -112,6 +113,18 @@ def test_choi_rank_equals_kraus_count():
         dil = ksgns(spec)
         extracted = kraus_extract(spec, dil)
         assert len(extracted) == num_rank(spec.choi())
+
+
+def test_kraus_extract_reads_the_choi_factors_off_j():
+    rng = np.random.default_rng(23)
+    specs = [trace_form(), depolarizing(), identity_channel()]
+    specs += [rand_covariant_cpmap(rng, (n,), FiniteGroup.cyclic(3), n_v=2) for n in (2, 3)]
+    for spec in specs:
+        n, nv = spec.algebra.blocks[0], spec.n_v
+        ops = kraus_extract(spec, ksgns(spec))
+        want = kraus_from_choi(spec.choi(), n, nv)
+        assert len(ops) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(ops, want))
 
 
 def test_kraus_reproduces_on_random_elements():

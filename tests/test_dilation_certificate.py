@@ -1,6 +1,7 @@
 """The KSGNS certificate: batched unit-index work against its loop forms, the
-multiplicativity bound through the block factorization against the
-all-pairs products, and the generalized block factorization."""
+Choi blocks against the grand kernel, the multiplicativity bound through the
+block factorization against the all-pairs products, and the generalized
+block factorization."""
 
 from dataclasses import replace
 
@@ -8,18 +9,20 @@ import numpy as np
 import pytest
 
 from covkit.cpmaps import (
+    CPMapSpec,
     NotSingleBlockError,
     _certify_covariant,
     _certify_pi,
-    _solve_pi,
+    cp_validate,
     factor_rep_tensor,
     ksgns,
 )
-from covkit.cstar import FiniteCStarAlgebra
+from covkit.cstar import FiniteCStarAlgebra, ModuleSpace
 from covkit.fingroup import FiniteGroup
 from covkit.instruments import as_cpmap, phase_space
 from covkit.kernels import Check, Checks, DilationResidualError
-from covkit.numlin import DEFAULT_TOL
+from covkit.numlin import DEFAULT_TOL, psd_status
+from covkit.numlin import rank as num_rank
 from covkit.random import rand_covariant_cpmap, rand_unitary
 
 from oracles import (
@@ -27,6 +30,7 @@ from oracles import (
     element_loop,
     multiplicativity_loop,
     transport_loop,
+    unit_kernel_loop,
     unit_tables_loop,
 )
 
@@ -43,7 +47,7 @@ def _block_diag(mats):
     return out
 
 
-def _tensor_rep(alg, mult, order=None, w=None):
+def _block_rep(alg, mult, order=None, w=None):
     """Images of the matrix units under W (+_j b_j (x) I_{r_j}) W^+, the
     blocks laid out on the big space in ``order``."""
     order = range(len(alg.blocks)) if order is None else order
@@ -109,15 +113,10 @@ def test_transport_and_outside_norms_match_loops():
 def test_grand_kernel_matches_loop():
     rng = np.random.default_rng(4)
     spec = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.cyclic(3), n_v=2)
-    alg, nv, m = spec.algebra, spec.n_v, spec.algebra.n_units
-    prod, adj = unit_tables_loop(alg)
-    want = np.zeros((m * nv, m * nv), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            kk = prod[(adj[i], j)]
-            if kk is not None:
-                want[i * nv : (i + 1) * nv, j * nv : (j + 1) * nv] = spec.values[kk]
-    assert np.array_equal(spec.grand_kernel(), want)
+    blocks = spec.choi_blocks()
+    want = _block_diag([np.kron(np.eye(n), c) for n, c in zip(spec.algebra.blocks, blocks)])
+    assert np.array_equal(unit_kernel_loop(spec), want)
+    assert [c.shape for c in blocks] == [(4, 4), (2, 2)]
 
 
 def _cases():
@@ -139,6 +138,39 @@ def _cases():
         b[1, 0] = 0.5 / np.sqrt(d)
         b = b / np.sqrt(d * np.trace(b.conj().T @ b).real)
         yield as_cpmap(phase_space(d, [b]))
+
+
+def _non_cp_cases():
+    """The transpose map on M_2, and a map on M_2 + M_1 with random Hermitian
+    Choi blocks: the first PSD, the second with a negative eigenvalue."""
+    m2 = FiniteCStarAlgebra.full(2)
+    yield CPMapSpec(m2, ModuleSpace(k=1, n_v=2), np.stack([u.T for u in m2.units()]))
+    rng = np.random.default_rng(13)
+    alg, nv = FiniteCStarAlgebra((2, 1)), 2
+    values = []
+    for i, n in enumerate(alg.blocks):
+        x = rng.normal(size=(n * nv, n * nv)) + 1j * rng.normal(size=(n * nv, n * nv))
+        c = x @ x.conj().T if i == 0 else x + x.conj().T
+        assert (np.linalg.eigvalsh(c).min() < -0.1) == (i == 1)
+        values.append(c.reshape(n, nv, n, nv).transpose(0, 2, 1, 3).reshape(n * n, nv, nv))
+    yield CPMapSpec(alg, ModuleSpace(k=1, n_v=nv), np.concatenate(values))
+
+
+@pytest.mark.parametrize("spec", list(_cases()) + list(_non_cp_cases()))
+def test_complete_positivity_matches_the_unit_kernel(spec):
+    want_ok, want_res = psd_status(unit_kernel_loop(spec))
+    got = cp_validate(spec)["completely_positive"]
+    assert got.ok == want_ok
+    assert got.residual == pytest.approx(want_res, rel=1e-9, abs=1e-13)
+    if not want_ok:
+        assert got.residual > 0.1
+
+
+@pytest.mark.parametrize("spec", list(_cases()))
+def test_ksgns_rank_is_the_choi_rank_and_pi_is_a_unit_pattern(spec):
+    dil = ksgns(spec)
+    assert dil.rank == sum(n * num_rank(c) for n, c in zip(spec.algebra.blocks, spec.choi_blocks()))
+    assert np.all((dil.pi_units == 0.0) | (dil.pi_units == 1.0))
 
 
 @pytest.mark.parametrize("spec", list(_cases()))
@@ -199,24 +231,24 @@ def test_factor_rep_tensor_multi_block(order):
     mult = (1, 3, 2)
     rng = np.random.default_rng(8)
     big = sum(n * r for n, r in zip(alg.blocks, mult))
-    pi = _tensor_rep(alg, mult, order, rand_unitary(rng, big))
+    pi = _block_rep(alg, mult, order, rand_unitary(rng, big))
     r, v = factor_rep_tensor(pi, alg)
     assert r == mult
     assert np.allclose(v.conj().T @ v, np.eye(big), atol=1e-10)
     # V^+ pi V is the block layout in algebra order, whatever the input layout
-    want = _tensor_rep(alg, mult)
+    want = _block_rep(alg, mult)
     assert np.allclose(v.conj().T @ pi @ v, want, atol=1e-10)
 
 
 def test_factor_rep_tensor_zero_multiplicity_and_rejections():
     alg = FiniteCStarAlgebra((2, 1))
-    pi = _tensor_rep(alg, (2, 0))
+    pi = _block_rep(alg, (2, 0))
     r, v = factor_rep_tensor(pi, alg)
     assert r == (2, 0)
     assert np.allclose(v.conj().T @ pi @ v, pi, atol=1e-12)
     # a non-unital map: the corners do not fill the space
     with pytest.raises(NotSingleBlockError):
-        factor_rep_tensor(_tensor_rep(alg, (1, 1))[:, :2, :2] * 0.0, alg)
+        factor_rep_tensor(_block_rep(alg, (1, 1))[:, :2, :2] * 0.0, alg)
     # images of the wrong algebra
     with pytest.raises(NotSingleBlockError):
         factor_rep_tensor(pi, FiniteCStarAlgebra((2, 2)))
@@ -228,7 +260,7 @@ def test_block_factorization_of_a_multi_block_dilation():
     dil = ksgns(spec)
     mult, v = factor_rep_tensor(dil.pi_units, spec.algebra)
     assert sum(n * r for n, r in zip(spec.algebra.blocks, mult)) == dil.rank
-    assert np.allclose(v.conj().T @ dil.pi_units @ v, _tensor_rep(spec.algebra, mult), atol=1e-8)
+    assert np.allclose(v.conj().T @ dil.pi_units @ v, _block_rep(spec.algebra, mult), atol=1e-8)
 
 
 def _hidden_unitary(dil, rng, eps=1e-6):
@@ -265,28 +297,6 @@ def test_twist_certificates_check_every_group_element():
     with pytest.raises(DilationResidualError, match="commuting twist") as exc:
         _certify_covariant(broken, DEFAULT_TOL)
     assert exc.value.checks["bar_commutes"].residual > 1e-8
-
-
-def test_pi_solve_matches_explicit_targets():
-    # an arbitrary full-row-rank F, whose targets are not all reachable: the
-    # structured solve and its residual equal the per-unit least squares
-    rng = np.random.default_rng(12)
-    alg = FiniteCStarAlgebra((2, 1, 2))
-    m, nv, n_dil = alg.n_units, 2, 7
-    f = rng.normal(size=(n_dil, m * nv)) + 1j * rng.normal(size=(n_dil, m * nv))
-    pi_units, worst = _solve_pi(alg, f, np.linalg.pinv(f))
-    prod, _ = unit_tables_loop(alg)
-    blocks = [f[:, k * nv : (k + 1) * nv] for k in range(m)]
-    want_worst = 0.0
-    for kb in range(m):
-        targets = np.hstack(
-            [blocks[prod[(kb, kc)]] if prod[(kb, kc)] is not None else np.zeros((n_dil, nv)) for kc in range(m)]
-        )
-        sol = np.linalg.lstsq(f.T, targets.T, rcond=None)[0].T
-        assert np.allclose(pi_units[kb], sol, atol=1e-10)
-        want_worst = max(want_worst, np.linalg.norm(sol @ f - targets))
-    assert want_worst > 0.1
-    assert worst == pytest.approx(want_worst, rel=1e-9)
 
 
 def test_checks_require_records_every_residual_then_raises():

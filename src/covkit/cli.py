@@ -89,11 +89,6 @@ class Report:
     def all_ok(self) -> bool:
         return all(v["ok"] for v in self.body["verdicts"].values())
 
-    def emit(self, stream=None):
-        stream = sys.stdout if stream is None else stream
-        json.dump(self.body, stream, sort_keys=True, indent=1)
-        stream.write("\n")
-
 
 def _load_file(path):
     try:
@@ -139,8 +134,8 @@ def cmd_validate(args) -> int:
         _merge_checks(report, validate_instrument(spec, tol))
     elif kind == "state":
         report.verdict("positive", psd_check(obj, tol))
-        report.verdict("unit_trace", abs(np.trace(obj).real - 1.0) <= 1e-8,
-                       abs(np.trace(obj).real - 1.0))
+        drift = abs(np.trace(obj).real - 1.0)
+        report.verdict("unit_trace", drift <= tol.recon_fro, drift)
     _finish(report, args)
     return EXIT_OK if report.all_ok else EXIT_INVALID
 
@@ -305,21 +300,24 @@ def cmd_sample(args) -> int:
     state_kind, state = _load_file(args.state)
     if state_kind != "state":
         raise specfile.SpecFileError("the second file must be a state document")
-    for result in sample_stream(obj, state, args.n, args.seed):
-        record = [
-            result.outcome,
-            result.probability,
-            specfile.matrix_out(result.post_state),
-        ]
-        sys.stdout.write(json.dumps(record) + "\n")
+    # the probability and the post state depend on the outcome alone, so
+    # each outcome's line is encoded once
+    lines = {}
+    for result in sample_stream(obj, state, args.n, args.seed, tol):
+        line = lines.get(result.outcome)
+        if line is None:
+            record = [result.outcome, result.probability, specfile.matrix_out(result.post_state)]
+            line = lines[result.outcome] = json.dumps(record) + "\n"
+        sys.stdout.write(line)
     return EXIT_OK
 
 
 def _finish(report: Report, args):
-    report.emit()
+    text = specfile.dumps(report.body) + "\n"
+    sys.stdout.write(text)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
-            report.emit(handle)
+            handle.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,7 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-unitary-fro", type=float, default=1e-8, help="unitarity certificate slack (default 1e-8)")
     common.add_argument("--tol-recon-fro", type=float, default=1e-8, help="reconstruction certificate slack (default 1e-8)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized decompositions (default 0)")
-    common.add_argument("--json-out", type=str, default=None, help="also write the report to this path")
+    # the four commands that print a report can also write it to a file
+    report = argparse.ArgumentParser(add_help=False, parents=[common])
+    report.add_argument("--json-out", type=str, default=None, help="also write the report to this path")
 
     parser = argparse.ArgumentParser(
         prog="covkit",
@@ -340,19 +340,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a document against its kind's invariants")
+    p = sub.add_parser("validate", parents=[report], help="check a document against its kind's invariants")
     p.add_argument("file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("dilate", parents=[common], help="minimal dilation per kind (Kolmogorov / KSGNS / Naimark)")
+    p = sub.add_parser("dilate", parents=[report], help="minimal dilation per kind (Kolmogorov / KSGNS / Naimark)")
     p.add_argument("file")
     p.set_defaults(func=cmd_dilate)
 
-    p = sub.add_parser("extremal", parents=[common], help="decide extremality and emit a witness or split")
+    p = sub.add_parser("extremal", parents=[report], help="decide extremality and emit a witness or split")
     p.add_argument("file")
     p.set_defaults(func=cmd_extremal)
 
-    p = sub.add_parser("kraus", parents=[common], help="extract a Kraus / generating family")
+    p = sub.add_parser("kraus", parents=[report], help="extract a Kraus / generating family")
     p.add_argument("file")
     p.set_defaults(func=cmd_kraus)
 

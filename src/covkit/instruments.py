@@ -1117,11 +1117,18 @@ def outcome_distribution(spec: InstrumentSpec, state) -> np.ndarray:
     return p / p.sum()
 
 
-def sample(spec: InstrumentSpec, state, rng_seed: int) -> SampleResult:
-    """Draw one outcome and the conditional post-measurement state."""
+def _checked_state(state, tol: Tolerances) -> np.ndarray:
+    """The state as a complex array; a ValueError unless it passes
+    ``psd_check`` and its trace is within ``tol.recon_fro`` of 1."""
     state = np.asarray(state, dtype=np.complex128)
-    if not psd_check(state) or abs(np.trace(state).real - 1.0) > 1e-8:
+    if not psd_check(state, tol) or abs(np.trace(state).real - 1.0) > tol.recon_fro:
         raise ValueError("state must be positive with unit trace")
+    return state
+
+
+def sample(spec: InstrumentSpec, state, rng_seed: int, tol: Tolerances = DEFAULT_TOL) -> SampleResult:
+    """Draw one outcome and the conditional post-measurement state."""
+    state = _checked_state(state, tol)
     p = outcome_distribution(spec, state)
     rng = np.random.default_rng(rng_seed)
     w = int(rng.choice(len(p), p=p))
@@ -1130,11 +1137,10 @@ def sample(spec: InstrumentSpec, state, rng_seed: int) -> SampleResult:
     return SampleResult(w, float(p[w]), post)
 
 
-def sample_stream(spec: InstrumentSpec, state, n: int, rng_seed: int):
-    """Sequence of outcome draws; the post state is recomputed per outcome."""
-    state = np.asarray(state, dtype=np.complex128)
-    if not psd_check(state) or abs(np.trace(state).real - 1.0) > 1e-8:
-        raise ValueError("state must be positive with unit trace")
+def sample_stream(spec: InstrumentSpec, state, n: int, rng_seed: int, tol: Tolerances = DEFAULT_TOL):
+    """Sequence of outcome draws; the post state is computed once per
+    outcome, and every draw of that outcome yields the same array."""
+    state = _checked_state(state, tol)
     p = outcome_distribution(spec, state)
     rng = np.random.default_rng(rng_seed)
     draws = rng.choice(len(p), size=n, p=p)

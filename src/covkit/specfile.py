@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -38,6 +40,97 @@ class SpecFileError(ValueError):
 def matrix_out(mat) -> list:
     mat = np.asarray(mat, dtype=np.complex128)
     return np.stack([mat.real, mat.imag], -1).tolist()
+
+
+# -- output text ---------------------------------------------------------------
+
+
+def dumps(obj) -> str:
+    """The toolkit's output text: exactly the text ``json.dumps`` gives for
+    ``obj`` with sorted keys and an indent of one space.
+
+    ``json`` writes an indented document with its pure-Python encoder, one
+    generator step per value.  Here a regular nested list of finite plain
+    floats has its leaves rendered in one pass and joined with precomputed
+    separators; every other value takes the recursive branch, which mirrors
+    the encoder rule for rule.  Dict keys must be strings.
+    """
+    return _dumps(obj, 0)
+
+
+def _dumps(obj, level) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        text = _bulk(obj, level)
+        if text is not None:
+            return text
+        pad = "\n" + " " * (level + 1)
+        items = (_dumps(v, level + 1) for v in obj)
+        return "[" + pad + ("," + pad).join(items) + "\n" + " " * level + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("dumps: dict keys must be strings")
+        pad = "\n" + " " * (level + 1)
+        items = (
+            encode_basestring_ascii(k) + ": " + _dumps(v, level + 1)
+            for k, v in sorted(obj.items())
+        )
+        return "{" + pad + ("," + pad).join(items) + "\n" + " " * level + "}"
+    raise TypeError(f"dumps: {type(obj).__name__} is not JSON serializable")
+
+
+def _bulk(obj, level):
+    """The text of a regular, non-empty nested list whose leaves are all
+    finite plain floats; None for anything else.
+
+    Two neighbouring leaves whose last differing index is on axis m are
+    separated by the closing brackets of the deeper axes, ``",\\n"`` and the
+    indent of axis m's items, and the opening brackets of the deeper axes;
+    those separators repeat with the shape and are built once.
+    """
+    shape, items = [], [obj]
+    while True:
+        kinds = set(map(type, items))
+        if not kinds <= {list, tuple}:
+            break
+        sizes = set(map(len, items))
+        if len(sizes) != 1 or 0 in sizes:
+            return None
+        shape.append(sizes.pop())
+        items = list(chain.from_iterable(items))
+    if kinds != {float} or not all(map(math.isfinite, items)):
+        return None
+    opens = ["[\n" + " " * (level + m + 1) for m in range(len(shape))]
+    closes = ["\n" + " " * (level + m) + "]" for m in range(len(shape))]
+    seps = []  # after axis m: the separators between the leaves of one axis-m list
+    for m in range(len(shape) - 1, -1, -1):
+        sep = "".join(closes[:m:-1]) + ",\n" + " " * (level + m + 1) + "".join(opens[m + 1 :])
+        seps = (seps + [sep]) * (shape[m] - 1) + seps
+    parts = [None] * (2 * len(items) + 1)
+    parts[0] = "".join(opens)
+    parts[1::2] = map(float.__repr__, items)
+    parts[2:-1:2] = seps
+    parts[-1] = "".join(closes[::-1])
+    return "".join(parts)
 
 
 def _is_real(v) -> bool:
@@ -388,8 +481,4 @@ def load(text: str):
 def document(kind: str, payload: dict) -> str:
     if kind not in KINDS:
         raise SpecFileError(f"unknown kind {kind!r}")
-    return json.dumps(
-        {"kind": kind, "version": "1", "payload": payload},
-        sort_keys=True,
-        indent=1,
-    )
+    return dumps({"kind": kind, "version": "1", "payload": payload})

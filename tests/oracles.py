@@ -16,10 +16,12 @@ residual, as references for ``covkit.cstar`` and the dilation certificate in
 ``covkit.cpmaps``; the grand kernel over the matrix units, as the reference
 for the Choi blocks; and the loop forms of the kernel and instrument
 covariance residuals, as references for ``covkit.kernels`` and
-``covkit.instruments``.
+``covkit.instruments``; and the per-draw encoding of a sample stream, as the
+reference for the line cache of ``covkit sample``.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 
@@ -29,11 +31,13 @@ from covkit.fingroup import GroupAction, TwoCocycle
 from covkit.instruments import (
     InstrumentSpec,
     ObservableSpec,
+    sample_stream,
     validate_instrument,
     validate_observable,
 )
 from covkit.kernels import CovariantKernelSpec, validate_kernel
 from covkit.numlin import DEFAULT_TOL, frob, hermitian_basis, is_unitary, null_space, vec
+from covkit.specfile import matrix_out
 
 
 def _range_projector(mat, tol=1e-9):
@@ -586,3 +590,12 @@ def instrument_covariance_loop(spec: InstrumentSpec):
         for w in range(spec.n_outcomes):
             worst = max(worst, frob(wg @ spec.choi[w] @ wg.conj().T - spec.choi[sym.action.apply(g, w)]))
     return worst
+
+
+def sample_lines_loop(spec: InstrumentSpec, state, n, seed, tol=DEFAULT_TOL):
+    """The text of ``covkit sample``: one ``[outcome, p, post]`` line per
+    draw, each encoded on its own."""
+    return "".join(
+        json.dumps([r.outcome, r.probability, matrix_out(r.post_state)]) + "\n"
+        for r in sample_stream(spec, state, n, seed, tol)
+    )

@@ -235,6 +235,18 @@ def test_cli_validate_state(tmp_path, capsys):
     assert main(["validate", bad]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "sample"])
+def test_cli_state_trace_bound_is_tol_recon_fro(command, tmp_path, capsys):
+    # trace 1 + 5e-8 is outside the default 1e-8 and inside 1e-6
+    state = write(tmp_path, "rho.json", state_doc(np.diag([0.5 + 5e-8, 0.5]).astype(complex)))
+    argv = [command, state]
+    if command == "sample":
+        argv = [command, write(tmp_path, "ps.json", phase_space_doc()), state, "-n", "3"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    assert main(argv + ["--tol-recon-fro", "1e-6"]) == 0
+
+
 def test_cli_kernel_extremal_uses_z_pairs_from_file(tmp_path, capsys):
     doc = json.loads(ones_kernel_doc())
     doc["payload"]["z_pairs"] = [[0, 0], [1, 1]]

@@ -1,0 +1,202 @@
+"""The output text: ``specfile.dumps`` against ``json.dumps(..., sort_keys=True,
+indent=1)``, the reports and sample lines of every command, and ``--json-out``."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import sample_lines_loop
+from test_cli import flip_observable_doc, phase_space_doc, state_doc, write
+
+from covkit import specfile
+from covkit.cli import main
+from covkit.instruments import phase_space
+
+
+def reference(obj):
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+EDGE_CASES = [
+    0.1,
+    -0.0,
+    5e-324,
+    2.2250738585072014e-308,
+    1e300,
+    float("nan"),
+    float("inf"),
+    -float("inf"),
+    10**30,
+    -(10**30),
+    0,
+    True,
+    False,
+    None,
+    "",
+    "plain",
+    "quote \" backslash \\ tab \t newline \n",
+    "non-ASCII é 𝔼  ",
+    [],
+    {},
+    [[]],
+    [[], []],
+    [{}],
+    {"": []},
+    [0.5],
+    [[0.5, -0.0], [5e-324, 1e300]],
+    [[[0.1, 0.2]], [[0.3, 0.4]], [[0.5, 0.6]]],
+    [[1, 2, 3], [4, 5, 6]],
+    [1, 2.0],
+    [[1.0, 2.0], [3, 4.0]],
+    [[1.0, True], [0.0, False]],
+    [[True, False], [False, True]],
+    [1.0, float("nan")],
+    [[0.0, float("inf")], [-float("inf"), 1.0]],
+    [[1.0, 2.0], [3.0]],
+    [[1.0, 2.0], []],
+    [[1.0, [2.0]], [3.0, 4.0]],
+    [10**30, 1.0],
+    (0.25, (0.5, 0.75)),
+    ((1.0, 2.0), [3.0, 4.0]),
+    [np.float64(0.1), 0.2],
+    [[np.float64(1 / 3), np.float64(-0.0)]],
+    {"b": 1, "a": [0.1, 0.2], "é": {"z": None, "y": [[0.5, 1.5]]}},
+    {"outer": [{"k": [[1.0, 2.0], [3.0, 4.0]]}, {"k": []}]},
+    [None, "x", {"a": 1}],
+]
+
+
+@pytest.mark.parametrize("obj", EDGE_CASES, ids=range(len(EDGE_CASES)))
+def test_dumps_edge_cases(obj):
+    assert specfile.dumps(obj) == reference(obj)
+
+
+def test_dumps_rejects_what_json_rejects():
+    with pytest.raises(TypeError):
+        specfile.dumps({1: 2})
+    with pytest.raises(TypeError):
+        specfile.dumps([object()])
+    with pytest.raises(TypeError):
+        specfile.dumps({"a": np.int64(1)})
+
+
+LEAVES = (
+    st.floats()
+    | st.floats().map(np.float64)
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=5)
+)
+
+
+def nest(flat, shape):
+    """The flat leaves as a nested list of the given shape."""
+    if len(shape) == 1:
+        return list(flat)
+    step = len(flat) // shape[0]
+    return [nest(flat[i * step : (i + 1) * step], shape[1:]) for i in range(shape[0])]
+
+
+@st.composite
+def regular_arrays(draw):
+    # mostly plain finite floats, so the one-pass rendering is exercised;
+    # any other leaf makes the array fall back to the recursive branch
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    size = math.prod(shape)
+    leaf = draw(st.sampled_from([st.floats(allow_nan=False, allow_infinity=False), st.integers(), LEAVES]))
+    return nest(draw(st.lists(leaf, min_size=size, max_size=size)), shape)
+
+
+TREES = st.recursive(
+    LEAVES | regular_arrays(),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=5), children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TREES)
+def test_dumps_matches_json_on_random_trees(obj):
+    assert specfile.dumps(obj) == reference(obj)
+
+
+def round_trips(out):
+    return out == reference(json.loads(out)) + "\n"
+
+
+@pytest.fixture
+def files(tmp_path):
+    ps = write(tmp_path, "ps.json", phase_space_doc(2))
+    obs = write(tmp_path, "obs.json", flip_observable_doc(0.3))
+    d, ops = specfile.load(phase_space_doc(2))[1]
+    inst_doc = specfile.document("instrument", specfile.instrument_out(phase_space(d, ops)))
+    inst = write(tmp_path, "inst.json", inst_doc)
+    rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
+    state = write(tmp_path, "state.json", state_doc(rho))
+    return {"ps": ps, "obs": obs, "inst": inst, "state": state}
+
+
+REPORTS = [
+    ["validate", "ps"],
+    ["validate", "state"],
+    ["dilate", "obs"],
+    ["dilate", "inst"],
+    ["extremal", "obs"],
+    ["kraus", "inst"],
+]
+
+
+@pytest.mark.parametrize("argv", REPORTS, ids=lambda a: "-".join(a))
+def test_report_round_trips_and_json_out_equals_stdout(argv, files, tmp_path, capsys):
+    target = tmp_path / "report.json"
+    assert main([argv[0], files[argv[1]], "--json-out", str(target)]) == 0
+    out = capsys.readouterr().out
+    assert round_trips(out)
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_phase_space_document_round_trips(files, capsys):
+    assert main(["phase-space", files["ps"]]) == 0
+    assert round_trips(capsys.readouterr().out)
+
+
+def test_sample_lines_round_trip(files, capsys):
+    assert main(["sample", files["ps"], files["state"], "-n", "20", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 20
+    assert all(line == json.dumps(json.loads(line)) for line in lines)
+
+
+@pytest.mark.parametrize("command", ["phase-space", "sample"])
+def test_json_out_is_not_an_option_of_stream_commands(command, files, tmp_path, capsys):
+    argv = [command, files["ps"]] + ([files["state"]] if command == "sample" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--json-out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sample_line_cache_matches_per_draw_encoding(d, tmp_path, capsys):
+    rng = np.random.default_rng(d)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    ps = write(tmp_path, "ps.json", phase_space_doc(d))
+    st_path = write(tmp_path, "state.json", state_doc(rho))
+    assert main(["sample", ps, st_path, "-n", "200", "--seed", "11"]) == 0
+    out = capsys.readouterr().out
+    spec = phase_space(*specfile.load(phase_space_doc(d))[1])
+    state = specfile.load(state_doc(rho))[1]
+    assert out == sample_lines_loop(spec, state, 200, 11)
+    # the stream repeats outcomes, so the cache is exercised
+    assert len(set(out.splitlines())) < 200

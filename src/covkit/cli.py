@@ -261,7 +261,7 @@ def cmd_kraus(args) -> int:
         )
     elif kind == "instrument":
         data = B_from_instrument(obj, tol)
-        report.verdict("roundtrip", True)
+        report.verdict("roundtrip", *data.checks["roundtrip"])
         report.artifact(
             "kraus",
             "generating family extracted from the base outcome",

@@ -31,6 +31,7 @@ from .numlin import (
     constrained_commutant,
     frob,
     is_unitary,
+    offsets,
     psd_factor,
     psd_status,
     rank,
@@ -183,6 +184,7 @@ class KSGNSDilation:
 
     spec: CPMapSpec
     rank: int
+    mult: tuple  # (r_i), so N = sum_i n_i r_i
     r_blocks: np.ndarray  # (n_units, N, n_V)
     j: np.ndarray  # (N, n_V)
     pi_units: np.ndarray  # (n_units, N, N)
@@ -222,7 +224,7 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     pi_units = np.zeros((m, n_dil, n_dil), dtype=np.complex128)
     pi_units[_tensor_pattern(alg, mult)] = 1.0
     r_blocks = pi_units @ j
-    dil = KSGNSDilation(spec, n_dil, r_blocks, j, pi_units, None, None)
+    dil = KSGNSDilation(spec, n_dil, tuple(mult), r_blocks, j, pi_units, None, None)
     checks = _certify_pi(dil, tol)
 
     sym = sym_bar = None
@@ -266,48 +268,47 @@ def _norms(stack) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
+def _pattern_defect(dil: KSGNSDilation) -> np.ndarray:
+    """eps_k = ||pi(E_k) - T_k||_F for every unit k, one unit at a time."""
+    unit, rows, cols = _tensor_pattern(dil.spec.algebra, dil.mult)
+    eps, ends = np.empty(len(dil.pi_units)), np.searchsorted(unit, np.arange(len(dil.pi_units) + 1))
+    for k, p in enumerate(dil.pi_units):
+        diff, here = p.copy(), slice(ends[k], ends[k + 1])
+        diff[rows[here], cols[here]] -= 1.0
+        eps[k] = frob(diff)
+    return eps
+
+
 def _certify_pi(dil: KSGNSDilation, tol) -> Checks:
     """Certify pi as a unital *-representation and the dilation as minimal.
 
-    Reconstruction, adjointness, unitality and minimality are checked
-    directly.  Multiplicativity goes through the block factorization: with
-    A_k = V^+ pi_k V = T_k + E_k (T_k = E_ab (x) I_r in block i), eps_k =
-    ||E_k||, delta = ||V^+ V - I|| < 1 and T_k T_l = T_kl exactly,
+    Reconstruction and adjointness are checked on the stored pi one unit at
+    a time, unitality and minimality directly.  Multiplicativity is
+    measured against the pattern that :func:`ksgns` lays out, T_k = E_ab (x)
+    I_{r_i} in block i with sum_i n_i r_i = N: with eps_k = ||pi_k - T_k||,
+    ||T_k||_2 = 1 and T_k T_l = T_kl exactly,
 
-        ||pi_k pi_l - pi_kl|| <= [eps_k + eps_l + eps_k eps_l + eps_kl
-                                  + (1 + delta) ||pi_k|| ||pi_l|| delta] / (1 - delta)
+        ||pi_k pi_l - pi_kl|| <= eps_k + eps_l + eps_k eps_l + eps_kl
 
-    (Frobenius norms; eps_kl = 0 where E_k E_l = 0).  The reported
-    ``pi_multiplicative`` is the largest such bound, which costs m N^3 work
-    where the products over all pairs cost m^2 N^3.
-    """
+    (Frobenius norms; eps_kl = 0 where E_k E_l = 0).  ``pi_multiplicative``
+    is the largest such bound, m N^2 work where the products over all pairs
+    cost m^2 N^3, so a stored pi off its pattern beyond tolerance fails."""
     alg = dil.spec.algebra
-    n, pi = dil.rank, dil.pi_units
+    n, pi, jh = dil.rank, dil.pi_units, dil.j.conj().T
     scale = max(1.0, frob(dil.j) ** 2)
     checks = Checks().require(
         tol.recon_fro * scale,
         "reconstruction failed",
-        reconstruction=float(_norms(dil.j.conj().T @ pi @ dil.j - dil.spec.values).max()),
+        reconstruction=max(frob(jh @ p @ dil.j - v) for p, v in zip(pi, dil.spec.values)),
     )
+    if sum(b * r for b, r in zip(alg.blocks, dil.mult)) != n:
+        raise DilationResidualError("multiplicities do not fill the dilation space", checks)
 
-    worst_adj = float(_norms(pi.conj().transpose(0, 2, 1) - pi[alg.adjoint_table()]).max())
-    index = alg.unit_index()
-    unital = frob(pi[index[:, 1] == index[:, 2]].sum(axis=0) - np.eye(n))
-    try:
-        _, _, eps, delta = _block_factor(pi, alg)
-    except NotSingleBlockError as exc:
-        raise DilationResidualError(f"algebra representation does not factor: {exc}", checks) from exc
-    if delta >= 1.0:
-        raise DilationResidualError(f"block intertwiner is far from unitary ({delta:.2e})", checks)
+    worst_adj = max(frob(p.conj().T - pi[k]) for p, k in zip(pi, alg.adjoint_table()))
+    unital = frob(pi[np.equal(*alg.unit_positions)].sum(axis=0) - np.eye(n))
+    eps = _pattern_defect(dil)
     prod = alg.unit_product_table()
-    norms = _norms(pi)
-    bound = (
-        eps[:, None]
-        + eps[None, :]
-        + np.outer(eps, eps)
-        + np.where(prod >= 0, eps[prod], 0.0)
-        + (1.0 + delta) * delta * np.outer(norms, norms)
-    ) / (1.0 - delta)
+    bound = eps[:, None] + eps[None, :] + np.outer(eps, eps) + np.where(prod >= 0, eps[prod], 0.0)
     checks.require(
         tol.recon_fro * max(1.0, np.sqrt(max(n, 1))),
         "algebra representation certification failed",
@@ -324,20 +325,46 @@ def _certify_pi(dil: KSGNSDilation, tol) -> Checks:
 
 def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
     """Unitarity, intertwining and twist of the dilation representation, and
-    the commuting twist's commutation and cocycle, batched over the matrix
-    units (or the group) one group element at a time."""
+    the commuting twist's commutation and cocycle, one group element at a
+    time.  Twist and commutation are block moves of S = sym(g) over cells
+    (i, a) of width r_i against the pattern T_k, k = (i, a, b), of pi: S T_k
+    moves S's column cell (i, a) to (i, b), and the block-j rows of T(beta_g
+    E_k) S are w[:, a] (x) (w[:, b]^+ S_j), w the (j, i) block of u(g).  Each
+    region is a norm of slices: no N^3 product, no difference of norms.  Off
+    the pattern (eps of :func:`_certify_pi`) the twist adds ||S||_2 (eps_k +
+    sum_c |coeff_c(beta_g E_k)| eps_c), the commutation 2 ||S_bar||_2 eps_k."""
     spec = dil.spec
     alg, group = spec.algebra, spec.symmetry.group
-    n, pi, s = dil.rank, dil.pi_units, dil.sym.matrices
+    n, s = dil.rank, dil.sym.matrices
     limit = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)), frob(dil.j))
     worst_unit = float(_norms(s.conj().transpose(0, 2, 1) @ s - np.eye(n)).max())
     worst_j = float(_norms(dil.j @ spec.symmetry.rep.matrices - s @ dil.j).max())
+    eps, blocks, mult, (at, to) = _pattern_defect(dil), alg.blocks, dil.mult, alg.unit_positions
+    off, uoff, start = alg.offsets, alg.unit_offsets, offsets([b * r for b, r in zip(blocks, mult)])
+    cuts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]  # the rows of every block
+    # dilation index -> its cell (i, a), numbered as on the defining space; cell -> its block
+    dim, blk = alg.defining_dim, np.repeat(np.arange(len(blocks)), blocks)
+    cell = np.repeat(np.arange(dim), np.repeat(mult, blocks))
+    pair = (cell[:, None] * dim + cell).ravel()  # bins the squared entries of S by (row cell, column cell)
     worst_tw = 0.0
     for g in group.elements():
-        # sym(g) pi(E_k) - pi(beta_g(E_k)) sym(g) for every unit k
-        diff = s[g] @ pi
-        diff -= alg.transport(spec.symmetry.u(g), pi) @ s[g]
-        worst_tw = max(worst_tw, float(_norms(diff).max()))
+        ug, sg = spec.symmetry.u(g), s[g]
+        near = np.add.reduceat(np.add.reduceat(np.abs(ug), off[:-1], axis=0), off[:-1], axis=1) != 0
+        # S T_k alone in the row blocks j that u(g) does not reach from block i
+        mass = np.add.reduceat(np.bincount(pair, np.abs(sg).ravel() ** 2, dim**2).reshape(dim, -1), off[:-1])
+        res = np.where(near[:, blk], 0.0, mass).sum(0)[at]
+        for j, i in zip(*np.nonzero(near)):
+            (nj, rj), (ni, ri) = (blocks[j], mult[j]), (blocks[i], mult[i])
+            w, sj = ug[off[j] : off[j + 1], off[i] : off[i + 1]], sg[cuts[j]]
+            x = (w.conj().T @ sj.reshape(nj, rj * n)).reshape(ni, rj, n)  # x[b] = w[:, b]^+ S_j
+            # T(beta_g E_k) S alone off the column cell (i, b); on it, against S_j at cell (i, a)
+            spill = ((np.abs(x) ** 2).sum(1) * (cell != off[i] + np.arange(ni)[:, None])).sum(1)
+            lhs = sj[:, cuts[i]].reshape(nj, rj, ni, ri).transpose(2, 0, 1, 3)
+            rhs = x[:, :, cuts[i]].reshape(ni, rj, ni, ri)[range(ni), :, range(ni)]
+            both = (np.abs(lhs[:, None] - np.einsum("ca,blm->abclm", w, rhs)) ** 2).sum((2, 3, 4))
+            res[uoff[i] : uoff[i + 1]] += (np.outer((np.abs(w) ** 2).sum(0), spill) + both).ravel()
+        extra = np.linalg.norm(sg, 2) * (eps + alg.transport(np.abs(ug), eps).real) if eps.any() else 0.0
+        worst_tw = max(worst_tw, float((np.sqrt(res) + extra).max()))
     message = "covariant dilation certification failed"
     checks = Checks().require(tol.unitary_fro * max(1.0, np.sqrt(max(n, 1))), message, sym_unitary=worst_unit)
     checks.require(limit, message, sym_j=worst_j, sym_twist=worst_tw)
@@ -346,9 +373,14 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
         bar, cocycle = dil.sym_bar.matrices, dil.sym_bar.cocycle.values
         worst_comm = coc = 0.0
         for a in group.elements():
-            diff = bar[a] @ pi
-            diff -= pi @ bar[a]
-            worst_comm = max(worst_comm, float(_norms(diff).max()))
+            # S_bar T_k alone off the row cell (i, a), T_k S_bar alone off the column cell (i, b) ...
+            mass = np.bincount(pair, np.abs(bar[a]).ravel() ** 2, dim**2).reshape(dim, -1) * (1 - np.eye(dim))
+            res = mass.sum(0)[at] + mass.sum(1)[to]
+            for i, (ni, ri) in enumerate(zip(blocks, mult)):  # ... and the diagonal cells (i, a), (i, b)
+                diag = bar[a][cuts[i], cuts[i]].reshape(ni, ri, ni, ri)[range(ni), :, range(ni)]
+                res[uoff[i] : uoff[i + 1]] += (np.abs(diag[:, None] - diag[None]) ** 2).sum((2, 3)).ravel()
+            extra = 2.0 * np.linalg.norm(bar[a], 2) * eps if eps.any() else 0.0
+            worst_comm = max(worst_comm, float((np.sqrt(res) + extra).max()))
             # sym_bar(a) sym_bar(b) - c(a, b) sym_bar(ab) for every b
             rows = bar[a] @ bar - cocycle[a][:, None, None] * bar[group.mul[a]]
             coc = max(coc, float(_norms(rows).max()))
@@ -359,38 +391,6 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
 class NotSingleBlockError(ValueError):
     """The representation does not factor as the direct sum over the
     algebra's blocks of b_i (x) I_{r_i}."""
-
-
-def _block_factor(pi_units: np.ndarray, algebra: FiniteCStarAlgebra):
-    """Block factorization of a unital representation given by the images
-    of the matrix units.
-
-    For block i, C_i is an orthonormal basis of the range of pi(E^i_00)
-    (r_i columns) and V_i = [pi(E^i_00) C_i, ..., pi(E^i_{n-1,0}) C_i];
-    V = [V_1 ... V_k].  Returns the multiplicities, V, eps_k =
-    ||V^+ pi(E_k) V - T_k|| for every unit k, where T_k is E_ab (x) I_{r_i}
-    in block i, and delta = ||V^+ V - I|| (Frobenius norms).
-    """
-    if pi_units.ndim != 3 or pi_units.shape[0] != algebra.n_units:
-        raise NotSingleBlockError("need the images of all matrix units")
-    big = pi_units.shape[1]
-    mult, cols = [], []
-    for i, n in enumerate(algebra.blocks):
-        first = algebra.unit_offsets[i]
-        p00 = pi_units[first]
-        w, vecs = np.linalg.eigh(0.5 * (p00 + p00.conj().T))
-        corner = vecs[:, w > 0.5]
-        r = corner.shape[1]
-        # pi(E^i_a0) C_i at columns a r .. (a + 1) r of V_i
-        cols.append((pi_units[first : first + n * n : n] @ corner).transpose(1, 0, 2).reshape(big, n * r))
-        mult.append(r)
-    if sum(n * r for n, r in zip(algebra.blocks, mult)) != big:
-        raise NotSingleBlockError("corner projection ranks do not fill the representation space")
-    v = np.hstack(cols)
-    delta = frob(v.conj().T @ v - np.eye(big))
-    defect = v.conj().T @ (pi_units @ v)
-    defect[_tensor_pattern(algebra, mult)] -= 1.0
-    return tuple(mult), v, _norms(defect), delta
 
 
 def _tensor_pattern(algebra, mult):
@@ -409,13 +409,33 @@ def factor_rep_tensor(
     """Identify a unital representation of the algebra with the direct sum
     over its blocks of b_i -> b_i (x) I_{r_i}: returns ``(r, V)`` with
     ``r`` the tuple of multiplicities, V unitary and V^+ pi(E^i_ab) V =
-    E_ab (x) I_{r_i} in block i (blocks in order, zero elsewhere)."""
-    mult, v, eps, _ = _block_factor(np.asarray(pi_units, dtype=np.complex128), algebra)
+    E_ab (x) I_{r_i} in block i (blocks in order, zero elsewhere).  V_i =
+    [pi(E^i_00) C_i, ..., pi(E^i_{n-1,0}) C_i], C_i an orthonormal basis of
+    the range of pi(E^i_00)."""
+    pi_units = np.asarray(pi_units, dtype=np.complex128)
+    if pi_units.ndim != 3 or pi_units.shape[0] != algebra.n_units:
+        raise NotSingleBlockError("need the images of all matrix units")
+    big = pi_units.shape[1]
+    mult, cols = [], []
+    for i, n in enumerate(algebra.blocks):
+        first = algebra.unit_offsets[i]
+        p00 = pi_units[first]
+        w, vecs = np.linalg.eigh(0.5 * (p00 + p00.conj().T))
+        corner = vecs[:, w > 0.5]
+        r = corner.shape[1]
+        # pi(E^i_a0) C_i at columns a r .. (a + 1) r of V_i
+        cols.append((pi_units[first : first + n * n : n] @ corner).transpose(1, 0, 2).reshape(big, n * r))
+        mult.append(r)
+    if sum(n * r for n, r in zip(algebra.blocks, mult)) != big:
+        raise NotSingleBlockError("corner projection ranks do not fill the representation space")
+    v = np.hstack(cols)
     if not is_unitary(v, tol):
         raise NotSingleBlockError("assembled intertwiner is not unitary")
-    if eps.max(initial=0.0) > tol.recon_fro * max(1.0, np.sqrt(v.shape[0])):
+    defect = v.conj().T @ (pi_units @ v)
+    defect[_tensor_pattern(algebra, mult)] -= 1.0
+    if _norms(defect).max(initial=0.0) > tol.recon_fro * max(1.0, np.sqrt(big)):
         raise NotSingleBlockError("representation does not factor through the blocks")
-    return mult, v
+    return tuple(mult), v
 
 
 def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DEFAULT_TOL):

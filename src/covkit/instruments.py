@@ -809,9 +809,10 @@ def observable_kernel_form(spec: ObservableSpec):
 @dataclass(frozen=True)
 class CovariantInstrumentData:
     """The Kraus family generating a covariant instrument from the identity
-    coset."""
+    coset, with the ``roundtrip`` residual when extracted from one."""
 
     b_ops: tuple  # operators K x V
+    checks: Checks = field(default_factory=Checks)
 
 
 class StructureViolation(ValueError):
@@ -908,14 +909,13 @@ def B_from_instrument(
     if not report.ok:
         raise ValueError(f"instrument invalid: {report.failed()}")
     ops = kraus_from_choi(spec.choi[0], spec.k_dim, spec.v_dim, tol)
-    data = CovariantInstrumentData(tuple(ops))
-    rebuilt = instrument_from_B(data, spec.symmetry, tol)
-    worst = max(frob(a - b) for a, b in zip(rebuilt.choi, spec.choi))
-    if worst > tol.recon_fro * max(1.0, float(np.abs(spec.choi).max()) * spec.k_dim * spec.v_dim):
-        raise DilationResidualError(
-            f"reconstruction residual {worst:.2e}: instrument covariance is broken"
-        )
-    return data
+    rebuilt = instrument_from_B(CovariantInstrumentData(tuple(ops)), spec.symmetry, tol)
+    checks = Checks().require(
+        tol.recon_fro * max(1.0, float(np.abs(spec.choi).max()) * spec.k_dim * spec.v_dim),
+        "reconstruction failed, instrument covariance is broken",
+        roundtrip=max(frob(a - b) for a, b in zip(rebuilt.choi, spec.choi)),
+    )
+    return CovariantInstrumentData(tuple(ops), checks)
 
 
 def structure_chain_B(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL):

@@ -11,13 +11,14 @@ verdict is backed by an explicit validated split.
 The file also keeps the element-by-element loop forms of the group, action,
 subgroup, cocycle and representation checks, as references for the batched
 checks in ``covkit.fingroup``, and the loop forms of the matrix-unit
-coordinates, tables and transport and of the all-pairs multiplicativity
-residual, as references for ``covkit.cstar`` and the dilation certificate in
-``covkit.cpmaps``; the grand kernel over the matrix units, as the reference
-for the Choi blocks; and the loop forms of the kernel and instrument
-covariance residuals, as references for ``covkit.kernels`` and
-``covkit.instruments``; and the per-draw encoding of a sample stream, as the
-reference for the line cache of ``covkit sample``.
+coordinates, tables and transport, of the all-pairs multiplicativity
+residual and of the dense twist and commutation residuals, as references for
+``covkit.cstar`` and the dilation certificate in ``covkit.cpmaps``; the
+grand kernel over the matrix units, as the reference for the Choi blocks;
+and the loop forms of the kernel and instrument covariance residuals, as
+references for ``covkit.kernels`` and ``covkit.instruments``; and the
+per-draw encoding of a sample stream, as the reference for the line cache of
+``covkit sample``.
 """
 
 import dataclasses
@@ -536,6 +537,26 @@ def multiplicativity_loop(alg, pi_units):
         target = pi_units[kk] if kk is not None else np.zeros((n, n))
         worst = max(worst, frob(pi_units[k1] @ pi_units[k2] - target))
     return worst
+
+
+def twist_loop(dil):
+    """max over group elements g and units k of ||sym(g) pi(E_k) -
+    pi(beta_g(E_k)) sym(g)||, multiplying sym(g) into the whole dense stack
+    of pi(E_k): the reference for the block moves of ``sym_twist``."""
+    alg, u, s = dil.spec.algebra, dil.spec.symmetry.u, dil.sym.matrices
+    worst = 0.0
+    for g in dil.spec.symmetry.group.elements():
+        diff = s[g] @ dil.pi_units - alg.transport(u(g), dil.pi_units) @ s[g]
+        worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
+    return worst
+
+
+def commutation_loop(dil):
+    """max over group elements a and units k of ||sym_bar(a) pi(E_k) -
+    pi(E_k) sym_bar(a)||, densely: the reference for ``bar_commutes``."""
+    pi = dil.pi_units
+    bar = dil.sym_bar.matrices
+    return max(float(np.linalg.norm(b @ pi - pi @ b, axis=(1, 2)).max()) for b in bar)
 
 
 def unit_kernel_loop(spec: CPMapSpec):

@@ -6,7 +6,13 @@ import pytest
 from covkit import specfile
 from covkit.cli import main
 from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle
-from covkit.instruments import ObservableSpec, Symmetry, phase_space
+from covkit.instruments import (
+    CovariantInstrumentData,
+    ObservableSpec,
+    Symmetry,
+    instrument_from_B,
+    phase_space,
+)
 from covkit.random import rand_covariant_cpmap
 
 
@@ -158,6 +164,26 @@ def test_cli_kraus_instrument(tmp_path, capsys):
     assert main(["kraus", str(tmp_path / "inst.json")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["artifacts"]["kraus"]["count"] == 1
+
+
+def test_cli_kraus_instrument_prints_the_roundtrip_residual(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    b /= np.sqrt(3 * np.trace(b.conj().T @ b).real)
+    payload = {"d": 3, "seed_ops": [specfile.matrix_out(b)]}
+    ps = write(tmp_path, "ps.json", specfile.document("phase_space", payload))
+    inst = str(tmp_path / "inst.json")
+    assert main(["phase-space", ps, "--out", inst]) == 0
+    capsys.readouterr()
+    assert main(["kraus", inst]) == 0
+    report = json.loads(capsys.readouterr().out)
+    _, spec = specfile.load((tmp_path / "inst.json").read_text())
+    ops = [specfile.matrix_in(m, "op") for m in report["artifacts"]["kraus"]["operators"]]
+    rebuilt = instrument_from_B(CovariantInstrumentData(tuple(ops)), spec.symmetry)
+    want = max(np.linalg.norm(a - c) for a, c in zip(rebuilt.choi, spec.choi))
+    assert 0.0 < want < 1e-12
+    # the residual B_from_instrument computed, not a placeholder 0.0
+    assert report["verdicts"]["roundtrip"] == {"ok": True, "residual": pytest.approx(want, rel=1e-12)}
 
 
 def test_cli_dilate_artifact_revalidates(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """The KSGNS certificate: batched unit-index work against its loop forms, the
-Choi blocks against the grand kernel, the multiplicativity bound through the
-block factorization against the all-pairs products, and the generalized
-block factorization."""
+Choi blocks against the grand kernel, the multiplicativity bound against the
+all-pairs products, the twist and commutation block moves against the dense
+loops, and the generalized block factorization."""
 
 from dataclasses import replace
 
@@ -21,15 +21,17 @@ from covkit.cstar import FiniteCStarAlgebra, ModuleSpace
 from covkit.fingroup import FiniteGroup
 from covkit.instruments import as_cpmap, phase_space
 from covkit.kernels import Check, Checks, DilationResidualError
-from covkit.numlin import DEFAULT_TOL, psd_status
+from covkit.numlin import DEFAULT_TOL, Tolerances, psd_status
 from covkit.numlin import rank as num_rank
 from covkit.random import rand_covariant_cpmap, rand_unitary
 
 from oracles import (
     coefficients_loop,
+    commutation_loop,
     element_loop,
     multiplicativity_loop,
     transport_loop,
+    twist_loop,
     unit_kernel_loop,
     unit_tables_loop,
 )
@@ -297,6 +299,67 @@ def test_twist_certificates_check_every_group_element():
     with pytest.raises(DilationResidualError, match="commuting twist") as exc:
         _certify_covariant(broken, DEFAULT_TOL)
     assert exc.value.checks["bar_commutes"].residual > 1e-8
+
+
+def _symmetric_cases():
+    """Phase-space instruments (u(g) permutes the blocks), a cyclic map with
+    a commuting twist, a multi-block S_3 map, and a map whose second block
+    has multiplicity 0, each with the multiplicities of its dilation and
+    whether it has a commuting twist."""
+    for d in (2, 3):
+        b = np.zeros((d, d), dtype=complex)
+        b[0, 0], b[1, 0] = 1.0, 0.5
+        spec = as_cpmap(phase_space(d, [b / np.linalg.norm(b) / np.sqrt(d)]))
+        yield pytest.param(spec, (1,) * d * d, False, id=f"phase_space_d{d}")
+    rng = np.random.default_rng(16)
+    spec = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.cyclic(3), n_v=2)
+    yield pytest.param(spec, (2, 1), True, id="cyclic")
+    spec = rand_covariant_cpmap(rng, (2, 1, 2), FiniteGroup.symmetric(3), n_v=2)
+    yield pytest.param(spec, (3, 1, 1), True, id="s3")
+    spec = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.cyclic(4), n_v=2)
+    values = np.concatenate([spec.values[:4], 0 * spec.values[4:]])
+    yield pytest.param(replace(spec, values=values), (2, 0), True, id="zero_block")
+
+
+@pytest.mark.parametrize("spec, mult, bar", list(_symmetric_cases()))
+def test_twist_and_commutation_block_moves_match_the_dense_loops(spec, mult, bar):
+    dil = ksgns(spec)
+    assert dil.mult == mult and (dil.sym_bar is not None) == bar
+    assert abs(dil.checks["sym_twist"].residual - twist_loop(dil)) <= 1e-12
+    if dil.sym_bar is not None:
+        assert abs(dil.checks["bar_commutes"].residual - commutation_loop(dil)) <= 1e-12
+    # turn every sym(g), then every sym_bar(g), by one unitary fixing the range of j: only the
+    # twist and the commutation see it, far above roundoff
+    w = _hidden_unitary(dil, np.random.default_rng(16), eps=1e-3)
+    broken = replace(dil, sym=replace(dil.sym, matrices=w @ dil.sym.matrices))
+    with pytest.raises(DilationResidualError, match="sym_twist") as exc:
+        _certify_covariant(broken, DEFAULT_TOL)
+    got, want = exc.value.checks["sym_twist"].residual, twist_loop(broken)
+    assert want > 1e-5 and abs(got - want) <= 1e-12
+    if dil.sym_bar is not None:
+        broken = replace(dil, sym_bar=replace(dil.sym_bar, matrices=w @ dil.sym_bar.matrices))
+        with pytest.raises(DilationResidualError, match="bar_commutes") as exc:
+            _certify_covariant(broken, DEFAULT_TOL)
+        got, want = exc.value.checks["bar_commutes"].residual, commutation_loop(broken)
+        assert want > 1e-5 and abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("spec, mult, bar", list(_symmetric_cases()))
+def test_off_pattern_pi_fails_and_the_twist_bounds_cover_the_dense_residuals(spec, mult, bar):
+    dil = ksgns(spec)
+    rng = np.random.default_rng(17)
+    pi = dil.pi_units.copy()
+    k = int(rng.integers(len(pi)))
+    x = rng.normal(size=pi.shape[1:]) + 1j * rng.normal(size=pi.shape[1:])
+    pi[k] += 1e-6 * x / np.linalg.norm(x)
+    broken = replace(dil, pi_units=pi)
+    with pytest.raises(DilationResidualError):
+        _certify_pi(broken, DEFAULT_TOL)
+    checks = _certify_covariant(broken, Tolerances(recon_fro=1.0))
+    want = twist_loop(broken)
+    assert want > 1e-7 and want <= checks["sym_twist"].residual
+    if dil.sym_bar is not None:
+        assert commutation_loop(broken) <= checks["bar_commutes"].residual
 
 
 def test_checks_require_records_every_residual_then_raises():

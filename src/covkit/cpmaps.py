@@ -28,9 +28,9 @@ from .numlin import (
     DEFAULT_TOL,
     DimensionError,
     Tolerances,
-    constrained_commutant,
     frob,
     is_unitary,
+    null_space,
     offsets,
     psd_factor,
     psd_status,
@@ -282,10 +282,12 @@ def _pattern_defect(dil: KSGNSDilation) -> np.ndarray:
 def _certify_pi(dil: KSGNSDilation, tol) -> Checks:
     """Certify pi as a unital *-representation and the dilation as minimal.
 
-    Reconstruction and adjointness are checked on the stored pi one unit at
-    a time, unitality and minimality directly.  Multiplicativity is
-    measured against the pattern that :func:`ksgns` lays out, T_k = E_ab (x)
-    I_{r_i} in block i with sum_i n_i r_i = N: with eps_k = ||pi_k - T_k||,
+    The blocks pi(E_k) j are computed from the stored pi and j; the stored
+    ``r_blocks`` must match them (``r_blocks``), and reconstruction and
+    minimality are decided on the computed blocks.  Adjointness is checked
+    one unit at a time, unitality directly.  Multiplicativity is measured
+    against the pattern that :func:`ksgns` lays out, T_k = E_ab (x) I_{r_i}
+    in block i with sum_i n_i r_i = N: with eps_k = ||pi_k - T_k||,
     ||T_k||_2 = 1 and T_k T_l = T_kl exactly,
 
         ||pi_k pi_l - pi_kl|| <= eps_k + eps_l + eps_k eps_l + eps_kl
@@ -294,12 +296,14 @@ def _certify_pi(dil: KSGNSDilation, tol) -> Checks:
     is the largest such bound, m N^2 work where the products over all pairs
     cost m^2 N^3, so a stored pi off its pattern beyond tolerance fails."""
     alg = dil.spec.algebra
-    n, pi, jh = dil.rank, dil.pi_units, dil.j.conj().T
+    n, pi = dil.rank, dil.pi_units
+    blocks = pi @ dil.j
     scale = max(1.0, frob(dil.j) ** 2)
     checks = Checks().require(
         tol.recon_fro * scale,
         "reconstruction failed",
-        reconstruction=max(frob(jh @ p @ dil.j - v) for p, v in zip(pi, dil.spec.values)),
+        reconstruction=float(_norms(dil.j.conj().T @ blocks - dil.spec.values).max(initial=0.0)),
+        r_blocks=float(_norms(dil.r_blocks - blocks).max(initial=0.0)),
     )
     if sum(b * r for b, r in zip(alg.blocks, dil.mult)) != n:
         raise DilationResidualError("multiplicities do not fill the dilation space", checks)
@@ -318,9 +322,32 @@ def _certify_pi(dil: KSGNSDilation, tol) -> Checks:
     )
 
     # minimality: the blocks pi(unit) j span the dilation space
-    if n and rank(dil.r_blocks.transpose(1, 0, 2).reshape(n, -1), tol) != n:
+    if n and rank(blocks.transpose(1, 0, 2).reshape(n, -1), tol) != n:
         raise DilationResidualError("dilation is not minimal", checks)
     return checks
+
+
+def _cells(alg, mult):
+    """The layout of :func:`ksgns` in cells of width r_i: the rows of every
+    block, the cell (i, a) of every dilation index, numbered as on the
+    defining space, and the bin of every entry's (row cell, column cell)."""
+    start = offsets([b * r for b, r in zip(alg.blocks, mult)])
+    cell = np.repeat(np.arange(alg.defining_dim), np.repeat(mult, alg.blocks))
+    pair = (cell[:, None] * alg.defining_dim + cell).ravel()
+    return [slice(a, b) for a, b in zip(start[:-1], start[1:])], cell, pair
+
+
+def _unit_commutators(mat, alg, mult, cuts, pair) -> np.ndarray:
+    """||[M, T_k]||_F for every unit k of the pattern, by block moves: M T_k
+    alone off the row cell (i, a), T_k M alone off the column cell (i, b),
+    and the diagonal cells (i, a), (i, b) against each other."""
+    dim, (at, to), uoff = alg.defining_dim, alg.unit_positions, alg.unit_offsets
+    mass = np.bincount(pair, np.abs(mat).ravel() ** 2, dim**2).reshape(dim, -1) * (1 - np.eye(dim))
+    res = mass.sum(0)[at] + mass.sum(1)[to]
+    for i, (ni, ri) in enumerate(zip(alg.blocks, mult)):
+        diag = mat[cuts[i], cuts[i]].reshape(ni, ri, ni, ri)[range(ni), :, range(ni)]
+        res[uoff[i] : uoff[i + 1]] += (np.abs(diag[:, None] - diag[None]) ** 2).sum((2, 3)).ravel()
+    return np.sqrt(res)
 
 
 def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
@@ -339,13 +366,9 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
     limit = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)), frob(dil.j))
     worst_unit = float(_norms(s.conj().transpose(0, 2, 1) @ s - np.eye(n)).max())
     worst_j = float(_norms(dil.j @ spec.symmetry.rep.matrices - s @ dil.j).max())
-    eps, blocks, mult, (at, to) = _pattern_defect(dil), alg.blocks, dil.mult, alg.unit_positions
-    off, uoff, start = alg.offsets, alg.unit_offsets, offsets([b * r for b, r in zip(blocks, mult)])
-    cuts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]  # the rows of every block
-    # dilation index -> its cell (i, a), numbered as on the defining space; cell -> its block
-    dim, blk = alg.defining_dim, np.repeat(np.arange(len(blocks)), blocks)
-    cell = np.repeat(np.arange(dim), np.repeat(mult, blocks))
-    pair = (cell[:, None] * dim + cell).ravel()  # bins the squared entries of S by (row cell, column cell)
+    eps, blocks, mult, at = _pattern_defect(dil), alg.blocks, dil.mult, alg.unit_positions[0]
+    off, uoff, (cuts, cell, pair) = alg.offsets, alg.unit_offsets, _cells(alg, dil.mult)
+    dim, blk = alg.defining_dim, np.repeat(np.arange(len(blocks)), blocks)  # cell -> its block
     worst_tw = 0.0
     for g in group.elements():
         ug, sg = spec.symmetry.u(g), s[g]
@@ -373,14 +396,8 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
         bar, cocycle = dil.sym_bar.matrices, dil.sym_bar.cocycle.values
         worst_comm = coc = 0.0
         for a in group.elements():
-            # S_bar T_k alone off the row cell (i, a), T_k S_bar alone off the column cell (i, b) ...
-            mass = np.bincount(pair, np.abs(bar[a]).ravel() ** 2, dim**2).reshape(dim, -1) * (1 - np.eye(dim))
-            res = mass.sum(0)[at] + mass.sum(1)[to]
-            for i, (ni, ri) in enumerate(zip(blocks, mult)):  # ... and the diagonal cells (i, a), (i, b)
-                diag = bar[a][cuts[i], cuts[i]].reshape(ni, ri, ni, ri)[range(ni), :, range(ni)]
-                res[uoff[i] : uoff[i + 1]] += (np.abs(diag[:, None] - diag[None]) ** 2).sum((2, 3)).ravel()
             extra = 2.0 * np.linalg.norm(bar[a], 2) * eps if eps.any() else 0.0
-            worst_comm = max(worst_comm, float((np.sqrt(res) + extra).max()))
+            worst_comm = max(worst_comm, float((_unit_commutators(bar[a], alg, mult, cuts, pair) + extra).max()))
             # sym_bar(a) sym_bar(b) - c(a, b) sym_bar(ab) for every b
             rows = bar[a] @ bar - cocycle[a][:, None, None] * bar[group.mul[a]]
             coc = max(coc, float(_norms(rows).max()))
@@ -455,19 +472,129 @@ def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DE
     return list(ops)
 
 
+def _block_commutant(dil: KSGNSDilation, mats, j, tol) -> list[np.ndarray]:
+    """Frobenius-orthonormal basis of {D in pi(A)' : [D, S] = 0 for S in
+    ``mats``, j^+ D j = 0} (no compression when ``j`` is None).
+
+    On the layout of :func:`ksgns`, pi(A)' is the direct sum of I_{n_i} (x)
+    M_{r_i}, so D = +_i I_{n_i} (x) X_i / sqrt(n_i) and the unknowns are the
+    sum_i r_i^2 entries of the X_i, orthonormal as D is.  The (j, i) block of
+    S, cut into r_j x r_i cells s_ab, gives the rows X_j s_ab / sqrt(n_j) -
+    s_ab X_i / sqrt(n_i) = 0; exactly zero blocks give no rows."""
+    blocks, mult = dil.spec.algebra.blocks, dil.mult
+    cuts, col = _cells(dil.spec.algebra, mult)[0], offsets([r * r for r in mult])
+    rows = []
+    for s in mats:
+        for jb, ib in np.ndindex(len(blocks), len(blocks)):
+            part = s[cuts[jb], cuts[ib]]
+            if not part.any():
+                continue
+            (nj, rj), (ni, ri) = (blocks[jb], mult[jb]), (blocks[ib], mult[ib])
+            part = part.reshape(nj, rj, ni, ri).transpose(0, 2, 1, 3)  # part[a, b] = s_ab
+            row = np.zeros((nj, ni, rj, ri, col[-1]), dtype=np.complex128)
+            # vec(X s) = (I (x) s^T) vec(X) and vec(s X) = (s (x) I) vec(X), row-major
+            left = np.einsum("lp,abqm->ablmpq", np.eye(rj), part).reshape(nj, ni, rj, ri, rj * rj)
+            right = np.einsum("ablp,qm->ablmpq", part, np.eye(ri)).reshape(nj, ni, rj, ri, ri * ri)
+            row[..., col[jb] : col[jb + 1]] += left / np.sqrt(nj)
+            row[..., col[ib] : col[ib + 1]] -= right / np.sqrt(ni)
+            rows.append(row.reshape(-1, col[-1]))
+    if j is not None:
+        # (j^+ D j)[v, w] = sum_i sum_a J_i[a]^+ X_i J_i[a] / sqrt(n_i), J_i[a] the rows (i, a, .) of j
+        nv, parts = j.shape[1], []
+        for cut, n, r in zip(cuts, blocks, mult):
+            ji = j[cut].reshape(n, r, nv)
+            parts.append(np.einsum("alv,amw->vwlm", ji.conj(), ji).reshape(nv * nv, r * r) / np.sqrt(n))
+        rows.append(np.hstack(parts))
+    x = null_space(np.vstack(rows) if rows else np.zeros((0, col[-1])), tol)
+    basis = []
+    for vec in x.T:
+        d = np.zeros((dil.rank, dil.rank), dtype=np.complex128)
+        for cut, n, r, c0 in zip(cuts, blocks, mult, col):
+            x_i = vec[c0 : c0 + r * r].reshape(r, r) / np.sqrt(n)
+            d[cut, cut] = np.einsum("ab,lm->albm", np.eye(n), x_i).reshape(n * r, n * r)
+        basis.append(d)
+    return basis
+
+
+def _layout_defect(dil: KSGNSDilation, tol) -> np.ndarray:
+    """eps_k of a dilation against the layout of :func:`ksgns`; raises
+    :class:`DilationResidualError` when the multiplicities do not fill the
+    space or some eps_k exceeds the tolerance of ``pi_multiplicative``."""
+    n = dil.rank
+    if sum(b * r for b, r in zip(dil.spec.algebra.blocks, dil.mult)) != n:
+        raise DilationResidualError("multiplicities do not fill the dilation space")
+    eps = _pattern_defect(dil)
+    Checks().require(
+        tol.recon_fro * max(1.0, np.sqrt(max(n, 1))),
+        "dilation is off the block layout",
+        pi_pattern=float(eps.max(initial=0.0)),
+    )
+    return eps
+
+
+def _certify_block_commutant(dil: KSGNSDilation, basis, eps, tol):
+    """Re-check a basis from :func:`_block_commutant` against the whole
+    algebra and group: every sym(g) in one batched product, every pi unit as
+    ||[D, T_k]|| + 2 ||D||_2 eps_k by block moves, and j^+ D j."""
+    if not basis:
+        return
+    alg, mult = dil.spec.algebra, dil.mult
+    cuts, _, pair = _cells(alg, mult)
+    pattern = 0.0
+    for d in basis:
+        extra = 2.0 * np.linalg.norm(d, 2) * eps if eps.any() else 0.0
+        pattern = max(pattern, float((_unit_commutators(d, alg, mult, cuts, pair) + extra).max()))
+    full = dil.sym.matrices if dil.sym is not None else np.zeros((0, dil.rank, dil.rank))
+    _certify_commutant(basis, full, tol, pattern=pattern, scale=np.sqrt(max(mult)))
+    Checks().require(
+        tol.recon_fro * max(1.0, frob(dil.j) ** 2),
+        "commutant basis is not compressed to zero",
+        compression=max(frob(dil.j.conj().T @ d @ dil.j) for d in basis),
+    )
+
+
+def _cp_neighbours(spec: CPMapSpec, dil: KSGNSDilation, witness) -> tuple:
+    """The maps b -> j^+ (I +- W) pi(b) j."""
+    jh = dil.j.conj().T
+    return tuple(
+        replace(spec, values=(jh @ (np.eye(dil.rank) + sign * witness)) @ dil.pi_units @ dil.j)
+        for sign in (+1.0, -1.0)
+    )
+
+
+def _revalidate(spec: CPMapSpec, neighbours, scale, tol):
+    """Both neighbours pass :func:`cp_validate`, keep the unit value, and
+    average to the input, each within ``recon_fro`` times ``scale``."""
+    for nb in neighbours:
+        report = cp_validate(nb, tol)
+        if not report.ok:
+            raise DilationResidualError(f"perturbed map failed validation: {', '.join(report.failed())}", report)
+    plus, minus = neighbours
+    unit = spec.unit_value()
+    Checks().require(
+        tol.recon_fro * scale,
+        "neighbours do not split the map",
+        unit_value=max(frob(nb.unit_value() - unit) for nb in neighbours),
+        midpoint=float(_norms(0.5 * (plus.values + minus.values) - spec.values).max()),
+    )
+
+
 def cp_extremal(
     spec: CPMapSpec, dilation: KSGNSDilation | None = None, tol: Tolerances = DEFAULT_TOL
 ) -> ExtremalityCertificate:
     """Extremality of the map among covariant CP maps with the same value at
-    the algebra unit.
+    the algebra unit (Arveson's criterion).
 
-    Computed from the constrained commutant of the dilation: directions D
-    commuting with the algebra representation and the dilation symmetry and
-    compressed to zero by the intertwiner certify convex splits.  The system
-    holds only the images of generating sets of the algebra and the group;
-    the basis is then re-checked against every matrix unit and every group
-    element.  The commuting-twist generator set is cross-checked when
-    available.
+    The map is extreme iff D = 0 is the only D that commutes with pi(A) and
+    the dilation symmetry and has j^+ D j = 0.  A dilation on the layout of
+    :func:`ksgns` has pi(A)' = +_i I_{n_i} (x) M_{r_i}, so the system has
+    sum_i r_i^2 unknowns and rows from the images of the group's generators
+    only (:func:`_block_commutant`); a passed-in dilation off that layout
+    raises :class:`DilationResidualError`.  The basis is re-checked against
+    every group element and every matrix unit, and the commuting-twist
+    generators must give the same freedom.  On non-extremality both
+    neighbours j^+ (I +- W) pi(.) j re-validate, keep the unit value and
+    average to the input.
     """
     if dilation is None:
         dilation = ksgns(spec, tol)
@@ -483,33 +610,15 @@ def cp_extremal(
                 "unit value of the map must be invariant under the module representation"
             )
 
-    n = dilation.rank
-    if n == 0:
+    if dilation.rank == 0:
         return ExtremalityCertificate(True, None, None, 0)
-    constraints = []
-    for a in range(spec.n_v):
-        for b in range(spec.n_v):
-            constraints.append(np.outer(dilation.j[:, a], dilation.j[:, b].conj()))
-    # E_{0b} and E_{b0} generate a block of size >= 2; E_{00} is a block of size 1
-    blk, a, b = spec.algebra.unit_index().T
-    size = np.asarray(spec.algebra.blocks)[blk]
-    pi_gens = list(dilation.pi_units[((a == 0) | (b == 0)) & ((a != b) | (size == 1))])
+    eps = _layout_defect(dilation, tol)
     group_gens = spec.symmetry.group.generators() if dilation.sym is not None else ()
-    generators = pi_gens + [dilation.sym(s) for s in group_gens]
-    basis = constrained_commutant(generators, constraints, hermitian_only=False, dim=n, tol=tol)
-    full = dilation.pi_units
-    if dilation.sym is not None:
-        full = np.concatenate([full, dilation.sym.matrices])
-    _certify_commutant(basis, full, tol)
+    basis = _block_commutant(dilation, [dilation.sym(s) for s in group_gens], dilation.j, tol)
+    _certify_block_commutant(dilation, basis, eps, tol)
 
     if dilation.sym_bar is not None:
-        alt = constrained_commutant(
-            pi_gens + [dilation.sym_bar(s) for s in group_gens],
-            constraints,
-            hermitian_only=False,
-            dim=n,
-            tol=tol,
-        )
+        alt = _block_commutant(dilation, [dilation.sym_bar(s) for s in group_gens], dilation.j, tol)
         if len(alt) != len(basis):
             raise DilationResidualError(
                 "commuting-twist generators disagree with the dilation generators"
@@ -520,12 +629,9 @@ def cp_extremal(
     witness = _hermitian_witness(basis, tol)
     if witness is None:
         return ExtremalityCertificate(True, None, None, len(basis))
-
-    perturbed = []
-    for sign in (+1.0, -1.0):
-        values = dilation.j.conj().T @ (np.eye(n) + sign * witness) @ dilation.pi_units @ dilation.j
-        perturbed.append(replace(spec, values=values))
-    return ExtremalityCertificate(False, witness, tuple(perturbed), len(basis))
+    perturbed = _cp_neighbours(spec, dilation, witness)
+    _revalidate(spec, perturbed, max(1.0, frob(dilation.j) ** 2), tol)
+    return ExtremalityCertificate(False, witness, perturbed, len(basis))
 
 
 # ---------------------------------------------------------------------------

@@ -346,18 +346,20 @@ def _hermitian_witness(basis, tol):
     return None
 
 
-def _certify_commutant(basis, full, tol):
+def _certify_commutant(basis, full, tol, pattern=0.0, scale=1.0):
     """Re-check a commutant basis solved over generating sets against every
     matrix of the full set ``full`` (an (m, n, n) stack), in one batched
-    product, so the verdict rests on the whole algebra and group."""
+    product, so the verdict rests on the whole algebra and group.
+    ``pattern`` is the caller's residual against the rest of the set, whose
+    matrices have Frobenius norms up to ``scale``."""
     if not basis:
         return
     d = np.stack(basis)[:, None]
     comm = d @ full[None] - full[None] @ d
     Checks().require(
-        tol.recon_fro * max(1.0, float(np.linalg.norm(full, axis=(1, 2)).max())),
+        tol.recon_fro * max(1.0, scale, float(np.linalg.norm(full, axis=(1, 2)).max(initial=0.0))),
         "commutant basis fails the full commutation check",
-        commutant=float(np.linalg.norm(comm, axis=(2, 3)).max()),
+        commutant=max(pattern, float(np.linalg.norm(comm, axis=(2, 3)).max(initial=0.0))),
     )
 
 

@@ -18,7 +18,9 @@ grand kernel over the matrix units, as the reference for the Choi blocks;
 and the loop forms of the kernel and instrument covariance residuals, as
 references for ``covkit.kernels`` and ``covkit.instruments``; and the
 per-draw encoding of a sample stream, as the reference for the line cache of
-``covkit sample``.
+``covkit sample``; and a dense commutant over the eigenspaces of pi, as the
+reference for the block-coordinate commutant solve of ``cp_extremal`` where
+the N^2-column kron system is too large.
 """
 
 import dataclasses
@@ -620,3 +622,30 @@ def sample_lines_loop(spec: InstrumentSpec, state, n, seed, tol=DEFAULT_TOL):
         json.dumps([r.outcome, r.probability, matrix_out(r.post_state)]) + "\n"
         for r in sample_stream(spec, state, n, seed, tol)
     )
+
+
+def cp_commutant_dense(dil, mats, j=None):
+    """Orthonormal basis of {D : [D, pi(A)] = 0, [D, S] = 0 for S in mats,
+    j^+ D j = 0} (no compression when ``j`` is None), from the stored pi
+    alone.  pi(A) is generated by pi(h), h diagonal with distinct entries,
+    and pi(c), c the cyclic shift inside every block; D commutes with pi(h)
+    iff it is block diagonal over the eigenspaces of pi(h), found by eigh.
+    So the unknowns are the entries of those diagonal blocks, and nothing is
+    assumed about the dilation's layout."""
+    blk, a, b = dil.spec.algebra.unit_index().T
+    size = np.asarray(dil.spec.algebra.blocks)[blk]
+    diag = a == b
+    h = np.tensordot(np.arange(1.0, diag.sum() + 1.0), dil.pi_units[diag], axes=1)
+    c = dil.pi_units[a == (b + 1) % size].sum(axis=0)
+    w, vecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    labels = np.round(w).astype(int)
+    units = []
+    for lab in np.unique(labels):
+        p = vecs[:, labels == lab]
+        units += [np.outer(x, y.conj()) for x in p.T for y in p.T]
+    units = np.stack(units)  # Frobenius-orthonormal
+    rows = [(units @ g - g @ units).reshape(len(units), -1).T for g in [c, *mats]]
+    if j is not None:
+        rows.append((j.conj().T @ units @ j).reshape(len(units), -1).T)
+    x = null_space(np.vstack(rows))
+    return list(np.tensordot(x.T, units, axes=1))

@@ -505,7 +505,7 @@ def _instrument_doc():
 
 
 KSGNS_VERDICTS = {
-    "reconstruction", "pi_multiplicative", "pi_adjoint", "pi_unital",
+    "reconstruction", "r_blocks", "pi_multiplicative", "pi_adjoint", "pi_unital",
     "sym_solve", "sym_unitary", "sym_j", "sym_twist",
 }
 VERDICT_NAMES = {

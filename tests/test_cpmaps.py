@@ -1,13 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from covkit import specfile
+from covkit import cpmaps, specfile
 from covkit.cli import main
 from covkit.cpmaps import (
     CPMapSpec,
     NotSingleBlockError,
+    _certify_pi,
     cp_extremal,
     cp_validate,
     factor_rep_tensor,
@@ -19,8 +21,13 @@ from covkit.cpmaps import (
 )
 from covkit.cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from covkit.fingroup import FiniteGroup
+from covkit.instruments import as_cpmap, phase_space
+from covkit.kernels import DilationResidualError
+from covkit.numlin import DEFAULT_TOL
 from covkit.numlin import rank as num_rank
 from covkit.random import rand_covariant_cpmap, rand_unitary
+
+from oracles import multiplicativity_loop
 
 M2 = FiniteCStarAlgebra.full(2)
 
@@ -307,3 +314,74 @@ def test_subminimal_unital_always():
     sub = subminimal(spec, dil)
     one = sub.e_units.sum(axis=0)
     assert np.allclose(one, np.eye(dil.rank), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# cp_extremal on a passed-in dilation, and the re-validated split
+# ---------------------------------------------------------------------------
+
+
+def test_cp_extremal_rejects_a_dilation_off_the_block_layout():
+    rng = np.random.default_rng(29)
+    spec = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.symmetric(3), n_v=2)
+    dil = ksgns(spec)
+    assert cp_extremal(spec, dil).freedom >= 0
+    # a valid dilation in another basis: pi, j, sym and sym_bar turned by one unitary
+    v = rand_unitary(rng, dil.rank)
+    turned = replace(
+        dil,
+        j=v @ dil.j,
+        r_blocks=v @ dil.r_blocks,
+        pi_units=v @ dil.pi_units @ v.conj().T,
+        sym=replace(dil.sym, matrices=v @ dil.sym.matrices @ v.conj().T),
+        sym_bar=replace(dil.sym_bar, matrices=v @ dil.sym_bar.matrices @ v.conj().T),
+    )
+    # still a dilation, off the layout: the pattern certificate of ksgns rejects it too
+    assert multiplicativity_loop(spec.algebra, turned.pi_units) < 1e-12
+    assert np.allclose(turned.j.conj().T @ turned.pi_units @ turned.j, spec.values, atol=1e-12)
+    with pytest.raises(DilationResidualError, match="pi_multiplicative"):
+        _certify_pi(turned, DEFAULT_TOL)
+    with pytest.raises(DilationResidualError, match="pi_pattern"):
+        cp_extremal(spec, turned)
+
+
+def _split_case():
+    spec = as_cpmap(phase_space(2, [np.diag([0.5, 0.0]).astype(complex), np.diag([0.0, 0.5]).astype(complex)]))
+    cert = cp_extremal(spec)
+    assert not cert.extreme and cert.freedom == 3
+    return spec, cert
+
+
+def test_cp_extremal_split_revalidates():
+    spec, cert = _split_case()
+    plus, minus = cert.perturbed
+    assert cp_validate(plus).ok and cp_validate(minus).ok
+    assert np.allclose(plus.unit_value(), spec.unit_value(), atol=1e-10)
+    assert np.allclose(0.5 * (plus.values + minus.values), spec.values, atol=1e-10)
+
+
+def test_split_with_a_non_cp_neighbour_raises(monkeypatch):
+    # 3 W has spectral norm 3, so I - 3 W is not positive: one neighbour is not CP
+    _hermitian_witness = cpmaps._hermitian_witness
+    monkeypatch.setattr(cpmaps, "_hermitian_witness", lambda basis, tol: 3.0 * _hermitian_witness(basis, tol))
+    with pytest.raises(DilationResidualError, match="completely_positive"):
+        _split_case()
+
+
+def test_split_that_moves_the_unit_value_raises(monkeypatch):
+    # W = I / 2 commutes with everything and keeps both neighbours CP, but j^+ W j != 0
+    monkeypatch.setattr(cpmaps, "_hermitian_witness", lambda basis, tol: 0.5 * np.eye(len(basis[0])))
+    with pytest.raises(DilationResidualError, match="unit_value"):
+        _split_case()
+
+
+def test_split_that_misses_the_midpoint_raises(monkeypatch):
+    # plus = I + W and minus = I - W / 2: both CP with the unit value kept, midpoint off
+    _cp_neighbours = cpmaps._cp_neighbours
+    monkeypatch.setattr(
+        cpmaps,
+        "_cp_neighbours",
+        lambda spec, dil, w: (_cp_neighbours(spec, dil, w)[0], _cp_neighbours(spec, dil, 0.5 * w)[1]),
+    )
+    with pytest.raises(DilationResidualError, match="midpoint"):
+        _split_case()

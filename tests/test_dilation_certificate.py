@@ -202,6 +202,20 @@ def test_perturbed_pi_unit_raises():
             _certify_pi(replace(dil, pi_units=pi), DEFAULT_TOL)
 
 
+def test_r_blocks_are_checked_against_pi_and_j():
+    spec, dil = _dilation()
+    rng = np.random.default_rng(12)
+    noise = rng.normal(size=dil.r_blocks.shape) + 1j * rng.normal(size=dil.r_blocks.shape)
+    assert _certify_pi(dil, DEFAULT_TOL)["r_blocks"].residual < 1e-12
+    with pytest.raises(DilationResidualError, match="r_blocks") as exc:
+        _certify_pi(replace(dil, r_blocks=noise), DEFAULT_TOL)
+    assert exc.value.checks["reconstruction"].residual < 1e-12
+    # minimality is decided on pi(E_k) j, not on the stored blocks: zero
+    # blocks under a bound loose enough to pass them still give a minimal dilation
+    checks = _certify_pi(replace(dil, r_blocks=np.zeros_like(noise)), Tolerances(recon_fro=1e3))
+    assert checks["r_blocks"].residual > 0.1 and checks.ok
+
+
 def test_certificate_catches_a_perturbation_only_multiplicativity_sees():
     # change pi(E_01) and pi(E_10) by X and X^+ with j^+ X j = 0: the
     # reconstruction, adjoint and unital residuals stay at roundoff

@@ -2,15 +2,18 @@
 
 The commutant of a representation equals the commutant of the images of a
 generating set, so the extremality routes solve over generating sets of the
-group and of the algebra and then re-check the basis against everything.
-These tests pin that equivalence down on random covariant objects.
+group and then re-check the basis against everything.  The CP route solves
+in the block coordinates of pi(A)', which leaves only the group's
+generators.  These tests pin those solves down against dense references on
+random covariant objects and phase-space instruments.
 """
 
 import numpy as np
 import pytest
 
-from covkit import cpmaps, instruments, kernels
-from covkit.cpmaps import cp_extremal, ksgns
+from covkit import cpmaps, instruments, kernels, numlin
+from covkit.cpmaps import CPMapSpec, cp_extremal, ksgns
+from covkit.cstar import FiniteCStarAlgebra, ModuleSpace
 from covkit.fingroup import FiniteGroup, closure, heisenberg_rep
 from covkit.instruments import as_cpmap, lambda_from_observable, observable_extremal, phase_space
 from covkit.kernels import DilationResidualError, _certify_commutant, _hermitian_witness, kernel_extremal
@@ -21,6 +24,8 @@ from covkit.random import (
     rand_covariant_kernel,
     rand_covariant_observable,
 )
+
+from oracles import cp_commutant_dense
 
 GROUPS = {
     "Z3": FiniteGroup.cyclic(3),
@@ -119,21 +124,127 @@ class _Recorder:
         return basis
 
 
+_BLOCK_COMMUTANT = cpmaps._block_commutant
+
+
+class _BlockRecorder:
+    """Wraps ``cpmaps._block_commutant`` and keeps each call and its answer."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, dil, mats, j, tol):
+        basis = _BLOCK_COMMUTANT(dil, mats, j, tol)
+        self.calls.append((dil, list(mats), j, basis))
+        return basis
+
+
+def _distance(basis, ref):
+    """||P - P_ref||_F for the projectors onto the spans of two orthonormal
+    bases of the same size, as sqrt(2) ||(I - P_ref) B|| (no N^2 x N^2
+    projector)."""
+    if not basis:
+        return 0.0
+    a = np.stack([d.reshape(-1) for d in basis], axis=1)
+    b = np.stack([d.reshape(-1) for d in ref], axis=1)
+    return np.sqrt(2.0) * np.linalg.norm(a - b @ (b.conj().T @ a))
+
+
+def _compressions(j):
+    """The functionals D -> (j^+ D j)[a, b] as coefficient matrices."""
+    if j is None:
+        return ()
+    return [np.outer(j[:, a], j[:, b].conj()) for a in range(j.shape[1]) for b in range(j.shape[1])]
+
+
+def _assert_same_block_commutant(call, reference):
+    """The recorded block-coordinate solve against a dense reference over
+    every pi unit and every group element, with the compression constraints
+    and without them (a larger, rarely trivial space)."""
+    dil, mats, j, basis = call
+    for jj, small in ((j, basis), (None, _BLOCK_COMMUTANT(dil, mats, None, Tolerances()))):
+        ref = reference(jj)
+        assert len(small) == len(ref)
+        assert _distance(small, ref) < 1e-8
+
+
 @pytest.mark.parametrize("name", ["Z3", "Z6", "D4", "S3", "S4"])
 def test_cp_commutant_over_generators_equals_full(name, monkeypatch):
     group = GROUPS[name]
     rng = np.random.default_rng(7 + group.order)
-    recorder = _Recorder()
-    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
+    recorder = _BlockRecorder()
+    monkeypatch.setattr(cpmaps, "_block_commutant", recorder)
     for blocks in ((2,), (1, 1)):
         spec = rand_covariant_cpmap(rng, blocks, group, n_v=2)
         dil = ksgns(spec)
         recorder.calls.clear()
         cp_extremal(spec, dil)
-        assert len(recorder.calls[0][0]) < dil.pi_units.shape[0] + group.order
-        _assert_same_commutant(
-            recorder.calls[0], list(dil.pi_units) + list(dil.sym.matrices), dil.rank
-        )
+        assert len(recorder.calls[0][1]) == len(group.generators()) < group.order
+        full = list(dil.pi_units) + list(dil.sym.matrices)
+        _assert_same_block_commutant(recorder.calls[0], lambda j: constrained_commutant(full, _compressions(j)))
+
+
+def _phase_space_cp(d, ops):
+    ops = [np.asarray(b, dtype=complex) for b in ops]
+    norm = d * sum(np.trace(b.conj().T @ b).real for b in ops)
+    return as_cpmap(phase_space(d, [b / np.sqrt(norm) for b in ops]))
+
+
+def _rank_one(d):
+    b = np.zeros((d, d))
+    b[0, 0], b[1, 0] = 1.0, 0.5
+    return [b]
+
+
+PHASE_SPACE = [
+    pytest.param(3, [np.eye(3)], 27, 0, id="d3_identity"),
+    pytest.param(3, _rank_one(3), 27, 0, id="d3_rank1"),
+    pytest.param(3, [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])], 54, 3, id="d3_mixed"),
+    pytest.param(4, [np.eye(4)], 64, 0, id="d4_identity"),
+]
+
+
+@pytest.mark.parametrize("d, ops, rank, freedom", PHASE_SPACE)
+def test_phase_space_block_commutant_matches_the_dense_reference(d, ops, rank, freedom, monkeypatch):
+    spec = _phase_space_cp(d, ops)
+    dil = ksgns(spec)
+    recorder = _BlockRecorder()
+    monkeypatch.setattr(cpmaps, "_block_commutant", recorder)
+    cert = cp_extremal(spec, dil)
+    assert dil.rank == rank and cert.freedom == freedom and cert.extreme == (freedom == 0)
+    assert len(recorder.calls) == 1 and len(recorder.calls[0][1]) == 2
+    _assert_same_block_commutant(recorder.calls[0], lambda j: cp_commutant_dense(dil, dil.sym.matrices, j))
+
+
+def test_dense_reference_matches_constrained_commutant():
+    # the eigenspace reference of the phase-space tests against the kron system where both run
+    spec = _phase_space_cp(2, [np.diag([1.0, 0]), np.diag([0, 1.0])])
+    rng = np.random.default_rng(19)
+    for spec in (spec, rand_covariant_cpmap(rng, (2, 1), GROUPS["S3"], n_v=2)):
+        dil = ksgns(spec)
+        full = list(dil.pi_units) + list(dil.sym.matrices)
+        for j in (dil.j, None):
+            ref = constrained_commutant(full, _compressions(j))
+            dense = cp_commutant_dense(dil, dil.sym.matrices, j)
+            assert len(dense) == len(ref) and _distance(dense, ref) < 1e-8
+
+
+def test_cp_extremal_solves_sum_of_squared_multiplicities_unknowns(monkeypatch):
+    spec = _phase_space_cp(3, [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0])])
+    dil = ksgns(spec)
+    shapes = []
+
+    def null_space(a, tol):
+        shapes.append(a.shape)
+        return numlin.null_space(a, tol)
+
+    def no_kron_system(*args, **kwargs):
+        raise AssertionError("cp_extremal built the kron system")
+
+    monkeypatch.setattr(cpmaps, "null_space", null_space)
+    monkeypatch.setattr(numlin, "constrained_commutant", no_kron_system)
+    assert cp_extremal(spec, dil).freedom == 3
+    assert shapes and all(cols == sum(r * r for r in dil.mult) == 36 for _, cols in shapes)
 
 
 @pytest.mark.parametrize("name", ["Z4", "Z6", "D4", "S3", "S4"])
@@ -171,13 +282,13 @@ def test_observable_commutant_over_generators_equals_full(name, monkeypatch):
 
 
 def test_phase_space_cp_extremal_stacks_at_most_ten_generators(monkeypatch):
-    recorder = _Recorder()
-    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
+    recorder = _BlockRecorder()
+    monkeypatch.setattr(cpmaps, "_block_commutant", recorder)
     b1 = np.diag([0.5, 0.0]).astype(complex)
     b2 = np.diag([0.0, 0.5]).astype(complex)
     cert = cp_extremal(as_cpmap(phase_space(2, [b1, b2])))
     assert recorder.calls
-    assert max(len(gens) for gens, *_ in recorder.calls) <= 10
+    assert max(len(mats) for _, mats, *_ in recorder.calls) <= 10
     assert not cert.extreme and cert.freedom == 3
 
 
@@ -193,6 +304,29 @@ def test_certify_commutant_rejects_a_non_commuting_basis():
     _certify_commutant([np.eye(2) / np.sqrt(2), x / np.sqrt(2)], full, Tolerances())
     with pytest.raises(DilationResidualError):
         _certify_commutant([z / np.sqrt(2)], full, Tolerances())
+
+
+def test_block_commutant_recheck_covers_every_pi_unit():
+    # a map without symmetry: the re-check has no group element, only the pi units
+    alg, rng = FiniteCStarAlgebra((2, 1)), np.random.default_rng(31)
+    # two Kraus operators per block: S(E^i_ab)[v, w] = sum_l conj(A^i_l[a, v]) A^i_l[b, w]
+    ops = [rng.normal(size=(2, n, 2)) + 1j * rng.normal(size=(2, n, 2)) for n in alg.blocks]
+    values = np.concatenate([np.einsum("lav,lbw->abvw", a.conj(), a).reshape(-1, 2, 2) for a in ops])
+    dil = ksgns(CPMapSpec(alg, ModuleSpace(k=1, n_v=2), values))
+    assert dil.sym is None and dil.mult == (2, 2)
+    eps = np.zeros(alg.n_units)
+    basis = _BLOCK_COMMUTANT(dil, [], dil.j, Tolerances())
+    assert len(basis) == 2 * 2 * 2 - 4
+    cpmaps._certify_block_commutant(dil, basis, eps, Tolerances())
+    # a direction off pi(A)' that still has j^+ D j = 0
+    q, _ = np.linalg.qr(dil.j)
+    away = np.eye(dil.rank) - q @ q.conj().T
+    off = away @ (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))) @ away
+    with pytest.raises(DilationResidualError, match="commutant"):
+        cpmaps._certify_block_commutant(dil, [off / np.linalg.norm(off)], eps, Tolerances())
+    # an element of pi(A)' that j does not compress to zero
+    with pytest.raises(DilationResidualError, match="compression"):
+        cpmaps._certify_block_commutant(dil, [np.eye(dil.rank) / np.sqrt(dil.rank)], eps, Tolerances())
 
 
 def test_hermitian_witness_threshold_follows_recon_fro():
@@ -220,14 +354,14 @@ def _maps_with_sym_bar():
 
 
 def test_cp_extremal_twist_cross_check_passes_on_equal_freedom(monkeypatch):
-    recorder = _Recorder()
-    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
+    recorder = _BlockRecorder()
+    monkeypatch.setattr(cpmaps, "_block_commutant", recorder)
     freedoms = []
     for spec, dil in _maps_with_sym_bar():
         recorder.calls.clear()
         cert = cp_extremal(spec, dil)
         # one solve with sym, one with sym_bar, of equal freedom
-        (gens, _, _, basis), (bar_gens, _, _, bar_basis) = recorder.calls
+        (_, gens, _, basis), (_, bar_gens, _, bar_basis) = recorder.calls
         last = spec.symmetry.group.generators()[-1]
         assert np.allclose(gens[-1], dil.sym(last)) and np.allclose(bar_gens[-1], dil.sym_bar(last))
         assert len(basis) == len(bar_basis) == cert.freedom
@@ -239,14 +373,14 @@ def test_cp_extremal_twist_cross_check_compares_freedom(monkeypatch):
     spec, dil = next((s, d) for s, d in _maps_with_sym_bar() if cp_extremal(s, d).freedom >= 2)
     calls = []
 
-    def drop_one_on_sym_bar(generators, *args, **kwargs):
-        basis = constrained_commutant(generators, *args, **kwargs)
+    def drop_one_on_sym_bar(*args):
+        basis = _BLOCK_COMMUTANT(*args)
         calls.append(len(basis))
         # the second solve stacks the sym_bar generators; lose one direction,
         # which keeps the basis nonempty
         return basis[:-1] if len(calls) == 2 else basis
 
-    monkeypatch.setattr(cpmaps, "constrained_commutant", drop_one_on_sym_bar)
+    monkeypatch.setattr(cpmaps, "_block_commutant", drop_one_on_sym_bar)
     with pytest.raises(DilationResidualError, match="commuting-twist"):
         cp_extremal(spec, dil)
     assert len(calls) == 2 and calls[1] >= 2

@@ -23,14 +23,15 @@ from .kernels import (
     ExtremalityCertificate,
     _certify_commutant,
     _hermitian_witness,
+    _revalidate,
 )
 from .numlin import (
     DEFAULT_TOL,
     DimensionError,
     Tolerances,
+    constrained_commutant,
     frob,
     is_unitary,
-    null_space,
     offsets,
     psd_factor,
     psd_status,
@@ -472,50 +473,6 @@ def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DE
     return list(ops)
 
 
-def _block_commutant(dil: KSGNSDilation, mats, j, tol) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of {D in pi(A)' : [D, S] = 0 for S in
-    ``mats``, j^+ D j = 0} (no compression when ``j`` is None).
-
-    On the layout of :func:`ksgns`, pi(A)' is the direct sum of I_{n_i} (x)
-    M_{r_i}, so D = +_i I_{n_i} (x) X_i / sqrt(n_i) and the unknowns are the
-    sum_i r_i^2 entries of the X_i, orthonormal as D is.  The (j, i) block of
-    S, cut into r_j x r_i cells s_ab, gives the rows X_j s_ab / sqrt(n_j) -
-    s_ab X_i / sqrt(n_i) = 0; exactly zero blocks give no rows."""
-    blocks, mult = dil.spec.algebra.blocks, dil.mult
-    cuts, col = _cells(dil.spec.algebra, mult)[0], offsets([r * r for r in mult])
-    rows = []
-    for s in mats:
-        for jb, ib in np.ndindex(len(blocks), len(blocks)):
-            part = s[cuts[jb], cuts[ib]]
-            if not part.any():
-                continue
-            (nj, rj), (ni, ri) = (blocks[jb], mult[jb]), (blocks[ib], mult[ib])
-            part = part.reshape(nj, rj, ni, ri).transpose(0, 2, 1, 3)  # part[a, b] = s_ab
-            row = np.zeros((nj, ni, rj, ri, col[-1]), dtype=np.complex128)
-            # vec(X s) = (I (x) s^T) vec(X) and vec(s X) = (s (x) I) vec(X), row-major
-            left = np.einsum("lp,abqm->ablmpq", np.eye(rj), part).reshape(nj, ni, rj, ri, rj * rj)
-            right = np.einsum("ablp,qm->ablmpq", part, np.eye(ri)).reshape(nj, ni, rj, ri, ri * ri)
-            row[..., col[jb] : col[jb + 1]] += left / np.sqrt(nj)
-            row[..., col[ib] : col[ib + 1]] -= right / np.sqrt(ni)
-            rows.append(row.reshape(-1, col[-1]))
-    if j is not None:
-        # (j^+ D j)[v, w] = sum_i sum_a J_i[a]^+ X_i J_i[a] / sqrt(n_i), J_i[a] the rows (i, a, .) of j
-        nv, parts = j.shape[1], []
-        for cut, n, r in zip(cuts, blocks, mult):
-            ji = j[cut].reshape(n, r, nv)
-            parts.append(np.einsum("alv,amw->vwlm", ji.conj(), ji).reshape(nv * nv, r * r) / np.sqrt(n))
-        rows.append(np.hstack(parts))
-    x = null_space(np.vstack(rows) if rows else np.zeros((0, col[-1])), tol)
-    basis = []
-    for vec in x.T:
-        d = np.zeros((dil.rank, dil.rank), dtype=np.complex128)
-        for cut, n, r, c0 in zip(cuts, blocks, mult, col):
-            x_i = vec[c0 : c0 + r * r].reshape(r, r) / np.sqrt(n)
-            d[cut, cut] = np.einsum("ab,lm->albm", np.eye(n), x_i).reshape(n * r, n * r)
-        basis.append(d)
-    return basis
-
-
 def _layout_defect(dil: KSGNSDilation, tol) -> np.ndarray:
     """eps_k of a dilation against the layout of :func:`ksgns`; raises
     :class:`DilationResidualError` when the multiplicities do not fill the
@@ -532,10 +489,11 @@ def _layout_defect(dil: KSGNSDilation, tol) -> np.ndarray:
     return eps
 
 
-def _certify_block_commutant(dil: KSGNSDilation, basis, eps, tol):
-    """Re-check a basis from :func:`_block_commutant` against the whole
-    algebra and group: every sym(g) in one batched product, every pi unit as
-    ||[D, T_k]|| + 2 ||D||_2 eps_k by block moves, and j^+ D j."""
+def _certify_layout_commutant(dil: KSGNSDilation, basis, eps, tol):
+    """Re-check a commutant basis on the layout of :func:`ksgns` against the
+    whole algebra and group: every pi unit as ||[D, T_k]|| + 2 ||D||_2 eps_k
+    by block moves, then every sym(g) and j^+ D j through
+    :func:`_certify_commutant`."""
     if not basis:
         return
     alg, mult = dil.spec.algebra, dil.mult
@@ -545,12 +503,7 @@ def _certify_block_commutant(dil: KSGNSDilation, basis, eps, tol):
         extra = 2.0 * np.linalg.norm(d, 2) * eps if eps.any() else 0.0
         pattern = max(pattern, float((_unit_commutators(d, alg, mult, cuts, pair) + extra).max()))
     full = dil.sym.matrices if dil.sym is not None else np.zeros((0, dil.rank, dil.rank))
-    _certify_commutant(basis, full, tol, pattern=pattern, scale=np.sqrt(max(mult)))
-    Checks().require(
-        tol.recon_fro * max(1.0, frob(dil.j) ** 2),
-        "commutant basis is not compressed to zero",
-        compression=max(frob(dil.j.conj().T @ d @ dil.j) for d in basis),
-    )
+    _certify_commutant(basis, full, [(dil.j[None], dil.j[None])], tol, pattern=pattern, scale=np.sqrt(max(mult)))
 
 
 def _cp_neighbours(spec: CPMapSpec, dil: KSGNSDilation, witness) -> tuple:
@@ -559,23 +512,6 @@ def _cp_neighbours(spec: CPMapSpec, dil: KSGNSDilation, witness) -> tuple:
     return tuple(
         replace(spec, values=(jh @ (np.eye(dil.rank) + sign * witness)) @ dil.pi_units @ dil.j)
         for sign in (+1.0, -1.0)
-    )
-
-
-def _revalidate(spec: CPMapSpec, neighbours, scale, tol):
-    """Both neighbours pass :func:`cp_validate`, keep the unit value, and
-    average to the input, each within ``recon_fro`` times ``scale``."""
-    for nb in neighbours:
-        report = cp_validate(nb, tol)
-        if not report.ok:
-            raise DilationResidualError(f"perturbed map failed validation: {', '.join(report.failed())}", report)
-    plus, minus = neighbours
-    unit = spec.unit_value()
-    Checks().require(
-        tol.recon_fro * scale,
-        "neighbours do not split the map",
-        unit_value=max(frob(nb.unit_value() - unit) for nb in neighbours),
-        midpoint=float(_norms(0.5 * (plus.values + minus.values) - spec.values).max()),
     )
 
 
@@ -589,7 +525,8 @@ def cp_extremal(
     the dilation symmetry and has j^+ D j = 0.  A dilation on the layout of
     :func:`ksgns` has pi(A)' = +_i I_{n_i} (x) M_{r_i}, so the system has
     sum_i r_i^2 unknowns and rows from the images of the group's generators
-    only (:func:`_block_commutant`); a passed-in dilation off that layout
+    only (:func:`~covkit.numlin.constrained_commutant` with the layout
+    (n_i, r_i) and the compression (j, j)); a passed-in dilation off that layout
     raises :class:`DilationResidualError`.  The basis is re-checked against
     every group element and every matrix unit, and the commuting-twist
     generators must give the same freedom.  On non-extremality both
@@ -614,11 +551,14 @@ def cp_extremal(
         return ExtremalityCertificate(True, None, None, 0)
     eps = _layout_defect(dilation, tol)
     group_gens = spec.symmetry.group.generators() if dilation.sym is not None else ()
-    basis = _block_commutant(dilation, [dilation.sym(s) for s in group_gens], dilation.j, tol)
-    _certify_block_commutant(dilation, basis, eps, tol)
+    layout = list(zip(spec.algebra.blocks, dilation.mult))
+    compressions = [(dilation.j[None], dilation.j[None])]
+    basis = constrained_commutant([dilation.sym(s) for s in group_gens], compressions, layout=layout, tol=tol)
+    _certify_layout_commutant(dilation, basis, eps, tol)
 
     if dilation.sym_bar is not None:
-        alt = _block_commutant(dilation, [dilation.sym_bar(s) for s in group_gens], dilation.j, tol)
+        bar_gens = [dilation.sym_bar(s) for s in group_gens]
+        alt = constrained_commutant(bar_gens, compressions, layout=layout, tol=tol)
         if len(alt) != len(basis):
             raise DilationResidualError(
                 "commuting-twist generators disagree with the dilation generators"
@@ -630,7 +570,8 @@ def cp_extremal(
     if witness is None:
         return ExtremalityCertificate(True, None, None, len(basis))
     perturbed = _cp_neighbours(spec, dilation, witness)
-    _revalidate(spec, perturbed, max(1.0, frob(dilation.j) ** 2), tol)
+    scale = max(1.0, frob(dilation.j) ** 2)
+    _revalidate(spec, perturbed, cp_validate, lambda cp: cp.values, scale, tol, unit_value=CPMapSpec.unit_value)
     return ExtremalityCertificate(False, witness, perturbed, len(basis))
 
 

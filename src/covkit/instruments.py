@@ -32,6 +32,7 @@ from .kernels import (
     ExtremalityCertificate,
     _certify_commutant,
     _hermitian_witness,
+    _revalidate,
 )
 from .numlin import (
     DEFAULT_TOL,
@@ -636,14 +637,15 @@ class CovariantObservableData:
 def validate_observable_data(
     data: CovariantObservableData, tol: Tolerances = DEFAULT_TOL
 ) -> Checks:
-    worst = 0.0
+    worst, ok = 0.0, True
     for blk, ops in zip(data.decomposition.blocks, data.lambda_blocks):
-        total = sum(op.conj().T @ op for op in ops)
-        worst = max(worst, frob(total - np.eye(blk.multiplicity)))
-    checks = Checks(block_normalization=Check(worst <= 1e-7, worst))
+        res = frob(sum(op.conj().T @ op for op in ops) - np.eye(blk.multiplicity))
+        worst, ok = max(worst, res), ok and res <= tol.recon_fro * max(1.0, np.sqrt(blk.multiplicity))
+    checks = Checks(block_normalization=Check(ok, worst))
 
     lam = data.assembled_map()
-    checks["totality"] = Check(rank(lam, tol) == data.base_dim, 0.0)
+    missing = data.base_dim - rank(lam, tol)
+    checks["totality"] = Check(missing == 0, float(missing))
 
     u = data.decomposition.rep
     pos = {m: i for i, m in enumerate(data.sub.members)}
@@ -739,22 +741,20 @@ def lambda_from_observable(
 def observable_extremal(
     data: CovariantObservableData, tol: Tolerances = DEFAULT_TOL
 ) -> ExtremalityCertificate:
-    """Extremality of the covariant observable encoded by the block data:
-    directions on the base fiber commuting with the subgroup representation
-    and compressed to zero by every component's blocks certify splits.  The
-    commutant is solved over a generating set of the subgroup and re-checked
-    against all of it."""
+    """Extremality of the covariant observable encoded by the block data.
+
+    The observable is extreme iff D = 0 is the only D on the base fiber that
+    commutes with the subgroup representation and has sum_k L_k^+ D L_k = 0
+    for the blocks L_k of every irreducible component
+    (:func:`~covkit.numlin.constrained_commutant`, one compression per
+    component).  The system is solved over a generating set of the subgroup
+    and re-checked against all of it and every compression.  On
+    non-extremality both neighbours, the effects of I +- W, re-validate and
+    average to the input's effects."""
     generators = [data.rho(s) for s in data.rho.group.generators()]
-    constraints = []
-    for blk, ops in zip(data.decomposition.blocks, data.lambda_blocks):
-        for a in range(blk.multiplicity):
-            for b in range(blk.multiplicity):
-                c = sum(np.outer(op[:, a], op[:, b].conj()) for op in ops)
-                constraints.append(c)
-    basis = constrained_commutant(
-        generators, constraints, hermitian_only=False, dim=data.base_dim, tol=tol
-    )
-    _certify_commutant(basis, data.rho.matrices, tol)
+    compressions = [(np.stack(ops), np.stack(ops)) for ops in data.lambda_blocks]
+    basis = constrained_commutant(generators, compressions, tol=tol)
+    _certify_commutant(basis, data.rho.matrices, compressions, tol)
     if not basis:
         return ExtremalityCertificate(True, None, None, 0)
     witness = _hermitian_witness(basis, tol)
@@ -763,15 +763,17 @@ def observable_extremal(
 
     u = data.decomposition.rep
     lam = data.assembled_map()
+    moved = np.stack([lam @ u(g).conj().T for g in data.sub.section])
+    symmetry = Symmetry(data.sub, u)
+
+    def observable(mid):
+        return ObservableSpec(moved.conj().transpose(0, 2, 1) @ mid @ moved, symmetry)
+
     eye = np.eye(data.base_dim)
-    neighbours = []
-    for sign in (+1.0, -1.0):
-        effects = []
-        for w in range(data.sub.n_cosets):
-            a_w = lam @ u(data.sub.section[w]).conj().T
-            effects.append(a_w.conj().T @ (eye + sign * witness) @ a_w)
-        neighbours.append(ObservableSpec(np.stack(effects), Symmetry(data.sub, u)))
-    return ExtremalityCertificate(False, witness, tuple(neighbours), len(basis))
+    neighbours = (observable(eye + witness), observable(eye - witness))
+    scale = max(1.0, frob(lam) ** 2)
+    _revalidate(observable(eye), neighbours, validate_observable, lambda obs: obs.effects, scale, tol)
+    return ExtremalityCertificate(False, witness, neighbours, len(basis))
 
 
 def observable_kernel_form(spec: ObservableSpec):

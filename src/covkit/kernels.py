@@ -151,12 +151,12 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
 
     err_cov = 0.0
     scale = max(1.0, float(np.abs(spec.blocks).max()) * float(np.abs(spec.alpha).max()) ** 2)
+    weights = np.conj(spec.alpha)[:, :, None, None, None] * spec.alpha[:, None, :, None, None]
     for a in g.elements():
         # T[ax, ay] - conj(alpha(a, x)) alpha(a, y) U(a)^-+ T[x, y] U(a)^-1 for every (x, y)
         ua_inv = spec.rep.inv_mat(a)
-        weight = np.conj(spec.alpha[a])[:, None] * spec.alpha[a][None, :]
-        diff = spec.blocks[np.ix_(table[a], table[a])]
-        diff -= weight[:, :, None, None] * (ua_inv.conj().T @ spec.blocks @ ua_inv)
+        diff = spec.blocks[table[a][:, None], table[a]]
+        diff -= weights[a] * (ua_inv.conj().T @ spec.blocks @ ua_inv)
         err_cov = max(err_cov, float(np.linalg.norm(diff, axis=(2, 3)).max()))
     checks["covariant"] = Check(err_cov <= tol.recon_fro * scale, err_cov)
     checks["positive"] = Check(*psd_status(spec.grand_matrix(), tol))
@@ -346,12 +346,14 @@ def _hermitian_witness(basis, tol):
     return None
 
 
-def _certify_commutant(basis, full, tol, pattern=0.0, scale=1.0):
+def _certify_commutant(basis, full, compressions, tol, pattern=0.0, scale=1.0):
     """Re-check a commutant basis solved over generating sets against every
     matrix of the full set ``full`` (an (m, n, n) stack), in one batched
-    product, so the verdict rests on the whole algebra and group.
-    ``pattern`` is the caller's residual against the rest of the set, whose
-    matrices have Frobenius norms up to ``scale``."""
+    product, so the verdict rests on the whole algebra and group; then bound
+    sum_k L_k^+ D R_k for every compression (L, R) of the solve by
+    ``recon_fro`` max(1, ||L|| ||R||).  ``pattern`` is the caller's residual
+    against the rest of the set, whose matrices have Frobenius norms up to
+    ``scale``."""
     if not basis:
         return
     d = np.stack(basis)[:, None]
@@ -360,6 +362,32 @@ def _certify_commutant(basis, full, tol, pattern=0.0, scale=1.0):
         tol.recon_fro * max(1.0, scale, float(np.linalg.norm(full, axis=(1, 2)).max(initial=0.0))),
         "commutant basis fails the full commutation check",
         commutant=max(pattern, float(np.linalg.norm(comm, axis=(2, 3)).max(initial=0.0))),
+    )
+    for left, right in compressions:
+        squeezed = (left.conj().transpose(0, 2, 1)[None] @ d @ right[None]).sum(axis=1)
+        Checks().require(
+            tol.recon_fro * max(1.0, frob(left) * frob(right)),
+            "commutant basis is not compressed to zero",
+            compression=float(np.linalg.norm(squeezed, axis=(1, 2)).max()),
+        )
+
+
+def _revalidate(original, neighbours, validate, parts, scale, tol, **kept):
+    """Both neighbours pass ``validate``, keep the value of every function in
+    ``kept``, and average to ``original`` in the stack of matrices ``parts``
+    returns, each within ``recon_fro`` times ``scale``."""
+    for nb in neighbours:
+        report = validate(nb, tol)
+        if not report.ok:
+            raise DilationResidualError(f"perturbed neighbour failed validation: {', '.join(report.failed())}", report)
+    plus, minus = neighbours
+    residuals = {name: max(frob(of(nb) - of(original)) for nb in neighbours) for name, of in kept.items()}
+    middle = 0.5 * (parts(plus) + parts(minus)) - parts(original)
+    Checks().require(
+        tol.recon_fro * scale,
+        "neighbours do not split the input",
+        **residuals,
+        midpoint=float(np.linalg.norm(middle, axis=(-2, -1)).max(initial=0.0)),
     )
 
 
@@ -372,15 +400,17 @@ def kernel_extremal(
     """Decide extremality of the kernel in the convex set of covariant
     kernels agreeing with it on the pairs in ``z_pairs``.
 
-    The constrained commutant of the dilation representation is computed
-    with one functional per matrix entry of factors[x]^+ D factors[y] for
-    each (x, y) in Z; the kernel is extreme iff only D = 0 survives.  It is
-    solved over the images of a generating set of the group and re-checked
-    against every group element.  When Z
-    is symmetric the search space is all matrices, otherwise Hermitian ones.
-    On non-extremality the certificate carries a Hermitian witness and the
-    two perturbed kernels built from I +- D, which agree with the original
-    on Z and are themselves valid covariant kernels.
+    The kernel is extreme iff D = 0 is the only D that commutes with the
+    dilation representation and has factors[x]^+ D factors[y] = 0 for each
+    (x, y) in Z (:func:`~covkit.numlin.constrained_commutant`, one
+    compression per pair).  Z is symmetrized first: a Hermitian direction
+    vanishing on (x, y) vanishes on (y, x), and over the symmetrized Z the
+    solution space is closed under D -> D^+, so its complex dimension equals
+    the real dimension of its Hermitian part.  The system is solved over the
+    images of a generating set of the group and re-checked against every
+    group element and every pair.  On non-extremality the certificate
+    carries a Hermitian witness and the two perturbed kernels built from I
+    +- D; both re-validate, keep their blocks on Z and average to the input.
     """
     z_pairs = [(int(x), int(y)) for x, y in z_pairs]
     if not z_pairs:
@@ -389,41 +419,24 @@ def kernel_extremal(
         decomp = kolmogorov_decompose(spec, tol)
     if decomp.rank == 0:
         return ExtremalityCertificate(True, None, None, 0)
-    z_set = set(z_pairs)
-    symmetric = all((y, x) in z_set for x, y in z_set)
-
-    constraints = []
-    for x, y in sorted(z_set):
-        fx, fy = decomp.factors[x], decomp.factors[y]
-        for a in range(spec.n_v):
-            for b in range(spec.n_v):
-                constraints.append(np.outer(fx[:, a], fy[:, b].conj()))
+    z_set = sorted(set(z_pairs) | {(y, x) for x, y in z_pairs})
+    compressions = [(decomp.factors[x][None], decomp.factors[y][None]) for x, y in z_set]
     generators = [decomp.sym(s) for s in spec.action.group.generators()]
-
-    basis = constrained_commutant(
-        generators,
-        constraints,
-        hermitian_only=not symmetric,
-        dim=decomp.rank,
-        tol=tol,
-    )
-    _certify_commutant(basis, decomp.sym.matrices, tol)
+    basis = constrained_commutant(generators, compressions, tol=tol)
+    _certify_commutant(basis, decomp.sym.matrices, compressions, tol)
     if not basis:
         return ExtremalityCertificate(True, None, None, 0)
 
     witness = _hermitian_witness(basis, tol)
     if witness is None:
-        # the solution space is nontrivial but purely non-Hermitian; cannot
-        # happen for symmetric Z, and Hermitian solves return Hermitians
+        # every basis element has a part of norm >= 1/sqrt(2); only a recon_fro above that lands here
         return ExtremalityCertificate(True, None, None, len(basis))
 
-    perturbed = []
-    eye = np.eye(decomp.rank)
-    for sign in (+1.0, -1.0):
-        mid = eye + sign * witness
-        blocks = np.zeros_like(spec.blocks)
-        for x in range(spec.x_size):
-            for y in range(spec.x_size):
-                blocks[x, y] = decomp.factors[x].conj().T @ mid @ decomp.factors[y]
-        perturbed.append(replace(spec, blocks=blocks))
-    return ExtremalityCertificate(False, witness, tuple(perturbed), len(basis))
+    adjoints = decomp.factors.conj().transpose(0, 2, 1)[:, None]
+    perturbed = tuple(
+        replace(spec, blocks=(adjoints @ (np.eye(decomp.rank) + sign * witness)) @ decomp.factors[None])
+        for sign in (+1.0, -1.0)
+    )
+    on_z, scale = tuple(zip(*z_set)), max(1.0, frob(decomp.factors) ** 2)
+    _revalidate(spec, perturbed, validate_kernel, lambda k: k.blocks, scale, tol, z_blocks=lambda k: k.blocks[on_z])
+    return ExtremalityCertificate(False, witness, perturbed, len(basis))

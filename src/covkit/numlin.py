@@ -175,84 +175,70 @@ def null_space(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return vh[r:].conj().T
 
 
-def vec(a) -> np.ndarray:
-    """Row-major vectorization."""
-    return np.asarray(a, dtype=np.complex128).reshape(-1)
-
-
-def unvec(x, rows, cols) -> np.ndarray:
-    return np.asarray(x, dtype=np.complex128).reshape(rows, cols)
-
-
-def hermitian_basis(n) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of the real space of n x n Hermitians."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(e)
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = -1j / np.sqrt(2.0)
-            e[j, i] = 1j / np.sqrt(2.0)
-            basis.append(e)
-    return basis
-
-
 def constrained_commutant(
-    generators,
-    constraints=(),
-    *,
-    hermitian_only=False,
-    dim=None,
-    tol: Tolerances = DEFAULT_TOL,
+    generators, compressions=(), *, layout=None, tol: Tolerances = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """Basis of ``{D : [D, A_i] = 0 for all i, tr(C_j^+ D) = 0 for all j}``.
+    """Frobenius-orthonormal basis of the D in +_i I_{n_i} (x) M_{r_i} with
+    [D, A] = 0 for every generator A and sum_k L_k^+ D R_k = 0 for every
+    compression (L, R); an empty list means only D = 0 qualifies.
 
-    ``generators`` are square matrices A_i, ``constraints`` coefficient
-    matrices C_j encoding the linear functionals ``D -> tr(C_j^+ D)``.  With
-    ``hermitian_only`` the solution space is computed over the real span of
-    Hermitian matrices; otherwise over all complex matrices.  Returned
-    matrices are orthonormal in the Frobenius inner product.  An empty list
-    means only D = 0 satisfies all conditions.
+    ``layout`` holds the pairs (n_i, r_i), so D = +_i I_{n_i} (x) X_i /
+    sqrt(n_i) and the unknowns are the sum_i r_i^2 entries of the X_i,
+    orthonormal as D is; the default is one block (1, N), all N x N matrices.
+    Each compression is a pair of stacks of shapes (k, N, p) and (k, N, q).
+    The (j, i) block of a generator, cut into r_j x r_i cells s_ab, gives the
+    rows X_j s_ab / sqrt(n_j) - s_ab X_i / sqrt(n_i) = 0; exactly zero blocks
+    give no rows.
     """
     generators = [as_matrix(g) for g in generators]
-    constraints = [as_matrix(c) for c in constraints]
-    sizes = {g.shape for g in generators} | {c.shape for c in constraints}
-    if dim is not None:
-        sizes.add((dim, dim))
-    if len(sizes) > 1:
+    compressions = [tuple(np.asarray(m, dtype=np.complex128) for m in pair) for pair in compressions]
+    if any(l.ndim != 3 or r.ndim != 3 or len(l) != len(r) for l, r in compressions):
+        raise DimensionError("a compression needs two stacks (k, N, p) and (k, N, q)")
+    sizes = {g.shape for g in generators} | {(m.shape[1],) * 2 for pair in compressions for m in pair}
+    if layout is not None:
+        sizes.add((sum(n * r for n, r in layout),) * 2)
+    if len(sizes) > 1 or any(a != b for a, b in sizes):
         raise DimensionError(f"inconsistent sizes {sorted(sizes)}")
     if not sizes:
-        raise DimensionError("cannot infer matrix size: no inputs and no dim")
-    n = sizes.pop()[0]
-    eye = np.eye(n, dtype=np.complex128)
+        raise DimensionError("cannot infer matrix size: no inputs and no layout")
+    blocks, mult = zip(*layout) if layout is not None else ((1,), (sizes.pop()[0],))
+    start, col = offsets([n * r for n, r in zip(blocks, mult)]), offsets([r * r for r in mult])
+    cuts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
 
     rows = []
-    for g in generators:
-        # [D, A] = 0  <=>  (I (x) A^T - A (x) I) vec(D) = 0 in row-major vec.
-        rows.append(np.kron(eye, g.T) - np.kron(g, eye))
-    for c in constraints:
-        rows.append(vec(c.conj())[None, :])
-    system = np.vstack(rows) if rows else np.zeros((0, n * n), dtype=np.complex128)
-
-    if not hermitian_only:
-        basis = null_space(system, tol)
-        return [unvec(basis[:, k], n, n) for k in range(basis.shape[1])]
-
-    hbasis = hermitian_basis(n)
-    cols = np.stack([system @ vec(h) for h in hbasis], axis=1)
-    real_system = np.vstack([cols.real, cols.imag])
-    coeffs = null_space(real_system, tol)
-    out = []
-    for k in range(coeffs.shape[1]):
-        d = sum(float(coeffs[i, k].real) * hbasis[i] for i in range(len(hbasis)))
-        out.append(d)
-    return out
+    for s in generators:
+        for jb, ib in np.ndindex(len(blocks), len(blocks)):
+            part = s[cuts[jb], cuts[ib]]
+            if not part.any():
+                continue
+            (nj, rj), (ni, ri) = (blocks[jb], mult[jb]), (blocks[ib], mult[ib])
+            part = part.reshape(nj, rj, ni, ri).transpose(0, 2, 1, 3)  # part[a, b] = s_ab
+            row = np.zeros((nj, ni, rj, ri, col[-1]), dtype=np.complex128)
+            # over the row-major entries of X: X s has rows I (x) s^T, s X has rows s (x) I
+            left = np.einsum("lp,abqm->ablmpq", np.eye(rj), part).reshape(nj, ni, rj, ri, rj * rj)
+            right = np.einsum("ablp,qm->ablmpq", part, np.eye(ri)).reshape(nj, ni, rj, ri, ri * ri)
+            row[..., col[jb] : col[jb + 1]] += left / np.sqrt(nj)
+            row[..., col[ib] : col[ib + 1]] -= right / np.sqrt(ni)
+            rows.append(row.reshape(nj * ni * rj * ri, col[-1]))
+    for l, r in compressions:
+        # (sum_k L_k^+ D R_k)[v, w] = sum_i sum_{k, a} L_k[i, a]^+ X_i R_k[i, a] / sqrt(n_i),
+        # L_k[i, a] the rows (i, a, .) of L_k
+        k, p, q = len(l), l.shape[2], r.shape[2]
+        parts = [
+            np.einsum("kalv,kamw->vwlm", l[:, cut].reshape(k, n, m, p).conj(), r[:, cut].reshape(k, n, m, q))
+            .reshape(p * q, m * m) / np.sqrt(n)
+            for cut, n, m in zip(cuts, blocks, mult)
+        ]
+        rows.append(np.hstack(parts))
+    x = null_space(np.vstack(rows) if rows else np.zeros((0, col[-1])), tol)
+    basis = []
+    for v in x.T:
+        d = np.zeros((start[-1], start[-1]), dtype=np.complex128)
+        for cut, n, r, c0 in zip(cuts, blocks, mult, col):
+            x_i = v[c0 : c0 + r * r].reshape(r, r) / np.sqrt(n)
+            d[cut, cut] = np.einsum("ab,lm->albm", np.eye(n), x_i).reshape(n * r, n * r)
+        basis.append(d)
+    return basis
 
 
 def lstsq_define(pairs, tol: Tolerances = DEFAULT_TOL):

@@ -20,7 +20,9 @@ references for ``covkit.kernels`` and ``covkit.instruments``; and the
 per-draw encoding of a sample stream, as the reference for the line cache of
 ``covkit sample``; and a dense commutant over the eigenspaces of pi, as the
 reference for the block-coordinate commutant solve of ``cp_extremal`` where
-the N^2-column kron system is too large.
+the N^2-column kron system is too large; and the N^2-column kron system
+itself, with its real Hermitian branch, as the reference for
+``covkit.numlin.constrained_commutant``.
 """
 
 import dataclasses
@@ -39,8 +41,36 @@ from covkit.instruments import (
     validate_observable,
 )
 from covkit.kernels import CovariantKernelSpec, validate_kernel
-from covkit.numlin import DEFAULT_TOL, frob, hermitian_basis, is_unitary, null_space, vec
+from covkit.numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, frob, is_unitary, null_space
 from covkit.specfile import matrix_out
+
+
+def vec(a) -> np.ndarray:
+    """Row-major vectorization."""
+    return np.asarray(a, dtype=np.complex128).reshape(-1)
+
+
+def unvec(x, rows, cols) -> np.ndarray:
+    return np.asarray(x, dtype=np.complex128).reshape(rows, cols)
+
+
+def hermitian_basis(n) -> list[np.ndarray]:
+    """Orthonormal (Frobenius) basis of the real space of n x n Hermitians."""
+    basis = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=np.complex128)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n), dtype=np.complex128)
+            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
+            basis.append(e)
+            e = np.zeros((n, n), dtype=np.complex128)
+            e[i, j] = -1j / np.sqrt(2.0)
+            e[j, i] = 1j / np.sqrt(2.0)
+            basis.append(e)
+    return basis
 
 
 def _range_projector(mat, tol=1e-9):
@@ -649,3 +679,73 @@ def cp_commutant_dense(dil, mats, j=None):
         rows.append((j.conj().T @ units @ j).reshape(len(units), -1).T)
     x = null_space(np.vstack(rows))
     return list(np.tensordot(x.T, units, axes=1))
+
+
+# ---------------------------------------------------------------------------
+# the dense commutant: the N^2-column kron system
+# ---------------------------------------------------------------------------
+
+
+def dense_commutant(
+    generators,
+    constraints=(),
+    *,
+    hermitian_only=False,
+    dim=None,
+    tol: Tolerances = DEFAULT_TOL,
+) -> list[np.ndarray]:
+    """Basis of ``{D : [D, A_i] = 0 for all i, tr(C_j^+ D) = 0 for all j}``.
+
+    ``generators`` are square matrices A_i, ``constraints`` coefficient
+    matrices C_j encoding the linear functionals ``D -> tr(C_j^+ D)``.  With
+    ``hermitian_only`` the solution space is computed over the real span of
+    Hermitian matrices; otherwise over all complex matrices.  Returned
+    matrices are orthonormal in the Frobenius inner product.  An empty list
+    means only D = 0 satisfies all conditions.
+    """
+    generators = [as_matrix(g) for g in generators]
+    constraints = [as_matrix(c) for c in constraints]
+    sizes = {g.shape for g in generators} | {c.shape for c in constraints}
+    if dim is not None:
+        sizes.add((dim, dim))
+    if len(sizes) > 1:
+        raise DimensionError(f"inconsistent sizes {sorted(sizes)}")
+    if not sizes:
+        raise DimensionError("cannot infer matrix size: no inputs and no dim")
+    n = sizes.pop()[0]
+    eye = np.eye(n, dtype=np.complex128)
+
+    rows = []
+    for g in generators:
+        # [D, A] = 0  <=>  (I (x) A^T - A (x) I) vec(D) = 0 in row-major vec.
+        rows.append(np.kron(eye, g.T) - np.kron(g, eye))
+    for c in constraints:
+        rows.append(vec(c.conj())[None, :])
+    system = np.vstack(rows) if rows else np.zeros((0, n * n), dtype=np.complex128)
+
+    if not hermitian_only:
+        basis = null_space(system, tol)
+        return [unvec(basis[:, k], n, n) for k in range(basis.shape[1])]
+
+    hbasis = hermitian_basis(n)
+    cols = np.stack([system @ vec(h) for h in hbasis], axis=1)
+    real_system = np.vstack([cols.real, cols.imag])
+    coeffs = null_space(real_system, tol)
+    out = []
+    for k in range(coeffs.shape[1]):
+        d = sum(float(coeffs[i, k].real) * hbasis[i] for i in range(len(hbasis)))
+        out.append(d)
+    return out
+
+
+def compression_functionals(compressions) -> list[np.ndarray]:
+    """The coefficient matrices C of the functionals D -> tr(C^+ D) that
+    make up sum_k L_k^+ D R_k = 0 for each compression (L, R), entry by
+    entry, in the row order of ``constrained_commutant``."""
+    out = []
+    for l, r in compressions:
+        l, r = np.asarray(l, dtype=np.complex128), np.asarray(r, dtype=np.complex128)
+        for v in range(l.shape[2]):
+            for w in range(r.shape[2]):
+                out.append(sum(np.outer(lk[:, v], rk[:, w].conj()) for lk, rk in zip(l, r)))
+    return out

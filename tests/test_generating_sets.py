@@ -2,14 +2,19 @@
 
 The commutant of a representation equals the commutant of the images of a
 generating set, so the extremality routes solve over generating sets of the
-group and then re-check the basis against everything.  The CP route solves
-in the block coordinates of pi(A)', which leaves only the group's
-generators.  These tests pin those solves down against dense references on
-random covariant objects and phase-space instruments.
+group and then re-check the basis against everything.  All three routes
+solve through ``numlin.constrained_commutant``; the CP route passes the block
+layout of pi(A)', which leaves only the group's generators.  These tests pin
+those solves down against dense references (the kron system of
+``oracles.dense_commutant`` and the eigenspace commutant
+``oracles.cp_commutant_dense``) on random covariant objects and phase-space
+instruments.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covkit import cpmaps, instruments, kernels, numlin
 from covkit.cpmaps import CPMapSpec, cp_extremal, ksgns
@@ -25,7 +30,7 @@ from covkit.random import (
     rand_covariant_observable,
 )
 
-from oracles import cp_commutant_dense
+from oracles import compression_functionals, cp_commutant_dense, dense_commutant
 
 GROUPS = {
     "Z3": FiniteGroup.cyclic(3),
@@ -103,13 +108,17 @@ def _projector(basis, n):
 
 
 def _assert_same_commutant(call, full, n):
-    """The recorded solve over generators against the full set, with the
-    route's constraints and without them (a larger, rarely trivial space)."""
-    gens, constraints, kwargs, basis = call
-    for cons, small in ((constraints, basis), ((), constrained_commutant(gens, (), **kwargs))):
-        ref = constrained_commutant(full, cons, **kwargs)
+    """The recorded solve over generators against the dense kron system over
+    the full set, with the route's compressions and without them (a larger,
+    rarely trivial space)."""
+    gens, compressions, kwargs, basis = call
+    for comps, small in ((compressions, basis), ((), _ENGINE(gens, (), **kwargs))):
+        ref = dense_commutant(full, compression_functionals(comps))
         assert len(small) == len(ref)
         assert np.linalg.norm(_projector(small, n) - _projector(ref, n)) < 1e-8
+
+
+_ENGINE = numlin.constrained_commutant
 
 
 class _Recorder:
@@ -118,24 +127,9 @@ class _Recorder:
     def __init__(self):
         self.calls = []
 
-    def __call__(self, generators, constraints=(), **kwargs):
-        basis = constrained_commutant(generators, constraints, **kwargs)
-        self.calls.append((list(generators), list(constraints), kwargs, basis))
-        return basis
-
-
-_BLOCK_COMMUTANT = cpmaps._block_commutant
-
-
-class _BlockRecorder:
-    """Wraps ``cpmaps._block_commutant`` and keeps each call and its answer."""
-
-    def __init__(self):
-        self.calls = []
-
-    def __call__(self, dil, mats, j, tol):
-        basis = _BLOCK_COMMUTANT(dil, mats, j, tol)
-        self.calls.append((dil, list(mats), j, basis))
+    def __call__(self, generators, compressions=(), **kwargs):
+        basis = _ENGINE(generators, compressions, **kwargs)
+        self.calls.append((list(generators), list(compressions), kwargs, basis))
         return basis
 
 
@@ -154,15 +148,16 @@ def _compressions(j):
     """The functionals D -> (j^+ D j)[a, b] as coefficient matrices."""
     if j is None:
         return ()
-    return [np.outer(j[:, a], j[:, b].conj()) for a in range(j.shape[1]) for b in range(j.shape[1])]
+    return compression_functionals([(j[None], j[None])])
 
 
 def _assert_same_block_commutant(call, reference):
     """The recorded block-coordinate solve against a dense reference over
     every pi unit and every group element, with the compression constraints
     and without them (a larger, rarely trivial space)."""
-    dil, mats, j, basis = call
-    for jj, small in ((j, basis), (None, _BLOCK_COMMUTANT(dil, mats, None, Tolerances()))):
+    mats, ((j, _),), kwargs, basis = call
+    assert kwargs["layout"]
+    for jj, small in ((j[0], basis), (None, _ENGINE(mats, (), layout=kwargs["layout"]))):
         ref = reference(jj)
         assert len(small) == len(ref)
         assert _distance(small, ref) < 1e-8
@@ -172,16 +167,16 @@ def _assert_same_block_commutant(call, reference):
 def test_cp_commutant_over_generators_equals_full(name, monkeypatch):
     group = GROUPS[name]
     rng = np.random.default_rng(7 + group.order)
-    recorder = _BlockRecorder()
-    monkeypatch.setattr(cpmaps, "_block_commutant", recorder)
+    recorder = _Recorder()
+    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
     for blocks in ((2,), (1, 1)):
         spec = rand_covariant_cpmap(rng, blocks, group, n_v=2)
         dil = ksgns(spec)
         recorder.calls.clear()
         cp_extremal(spec, dil)
-        assert len(recorder.calls[0][1]) == len(group.generators()) < group.order
+        assert len(recorder.calls[0][0]) == len(group.generators()) < group.order
         full = list(dil.pi_units) + list(dil.sym.matrices)
-        _assert_same_block_commutant(recorder.calls[0], lambda j: constrained_commutant(full, _compressions(j)))
+        _assert_same_block_commutant(recorder.calls[0], lambda j: dense_commutant(full, _compressions(j)))
 
 
 def _phase_space_cp(d, ops):
@@ -208,25 +203,28 @@ PHASE_SPACE = [
 def test_phase_space_block_commutant_matches_the_dense_reference(d, ops, rank, freedom, monkeypatch):
     spec = _phase_space_cp(d, ops)
     dil = ksgns(spec)
-    recorder = _BlockRecorder()
-    monkeypatch.setattr(cpmaps, "_block_commutant", recorder)
+    recorder = _Recorder()
+    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
     cert = cp_extremal(spec, dil)
     assert dil.rank == rank and cert.freedom == freedom and cert.extreme == (freedom == 0)
-    assert len(recorder.calls) == 1 and len(recorder.calls[0][1]) == 2
+    assert len(recorder.calls) == 1 and len(recorder.calls[0][0]) == 2
     _assert_same_block_commutant(recorder.calls[0], lambda j: cp_commutant_dense(dil, dil.sym.matrices, j))
 
 
 def test_dense_reference_matches_constrained_commutant():
-    # the eigenspace reference of the phase-space tests against the kron system where both run
+    # the eigenspace reference of the phase-space tests against the kron system
+    # where both run, and the kron system against the engine's default layout
     spec = _phase_space_cp(2, [np.diag([1.0, 0]), np.diag([0, 1.0])])
     rng = np.random.default_rng(19)
     for spec in (spec, rand_covariant_cpmap(rng, (2, 1), GROUPS["S3"], n_v=2)):
         dil = ksgns(spec)
         full = list(dil.pi_units) + list(dil.sym.matrices)
         for j in (dil.j, None):
-            ref = constrained_commutant(full, _compressions(j))
+            ref = dense_commutant(full, _compressions(j))
             dense = cp_commutant_dense(dil, dil.sym.matrices, j)
             assert len(dense) == len(ref) and _distance(dense, ref) < 1e-8
+            engine = constrained_commutant(full, [(j[None], j[None])] if j is not None else ())
+            assert len(engine) == len(ref) and _distance(engine, ref) < 1e-8
 
 
 def test_cp_extremal_solves_sum_of_squared_multiplicities_unknowns(monkeypatch):
@@ -234,15 +232,13 @@ def test_cp_extremal_solves_sum_of_squared_multiplicities_unknowns(monkeypatch):
     dil = ksgns(spec)
     shapes = []
 
+    solve = numlin.null_space
+
     def null_space(a, tol):
         shapes.append(a.shape)
-        return numlin.null_space(a, tol)
+        return solve(a, tol)
 
-    def no_kron_system(*args, **kwargs):
-        raise AssertionError("cp_extremal built the kron system")
-
-    monkeypatch.setattr(cpmaps, "null_space", null_space)
-    monkeypatch.setattr(numlin, "constrained_commutant", no_kron_system)
+    monkeypatch.setattr(numlin, "null_space", null_space)
     assert cp_extremal(spec, dil).freedom == 3
     assert shapes and all(cols == sum(r * r for r in dil.mult) == 36 for _, cols in shapes)
 
@@ -256,13 +252,14 @@ def test_kernel_commutant_over_generators_equals_full(name, monkeypatch):
     for trial in range(3):
         spec = rand_covariant_kernel(rng, group, max_x=3, n_v=2)
         dec = kernels.kolmogorov_decompose(spec)
-        # one symmetric and one non-symmetric Z (complex and Hermitian solves)
+        # one symmetric and one non-symmetric Z; the second is solved over its symmetrization
         for z in ([(0, 0)], [(0, spec.x_size - 1)]):
             recorder.calls.clear()
             kernel_extremal(spec, z, dec)
             if not recorder.calls:
                 continue
             assert len(recorder.calls[0][0]) == len(group.generators())
+            assert len(recorder.calls[0][1]) == len({*z, *((y, x) for x, y in z)})
             _assert_same_commutant(recorder.calls[0], list(dec.sym.matrices), dec.rank)
 
 
@@ -282,13 +279,13 @@ def test_observable_commutant_over_generators_equals_full(name, monkeypatch):
 
 
 def test_phase_space_cp_extremal_stacks_at_most_ten_generators(monkeypatch):
-    recorder = _BlockRecorder()
-    monkeypatch.setattr(cpmaps, "_block_commutant", recorder)
+    recorder = _Recorder()
+    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
     b1 = np.diag([0.5, 0.0]).astype(complex)
     b2 = np.diag([0.0, 0.5]).astype(complex)
     cert = cp_extremal(as_cpmap(phase_space(2, [b1, b2])))
     assert recorder.calls
-    assert max(len(mats) for _, mats, *_ in recorder.calls) <= 10
+    assert max(len(mats) for mats, *_ in recorder.calls) <= 10
     assert not cert.extreme and cert.freedom == 3
 
 
@@ -301,9 +298,9 @@ def test_certify_commutant_rejects_a_non_commuting_basis():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
     full = np.stack([np.eye(2, dtype=complex), x])
-    _certify_commutant([np.eye(2) / np.sqrt(2), x / np.sqrt(2)], full, Tolerances())
+    _certify_commutant([np.eye(2) / np.sqrt(2), x / np.sqrt(2)], full, (), Tolerances())
     with pytest.raises(DilationResidualError):
-        _certify_commutant([z / np.sqrt(2)], full, Tolerances())
+        _certify_commutant([z / np.sqrt(2)], full, (), Tolerances())
 
 
 def test_block_commutant_recheck_covers_every_pi_unit():
@@ -315,18 +312,18 @@ def test_block_commutant_recheck_covers_every_pi_unit():
     dil = ksgns(CPMapSpec(alg, ModuleSpace(k=1, n_v=2), values))
     assert dil.sym is None and dil.mult == (2, 2)
     eps = np.zeros(alg.n_units)
-    basis = _BLOCK_COMMUTANT(dil, [], dil.j, Tolerances())
+    basis = constrained_commutant([], [(dil.j[None], dil.j[None])], layout=list(zip(alg.blocks, dil.mult)))
     assert len(basis) == 2 * 2 * 2 - 4
-    cpmaps._certify_block_commutant(dil, basis, eps, Tolerances())
+    cpmaps._certify_layout_commutant(dil, basis, eps, Tolerances())
     # a direction off pi(A)' that still has j^+ D j = 0
     q, _ = np.linalg.qr(dil.j)
     away = np.eye(dil.rank) - q @ q.conj().T
     off = away @ (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))) @ away
     with pytest.raises(DilationResidualError, match="commutant"):
-        cpmaps._certify_block_commutant(dil, [off / np.linalg.norm(off)], eps, Tolerances())
+        cpmaps._certify_layout_commutant(dil, [off / np.linalg.norm(off)], eps, Tolerances())
     # an element of pi(A)' that j does not compress to zero
     with pytest.raises(DilationResidualError, match="compression"):
-        cpmaps._certify_block_commutant(dil, [np.eye(dil.rank) / np.sqrt(dil.rank)], eps, Tolerances())
+        cpmaps._certify_layout_commutant(dil, [np.eye(dil.rank) / np.sqrt(dil.rank)], eps, Tolerances())
 
 
 def test_hermitian_witness_threshold_follows_recon_fro():
@@ -354,14 +351,14 @@ def _maps_with_sym_bar():
 
 
 def test_cp_extremal_twist_cross_check_passes_on_equal_freedom(monkeypatch):
-    recorder = _BlockRecorder()
-    monkeypatch.setattr(cpmaps, "_block_commutant", recorder)
+    recorder = _Recorder()
+    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
     freedoms = []
     for spec, dil in _maps_with_sym_bar():
         recorder.calls.clear()
         cert = cp_extremal(spec, dil)
         # one solve with sym, one with sym_bar, of equal freedom
-        (_, gens, _, basis), (_, bar_gens, _, bar_basis) = recorder.calls
+        (gens, _, _, basis), (bar_gens, _, _, bar_basis) = recorder.calls
         last = spec.symmetry.group.generators()[-1]
         assert np.allclose(gens[-1], dil.sym(last)) and np.allclose(bar_gens[-1], dil.sym_bar(last))
         assert len(basis) == len(bar_basis) == cert.freedom
@@ -373,14 +370,69 @@ def test_cp_extremal_twist_cross_check_compares_freedom(monkeypatch):
     spec, dil = next((s, d) for s, d in _maps_with_sym_bar() if cp_extremal(s, d).freedom >= 2)
     calls = []
 
-    def drop_one_on_sym_bar(*args):
-        basis = _BLOCK_COMMUTANT(*args)
+    def drop_one_on_sym_bar(*args, **kwargs):
+        basis = _ENGINE(*args, **kwargs)
         calls.append(len(basis))
         # the second solve stacks the sym_bar generators; lose one direction,
         # which keeps the basis nonempty
         return basis[:-1] if len(calls) == 2 else basis
 
-    monkeypatch.setattr(cpmaps, "_block_commutant", drop_one_on_sym_bar)
+    monkeypatch.setattr(cpmaps, "constrained_commutant", drop_one_on_sym_bar)
     with pytest.raises(DilationResidualError, match="commuting-twist"):
         cp_extremal(spec, dil)
     assert len(calls) == 2 and calls[1] >= 2
+
+
+# ---------------------------------------------------------------------------
+# asymmetric Z: the symmetrized complex solve against the Hermitian kron solve
+# ---------------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["Z3", "Z4", "D4", "S3"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 2),
+    st.integers(0, 1),
+)
+def test_asymmetric_z_freedom_equals_the_hermitian_oracle(name, seed, n_v, n_pairs):
+    # Z always holds (0, |X| - 1), so it is asymmetric whenever |X| > 1
+    rng = np.random.default_rng(seed)
+    spec = rand_covariant_kernel(rng, GROUPS[name], max_x=4, n_v=n_v)
+    dec = kernels.kolmogorov_decompose(spec)
+    x = spec.x_size
+    z = sorted({(int(a), int(b)) for a, b in rng.integers(0, x, size=(n_pairs, 2))} | {(0, x - 1)})
+    cert = kernel_extremal(spec, z, dec)
+    if dec.rank == 0:
+        assert cert.extreme and cert.freedom == 0
+        return
+    functionals = compression_functionals([(dec.factors[a][None], dec.factors[b][None]) for a, b in z])
+    oracle = dense_commutant(list(dec.sym.matrices), functionals, hermitian_only=True, dim=dec.rank)
+    assert cert.freedom == len(oracle)
+    assert cert.extreme == (len(oracle) == 0)
+
+
+# ---------------------------------------------------------------------------
+# the shared certificate re-checks every compression
+# ---------------------------------------------------------------------------
+
+
+def test_kernel_recheck_rejects_a_basis_not_compressed_to_zero(monkeypatch):
+    # the identity commutes with every sym(g), but factors[0]^+ factors[0] != 0
+    spec = rand_covariant_kernel(np.random.default_rng(1), GROUPS["S3"], max_x=3, n_v=2)
+    dec = kernels.kolmogorov_decompose(spec)
+    assert dec.rank == 3
+    scalar = [np.eye(dec.rank) / np.sqrt(dec.rank)]
+    monkeypatch.setattr(kernels, "constrained_commutant", lambda gens, comps, tol: scalar)
+    with pytest.raises(DilationResidualError, match="compression"):
+        kernel_extremal(spec, [(0, 0)], dec)
+
+
+def test_observable_recheck_rejects_a_basis_not_compressed_to_zero(monkeypatch):
+    group = GROUPS["S3"]
+    sub = max((s for s in all_subgroups(group) if 1 < len(s.members) < group.order), key=lambda s: s.members)
+    data = lambda_from_observable(rand_covariant_observable(np.random.default_rng(4), sub, v_dim=3), seed=3)
+    scalar = [np.eye(data.base_dim) / np.sqrt(data.base_dim)]
+    monkeypatch.setattr(instruments, "constrained_commutant", lambda gens, comps, tol: scalar)
+    with pytest.raises(DilationResidualError, match="compression"):
+        observable_extremal(data)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from covkit.instruments import (
     validate_observable,
     wigner_rotation,
 )
-from covkit.kernels import kernel_extremal, validate_kernel
+from covkit.kernels import DilationResidualError, kernel_extremal, validate_kernel
 from covkit.numlin import Tolerances
 from covkit.random import (
     all_subgroups,
@@ -365,6 +367,34 @@ def test_observable_extremal_flip_family():
             assert validate_observable(nb).ok
         mid = 0.5 * (cert.perturbed[0].effects + cert.perturbed[1].effects)
         assert np.allclose(mid, flip_observable(p).effects, atol=1e-9)
+
+
+def test_split_with_a_non_positive_observable_neighbour_raises(monkeypatch):
+    # 3 W has spectral norm 3, so I - 3 W is not positive: one neighbour has a non-positive effect
+    witness = ins._hermitian_witness
+    monkeypatch.setattr(ins, "_hermitian_witness", lambda basis, tol: 3.0 * witness(basis, tol))
+    with pytest.raises(DilationResidualError, match="effects_psd"):
+        observable_extremal(lambda_from_observable(flip_observable(0.5), seed=5))
+
+
+def test_block_normalization_follows_recon_fro():
+    data = lambda_from_observable(flip_observable(0.3), seed=5)
+    checks = ins.validate_observable_data(data)
+    assert checks.ok and checks["totality"].residual == 0.0
+    # blocks off their normalization by about 2e-9: inside the default 1e-8, outside 1e-10
+    scaled = replace(data, lambda_blocks=tuple(tuple((1 + 1e-9) * op for op in ops) for ops in data.lambda_blocks))
+    assert ins.validate_observable_data(scaled).ok
+    tight = ins.validate_observable_data(scaled, Tolerances(recon_fro=1e-10))
+    assert tight.failed() == ["block_normalization"]
+    assert 1e-10 < tight["block_normalization"].residual < 1e-8
+
+
+def test_totality_reports_the_missing_rank(monkeypatch):
+    data = lambda_from_observable(flip_observable(0.3), seed=5)
+    monkeypatch.setattr(ins, "rank", lambda a, tol: 0)
+    checks = ins.validate_observable_data(data)
+    assert checks.failed() == ["totality"]
+    assert checks["totality"].residual == float(data.base_dim) > 0
 
 
 def test_observable_extremal_single_outcome():

@@ -3,10 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from covkit import kernels
 from covkit.cstar import ModuleSpace
 from covkit.fingroup import FiniteGroup, GroupAction, MultiplierRep, TwoCocycle
 from covkit.kernels import (
     CovariantKernelSpec,
+    DilationResidualError,
     EquivalenceError,
     KernelValidationError,
     equivalence_unitary,
@@ -263,3 +265,18 @@ def test_perturbed_kernels_of_random_instance_revalidate():
             assert validate_kernel(neighbour).ok
             for x, y in z:
                 assert np.allclose(neighbour.blocks[x, y], spec.blocks[x, y], atol=1e-8)
+
+
+def test_split_with_a_non_positive_kernel_neighbour_raises(monkeypatch):
+    # 3 W has spectral norm 3, so I - 3 W is not positive: one neighbour is not a positive kernel
+    witness = kernels._hermitian_witness
+    monkeypatch.setattr(kernels, "_hermitian_witness", lambda basis, tol: 3.0 * witness(basis, tol))
+    with pytest.raises(DilationResidualError, match="positive"):
+        kernel_extremal(diagonal_kernel(2, 1), [(0, 0), (1, 1)])
+
+
+def test_split_that_moves_the_blocks_on_z_raises(monkeypatch):
+    # W = I / 2 commutes with everything and keeps both neighbours valid, but scales T[x, x]
+    monkeypatch.setattr(kernels, "_hermitian_witness", lambda basis, tol: 0.5 * np.eye(len(basis[0])))
+    with pytest.raises(DilationResidualError, match="z_blocks"):
+        kernel_extremal(diagonal_kernel(2, 1), [(0, 0), (1, 1)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from covkit import numlin
+from oracles import compression_functionals, dense_commutant
 from covkit.numlin import (
     DimensionError,
     NotPositiveError,
@@ -153,7 +154,6 @@ def test_null_space_of_roundoff_level_system_is_everything():
     # a scalar unitary up to roundoff commutes with every matrix
     almost_scalar = np.exp(0.3j) * np.eye(2) + 1e-17 * noise[:2, :2]
     assert len(constrained_commutant([almost_scalar])) == 4
-    assert len(constrained_commutant([almost_scalar], hermitian_only=True)) == 4
 
 
 def test_commutant_of_irreducible_pair_is_scalar():
@@ -171,12 +171,13 @@ def test_commutant_of_identity_is_everything():
 
 
 def test_trace_constraint_on_scalars():
-    basis = constrained_commutant([], [np.eye(1)])
+    basis = constrained_commutant([], [(np.eye(1)[None], np.eye(1)[None])])
     assert basis == []
 
 
 def test_commutant_hermitian_only():
-    basis = constrained_commutant([np.eye(2)], hermitian_only=True)
+    # the real Hermitian branch lives on only in the dense test oracle
+    basis = dense_commutant([np.eye(2)], hermitian_only=True)
     assert len(basis) == 4
     for d in basis:
         assert np.linalg.norm(d - d.conj().T) <= 1e-12 * max(1.0, np.linalg.norm(d))
@@ -185,13 +186,69 @@ def test_commutant_hermitian_only():
 def test_commutant_members_commute():
     rng = np.random.default_rng(2)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    for d in constrained_commutant([g], hermitian_only=True):
+    basis = constrained_commutant([g])
+    assert len(basis) == len(dense_commutant([g])) == 3
+    for d in basis:
         assert np.linalg.norm(d @ g - g @ d) <= 1e-8 * np.linalg.norm(g)
 
 
 def test_commutant_size_mismatch():
     with pytest.raises(DimensionError):
         constrained_commutant([np.eye(2), np.eye(3)])
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.eye(3)], layout=[(1, 2)])
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.eye(2)], [(np.eye(2), np.eye(2))])
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.ones((2, 3))])
+    with pytest.raises(DimensionError):
+        constrained_commutant([])
+
+
+def _block_diagonal_reference(generators, compressions, layout):
+    """The engine's answer from the dense kron system: solve over all N x N
+    matrices with the layout's commutant generators added (E_ab (x) I_{r_i}
+    in every block i), as a projector."""
+    n = sum(b * r for b, r in layout)
+    units, start = [], 0
+    for b, r in layout:
+        for a in range(b):
+            for c in range(b):
+                unit = np.zeros((n, n), dtype=complex)
+                unit[start + a * r : start + (a + 1) * r, start + c * r : start + (c + 1) * r] = np.eye(r)
+                units.append(unit)
+        start += b * r
+    basis = dense_commutant(list(generators) + units, compression_functionals(compressions), dim=n)
+    return sum((np.outer(d.reshape(-1), d.reshape(-1).conj()) for d in basis), np.zeros((n * n, n * n)))
+
+
+@pytest.mark.parametrize("layout", [[(2, 1), (1, 2)], [(1, 3)], [(2, 2), (1, 0), (1, 1)], [(3, 1)]])
+def test_commutant_on_a_block_layout_matches_the_kron_system(layout):
+    rng = np.random.default_rng(len(layout) + sum(r for _, r in layout))
+    n = sum(b * r for b, r in layout)
+    # a generator of the layout's own shape, +_i I_{n_i} (x) Y_i, a random one, and a compression stack
+    shaped = np.zeros((n, n), dtype=complex)
+    start = np.cumsum([0] + [b * r for b, r in layout])
+    for (b, r), s0 in zip(layout, start):
+        shaped[s0 : s0 + b * r, s0 : s0 + b * r] = np.kron(np.eye(b), rng.normal(size=(r, r)))
+    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    left = rng.normal(size=(2, n, 1)) + 1j * rng.normal(size=(2, n, 1))
+    right = rng.normal(size=(2, n, 2))
+    for comps in ((), [(left, right)]):
+        for g in ([], [shaped], [shaped, noise]):
+            basis = constrained_commutant(g, comps, layout=layout)
+            proj = sum((np.outer(d.reshape(-1), d.reshape(-1).conj()) for d in basis), np.zeros((n * n, n * n)))
+            assert len(basis) <= sum(r * r for _, r in layout)
+            assert np.linalg.norm(proj - _block_diagonal_reference(g, comps, layout)) < 1e-8
+            gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
+            assert np.allclose(gram, np.eye(len(basis)))
+
+
+def test_commutant_of_an_empty_block_layout_has_no_columns():
+    # blocks of multiplicity 0 contribute neither rows nor unknowns
+    basis = constrained_commutant([], [], layout=[(2, 0), (1, 1), (3, 0)])
+    assert len(basis) == 1 and np.allclose(basis[0], np.eye(1))
+    assert constrained_commutant([np.zeros((0, 0))], layout=[(2, 0)]) == []
 
 
 def test_lstsq_define_exact():

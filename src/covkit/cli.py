@@ -2,8 +2,8 @@
 engines, and emit machine-readable reports.
 
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 numeric
-tolerance failure.  Reports are byte-stable for fixed inputs, tolerances,
-and seeds; wall time goes to stderr.
+tolerance failure, 4 out of memory.  Reports are byte-stable for fixed
+inputs, tolerances, and seeds; wall time goes to stderr.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
+EXIT_RESOURCE = 4
 
 
 def _tolerances(args) -> Tolerances:
@@ -198,6 +199,7 @@ def cmd_extremal(args) -> int:
     tol = _tolerances(args)
     kind, obj = _load_file(args.file)
     report = Report("extremal", kind, tol)
+    direction = "Hermitian direction on the dilation certifying a convex split"
     if kind == "kernel":
         spec, z_pairs = obj
         cert = kernel_extremal(spec, z_pairs, None, tol)
@@ -215,6 +217,7 @@ def cmd_extremal(args) -> int:
         )
     elif kind == "instrument":
         cert = instrument_extremal(obj, tol)
+        direction = "Hermitian direction I_K (x) X, X on the base-coset Kraus multiplicity space, certifying a convex split"
         neighbours = (
             [specfile.instrument_out(p) for p in cert.perturbed] if cert.perturbed else None
         )
@@ -231,7 +234,7 @@ def cmd_extremal(args) -> int:
     if cert.witness is not None:
         report.artifact(
             "witness",
-            "Hermitian direction on the dilation certifying a convex split",
+            direction,
             matrix=specfile.matrix_out(cert.witness),
         )
     if neighbours:
@@ -392,6 +395,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:
+        print(f"resource failure: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     finally:
         elapsed = time.perf_counter() - start
         print(f"wall time: {elapsed:.3f} s", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cpmaps import CPMapSpec, CPSymmetry, cp_extremal, kraus_from_choi, ksgns
+from .cpmaps import CPMapSpec, CPSymmetry, kraus_from_choi
 from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from .fingroup import (
     FiniteGroup,
@@ -246,16 +246,6 @@ def as_cpmap(spec: InstrumentSpec) -> CPMapSpec:
         CPSymmetry(u=u_total, rep=sym.rep, u_factors=(sym.out_rep, perm_rep)),
         tensor=split,
     )
-
-
-def instrument_from_cpmap(cp_spec: CPMapSpec, symmetry: Symmetry) -> InstrumentSpec:
-    """Inverse of :func:`as_cpmap` for specs over the same tensor split."""
-    k, v = symmetry.out_rep.dim, symmetry.rep.dim
-    n = symmetry.n_outcomes
-    choi = np.zeros((n, k * v, k * v), dtype=np.complex128)
-    for kk, (i, a, b) in enumerate(cp_spec.algebra.unit_index()):
-        choi[i][a * v : (a + 1) * v, b * v : (b + 1) * v] = cp_spec.values[kk]
-    return InstrumentSpec(choi, symmetry)
 
 
 # ---------------------------------------------------------------------------
@@ -920,70 +910,74 @@ def B_from_instrument(
     return CovariantInstrumentData(tuple(ops), checks)
 
 
-def structure_chain_B(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL):
-    """Verification path for the Kraus-family structure through the full
-    dilation chain: observable-marginal dilation, instrument dilation, the
-    decomposable fiber isometries connecting them, and the base-point
-    channel.  Returns operators generating the same instrument."""
-    naim = naimark(marginal_observable(spec), tol)
-    cp = as_cpmap(spec)
-    dil = ksgns(cp, tol)
-    k = spec.k_dim
-    lam = naim.factors[0]
-    m0 = naim.fiber_dims[0]
-    alg = cp.algebra
-
-    # isometry from the base observable fiber into the base instrument
-    # fiber, solved on the spanning columns coming from the module space
-    p0 = dil.pi(_indicator(alg, k, 0))
-    c0, res = lstsq_define([(naim.factors[0], p0 @ dil.j)], tol)
-    if res > tol.recon_fro * max(1.0, frob(dil.j)):
-        raise DilationResidualError(f"fiber isometry residual {res:.2e}")
-    gram = c0.conj().T @ c0
-    if frob(gram - np.eye(m0)) > tol.recon_fro * max(1.0, m0):
-        raise DilationResidualError("fiber connector is not an isometry")
-
-    # base-point channel b -> c0^+ pi(b on the base block) c0 and its Kraus
-    grand = np.zeros((k * m0, k * m0), dtype=np.complex128)
-    for a in range(k):
-        for b in range(k):
-            blockmap = c0.conj().T @ dil.pi(_unit_on_outcome(alg, k, 0, a, b)) @ c0
-            grand[a * m0 : (a + 1) * m0, b * m0 : (b + 1) * m0] = blockmap
-    a_ops = kraus_from_choi(grand, k, m0, tol)
-    return CovariantInstrumentData(tuple(a @ lam for a in a_ops))
-
-
-def _indicator(alg, k, outcome):
-    mat = np.zeros((alg.defining_dim, alg.defining_dim), dtype=np.complex128)
-    off = outcome * k
-    mat[off : off + k, off : off + k] = np.eye(k)
-    return mat
-
-
-def _unit_on_outcome(alg, k, outcome, a, b):
-    mat = np.zeros((alg.defining_dim, alg.defining_dim), dtype=np.complex128)
-    off = outcome * k
-    mat[off + a, off + b] = 1.0
-    return mat
+def _multiplicity_rep(data: CovariantInstrumentData, symmetry: Symmetry, tol) -> np.ndarray:
+    """The unitaries W_h with u(h) B_l rep(h)^+ = sum_m W_h[l, m] B_m for the
+    members h != e of the subgroup, in their order, as an (m, r, r) stack
+    (empty for a trivial subgroup): one least-squares solve on the
+    independent B_m, certified unitary and intertwining for every h."""
+    members = [h for h in symmetry.sub.members if h != symmetry.group.identity]
+    b = np.stack(data.b_ops)
+    m, r, n = len(members), len(b), b[0].size
+    flat = b.reshape(r, n)
+    u, rep = symmetry.out_rep.matrices[members], symmetry.rep.matrices[members]
+    moved = (u[:, None] @ b @ rep.conj().transpose(0, 2, 1)[:, None]).reshape(m, r, n)
+    ws = lstsq_define([(flat, moved.reshape(m * r, n))], tol)[0].reshape(m, r, r)
+    unitary = np.linalg.norm(ws.conj().transpose(0, 2, 1) @ ws - np.eye(r), axis=(1, 2)).max(initial=0.0)
+    scale = np.linalg.norm(ws, 2, axis=(1, 2)).max(initial=1.0)
+    Checks().require(tol.unitary_fro * scale, "multiplicity representation is not unitary", unitary=unitary)
+    Checks().require(
+        tol.recon_fro * max(1.0, frob(flat)),
+        "multiplicity representation does not move the Kraus family",
+        intertwining=np.linalg.norm(ws @ flat - moved, axis=(1, 2)).max(initial=0.0),
+    )
+    return ws
 
 
 def instrument_extremal(
     spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL
 ) -> ExtremalityCertificate:
-    """Extremality among covariant instruments, decided on the instrument's
-    CP-map form over output-algebra (x) outcome functions."""
-    cp = as_cpmap(spec)
-    cert = cp_extremal(cp, None, tol)
-    if cert.extreme or cert.perturbed is None:
-        return cert
-    neighbours = tuple(
-        instrument_from_cpmap(p, spec.symmetry) for p in cert.perturbed
+    """Extremality among covariant instruments, decided on the base fiber.
+
+    With the base-coset Kraus family B_1 .. B_r of :func:`B_from_instrument`
+    stacked as J, rows (a, l) = B_l[a, :], the instrument is extreme iff D =
+    0 is the only D on C^r that commutes with every W_h of
+    :func:`_multiplicity_rep` and has sum_w L_w^+ (I_K (x) D) L_w = 0 for
+    L_w = J rep(g_w)^+ over the section
+    (:func:`~covkit.numlin.constrained_commutant` on the layout (K, r), so
+    r^2 unknowns).  The basis is re-checked against every W_h and the
+    compression.  On non-extremality the witness is I_K (x) X, and the
+    neighbours are the instruments of the families sqrt(I +- X) B, each
+    assembled and validated once by :func:`instrument_from_B`; their midpoint
+    is the input."""
+    data = B_from_instrument(spec, tol)
+    k, r = spec.k_dim, len(data.b_ops)
+    b = np.stack(data.b_ops)
+    j = b.transpose(1, 0, 2).reshape(k * r, spec.v_dim)
+    ws = _multiplicity_rep(data, spec.symmetry, tol)
+    lifts = np.einsum("ab,hlm->halbm", np.eye(k), ws).reshape(len(ws), k * r, k * r)
+    moved = j @ spec.symmetry.rep.matrices[list(spec.symmetry.sub.section)].conj().transpose(0, 2, 1)
+    compressions = [(moved, moved)]
+    basis = constrained_commutant(list(lifts), compressions, layout=[(k, r)], tol=tol)
+    _certify_commutant(basis, lifts, compressions, tol)
+    if not basis:
+        return ExtremalityCertificate(True, None, None, 0)
+    witness = _hermitian_witness(basis, tol)
+    if witness is None:
+        return ExtremalityCertificate(True, None, None, len(basis))
+
+    neighbours = []
+    for sign in (1.0, -1.0):
+        w, v = np.linalg.eigh(np.eye(r) + sign * witness[:r, :r])
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        family = CovariantInstrumentData(tuple(np.einsum("lm,mav->lav", root, b)))
+        neighbours.append(instrument_from_B(family, spec.symmetry, tol))
+    middle = 0.5 * (neighbours[0].choi + neighbours[1].choi) - spec.choi
+    Checks().require(
+        tol.recon_fro * max(1.0, float(np.abs(spec.choi).max()) * k * spec.v_dim),
+        "neighbours do not split the input",
+        midpoint=float(np.linalg.norm(middle, axis=(1, 2)).max()),
     )
-    for nb in neighbours:
-        report = validate_instrument(nb, tol)
-        if not report.ok:
-            raise DilationResidualError("perturbed instrument failed validation")
-    return ExtremalityCertificate(False, cert.witness, neighbours, cert.freedom)
+    return ExtremalityCertificate(False, witness, tuple(neighbours), len(basis))
 
 
 # ---------------------------------------------------------------------------

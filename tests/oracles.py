@@ -22,7 +22,12 @@ per-draw encoding of a sample stream, as the reference for the line cache of
 reference for the block-coordinate commutant solve of ``cp_extremal`` where
 the N^2-column kron system is too large; and the N^2-column kron system
 itself, with its real Hermitian branch, as the reference for
-``covkit.numlin.constrained_commutant``.
+``covkit.numlin.constrained_commutant``; the CP-form extremality route for
+instruments (KSGNS dilation of the instrument as a CP map over all outcome
+blocks), as the reference for the base-fiber solve of
+``covkit.instruments.instrument_extremal``; and the Kraus-family extraction
+through the full dilation chain, as a second route to
+``covkit.instruments.B_from_instrument``.
 """
 
 import dataclasses
@@ -30,18 +35,37 @@ import json
 
 import numpy as np
 
-from covkit.cpmaps import CPMapSpec, cp_validate
+from covkit.cpmaps import CPMapSpec, cp_extremal, cp_validate, kraus_from_choi, ksgns
 from covkit.cstar import ModuleSpace
 from covkit.fingroup import GroupAction, TwoCocycle
 from covkit.instruments import (
+    CovariantInstrumentData,
     InstrumentSpec,
     ObservableSpec,
+    Symmetry,
+    as_cpmap,
+    marginal_observable,
+    naimark,
     sample_stream,
     validate_instrument,
     validate_observable,
 )
-from covkit.kernels import CovariantKernelSpec, validate_kernel
-from covkit.numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, frob, is_unitary, null_space
+from covkit.kernels import (
+    CovariantKernelSpec,
+    DilationResidualError,
+    ExtremalityCertificate,
+    validate_kernel,
+)
+from covkit.numlin import (
+    DEFAULT_TOL,
+    DimensionError,
+    Tolerances,
+    as_matrix,
+    frob,
+    is_unitary,
+    lstsq_define,
+    null_space,
+)
 from covkit.specfile import matrix_out
 
 
@@ -749,3 +773,80 @@ def compression_functionals(compressions) -> list[np.ndarray]:
             for w in range(r.shape[2]):
                 out.append(sum(np.outer(lk[:, v], rk[:, w].conj()) for lk, rk in zip(l, r)))
     return out
+
+
+def instrument_from_cpmap(cp_spec: CPMapSpec, symmetry: Symmetry) -> InstrumentSpec:
+    """Inverse of :func:`covkit.instruments.as_cpmap` for specs over the same
+    tensor split."""
+    k, v = symmetry.out_rep.dim, symmetry.rep.dim
+    n = symmetry.n_outcomes
+    choi = np.zeros((n, k * v, k * v), dtype=np.complex128)
+    for kk, (i, a, b) in enumerate(cp_spec.algebra.unit_index()):
+        choi[i][a * v : (a + 1) * v, b * v : (b + 1) * v] = cp_spec.values[kk]
+    return InstrumentSpec(choi, symmetry)
+
+
+def instrument_extremal_cpform(
+    spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL
+) -> ExtremalityCertificate:
+    """Extremality among covariant instruments, decided on the instrument's
+    CP-map form over output-algebra (x) outcome functions."""
+    cp = as_cpmap(spec)
+    cert = cp_extremal(cp, None, tol)
+    if cert.extreme or cert.perturbed is None:
+        return cert
+    neighbours = tuple(
+        instrument_from_cpmap(p, spec.symmetry) for p in cert.perturbed
+    )
+    for nb in neighbours:
+        report = validate_instrument(nb, tol)
+        if not report.ok:
+            raise DilationResidualError("perturbed instrument failed validation")
+    return ExtremalityCertificate(False, cert.witness, neighbours, cert.freedom)
+
+
+def structure_chain_B(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL):
+    """Verification path for the Kraus-family structure through the full
+    dilation chain: observable-marginal dilation, instrument dilation, the
+    decomposable fiber isometries connecting them, and the base-point
+    channel.  Returns operators generating the same instrument."""
+    naim = naimark(marginal_observable(spec), tol)
+    cp = as_cpmap(spec)
+    dil = ksgns(cp, tol)
+    k = spec.k_dim
+    lam = naim.factors[0]
+    m0 = naim.fiber_dims[0]
+    alg = cp.algebra
+
+    # isometry from the base observable fiber into the base instrument
+    # fiber, solved on the spanning columns coming from the module space
+    p0 = dil.pi(_indicator(alg, k, 0))
+    c0, res = lstsq_define([(naim.factors[0], p0 @ dil.j)], tol)
+    if res > tol.recon_fro * max(1.0, frob(dil.j)):
+        raise DilationResidualError(f"fiber isometry residual {res:.2e}")
+    gram = c0.conj().T @ c0
+    if frob(gram - np.eye(m0)) > tol.recon_fro * max(1.0, m0):
+        raise DilationResidualError("fiber connector is not an isometry")
+
+    # base-point channel b -> c0^+ pi(b on the base block) c0 and its Kraus
+    grand = np.zeros((k * m0, k * m0), dtype=np.complex128)
+    for a in range(k):
+        for b in range(k):
+            blockmap = c0.conj().T @ dil.pi(_unit_on_outcome(alg, k, 0, a, b)) @ c0
+            grand[a * m0 : (a + 1) * m0, b * m0 : (b + 1) * m0] = blockmap
+    a_ops = kraus_from_choi(grand, k, m0, tol)
+    return CovariantInstrumentData(tuple(a @ lam for a in a_ops))
+
+
+def _indicator(alg, k, outcome):
+    mat = np.zeros((alg.defining_dim, alg.defining_dim), dtype=np.complex128)
+    off = outcome * k
+    mat[off : off + k, off : off + k] = np.eye(k)
+    return mat
+
+
+def _unit_on_outcome(alg, k, outcome, a, b):
+    mat = np.zeros((alg.defining_dim, alg.defining_dim), dtype=np.complex128)
+    off = outcome * k
+    mat[off + a, off + b] = 1.0
+    return mat

@@ -536,3 +536,23 @@ def test_cli_verdict_names_per_kind(tmp_path, capsys, command, kind):
     assert report["kind"] == kind
     assert set(report["verdicts"]) == VERDICT_NAMES[command, kind]
     assert all(v["ok"] for v in report["verdicts"].values())
+
+
+def test_memory_error_is_a_resource_failure_with_exit_code_4(tmp_path, capsys, monkeypatch):
+    from covkit import cli
+
+    def exhausted(spec, tol):
+        raise MemoryError("Unable to allocate 3.62 GiB for an array with shape (1296, 432, 432) and data type complex128")
+
+    monkeypatch.setattr(cli, "instrument_extremal", exhausted)
+    seed = write(tmp_path, "seed.json", phase_space_doc(2))
+    out = str(tmp_path / "instrument.json")
+    assert main(["phase-space", seed, "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["extremal", out]) == cli.EXIT_RESOURCE == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    failures = [line for line in captured.err.splitlines() if not line.startswith("wall time")]
+    assert failures == [
+        "resource failure: Unable to allocate 3.62 GiB for an array with shape (1296, 432, 432) and data type complex128"
+    ]

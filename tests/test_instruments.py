@@ -30,7 +30,6 @@ from covkit.instruments import (
     sample_stream,
     sq_constant,
     sq_structure,
-    structure_chain_B,
     validate_instrument,
     validate_observable,
     wigner_rotation,
@@ -43,6 +42,7 @@ from covkit.random import (
     rand_covariant_observable,
     rand_density,
 )
+from oracles import instrument_extremal_cpform, structure_chain_B
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 

@@ -56,7 +56,6 @@ from .cpmaps import (
     KSGNSDilation,
     cp_extremal,
     cp_validate,
-    factor_rep_tensor,
     kraus_extract,
     ksgns,
     marginals,

@@ -45,7 +45,7 @@ from .kernels import (
     kolmogorov_decompose,
     validate_kernel,
 )
-from .numlin import NotPositiveError, Tolerances, frob, psd_check
+from .numlin import NotPositiveError, Tolerances, frob, psd_status
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -134,7 +134,7 @@ def cmd_validate(args) -> int:
         spec = phase_space(d, ops, tol)
         _merge_checks(report, validate_instrument(spec, tol))
     elif kind == "state":
-        report.verdict("positive", psd_check(obj, tol))
+        report.verdict("positive", *psd_status(obj, tol))
         drift = abs(np.trace(obj).real - 1.0)
         report.verdict("unit_trace", drift <= tol.recon_fro, drift)
     _finish(report, args)

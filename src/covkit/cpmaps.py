@@ -31,7 +31,6 @@ from .numlin import (
     Tolerances,
     constrained_commutant,
     frob,
-    is_unitary,
     offsets,
     psd_factor,
     psd_status,
@@ -141,13 +140,14 @@ def kraus_from_choi(choi, k_dim, v_dim, tol: Tolerances = DEFAULT_TOL):
 
 
 def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
-    """Complete positivity, covariance, checked one group element at a time
-    over every matrix unit at once, and normality, which is automatic at
-    finite dimension.  Complete positivity passes if every block's Choi
-    matrix passes :func:`psd_status` against its own scale; the residual is
-    the most negative eigenvalue over the blocks, that of the grand kernel.
-    Where some b -> u b u^+ leaves the algebra, the covariance residual is
-    the largest part of a u E_k u^+ outside it."""
+    """Complete positivity and covariance, checked one group element at a
+    time over every matrix unit at once.  Normality is structural: every
+    linear map between finite-dimensional algebras is normal, so it has no
+    verdict.  Complete positivity passes if every block's Choi matrix passes
+    :func:`psd_status` against its own scale; the residual is the most
+    negative eigenvalue over the blocks, that of the grand kernel.  Where
+    some b -> u b u^+ leaves the algebra, the covariance residual is the
+    largest part of a u E_k u^+ outside it."""
     checks = Checks(completely_positive=Check(*_cp_status(spec.algebra, spec.values, tol)))
     covariant, worst = True, 0.0
     if spec.symmetry is not None:
@@ -167,35 +167,71 @@ def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
         else:
             covariant = worst <= tol.recon_fro * max(1.0, float(np.abs(spec.values).max()))
     checks["covariant"] = Check(covariant, worst)
-    checks["normal"] = Check(True, 0.0)
     return checks
+
+
+def _tensor_pattern(algebra, mult):
+    """Indices (unit, row, col) of the unit entries of every T_k = E_ab (x)
+    I_{r_i}, k = (i, a, b), on the direct sum of C^{n_i} (x) C^{r_i}."""
+    out, start = [], 0
+    for i, (n, r) in enumerate(zip(algebra.blocks, mult)):
+        a, b, lam = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), np.arange(r), indexing="ij"))
+        out.append((algebra.unit_offsets[i] + a * n + b, start + a * r + lam, start + b * r + lam))
+        start += n * r
+    return tuple(np.concatenate(part) for part in zip(*out))
 
 
 @dataclass(frozen=True)
 class KSGNSDilation:
     """Minimal dilation S_b = j^+ pi(b) j with covariant intertwiners.
 
-    ``r_blocks[k]`` is the dilation image of the k-th matrix unit acting on
-    the module (pi(unit) j); ``sym`` intertwines the module representation
-    into the dilation, ``sym_bar`` is its commuting twist pi(u_g^+) sym(g)
-    when every u_g lies in the algebra.  :func:`ksgns` lays the dilation
-    space out as the direct sum of C^{n_i} (x) C^{r_i}, where pi(E^i_ab) is
-    E_ab (x) I_{r_i}.
+    The dilation space is the direct sum of C^{n_i} (x) C^{r_i}, r_i =
+    ``mult[i]``, and pi(E^i_ab) = E_ab (x) I_{r_i} on it: every unital
+    representation of the algebra has this form up to unitary equivalence,
+    so pi is a function of the algebra and ``mult`` (:func:`_tensor_pattern`)
+    and is never stored.  ``sym`` intertwines the module representation into
+    the dilation, ``sym_bar`` is its commuting twist pi(u_g^+) sym(g) when
+    every u_g lies in the algebra.  A dilation whose multiplicities or ``j``
+    do not fill the space cannot be built.
     """
 
     spec: CPMapSpec
     rank: int
     mult: tuple  # (r_i), so N = sum_i n_i r_i
-    r_blocks: np.ndarray  # (n_units, N, n_V)
     j: np.ndarray  # (N, n_V)
-    pi_units: np.ndarray  # (n_units, N, N)
     sym: MultiplierRep | None
     sym_bar: MultiplierRep | None
     checks: Checks = field(default_factory=Checks)
 
+    def __post_init__(self):
+        filled = sum(b * r for b, r in zip(self.spec.algebra.blocks, self.mult))
+        if filled != self.rank or np.shape(self.j) != (self.rank, self.spec.n_v):
+            raise DilationResidualError("multiplicities or j do not fill the dilation space")
+
     def pi(self, bmat) -> np.ndarray:
+        """pi of an algebra element or a stack of them: the coefficients
+        scattered onto the pattern."""
+        unit, rows, cols = _tensor_pattern(self.spec.algebra, self.mult)
         coeffs = self.spec.algebra.coefficients(bmat)
-        return np.tensordot(coeffs, self.pi_units, axes=(-1, 0))
+        out = np.zeros(coeffs.shape[:-1] + (self.rank, self.rank), dtype=np.complex128)
+        out[..., rows, cols] = coeffs[..., unit]
+        return out
+
+    @property
+    def r_blocks(self) -> np.ndarray:
+        """pi(E_k) j for every matrix unit k, (n_units, N, n_V): rows of j moved
+        from the column cell of T_k to its row cell."""
+        unit, rows, cols = _tensor_pattern(self.spec.algebra, self.mult)
+        out = np.zeros((self.spec.algebra.n_units, self.rank, self.spec.n_v), dtype=np.complex128)
+        out[unit, rows] = self.j[cols]
+        return out
+
+    @property
+    def pi_units(self) -> np.ndarray:
+        """The dense (n_units, N, N) stack of pi(E_k), built on request."""
+        out = np.zeros((self.spec.algebra.n_units, self.rank, self.rank), dtype=np.complex128)
+        out[_tensor_pattern(self.spec.algebra, self.mult)] = 1.0
+        return out
 
 
 def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
@@ -222,11 +258,9 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
         mult.append(len(ops))
     j = np.concatenate(rows).astype(np.complex128)
     n_dil = len(j)
-    pi_units = np.zeros((m, n_dil, n_dil), dtype=np.complex128)
-    pi_units[_tensor_pattern(alg, mult)] = 1.0
-    r_blocks = pi_units @ j
-    dil = KSGNSDilation(spec, n_dil, tuple(mult), r_blocks, j, pi_units, None, None)
-    checks = _certify_pi(dil, tol)
+    dil = KSGNSDilation(spec, n_dil, tuple(mult), j, None, None)
+    r_blocks = dil.r_blocks
+    checks = _certify_reconstruction(dil, r_blocks, tol)
 
     sym = sym_bar = None
     if spec.symmetry is not None and n_dil:
@@ -244,19 +278,19 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
             worst = max(worst, frob(mats[g] @ f - targets))
         checks.require(tol.recon_fro * scale, "dilation representation solve failed", sym_solve=worst)
         sym = MultiplierRep(group, rep.cocycle, mats)
-        sym_bar = _build_bar(spec, pi_units, sym, alg, tol)
+        sym_bar = _build_bar(dil, sym, tol)
         dil = replace(dil, sym=sym, sym_bar=sym_bar)
         checks.update(_certify_covariant(dil, tol))
     return replace(dil, checks=checks)
 
 
-def _build_bar(spec, pi_units, sym, alg, tol):
+def _build_bar(dil, sym, tol):
     """sym_bar(g) = pi(u_g^+) sym(g) when u_g lies in the algebra."""
+    spec = dil.spec
     u = spec.symmetry.u.matrices
-    if not alg.contains(u, tol):
+    if not spec.algebra.contains(u, tol):
         return None
-    coeffs = alg.coefficients(u.conj().transpose(0, 2, 1))
-    mats = np.tensordot(coeffs, pi_units, axes=(1, 0)) @ sym.matrices
+    mats = dil.pi(u.conj().transpose(0, 2, 1)) @ sym.matrices
     cocycle = spec.symmetry.u.cocycle.conj().multiply(spec.symmetry.rep.cocycle)
     return MultiplierRep(spec.symmetry.group, cocycle, mats)
 
@@ -269,60 +303,18 @@ def _norms(stack) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
-def _pattern_defect(dil: KSGNSDilation) -> np.ndarray:
-    """eps_k = ||pi(E_k) - T_k||_F for every unit k, one unit at a time."""
-    unit, rows, cols = _tensor_pattern(dil.spec.algebra, dil.mult)
-    eps, ends = np.empty(len(dil.pi_units)), np.searchsorted(unit, np.arange(len(dil.pi_units) + 1))
-    for k, p in enumerate(dil.pi_units):
-        diff, here = p.copy(), slice(ends[k], ends[k + 1])
-        diff[rows[here], cols[here]] -= 1.0
-        eps[k] = frob(diff)
-    return eps
-
-
-def _certify_pi(dil: KSGNSDilation, tol) -> Checks:
-    """Certify pi as a unital *-representation and the dilation as minimal.
-
-    The blocks pi(E_k) j are computed from the stored pi and j; the stored
-    ``r_blocks`` must match them (``r_blocks``), and reconstruction and
-    minimality are decided on the computed blocks.  Adjointness is checked
-    one unit at a time, unitality directly.  Multiplicativity is measured
-    against the pattern that :func:`ksgns` lays out, T_k = E_ab (x) I_{r_i}
-    in block i with sum_i n_i r_i = N: with eps_k = ||pi_k - T_k||,
-    ||T_k||_2 = 1 and T_k T_l = T_kl exactly,
-
-        ||pi_k pi_l - pi_kl|| <= eps_k + eps_l + eps_k eps_l + eps_kl
-
-    (Frobenius norms; eps_kl = 0 where E_k E_l = 0).  ``pi_multiplicative``
-    is the largest such bound, m N^2 work where the products over all pairs
-    cost m^2 N^3, so a stored pi off its pattern beyond tolerance fails."""
-    alg = dil.spec.algebra
-    n, pi = dil.rank, dil.pi_units
-    blocks = pi @ dil.j
-    scale = max(1.0, frob(dil.j) ** 2)
+def _certify_reconstruction(dil: KSGNSDilation, blocks, tol) -> Checks:
+    """Certify the reconstruction j^+ pi(E_k) j = S(E_k) from the blocks
+    pi(E_k) j, and minimality: the blocks span the dilation space.  pi needs
+    no certificate of its own: the T_k = E_ab (x) I_{r_i} are the matrix
+    units of +_i M_{n_i} (x) I_{r_i} by construction, so pi is a unital
+    *-representation exactly."""
+    n = dil.rank
     checks = Checks().require(
-        tol.recon_fro * scale,
+        tol.recon_fro * max(1.0, frob(dil.j) ** 2),
         "reconstruction failed",
         reconstruction=float(_norms(dil.j.conj().T @ blocks - dil.spec.values).max(initial=0.0)),
-        r_blocks=float(_norms(dil.r_blocks - blocks).max(initial=0.0)),
     )
-    if sum(b * r for b, r in zip(alg.blocks, dil.mult)) != n:
-        raise DilationResidualError("multiplicities do not fill the dilation space", checks)
-
-    worst_adj = max(frob(p.conj().T - pi[k]) for p, k in zip(pi, alg.adjoint_table()))
-    unital = frob(pi[np.equal(*alg.unit_positions)].sum(axis=0) - np.eye(n))
-    eps = _pattern_defect(dil)
-    prod = alg.unit_product_table()
-    bound = eps[:, None] + eps[None, :] + np.outer(eps, eps) + np.where(prod >= 0, eps[prod], 0.0)
-    checks.require(
-        tol.recon_fro * max(1.0, np.sqrt(max(n, 1))),
-        "algebra representation certification failed",
-        pi_multiplicative=float(bound.max()),
-        pi_adjoint=worst_adj,
-        pi_unital=unital,
-    )
-
-    # minimality: the blocks pi(unit) j span the dilation space
     if n and rank(blocks.transpose(1, 0, 2).reshape(n, -1), tol) != n:
         raise DilationResidualError("dilation is not minimal", checks)
     return checks
@@ -358,16 +350,14 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
     (i, a) of width r_i against the pattern T_k, k = (i, a, b), of pi: S T_k
     moves S's column cell (i, a) to (i, b), and the block-j rows of T(beta_g
     E_k) S are w[:, a] (x) (w[:, b]^+ S_j), w the (j, i) block of u(g).  Each
-    region is a norm of slices: no N^3 product, no difference of norms.  Off
-    the pattern (eps of :func:`_certify_pi`) the twist adds ||S||_2 (eps_k +
-    sum_c |coeff_c(beta_g E_k)| eps_c), the commutation 2 ||S_bar||_2 eps_k."""
+    region is a norm of slices: no N^3 product, no difference of norms."""
     spec = dil.spec
     alg, group = spec.algebra, spec.symmetry.group
     n, s = dil.rank, dil.sym.matrices
     limit = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)), frob(dil.j))
     worst_unit = float(_norms(s.conj().transpose(0, 2, 1) @ s - np.eye(n)).max())
     worst_j = float(_norms(dil.j @ spec.symmetry.rep.matrices - s @ dil.j).max())
-    eps, blocks, mult, at = _pattern_defect(dil), alg.blocks, dil.mult, alg.unit_positions[0]
+    blocks, mult, at = alg.blocks, dil.mult, alg.unit_positions[0]
     off, uoff, (cuts, cell, pair) = alg.offsets, alg.unit_offsets, _cells(alg, dil.mult)
     dim, blk = alg.defining_dim, np.repeat(np.arange(len(blocks)), blocks)  # cell -> its block
     worst_tw = 0.0
@@ -387,8 +377,7 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
             rhs = x[:, :, cuts[i]].reshape(ni, rj, ni, ri)[range(ni), :, range(ni)]
             both = (np.abs(lhs[:, None] - np.einsum("ca,blm->abclm", w, rhs)) ** 2).sum((2, 3, 4))
             res[uoff[i] : uoff[i + 1]] += (np.outer((np.abs(w) ** 2).sum(0), spill) + both).ravel()
-        extra = np.linalg.norm(sg, 2) * (eps + alg.transport(np.abs(ug), eps).real) if eps.any() else 0.0
-        worst_tw = max(worst_tw, float((np.sqrt(res) + extra).max()))
+        worst_tw = max(worst_tw, float(np.sqrt(res).max()))
     message = "covariant dilation certification failed"
     checks = Checks().require(tol.unitary_fro * max(1.0, np.sqrt(max(n, 1))), message, sym_unitary=worst_unit)
     checks.require(limit, message, sym_j=worst_j, sym_twist=worst_tw)
@@ -397,8 +386,7 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
         bar, cocycle = dil.sym_bar.matrices, dil.sym_bar.cocycle.values
         worst_comm = coc = 0.0
         for a in group.elements():
-            extra = 2.0 * np.linalg.norm(bar[a], 2) * eps if eps.any() else 0.0
-            worst_comm = max(worst_comm, float((_unit_commutators(bar[a], alg, mult, cuts, pair) + extra).max()))
+            worst_comm = max(worst_comm, float(_unit_commutators(bar[a], alg, mult, cuts, pair).max()))
             # sym_bar(a) sym_bar(b) - c(a, b) sym_bar(ab) for every b
             rows = bar[a] @ bar - cocycle[a][:, None, None] * bar[group.mul[a]]
             coc = max(coc, float(_norms(rows).max()))
@@ -407,112 +395,39 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
 
 
 class NotSingleBlockError(ValueError):
-    """The representation does not factor as the direct sum over the
-    algebra's blocks of b_i (x) I_{r_i}."""
-
-
-def _tensor_pattern(algebra, mult):
-    """Indices (unit, row, col) of the unit entries of every T_k."""
-    out, start = [], 0
-    for i, (n, r) in enumerate(zip(algebra.blocks, mult)):
-        a, b, lam = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), np.arange(r), indexing="ij"))
-        out.append((algebra.unit_offsets[i] + a * n + b, start + a * r + lam, start + b * r + lam))
-        start += n * r
-    return tuple(np.concatenate(part) for part in zip(*out))
-
-
-def factor_rep_tensor(
-    pi_units: np.ndarray, algebra: FiniteCStarAlgebra, tol: Tolerances = DEFAULT_TOL
-):
-    """Identify a unital representation of the algebra with the direct sum
-    over its blocks of b_i -> b_i (x) I_{r_i}: returns ``(r, V)`` with
-    ``r`` the tuple of multiplicities, V unitary and V^+ pi(E^i_ab) V =
-    E_ab (x) I_{r_i} in block i (blocks in order, zero elsewhere).  V_i =
-    [pi(E^i_00) C_i, ..., pi(E^i_{n-1,0}) C_i], C_i an orthonormal basis of
-    the range of pi(E^i_00)."""
-    pi_units = np.asarray(pi_units, dtype=np.complex128)
-    if pi_units.ndim != 3 or pi_units.shape[0] != algebra.n_units:
-        raise NotSingleBlockError("need the images of all matrix units")
-    big = pi_units.shape[1]
-    mult, cols = [], []
-    for i, n in enumerate(algebra.blocks):
-        first = algebra.unit_offsets[i]
-        p00 = pi_units[first]
-        w, vecs = np.linalg.eigh(0.5 * (p00 + p00.conj().T))
-        corner = vecs[:, w > 0.5]
-        r = corner.shape[1]
-        # pi(E^i_a0) C_i at columns a r .. (a + 1) r of V_i
-        cols.append((pi_units[first : first + n * n : n] @ corner).transpose(1, 0, 2).reshape(big, n * r))
-        mult.append(r)
-    if sum(n * r for n, r in zip(algebra.blocks, mult)) != big:
-        raise NotSingleBlockError("corner projection ranks do not fill the representation space")
-    v = np.hstack(cols)
-    if not is_unitary(v, tol):
-        raise NotSingleBlockError("assembled intertwiner is not unitary")
-    defect = v.conj().T @ (pi_units @ v)
-    defect[_tensor_pattern(algebra, mult)] -= 1.0
-    if _norms(defect).max(initial=0.0) > tol.recon_fro * max(1.0, np.sqrt(big)):
-        raise NotSingleBlockError("representation does not factor through the blocks")
-    return tuple(mult), v
+    """The operation needs a single full matrix block."""
 
 
 def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DEFAULT_TOL):
     """Kraus family A_l with S_b = sum_l A_l^+ b A_l, for a single-block
     algebra: the operators that the dilation of :func:`ksgns` stacks in j
     (row (a, l) of j is row a of A_l), so the count equals the rank of the
-    Choi matrix."""
+    Choi matrix.  The dilation must reconstruct ``spec`` and be minimal."""
     if len(spec.algebra.blocks) != 1:
         raise NotSingleBlockError("kraus extraction needs a single full block")
+    dilation = replace(dilation, spec=spec)
+    _certify_reconstruction(dilation, dilation.r_blocks, tol)
     n, nv = spec.algebra.blocks[0], spec.n_v
-    ops = dilation.j.reshape(n, dilation.rank // n, nv).transpose(1, 0, 2)
-    # sum_l A_l^+ E_ab A_l = sum_l conj(row a of A_l)^T (row b of A_l)
-    total = np.einsum("lav,lbw->abvw", ops.conj(), ops).reshape(n * n, nv, nv)
-    worst = float(_norms(total - spec.values).max())
-    if worst > tol.recon_fro * max(1.0, frob(dilation.j) ** 2):
-        raise DilationResidualError(f"kraus reconstruction residual {worst:.2e}")
-    return list(ops)
+    return list(dilation.j.reshape(n, dilation.rank // n, nv).transpose(1, 0, 2))
 
 
-def _layout_defect(dil: KSGNSDilation, tol) -> np.ndarray:
-    """eps_k of a dilation against the layout of :func:`ksgns`; raises
-    :class:`DilationResidualError` when the multiplicities do not fill the
-    space or some eps_k exceeds the tolerance of ``pi_multiplicative``."""
-    n = dil.rank
-    if sum(b * r for b, r in zip(dil.spec.algebra.blocks, dil.mult)) != n:
-        raise DilationResidualError("multiplicities do not fill the dilation space")
-    eps = _pattern_defect(dil)
-    Checks().require(
-        tol.recon_fro * max(1.0, np.sqrt(max(n, 1))),
-        "dilation is off the block layout",
-        pi_pattern=float(eps.max(initial=0.0)),
-    )
-    return eps
-
-
-def _certify_layout_commutant(dil: KSGNSDilation, basis, eps, tol):
+def _certify_layout_commutant(dil: KSGNSDilation, basis, tol):
     """Re-check a commutant basis on the layout of :func:`ksgns` against the
-    whole algebra and group: every pi unit as ||[D, T_k]|| + 2 ||D||_2 eps_k
-    by block moves, then every sym(g) and j^+ D j through
-    :func:`_certify_commutant`."""
+    whole algebra and group: every pi unit as ||[D, T_k]|| by block moves,
+    then every sym(g) and j^+ D j through :func:`_certify_commutant`."""
     if not basis:
         return
     alg, mult = dil.spec.algebra, dil.mult
     cuts, _, pair = _cells(alg, mult)
-    pattern = 0.0
-    for d in basis:
-        extra = 2.0 * np.linalg.norm(d, 2) * eps if eps.any() else 0.0
-        pattern = max(pattern, float((_unit_commutators(d, alg, mult, cuts, pair) + extra).max()))
+    pattern = max(float(_unit_commutators(d, alg, mult, cuts, pair).max()) for d in basis)
     full = dil.sym.matrices if dil.sym is not None else np.zeros((0, dil.rank, dil.rank))
     _certify_commutant(basis, full, [(dil.j[None], dil.j[None])], tol, pattern=pattern, scale=np.sqrt(max(mult)))
 
 
 def _cp_neighbours(spec: CPMapSpec, dil: KSGNSDilation, witness) -> tuple:
     """The maps b -> j^+ (I +- W) pi(b) j."""
-    jh = dil.j.conj().T
-    return tuple(
-        replace(spec, values=(jh @ (np.eye(dil.rank) + sign * witness)) @ dil.pi_units @ dil.j)
-        for sign in (+1.0, -1.0)
-    )
+    jh, blocks = dil.j.conj().T, dil.r_blocks
+    return tuple(replace(spec, values=(jh @ (np.eye(dil.rank) + sign * witness)) @ blocks) for sign in (+1.0, -1.0))
 
 
 def cp_extremal(
@@ -522,19 +437,28 @@ def cp_extremal(
     the algebra unit (Arveson's criterion).
 
     The map is extreme iff D = 0 is the only D that commutes with pi(A) and
-    the dilation symmetry and has j^+ D j = 0.  A dilation on the layout of
-    :func:`ksgns` has pi(A)' = +_i I_{n_i} (x) M_{r_i}, so the system has
+    the dilation symmetry and has j^+ D j = 0.  On the layout of a
+    :class:`KSGNSDilation`, pi(A)' = +_i I_{n_i} (x) M_{r_i}, so the system has
     sum_i r_i^2 unknowns and rows from the images of the group's generators
     only (:func:`~covkit.numlin.constrained_commutant` with the layout
-    (n_i, r_i) and the compression (j, j)); a passed-in dilation off that layout
-    raises :class:`DilationResidualError`.  The basis is re-checked against
-    every group element and every matrix unit, and the commuting-twist
-    generators must give the same freedom.  On non-extremality both
-    neighbours j^+ (I +- W) pi(.) j re-validate, keep the unit value and
-    average to the input.
+    (n_i, r_i) and the compression (j, j)).  A passed-in dilation must
+    reconstruct ``spec``, be minimal and, with a symmetry, pass the covariant
+    certificate of :func:`ksgns`, or :class:`DilationResidualError` is
+    raised.  The basis is re-checked against every group element and every
+    matrix unit, and the commuting-twist generators must give the same
+    freedom.  On non-extremality both neighbours j^+ (I +- W) pi(.) j
+    re-validate, keep the unit value and average to the input.
     """
     if dilation is None:
         dilation = ksgns(spec, tol)
+    else:
+        # a passed-in dilation is trusted only once it dilates this map, covariantly
+        dilation = replace(dilation, spec=spec)
+        _certify_reconstruction(dilation, dilation.r_blocks, tol)
+        if spec.symmetry is not None and dilation.rank:
+            if dilation.sym is None:
+                raise DilationResidualError("the dilation carries no group representation")
+            _certify_covariant(dilation, tol)
     if spec.symmetry is not None:
         group = spec.symmetry.group
         rep = spec.symmetry.rep
@@ -549,12 +473,11 @@ def cp_extremal(
 
     if dilation.rank == 0:
         return ExtremalityCertificate(True, None, None, 0)
-    eps = _layout_defect(dilation, tol)
-    group_gens = spec.symmetry.group.generators() if dilation.sym is not None else ()
+    group_gens = spec.symmetry.group.generators() if spec.symmetry is not None else ()
     layout = list(zip(spec.algebra.blocks, dilation.mult))
     compressions = [(dilation.j[None], dilation.j[None])]
     basis = constrained_commutant([dilation.sym(s) for s in group_gens], compressions, layout=layout, tol=tol)
-    _certify_layout_commutant(dilation, basis, eps, tol)
+    _certify_layout_commutant(dilation, basis, tol)
 
     if dilation.sym_bar is not None:
         bar_gens = [dilation.sym_bar(s) for s in group_gens]
@@ -635,7 +558,8 @@ def subminimal(
     nv = spec.n_v
 
     # columns pi(b) j over the unit basis of the left factor span C^N
-    a_cols = np.hstack([dilation.pi_units[k] @ dilation.j for k in range(left.n_units)])
+    blocks = dilation.r_blocks
+    a_cols = np.hstack(list(blocks))
     if rank(a_cols, tol) != n:
         raise DilationResidualError("first-marginal dilation is not minimal")
     pinv = np.linalg.pinv(a_cols)
@@ -658,17 +582,16 @@ def subminimal(
     worst = 0.0
     for kb, bunit in enumerate(left_units):
         for kc, cunit in enumerate(right.units()):
-            lhs = dilation.j.conj().T @ dilation.pi_units[kb] @ e_units[kc] @ dilation.j
+            # j^+ pi(E_kb) = (pi(E_kb^+) j)^+
+            lhs = blocks[left_adj[kb]].conj().T @ e_units[kc] @ dilation.j
             worst = max(worst, frob(lhs - spec.value_of(split.embed(bunit, cunit))))
     checks = Checks().require(tol.recon_fro * scale, "subminimal reconstruction failed", reconstruction=worst)
 
     # unital and commuting with pi
     one_coeffs = right.coefficients(right.one())
     e_one = np.tensordot(one_coeffs, e_units, axes=(0, 0))
-    pi_left = dilation.pi_units[: left.n_units]
-    worst = 0.0
-    for e in e_units:
-        worst = max(worst, float(np.linalg.norm(e @ pi_left - pi_left @ e, axis=(1, 2)).max()))
+    cuts, _, pair = _cells(left, dilation.mult)
+    worst = max(float(_unit_commutators(e, left, dilation.mult, cuts, pair).max()) for e in e_units)
     lim = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)))
     checks.require(
         lim, "subminimal map failed unitality/commutation", unital=frob(e_one - np.eye(n)), commutes=worst

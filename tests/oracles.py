@@ -14,6 +14,7 @@ checks in ``covkit.fingroup``, and the loop forms of the matrix-unit
 coordinates, tables and transport, of the all-pairs multiplicativity
 residual and of the dense twist and commutation residuals, as references for
 ``covkit.cstar`` and the dilation certificate in ``covkit.cpmaps``; the
+block factorization of a dense representation of the algebra; the
 grand kernel over the matrix units, as the reference for the Choi blocks;
 and the loop forms of the kernel and instrument covariance residuals, as
 references for ``covkit.kernels`` and ``covkit.instruments``; and the
@@ -35,7 +36,7 @@ import json
 
 import numpy as np
 
-from covkit.cpmaps import CPMapSpec, cp_extremal, cp_validate, kraus_from_choi, ksgns
+from covkit.cpmaps import CPMapSpec, NotSingleBlockError, cp_extremal, cp_validate, kraus_from_choi, ksgns
 from covkit.cstar import ModuleSpace
 from covkit.fingroup import GroupAction, TwoCocycle
 from covkit.instruments import (
@@ -593,6 +594,49 @@ def multiplicativity_loop(alg, pi_units):
         target = pi_units[kk] if kk is not None else np.zeros((n, n))
         worst = max(worst, frob(pi_units[k1] @ pi_units[k2] - target))
     return worst
+
+
+def factor_rep_tensor(pi_units, algebra, tol: Tolerances = DEFAULT_TOL):
+    """Identify a unital representation of the algebra, given densely by
+    the images of its matrix units, with the direct sum over its blocks of
+    b_i -> b_i (x) I_{r_i}: returns ``(r, V)`` with ``r`` the tuple of
+    multiplicities, V unitary and V^+ pi(E^i_ab) V = E_ab (x) I_{r_i} in
+    block i (blocks in order, zero elsewhere).  V_i = [pi(E^i_00) C_i, ...,
+    pi(E^i_{n-1,0}) C_i], C_i an orthonormal basis of the range of
+    pi(E^i_00).  Raises :class:`NotSingleBlockError` when it does not
+    factor so."""
+    pi_units = np.asarray(pi_units, dtype=np.complex128)
+    if pi_units.ndim != 3 or pi_units.shape[0] != algebra.n_units:
+        raise NotSingleBlockError("need the images of all matrix units")
+    big = pi_units.shape[1]
+    mult, cols, want = [], [], []
+    for i, n in enumerate(algebra.blocks):
+        first = algebra.unit_offsets[i]
+        p00 = pi_units[first]
+        w, vecs = np.linalg.eigh(0.5 * (p00 + p00.conj().T))
+        corner = vecs[:, w > 0.5]
+        r = corner.shape[1]
+        # pi(E^i_a0) C_i at columns a r .. (a + 1) r of V_i
+        cols.append((pi_units[first : first + n * n : n] @ corner).transpose(1, 0, 2).reshape(big, n * r))
+        mult.append(r)
+    if sum(n * r for n, r in zip(algebra.blocks, mult)) != big:
+        raise NotSingleBlockError("corner projection ranks do not fill the representation space")
+    v = np.hstack(cols)
+    if not is_unitary(v, tol):
+        raise NotSingleBlockError("assembled intertwiner is not unitary")
+    start = 0
+    for n, r in zip(algebra.blocks, mult):
+        here = slice(start, start + n * r)
+        for a in range(n):
+            for b in range(n):
+                target = np.zeros((big, big), dtype=np.complex128)
+                target[here, here] = np.kron(np.outer(np.eye(n)[a], np.eye(n)[b]), np.eye(r))
+                want.append(target)
+        start += n * r
+    defect = max(frob(v.conj().T @ p @ v - t) for p, t in zip(pi_units, want))
+    if defect > tol.recon_fro * max(1.0, np.sqrt(big)):
+        raise NotSingleBlockError("representation does not factor through the blocks")
+    return tuple(mult), v
 
 
 def twist_loop(dil):

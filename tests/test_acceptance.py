@@ -114,7 +114,7 @@ def test_criterion_3_ksgns_certification():
     rng = np.random.default_rng(103)
     blocks_cycle = [(2,), (3,), (2, 1)]
     groups_cycle = [GROUPS["Z2"], GROUPS["Z3"], GROUPS["S3"]]
-    keys = ("pi_multiplicative", "pi_adjoint", "reconstruction", "sym_twist", "sym_j")
+    keys = ("reconstruction", "sym_twist", "sym_j")
     worst = 0.0
     for i in range(50):
         spec = rand_covariant_cpmap(

@@ -261,6 +261,16 @@ def test_cli_validate_state(tmp_path, capsys):
     assert main(["validate", bad]) == 1
 
 
+def test_cli_validate_state_reports_the_positivity_residual(tmp_path, capsys):
+    good = write(tmp_path, "rho.json", state_doc(np.diag([0.25, 0.75]).astype(complex)))
+    assert main(["validate", good]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"]["positive"] == {"ok": True, "residual": 0.0}
+    bad = write(tmp_path, "bad.json", state_doc(np.diag([1.25, -0.25]).astype(complex)))
+    assert main(["validate", bad]) == 1
+    positive = json.loads(capsys.readouterr().out)["verdicts"]["positive"]
+    assert not positive["ok"] and positive["residual"] == pytest.approx(0.25, abs=1e-15)
+
+
 @pytest.mark.parametrize("command", ["validate", "sample"])
 def test_cli_state_trace_bound_is_tol_recon_fro(command, tmp_path, capsys):
     # trace 1 + 5e-8 is outside the default 1e-8 and inside 1e-6
@@ -504,13 +514,10 @@ def _instrument_doc():
     return specfile.document("instrument", specfile.instrument_out(phase_space(d, ops)))
 
 
-KSGNS_VERDICTS = {
-    "reconstruction", "r_blocks", "pi_multiplicative", "pi_adjoint", "pi_unital",
-    "sym_solve", "sym_unitary", "sym_j", "sym_twist",
-}
+KSGNS_VERDICTS = {"reconstruction", "sym_solve", "sym_unitary", "sym_j", "sym_twist"}
 VERDICT_NAMES = {
     ("validate", "kernel"): {"positive", "covariant", "alpha_cocycle"},
-    ("validate", "cpmap"): {"completely_positive", "covariant", "normal"},
+    ("validate", "cpmap"): {"completely_positive", "covariant"},
     ("validate", "observable"): {"effects_psd", "normalization", "covariance"},
     ("validate", "instrument"): {"outcomes_cp", "normalization", "covariance"},
     ("dilate", "kernel"): {"dilation_solve", "reconstruction", "unitarity", "cocycle", "intertwining"},

@@ -8,11 +8,8 @@ from covkit import cpmaps, specfile
 from covkit.cli import main
 from covkit.cpmaps import (
     CPMapSpec,
-    NotSingleBlockError,
-    _certify_pi,
     cp_extremal,
     cp_validate,
-    factor_rep_tensor,
     kraus_extract,
     kraus_from_choi,
     ksgns,
@@ -23,11 +20,10 @@ from covkit.cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from covkit.fingroup import FiniteGroup
 from covkit.instruments import as_cpmap, phase_space
 from covkit.kernels import DilationResidualError
-from covkit.numlin import DEFAULT_TOL
 from covkit.numlin import rank as num_rank
 from covkit.random import rand_covariant_cpmap, rand_unitary
 
-from oracles import multiplicativity_loop
+from oracles import factor_rep_tensor, multiplicativity_loop
 
 M2 = FiniteCStarAlgebra.full(2)
 
@@ -63,7 +59,9 @@ def depolarizing():
 
 def test_trace_form_is_cp():
     report = cp_validate(trace_form())
-    assert report["completely_positive"].ok and report.ok and report["normal"].ok
+    assert report["completely_positive"].ok and report.ok
+    # normality is automatic at finite dimension: no placeholder verdict
+    assert list(report) == ["completely_positive", "covariant"]
 
 
 def test_transpose_is_not_cp():
@@ -134,6 +132,16 @@ def test_kraus_extract_reads_the_choi_factors_off_j():
         assert all(np.array_equal(a, b) for a, b in zip(ops, want))
 
 
+def test_kraus_extract_checks_the_dilation_against_the_map():
+    # the dilation of the identity channel does not reconstruct the depolarizing map
+    spec, foreign = depolarizing(), ksgns(identity_channel())
+    before = dict(foreign.checks)
+    with pytest.raises(DilationResidualError, match="reconstruction"):
+        kraus_extract(spec, foreign)
+    assert foreign.checks == before  # the certifier fills a fresh certificate
+    assert len(kraus_extract(spec, ksgns(spec))) == 4
+
+
 def test_kraus_reproduces_on_random_elements():
     rng = np.random.default_rng(22)
     spec = depolarizing()
@@ -144,31 +152,6 @@ def test_kraus_reproduces_on_random_elements():
         direct = spec.value_of(b)
         via_kraus = sum(a.conj().T @ b @ a for a in ops)
         assert np.linalg.norm(direct - via_kraus) <= 1e-8 * max(1.0, np.linalg.norm(direct))
-
-
-def test_factor_rep_tensor_identity():
-    alg = FiniteCStarAlgebra.full(2)
-    pi_units = np.stack(list(alg.units()))
-    r, v = factor_rep_tensor(pi_units, alg)
-    assert r == (1,)
-    assert np.allclose(np.abs(v), np.eye(2), atol=1e-9)
-
-
-def test_factor_rep_tensor_doubled():
-    alg = FiniteCStarAlgebra.full(2)
-    pi_units = np.stack([np.kron(np.eye(2), u) for u in alg.units()])
-    # b -> I (x) b is equivalent to b (x) I with multiplicity 2
-    r, v = factor_rep_tensor(pi_units, alg)
-    assert r == (2,)
-    for u, p in zip(alg.units(), pi_units):
-        assert np.allclose(v.conj().T @ p @ v, np.kron(u, np.eye(2)), atol=1e-9)
-
-
-def test_factor_rep_tensor_rejects_bad_dim():
-    alg = FiniteCStarAlgebra.full(2)
-    pi_units = np.stack(list(alg.units()))  # acting on C^2
-    with pytest.raises(NotSingleBlockError):
-        factor_rep_tensor(pi_units, FiniteCStarAlgebra.full(3))
 
 
 def oracle_choi_extreme(spec):
@@ -229,8 +212,7 @@ def test_random_covariant_cpmaps_certify(blocks, group):
         assert report.ok, report
         dil = ksgns(spec)
         assert dil.checks["reconstruction"].residual <= 1e-8
-        assert dil.checks["pi_multiplicative"].residual <= 1e-8
-        assert dil.checks["pi_adjoint"].residual <= 1e-8
+        assert multiplicativity_loop(spec.algebra, dil.pi_units) == 0.0
         assert dil.checks["sym_twist"].residual <= 1e-8
         if dil.sym_bar is not None:
             assert dil.checks["bar_commutes"].residual <= 1e-8
@@ -326,23 +308,60 @@ def test_cp_extremal_rejects_a_dilation_off_the_block_layout():
     spec = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.symmetric(3), n_v=2)
     dil = ksgns(spec)
     assert cp_extremal(spec, dil).freedom >= 0
-    # a valid dilation in another basis: pi, j, sym and sym_bar turned by one unitary
+    # j, sym and sym_bar turned by one unitary: pi stays the pattern, so this
+    # is no longer a dilation of the map
     v = rand_unitary(rng, dil.rank)
     turned = replace(
         dil,
         j=v @ dil.j,
-        r_blocks=v @ dil.r_blocks,
-        pi_units=v @ dil.pi_units @ v.conj().T,
         sym=replace(dil.sym, matrices=v @ dil.sym.matrices @ v.conj().T),
         sym_bar=replace(dil.sym_bar, matrices=v @ dil.sym_bar.matrices @ v.conj().T),
     )
-    # still a dilation, off the layout: the pattern certificate of ksgns rejects it too
-    assert multiplicativity_loop(spec.algebra, turned.pi_units) < 1e-12
-    assert np.allclose(turned.j.conj().T @ turned.pi_units @ turned.j, spec.values, atol=1e-12)
-    with pytest.raises(DilationResidualError, match="pi_multiplicative"):
-        _certify_pi(turned, DEFAULT_TOL)
-    with pytest.raises(DilationResidualError, match="pi_pattern"):
+    with pytest.raises(DilationResidualError, match="reconstruction"):
         cp_extremal(spec, turned)
+    # multiplicities that do not fill the space cannot be built at all
+    with pytest.raises(DilationResidualError, match="multiplicities"):
+        replace(dil, mult=(dil.mult[0] + 1, dil.mult[1]))
+
+
+def _s3_maps():
+    """Two covariant S_3 maps on M_2 + M_1 with dilation multiplicities (3, 1)
+    and (2, 0)."""
+    rng = np.random.default_rng(2)
+    full = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.symmetric(3), n_v=2)
+    other = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.symmetric(3), n_v=2)
+    values = np.concatenate([other.values[:4], 0 * other.values[4:]])
+    return full, replace(other, values=values)
+
+
+def test_cp_extremal_checks_a_passed_in_dilation_against_the_map():
+    # the dilation of the extreme I/2 instrument passed with the two-projection one,
+    # whose own freedom is 3: the passed-in dilation does not reconstruct the map
+    spec, cert = _split_case()
+    ext = as_cpmap(phase_space(2, [0.5 * np.eye(2, dtype=complex)]))
+    assert cp_extremal(ext).extreme
+    with pytest.raises(DilationResidualError, match="reconstruction"):
+        cp_extremal(spec, ksgns(ext))
+    # the (3, 1) map, whose own freedom is 4, passed the dilation of the (2, 0) one
+    first, second = _s3_maps()
+    assert ksgns(first).mult == (3, 1) and ksgns(second).mult == (2, 0)
+    assert cp_extremal(first).freedom == 4
+    for spec, other in ((first, second), (second, first)):
+        with pytest.raises(DilationResidualError, match="reconstruction"):
+            cp_extremal(spec, ksgns(other))
+        assert cp_extremal(spec, ksgns(spec)).freedom == cp_extremal(spec).freedom
+
+
+def test_cp_extremal_checks_a_passed_in_dilation_symmetry():
+    # with sym(g) = I the commutant loses its group rows: freedom 9 where the map's is 5
+    spec = rand_covariant_cpmap(np.random.default_rng(1), (2, 1), FiniteGroup.symmetric(3), n_v=2)
+    dil = ksgns(spec)
+    assert dil.mult == (3, 2) and cp_extremal(spec, dil).freedom == 5
+    trivial = replace(dil.sym, matrices=np.broadcast_to(np.eye(dil.rank), dil.sym.matrices.shape).copy())
+    with pytest.raises(DilationResidualError, match="sym_j"):
+        cp_extremal(spec, replace(dil, sym=trivial, sym_bar=None))
+    with pytest.raises(DilationResidualError, match="no group representation"):
+        cp_extremal(spec, replace(dil, sym=None, sym_bar=None))
 
 
 def _split_case():

@@ -1,8 +1,9 @@
 """The KSGNS certificate: batched unit-index work against its loop forms, the
-Choi blocks against the grand kernel, the multiplicativity bound against the
-all-pairs products, the twist and commutation block moves against the dense
-loops, and the generalized block factorization."""
+Choi blocks against the grand kernel, the implicit pi against its dense
+stack, the type boundary of a dilation, the twist and commutation block moves
+against the dense loops, and the block factorization oracle."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,18 +11,17 @@ import pytest
 
 from covkit.cpmaps import (
     CPMapSpec,
+    KSGNSDilation,
     NotSingleBlockError,
     _certify_covariant,
-    _certify_pi,
     cp_validate,
-    factor_rep_tensor,
     ksgns,
 )
 from covkit.cstar import FiniteCStarAlgebra, ModuleSpace
 from covkit.fingroup import FiniteGroup
 from covkit.instruments import as_cpmap, phase_space
 from covkit.kernels import Check, Checks, DilationResidualError
-from covkit.numlin import DEFAULT_TOL, Tolerances, psd_status
+from covkit.numlin import DEFAULT_TOL, psd_status
 from covkit.numlin import rank as num_rank
 from covkit.random import rand_covariant_cpmap, rand_unitary
 
@@ -29,6 +29,7 @@ from oracles import (
     coefficients_loop,
     commutation_loop,
     element_loop,
+    factor_rep_tensor,
     multiplicativity_loop,
     transport_loop,
     twist_loop,
@@ -175,70 +176,70 @@ def test_ksgns_rank_is_the_choi_rank_and_pi_is_a_unit_pattern(spec):
     assert np.all((dil.pi_units == 0.0) | (dil.pi_units == 1.0))
 
 
-@pytest.mark.parametrize("spec", list(_cases()))
-def test_pi_multiplicative_bounds_the_all_pairs_residual(spec):
+def _zero_block_case():
+    """A map on M_2 + M_1 whose second block is zero: multiplicities (2, 0)."""
+    spec = rand_covariant_cpmap(np.random.default_rng(16), (2, 1), FiniteGroup.cyclic(4), n_v=2)
+    spec = replace(spec, values=np.concatenate([spec.values[:4], 0 * spec.values[4:]]))
+    assert ksgns(spec).mult == (2, 0)
+    return spec
+
+
+@pytest.mark.parametrize("spec", list(_cases()) + [_zero_block_case()])
+def test_pi_is_exactly_a_unital_star_representation(spec):
+    # the pattern T_k = E_ab (x) I_{r_i} is a representation by construction:
+    # the dense stack meets every identity with no roundoff at all
     dil = ksgns(spec)
-    bound = dil.checks["pi_multiplicative"].residual
-    brute = multiplicativity_loop(spec.algebra, dil.pi_units)
-    assert brute <= bound <= 1e-8 * max(1.0, np.sqrt(dil.rank))
+    alg, pi = spec.algebra, dil.pi_units
+    assert multiplicativity_loop(alg, pi) == 0.0
+    assert np.array_equal(pi.conj().transpose(0, 2, 1), pi[alg.adjoint_table()])
+    assert np.array_equal(dil.pi(alg.one()), np.eye(dil.rank))
 
 
-def _dilation():
-    rng = np.random.default_rng(5)
-    spec = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.cyclic(2), n_v=1)
+@pytest.mark.parametrize("spec", list(_cases()) + [_zero_block_case()])
+def test_implicit_pi_matches_the_dense_stack(spec):
     dil = ksgns(spec)
-    assert dil.rank > spec.n_v
-    return spec, dil
+    assert np.array_equal(dil.r_blocks, dil.pi_units @ dil.j)
+    rng = np.random.default_rng(18)
+    d = spec.algebra.defining_dim
+    b = spec.algebra.element(spec.algebra.coefficients(rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))))
+    assert np.array_equal(dil.pi(b), np.tensordot(spec.algebra.coefficients(b), dil.pi_units, axes=(-1, 0)))
 
 
-def test_perturbed_pi_unit_raises():
-    spec, dil = _dilation()
-    rng = np.random.default_rng(6)
-    for k in range(spec.algebra.n_units):
-        pi = dil.pi_units.copy()
-        x = rng.normal(size=pi.shape[1:]) + 1j * rng.normal(size=pi.shape[1:])
-        pi[k] += 1e-6 * x / np.linalg.norm(x)
-        with pytest.raises(DilationResidualError):
-            _certify_pi(replace(dil, pi_units=pi), DEFAULT_TOL)
-
-
-def test_r_blocks_are_checked_against_pi_and_j():
-    spec, dil = _dilation()
-    rng = np.random.default_rng(12)
-    noise = rng.normal(size=dil.r_blocks.shape) + 1j * rng.normal(size=dil.r_blocks.shape)
-    assert _certify_pi(dil, DEFAULT_TOL)["r_blocks"].residual < 1e-12
-    with pytest.raises(DilationResidualError, match="r_blocks") as exc:
-        _certify_pi(replace(dil, r_blocks=noise), DEFAULT_TOL)
-    assert exc.value.checks["reconstruction"].residual < 1e-12
-    # minimality is decided on pi(E_k) j, not on the stored blocks: zero
-    # blocks under a bound loose enough to pass them still give a minimal dilation
-    checks = _certify_pi(replace(dil, r_blocks=np.zeros_like(noise)), Tolerances(recon_fro=1e3))
-    assert checks["r_blocks"].residual > 0.1 and checks.ok
-
-
-def test_certificate_catches_a_perturbation_only_multiplicativity_sees():
-    # change pi(E_01) and pi(E_10) by X and X^+ with j^+ X j = 0: the
-    # reconstruction, adjoint and unital residuals stay at roundoff
-    spec, dil = _dilation()
-    rng = np.random.default_rng(7)
+def test_a_dilation_off_the_layout_cannot_be_built():
+    spec = rand_covariant_cpmap(np.random.default_rng(5), (2, 1), FiniteGroup.cyclic(2), n_v=1)
+    dil = ksgns(spec)
     n = dil.rank
-    q, _ = np.linalg.qr(dil.j)
-    away = np.eye(n) - q @ q.conj().T
-    x = away @ (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) @ away
-    x *= 1e-6 / np.linalg.norm(x)
-    index = spec.algebra.unit_index().tolist()
-    k01, k10 = index.index([0, 0, 1]), index.index([0, 1, 0])
-    pi = dil.pi_units.copy()
-    pi[k01] += x
-    pi[k10] += x.conj().T
-    before = dict(dil.checks)
-    with pytest.raises(DilationResidualError, match="certification failed") as exc:
-        _certify_pi(replace(dil, pi_units=pi), DEFAULT_TOL)
-    assert dil.checks == before  # the certifier fills a fresh certificate
-    res = exc.value.checks
-    assert res["reconstruction"].residual < 1e-12 and res["pi_adjoint"].residual < 1e-12 and res["pi_unital"].residual < 1e-12
-    brute = multiplicativity_loop(spec.algebra, pi)
-    assert 1e-7 < brute <= res["pi_multiplicative"].residual
+    assert KSGNSDilation(spec, n, dil.mult, dil.j, None, None).r_blocks.shape == (spec.algebra.n_units, n, 1)
+    # sum_i n_i r_i must be the rank
+    with pytest.raises(DilationResidualError, match="multiplicities"):
+        KSGNSDilation(spec, n, (dil.mult[0], dil.mult[1] + 1), dil.j, None, None)
+    with pytest.raises(DilationResidualError, match="multiplicities"):
+        KSGNSDilation(spec, n + 1, dil.mult, np.vstack([dil.j, dil.j[:1]]), None, None)
+    # and j must have one row per dilation index
+    for rows in (n - 1, n + 1):
+        with pytest.raises(DilationResidualError, match="or j do not fill"):
+            KSGNSDilation(spec, n, dil.mult, np.resize(dil.j, (rows, 1)), None, None)
+        with pytest.raises(DilationResidualError, match="or j do not fill"):
+            replace(dil, j=np.resize(dil.j, (rows, 1)))
+
+
+def test_ksgns_never_allocates_a_dense_pi_stack():
+    # the d = 4 rank-2 phase-space instrument: N = 128 over 256 matrix units, so one
+    # dense (m, N, N) complex stack is 64 MiB; the whole dilation stays well below it
+    rng = np.random.default_rng(20)
+    ops = [rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2)]
+    norm = 4 * sum(np.vdot(b, b).real for b in ops)
+    spec = as_cpmap(phase_space(4, [b / np.sqrt(norm) for b in ops]))
+    stack = spec.algebra.n_units * 128 * 128 * 16
+    assert stack == 64 * 2**20
+    tracemalloc.start()
+    try:
+        dil = ksgns(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dil.rank == 128 and dil.checks.ok
+    assert peak < stack
 
 
 @pytest.mark.parametrize("order", [None, (2, 0, 1), (1, 2, 0)])
@@ -268,6 +269,31 @@ def test_factor_rep_tensor_zero_multiplicity_and_rejections():
     # images of the wrong algebra
     with pytest.raises(NotSingleBlockError):
         factor_rep_tensor(pi, FiniteCStarAlgebra((2, 2)))
+
+
+def test_factor_rep_tensor_identity():
+    alg = FiniteCStarAlgebra.full(2)
+    pi_units = np.stack(list(alg.units()))
+    r, v = factor_rep_tensor(pi_units, alg)
+    assert r == (1,)
+    assert np.allclose(np.abs(v), np.eye(2), atol=1e-9)
+
+
+def test_factor_rep_tensor_doubled():
+    alg = FiniteCStarAlgebra.full(2)
+    pi_units = np.stack([np.kron(np.eye(2), u) for u in alg.units()])
+    # b -> I (x) b is equivalent to b (x) I with multiplicity 2
+    r, v = factor_rep_tensor(pi_units, alg)
+    assert r == (2,)
+    for u, p in zip(alg.units(), pi_units):
+        assert np.allclose(v.conj().T @ p @ v, np.kron(u, np.eye(2)), atol=1e-9)
+
+
+def test_factor_rep_tensor_rejects_bad_dim():
+    alg = FiniteCStarAlgebra.full(2)
+    pi_units = np.stack(list(alg.units()))  # acting on C^2
+    with pytest.raises(NotSingleBlockError):
+        factor_rep_tensor(pi_units, FiniteCStarAlgebra.full(3))
 
 
 def test_block_factorization_of_a_multi_block_dilation():
@@ -356,24 +382,6 @@ def test_twist_and_commutation_block_moves_match_the_dense_loops(spec, mult, bar
             _certify_covariant(broken, DEFAULT_TOL)
         got, want = exc.value.checks["bar_commutes"].residual, commutation_loop(broken)
         assert want > 1e-5 and abs(got - want) <= 1e-12
-
-
-@pytest.mark.parametrize("spec, mult, bar", list(_symmetric_cases()))
-def test_off_pattern_pi_fails_and_the_twist_bounds_cover_the_dense_residuals(spec, mult, bar):
-    dil = ksgns(spec)
-    rng = np.random.default_rng(17)
-    pi = dil.pi_units.copy()
-    k = int(rng.integers(len(pi)))
-    x = rng.normal(size=pi.shape[1:]) + 1j * rng.normal(size=pi.shape[1:])
-    pi[k] += 1e-6 * x / np.linalg.norm(x)
-    broken = replace(dil, pi_units=pi)
-    with pytest.raises(DilationResidualError):
-        _certify_pi(broken, DEFAULT_TOL)
-    checks = _certify_covariant(broken, Tolerances(recon_fro=1.0))
-    want = twist_loop(broken)
-    assert want > 1e-7 and want <= checks["sym_twist"].residual
-    if dil.sym_bar is not None:
-        assert commutation_loop(broken) <= checks["bar_commutes"].residual
 
 
 def test_checks_require_records_every_residual_then_raises():

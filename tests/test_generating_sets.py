@@ -311,19 +311,18 @@ def test_block_commutant_recheck_covers_every_pi_unit():
     values = np.concatenate([np.einsum("lav,lbw->abvw", a.conj(), a).reshape(-1, 2, 2) for a in ops])
     dil = ksgns(CPMapSpec(alg, ModuleSpace(k=1, n_v=2), values))
     assert dil.sym is None and dil.mult == (2, 2)
-    eps = np.zeros(alg.n_units)
     basis = constrained_commutant([], [(dil.j[None], dil.j[None])], layout=list(zip(alg.blocks, dil.mult)))
     assert len(basis) == 2 * 2 * 2 - 4
-    cpmaps._certify_layout_commutant(dil, basis, eps, Tolerances())
+    cpmaps._certify_layout_commutant(dil, basis, Tolerances())
     # a direction off pi(A)' that still has j^+ D j = 0
     q, _ = np.linalg.qr(dil.j)
     away = np.eye(dil.rank) - q @ q.conj().T
     off = away @ (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))) @ away
     with pytest.raises(DilationResidualError, match="commutant"):
-        cpmaps._certify_layout_commutant(dil, [off / np.linalg.norm(off)], eps, Tolerances())
+        cpmaps._certify_layout_commutant(dil, [off / np.linalg.norm(off)], Tolerances())
     # an element of pi(A)' that j does not compress to zero
     with pytest.raises(DilationResidualError, match="compression"):
-        cpmaps._certify_layout_commutant(dil, [np.eye(dil.rank) / np.sqrt(dil.rank)], eps, Tolerances())
+        cpmaps._certify_layout_commutant(dil, [np.eye(dil.rank) / np.sqrt(dil.rank)], Tolerances())
 
 
 def test_hermitian_witness_threshold_follows_recon_fro():

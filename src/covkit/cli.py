@@ -165,7 +165,7 @@ def cmd_dilate(args) -> int:
             rank=dil.rank,
             j=specfile.matrix_out(dil.j),
             pi_units=[specfile.matrix_out(p) for p in dil.pi_units],
-            sym=None if dil.sym is None else [specfile.matrix_out(dil.sym(g)) for g in dil.sym.group.elements()],
+            sym=None if dil.mult_rep is None else [specfile.matrix_out(dil.sym(g)) for g in obj.symmetry.group.elements()],
         )
     elif kind == "observable":
         naim = naimark(obj, tol)

@@ -5,7 +5,8 @@ marginals over a tensor split, and subminimal dilations.
 A map is stored by its form matrices on the matrix-unit basis of the
 algebra and extended linearly.  Complete positivity is positivity of the
 Choi matrix of every block (Choi's criterion), and the factorizations of
-those matrices give the Kraus family and the minimal dilation.
+those matrices give the Kraus family and the minimal dilation, whose symmetry
+u(g) (*) W(g) needs only a unitary W_{g,i} on each block's multiplicities.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .numlin import (
     offsets,
     psd_factor,
     psd_status,
-    rank,
+    unitary_moves,
 )
 
 
@@ -189,24 +190,27 @@ class KSGNSDilation:
     ``mult[i]``, and pi(E^i_ab) = E_ab (x) I_{r_i} on it: every unital
     representation of the algebra has this form up to unitary equivalence,
     so pi is a function of the algebra and ``mult`` (:func:`_tensor_pattern`)
-    and is never stored.  ``sym`` intertwines the module representation into
-    the dilation, ``sym_bar`` is its commuting twist pi(u_g^+) sym(g) when
-    every u_g lies in the algebra.  A dilation whose multiplicities or ``j``
-    do not fill the space cannot be built.
+    and is never stored.  Nor is the symmetry: sym(g) = u(g) (*) W(g) moves
+    block i to block sigma_g(i) as w_{g,i} (x) W_{g,i}, w_{g,i} the (sigma_g(i),
+    i) block of u(g), so the twist sym(g) pi(b) = pi(beta_g(b)) sym(g) holds
+    by construction; only the multiplicity unitaries W_{g,i} are stored.  A
+    dilation off this layout cannot be built.
     """
 
     spec: CPMapSpec
     rank: int
     mult: tuple  # (r_i), so N = sum_i n_i r_i
     j: np.ndarray  # (N, n_V)
-    sym: MultiplierRep | None
-    sym_bar: MultiplierRep | None
+    mult_rep: tuple | None = None  # per block i, the (|G|, r_i, r_i) stack of W_{g,i}
     checks: Checks = field(default_factory=Checks)
 
     def __post_init__(self):
         filled = sum(b * r for b, r in zip(self.spec.algebra.blocks, self.mult))
         if filled != self.rank or np.shape(self.j) != (self.rank, self.spec.n_v):
             raise DilationResidualError("multiplicities or j do not fill the dilation space")
+        order = self.spec.symmetry.group.order if self.spec.symmetry else -1
+        if self.mult_rep is not None and [np.shape(w) for w in self.mult_rep] != [(order, r, r) for r in self.mult]:
+            raise DilationResidualError("multiplicity unitaries do not match the multiplicities")
 
     def pi(self, bmat) -> np.ndarray:
         """pi of an algebra element or a stack of them: the coefficients
@@ -233,6 +237,37 @@ class KSGNSDilation:
         out[_tensor_pattern(self.spec.algebra, self.mult)] = 1.0
         return out
 
+    @property
+    def has_bar(self) -> bool:
+        """Whether :meth:`sym_bar` is defined: a symmetry whose every sigma_g is the identity."""
+        sigma = None if self.mult_rep is None else self.spec.algebra.block_action(self.spec.symmetry.u.matrices)[0]
+        return sigma is not None and bool(np.all(sigma == np.arange(len(self.mult))))
+
+    def sym(self, g) -> np.ndarray:
+        """The dense sym(g) = u(g) (*) W(g), built on request."""
+        return self._spread(g, *self.spec.algebra.block_action(self.spec.symmetry.u(g)))
+
+    def sym_bar(self, g) -> np.ndarray:
+        """The dense commuting twist pi(u(g)^+) sym(g) = I (*) W(g), with
+        cocycle conj(c_u) c_rep, built on request."""
+        return self._spread(g, range(len(self.mult)), [np.eye(n) for n in self.spec.algebra.blocks])
+
+    def _spread(self, g, sigma, w) -> np.ndarray:
+        """The N x N matrix whose block (sigma(i), i) is w_i (x) W_{g,i}."""
+        start = offsets([n * r for n, r in zip(self.spec.algebra.blocks, self.mult)])
+        out = np.zeros((self.rank, self.rank), dtype=np.complex128)
+        for i, (to, wi, ws) in enumerate(zip(sigma, w, self.mult_rep)):
+            out[start[to] : start[to + 1], start[i] : start[i + 1]] = np.kron(wi, ws[g])
+        return out
+
+
+def _kraus_blocks(dil: KSGNSDilation) -> list[np.ndarray]:
+    """The Kraus operators A^i_l of every block i, an (r_i, n_i, n_V) stack
+    read off j: row (i, a, l) of j is row a of A^i_l."""
+    blocks, nv = dil.spec.algebra.blocks, dil.spec.n_v
+    start = offsets([n * r for n, r in zip(blocks, dil.mult)])
+    return [dil.j[a:b].reshape(n, r, nv).transpose(1, 0, 2) for a, b, n, r in zip(start, start[1:], blocks, dil.mult)]
+
 
 def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     """Minimal covariant dilation of a valid covariant CP map.
@@ -241,58 +276,24 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     (n_i x n_V), so S(b) = sum_{i,l} A^i_l^+ b_i A^i_l.  On the dilation
     space, the direct sum of C^{n_i} (x) C^{r_i}, row (i, a, l) of j is row a
     of A^i_l and pi(E^i_ab) = E_ab (x) I_{r_i} exactly, so the rank is
-    N = sum_i n_i r_i.  The dilation blocks r(E_k) = pi(E_k) j stack into F
-    of full row rank N, and the group representation solves sym(g) F =
-    target through one pseudo-inverse of F.  Every defining identity is then
+    N = sum_i n_i r_i.  With a symmetry, sym(g) = u(g) (*) W(g), and the
+    multiplicity unitaries W_{g,i} come from one solve per block
+    (:func:`_certify_covariant`).  What does not hold by construction is
     certified against the tolerances.
     """
     report = cp_validate(spec, tol)
     if not report.ok:
         raise ValueError(f"cp map invalid: {', '.join(report.failed())}")
     alg, nv = spec.algebra, spec.n_v
-    m = alg.n_units
-    rows, mult = [], []
-    for n, choi in zip(alg.blocks, spec.choi_blocks()):
-        ops = np.reshape(kraus_from_choi(choi, n, nv, tol), (-1, n, nv))
-        rows.append(ops.transpose(1, 0, 2).reshape(-1, nv))
-        mult.append(len(ops))
-    j = np.concatenate(rows).astype(np.complex128)
-    n_dil = len(j)
-    dil = KSGNSDilation(spec, n_dil, tuple(mult), j, None, None)
-    r_blocks = dil.r_blocks
-    checks = _certify_reconstruction(dil, r_blocks, tol)
-
-    sym = sym_bar = None
-    if spec.symmetry is not None and n_dil:
-        f = r_blocks.transpose(1, 0, 2).reshape(n_dil, m * nv)
-        pinv = np.linalg.pinv(f)
-        scale = max(1.0, frob(f))
-        group, u, rep = spec.symmetry.group, spec.symmetry.u, spec.symmetry.rep
-        mats = np.zeros((group.order, n_dil, n_dil), dtype=np.complex128)
-        worst = 0.0
-        for g in group.elements():
-            # the target r(beta_g(E_k)) rep(g) for every unit k, as one block row
-            moved = alg.transport(u(g), r_blocks) @ rep(g)
-            targets = moved.transpose(1, 0, 2).reshape(n_dil, m * nv)
-            mats[g] = targets @ pinv
-            worst = max(worst, frob(mats[g] @ f - targets))
-        checks.require(tol.recon_fro * scale, "dilation representation solve failed", sym_solve=worst)
-        sym = MultiplierRep(group, rep.cocycle, mats)
-        sym_bar = _build_bar(dil, sym, tol)
-        dil = replace(dil, sym=sym, sym_bar=sym_bar)
-        checks.update(_certify_covariant(dil, tol))
+    kraus = [np.reshape(kraus_from_choi(c, n, nv, tol), (-1, n, nv)) for n, c in zip(alg.blocks, spec.choi_blocks())]
+    j = np.concatenate([a.transpose(1, 0, 2).reshape(-1, nv) for a in kraus]).astype(np.complex128)
+    dil = KSGNSDilation(spec, len(j), tuple(len(a) for a in kraus), j)
+    checks = _certify_reconstruction(dil, tol)
+    if spec.symmetry is not None and dil.rank:
+        mult_rep, covariant = _certify_covariant(dil, tol)
+        dil = replace(dil, mult_rep=mult_rep)
+        checks.update(covariant)
     return replace(dil, checks=checks)
-
-
-def _build_bar(dil, sym, tol):
-    """sym_bar(g) = pi(u_g^+) sym(g) when u_g lies in the algebra."""
-    spec = dil.spec
-    u = spec.symmetry.u.matrices
-    if not spec.algebra.contains(u, tol):
-        return None
-    mats = dil.pi(u.conj().transpose(0, 2, 1)) @ sym.matrices
-    cocycle = spec.symmetry.u.cocycle.conj().multiply(spec.symmetry.rep.cocycle)
-    return MultiplierRep(spec.symmetry.group, cocycle, mats)
 
 
 def _norms(stack) -> np.ndarray:
@@ -303,31 +304,34 @@ def _norms(stack) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
 
-def _certify_reconstruction(dil: KSGNSDilation, blocks, tol) -> Checks:
-    """Certify the reconstruction j^+ pi(E_k) j = S(E_k) from the blocks
-    pi(E_k) j, and minimality: the blocks span the dilation space.  pi needs
-    no certificate of its own: the T_k = E_ab (x) I_{r_i} are the matrix
-    units of +_i M_{n_i} (x) I_{r_i} by construction, so pi is a unital
-    *-representation exactly."""
-    n = dil.rank
+def _certify_reconstruction(dil: KSGNSDilation, tol) -> Checks:
+    """Certify the reconstruction j^+ pi(E^i_ab) j = sum_l A^i_l[a]^+ A^i_l[b]
+    = S(E^i_ab), and minimality: the stack F of the blocks pi(E_k) j, which
+    is +_i I_{n_i} (x) A^i up to order with A^i[l, (b, v)] = A^i_l[b, v],
+    has full rank iff every A^i does at the cutoff of
+    :func:`~covkit.numlin.rank` over F, so F is never formed.  pi is a unital
+    *-representation exactly, by construction."""
+    kraus, nv, blocks = _kraus_blocks(dil), dil.spec.n_v, dil.spec.algebra.blocks
+    values = np.concatenate([np.einsum("lav,lbw->abvw", a.conj(), a).reshape(-1, nv, nv) for a in kraus])
     checks = Checks().require(
         tol.recon_fro * max(1.0, frob(dil.j) ** 2),
         "reconstruction failed",
-        reconstruction=float(_norms(dil.j.conj().T @ blocks - dil.spec.values).max(initial=0.0)),
+        reconstruction=float(_norms(values - dil.spec.values).max(initial=0.0)),
     )
-    if n and rank(blocks.transpose(1, 0, 2).reshape(n, -1), tol) != n:
+    sv = [np.linalg.svd(a.reshape(r, n * nv), compute_uv=False) for a, n, r in zip(kraus, blocks, dil.mult)]
+    cut = tol.rank_rel * max([1.0] + [s[0] for s in sv if s.size])
+    if any(np.sum(s > cut) != r for s, r in zip(sv, dil.mult)):
         raise DilationResidualError("dilation is not minimal", checks)
     return checks
 
 
 def _cells(alg, mult):
-    """The layout of :func:`ksgns` in cells of width r_i: the rows of every
-    block, the cell (i, a) of every dilation index, numbered as on the
-    defining space, and the bin of every entry's (row cell, column cell)."""
+    """The layout of :func:`ksgns` in cells (i, a) of width r_i, numbered as
+    on the defining space: the rows of every block, and the bin of every
+    entry's (row cell, column cell)."""
     start = offsets([b * r for b, r in zip(alg.blocks, mult)])
     cell = np.repeat(np.arange(alg.defining_dim), np.repeat(mult, alg.blocks))
-    pair = (cell[:, None] * alg.defining_dim + cell).ravel()
-    return [slice(a, b) for a, b in zip(start[:-1], start[1:])], cell, pair
+    return [slice(a, b) for a, b in zip(start[:-1], start[1:])], (cell[:, None] * alg.defining_dim + cell).ravel()
 
 
 def _unit_commutators(mat, alg, mult, cuts, pair) -> np.ndarray:
@@ -343,55 +347,38 @@ def _unit_commutators(mat, alg, mult, cuts, pair) -> np.ndarray:
     return np.sqrt(res)
 
 
-def _certify_covariant(dil: KSGNSDilation, tol) -> Checks:
-    """Unitarity, intertwining and twist of the dilation representation, and
-    the commuting twist's commutation and cocycle, one group element at a
-    time.  Twist and commutation are block moves of S = sym(g) over cells
-    (i, a) of width r_i against the pattern T_k, k = (i, a, b), of pi: S T_k
-    moves S's column cell (i, a) to (i, b), and the block-j rows of T(beta_g
-    E_k) S are w[:, a] (x) (w[:, b]^+ S_j), w the (j, i) block of u(g).  Each
-    region is a norm of slices: no N^3 product, no difference of norms."""
-    spec = dil.spec
-    alg, group = spec.algebra, spec.symmetry.group
-    n, s = dil.rank, dil.sym.matrices
-    limit = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)), frob(dil.j))
-    worst_unit = float(_norms(s.conj().transpose(0, 2, 1) @ s - np.eye(n)).max())
-    worst_j = float(_norms(dil.j @ spec.symmetry.rep.matrices - s @ dil.j).max())
-    blocks, mult, at = alg.blocks, dil.mult, alg.unit_positions[0]
-    off, uoff, (cuts, cell, pair) = alg.offsets, alg.unit_offsets, _cells(alg, dil.mult)
-    dim, blk = alg.defining_dim, np.repeat(np.arange(len(blocks)), blocks)  # cell -> its block
-    worst_tw = 0.0
-    for g in group.elements():
-        ug, sg = spec.symmetry.u(g), s[g]
-        near = np.add.reduceat(np.add.reduceat(np.abs(ug), off[:-1], axis=0), off[:-1], axis=1) != 0
-        # S T_k alone in the row blocks j that u(g) does not reach from block i
-        mass = np.add.reduceat(np.bincount(pair, np.abs(sg).ravel() ** 2, dim**2).reshape(dim, -1), off[:-1])
-        res = np.where(near[:, blk], 0.0, mass).sum(0)[at]
-        for j, i in zip(*np.nonzero(near)):
-            (nj, rj), (ni, ri) = (blocks[j], mult[j]), (blocks[i], mult[i])
-            w, sj = ug[off[j] : off[j + 1], off[i] : off[i + 1]], sg[cuts[j]]
-            x = (w.conj().T @ sj.reshape(nj, rj * n)).reshape(ni, rj, n)  # x[b] = w[:, b]^+ S_j
-            # T(beta_g E_k) S alone off the column cell (i, b); on it, against S_j at cell (i, a)
-            spill = ((np.abs(x) ** 2).sum(1) * (cell != off[i] + np.arange(ni)[:, None])).sum(1)
-            lhs = sj[:, cuts[i]].reshape(nj, rj, ni, ri).transpose(2, 0, 1, 3)
-            rhs = x[:, :, cuts[i]].reshape(ni, rj, ni, ri)[range(ni), :, range(ni)]
-            both = (np.abs(lhs[:, None] - np.einsum("ca,blm->abclm", w, rhs)) ** 2).sum((2, 3, 4))
-            res[uoff[i] : uoff[i + 1]] += (np.outer((np.abs(w) ** 2).sum(0), spill) + both).ravel()
-        worst_tw = max(worst_tw, float(np.sqrt(res).max()))
+def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
+    """The multiplicity unitaries W_{g,i}, solved from (I (x) W_{g,i}) j_i =
+    (w_{g,i}^+ (x) I) j_{sigma_g(i)} rep(g) on the independent A^i_l (one
+    :func:`~covkit.numlin.unitary_moves` per block, stacked over the group)
+    or the dilation's own re-checked, and their certificate: ``sym_unitary``
+    from the blocks (w^+ w) (x) (W^+ W) of sym(g)^+ sym(g), so a non-unitary
+    u is caught too; ``sym_j``, the solve residual ||sym(g) j - j rep(g)||_F;
+    with a commuting twist, ``bar_cocycle`` of W over all pairs at once."""
+    spec, group, rep, n = dil.spec, dil.spec.symmetry.group, dil.spec.symmetry.rep, dil.rank
+    sigma, w = spec.algebra.block_action(spec.symmetry.u.matrices)
+    if np.any(np.asarray(dil.mult)[sigma] != dil.mult):
+        raise DilationResidualError("u(g) moves a block onto one of another multiplicity")
+    kraus, mult_rep, unit, moved = _kraus_blocks(dil), [], 0.0, 0.0
+    for i, a in enumerate(kraus):
+        ri, ni, nv = a.shape
+        target = np.stack([kraus[k] for k in sigma[:, i]]) @ rep.matrices[:, None]
+        target = np.einsum("gba,glbv->glav", w[i].conj(), target).reshape(group.order, ri, ni * nv)
+        given = None if dil.mult_rep is None else dil.mult_rep[i]
+        ws, _, res = unitary_moves(a.reshape(ri, ni * nv), target, tol, given)
+        grams = [x.conj().transpose(0, 2, 1) @ x for x in (w[i], ws)]
+        gram = np.einsum("gab,glm->galbm", *grams).reshape(group.order, ni * ri, ni * ri)
+        unit, moved = unit + _norms(gram - np.eye(ni * ri)) ** 2, moved + res**2
+        mult_rep.append(ws)
     message = "covariant dilation certification failed"
-    checks = Checks().require(tol.unitary_fro * max(1.0, np.sqrt(max(n, 1))), message, sym_unitary=worst_unit)
-    checks.require(limit, message, sym_j=worst_j, sym_twist=worst_tw)
-
-    if dil.sym_bar is not None:
-        bar, cocycle = dil.sym_bar.matrices, dil.sym_bar.cocycle.values
-        worst_comm = coc = 0.0
-        for a in group.elements():
-            worst_comm = max(worst_comm, float(_unit_commutators(bar[a], alg, mult, cuts, pair).max()))
-            # sym_bar(a) sym_bar(b) - c(a, b) sym_bar(ab) for every b
-            rows = bar[a] @ bar - cocycle[a][:, None, None] * bar[group.mul[a]]
-            coc = max(coc, float(_norms(rows).max()))
-        checks.require(limit, "commuting twist certification failed", bar_commutes=worst_comm, bar_cocycle=coc)
-    return checks
+    checks = Checks().require(tol.unitary_fro * max(1.0, np.sqrt(n)), message, sym_unitary=np.sqrt(unit).max())
+    residuals = {"sym_j": np.sqrt(moved).max()}
+    if np.all(sigma == np.arange(len(kraus))):
+        c = (spec.symmetry.u.cocycle.values.conj() * rep.cocycle.values)[..., None, None]
+        pairs = [n * _norms(ws[:, None] @ ws - c * ws[group.mul]) ** 2 for n, ws in zip(spec.algebra.blocks, mult_rep)]
+        residuals["bar_cocycle"] = np.sqrt(sum(pairs)).max()
+    checks.require(tol.recon_fro * max(1.0, np.sqrt(n), frob(dil.j)), message, **residuals)
+    return tuple(mult_rep), checks
 
 
 class NotSingleBlockError(ValueError):
@@ -406,9 +393,8 @@ def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DE
     if len(spec.algebra.blocks) != 1:
         raise NotSingleBlockError("kraus extraction needs a single full block")
     dilation = replace(dilation, spec=spec)
-    _certify_reconstruction(dilation, dilation.r_blocks, tol)
-    n, nv = spec.algebra.blocks[0], spec.n_v
-    return list(dilation.j.reshape(n, dilation.rank // n, nv).transpose(1, 0, 2))
+    _certify_reconstruction(dilation, tol)
+    return list(_kraus_blocks(dilation)[0])
 
 
 def _certify_layout_commutant(dil: KSGNSDilation, basis, tol):
@@ -418,9 +404,10 @@ def _certify_layout_commutant(dil: KSGNSDilation, basis, tol):
     if not basis:
         return
     alg, mult = dil.spec.algebra, dil.mult
-    cuts, _, pair = _cells(alg, mult)
+    cuts, pair = _cells(alg, mult)
     pattern = max(float(_unit_commutators(d, alg, mult, cuts, pair).max()) for d in basis)
-    full = dil.sym.matrices if dil.sym is not None else np.zeros((0, dil.rank, dil.rank))
+    elements = () if dil.mult_rep is None else dil.spec.symmetry.group.elements()
+    full = np.reshape([dil.sym(g) for g in elements], (-1, dil.rank, dil.rank))
     _certify_commutant(basis, full, [(dil.j[None], dil.j[None])], tol, pattern=pattern, scale=np.sqrt(max(mult)))
 
 
@@ -454,22 +441,15 @@ def cp_extremal(
     else:
         # a passed-in dilation is trusted only once it dilates this map, covariantly
         dilation = replace(dilation, spec=spec)
-        _certify_reconstruction(dilation, dilation.r_blocks, tol)
+        _certify_reconstruction(dilation, tol)
         if spec.symmetry is not None and dilation.rank:
-            if dilation.sym is None:
+            if dilation.mult_rep is None:
                 raise DilationResidualError("the dilation carries no group representation")
             _certify_covariant(dilation, tol)
     if spec.symmetry is not None:
-        group = spec.symmetry.group
-        rep = spec.symmetry.rep
-        t1 = spec.unit_value()
-        worst = max(
-            frob(rep(g).conj().T @ t1 @ rep(g) - t1) for g in group.elements()
-        )
-        if worst > tol.recon_fro * max(1.0, frob(t1)):
-            raise InvarianceError(
-                "unit value of the map must be invariant under the module representation"
-            )
+        t1, rep = spec.unit_value(), spec.symmetry.rep.matrices
+        if _norms(rep.conj().transpose(0, 2, 1) @ t1 @ rep - t1).max() > tol.recon_fro * max(1.0, frob(t1)):
+            raise InvarianceError("unit value of the map must be invariant under the module representation")
 
     if dilation.rank == 0:
         return ExtremalityCertificate(True, None, None, 0)
@@ -479,7 +459,7 @@ def cp_extremal(
     basis = constrained_commutant([dilation.sym(s) for s in group_gens], compressions, layout=layout, tol=tol)
     _certify_layout_commutant(dilation, basis, tol)
 
-    if dilation.sym_bar is not None:
+    if dilation.has_bar:
         bar_gens = [dilation.sym_bar(s) for s in group_gens]
         alt = constrained_commutant(bar_gens, compressions, layout=layout, tol=tol)
         if len(alt) != len(basis):
@@ -558,11 +538,9 @@ def subminimal(
     nv = spec.n_v
 
     # columns pi(b) j over the unit basis of the left factor span C^N
+    _certify_reconstruction(dilation, tol)
     blocks = dilation.r_blocks
-    a_cols = np.hstack(list(blocks))
-    if rank(a_cols, tol) != n:
-        raise DilationResidualError("first-marginal dilation is not minimal")
-    pinv = np.linalg.pinv(a_cols)
+    pinv = np.linalg.pinv(np.hstack(list(blocks)))
 
     e_units = np.zeros((right.n_units, n, n), dtype=np.complex128)
     left_adj = left.adjoint_table()
@@ -590,7 +568,7 @@ def subminimal(
     # unital and commuting with pi
     one_coeffs = right.coefficients(right.one())
     e_one = np.tensordot(one_coeffs, e_units, axes=(0, 0))
-    cuts, _, pair = _cells(left, dilation.mult)
+    cuts, pair = _cells(left, dilation.mult)
     worst = max(float(_unit_commutators(e, left, dilation.mult, cuts, pair).max()) for e in e_units)
     lim = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)))
     checks.require(
@@ -604,7 +582,7 @@ def subminimal(
     # covariance against the second factor's action
     if (
         spec.symmetry is not None
-        and dilation.sym is not None
+        and dilation.mult_rep is not None
         and spec.symmetry.u_factors is not None
     ):
         _, u_right = spec.symmetry.u_factors

@@ -197,6 +197,22 @@ class FiniteCStarAlgebra:
         outside = np.sqrt(np.einsum("jk,jl,lk->k", left, apart, right))
         return outside, np.sqrt(left.sum(0) * right.sum(0))
 
+    def block_action(self, u) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The block structure of b -> u b u^+ for a block-permuting u, or a
+        stack (..., D, D) of them: ``sigma[..., i]`` is the block where column
+        block i of u has its mass, and ``w[i]`` is the (sigma(i), i) block of
+        u, so block sigma(i) of u b u^+ is w_i b_i w_i^+.  Any mass of u off
+        these blocks is dropped; :class:`~covkit.numlin.DimensionError` unless
+        sigma permutes blocks of equal size."""
+        u = np.asarray(u, dtype=np.complex128)
+        off, sizes = self.offsets, np.asarray(self.blocks)
+        mass = np.add.reduceat(np.add.reduceat(np.abs(u) ** 2, off[:-1], axis=-2), off[:-1], axis=-1)
+        sigma = mass.argmax(axis=-2)
+        if np.any(sizes[sigma] != sizes) or np.any(np.sort(sigma, axis=-1) != np.arange(len(sizes))):
+            raise DimensionError("u does not permute the blocks of the algebra")
+        rows = [off[sigma[..., i], None] + np.arange(n) for i, n in enumerate(self.blocks)]
+        return sigma, [np.take_along_axis(u[..., off[i] : off[i + 1]], r[..., None], -2) for i, r in enumerate(rows)]
+
 
 @dataclass(frozen=True)
 class TensorSplit:

@@ -47,6 +47,7 @@ from .numlin import (
     psd_factor,
     psd_status,
     rank,
+    unitary_moves,
 )
 
 
@@ -816,39 +817,26 @@ class StructureViolation(ValueError):
         self.worst = worst
 
 
-def check_b_family(
-    data: CovariantInstrumentData, symmetry: Symmetry, tol: Tolerances = DEFAULT_TOL
-):
-    """Exhaustive check of subgroup invariance and total normalization."""
-    sub, u, rep = symmetry.sub, symmetry.out_rep, symmetry.rep
-    k = u.dim
-    alg = FiniteCStarAlgebra.full(k)
-    worst_inv = 0.0
-    for mem in sub.members:
-        for unit in alg.units():
-            lhs = sum(
-                b.conj().T @ u(mem).conj().T @ unit @ u(mem) @ b for b in data.b_ops
-            )
-            rhs = sum(
-                (b @ rep(mem)).conj().T @ unit @ (b @ rep(mem)) for b in data.b_ops
-            )
-            worst_inv = max(worst_inv, frob(lhs - rhs))
-    total = np.zeros((rep.dim, rep.dim), dtype=np.complex128)
-    for w in range(sub.n_cosets):
-        us = rep(sub.section[w])
-        for b in data.b_ops:
-            total += us @ b.conj().T @ b @ us.conj().T
-    worst_norm = frob(total - np.eye(rep.dim))
-    return worst_inv, worst_norm
+def check_b_family(data: CovariantInstrumentData, symmetry: Symmetry, tol: Tolerances = DEFAULT_TOL):
+    """Exhaustive check of subgroup invariance, sum_l X_l^+ E_cd X_l equal for
+    X_l = u(h) B_l and X_l = B_l rep(h) at every member h and unit E_cd, and
+    of total normalization, each over all members and units at once."""
+    sub, rep, b, members = symmetry.sub, symmetry.rep, np.stack(data.b_ops), list(symmetry.sub.members)
+    # (X^+ E_cd X)[v, w] = conj(X[c, v]) X[d, w], summed over the family
+    lhs, rhs = (
+        np.einsum("hlcv,hldw->hcdvw", x.conj(), x)
+        for x in (symmetry.out_rep.matrices[members][:, None] @ b, b @ rep.matrices[members][:, None])
+    )
+    us = rep.matrices[list(sub.section)]
+    total = (us @ np.einsum("lav,law->vw", b.conj(), b) @ us.conj().transpose(0, 2, 1)).sum(0)
+    return float(np.linalg.norm(lhs - rhs, axis=(-2, -1)).max()), frob(total - np.eye(rep.dim))
 
 
-def instrument_from_B(
-    data: CovariantInstrumentData, symmetry: Symmetry, tol: Tolerances = DEFAULT_TOL
-) -> InstrumentSpec:
-    """Assemble the covariant instrument generated by a Kraus family: the
-    outcome at each coset uses the section-transported operators.  The
-    invariance and normalization conditions are enforced first and
-    independence from the section choice is certified."""
+def _assemble_instrument(data: CovariantInstrumentData, symmetry: Symmetry, tol: Tolerances) -> InstrumentSpec:
+    """The covariant instrument generated by a Kraus family, not yet
+    validated: the outcome at each coset uses the section-transported
+    operators.  The invariance and normalization conditions are enforced
+    first and independence from the section choice is certified."""
     worst_inv, worst_norm = check_b_family(data, symmetry, tol)
     scale = max(1.0, sum(frob(b) ** 2 for b in data.b_ops))
     if worst_inv > tol.recon_fro * scale:
@@ -871,22 +859,26 @@ def instrument_from_B(
         return out
 
     choi = choi_at(sub.section)
-    spec = InstrumentSpec(choi, symmetry)
-    report = validate_instrument(spec, tol)
-    if not report.ok:
-        raise DilationResidualError(f"assembled instrument invalid: {report.failed()}")
-
     # section independence: shift every section point inside its coset
     members = list(sub.members)
     shifted = [
         sub.parent.prod(sub.section[w], members[(w + 1) % len(members)])
         for w in range(sub.n_cosets)
     ]
-    res = max(
-        frob(a - b) for a, b in zip(choi_at(shifted), choi)
-    )
+    res = float(np.linalg.norm(choi_at(shifted) - choi, axis=(1, 2)).max())
     if res > tol.recon_fro * max(1.0, float(np.abs(choi).max()) * k * v):
         raise DilationResidualError(f"section dependence detected ({res:.2e})")
+    return InstrumentSpec(choi, symmetry)
+
+
+def instrument_from_B(
+    data: CovariantInstrumentData, symmetry: Symmetry, tol: Tolerances = DEFAULT_TOL
+) -> InstrumentSpec:
+    """The validated covariant instrument generated by a Kraus family."""
+    spec = _assemble_instrument(data, symmetry, tol)
+    report = validate_instrument(spec, tol)
+    if not report.ok:
+        raise DilationResidualError(f"assembled instrument invalid: {report.failed()}")
     return spec
 
 
@@ -896,12 +888,14 @@ def B_from_instrument(
     """Extract a Kraus family from the identity-coset outcome; the subgroup
     invariance follows from covariance and the normalization from the
     instrument normalization, both certified, and the reconstruction is
-    checked against the original instrument."""
+    checked against the original instrument.  The input is validated once:
+    the round trip is assembled unvalidated, and its ``roundtrip`` residual
+    against the validated input certifies it."""
     report = validate_instrument(spec, tol)
     if not report.ok:
         raise ValueError(f"instrument invalid: {report.failed()}")
     ops = kraus_from_choi(spec.choi[0], spec.k_dim, spec.v_dim, tol)
-    rebuilt = instrument_from_B(CovariantInstrumentData(tuple(ops)), spec.symmetry, tol)
+    rebuilt = _assemble_instrument(CovariantInstrumentData(tuple(ops)), spec.symmetry, tol)
     checks = Checks().require(
         tol.recon_fro * max(1.0, float(np.abs(spec.choi).max()) * spec.k_dim * spec.v_dim),
         "reconstruction failed, instrument covariance is broken",
@@ -921,14 +915,13 @@ def _multiplicity_rep(data: CovariantInstrumentData, symmetry: Symmetry, tol) ->
     flat = b.reshape(r, n)
     u, rep = symmetry.out_rep.matrices[members], symmetry.rep.matrices[members]
     moved = (u[:, None] @ b @ rep.conj().transpose(0, 2, 1)[:, None]).reshape(m, r, n)
-    ws = lstsq_define([(flat, moved.reshape(m * r, n))], tol)[0].reshape(m, r, r)
-    unitary = np.linalg.norm(ws.conj().transpose(0, 2, 1) @ ws - np.eye(r), axis=(1, 2)).max(initial=0.0)
+    ws, unitary, intertwining = unitary_moves(flat, moved, tol)
     scale = np.linalg.norm(ws, 2, axis=(1, 2)).max(initial=1.0)
-    Checks().require(tol.unitary_fro * scale, "multiplicity representation is not unitary", unitary=unitary)
+    Checks().require(tol.unitary_fro * scale, "multiplicity representation is not unitary", unitary=unitary.max(initial=0.0))
     Checks().require(
         tol.recon_fro * max(1.0, frob(flat)),
         "multiplicity representation does not move the Kraus family",
-        intertwining=np.linalg.norm(ws @ flat - moved, axis=(1, 2)).max(initial=0.0),
+        intertwining=intertwining.max(initial=0.0),
     )
     return ws
 

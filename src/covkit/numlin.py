@@ -268,3 +268,15 @@ def lstsq_define(pairs, tol: Tolerances = DEFAULT_TOL):
     residual = frob(l @ big_in - big_tgt)
     return l, residual
 
+
+def unitary_moves(src, dst, tol: Tolerances = DEFAULT_TOL, ws=None):
+    """The matrices W_h with W_h src = dst[h] for a family ``src`` (r, n) of
+    independent rows and its moved copies ``dst`` (m, r, n), from one
+    least-squares solve, or ``ws`` as given.  Returns ``(ws, unitary,
+    intertwining)``: the (m, r, r) stack and, per h, ||W_h^+ W_h - I||_F and
+    ||W_h src - dst[h]||_F, which the caller bounds."""
+    m, r, n = dst.shape
+    if ws is None:
+        ws = lstsq_define([(src, dst.reshape(m * r, n))], tol)[0].reshape(m, r, r)
+    unitary = np.linalg.norm(ws.conj().transpose(0, 2, 1) @ ws - np.eye(r), axis=(1, 2))
+    return ws, unitary, np.linalg.norm(ws @ src - dst, axis=(1, 2))

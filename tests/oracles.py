@@ -12,7 +12,8 @@ The file also keeps the element-by-element loop forms of the group, action,
 subgroup, cocycle and representation checks, as references for the batched
 checks in ``covkit.fingroup``, and the loop forms of the matrix-unit
 coordinates, tables and transport, of the all-pairs multiplicativity
-residual and of the dense twist and commutation residuals, as references for
+residual, of the dense twist, commutation and cocycle residuals and of the
+pseudo-inverse solve of the dilation symmetry, as references for
 ``covkit.cstar`` and the dilation certificate in ``covkit.cpmaps``; the
 block factorization of a dense representation of the algebra; the
 grand kernel over the matrix units, as the reference for the Choi blocks;
@@ -639,24 +640,56 @@ def factor_rep_tensor(pi_units, algebra, tol: Tolerances = DEFAULT_TOL):
     return tuple(mult), v
 
 
+def sym_stack(dil):
+    """The dense (|G|, N, N) stack of sym(g), one element at a time."""
+    return np.stack([dil.sym(g) for g in dil.spec.symmetry.group.elements()])
+
+
 def twist_loop(dil):
     """max over group elements g and units k of ||sym(g) pi(E_k) -
     pi(beta_g(E_k)) sym(g)||, multiplying sym(g) into the whole dense stack
-    of pi(E_k): the reference for the block moves of ``sym_twist``."""
-    alg, u, s = dil.spec.algebra, dil.spec.symmetry.u, dil.sym.matrices
+    of pi(E_k): the twist that the structure of sym(g) makes exact."""
+    alg, u = dil.spec.algebra, dil.spec.symmetry.u
     worst = 0.0
     for g in dil.spec.symmetry.group.elements():
-        diff = s[g] @ dil.pi_units - alg.transport(u(g), dil.pi_units) @ s[g]
+        s = dil.sym(g)
+        diff = s @ dil.pi_units - alg.transport(u(g), dil.pi_units) @ s
         worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
     return worst
 
 
 def commutation_loop(dil):
     """max over group elements a and units k of ||sym_bar(a) pi(E_k) -
-    pi(E_k) sym_bar(a)||, densely: the reference for ``bar_commutes``."""
+    pi(E_k) sym_bar(a)||, densely."""
     pi = dil.pi_units
-    bar = dil.sym_bar.matrices
-    return max(float(np.linalg.norm(b @ pi - pi @ b, axis=(1, 2)).max()) for b in bar)
+    bars = [dil.sym_bar(a) for a in dil.spec.symmetry.group.elements()]
+    return max(float(np.linalg.norm(b @ pi - pi @ b, axis=(1, 2)).max()) for b in bars)
+
+
+def cocycle_loop(mats, cocycle, group):
+    """max over pairs (a, b) of ||U(a) U(b) - c(a, b) U(ab)||_F."""
+    return max(
+        frob(mats[a] @ mats[b] - cocycle(a, b) * mats[group.prod(a, b)])
+        for a in group.elements()
+        for b in group.elements()
+    )
+
+
+def sym_pinv_solve(dil):
+    """The dense sym stack solved as sym(g) F = target through one
+    pseudo-inverse of the stacked dilation blocks F = [pi(E_k) j]_k, the
+    target being r(beta_g(E_k)) rep(g) for every unit k: the general solve
+    that the multiplicity unitaries replace."""
+    spec, n = dil.spec, dil.rank
+    r_blocks = dil.r_blocks
+    f = r_blocks.transpose(1, 0, 2).reshape(n, -1)
+    pinv = np.linalg.pinv(f)
+    u, rep = spec.symmetry.u, spec.symmetry.rep
+    mats = []
+    for g in spec.symmetry.group.elements():
+        moved = spec.algebra.transport(u(g), r_blocks) @ rep(g)
+        mats.append(moved.transpose(1, 0, 2).reshape(n, -1) @ pinv)
+    return np.stack(mats)
 
 
 def unit_kernel_loop(spec: CPMapSpec):

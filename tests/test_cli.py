@@ -514,7 +514,7 @@ def _instrument_doc():
     return specfile.document("instrument", specfile.instrument_out(phase_space(d, ops)))
 
 
-KSGNS_VERDICTS = {"reconstruction", "sym_solve", "sym_unitary", "sym_j", "sym_twist"}
+KSGNS_VERDICTS = {"reconstruction", "sym_unitary", "sym_j"}
 VERDICT_NAMES = {
     ("validate", "kernel"): {"positive", "covariant", "alpha_cocycle"},
     ("validate", "cpmap"): {"completely_positive", "covariant"},
@@ -522,7 +522,7 @@ VERDICT_NAMES = {
     ("validate", "instrument"): {"outcomes_cp", "normalization", "covariance"},
     ("dilate", "kernel"): {"dilation_solve", "reconstruction", "unitarity", "cocycle", "intertwining"},
     # u lies in M_2, so the commuting twist is certified too
-    ("dilate", "cpmap"): KSGNS_VERDICTS | {"bar_commutes", "bar_cocycle"},
+    ("dilate", "cpmap"): KSGNS_VERDICTS | {"bar_cocycle"},
     ("dilate", "observable"): {"cocycle_solve", "isometry", "compression", "intertwining", "block_cocycle"},
     # the phase-space translations permute the outcome blocks: no commuting twist
     ("dilate", "instrument"): KSGNS_VERDICTS,

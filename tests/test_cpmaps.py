@@ -23,7 +23,7 @@ from covkit.kernels import DilationResidualError
 from covkit.numlin import rank as num_rank
 from covkit.random import rand_covariant_cpmap, rand_unitary
 
-from oracles import factor_rep_tensor, multiplicativity_loop
+from oracles import commutation_loop, factor_rep_tensor, multiplicativity_loop, twist_loop
 
 M2 = FiniteCStarAlgebra.full(2)
 
@@ -213,9 +213,10 @@ def test_random_covariant_cpmaps_certify(blocks, group):
         dil = ksgns(spec)
         assert dil.checks["reconstruction"].residual <= 1e-8
         assert multiplicativity_loop(spec.algebra, dil.pi_units) == 0.0
-        assert dil.checks["sym_twist"].residual <= 1e-8
-        if dil.sym_bar is not None:
-            assert dil.checks["bar_commutes"].residual <= 1e-8
+        assert dil.checks["sym_j"].residual <= 1e-8
+        assert twist_loop(dil) <= 1e-12
+        if dil.has_bar:
+            assert commutation_loop(dil) <= 1e-12
 
 
 def product_tensor_spec(state=(0.25, 0.75)):
@@ -308,15 +309,9 @@ def test_cp_extremal_rejects_a_dilation_off_the_block_layout():
     spec = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.symmetric(3), n_v=2)
     dil = ksgns(spec)
     assert cp_extremal(spec, dil).freedom >= 0
-    # j, sym and sym_bar turned by one unitary: pi stays the pattern, so this
-    # is no longer a dilation of the map
-    v = rand_unitary(rng, dil.rank)
-    turned = replace(
-        dil,
-        j=v @ dil.j,
-        sym=replace(dil.sym, matrices=v @ dil.sym.matrices @ v.conj().T),
-        sym_bar=replace(dil.sym_bar, matrices=v @ dil.sym_bar.matrices @ v.conj().T),
-    )
+    # j turned by a unitary: pi stays the pattern, so this is no longer a
+    # dilation of the map
+    turned = replace(dil, j=rand_unitary(rng, dil.rank) @ dil.j)
     with pytest.raises(DilationResidualError, match="reconstruction"):
         cp_extremal(spec, turned)
     # multiplicities that do not fill the space cannot be built at all
@@ -353,15 +348,15 @@ def test_cp_extremal_checks_a_passed_in_dilation_against_the_map():
 
 
 def test_cp_extremal_checks_a_passed_in_dilation_symmetry():
-    # with sym(g) = I the commutant loses its group rows: freedom 9 where the map's is 5
+    # with W(g) = I, sym(g) = pi(u(g)) does not intertwine j
     spec = rand_covariant_cpmap(np.random.default_rng(1), (2, 1), FiniteGroup.symmetric(3), n_v=2)
     dil = ksgns(spec)
     assert dil.mult == (3, 2) and cp_extremal(spec, dil).freedom == 5
-    trivial = replace(dil.sym, matrices=np.broadcast_to(np.eye(dil.rank), dil.sym.matrices.shape).copy())
+    trivial = tuple(np.broadcast_to(np.eye(len(w[0])), w.shape).copy() for w in dil.mult_rep)
     with pytest.raises(DilationResidualError, match="sym_j"):
-        cp_extremal(spec, replace(dil, sym=trivial, sym_bar=None))
+        cp_extremal(spec, replace(dil, mult_rep=trivial))
     with pytest.raises(DilationResidualError, match="no group representation"):
-        cp_extremal(spec, replace(dil, sym=None, sym_bar=None))
+        cp_extremal(spec, replace(dil, mult_rep=None))
 
 
 def _split_case():

@@ -1,7 +1,9 @@
 """The KSGNS certificate: batched unit-index work against its loop forms, the
 Choi blocks against the grand kernel, the implicit pi against its dense
-stack, the type boundary of a dilation, the twist and commutation block moves
-against the dense loops, and the block factorization oracle."""
+stack, the type boundary of a dilation, the implicit symmetry u(g) (*) W(g)
+against the dense twist, commutation and cocycle loops and the
+pseudo-inverse solve, minimality block by block against the rank of F, and
+the block factorization oracle."""
 
 import tracemalloc
 from dataclasses import replace
@@ -14,6 +16,7 @@ from covkit.cpmaps import (
     KSGNSDilation,
     NotSingleBlockError,
     _certify_covariant,
+    _certify_reconstruction,
     cp_validate,
     ksgns,
 )
@@ -26,11 +29,14 @@ from covkit.numlin import rank as num_rank
 from covkit.random import rand_covariant_cpmap, rand_unitary
 
 from oracles import (
+    cocycle_loop,
     coefficients_loop,
     commutation_loop,
     element_loop,
     factor_rep_tensor,
     multiplicativity_loop,
+    sym_pinv_solve,
+    sym_stack,
     transport_loop,
     twist_loop,
     unit_kernel_loop,
@@ -209,16 +215,16 @@ def test_a_dilation_off_the_layout_cannot_be_built():
     spec = rand_covariant_cpmap(np.random.default_rng(5), (2, 1), FiniteGroup.cyclic(2), n_v=1)
     dil = ksgns(spec)
     n = dil.rank
-    assert KSGNSDilation(spec, n, dil.mult, dil.j, None, None).r_blocks.shape == (spec.algebra.n_units, n, 1)
+    assert KSGNSDilation(spec, n, dil.mult, dil.j).r_blocks.shape == (spec.algebra.n_units, n, 1)
     # sum_i n_i r_i must be the rank
     with pytest.raises(DilationResidualError, match="multiplicities"):
-        KSGNSDilation(spec, n, (dil.mult[0], dil.mult[1] + 1), dil.j, None, None)
+        KSGNSDilation(spec, n, (dil.mult[0], dil.mult[1] + 1), dil.j)
     with pytest.raises(DilationResidualError, match="multiplicities"):
-        KSGNSDilation(spec, n + 1, dil.mult, np.vstack([dil.j, dil.j[:1]]), None, None)
+        KSGNSDilation(spec, n + 1, dil.mult, np.vstack([dil.j, dil.j[:1]]))
     # and j must have one row per dilation index
     for rows in (n - 1, n + 1):
         with pytest.raises(DilationResidualError, match="or j do not fill"):
-            KSGNSDilation(spec, n, dil.mult, np.resize(dil.j, (rows, 1)), None, None)
+            KSGNSDilation(spec, n, dil.mult, np.resize(dil.j, (rows, 1)))
         with pytest.raises(DilationResidualError, match="or j do not fill"):
             replace(dil, j=np.resize(dil.j, (rows, 1)))
 
@@ -305,40 +311,31 @@ def test_block_factorization_of_a_multi_block_dilation():
     assert np.allclose(v.conj().T @ dil.pi_units @ v, _block_rep(spec.algebra, mult), atol=1e-8)
 
 
-def _hidden_unitary(dil, rng, eps=1e-6):
-    """exp(i eps H) with H Hermitian and H j = 0: unitary, fixes the range of j."""
-    n = dil.rank
-    q, _ = np.linalg.qr(dil.j)
-    away = np.eye(n) - q @ q.conj().T
-    h = away @ (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) @ away
-    w, vecs = np.linalg.eigh(h + h.conj().T)
-    return (vecs * np.exp(1j * eps * w / np.abs(w).max())) @ vecs.conj().T
+def _phase_turned(dil, elements, phase=1e-3):
+    """The dilation with W_{g,i} times exp(i phase) for the given elements g and
+    every block i: sym(g) stays unitary and keeps the twist."""
+    mult_rep = []
+    for ws in dil.mult_rep:
+        ws = ws.copy()
+        ws[elements] *= np.exp(1j * phase)
+        mult_rep.append(ws)
+    return replace(dil, mult_rep=tuple(mult_rep))
 
 
 def test_twist_certificates_check_every_group_element():
-    # turn sym(g) and sym_bar(g) of the last element by a unitary that keeps
-    # unitarity and j-intertwining: only the twist and commutation see it
+    # turn W(g) of the last element alone: sym(g) stays unitary and keeps the
+    # twist, which holds by construction; the j-intertwining and the cocycle of W see it
     rng = np.random.default_rng(10)
     spec = rand_covariant_cpmap(rng, (2, 1), FiniteGroup.cyclic(3), n_v=1)
     dil = ksgns(spec)
-    assert dil.sym_bar is not None
-    last = spec.symmetry.group.order - 1
-    w = _hidden_unitary(dil, rng)
-
-    mats = dil.sym.matrices.copy()
-    mats[last] = w @ mats[last]
-    broken = replace(dil, sym=replace(dil.sym, matrices=mats))
+    assert dil.has_bar
+    broken = _phase_turned(dil, [spec.symmetry.group.order - 1])
     with pytest.raises(DilationResidualError, match="covariant dilation") as exc:
         _certify_covariant(broken, DEFAULT_TOL)
     res = exc.value.checks
-    assert res["sym_unitary"].residual < 1e-12 and res["sym_j"].residual < 1e-12 and res["sym_twist"].residual > 1e-8
-
-    bars = dil.sym_bar.matrices.copy()
-    bars[last] = w @ bars[last]
-    broken = replace(dil, sym_bar=replace(dil.sym_bar, matrices=bars))
-    with pytest.raises(DilationResidualError, match="commuting twist") as exc:
-        _certify_covariant(broken, DEFAULT_TOL)
-    assert exc.value.checks["bar_commutes"].residual > 1e-8
+    assert res["sym_unitary"].residual < 1e-12
+    assert res["sym_j"].residual > 1e-5 and res["bar_cocycle"].residual > 1e-5
+    assert twist_loop(broken) < 1e-12 and commutation_loop(broken) < 1e-12
 
 
 def _symmetric_cases():
@@ -361,27 +358,94 @@ def _symmetric_cases():
     yield pytest.param(replace(spec, values=values), (2, 0), True, id="zero_block")
 
 
+def _dense_residuals(dil):
+    """The dense ||sym(g) j - j rep(g)||, ||sym(g)^+ sym(g) - I|| and, with a
+    commuting twist, the cocycle residual of sym_bar."""
+    spec, syms, j = dil.spec, sym_stack(dil), dil.j
+    out = {
+        "sym_j": np.linalg.norm(syms @ j - j @ spec.symmetry.rep.matrices, axis=(1, 2)).max(),
+        "sym_unitary": np.linalg.norm(syms.conj().transpose(0, 2, 1) @ syms - np.eye(dil.rank), axis=(1, 2)).max(),
+    }
+    if dil.has_bar:
+        group = spec.symmetry.group
+        bars = np.stack([dil.sym_bar(g) for g in group.elements()])
+        out["bar_cocycle"] = cocycle_loop(bars, spec.symmetry.u.cocycle.conj().multiply(spec.symmetry.rep.cocycle), group)
+    return out
+
+
 @pytest.mark.parametrize("spec, mult, bar", list(_symmetric_cases()))
 def test_twist_and_commutation_block_moves_match_the_dense_loops(spec, mult, bar):
+    # the twist and the commutation of sym_bar with pi hold by construction: the
+    # dense loops find roundoff only, and every certified residual is the dense one
     dil = ksgns(spec)
-    assert dil.mult == mult and (dil.sym_bar is not None) == bar
-    assert abs(dil.checks["sym_twist"].residual - twist_loop(dil)) <= 1e-12
-    if dil.sym_bar is not None:
-        assert abs(dil.checks["bar_commutes"].residual - commutation_loop(dil)) <= 1e-12
-    # turn every sym(g), then every sym_bar(g), by one unitary fixing the range of j: only the
-    # twist and the commutation see it, far above roundoff
-    w = _hidden_unitary(dil, np.random.default_rng(16), eps=1e-3)
-    broken = replace(dil, sym=replace(dil.sym, matrices=w @ dil.sym.matrices))
-    with pytest.raises(DilationResidualError, match="sym_twist") as exc:
+    assert dil.mult == mult and dil.has_bar == bar
+    assert twist_loop(dil) <= 1e-12
+    if bar:
+        assert commutation_loop(dil) <= 1e-12
+    want = _dense_residuals(dil)
+    assert sorted(dil.checks) == sorted(["reconstruction", *want])
+    for name, value in want.items():
+        assert abs(dil.checks[name].residual - value) <= 1e-12
+    # turn W(g) of every g != e by one phase: the residuals follow the dense ones far above roundoff
+    broken = _phase_turned(dil, np.arange(1, spec.symmetry.group.order))
+    with pytest.raises(DilationResidualError, match="sym_j") as exc:
         _certify_covariant(broken, DEFAULT_TOL)
-    got, want = exc.value.checks["sym_twist"].residual, twist_loop(broken)
-    assert want > 1e-5 and abs(got - want) <= 1e-12
-    if dil.sym_bar is not None:
-        broken = replace(dil, sym_bar=replace(dil.sym_bar, matrices=w @ dil.sym_bar.matrices))
-        with pytest.raises(DilationResidualError, match="bar_commutes") as exc:
-            _certify_covariant(broken, DEFAULT_TOL)
-        got, want = exc.value.checks["bar_commutes"].residual, commutation_loop(broken)
-        assert want > 1e-5 and abs(got - want) <= 1e-12
+    want = _dense_residuals(broken)
+    assert want["sym_j"] > 1e-5 and want.get("bar_cocycle", 1.0) > 1e-5
+    for name, value in want.items():
+        assert abs(exc.value.checks[name].residual - value) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", list(_cases()) + [case.values[0] for case in _symmetric_cases()])
+def test_implicit_symmetry_is_the_dense_solve(spec):
+    # sym(g) = u(g) (*) W(g) is the pseudo-inverse solve of sym(g) F = target, a
+    # multiplier representation with the module's cocycle, and keeps the twist
+    dil = ksgns(spec)
+    syms, group = sym_stack(dil), spec.symmetry.group
+    assert np.abs(syms - sym_pinv_solve(dil)).max() <= 1e-10
+    assert cocycle_loop(syms, spec.symmetry.rep.cocycle, group) <= 1e-12
+    assert twist_loop(dil) <= 1e-12
+    if dil.has_bar:
+        assert commutation_loop(dil) <= 1e-12
+
+
+def test_multiplicity_unitaries_must_match_the_layout():
+    dil = ksgns(rand_covariant_cpmap(np.random.default_rng(5), (2, 1), FiniteGroup.cyclic(3), n_v=2))
+    for bad in (dil.mult_rep[:1], (dil.mult_rep[0], dil.mult_rep[0]), tuple(w[:2] for w in dil.mult_rep)):
+        with pytest.raises(DilationResidualError, match="multiplicity unitaries"):
+            replace(dil, mult_rep=bad)
+    with pytest.raises(DilationResidualError, match="multiplicity unitaries"):
+        replace(dil, spec=replace(dil.spec, symmetry=None))
+
+
+def _dependent_row_dilation():
+    """A dilation of an S_3 map on M_2 + M_1 whose block-0 Kraus family gains
+    a copy of its first operator, with the map it reconstructs: j has a
+    dependent row in every cell of block 0."""
+    spec = rand_covariant_cpmap(np.random.default_rng(21), (2, 1), FiniteGroup.symmetric(3), n_v=2)
+    dil = ksgns(spec)
+    r0 = dil.mult[0]
+    block = dil.j[: 2 * r0].reshape(2, r0, 2)
+    block = np.concatenate([block, block[:, :1]], axis=1)
+    j = np.concatenate([block.reshape(-1, 2), dil.j[2 * r0 :]])
+    dep = KSGNSDilation(spec, dil.rank + 2, (r0 + 1, dil.mult[1]), j)
+    return replace(dep, spec=replace(spec, values=j.conj().T @ dep.r_blocks))
+
+
+def _f_is_full_rank(dil):
+    return num_rank(dil.r_blocks.transpose(1, 0, 2).reshape(dil.rank, -1)) == dil.rank
+
+
+@pytest.mark.parametrize("case", list(_cases()) + ["dependent"])
+def test_minimality_per_block_agrees_with_the_rank_of_f(case):
+    dil = _dependent_row_dilation() if case == "dependent" else ksgns(case)
+    assert _f_is_full_rank(dil) == (case != "dependent")
+    if _f_is_full_rank(dil):
+        assert _certify_reconstruction(dil, DEFAULT_TOL)["reconstruction"].ok
+    else:
+        with pytest.raises(DilationResidualError, match="not minimal") as exc:
+            _certify_reconstruction(dil, DEFAULT_TOL)
+        assert exc.value.checks["reconstruction"].ok
 
 
 def test_checks_require_records_every_residual_then_raises():

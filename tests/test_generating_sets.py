@@ -30,7 +30,7 @@ from covkit.random import (
     rand_covariant_observable,
 )
 
-from oracles import compression_functionals, cp_commutant_dense, dense_commutant
+from oracles import compression_functionals, cp_commutant_dense, dense_commutant, sym_stack
 
 GROUPS = {
     "Z3": FiniteGroup.cyclic(3),
@@ -175,7 +175,7 @@ def test_cp_commutant_over_generators_equals_full(name, monkeypatch):
         recorder.calls.clear()
         cp_extremal(spec, dil)
         assert len(recorder.calls[0][0]) == len(group.generators()) < group.order
-        full = list(dil.pi_units) + list(dil.sym.matrices)
+        full = list(dil.pi_units) + list(sym_stack(dil))
         _assert_same_block_commutant(recorder.calls[0], lambda j: dense_commutant(full, _compressions(j)))
 
 
@@ -208,7 +208,7 @@ def test_phase_space_block_commutant_matches_the_dense_reference(d, ops, rank, f
     cert = cp_extremal(spec, dil)
     assert dil.rank == rank and cert.freedom == freedom and cert.extreme == (freedom == 0)
     assert len(recorder.calls) == 1 and len(recorder.calls[0][0]) == 2
-    _assert_same_block_commutant(recorder.calls[0], lambda j: cp_commutant_dense(dil, dil.sym.matrices, j))
+    _assert_same_block_commutant(recorder.calls[0], lambda j: cp_commutant_dense(dil, sym_stack(dil), j))
 
 
 def test_dense_reference_matches_constrained_commutant():
@@ -218,10 +218,10 @@ def test_dense_reference_matches_constrained_commutant():
     rng = np.random.default_rng(19)
     for spec in (spec, rand_covariant_cpmap(rng, (2, 1), GROUPS["S3"], n_v=2)):
         dil = ksgns(spec)
-        full = list(dil.pi_units) + list(dil.sym.matrices)
+        full = list(dil.pi_units) + list(sym_stack(dil))
         for j in (dil.j, None):
             ref = dense_commutant(full, _compressions(j))
-            dense = cp_commutant_dense(dil, dil.sym.matrices, j)
+            dense = cp_commutant_dense(dil, sym_stack(dil), j)
             assert len(dense) == len(ref) and _distance(dense, ref) < 1e-8
             engine = constrained_commutant(full, [(j[None], j[None])] if j is not None else ())
             assert len(engine) == len(ref) and _distance(engine, ref) < 1e-8
@@ -310,7 +310,7 @@ def test_block_commutant_recheck_covers_every_pi_unit():
     ops = [rng.normal(size=(2, n, 2)) + 1j * rng.normal(size=(2, n, 2)) for n in alg.blocks]
     values = np.concatenate([np.einsum("lav,lbw->abvw", a.conj(), a).reshape(-1, 2, 2) for a in ops])
     dil = ksgns(CPMapSpec(alg, ModuleSpace(k=1, n_v=2), values))
-    assert dil.sym is None and dil.mult == (2, 2)
+    assert dil.mult_rep is None and dil.mult == (2, 2)
     basis = constrained_commutant([], [(dil.j[None], dil.j[None])], layout=list(zip(alg.blocks, dil.mult)))
     assert len(basis) == 2 * 2 * 2 - 4
     cpmaps._certify_layout_commutant(dil, basis, Tolerances())
@@ -344,7 +344,7 @@ def _maps_with_sym_bar():
         for n_v in (1, 2):
             spec = rand_covariant_cpmap(rng, blocks, GROUPS[group], n_v=n_v)
             dil = ksgns(spec)
-            assert dil.sym_bar is not None
+            assert dil.has_bar
             out.append((spec, dil))
     return out
 

@@ -65,7 +65,6 @@ from .instruments import (
     CovariantInstrumentData,
     CovariantObservableData,
     InstrumentSpec,
-    NaimarkData,
     ObservableSpec,
     Symmetry,
     B_from_instrument,

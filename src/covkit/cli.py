@@ -170,14 +170,16 @@ def cmd_dilate(args) -> int:
     elif kind == "observable":
         naim = naimark(obj, tol)
         _merge_checks(report, naim.checks)
+        group, table = obj.symmetry.group, obj.symmetry.action.table
         report.artifact(
             "naimark",
             "minimal covariant Naimark dilation: fibers, isometry, transport blocks",
-            fiber_dims=list(naim.fiber_dims),
-            isometry=specfile.matrix_out(naim.isometry()),
+            fiber_dims=list(naim.mult),
+            isometry=specfile.matrix_out(naim.j),
+            # block w of cocycle_blocks[g] carries fiber g^{-1} w into fiber w
             cocycle_blocks={
-                str(g): [specfile.matrix_out(b) for b in blocks]
-                for g, blocks in naim.cocycle_blocks.items()
+                str(g): [specfile.matrix_out(naim.mult_rep[v][g]) for v in table[group.inv(g)]]
+                for g in group.elements()
             },
         )
     elif kind == "instrument":

@@ -141,34 +141,47 @@ def kraus_from_choi(choi, k_dim, v_dim, tol: Tolerances = DEFAULT_TOL):
 
 
 def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
-    """Complete positivity and covariance, checked one group element at a
-    time over every matrix unit at once.  Normality is structural: every
-    linear map between finite-dimensional algebras is normal, so it has no
-    verdict.  Complete positivity passes if every block's Choi matrix passes
+    """Complete positivity and covariance, checked over every group element
+    and matrix unit at once.  Normality is structural: every linear map
+    between finite-dimensional algebras is normal, so it has no verdict.
+    Complete positivity passes if every block's Choi matrix passes
     :func:`psd_status` against its own scale; the residual is the most
     negative eigenvalue over the blocks, that of the grand kernel.  Where
     some b -> u b u^+ leaves the algebra, the covariance residual is the
-    largest part of a u E_k u^+ outside it."""
+    largest part of a u E_k u^+ outside it; otherwise S(beta_g(E_k)) is
+    compared with rep(g) S(E_k) rep(g)^+ block by block
+    (:func:`_moved_block`)."""
     checks = Checks(completely_positive=Check(*_cp_status(spec.algebra, spec.values, tol)))
     covariant, worst = True, 0.0
     if spec.symmetry is not None:
-        alg, sym = spec.algebra, spec.symmetry
-        leaves = 0.0
-        for g in sym.group.elements():
-            outside, size = alg.outside_norms(sym.u(g))
-            if np.any(outside > tol.recon_fro * np.maximum(1.0, size)):
-                leaves = max(leaves, float(outside.max()))
-                continue
-            uinv = sym.rep.inv_mat(g)
-            lhs = alg.transport(sym.u(g), spec.values)
-            rhs = uinv.conj().T @ spec.values @ uinv
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max()))
-        if leaves:
-            covariant, worst = False, leaves
+        alg, u, rep = spec.algebra, spec.symmetry.u, spec.symmetry.rep
+        outside, size = alg.outside_norms(u.matrices)
+        leaks = np.any(outside > tol.recon_fro * np.maximum(1.0, size), axis=-1)
+        if leaks.any():
+            covariant, worst = False, float(outside[leaks].max())
         else:
+            sigma, w = alg.block_action(u.matrices)
+            uinv = rep.matrices.conj().transpose(0, 2, 1) if rep.unitary_flag else np.linalg.inv(rep.matrices)
+            expected = uinv.conj().transpose(0, 2, 1)[:, None] @ spec.values @ uinv[:, None]
+            for i, (a, b) in enumerate(zip(alg.unit_offsets, alg.unit_offsets[1:])):
+                moved = _moved_block(alg, sigma, w, spec.values, i)
+                worst = max(worst, float(_norms(moved - expected[:, a:b]).max()))
             covariant = worst <= tol.recon_fro * max(1.0, float(np.abs(spec.values).max()))
     checks["covariant"] = Check(covariant, worst)
     return checks
+
+
+def _moved_block(alg: FiniteCStarAlgebra, sigma, w, stack, i) -> np.ndarray:
+    """The linear map E_k -> stack[k] at beta_g(E^i_ab) = u(g) E^i_ab u(g)^+
+    for every group element g and unit of block i, (|G|, n_i^2, ...), from
+    the block action (sigma, w) of u: beta_g(E^i_ab) = sum_cd w_{g,i}[c, a]
+    conj(w_{g,i}[d, b]) E^{sigma_g(i)}_cd, so with the images of block
+    sigma_g(i) laid out as n_i x n_i matrices M, the result is w^T M conj(w)."""
+    n, wi = alg.blocks[i], w[i]
+    src = stack[alg.unit_offsets[sigma[:, i], None] + np.arange(n * n)]
+    src = src.reshape(len(wi), n, n, -1).transpose(0, 3, 1, 2)
+    moved = wi.transpose(0, 2, 1)[:, None] @ src @ wi.conj()[:, None]
+    return moved.transpose(0, 2, 3, 1).reshape((len(wi), n * n) + stack.shape[1:])
 
 
 def _tensor_pattern(algebra, mult):
@@ -237,23 +250,10 @@ class KSGNSDilation:
         out[_tensor_pattern(self.spec.algebra, self.mult)] = 1.0
         return out
 
-    @property
-    def has_bar(self) -> bool:
-        """Whether :meth:`sym_bar` is defined: a symmetry whose every sigma_g is the identity."""
-        sigma = None if self.mult_rep is None else self.spec.algebra.block_action(self.spec.symmetry.u.matrices)[0]
-        return sigma is not None and bool(np.all(sigma == np.arange(len(self.mult))))
-
     def sym(self, g) -> np.ndarray:
-        """The dense sym(g) = u(g) (*) W(g), built on request."""
-        return self._spread(g, *self.spec.algebra.block_action(self.spec.symmetry.u(g)))
-
-    def sym_bar(self, g) -> np.ndarray:
-        """The dense commuting twist pi(u(g)^+) sym(g) = I (*) W(g), with
-        cocycle conj(c_u) c_rep, built on request."""
-        return self._spread(g, range(len(self.mult)), [np.eye(n) for n in self.spec.algebra.blocks])
-
-    def _spread(self, g, sigma, w) -> np.ndarray:
-        """The N x N matrix whose block (sigma(i), i) is w_i (x) W_{g,i}."""
+        """The dense sym(g) = u(g) (*) W(g), built on request: the N x N
+        matrix whose block (sigma_g(i), i) is w_{g,i} (x) W_{g,i}."""
+        sigma, w = self.spec.algebra.block_action(self.spec.symmetry.u(g))
         start = offsets([n * r for n, r in zip(self.spec.algebra.blocks, self.mult)])
         out = np.zeros((self.rank, self.rank), dtype=np.complex128)
         for i, (to, wi, ws) in enumerate(zip(sigma, w, self.mult_rep)):
@@ -354,7 +354,9 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
     or the dilation's own re-checked, and their certificate: ``sym_unitary``
     from the blocks (w^+ w) (x) (W^+ W) of sym(g)^+ sym(g), so a non-unitary
     u is caught too; ``sym_j``, the solve residual ||sym(g) j - j rep(g)||_F;
-    with a commuting twist, ``bar_cocycle`` of W over all pairs at once."""
+    ``sym_cocycle``, the block cocycle W_{a,sigma_b(i)} W_{b,i} = conj(c_u(a,
+    b)) c_rep(a, b) W_{ab,i} over all pairs at once, which weighted by n_i is
+    the dense ||sym(a) sym(b) - c_rep(a, b) sym(ab)||_F."""
     spec, group, rep, n = dil.spec, dil.spec.symmetry.group, dil.spec.symmetry.rep, dil.rank
     sigma, w = spec.algebra.block_action(spec.symmetry.u.matrices)
     if np.any(np.asarray(dil.mult)[sigma] != dil.mult):
@@ -372,11 +374,13 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
         mult_rep.append(ws)
     message = "covariant dilation certification failed"
     checks = Checks().require(tol.unitary_fro * max(1.0, np.sqrt(n)), message, sym_unitary=np.sqrt(unit).max())
-    residuals = {"sym_j": np.sqrt(moved).max()}
-    if np.all(sigma == np.arange(len(kraus))):
-        c = (spec.symmetry.u.cocycle.values.conj() * rep.cocycle.values)[..., None, None]
-        pairs = [n * _norms(ws[:, None] @ ws - c * ws[group.mul]) ** 2 for n, ws in zip(spec.algebra.blocks, mult_rep)]
-        residuals["bar_cocycle"] = np.sqrt(sum(pairs)).max()
+    # pairs[a, b] = sum_i n_i ||W_{a,sigma_b(i)} W_{b,i} - c(a, b) W_{ab,i}||_F^2
+    c = (spec.symmetry.u.cocycle.values.conj() * rep.cocycle.values)[..., None, None]
+    pairs = 0.0
+    for i, (ni, ws) in enumerate(zip(spec.algebra.blocks, mult_rep)):
+        after = np.stack([mult_rep[k] for k in sigma[:, i]]).transpose(1, 0, 2, 3)
+        pairs = pairs + ni * _norms(after @ ws - c * ws[group.mul]) ** 2
+    residuals = {"sym_j": np.sqrt(moved).max(), "sym_cocycle": np.sqrt(pairs).max()}
     checks.require(tol.recon_fro * max(1.0, np.sqrt(n), frob(dil.j)), message, **residuals)
     return tuple(mult_rep), checks
 
@@ -432,8 +436,7 @@ def cp_extremal(
     reconstruct ``spec``, be minimal and, with a symmetry, pass the covariant
     certificate of :func:`ksgns`, or :class:`DilationResidualError` is
     raised.  The basis is re-checked against every group element and every
-    matrix unit, and the commuting-twist generators must give the same
-    freedom.  On non-extremality both neighbours j^+ (I +- W) pi(.) j
+    matrix unit.  On non-extremality both neighbours j^+ (I +- W) pi(.) j
     re-validate, keep the unit value and average to the input.
     """
     if dilation is None:
@@ -458,15 +461,6 @@ def cp_extremal(
     compressions = [(dilation.j[None], dilation.j[None])]
     basis = constrained_commutant([dilation.sym(s) for s in group_gens], compressions, layout=layout, tol=tol)
     _certify_layout_commutant(dilation, basis, tol)
-
-    if dilation.has_bar:
-        bar_gens = [dilation.sym_bar(s) for s in group_gens]
-        alt = constrained_commutant(bar_gens, compressions, layout=layout, tol=tol)
-        if len(alt) != len(basis):
-            raise DilationResidualError(
-                "commuting-twist generators disagree with the dilation generators"
-            )
-
     if not basis:
         return ExtremalityCertificate(True, None, None, 0)
     witness = _hermitian_witness(basis, tol)
@@ -585,11 +579,11 @@ def subminimal(
         and dilation.mult_rep is not None
         and spec.symmetry.u_factors is not None
     ):
-        _, u_right = spec.symmetry.u_factors
+        sigma, w = right.block_action(spec.symmetry.u_factors[1].matrices)
+        syms = np.stack([dilation.sym(g) for g in spec.symmetry.group.elements()])[:, None]
         worst = 0.0
-        for g in spec.symmetry.group.elements():
-            sg = dilation.sym(g)
-            diff = sg @ e_units - right.transport(u_right(g), e_units) @ sg
-            worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
+        for i, (a, b) in enumerate(zip(right.unit_offsets, right.unit_offsets[1:])):
+            diff = syms @ e_units[a:b] - _moved_block(right, sigma, w, e_units, i) @ syms
+            worst = max(worst, float(_norms(diff).max()))
         checks.require(lim, "subminimal map failed covariance", covariance=worst)
     return SubminimalMap(e_units=e_units, checks=checks)

@@ -159,43 +159,22 @@ class FiniteCStarAlgebra:
         blk, a, b = self._unit_index.T
         return _frozen(self.unit_offsets[blk] + b * np.asarray(self.blocks)[blk] + a)
 
-    def transport(self, u, stack) -> np.ndarray:
-        """The linear map E_c -> stack[c] evaluated at u E_k u^+ for every
-        unit k: out[k] = sum_c coefficients(u E_k u^+)[c] stack[c].
-
-        The coefficient of E^j_cd in u E^i_ab u^+ is w_ca conj(w_db) with
-        w = u restricted to (block j) x (block i), so each pair of blocks is
-        one product with kron(w, conj(w)), and pairs where w vanishes are
-        skipped.
-        """
-        u = as_matrix(u)
-        stack = np.asarray(stack, dtype=np.complex128)
-        if u.shape != (self.defining_dim, self.defining_dim) or stack.shape[0] != self.n_units:
-            raise DimensionError("transport needs a defining-space matrix and one entry per unit")
-        off, uoff = self.offsets, self.unit_offsets
-        flat = stack.reshape(self.n_units, -1)
-        out = np.zeros(flat.shape, dtype=np.complex128)
-        mass = np.add.reduceat(np.add.reduceat(np.abs(u), off[:-1], axis=0), off[:-1], axis=1)
-        for j, i in zip(*np.nonzero(mass)):
-            w = u[off[j] : off[j + 1], off[i] : off[i + 1]]
-            out[uoff[i] : uoff[i + 1]] += np.kron(w, w.conj()).T @ flat[uoff[j] : uoff[j + 1]]
-        return out.reshape(stack.shape)
-
     def outside_norms(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Frobenius norm of the part of u E_k u^+ outside the algebra, for
-        every unit k, and the norm of u E_k u^+ itself.
+        every unit k, and the norm of u E_k u^+ itself; for a stack (..., D,
+        D) of u, one row of each per matrix.
 
         Entry (p, q) of u E_k u^+ is u[p, row_k] conj(u[q, col_k]); the
         squared mass outside is a sum of non-negative terms over pairs of
         distinct blocks, so it carries no cancellation.
         """
-        u = as_matrix(u)
-        mass = np.add.reduceat(np.abs(u) ** 2, self.offsets[:-1], axis=0)  # (blocks, D)
+        u = np.asarray(u, dtype=np.complex128)
+        mass = np.add.reduceat(np.abs(u) ** 2, self.offsets[:-1], axis=-2)  # (..., blocks, D)
         rows, cols = self.unit_positions
-        left, right = mass[:, rows], mass[:, cols]
+        left, right = mass[..., rows], mass[..., cols]
         apart = 1.0 - np.eye(len(self.blocks))
-        outside = np.sqrt(np.einsum("jk,jl,lk->k", left, apart, right))
-        return outside, np.sqrt(left.sum(0) * right.sum(0))
+        outside = np.sqrt((left * (apart @ right)).sum(-2))
+        return outside, np.sqrt(left.sum(-2) * right.sum(-2))
 
     def block_action(self, u) -> tuple[np.ndarray, list[np.ndarray]]:
         """The block structure of b -> u b u^+ for a block-permuting u, or a

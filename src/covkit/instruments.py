@@ -9,11 +9,11 @@ Outcome spaces are coset spaces of a finite group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import CPMapSpec, CPSymmetry, kraus_from_choi
+from .cpmaps import CPMapSpec, CPSymmetry, KSGNSDilation, kraus_from_choi, ksgns
 from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from .fingroup import (
     FiniteGroup,
@@ -41,10 +41,8 @@ from .numlin import (
     constrained_commutant,
     frob,
     is_unitary,
-    lstsq_define,
     offsets,
     psd_check,
-    psd_factor,
     psd_status,
     rank,
     unitary_moves,
@@ -112,13 +110,11 @@ def validate_observable(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> 
     total = spec.effects.sum(axis=0)
     res = frob(total - np.eye(spec.v_dim))
     checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), res)
+    # rep(g) E_w rep(g)^+ - E_{gw} for every g and outcome w
     sym = spec.symmetry
-    worst = 0.0
-    for g in sym.group.elements():
-        ug = sym.rep(g)
-        for w in range(spec.n_outcomes):
-            lhs = ug @ spec.effects[w] @ ug.conj().T
-            worst = max(worst, frob(lhs - spec.effects[sym.action.apply(g, w)]))
+    u = sym.rep.matrices[:, None]
+    diff = u @ spec.effects @ u.conj().transpose(0, 1, 3, 2) - spec.effects[sym.action.table]
+    worst = float(np.linalg.norm(diff, axis=(-2, -1)).max())
     checks["covariance"] = Check(worst <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), worst)
     return checks
 
@@ -230,15 +226,10 @@ def as_cpmap(spec: InstrumentSpec) -> CPMapSpec:
     sym = spec.symmetry
     k, v, n = spec.k_dim, spec.v_dim, spec.n_outcomes
     split = TensorSplit(FiniteCStarAlgebra.full(k), FiniteCStarAlgebra.commutative(n))
-    values = np.zeros((split.algebra.n_units, v, v), dtype=np.complex128)
-    for kk, (i, a, b) in enumerate(split.algebra.unit_index()):
-        unit = np.zeros((k, k), dtype=np.complex128)
-        unit[a, b] = 1.0
-        values[kk] = spec.outcome_map(i, unit)
+    # unit (w, a, b) of the product, E_ab on outcome w, has image choi[w] at block (a, b)
+    values = spec.choi.reshape(n, k, v, k, v).transpose(0, 1, 3, 2, 4).reshape(n * k * k, v, v)
     perm_rep = MultiplierRep.from_action(sym.action)
-    mats = np.stack(
-        [np.kron(perm_rep(g), sym.out_rep(g)) for g in sym.group.elements()]
-    )
+    mats = np.einsum("gwx,gab->gwaxb", perm_rep.matrices, sym.out_rep.matrices).reshape(-1, n * k, n * k)
     u_total = MultiplierRep(sym.group, sym.out_rep.cocycle, mats)
     return CPMapSpec(
         split.algebra,
@@ -254,138 +245,26 @@ def as_cpmap(spec: InstrumentSpec) -> CPMapSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NaimarkData:
-    """Minimal covariant Naimark dilation of an observable.
+def naimark(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
+    """Minimal covariant Naimark dilation: the KSGNS dilation of the
+    observable's CP form, the observable as the instrument with a trivial
+    one-dimensional output (:func:`as_cpmap` on the functions on the outcome
+    space, u(g) the coset permutation).
 
-    The dilation space is the direct sum of per-outcome fibers; ``isometry``
-    stacks the factor blocks of the effects; ``cocycle_blocks[g][w]`` is the
-    unitary carrying fiber g^{-1} w into fiber w, assembling to a multiplier
-    representation with the module representation's cocycle.
-    """
-
-    spec: ObservableSpec
-    fiber_dims: tuple[int, ...]
-    factors: tuple[np.ndarray, ...]  # per outcome, (m(w), V)
-    cocycle_blocks: dict  # g -> list of per-outcome unitaries
-    checks: Checks = field(default_factory=Checks)
-
-    @property
-    def total_dim(self) -> int:
-        return int(sum(self.fiber_dims))
-
-    def offsets(self) -> np.ndarray:
-        return offsets(self.fiber_dims)
-
-    def isometry(self) -> np.ndarray:
-        return np.vstack(list(self.factors))
-
-    def projection(self, w) -> np.ndarray:
-        outcome = np.repeat(np.arange(len(self.fiber_dims)), self.fiber_dims)
-        return np.diag(outcome == w).astype(np.complex128)
-
-    def assembled_rep(self) -> MultiplierRep:
-        sym = self.spec.symmetry
-        n = self.total_dim
-        offs = self.offsets()
-        mats = np.zeros((sym.group.order, n, n), dtype=np.complex128)
-        for g in sym.group.elements():
-            for w in range(self.spec.n_outcomes):
-                src = sym.action.apply(sym.group.inv(g), w)
-                mats[g][offs[w] : offs[w + 1], offs[src] : offs[src + 1]] = self.cocycle_blocks[g][w]
-        return MultiplierRep(sym.group, sym.rep.cocycle, mats)
-
-
-def naimark(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> NaimarkData:
-    """Minimal covariant Naimark dilation: factor each effect, stack the
-    factors into an isometry, and read the imprimitivity cocycle off the
-    fiber-transport relation."""
-    report = validate_observable(spec, tol)
-    if not report.ok:
-        raise ValueError(f"observable invalid: {report.failed()}")
+    Outcome w is block w of the dilation, so ``mult[w]`` is the fiber
+    dimension, block w of ``j`` factors the effect E_w, and ``mult_rep[w][g]``
+    carries fiber w into fiber gw: F_{gw} rep(g) = W_{g,w} F_w.  The input is
+    validated once, by :func:`~covkit.cpmaps.cp_validate` in
+    :func:`~covkit.cpmaps.ksgns`, and normalization by the ``isometry``
+    verdict j^+ j = I; an unnormalized observable raises ``ValueError``."""
     sym = spec.symmetry
-    factors, fiber_dims = [], []
-    for w in range(spec.n_outcomes):
-        m, f = psd_factor(spec.effects[w], tol)
-        factors.append(f)
-        fiber_dims.append(m)
-
-    blocks: dict = {}
-    worst = 0.0
-    for g in sym.group.elements():
-        per = []
-        for w in range(spec.n_outcomes):
-            src = sym.action.apply(sym.group.inv(g), w)
-            if fiber_dims[w] == 0:
-                per.append(np.zeros((0, 0), dtype=np.complex128))
-                continue
-            target = factors[w] @ sym.rep(g)
-            blk, res = lstsq_define([(factors[src], target)], tol)
-            # each transport is held to the scale of its own source fiber
-            Checks().require(
-                tol.recon_fro * max(1.0, frob(factors[src])),
-                f"fiber transport failed at g={g}, outcome={w}",
-                cocycle_solve=res,
-            )
-            worst = max(worst, res)
-            if not is_unitary(blk, tol):
-                raise DilationResidualError("transport block is not unitary")
-            per.append(blk)
-        blocks[g] = per
-
-    data = NaimarkData(spec, tuple(fiber_dims), tuple(factors), blocks)
-    # every transport passed its own bound above
-    checks = Checks(cocycle_solve=Check(True, worst))
-    checks.update(_certify_naimark(data, tol))
-    return replace(data, checks=checks)
-
-
-def _certify_naimark(data: NaimarkData, tol) -> Checks:
-    spec, sym = data.spec, data.spec.symmetry
-    k_iso = data.isometry()
-    worst = 0.0
-    for w in range(spec.n_outcomes):
-        compressed = k_iso.conj().T @ data.projection(w) @ k_iso
-        worst = max(worst, frob(compressed - spec.effects[w]))
-    lim = tol.recon_fro * max(1.0, np.sqrt(spec.v_dim))
-    checks = Checks().require(
-        lim,
-        "naimark compression identities failed",
-        isometry=frob(k_iso.conj().T @ k_iso - np.eye(spec.v_dim)),
-        compression=worst,
-    )
-    # minimality: the fibers are spanned by projected isometry columns
-    for w in range(spec.n_outcomes):
-        if rank(data.factors[w], tol) != data.fiber_dims[w]:
-            raise DilationResidualError("naimark dilation is not minimal", checks)
-    # assembled representation: intertwining and the block cocycle identity
-    rep_big = data.assembled_rep()
-    worst_j = max(
-        (
-            frob(rep_big(g) @ k_iso - k_iso @ sym.rep(g))
-            for g in sym.group.elements()
-        ),
-        default=0.0,
-    )
-    checks.require(lim, "naimark covariance identities failed", intertwining=worst_j)
-    coc = 0.0
-    cocycle = sym.rep.cocycle
-    for a in sym.group.elements():
-        for b in sym.group.elements():
-            for w in range(spec.n_outcomes):
-                lhs = data.cocycle_blocks[sym.group.prod(a, b)][w]
-                mid = sym.action.apply(sym.group.inv(a), w)
-                rhs = (
-                    np.conj(cocycle(a, b))
-                    * data.cocycle_blocks[a][w]
-                    @ data.cocycle_blocks[b][mid]
-                )
-                coc = max(coc, frob(lhs - rhs))
-    return checks.require(
-        tol.recon_fro * max(1.0, np.sqrt(max(data.total_dim, 1))),
-        "naimark covariance identities failed",
-        block_cocycle=coc,
-    )
+    as_instrument = InstrumentSpec(spec.effects, Symmetry(sym.sub, sym.rep, MultiplierRep.trivial(sym.group)))
+    dil = ksgns(as_cpmap(as_instrument), tol)
+    res = frob(dil.j.conj().T @ dil.j - np.eye(spec.v_dim))
+    dil.checks["isometry"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), res)
+    if not dil.checks["isometry"].ok:
+        raise ValueError(f"observable invalid: the effects sum to the identity only to {res:.2e}")
+    return dil
 
 
 @dataclass(frozen=True)
@@ -693,18 +572,11 @@ def lambda_from_observable(
     the irreducible decomposition of the module representation."""
     sym = spec.symmetry
     naim = naimark(spec, tol)
-    lam_raw = naim.factors[0]  # evaluation at the identity coset
-    m0 = naim.fiber_dims[0]
+    lam_raw = naim.j[: naim.mult[0]]  # evaluation at the identity coset
     pos_members = list(sym.sub.members)
     hgrp = sym.sub.subgroup_group()
     cvals = sym.rep.cocycle.values[np.ix_(pos_members, pos_members)]
-    rho = MultiplierRep(
-        hgrp,
-        TwoCocycle(hgrp, cvals),
-        np.stack([naim.cocycle_blocks[mem][0] for mem in pos_members])
-        if m0
-        else np.zeros((len(pos_members), 0, 0)),
-    )
+    rho = MultiplierRep(hgrp, TwoCocycle(hgrp, cvals), naim.mult_rep[0][pos_members])
     decomp = irrep_decompose(sym.rep, seed=seed, tol=tol)
     lam_rot = lam_raw @ decomp.basis
     g_order, h_order = sym.group.order, len(sym.sub.members)

@@ -18,12 +18,16 @@ pseudo-inverse solve of the dilation symmetry, as references for
 block factorization of a dense representation of the algebra; the
 grand kernel over the matrix units, as the reference for the Choi blocks;
 and the loop forms of the kernel and instrument covariance residuals, as
-references for ``covkit.kernels`` and ``covkit.instruments``; and the
-per-draw encoding of a sample stream, as the reference for the line cache of
-``covkit sample``; and a dense commutant over the eigenspaces of pi, as the
-reference for the block-coordinate commutant solve of ``cp_extremal`` where
-the N^2-column kron system is too large; and the N^2-column kron system
-itself, with its real Hermitian branch, as the reference for
+references for ``covkit.kernels`` and ``covkit.instruments``, and of the
+CP-map and observable covariance residuals; the commuting twist
+I (*) W(g) of a dilation whose u(g) lie in the algebra; the Naimark
+dilation by one least-squares solve per (g, w), as the reference for
+``covkit.instruments.naimark``, the KSGNS dilation of the observable's CP
+form; and the per-draw encoding of a sample stream, as the reference for
+the line cache of ``covkit sample``; and a dense commutant over the
+eigenspaces of pi, as the reference for the block-coordinate commutant
+solve of ``cp_extremal`` where the N^2-column kron system is too large;
+and the N^2-column kron system itself, with its real Hermitian branch, as the reference for
 ``covkit.numlin.constrained_commutant``; the CP-form extremality route for
 instruments (KSGNS dilation of the instrument as a CP map over all outcome
 blocks), as the reference for the base-fiber solve of
@@ -39,7 +43,7 @@ import numpy as np
 
 from covkit.cpmaps import CPMapSpec, NotSingleBlockError, cp_extremal, cp_validate, kraus_from_choi, ksgns
 from covkit.cstar import ModuleSpace
-from covkit.fingroup import GroupAction, TwoCocycle
+from covkit.fingroup import GroupAction, MultiplierRep, TwoCocycle
 from covkit.instruments import (
     CovariantInstrumentData,
     InstrumentSpec,
@@ -47,12 +51,13 @@ from covkit.instruments import (
     Symmetry,
     as_cpmap,
     marginal_observable,
-    naimark,
     sample_stream,
     validate_instrument,
     validate_observable,
 )
 from covkit.kernels import (
+    Check,
+    Checks,
     CovariantKernelSpec,
     DilationResidualError,
     ExtremalityCertificate,
@@ -67,6 +72,9 @@ from covkit.numlin import (
     is_unitary,
     lstsq_define,
     null_space,
+    offsets,
+    psd_factor,
+    rank,
 )
 from covkit.specfile import matrix_out
 
@@ -653,16 +661,34 @@ def twist_loop(dil):
     worst = 0.0
     for g in dil.spec.symmetry.group.elements():
         s = dil.sym(g)
-        diff = s @ dil.pi_units - alg.transport(u(g), dil.pi_units) @ s
+        diff = s @ dil.pi_units - transport_loop(alg, u(g), dil.pi_units) @ s
         worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
     return worst
+
+
+def has_bar(dil):
+    """Whether :func:`sym_bar` is defined: a symmetry whose every sigma_g is
+    the identity, so every u(g) lies in the algebra."""
+    sigma = None if dil.mult_rep is None else dil.spec.algebra.block_action(dil.spec.symmetry.u.matrices)[0]
+    return sigma is not None and bool(np.all(sigma == np.arange(len(dil.mult))))
+
+
+def sym_bar(dil, g):
+    """The dense commuting twist pi(u(g)^+) sym(g) = I (*) W(g), with
+    cocycle conj(c_u) c_rep, when :func:`has_bar`."""
+    blocks, start = dil.spec.algebra.blocks, 0
+    out = np.zeros((dil.rank, dil.rank), dtype=np.complex128)
+    for n, r, ws in zip(blocks, dil.mult, dil.mult_rep):
+        out[start : start + n * r, start : start + n * r] = np.kron(np.eye(n), ws[g])
+        start += n * r
+    return out
 
 
 def commutation_loop(dil):
     """max over group elements a and units k of ||sym_bar(a) pi(E_k) -
     pi(E_k) sym_bar(a)||, densely."""
     pi = dil.pi_units
-    bars = [dil.sym_bar(a) for a in dil.spec.symmetry.group.elements()]
+    bars = [sym_bar(dil, a) for a in dil.spec.symmetry.group.elements()]
     return max(float(np.linalg.norm(b @ pi - pi @ b, axis=(1, 2)).max()) for b in bars)
 
 
@@ -687,7 +713,7 @@ def sym_pinv_solve(dil):
     u, rep = spec.symmetry.u, spec.symmetry.rep
     mats = []
     for g in spec.symmetry.group.elements():
-        moved = spec.algebra.transport(u(g), r_blocks) @ rep(g)
+        moved = transport_loop(spec.algebra, u(g), r_blocks) @ rep(g)
         mats.append(moved.transpose(1, 0, 2).reshape(n, -1) @ pinv)
     return np.stack(mats)
 
@@ -731,6 +757,30 @@ def kernel_covariance_loop(spec: CovariantKernelSpec):
                 lhs = spec.blocks[spec.action.apply(a, x), spec.action.apply(a, y)]
                 rhs = np.conj(spec.alpha[a, x]) * spec.alpha[a, y] * (ua_inv.conj().T @ spec.blocks[x, y] @ ua_inv)
                 worst = max(worst, frob(lhs - rhs))
+    return worst
+
+
+def cp_covariance_loop(spec: CPMapSpec):
+    """max over (g, k) of ||S(u(g) E_k u(g)^+) - rep(g) S(E_k) rep(g)^+||,
+    one group element at a time through the loop-form transport."""
+    sym = spec.symmetry
+    worst = 0.0
+    for g in sym.group.elements():
+        uinv = sym.rep.inv_mat(g)
+        diff = transport_loop(spec.algebra, sym.u(g), spec.values) - uinv.conj().T @ spec.values @ uinv
+        worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
+    return worst
+
+
+def observable_covariance_loop(spec: ObservableSpec):
+    """max ||rep(g) E_w rep(g)^+ - E_{gw}|| over all (g, w)."""
+    sym = spec.symmetry
+    worst = 0.0
+    for g in sym.group.elements():
+        ug = sym.rep(g)
+        for w in range(spec.n_outcomes):
+            lhs = ug @ spec.effects[w] @ ug.conj().T
+            worst = max(worst, frob(lhs - spec.effects[sym.action.apply(g, w)]))
     return worst
 
 
@@ -887,7 +937,7 @@ def structure_chain_B(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL):
     dilation chain: observable-marginal dilation, instrument dilation, the
     decomposable fiber isometries connecting them, and the base-point
     channel.  Returns operators generating the same instrument."""
-    naim = naimark(marginal_observable(spec), tol)
+    naim = naimark_loop(marginal_observable(spec), tol)
     cp = as_cpmap(spec)
     dil = ksgns(cp, tol)
     k = spec.k_dim
@@ -927,3 +977,140 @@ def _unit_on_outcome(alg, k, outcome, a, b):
     off = outcome * k
     mat[off + a, off + b] = 1.0
     return mat
+
+
+# -- the Naimark dilation by per-fiber solves ----------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class NaimarkData:
+    """Minimal covariant Naimark dilation of an observable.
+
+    The dilation space is the direct sum of per-outcome fibers; ``isometry``
+    stacks the factor blocks of the effects; ``cocycle_blocks[g][w]`` is the
+    unitary carrying fiber g^{-1} w into fiber w, assembling to a multiplier
+    representation with the module representation's cocycle.
+    """
+
+    spec: ObservableSpec
+    fiber_dims: tuple[int, ...]
+    factors: tuple[np.ndarray, ...]  # per outcome, (m(w), V)
+    cocycle_blocks: dict  # g -> list of per-outcome unitaries
+    checks: Checks = dataclasses.field(default_factory=Checks)
+
+    @property
+    def total_dim(self) -> int:
+        return int(sum(self.fiber_dims))
+
+    def offsets(self) -> np.ndarray:
+        return offsets(self.fiber_dims)
+
+    def isometry(self) -> np.ndarray:
+        return np.vstack(list(self.factors))
+
+    def projection(self, w) -> np.ndarray:
+        outcome = np.repeat(np.arange(len(self.fiber_dims)), self.fiber_dims)
+        return np.diag(outcome == w).astype(np.complex128)
+
+    def assembled_rep(self) -> MultiplierRep:
+        sym = self.spec.symmetry
+        n = self.total_dim
+        offs = self.offsets()
+        mats = np.zeros((sym.group.order, n, n), dtype=np.complex128)
+        for g in sym.group.elements():
+            for w in range(self.spec.n_outcomes):
+                src = sym.action.apply(sym.group.inv(g), w)
+                mats[g][offs[w] : offs[w + 1], offs[src] : offs[src + 1]] = self.cocycle_blocks[g][w]
+        return MultiplierRep(sym.group, sym.rep.cocycle, mats)
+
+
+def naimark_loop(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> NaimarkData:
+    """Minimal covariant Naimark dilation: factor each effect, stack the
+    factors into an isometry, and read the imprimitivity cocycle off the
+    fiber-transport relation."""
+    report = validate_observable(spec, tol)
+    if not report.ok:
+        raise ValueError(f"observable invalid: {report.failed()}")
+    sym = spec.symmetry
+    factors, fiber_dims = [], []
+    for w in range(spec.n_outcomes):
+        m, f = psd_factor(spec.effects[w], tol)
+        factors.append(f)
+        fiber_dims.append(m)
+
+    blocks: dict = {}
+    worst = 0.0
+    for g in sym.group.elements():
+        per = []
+        for w in range(spec.n_outcomes):
+            src = sym.action.apply(sym.group.inv(g), w)
+            if fiber_dims[w] == 0:
+                per.append(np.zeros((0, 0), dtype=np.complex128))
+                continue
+            target = factors[w] @ sym.rep(g)
+            blk, res = lstsq_define([(factors[src], target)], tol)
+            # each transport is held to the scale of its own source fiber
+            Checks().require(
+                tol.recon_fro * max(1.0, frob(factors[src])),
+                f"fiber transport failed at g={g}, outcome={w}",
+                cocycle_solve=res,
+            )
+            worst = max(worst, res)
+            if not is_unitary(blk, tol):
+                raise DilationResidualError("transport block is not unitary")
+            per.append(blk)
+        blocks[g] = per
+
+    data = NaimarkData(spec, tuple(fiber_dims), tuple(factors), blocks)
+    # every transport passed its own bound above
+    checks = Checks(cocycle_solve=Check(True, worst))
+    checks.update(_certify_naimark(data, tol))
+    return dataclasses.replace(data, checks=checks)
+
+
+def _certify_naimark(data: NaimarkData, tol) -> Checks:
+    spec, sym = data.spec, data.spec.symmetry
+    k_iso = data.isometry()
+    worst = 0.0
+    for w in range(spec.n_outcomes):
+        compressed = k_iso.conj().T @ data.projection(w) @ k_iso
+        worst = max(worst, frob(compressed - spec.effects[w]))
+    lim = tol.recon_fro * max(1.0, np.sqrt(spec.v_dim))
+    checks = Checks().require(
+        lim,
+        "naimark compression identities failed",
+        isometry=frob(k_iso.conj().T @ k_iso - np.eye(spec.v_dim)),
+        compression=worst,
+    )
+    # minimality: the fibers are spanned by projected isometry columns
+    for w in range(spec.n_outcomes):
+        if rank(data.factors[w], tol) != data.fiber_dims[w]:
+            raise DilationResidualError("naimark dilation is not minimal", checks)
+    # assembled representation: intertwining and the block cocycle identity
+    rep_big = data.assembled_rep()
+    worst_j = max(
+        (
+            frob(rep_big(g) @ k_iso - k_iso @ sym.rep(g))
+            for g in sym.group.elements()
+        ),
+        default=0.0,
+    )
+    checks.require(lim, "naimark covariance identities failed", intertwining=worst_j)
+    coc = 0.0
+    cocycle = sym.rep.cocycle
+    for a in sym.group.elements():
+        for b in sym.group.elements():
+            for w in range(spec.n_outcomes):
+                lhs = data.cocycle_blocks[sym.group.prod(a, b)][w]
+                mid = sym.action.apply(sym.group.inv(a), w)
+                rhs = (
+                    np.conj(cocycle(a, b))
+                    * data.cocycle_blocks[a][w]
+                    @ data.cocycle_blocks[b][mid]
+                )
+                coc = max(coc, frob(lhs - rhs))
+    return checks.require(
+        tol.recon_fro * max(1.0, np.sqrt(max(data.total_dim, 1))),
+        "naimark covariance identities failed",
+        block_cocycle=coc,
+    )

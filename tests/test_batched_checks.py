@@ -3,8 +3,9 @@ against their element-by-element loop forms in ``oracles``.
 
 Each check must report the same first violation in lexicographic order, or
 raise the same message, on valid inputs, on one corruption and on two
-corruptions at once.  The batched kernel and instrument residuals must
-equal their loop forms on valid and perturbed inputs.
+corruptions at once.  The batched kernel, CP-map, observable and
+instrument covariance residuals must equal their loop forms on valid and
+perturbed inputs.
 """
 
 from dataclasses import replace
@@ -23,17 +24,26 @@ from covkit.fingroup import (
     heisenberg_rep,
     rep_violation,
 )
-from covkit.instruments import phase_space, validate_instrument
+from covkit.cpmaps import cp_validate
+from covkit.instruments import as_cpmap, marginal_observable, phase_space, validate_instrument, validate_observable
 from covkit.kernels import validate_kernel
 from covkit.numlin import Tolerances
-from covkit.random import all_subgroups, rand_covariant_instrument, rand_covariant_kernel
+from covkit.random import (
+    all_subgroups,
+    rand_covariant_cpmap,
+    rand_covariant_instrument,
+    rand_covariant_kernel,
+    rand_covariant_observable,
+)
 from oracles import (
     action_violation,
     alpha_cocycle_loop,
     cocycle_violation_loop,
+    cp_covariance_loop,
     group_table_violation,
     instrument_covariance_loop,
     kernel_covariance_loop,
+    observable_covariance_loop,
     rep_violation_loop,
     subgroup_violation,
 )
@@ -386,3 +396,42 @@ def test_instrument_covariance_matches_loop():
         check = validate_instrument(broken)["covariance"]
         assert not check.ok
         assert check.residual == pytest.approx(instrument_covariance_loop(broken), rel=1e-12)
+
+
+def _hermitian_bump(rng, shape):
+    x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return 1e-4 * (x + x.conj().T)
+
+
+def test_observable_covariance_matches_loop():
+    rng = _rng("observable")
+    specs = [marginal_observable(phase_space(3, [np.diag([1.0, 1.0, 0.0]) / np.sqrt(6.0)]))]
+    specs += [rand_covariant_observable(rng, sub, v_dim=2) for sub in all_subgroups(GROUPS["S3"])[:3]]
+    for spec in specs:
+        check = validate_observable(spec)["covariance"]
+        assert check.ok
+        assert check.residual == pytest.approx(observable_covariance_loop(spec), rel=1e-12, abs=1e-14)
+        effects = spec.effects.copy()
+        effects[int(rng.integers(spec.n_outcomes))] += _hermitian_bump(rng, effects.shape[1:])
+        broken = replace(spec, effects=effects)
+        check = validate_observable(broken)["covariance"]
+        assert not check.ok
+        assert check.residual == pytest.approx(observable_covariance_loop(broken), rel=1e-12)
+
+
+def test_cpmap_covariance_matches_loop():
+    # u(g) permutes the blocks of the instrument's CP form and lies in the
+    # algebra of the random maps
+    rng = _rng("cpmap")
+    specs = [as_cpmap(phase_space(3, [np.diag([1.0, 1.0, 0.0]) / np.sqrt(6.0)]))]
+    specs += [rand_covariant_cpmap(rng, blocks, GROUPS[name], n_v=2) for blocks, name in (((2, 1), "S3"), ((3,), "D4"))]
+    for spec in specs:
+        check = cp_validate(spec)["covariant"]
+        assert check.ok
+        assert check.residual == pytest.approx(cp_covariance_loop(spec), rel=1e-12, abs=1e-14)
+        values = spec.values.copy()
+        values[0] += _hermitian_bump(rng, values.shape[1:])  # E_00 of the first block, which u moves
+        broken = replace(spec, values=values)
+        check = cp_validate(broken)["covariant"]
+        assert not check.ok
+        assert check.residual == pytest.approx(cp_covariance_loop(broken), rel=1e-12)

@@ -13,7 +13,7 @@ from covkit.instruments import (
     instrument_from_B,
     phase_space,
 )
-from covkit.random import rand_covariant_cpmap
+from covkit.random import rand_covariant_cpmap, rand_covariant_observable
 
 
 def write(tmp_path, name, text):
@@ -194,6 +194,24 @@ def test_cli_dilate_artifact_revalidates(tmp_path, capsys):
     naim = report["artifacts"]["naimark"]
     iso = specfile.matrix_in(naim["isometry"], "isometry")
     assert np.allclose(iso.conj().T @ iso, np.eye(2), atol=1e-8)
+
+
+def test_cli_dilate_cocycle_blocks_carry_fiber_g_inverse_w_into_w(tmp_path, capsys):
+    # Z_4 acting on its own points, where g^{-1} differs from g: F_w rep(g) = blk F_{g^{-1} w}
+    group = FiniteGroup.cyclic(4)
+    spec = rand_covariant_observable(np.random.default_rng(2), SubgroupData(group, (0,)), v_dim=2)
+    path = write(tmp_path, "obs.json", specfile.document("observable", specfile.observable_out(spec)))
+    assert main(["dilate", path]) == 0
+    naim = json.loads(capsys.readouterr().out)["artifacts"]["naimark"]
+    iso = specfile.matrix_in(naim["isometry"], "isometry")
+    start = np.cumsum([0] + naim["fiber_dims"])
+    fibers = [iso[a:b] for a, b in zip(start, start[1:])]
+    assert sorted(naim["cocycle_blocks"]) == [str(g) for g in group.elements()]
+    for g in group.elements():
+        for w, blk in enumerate(naim["cocycle_blocks"][str(g)]):
+            src = spec.symmetry.action.apply(group.inv(g), w)
+            blk = specfile.matrix_in(blk, "block")
+            assert np.allclose(fibers[w] @ spec.symmetry.rep(g), blk @ fibers[src], atol=1e-10)
 
 
 def test_cli_sample_stream(tmp_path, capsys):
@@ -514,17 +532,17 @@ def _instrument_doc():
     return specfile.document("instrument", specfile.instrument_out(phase_space(d, ops)))
 
 
-KSGNS_VERDICTS = {"reconstruction", "sym_unitary", "sym_j"}
+KSGNS_VERDICTS = {"reconstruction", "sym_unitary", "sym_j", "sym_cocycle"}
 VERDICT_NAMES = {
     ("validate", "kernel"): {"positive", "covariant", "alpha_cocycle"},
     ("validate", "cpmap"): {"completely_positive", "covariant"},
     ("validate", "observable"): {"effects_psd", "normalization", "covariance"},
     ("validate", "instrument"): {"outcomes_cp", "normalization", "covariance"},
     ("dilate", "kernel"): {"dilation_solve", "reconstruction", "unitarity", "cocycle", "intertwining"},
-    # u lies in M_2, so the commuting twist is certified too
-    ("dilate", "cpmap"): KSGNS_VERDICTS | {"bar_cocycle"},
-    ("dilate", "observable"): {"cocycle_solve", "isometry", "compression", "intertwining", "block_cocycle"},
-    # the phase-space translations permute the outcome blocks: no commuting twist
+    ("dilate", "cpmap"): KSGNS_VERDICTS,
+    # the KSGNS dilation of the observable's CP form, and its normalization
+    ("dilate", "observable"): KSGNS_VERDICTS | {"isometry"},
+    # the phase-space translations permute the outcome blocks
     ("dilate", "instrument"): KSGNS_VERDICTS,
 }
 DOCUMENTS = {

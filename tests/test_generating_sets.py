@@ -333,56 +333,6 @@ def test_hermitian_witness_threshold_follows_recon_fro():
 
 
 # ---------------------------------------------------------------------------
-# the commuting-twist cross-check in cp_extremal
-# ---------------------------------------------------------------------------
-
-
-def _maps_with_sym_bar():
-    out = []
-    for blocks, group, seed in (((2,), "Z4", 1), ((3,), "Z3", 3), ((2, 1), "S3", 0)):
-        rng = np.random.default_rng(seed)
-        for n_v in (1, 2):
-            spec = rand_covariant_cpmap(rng, blocks, GROUPS[group], n_v=n_v)
-            dil = ksgns(spec)
-            assert dil.has_bar
-            out.append((spec, dil))
-    return out
-
-
-def test_cp_extremal_twist_cross_check_passes_on_equal_freedom(monkeypatch):
-    recorder = _Recorder()
-    monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
-    freedoms = []
-    for spec, dil in _maps_with_sym_bar():
-        recorder.calls.clear()
-        cert = cp_extremal(spec, dil)
-        # one solve with sym, one with sym_bar, of equal freedom
-        (gens, _, _, basis), (bar_gens, _, _, bar_basis) = recorder.calls
-        last = spec.symmetry.group.generators()[-1]
-        assert np.allclose(gens[-1], dil.sym(last)) and np.allclose(bar_gens[-1], dil.sym_bar(last))
-        assert len(basis) == len(bar_basis) == cert.freedom
-        freedoms.append(cert.freedom)
-    assert max(freedoms) > 0
-
-
-def test_cp_extremal_twist_cross_check_compares_freedom(monkeypatch):
-    spec, dil = next((s, d) for s, d in _maps_with_sym_bar() if cp_extremal(s, d).freedom >= 2)
-    calls = []
-
-    def drop_one_on_sym_bar(*args, **kwargs):
-        basis = _ENGINE(*args, **kwargs)
-        calls.append(len(basis))
-        # the second solve stacks the sym_bar generators; lose one direction,
-        # which keeps the basis nonempty
-        return basis[:-1] if len(calls) == 2 else basis
-
-    monkeypatch.setattr(cpmaps, "constrained_commutant", drop_one_on_sym_bar)
-    with pytest.raises(DilationResidualError, match="commuting-twist"):
-        cp_extremal(spec, dil)
-    assert len(calls) == 2 and calls[1] >= 2
-
-
-# ---------------------------------------------------------------------------
 # asymmetric Z: the symmetrized complex solve against the Hermitian kron solve
 # ---------------------------------------------------------------------------
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from covkit import instruments as ins
-from covkit.cpmaps import cp_validate, ksgns, marginals, subminimal
+from covkit.cpmaps import _certify_covariant, cp_validate, ksgns, marginals, subminimal
 from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle, cosets, heisenberg_rep
 from covkit.instruments import (
     CovariantInstrumentData,
@@ -35,14 +35,14 @@ from covkit.instruments import (
     wigner_rotation,
 )
 from covkit.kernels import DilationResidualError, kernel_extremal, validate_kernel
-from covkit.numlin import Tolerances
+from covkit.numlin import Tolerances, offsets
 from covkit.random import (
     all_subgroups,
     rand_covariant_instrument,
     rand_covariant_observable,
     rand_density,
 )
-from oracles import instrument_extremal_cpform, structure_chain_B
+from oracles import cocycle_loop, has_bar, instrument_extremal_cpform, naimark_loop, structure_chain_B, sym_stack
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -129,30 +129,95 @@ def test_validate_rejects_unnormalized():
 def test_naimark_projective_observable():
     spec = flip_observable(1.0)
     naim = naimark(spec)
-    assert naim.fiber_dims == (1, 1)
-    k = naim.isometry()
+    assert naim.mult == (1, 1)
+    k = naim.j
     assert np.allclose(k.conj().T @ k, np.eye(2), atol=1e-10)
 
 
 def test_naimark_flip_half():
     naim = naimark(flip_observable(0.5))
-    assert naim.fiber_dims == (2, 2)
-    f0 = naim.factors[0]
+    assert naim.mult == (2, 2)
+    f0 = naim.j[:2]
     assert np.allclose(f0.conj().T @ f0, np.eye(2) / 2, atol=1e-10)
 
 
 def test_naimark_trine():
     naim = naimark(trine_observable())
-    assert naim.fiber_dims == (1, 1, 1)
-    assert naim.total_dim == 3
+    assert naim.mult == (1, 1, 1)
+    assert naim.rank == 3
 
 
 def test_naimark_cocycle_blocks_are_unitary():
     naim = naimark(flip_observable(0.3))
     for g in range(2):
         for w in range(2):
-            blk = naim.cocycle_blocks[g][w]
+            blk = naim.mult_rep[w][g]
             assert np.allclose(blk.conj().T @ blk, np.eye(blk.shape[0]), atol=1e-9)
+
+
+def _naimark_cases():
+    """Flip, trine and projective observables, random covariant observables
+    with nontrivial stabilizers, and phase-space marginals (projective rep)."""
+    yield pytest.param(flip_observable(0.3), id="flip")
+    yield pytest.param(flip_observable(1.0), id="projective")
+    yield pytest.param(trine_observable(), id="trine")
+    rng = np.random.default_rng(15)
+    for name, group in (("Z4", FiniteGroup.cyclic(4)), ("D4", FiniteGroup.dihedral(4)),
+                        ("S3", FiniteGroup.symmetric(3)), ("S4", FiniteGroup.symmetric(4))):
+        sub = next(h for h in all_subgroups(group) if 1 < len(h.members) < group.order)
+        yield pytest.param(rand_covariant_observable(rng, sub, v_dim=3), id=f"random_{name}")
+    for d in (2, 3):
+        b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        instrument = phase_space(d, [b / np.linalg.norm(b) / np.sqrt(d)])
+        yield pytest.param(marginal_observable(instrument), id=f"phase_space_marginal_d{d}")
+
+
+@pytest.mark.parametrize("spec", list(_naimark_cases()))
+def test_naimark_is_the_per_fiber_solve(spec):
+    # the KSGNS dilation of the CP form against the per-(g, w) solve it replaced
+    naim, want = naimark(spec), naimark_loop(spec)
+    assert naim.mult == want.fiber_dims
+    assert sorted(naim.checks) == ["isometry", "reconstruction", "sym_cocycle", "sym_j", "sym_unitary"]
+    assert naim.checks.ok
+    start, group = offsets(naim.mult), spec.symmetry.group
+    factors = [naim.j[a:b] for a, b in zip(start, start[1:])]
+    for f, old, effect in zip(factors, want.factors, spec.effects):
+        assert np.allclose(f.conj().T @ f, old.conj().T @ old, atol=1e-12)
+        assert np.allclose(f.conj().T @ f, effect, atol=1e-12)
+    # cocycle_blocks[g][w] = mult_rep[g^{-1} w][g] carries fiber g^{-1} w into fiber w
+    for g in group.elements():
+        for w in range(spec.n_outcomes):
+            src = spec.symmetry.action.apply(group.inv(g), w)
+            blk = naim.mult_rep[src][g]
+            assert np.allclose(factors[w] @ spec.symmetry.rep(g), blk @ factors[src], atol=1e-10)
+            assert np.allclose(blk.conj().T @ blk, np.eye(len(blk)), atol=1e-10)
+    assert cocycle_loop(sym_stack(naim), spec.symmetry.rep.cocycle, group) <= 1e-12
+
+
+def test_an_unnormalized_observable_fails_the_isometry_verdict():
+    spec = flip_observable(0.3)
+    with pytest.raises(ValueError, match="sum to the identity"):
+        naimark(replace(spec, effects=1.5 * spec.effects))
+
+
+def _turned_once(dil):
+    """The dilation with one W_{g,i}, g != e, turned by a phase: still
+    unitary, but no longer a cocycle together with the others."""
+    mult_rep = [ws.copy() for ws in dil.mult_rep]
+    mult_rep[1][1] *= np.exp(1e-3j)
+    return replace(dil, mult_rep=tuple(mult_rep))
+
+
+@pytest.mark.parametrize("kind", ["instrument", "observable"])
+def test_sym_cocycle_catches_one_turned_multiplicity_unitary(kind):
+    # both dilations permute their outcome blocks, so no commuting twist exists
+    instrument = phase_space(2, [np.array([[1.0, 0.0], [0.5, 0.0]]) / np.sqrt(2.5)])
+    dil = ksgns(as_cpmap(instrument)) if kind == "instrument" else naimark(marginal_observable(instrument))
+    assert not has_bar(dil) and dil.checks["sym_cocycle"].residual <= 1e-12
+    with pytest.raises(DilationResidualError, match="covariant dilation") as exc:
+        _certify_covariant(_turned_once(dil), Tolerances())
+    assert exc.value.checks["sym_unitary"].ok
+    assert not exc.value.checks["sym_cocycle"].ok and exc.value.checks["sym_cocycle"].residual > 1e-5
 
 
 def test_decomposable_extract_swap():
@@ -201,13 +266,13 @@ def test_decomposable_roundtrip_random():
 def test_naimark_rep_is_decomposable_with_cocycle():
     spec = flip_observable(0.25)
     naim = naimark(spec)
-    big = naim.assembled_rep()
     act = spec.symmetry.action
     for g in range(2):
         dec = decomposable_extract(
-            big(g), perm=[act.apply(g, w) for w in range(2)], fiber_dims=naim.fiber_dims
+            naim.sym(g), perm=[act.apply(g, w) for w in range(2)], fiber_dims=naim.mult
         )
         assert dec.is_unitary_op()
+    assert cocycle_loop(sym_stack(naim), spec.symmetry.rep.cocycle, spec.symmetry.group) <= 1e-12
 
 
 def test_wigner_rotation_trivial_subgroup():

@@ -28,6 +28,7 @@ from .numlin import (
     psd_factor,
     psd_status,
     rank,
+    unitary_moves,
 )
 
 
@@ -119,11 +120,7 @@ class CovariantKernelSpec:
 
     def grand_matrix(self) -> np.ndarray:
         x, n = self.x_size, self.n_v
-        out = np.zeros((x * n, x * n), dtype=np.complex128)
-        for a in range(x):
-            for b in range(x):
-                out[a * n : (a + 1) * n, b * n : (b + 1) * n] = self.blocks[a, b]
-        return out
+        return self.blocks.transpose(0, 2, 1, 3).reshape(x * n, x * n)
 
     def dilation_cocycle(self) -> TwoCocycle:
         return self.sigma.multiply(self.rep.cocycle)
@@ -133,8 +130,8 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
     """Check the alpha composition rule, block covariance and positivity, as
     the verdicts ``alpha_cocycle``, ``covariant`` and ``positive``.  The
     composition residual covers every (a, b, x) at once, also when sigma
-    itself is not a 2-cocycle (the verdict then fails); covariance is
-    checked one group element at a time over every block pair."""
+    itself is not a 2-cocycle (the verdict then fails); so does the
+    covariance residual, over every group element and block pair."""
     g, table = spec.action.group, spec.action.table
     checks = Checks()
 
@@ -149,15 +146,14 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
     )
     checks["alpha_cocycle"] = Check(bool(alpha_ok), err_alpha)
 
-    err_cov = 0.0
+    # T[ax, ay] - conj(alpha(a, x)) alpha(a, y) U(a)^-+ T[x, y] U(a)^-1 for every (a, x, y)
     scale = max(1.0, float(np.abs(spec.blocks).max()) * float(np.abs(spec.alpha).max()) ** 2)
     weights = np.conj(spec.alpha)[:, :, None, None, None] * spec.alpha[:, None, :, None, None]
-    for a in g.elements():
-        # T[ax, ay] - conj(alpha(a, x)) alpha(a, y) U(a)^-+ T[x, y] U(a)^-1 for every (x, y)
-        ua_inv = spec.rep.inv_mat(a)
-        diff = spec.blocks[table[a][:, None], table[a]]
-        diff -= weights[a] * (ua_inv.conj().T @ spec.blocks @ ua_inv)
-        err_cov = max(err_cov, float(np.linalg.norm(diff, axis=(2, 3)).max()))
+    rep = spec.rep.matrices
+    inv = rep.conj().transpose(0, 2, 1) if spec.rep.unitary_flag else np.linalg.inv(rep)
+    moved = inv.conj().transpose(0, 2, 1)[:, None, None] @ spec.blocks @ inv[:, None, None]
+    diff = spec.blocks[table[:, :, None], table[:, None, :]] - weights * moved
+    err_cov = float(np.linalg.norm(diff, axis=(-2, -1)).max())
     checks["covariant"] = Check(err_cov <= tol.recon_fro * scale, err_cov)
     checks["positive"] = Check(*psd_status(spec.grand_matrix(), tol))
     return checks
@@ -178,69 +174,31 @@ class KolmogorovDecomposition:
         return np.hstack(list(self.factors))
 
 
-def _solve_dilation_rep(spec, factors, n_dil, tol):
-    """Solve the dilation unitaries from sym(g) factors[x] =
-    alpha(g, x)^{-1} factors[g x] rep(g); returns them with the solve's
-    certificate."""
-    g = spec.action.group
-    stacked_in = np.hstack(list(factors))
-    mats = np.zeros((g.order, n_dil, n_dil), dtype=np.complex128)
-    worst = 0.0
-    for a in g.elements():
-        targets = np.hstack(
-            [
-                factors[spec.action.apply(a, x)] @ spec.rep(a) / spec.alpha[a, x]
-                for x in range(spec.x_size)
-            ]
-        )
-        mats[a], res = lstsq_define([(stacked_in, targets)], tol)
-        worst = max(worst, res)
-    checks = Checks().require(
-        tol.recon_fro * max(1.0, frob(stacked_in)),
-        "dilation solve failed; alpha / cocycle data is inconsistent with the blocks",
-        dilation_solve=worst,
-    )
-    return MultiplierRep(g, spec.dilation_cocycle(), mats), checks
-
-
-def _certify_decomposition(spec, decomp, tol) -> Checks:
-    g = spec.action.group
-    checks = Checks()
-    n = decomp.rank
-    grand = spec.grand_matrix()
-    scale = max(1.0, np.linalg.norm(grand, 2)) if grand.size else 1.0
-
-    recon = 0.0
-    for x in range(spec.x_size):
-        for y in range(spec.x_size):
-            recon = max(
-                recon,
-                frob(decomp.factors[x].conj().T @ decomp.factors[y] - spec.blocks[x, y]),
-            )
-    checks.require(tol.recon_fro * scale, "factor reconstruction failed", reconstruction=recon)
-
-    unit = max((frob(decomp.sym(a).conj().T @ decomp.sym(a) - np.eye(n)) for a in g.elements()), default=0.0)
-    checks.require(tol.unitary_fro * max(1.0, np.sqrt(n)), "dilation unitaries failed", unitarity=unit)
-
+def _certify_kolmogorov(spec, factors, tol, ws=None) -> tuple[MultiplierRep, Checks]:
+    """The dilation unitaries W_g with W_g F = F_g, F the factors side by
+    side and block x of F_g that of factors[g x] rep(g) / alpha(g, x), from
+    one :func:`~covkit.numlin.unitary_moves` solve over the group (or ``ws``
+    as given), and their certificate: ``reconstruction``, factors[x]^+
+    factors[y] = T[x, y] for every (x, y); ``unitarity``, ||W_g^+ W_g -
+    I||_F; ``cocycle``, W_a W_b = c(a, b) W_ab over all pairs at once, c =
+    sigma * rep.cocycle; ``intertwining``, the solve residual ||W_g F -
+    F_g||_F, which bounds every block's."""
+    group, (x_size, n, nv) = spec.action.group, factors.shape
+    stacked = factors.transpose(1, 0, 2).reshape(n, x_size * nv)
+    moved = factors[spec.action.table] @ spec.rep.matrices[:, None] / spec.alpha[..., None, None]
+    moved = moved.transpose(0, 2, 1, 3).reshape(group.order, n, x_size * nv)
+    ws, unitary, intertwining = unitary_moves(stacked, moved, tol, ws)
     cocycle = spec.dilation_cocycle()
-    coc = 0.0
-    for a in g.elements():
-        for b in g.elements():
-            coc = max(
-                coc,
-                frob(decomp.sym(a) @ decomp.sym(b) - cocycle(a, b) * decomp.sym(g.prod(a, b))),
-            )
-    checks.require(tol.recon_fro * max(1.0, np.sqrt(n)), "dilation cocycle failed", cocycle=coc)
-
-    inter = 0.0
-    for a in g.elements():
-        for x in range(spec.x_size):
-            lhs = decomp.sym(a) @ decomp.factors[x]
-            rhs = decomp.factors[spec.action.apply(a, x)] @ spec.rep(a) / spec.alpha[a, x]
-            inter = max(inter, frob(lhs - rhs))
-    return checks.require(
-        tol.recon_fro * max(1.0, scale), "covariant intertwining failed", intertwining=inter
-    )
+    recon = factors.conj().transpose(0, 2, 1)[:, None] @ factors[None] - spec.blocks
+    pairs = ws[:, None] @ ws[None] - cocycle.values[..., None, None] * ws[group.mul]
+    grand = float(np.linalg.norm(spec.grand_matrix(), 2)) if spec.blocks.size else 0.0
+    recon, pairs = (float(np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0)) for a in (recon, pairs))
+    checks = Checks().require(tol.recon_fro * max(1.0, grand), "factor reconstruction failed", reconstruction=recon)
+    checks.require(tol.unitary_fro * max(1.0, np.sqrt(n)), "dilation unitaries failed", unitarity=unitary.max())
+    checks.require(tol.recon_fro * max(1.0, np.sqrt(n)), "dilation cocycle failed", cocycle=pairs)
+    message = "covariant intertwining failed; alpha / cocycle data is inconsistent with the blocks"
+    checks.require(tol.recon_fro * max(1.0, min(grand, frob(stacked))), message, intertwining=intertwining.max())
+    return MultiplierRep(group, cocycle, ws), checks
 
 
 def kolmogorov_decompose(
@@ -251,8 +209,9 @@ def kolmogorov_decompose(
     """Minimal covariant factorization of a valid kernel.
 
     The grand block matrix is factored through its eigendecomposition and the
-    dilation representation is solved globally for each group element by
-    least squares over the spanning factor blocks, then certified.
+    dilation representation of the whole group is solved by one least-squares
+    solve over the spanning factor blocks, then certified
+    (:func:`_certify_kolmogorov`).
 
     ``basis_permutation`` optionally permutes the grand coordinates before
     factoring; the result is another minimal decomposition of the same
@@ -271,23 +230,16 @@ def kolmogorov_decompose(
         f[:, perm] = f_perm
     else:
         n_dil, f = psd_factor(grand, tol)
-    nv = spec.n_v
-    factors = np.stack(
-        [f[:, x * nv : (x + 1) * nv] for x in range(spec.x_size)]
-    ) if n_dil else np.zeros((spec.x_size, 0, nv), dtype=np.complex128)
-    sym, checks = _solve_dilation_rep(spec, factors, n_dil, tol)
-    decomp = KolmogorovDecomposition(spec, n_dil, factors, sym)
-    checks.update(_certify_decomposition(spec, decomp, tol))
-    return replace(decomp, checks=checks)
+    factors = np.ascontiguousarray(f.reshape(n_dil, spec.x_size, spec.n_v).transpose(1, 0, 2))
+    sym, checks = _certify_kolmogorov(spec, factors, tol)
+    return KolmogorovDecomposition(spec, n_dil, factors, sym, checks)
 
 
 def transform_decomposition(decomp: KolmogorovDecomposition, q) -> KolmogorovDecomposition:
     """Unitarily transported decomposition (q factors[x], q sym q^+)."""
     q = as_matrix(q)
-    factors = np.stack([q @ decomp.factors[x] for x in range(decomp.spec.x_size)])
-    mats = np.stack([q @ decomp.sym(g) @ q.conj().T for g in decomp.spec.action.group.elements()])
-    sym = MultiplierRep(decomp.spec.action.group, decomp.sym.cocycle, mats)
-    return replace(decomp, factors=factors, sym=sym)
+    sym = replace(decomp.sym, matrices=q @ decomp.sym.matrices @ q.conj().T)
+    return replace(decomp, factors=q @ decomp.factors, sym=sym)
 
 
 class EquivalenceError(RuntimeError):
@@ -303,17 +255,13 @@ def equivalence_unitary(
         raise DimensionError("decompositions live over different kernels")
     if d1.rank != d2.rank:
         raise EquivalenceError("ranks differ; not decompositions of one kernel")
-    if d1.rank == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
     w, res = lstsq_define([(d1.stacked(), d2.stacked())], tol)
     scale = max(1.0, frob(d1.stacked()))
     if res > tol.recon_fro * scale:
         raise EquivalenceError(f"factor matching residual {res:.2e}")
     if not is_unitary(w, tol):
         raise EquivalenceError("connecting map failed the unitarity certificate")
-    worst = max(
-        frob(w @ d1.sym(g) - d2.sym(g) @ w) for g in d1.spec.action.group.elements()
-    )
+    worst = float(np.linalg.norm(w @ d1.sym.matrices - d2.sym.matrices @ w, axis=(1, 2)).max())
     if worst > tol.recon_fro * max(1.0, np.sqrt(d1.rank)):
         raise EquivalenceError(f"intertwining residual {worst:.2e}")
     return w
@@ -411,12 +359,23 @@ def kernel_extremal(
     group element and every pair.  On non-extremality the certificate
     carries a Hermitian witness and the two perturbed kernels built from I
     +- D; both re-validate, keep their blocks on Z and average to the input.
+    A passed-in decomposition must reconstruct the kernel, be minimal and
+    pass the certificate of :func:`kolmogorov_decompose` with its own sym,
+    or :class:`DilationResidualError` is raised.
     """
     z_pairs = [(int(x), int(y)) for x, y in z_pairs]
     if not z_pairs:
         raise ValueError("Z must be nonempty")
     if decomp is None:
         decomp = kolmogorov_decompose(spec, tol)
+    else:
+        # a passed-in decomposition is trusted only once it factors this kernel, minimally and covariantly
+        n, group = decomp.rank, spec.action.group
+        if decomp.factors.shape != (spec.x_size, n, spec.n_v) or decomp.sym.matrices.shape != (group.order, n, n):
+            raise DilationResidualError("the decomposition does not fit the kernel's shape")
+        _certify_kolmogorov(spec, decomp.factors, tol, decomp.sym.matrices)
+        if rank(decomp.stacked(), tol) != n:
+            raise DilationResidualError("the decomposition is not minimal")
     if decomp.rank == 0:
         return ExtremalityCertificate(True, None, None, 0)
     z_set = sorted(set(z_pairs) | {(y, x) for x, y in z_pairs})

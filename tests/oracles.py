@@ -18,7 +18,9 @@ pseudo-inverse solve of the dilation symmetry, as references for
 block factorization of a dense representation of the algebra; the
 grand kernel over the matrix units, as the reference for the Choi blocks;
 and the loop forms of the kernel and instrument covariance residuals, as
-references for ``covkit.kernels`` and ``covkit.instruments``, and of the
+references for ``covkit.kernels`` and ``covkit.instruments``, of the
+Kolmogorov decomposition's per-element solve and certificate, as the
+reference for the stacked one in ``covkit.kernels``, and of the
 CP-map and observable covariance residuals; the commuting twist
 I (*) W(g) of a dilation whose u(g) lie in the algebra; the Naimark
 dilation by one least-squares solve per (g, w), as the reference for
@@ -61,6 +63,7 @@ from covkit.kernels import (
     CovariantKernelSpec,
     DilationResidualError,
     ExtremalityCertificate,
+    KolmogorovDecomposition,
     validate_kernel,
 )
 from covkit.numlin import (
@@ -758,6 +761,88 @@ def kernel_covariance_loop(spec: CovariantKernelSpec):
                 rhs = np.conj(spec.alpha[a, x]) * spec.alpha[a, y] * (ua_inv.conj().T @ spec.blocks[x, y] @ ua_inv)
                 worst = max(worst, frob(lhs - rhs))
     return worst
+
+
+# -- the Kolmogorov decomposition by per-element loops -------------------------
+
+
+def _solve_dilation_rep(spec, factors, n_dil, tol):
+    """Solve the dilation unitaries from sym(g) factors[x] =
+    alpha(g, x)^{-1} factors[g x] rep(g); returns them with the solve's
+    certificate."""
+    g = spec.action.group
+    stacked_in = np.hstack(list(factors))
+    mats = np.zeros((g.order, n_dil, n_dil), dtype=np.complex128)
+    worst = 0.0
+    for a in g.elements():
+        targets = np.hstack(
+            [
+                factors[spec.action.apply(a, x)] @ spec.rep(a) / spec.alpha[a, x]
+                for x in range(spec.x_size)
+            ]
+        )
+        mats[a], res = lstsq_define([(stacked_in, targets)], tol)
+        worst = max(worst, res)
+    checks = Checks().require(
+        tol.recon_fro * max(1.0, frob(stacked_in)),
+        "dilation solve failed; alpha / cocycle data is inconsistent with the blocks",
+        dilation_solve=worst,
+    )
+    return MultiplierRep(g, spec.dilation_cocycle(), mats), checks
+
+
+def _certify_decomposition(spec, decomp, tol) -> Checks:
+    g = spec.action.group
+    checks = Checks()
+    n = decomp.rank
+    grand = spec.grand_matrix()
+    scale = max(1.0, np.linalg.norm(grand, 2)) if grand.size else 1.0
+
+    recon = 0.0
+    for x in range(spec.x_size):
+        for y in range(spec.x_size):
+            recon = max(
+                recon,
+                frob(decomp.factors[x].conj().T @ decomp.factors[y] - spec.blocks[x, y]),
+            )
+    checks.require(tol.recon_fro * scale, "factor reconstruction failed", reconstruction=recon)
+
+    unit = max((frob(decomp.sym(a).conj().T @ decomp.sym(a) - np.eye(n)) for a in g.elements()), default=0.0)
+    checks.require(tol.unitary_fro * max(1.0, np.sqrt(n)), "dilation unitaries failed", unitarity=unit)
+
+    cocycle = spec.dilation_cocycle()
+    coc = 0.0
+    for a in g.elements():
+        for b in g.elements():
+            coc = max(
+                coc,
+                frob(decomp.sym(a) @ decomp.sym(b) - cocycle(a, b) * decomp.sym(g.prod(a, b))),
+            )
+    checks.require(tol.recon_fro * max(1.0, np.sqrt(n)), "dilation cocycle failed", cocycle=coc)
+
+    inter = 0.0
+    for a in g.elements():
+        for x in range(spec.x_size):
+            lhs = decomp.sym(a) @ decomp.factors[x]
+            rhs = decomp.factors[spec.action.apply(a, x)] @ spec.rep(a) / spec.alpha[a, x]
+            inter = max(inter, frob(lhs - rhs))
+    return checks.require(
+        tol.recon_fro * max(1.0, scale), "covariant intertwining failed", intertwining=inter
+    )
+
+
+
+def kolmogorov_loop(spec: CovariantKernelSpec, factors, tol: Tolerances = DEFAULT_TOL, sym=None):
+    """The dilation representation of the factors solved one group element
+    at a time, or ``sym`` as given, and the certificate of loops over (x,
+    y), g, (a, b) and (g, x): ``dilation_solve`` (only when solved),
+    ``reconstruction``, ``unitarity``, ``cocycle`` and ``intertwining``."""
+    n_dil = factors.shape[1]
+    checks = Checks()
+    if sym is None:
+        sym, checks = _solve_dilation_rep(spec, factors, n_dil, tol)
+    checks.update(_certify_decomposition(spec, KolmogorovDecomposition(spec, n_dil, factors, sym), tol))
+    return sym, checks
 
 
 def cp_covariance_loop(spec: CPMapSpec):

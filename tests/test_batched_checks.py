@@ -5,7 +5,8 @@ Each check must report the same first violation in lexicographic order, or
 raise the same message, on valid inputs, on one corruption and on two
 corruptions at once.  The batched kernel, CP-map, observable and
 instrument covariance residuals must equal their loop forms on valid and
-perturbed inputs.
+perturbed inputs, and so must the stacked solve and certificate of the
+Kolmogorov decomposition.
 """
 
 from dataclasses import replace
@@ -26,7 +27,7 @@ from covkit.fingroup import (
 )
 from covkit.cpmaps import cp_validate
 from covkit.instruments import as_cpmap, marginal_observable, phase_space, validate_instrument, validate_observable
-from covkit.kernels import validate_kernel
+from covkit.kernels import _certify_kolmogorov, kolmogorov_decompose, validate_kernel
 from covkit.numlin import Tolerances
 from covkit.random import (
     all_subgroups,
@@ -43,6 +44,7 @@ from oracles import (
     group_table_violation,
     instrument_covariance_loop,
     kernel_covariance_loop,
+    kolmogorov_loop,
     observable_covariance_loop,
     rep_violation_loop,
     subgroup_violation,
@@ -378,6 +380,47 @@ def test_kernel_alpha_residual_when_sigma_is_not_a_cocycle():
     check = validate_kernel(spec)["alpha_cocycle"]
     assert not check.ok
     assert check.residual == 1.0
+
+
+def _kolmogorov_cases(name):
+    """Random covariant kernels over the group, and the zero kernel on the
+    first one's index set."""
+    group = KERNEL_GROUPS[name]
+    rng = _rng(name, 5)
+    specs = [rand_covariant_kernel(rng, group, max_x=4, n_v=2) for _ in range(4)]
+    return rng, specs + [replace(specs[0], blocks=np.zeros_like(specs[0].blocks))]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_kolmogorov_certificate_matches_loop(name):
+    rng, specs = _kolmogorov_cases(name)
+    assert any(np.abs(np.abs(spec.alpha) - 1.0).max() > 0.1 for spec in specs)
+    assert all(np.abs(spec.rep.cocycle.values - 1.0).max() > 0.1 for spec in specs)
+    assert min(kolmogorov_decompose(spec).rank for spec in specs) == 0
+    loose = Tolerances(recon_fro=1e6, unitary_fro=1e6)
+    for spec in specs:
+        dec = kolmogorov_decompose(spec)
+        sym, want = kolmogorov_loop(spec, dec.factors)
+        assert list(dec.checks) == ["reconstruction", "unitarity", "cocycle", "intertwining"]
+        for key, check in dec.checks.items():
+            # the stacked intertwining residual is the loop's solve residual
+            loop = want["dilation_solve" if key == "intertwining" else key].residual
+            assert check.ok and check.residual == pytest.approx(loop, rel=1e-12, abs=1e-12)
+        assert np.abs(dec.sym.matrices - sym.matrices).max(initial=0.0) <= 1e-12
+        if not dec.rank:
+            continue
+        # a given sym with one matrix scaled and turned, and moved factors: every residual is O(1)
+        turned = dec.sym.matrices.copy()
+        turned[1] *= 1.2 * np.exp(0.4j)
+        factors = dec.factors + 0.1 * (rng.normal(size=dec.factors.shape) + 1j * rng.normal(size=dec.factors.shape))
+        got = _certify_kolmogorov(spec, factors, loose, turned)[1]
+        want = kolmogorov_loop(spec, factors, loose, replace(dec.sym, matrices=turned))[1]
+        for key in ("reconstruction", "unitarity", "cocycle"):
+            assert got[key].residual == pytest.approx(want[key].residual, rel=1e-12)
+        # per group element over all x, against the loop's largest single block
+        inter, block = got["intertwining"].residual, want["intertwining"].residual
+        assert block * (1 - 1e-12) <= inter <= np.sqrt(spec.x_size) * block * (1 + 1e-12)
+        assert min(check.residual for check in got.values()) > 1e-3
 
 
 def test_instrument_covariance_matches_loop():

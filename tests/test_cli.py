@@ -538,7 +538,7 @@ VERDICT_NAMES = {
     ("validate", "cpmap"): {"completely_positive", "covariant"},
     ("validate", "observable"): {"effects_psd", "normalization", "covariance"},
     ("validate", "instrument"): {"outcomes_cp", "normalization", "covariance"},
-    ("dilate", "kernel"): {"dilation_solve", "reconstruction", "unitarity", "cocycle", "intertwining"},
+    ("dilate", "kernel"): {"reconstruction", "unitarity", "cocycle", "intertwining"},
     ("dilate", "cpmap"): KSGNS_VERDICTS,
     # the KSGNS dilation of the observable's CP form, and its normalization
     ("dilate", "observable"): KSGNS_VERDICTS | {"isometry"},

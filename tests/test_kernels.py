@@ -175,6 +175,13 @@ def test_equivalence_after_unitary_remix():
     assert np.linalg.norm(w - q) < 1e-8
 
 
+def test_equivalence_of_rank_zero_decompositions():
+    spec = diagonal_kernel(2, 1)
+    dec = kolmogorov_decompose(replace(spec, blocks=np.zeros_like(spec.blocks)))
+    assert dec.rank == 0
+    assert equivalence_unitary(dec, dec).shape == (0, 0)
+
+
 def test_equivalence_rejects_different_kernels():
     d1 = kolmogorov_decompose(diagonal_kernel(2, 1))
     spec = diagonal_kernel(2, 1)
@@ -280,3 +287,62 @@ def test_split_that_moves_the_blocks_on_z_raises(monkeypatch):
     monkeypatch.setattr(kernels, "_hermitian_witness", lambda basis, tol: 0.5 * np.eye(len(basis[0])))
     with pytest.raises(DilationResidualError, match="z_blocks"):
         kernel_extremal(diagonal_kernel(2, 1), [(0, 0), (1, 1)])
+
+
+def _z4_kernels():
+    """Five Z_4 kernels over three points from one seed: the fourth has
+    freedom 3 on Z = {(0, 0)}, the second rank 1 and the fifth rank 0."""
+    rng = np.random.default_rng(0)
+    return [rand_covariant_kernel(rng, FiniteGroup.cyclic(4), max_x=3, n_v=2) for _ in range(5)]
+
+
+def test_extremal_rejects_another_kernels_decomposition():
+    specs = _z4_kernels()
+    assert kernel_extremal(specs[3], [(0, 0)]).freedom == 3
+    other = kolmogorov_decompose(specs[1])
+    assert other.rank == 1 and other.factors.shape == (3, 1, 2)
+    with pytest.raises(DilationResidualError, match="reconstruction"):
+        kernel_extremal(specs[3], [(0, 0)], other)
+
+
+def test_extremal_rejects_a_rank_zero_decomposition_of_a_nonzero_kernel():
+    specs = _z4_kernels()
+    empty = kolmogorov_decompose(specs[4])
+    assert empty.rank == 0 and empty.factors.shape == (3, 0, 2)
+    with pytest.raises(DilationResidualError, match="reconstruction"):
+        kernel_extremal(specs[3], [(0, 0)], empty)
+    assert kernel_extremal(specs[4], [(0, 0)], empty).extreme
+
+
+def test_extremal_rejects_a_dilation_unitary_turned_by_a_phase():
+    spec = _z4_kernels()[3]
+    dec = kolmogorov_decompose(spec)
+    mats = dec.sym.matrices.copy()
+    mats[1] *= np.exp(0.3j)
+    turned = replace(dec, sym=replace(dec.sym, matrices=mats))
+    with pytest.raises(DilationResidualError, match="cocycle") as err:
+        kernel_extremal(spec, [(0, 0)], turned)
+    assert err.value.checks["reconstruction"].ok and err.value.checks["unitarity"].ok
+    assert not err.value.checks["cocycle"].ok
+
+
+def test_extremal_rejects_a_non_minimal_decomposition():
+    # (F / sqrt 2, F / sqrt 2) with sym (+) sym passes every identity of the certificate
+    spec = _z4_kernels()[3]
+    dec = kolmogorov_decompose(spec)
+    mats = np.zeros((4, 2 * dec.rank, 2 * dec.rank), dtype=complex)
+    mats[:, : dec.rank, : dec.rank] = mats[:, dec.rank :, dec.rank :] = dec.sym.matrices
+    doubled = replace(
+        dec,
+        rank=2 * dec.rank,
+        factors=np.concatenate([dec.factors, dec.factors], axis=1) / np.sqrt(2),
+        sym=replace(dec.sym, matrices=mats),
+    )
+    with pytest.raises(DilationResidualError, match="not minimal"):
+        kernel_extremal(spec, [(0, 0)], doubled)
+
+
+def test_extremal_rejects_a_decomposition_of_another_shape():
+    specs = _z4_kernels()
+    with pytest.raises(DilationResidualError, match="shape"):
+        kernel_extremal(specs[3], [(0, 0)], kolmogorov_decompose(specs[0]))

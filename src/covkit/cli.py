@@ -20,8 +20,8 @@ from .cpmaps import InvarianceError, cp_extremal, cp_validate, kraus_extract, ks
 from .fingroup import (
     CocycleExtensionError,
     GroupStructureError,
-    cocycle_violation,
-    rep_violation,
+    cocycle_status,
+    rep_status,
 )
 from .instruments import (
     B_from_instrument,
@@ -91,13 +91,13 @@ class Report:
         return all(v["ok"] for v in self.body["verdicts"].values())
 
 
-def _load_file(path):
+def _load_file(path, tol: Tolerances):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
         raise specfile.SpecFileError(str(exc)) from exc
-    return specfile.load(text)
+    return specfile.load(text, tol)
 
 
 def _merge_checks(report: Report, checks: Checks):
@@ -107,18 +107,21 @@ def _merge_checks(report: Report, checks: Checks):
 
 def cmd_validate(args) -> int:
     tol = _tolerances(args)
-    kind, obj = _load_file(args.file)
+    kind, obj = _load_file(args.file, tol)
     report = Report("validate", kind, tol)
     if kind == "group":
+        # the table and the action are exact: a violation is a parse error
         report.verdict("group_axioms", True)
         if "action" in obj:
             report.verdict("action", True)
         if "cocycle" in obj:
-            bad = cocycle_violation(obj["cocycle"])
-            report.verdict("cocycle", bad is None)
+            bad, residual = cocycle_status(obj["cocycle"])
+            report.verdict("cocycle", bad is None, residual)
         if "rep" in obj:
-            bad = rep_violation(obj["rep"], tol)
-            report.verdict("rep", bad is None)
+            # the product rows certify the representation only for a 2-cocycle
+            bad_cocycle, cocycle_residual = cocycle_status(obj["rep"].cocycle)
+            bad, residual = rep_status(obj["rep"], tol)
+            report.verdict("rep", bad is None and bad_cocycle is None, max(residual, cocycle_residual))
     elif kind == "kernel":
         _merge_checks(report, validate_kernel(obj[0], tol))
     elif kind == "cpmap":
@@ -143,7 +146,7 @@ def cmd_validate(args) -> int:
 
 def cmd_dilate(args) -> int:
     tol = _tolerances(args)
-    kind, obj = _load_file(args.file)
+    kind, obj = _load_file(args.file, tol)
     report = Report("dilate", kind, tol)
     if kind == "kernel":
         spec, _ = obj
@@ -199,7 +202,7 @@ def cmd_dilate(args) -> int:
 
 def cmd_extremal(args) -> int:
     tol = _tolerances(args)
-    kind, obj = _load_file(args.file)
+    kind, obj = _load_file(args.file, tol)
     report = Report("extremal", kind, tol)
     direction = "Hermitian direction on the dilation certifying a convex split"
     if kind == "kernel":
@@ -252,7 +255,7 @@ def cmd_extremal(args) -> int:
 
 def cmd_kraus(args) -> int:
     tol = _tolerances(args)
-    kind, obj = _load_file(args.file)
+    kind, obj = _load_file(args.file, tol)
     report = Report("kraus", kind, tol)
     if kind == "cpmap":
         dil = ksgns(obj, tol)
@@ -281,7 +284,7 @@ def cmd_kraus(args) -> int:
 
 def cmd_phase_space(args) -> int:
     tol = _tolerances(args)
-    kind, obj = _load_file(args.file)
+    kind, obj = _load_file(args.file, tol)
     if kind != "phase_space":
         raise specfile.SpecFileError("phase-space needs a phase_space document")
     d, ops = obj
@@ -297,12 +300,12 @@ def cmd_phase_space(args) -> int:
 
 def cmd_sample(args) -> int:
     tol = _tolerances(args)
-    kind, obj = _load_file(args.file)
+    kind, obj = _load_file(args.file, tol)
     if kind == "phase_space":
         obj = phase_space(obj[0], obj[1], tol)
     elif kind != "instrument":
         raise specfile.SpecFileError("sample needs an instrument or phase_space document")
-    state_kind, state = _load_file(args.state)
+    state_kind, state = _load_file(args.state, tol)
     if state_kind != "state":
         raise specfile.SpecFileError("the second file must be a state document")
     # the probability and the post state depend on the outcome alone, so
@@ -390,6 +393,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (
         KernelValidationError,
+        specfile.RepresentationError,
         InvarianceError,
         StructureViolation,
         CocycleExtensionError,

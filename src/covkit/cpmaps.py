@@ -141,42 +141,49 @@ def kraus_from_choi(choi, k_dim, v_dim, tol: Tolerances = DEFAULT_TOL):
 
 
 def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
-    """Complete positivity and covariance, checked over every group element
-    and matrix unit at once.  Normality is structural: every linear map
-    between finite-dimensional algebras is normal, so it has no verdict.
-    Complete positivity passes if every block's Choi matrix passes
+    """Complete positivity and covariance, checked over every matrix unit
+    and the group's generators at once.  Normality is structural: every
+    linear map between finite-dimensional algebras is normal, so it has no
+    verdict.  Complete positivity passes if every block's Choi matrix passes
     :func:`psd_status` against its own scale; the residual is the most
-    negative eigenvalue over the blocks, that of the grand kernel.  Where
-    some b -> u b u^+ leaves the algebra, the covariance residual is the
-    largest part of a u E_k u^+ outside it; otherwise S(beta_g(E_k)) is
-    compared with rep(g) S(E_k) rep(g)^+ block by block
-    (:func:`_moved_block`)."""
+    negative eigenvalue over the blocks, that of the grand kernel.
+    Covariance at g and h gives it at gh, since Ad of a multiplier
+    representation is a homomorphism, so it is checked at the generators s
+    of ``group.generators()`` and passes if ``max_word_length`` times the
+    residual is within the bound.  Where some b -> u(s) b u(s)^+ leaves the
+    algebra, the residual is the largest part of a u(s) E_k u(s)^+ outside
+    it; otherwise S(beta_s(E_k)) is compared with rep(s) S(E_k) rep(s)^+
+    block by block (:func:`_moved_block`)."""
     checks = Checks(completely_positive=Check(*_cp_status(spec.algebra, spec.values, tol)))
     covariant, worst = True, 0.0
-    if spec.symmetry is not None:
-        alg, u, rep = spec.algebra, spec.symmetry.u, spec.symmetry.rep
-        outside, size = alg.outside_norms(u.matrices)
+    # the trivial group has no generators: u(e) = rep(e) = I is all there is
+    if spec.symmetry is not None and spec.symmetry.group.generators():
+        alg, group = spec.algebra, spec.symmetry.group
+        gens = list(group.generators())
+        u, rep = spec.symmetry.u.matrices[gens], spec.symmetry.rep.matrices[gens]
+        outside, size = alg.outside_norms(u)
         leaks = np.any(outside > tol.recon_fro * np.maximum(1.0, size), axis=-1)
         if leaks.any():
             covariant, worst = False, float(outside[leaks].max())
         else:
-            sigma, w = alg.block_action(u.matrices)
-            uinv = rep.matrices.conj().transpose(0, 2, 1) if rep.unitary_flag else np.linalg.inv(rep.matrices)
+            sigma, w = alg.block_action(u)
+            uinv = rep.conj().transpose(0, 2, 1) if spec.symmetry.rep.unitary_flag else np.linalg.inv(rep)
             expected = uinv.conj().transpose(0, 2, 1)[:, None] @ spec.values @ uinv[:, None]
             for i, (a, b) in enumerate(zip(alg.unit_offsets, alg.unit_offsets[1:])):
                 moved = _moved_block(alg, sigma, w, spec.values, i)
-                worst = max(worst, float(_norms(moved - expected[:, a:b]).max()))
-            covariant = worst <= tol.recon_fro * max(1.0, float(np.abs(spec.values).max()))
+                worst = max(worst, float(_norms(moved - expected[:, a:b]).max(initial=0.0)))
+            covariant = group.max_word_length * worst <= tol.recon_fro * max(1.0, float(np.abs(spec.values).max()))
     checks["covariant"] = Check(covariant, worst)
     return checks
 
 
 def _moved_block(alg: FiniteCStarAlgebra, sigma, w, stack, i) -> np.ndarray:
     """The linear map E_k -> stack[k] at beta_g(E^i_ab) = u(g) E^i_ab u(g)^+
-    for every group element g and unit of block i, (|G|, n_i^2, ...), from
-    the block action (sigma, w) of u: beta_g(E^i_ab) = sum_cd w_{g,i}[c, a]
-    conj(w_{g,i}[d, b]) E^{sigma_g(i)}_cd, so with the images of block
-    sigma_g(i) laid out as n_i x n_i matrices M, the result is w^T M conj(w)."""
+    for every g of a stack of u(g) and unit of block i, (|stack|, n_i^2,
+    ...), from the block action (sigma, w) of the stack: beta_g(E^i_ab) =
+    sum_cd w_{g,i}[c, a] conj(w_{g,i}[d, b]) E^{sigma_g(i)}_cd, so with the
+    images of block sigma_g(i) laid out as n_i x n_i matrices M, the result
+    is w^T M conj(w)."""
     n, wi = alg.blocks[i], w[i]
     src = stack[alg.unit_offsets[sigma[:, i], None] + np.arange(n * n)]
     src = src.reshape(len(wi), n, n, -1).transpose(0, 3, 1, 2)
@@ -355,8 +362,11 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
     from the blocks (w^+ w) (x) (W^+ W) of sym(g)^+ sym(g), so a non-unitary
     u is caught too; ``sym_j``, the solve residual ||sym(g) j - j rep(g)||_F;
     ``sym_cocycle``, the block cocycle W_{a,sigma_b(i)} W_{b,i} = conj(c_u(a,
-    b)) c_rep(a, b) W_{ab,i} over all pairs at once, which weighted by n_i is
-    the dense ||sym(a) sym(b) - c_rep(a, b) sym(ab)||_F."""
+    b)) c_rep(a, b) W_{ab,i} for the generators a and every b at once, which
+    weighted by n_i is the dense ||sym(a) sym(b) - c_rep(a, b) sym(ab)||_F.
+    With c_u and c_rep 2-cocycles, the rows of a and a' give the row of aa'
+    (induction on word length, as in :func:`~covkit.fingroup.rep_status`),
+    so ``max_word_length`` times the residual is held to the bound."""
     spec, group, rep, n = dil.spec, dil.spec.symmetry.group, dil.spec.symmetry.rep, dil.rank
     sigma, w = spec.algebra.block_action(spec.symmetry.u.matrices)
     if np.any(np.asarray(dil.mult)[sigma] != dil.mult):
@@ -374,14 +384,16 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
         mult_rep.append(ws)
     message = "covariant dilation certification failed"
     checks = Checks().require(tol.unitary_fro * max(1.0, np.sqrt(n)), message, sym_unitary=np.sqrt(unit).max())
-    # pairs[a, b] = sum_i n_i ||W_{a,sigma_b(i)} W_{b,i} - c(a, b) W_{ab,i}||_F^2
-    c = (spec.symmetry.u.cocycle.values.conj() * rep.cocycle.values)[..., None, None]
+    # pairs[a, b] = sum_i n_i ||W_{a,sigma_b(i)} W_{b,i} - c(a, b) W_{ab,i}||_F^2 for generators a
+    gens = list(group.generators())
+    c = (spec.symmetry.u.cocycle.values.conj() * rep.cocycle.values)[gens, :, None, None]
     pairs = 0.0
     for i, (ni, ws) in enumerate(zip(spec.algebra.blocks, mult_rep)):
-        after = np.stack([mult_rep[k] for k in sigma[:, i]]).transpose(1, 0, 2, 3)
-        pairs = pairs + ni * _norms(after @ ws - c * ws[group.mul]) ** 2
-    residuals = {"sym_j": np.sqrt(moved).max(), "sym_cocycle": np.sqrt(pairs).max()}
-    checks.require(tol.recon_fro * max(1.0, np.sqrt(n), frob(dil.j)), message, **residuals)
+        after = np.stack([mult_rep[k][gens] for k in sigma[:, i]]).transpose(1, 0, 2, 3)
+        pairs = pairs + ni * _norms(after @ ws - c * ws[group.mul[gens]]) ** 2
+    residuals = {"sym_j": np.sqrt(moved).max(), "sym_cocycle": np.sqrt(pairs).max(initial=0.0)}
+    bound = tol.recon_fro * max(1.0, np.sqrt(n), frob(dil.j))
+    checks.require(bound, message, {"sym_cocycle": group.max_word_length}, **residuals)
     return tuple(mult_rep), checks
 
 

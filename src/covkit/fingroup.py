@@ -41,6 +41,8 @@ class FiniteGroup:
     mul: np.ndarray  # (order, order) int array, mul[g, h] = g*h
     identity: int = field(init=False, default=0)
     inverse: np.ndarray = field(init=False, default=None)
+    _generators: tuple = field(init=False, default=())
+    max_word_length: int = field(init=False, default=0)
 
     def __post_init__(self):
         mul = np.asarray(self.mul, dtype=np.int64)
@@ -60,14 +62,21 @@ class FiniteGroup:
         bad = np.flatnonzero((hits.sum(axis=1) != 1) | (mul[inv, idx] != ident))
         if bad.size:
             raise GroupStructureError(f"element {bad[0]} has no two-sided inverse")
-        # exhaustive associativity check, one row g at a time:
-        # (gh)k against g(hk) for every h, k
-        for g in range(n):
-            fails = np.any(mul[mul[g]] != mul[g][mul], axis=1)
-            if fails.any():
-                raise GroupStructureError(f"associativity fails at ({g}, {fails.argmax()})")
+        # greedy generators: each new one is the smallest element outside the span so far
+        gens, span, depth = [], idx == ident, 0
+        while not span.all():
+            gens.append(int(span.argmin()))
+            span, depth = _walk(mul, ident, gens)
+        # Light's test: the a with (xa)y = x(ay) for all x, y are closed under
+        # products, and every element is a positive word in gens
+        fails = mul[mul[:, gens]] != mul[:, mul[gens]]
+        if fails.any():
+            x, a, y = np.argwhere(fails)[0]
+            raise GroupStructureError(f"associativity fails at ({x}, {gens[a]}, {y})")
         object.__setattr__(self, "identity", ident)
         object.__setattr__(self, "inverse", inv)
+        object.__setattr__(self, "_generators", tuple(gens))
+        object.__setattr__(self, "max_word_length", depth)
 
     @property
     def order(self) -> int:
@@ -85,15 +94,9 @@ class FiniteGroup:
     def generators(self) -> tuple[int, ...]:
         """A generating set, chosen greedily: each new generator is the
         smallest element outside the subgroup generated so far.  Empty for
-        the trivial group."""
-        gens, span = [], {self.identity}
-        for g in self.elements():
-            if len(span) == self.order:
-                break
-            if g not in span:
-                gens.append(g)
-                span = set(closure(self, gens))
-        return tuple(gens)
+        the trivial group.  Every element is a product of at most
+        ``max_word_length`` of them."""
+        return self._generators
 
     # -- constructors -------------------------------------------------------
 
@@ -128,28 +131,36 @@ class FiniteGroup:
         """Permutations of n letters, indexed in lexicographic order."""
         if n > 6:
             raise GroupStructureError("symmetric(n) supported only for small n")
-        perms = list(itertools.permutations(range(n)))
-        index = {p: i for i, p in enumerate(perms)}
-        mul = np.zeros((len(perms), len(perms)), dtype=np.int64)
-        for i, p in enumerate(perms):
-            for j, q in enumerate(perms):
-                comp = tuple(p[q[k]] for k in range(n))  # (p*q)(k) = p(q(k))
-                mul[i, j] = index[comp]
-        return FiniteGroup(mul)
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
+        # (p*q)(k) = p(q(k)); lexicographic order is the order of the base-n codes
+        power = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        codes = perms @ power
+        return FiniteGroup(np.searchsorted(codes, perms[:, perms] @ power))
 
     @staticmethod
     def direct_product(a: "FiniteGroup", b: "FiniteGroup") -> "FiniteGroup":
         """Product group; element (x, y) -> index x * b.order + y."""
-        na, nb = a.order, b.order
-        mul = np.zeros((na * nb, na * nb), dtype=np.int64)
-        for xa in range(na):
-            for ya in range(nb):
-                for xb in range(na):
-                    for yb in range(nb):
-                        mul[xa * nb + ya, xb * nb + yb] = (
-                            a.prod(xa, xb) * nb + b.prod(ya, yb)
-                        )
-        return FiniteGroup(mul)
+        nb = b.order
+        mul = a.mul[:, None, :, None] * nb + b.mul[None, :, None, :]
+        return FiniteGroup(mul.reshape(a.order * nb, a.order * nb))
+
+
+def _walk(mul, identity, gens):
+    """Breadth-first walk of the Cayley graph from the identity by right
+    multiplication with ``gens``: the reached elements as a mask, and the
+    number of steps after which nothing new is reached."""
+    n = mul.shape[0]
+    members = np.zeros(n, dtype=bool)
+    members[identity] = True
+    frontier, depth, gens = np.array([identity]), 0, np.asarray(gens, dtype=np.int64)
+    while True:
+        reached = np.zeros(n, dtype=bool)
+        reached[mul[frontier[:, None], gens]] = True
+        frontier = (reached > members).nonzero()[0]
+        if not frontier.size:
+            return members, depth
+        members[frontier] = True
+        depth += 1
 
 
 def closure(group: FiniteGroup, gens) -> tuple[int, ...]:
@@ -157,13 +168,7 @@ def closure(group: FiniteGroup, gens) -> tuple[int, ...]:
 
     Positive words suffice: in a finite group every inverse is a power.
     """
-    members = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        new = {group.prod(a, b) for a in frontier for b in gens} - members
-        members |= new
-        frontier = list(new)
-    return tuple(sorted(members))
+    return tuple(np.flatnonzero(_walk(group.mul, group.identity, gens)[0]).tolist())
 
 
 @dataclass(frozen=True)
@@ -356,25 +361,42 @@ class TwoCocycle:
         return bool(np.all(np.abs(self.values - 1.0) <= tol))
 
 
-def cocycle_violation(c: TwoCocycle, tol: float = 1e-10):
-    """First violated identity, or None if ``c`` is a genuine 2-cocycle."""
-    g = c.group
-    v = c.values
-    if np.any(np.abs(np.abs(v) - 1.0) > tol):
-        bad = np.argwhere(np.abs(np.abs(v) - 1.0) > tol)[0]
-        return ("modulus", int(bad[0]), int(bad[1]))
+def cocycle_status(c: TwoCocycle, tol: float = 1e-10):
+    """First violated identity, or None if ``c`` is a genuine 2-cocycle, and
+    the largest residual found.
+
+    Unit modulus and normalization are checked at every entry.  The cocycle
+    identity c(x, a) c(xa, y) = c(a, y) c(x, ay) is checked for a in
+    ``group.generators()`` and every x, y: the a for which it holds are
+    closed under products (Light's test, as for the group table), so it then
+    holds for every a.  Those rows fail where ``max_word_length`` times their
+    residual exceeds ``tol``; a violation is reported as
+    ``("cocycle", x, a, y)``, first in lexicographic order.
+    """
+    g, v = c.group, c.values
+    gens = list(g.generators())
+    modulus = np.abs(np.abs(v) - 1.0)
     e = g.identity
-    bad = np.flatnonzero((np.abs(v[e] - 1.0) > tol) | (np.abs(v[:, e] - 1.0) > tol))
+    unit = np.maximum(np.abs(v[e] - 1.0), np.abs(v[:, e] - 1.0))
+    rows = np.abs(v[:, gens, None] * v[g.mul[:, gens]] - v[gens][None] * v[:, g.mul[gens]])
+    residual = float(max(modulus.max(), unit.max(), rows.max(initial=0.0)))
+    if np.any(modulus > tol):
+        bad = np.argwhere(modulus > tol)[0]
+        return ("modulus", int(bad[0]), int(bad[1])), residual
+    bad = np.flatnonzero(unit > tol)
     if bad.size:
-        return ("normalization", int(bad[0]))
-    # c(a, bk) c(b, k) against c(ab, k) c(a, b) for every b, k, one row a at a time
-    for a in g.elements():
-        lhs = v[a][g.mul] * v
-        rhs = v[g.mul[a]] * v[a][:, None]
-        hits = np.argwhere(np.abs(lhs - rhs) > tol)
-        if hits.size:
-            return ("cocycle", a, int(hits[0, 0]), int(hits[0, 1]))
-    return None
+        return ("normalization", int(bad[0])), residual
+    hits = np.argwhere(g.max_word_length * rows > tol)
+    if hits.size:
+        x, a, y = hits[0]
+        return ("cocycle", int(x), gens[a], int(y)), residual
+    return None, residual
+
+
+def cocycle_violation(c: TwoCocycle, tol: float = 1e-10):
+    """First violated identity, or None if ``c`` is a genuine 2-cocycle
+    (:func:`cocycle_status`)."""
+    return cocycle_status(c, tol)[0]
 
 
 def validate_cocycle(c: TwoCocycle, tol: float = 1e-10) -> bool:
@@ -471,32 +493,50 @@ class MultiplierRep:
         return MultiplierRep(hgrp, TwoCocycle(hgrp, cvals), self.matrices[idx], self.unitary_flag)
 
 
-def rep_violation(u: MultiplierRep, tol: Tolerances = DEFAULT_TOL):
-    """First violated representation identity, or None."""
-    g = u.group
-    mats = u.matrices
-    if frob(u(g.identity) - np.eye(u.dim)) > tol.recon_fro:
-        return ("identity",)
+def rep_status(u: MultiplierRep, tol: Tolerances = DEFAULT_TOL):
+    """First violated representation identity, or None, and the largest
+    residual found.
+
+    U(e) = I, then unitarity of U(s) and U(s) U(h) = c(s, h) U(sh) for s in
+    ``group.generators()`` and every h.  With c a 2-cocycle
+    (:func:`cocycle_status`) these imply the product rule for every pair:
+    U(st) U(h) = U(s) U(t) U(h) / c(s, t) = c(t, h) c(s, th) / c(s, t) U(sth),
+    which is c(st, h) U(sth) by the cocycle identity, and unitarity of every
+    U(g) follows.  A product row fails where ``max_word_length`` times its
+    residual exceeds recon_fro max(1, ||c(s, h) U(sh)||_F); a violation is
+    reported as ``("product", s, h)``, first in lexicographic order.
+    """
+    g, mats = u.group, u.matrices
+    gens = list(g.generators())
+    ident = frob(mats[g.identity] - np.eye(u.dim))
+    if ident > tol.recon_fro:
+        return ("identity",), ident
+    unit = 0.0
     if u.unitary_flag:
         # is_unitary allows unitary_fro * max(1, |U|_2), so a matrix within
         # unitary_fro of unitarity passes it; it decides (or raises on) the
         # rest, non-finite matrices included
         with np.errstate(invalid="ignore", over="ignore"):
-            gram = np.conj(np.swapaxes(mats, 1, 2)) @ mats - np.eye(u.dim)
-            near = np.linalg.norm(gram, axis=(1, 2)) <= tol.unitary_fro
-        for a in np.flatnonzero(~near):
-            if not is_unitary(mats[a], tol):
-                return ("unitary", int(a))
-    # U(a) U(b) against c(a, b) U(ab) for every b, one row a at a time
-    c = u.cocycle.values
-    for a in g.elements():
-        rhs = c[a][:, None, None] * mats[g.mul[a]]
-        resid = np.linalg.norm(mats[a] @ mats - rhs, axis=(1, 2))
-        bound = tol.recon_fro * np.maximum(1.0, np.linalg.norm(rhs, axis=(1, 2)))
-        hits = np.flatnonzero(resid > bound)
-        if hits.size:
-            return ("product", a, int(hits[0]))
-    return None
+            gram = np.linalg.norm(np.conj(np.swapaxes(mats[gens], 1, 2)) @ mats[gens] - np.eye(u.dim), axis=(1, 2))
+        for a, res in zip(gens, gram):
+            if not res <= tol.unitary_fro and not is_unitary(mats[a], tol):
+                return ("unitary", a), float(res)
+        unit = float(gram.max(initial=0.0))
+    if not np.isfinite(mats).all():
+        raise ValueError("representation matrices contain NaN or Inf entries")
+    rhs = u.cocycle.values[gens][:, :, None, None] * mats[g.mul[gens]]
+    resid = np.linalg.norm(mats[gens][:, None] @ mats - rhs, axis=(2, 3))
+    bound = tol.recon_fro * np.maximum(1.0, np.linalg.norm(rhs, axis=(2, 3)))
+    residual = max(ident, unit, float(resid.max(initial=0.0)))
+    hits = np.argwhere(g.max_word_length * resid > bound)
+    if hits.size:
+        return ("product", gens[hits[0, 0]], int(hits[0, 1])), residual
+    return None, residual
+
+
+def rep_violation(u: MultiplierRep, tol: Tolerances = DEFAULT_TOL):
+    """First violated representation identity, or None (:func:`rep_status`)."""
+    return rep_status(u, tol)[0]
 
 
 def validate_rep(u: MultiplierRep, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -54,16 +54,20 @@ class Checks(dict):
     def failed(self) -> list[str]:
         return [name for name, check in self.items() if not check.ok]
 
-    def require(self, bound, message, **residuals) -> Checks:
+    def require(self, bound, message, factors=None, **residuals) -> Checks:
         """Record each residual against ``bound``, then raise
         :class:`DilationResidualError` carrying this certificate if one
-        exceeds it."""
+        exceeds it.  ``factors`` maps a residual's name to the factor it is
+        multiplied by before the comparison, such as ``max_word_length`` for
+        a residual over generator rows; the default is 1."""
+        factors = factors or {}
         for name, residual in residuals.items():
-            self[name] = Check(bool(residual <= bound), float(residual))
+            self[name] = Check(bool(factors.get(name, 1) * residual <= bound), float(residual))
         for name in residuals:
             if not self[name].ok:
+                times = f" x {factors[name]}" if name in factors else ""
                 raise DilationResidualError(
-                    f"{message}: {name} residual {self[name].residual:.2e} > {bound:.2e}", self
+                    f"{message}: {name} residual {self[name].residual:.2e}{times} > {bound:.2e}", self
                 )
         return self
 
@@ -130,8 +134,10 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
     """Check the alpha composition rule, block covariance and positivity, as
     the verdicts ``alpha_cocycle``, ``covariant`` and ``positive``.  The
     composition residual covers every (a, b, x) at once, also when sigma
-    itself is not a 2-cocycle (the verdict then fails); so does the
-    covariance residual, over every group element and block pair."""
+    itself is not a 2-cocycle (the verdict then fails).  Given the
+    composition rule, covariance at a and b gives it at ab, so its residual
+    covers the generators a of ``group.generators()`` and every block pair,
+    and the verdict compares ``max_word_length`` times it with the bound."""
     g, table = spec.action.group, spec.action.table
     checks = Checks()
 
@@ -146,15 +152,17 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
     )
     checks["alpha_cocycle"] = Check(bool(alpha_ok), err_alpha)
 
-    # T[ax, ay] - conj(alpha(a, x)) alpha(a, y) U(a)^-+ T[x, y] U(a)^-1 for every (a, x, y)
+    # T[ax, ay] - conj(alpha(a, x)) alpha(a, y) U(a)^-+ T[x, y] U(a)^-1 for every generator a and (x, y)
+    gens = list(g.generators())
     scale = max(1.0, float(np.abs(spec.blocks).max()) * float(np.abs(spec.alpha).max()) ** 2)
-    weights = np.conj(spec.alpha)[:, :, None, None, None] * spec.alpha[:, None, :, None, None]
-    rep = spec.rep.matrices
+    alpha, table = spec.alpha[gens], table[gens]
+    weights = np.conj(alpha)[:, :, None, None, None] * alpha[:, None, :, None, None]
+    rep = spec.rep.matrices[gens]
     inv = rep.conj().transpose(0, 2, 1) if spec.rep.unitary_flag else np.linalg.inv(rep)
     moved = inv.conj().transpose(0, 2, 1)[:, None, None] @ spec.blocks @ inv[:, None, None]
     diff = spec.blocks[table[:, :, None], table[:, None, :]] - weights * moved
-    err_cov = float(np.linalg.norm(diff, axis=(-2, -1)).max())
-    checks["covariant"] = Check(err_cov <= tol.recon_fro * scale, err_cov)
+    err_cov = float(np.linalg.norm(diff, axis=(-2, -1)).max(initial=0.0))
+    checks["covariant"] = Check(g.max_word_length * err_cov <= tol.recon_fro * scale, err_cov)
     checks["positive"] = Check(*psd_status(spec.grand_matrix(), tol))
     return checks
 

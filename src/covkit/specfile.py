@@ -25,16 +25,25 @@ from .fingroup import (
     MultiplierRep,
     SubgroupData,
     TwoCocycle,
+    cocycle_violation,
     heisenberg_rep,
+    rep_violation,
 )
 from .instruments import InstrumentSpec, ObservableSpec, Symmetry
 from .kernels import CovariantKernelSpec
+from .numlin import DEFAULT_TOL, Tolerances
 
 KINDS = ("group", "kernel", "cpmap", "observable", "instrument", "phase_space", "state")
 
 
 class SpecFileError(ValueError):
     """The document does not conform to the format."""
+
+
+class RepresentationError(ValueError):
+    """A representation in a kernel, cpmap, observable or instrument document
+    does not satisfy its declared cocycle.  The document parses, so this is
+    a validation failure (exit code 1), not a format error."""
 
 
 def matrix_out(mat) -> list:
@@ -98,6 +107,11 @@ def _dumps(obj, level) -> str:
     raise TypeError(f"dumps: {type(obj).__name__} is not JSON serializable")
 
 
+# below this many leaves the sort that finds repeated values costs more than
+# rendering every leaf: about 20 us per list, and small reports hold dozens of lists
+_DEDUPE_FROM = 1024
+
+
 def _bulk(obj, level):
     """The text of a regular, non-empty nested list whose leaves are all
     finite plain floats; None for anything else.
@@ -127,7 +141,13 @@ def _bulk(obj, level):
         seps = (seps + [sep]) * (shape[m] - 1) + seps
     parts = [None] * (2 * len(items) + 1)
     parts[0] = "".join(opens)
-    parts[1::2] = map(float.__repr__, items)
+    if len(items) < _DEDUPE_FROM:
+        parts[1::2] = map(float.__repr__, items)
+    else:
+        # each distinct value is rendered once, keyed on its bits so that 0.0 and -0.0 stay apart
+        bits, where = np.unique(np.array(items).view(np.int64), return_inverse=True)
+        texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+        parts[1::2] = texts[where].tolist()
     parts[2:-1:2] = seps
     parts[-1] = "".join(closes[::-1])
     return "".join(parts)
@@ -266,6 +286,38 @@ def rep_in(obj, group, path="rep") -> MultiplierRep:
     return MultiplierRep(group, cocycle, mats, bool(obj.get("unitary", True)))
 
 
+# the first violation that cocycle_violation or rep_violation reports, in words
+_BROKEN = {
+    "modulus": "c{} is not of unit modulus",
+    "normalization": "c(e, g) or c(g, e) is not 1 at g = {}",
+    "cocycle": "c(x, a) c(xa, y) != c(a, y) c(x, ay) at (x, a, y) = {}",
+    "identity": "U(e) is not the identity",
+    "unitary": "U(g) is not unitary at g = {}",
+    "product": "U(s) U(h) != c(s, h) U(sh) at (s, h) = {}",
+}
+
+
+def _broken(bad) -> str:
+    name, *where = bad
+    return _BROKEN[name].format(where[0] if len(where) == 1 else tuple(where))
+
+
+def _valid_rep_in(obj, group, path, tol: Tolerances) -> MultiplierRep:
+    """:func:`rep_in`, once its cocycle is a 2-cocycle and the matrices are
+    a representation for it, both checked on the group's generators;
+    otherwise a :class:`RepresentationError` naming the field and the first
+    violation.  Every covariance check on the generators rests on this."""
+    rep = rep_in(obj, group, path)
+    bad = cocycle_violation(rep.cocycle)
+    if bad is not None:
+        raise RepresentationError(f"{path}.cocycle: {_broken(bad)}")
+    bad = rep_violation(rep, tol)
+    if bad is not None:
+        trivial = ", with the trivial cocycle" if rep.cocycle.is_trivial() else ""
+        raise RepresentationError(f"{path}: {_broken(bad)}{trivial}")
+    return rep
+
+
 def rep_out(rep: MultiplierRep) -> dict:
     out = {"matrices": [matrix_out(rep(g)) for g in rep.group.elements()]}
     if not rep.cocycle.is_trivial():
@@ -276,7 +328,7 @@ def rep_out(rep: MultiplierRep) -> dict:
 # -- payloads per kind ---------------------------------------------------------
 
 
-def kernel_in(payload) -> tuple[CovariantKernelSpec, list]:
+def kernel_in(payload, tol: Tolerances = DEFAULT_TOL) -> tuple[CovariantKernelSpec, list]:
     _check_fields(
         payload,
         "payload",
@@ -287,7 +339,7 @@ def kernel_in(payload) -> tuple[CovariantKernelSpec, list]:
     action = GroupAction(group, _int_table_in(payload["action"], "payload.action"))
     alpha = matrix_in(payload["alpha"], "payload.alpha")
     sigma = TwoCocycle(group, matrix_in(payload["sigma"], "payload.sigma"))
-    rep = rep_in(payload["rep"], group, "payload.rep")
+    rep = _valid_rep_in(payload["rep"], group, "payload.rep", tol)
     module = _module_in(payload["module"])
     rows = payload["blocks"]
     x = action.set_size
@@ -325,7 +377,7 @@ def kernel_out(spec: CovariantKernelSpec, z_pairs=None) -> dict:
     return payload
 
 
-def cpmap_in(payload) -> CPMapSpec:
+def cpmap_in(payload, tol: Tolerances = DEFAULT_TOL) -> CPMapSpec:
     _check_fields(payload, "payload", ["blocks", "module", "values"], ["symmetry", "tensor"])
     algebra = FiniteCStarAlgebra(tuple(_int_list_in(payload["blocks"], "payload.blocks")))
     module = _module_in(payload["module"])
@@ -338,8 +390,8 @@ def cpmap_in(payload) -> CPMapSpec:
         _check_fields(sym, "payload.symmetry", ["group", "u", "rep"])
         group = group_in(sym["group"], "payload.symmetry.group")
         symmetry = CPSymmetry(
-            u=rep_in(sym["u"], group, "payload.symmetry.u"),
-            rep=rep_in(sym["rep"], group, "payload.symmetry.rep"),
+            u=_valid_rep_in(sym["u"], group, "payload.symmetry.u", tol),
+            rep=_valid_rep_in(sym["rep"], group, "payload.symmetry.rep", tol),
         )
     tensor = None
     if "tensor" in payload:
@@ -372,19 +424,19 @@ def cpmap_out(spec: CPMapSpec) -> dict:
     return payload
 
 
-def _symmetry_in(payload, need_out_rep):
+def _symmetry_in(payload, need_out_rep, tol):
     group = group_in(payload["group"])
     sub = SubgroupData(group, tuple(_int_list_in(payload["subgroup"], "payload.subgroup")))
-    rep = rep_in(payload["rep"], group, "payload.rep")
+    rep = _valid_rep_in(payload["rep"], group, "payload.rep", tol)
     out_rep = None
     if need_out_rep:
-        out_rep = rep_in(payload["out_rep"], group, "payload.out_rep")
+        out_rep = _valid_rep_in(payload["out_rep"], group, "payload.out_rep", tol)
     return Symmetry(sub, rep, out_rep)
 
 
-def observable_in(payload) -> ObservableSpec:
+def observable_in(payload, tol: Tolerances = DEFAULT_TOL) -> ObservableSpec:
     _check_fields(payload, "payload", ["group", "subgroup", "rep", "effects"])
-    symmetry = _symmetry_in(payload, need_out_rep=False)
+    symmetry = _symmetry_in(payload, False, tol)
     effects = np.stack(
         [matrix_in(e, f"payload.effects[{i}]") for i, e in enumerate(payload["effects"])]
     )
@@ -400,9 +452,9 @@ def observable_out(spec: ObservableSpec) -> dict:
     }
 
 
-def instrument_in(payload) -> InstrumentSpec:
+def instrument_in(payload, tol: Tolerances = DEFAULT_TOL) -> InstrumentSpec:
     _check_fields(payload, "payload", ["group", "subgroup", "rep", "out_rep", "choi"])
-    symmetry = _symmetry_in(payload, need_out_rep=True)
+    symmetry = _symmetry_in(payload, True, tol)
     choi = np.stack(
         [matrix_in(c, f"payload.choi[{i}]") for i, c in enumerate(payload["choi"])]
     )
@@ -458,19 +510,22 @@ def parse_document(text: str) -> tuple[str, dict]:
     return obj["kind"], obj["payload"]
 
 
-def load(text: str):
-    """Parse a document into its toolkit object."""
+def load(text: str, tol: Tolerances = DEFAULT_TOL):
+    """Parse a document into its toolkit object.  The representations of a
+    kernel, cpmap, observable or instrument must satisfy their cocycles
+    (:class:`RepresentationError` otherwise); a group document's are
+    reported by ``covkit validate``."""
     kind, payload = parse_document(text)
     if kind == "group":
         return kind, group_payload_in(payload)
     if kind == "kernel":
-        return kind, kernel_in(payload)
+        return kind, kernel_in(payload, tol)
     if kind == "cpmap":
-        return kind, cpmap_in(payload)
+        return kind, cpmap_in(payload, tol)
     if kind == "observable":
-        return kind, observable_in(payload)
+        return kind, observable_in(payload, tol)
     if kind == "instrument":
-        return kind, instrument_in(payload)
+        return kind, instrument_in(payload, tol)
     if kind == "phase_space":
         return kind, phase_space_in(payload)
     if kind == "state":

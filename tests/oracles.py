@@ -9,8 +9,9 @@ independent check of the engine's decision procedures; every non-extreme
 verdict is backed by an explicit validated split.
 
 The file also keeps the element-by-element loop forms of the group, action,
-subgroup, cocycle and representation checks, as references for the batched
-checks in ``covkit.fingroup``, and the loop forms of the matrix-unit
+subgroup, cocycle and representation checks, over every element and
+restricted to the generators, as references for the batched checks in
+``covkit.fingroup``, and the loop forms of the matrix-unit
 coordinates, tables and transport, of the all-pairs multiplicativity
 residual, of the dense twist, commutation and cocycle residuals and of the
 pseudo-inverse solve of the dilation symmetry, as references for
@@ -456,12 +457,32 @@ def cpmap_kernel_form(spec: CPMapSpec):
 # ---------------------------------------------------------------------------
 #
 # Element by element, exactly as the checks in covkit.fingroup were first
-# written; the batched checks must report the same first violation.
+# written.  The action and subgroup checks must report the same first
+# violation; the group table, cocycle and representation checks that of the
+# loop restricted to the generators (``on_generators``).
 
 
-def group_table_violation(mul):
+def greedy_generators_loop(mul, ident):
+    """The greedy generating set of a table with identity ``ident``: each
+    new generator is the smallest element outside the set reached so far by
+    right multiplication with the generators."""
+    gens, span = [], {ident}
+    for g in range(len(mul)):
+        if g not in span:
+            gens.append(g)
+            frontier = list(span)
+            while frontier:
+                new = {int(mul[a][s]) for a in frontier for s in gens} - span
+                span |= new
+                frontier = list(new)
+    return gens
+
+
+def group_table_violation(mul, on_generators=False):
     """Message of the first group axiom a square in-range table breaks, or
-    None."""
+    None.  Associativity (xa)y = x(ay) is tested for every middle a, or with
+    ``on_generators`` for the greedy generators only (Light's test), first
+    failure in lexicographic order of (x, a, y)."""
     mul = np.asarray(mul, dtype=np.int64)
     n = mul.shape[0]
     ident = None
@@ -475,10 +496,12 @@ def group_table_violation(mul):
         hits = np.where(mul[g] == ident)[0]
         if len(hits) != 1 or mul[hits[0], g] != ident:
             return f"element {g} has no two-sided inverse"
-    for g in range(n):
-        for h in range(n):
-            if not np.array_equal(mul[mul[g, h]], mul[g][mul[h]]):
-                return f"associativity fails at ({g}, {h})"
+    middles = greedy_generators_loop(mul, ident) if on_generators else range(n)
+    for x in range(n):
+        for a in middles:
+            for y in range(n):
+                if mul[mul[x, a], y] != mul[x, mul[a, y]]:
+                    return f"associativity fails at ({x}, {a}, {y})"
     return None
 
 
@@ -508,8 +531,18 @@ def subgroup_violation(group, members):
     return None
 
 
-def cocycle_violation_loop(c, tol=1e-10):
-    """First violated cocycle identity in lexicographic order, or None."""
+def _rows(group, on_generators):
+    """The rows a loop visits, and the factor its residuals are scaled by."""
+    if on_generators:
+        return group.generators(), group.max_word_length
+    return group.elements(), 1
+
+
+def cocycle_violation_loop(c, tol=1e-10, on_generators=False):
+    """First violated cocycle identity in lexicographic order, or None.  The
+    identity c(a, bk) c(b, k) = c(ab, k) c(a, b) is tested for every middle
+    b, or with ``on_generators`` for b in ``group.generators()`` only, with
+    its residual times ``max_word_length`` against ``tol``."""
     g = c.group
     v = c.values
     if np.any(np.abs(np.abs(v) - 1.0) > tol):
@@ -519,31 +552,36 @@ def cocycle_violation_loop(c, tol=1e-10):
     for a in g.elements():
         if abs(v[e, a] - 1.0) > tol or abs(v[a, e] - 1.0) > tol:
             return ("normalization", a)
+    middles, factor = _rows(g, on_generators)
     for a in g.elements():
-        for b in g.elements():
+        for b in middles:
             for k in g.elements():
                 lhs = v[a, g.prod(b, k)] * v[b, k]
                 rhs = v[g.prod(a, b), k] * v[a, b]
-                if abs(lhs - rhs) > tol:
+                if factor * abs(lhs - rhs) > tol:
                     return ("cocycle", a, b, k)
     return None
 
 
-def rep_violation_loop(u, tol=DEFAULT_TOL):
+def rep_violation_loop(u, tol=DEFAULT_TOL, on_generators=False):
     """First violated representation identity in lexicographic order, or
-    None; a non-finite matrix raises where ``is_unitary`` does."""
+    None; a non-finite matrix raises where ``is_unitary`` does.  Unitarity
+    and the product rule U(a) U(b) = c(a, b) U(ab) are tested for every a,
+    or with ``on_generators`` for a in ``group.generators()`` only, with the
+    product residual times ``max_word_length`` against its bound."""
     g = u.group
     if frob(u(g.identity) - np.eye(u.dim)) > tol.recon_fro:
         return ("identity",)
+    rows, factor = _rows(g, on_generators)
     if u.unitary_flag:
-        for a in g.elements():
+        for a in rows:
             if not is_unitary(u(a), tol):
                 return ("unitary", a)
-    for a in g.elements():
+    for a in rows:
         for b in g.elements():
             lhs = u(a) @ u(b)
             rhs = u.cocycle(a, b) * u(g.prod(a, b))
-            if frob(lhs - rhs) > tol.recon_fro * max(1.0, frob(rhs)):
+            if factor * frob(lhs - rhs) > tol.recon_fro * max(1.0, frob(rhs)):
                 return ("product", a, b)
     return None
 
@@ -695,12 +733,16 @@ def commutation_loop(dil):
     return max(float(np.linalg.norm(b @ pi - pi @ b, axis=(1, 2)).max()) for b in bars)
 
 
-def cocycle_loop(mats, cocycle, group):
-    """max over pairs (a, b) of ||U(a) U(b) - c(a, b) U(ab)||_F."""
+def cocycle_loop(mats, cocycle, group, on_generators=False):
+    """max over pairs (a, b) of ||U(a) U(b) - c(a, b) U(ab)||_F; with
+    ``on_generators``, over a in ``group.generators()`` only."""
     return max(
-        frob(mats[a] @ mats[b] - cocycle(a, b) * mats[group.prod(a, b)])
-        for a in group.elements()
-        for b in group.elements()
+        (
+            frob(mats[a] @ mats[b] - cocycle(a, b) * mats[group.prod(a, b)])
+            for a in _rows(group, on_generators)[0]
+            for b in group.elements()
+        ),
+        default=0.0,
     )
 
 
@@ -749,11 +791,12 @@ def alpha_cocycle_loop(spec: CovariantKernelSpec):
     return worst
 
 
-def kernel_covariance_loop(spec: CovariantKernelSpec):
+def kernel_covariance_loop(spec: CovariantKernelSpec, on_generators=False):
     """max ||T[ax, ay] - conj(alpha(a, x)) alpha(a, y) U(a)^-+ T[x, y] U(a)^-1||
-    over all (a, x, y)."""
+    over all (a, x, y); with ``on_generators``, over a in
+    ``group.generators()`` only."""
     worst = 0.0
-    for a in spec.action.group.elements():
+    for a in _rows(spec.action.group, on_generators)[0]:
         ua_inv = spec.rep.inv_mat(a)
         for x in range(spec.x_size):
             for y in range(spec.x_size):
@@ -845,23 +888,25 @@ def kolmogorov_loop(spec: CovariantKernelSpec, factors, tol: Tolerances = DEFAUL
     return sym, checks
 
 
-def cp_covariance_loop(spec: CPMapSpec):
+def cp_covariance_loop(spec: CPMapSpec, on_generators=False):
     """max over (g, k) of ||S(u(g) E_k u(g)^+) - rep(g) S(E_k) rep(g)^+||,
-    one group element at a time through the loop-form transport."""
+    one group element at a time through the loop-form transport; with
+    ``on_generators``, over g in ``group.generators()`` only."""
     sym = spec.symmetry
     worst = 0.0
-    for g in sym.group.elements():
+    for g in _rows(sym.group, on_generators)[0]:
         uinv = sym.rep.inv_mat(g)
         diff = transport_loop(spec.algebra, sym.u(g), spec.values) - uinv.conj().T @ spec.values @ uinv
         worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
     return worst
 
 
-def observable_covariance_loop(spec: ObservableSpec):
-    """max ||rep(g) E_w rep(g)^+ - E_{gw}|| over all (g, w)."""
+def observable_covariance_loop(spec: ObservableSpec, on_generators=False):
+    """max ||rep(g) E_w rep(g)^+ - E_{gw}|| over all (g, w); with
+    ``on_generators``, over g in ``group.generators()`` only."""
     sym = spec.symmetry
     worst = 0.0
-    for g in sym.group.elements():
+    for g in _rows(sym.group, on_generators)[0]:
         ug = sym.rep(g)
         for w in range(spec.n_outcomes):
             lhs = ug @ spec.effects[w] @ ug.conj().T
@@ -869,12 +914,13 @@ def observable_covariance_loop(spec: ObservableSpec):
     return worst
 
 
-def instrument_covariance_loop(spec: InstrumentSpec):
+def instrument_covariance_loop(spec: InstrumentSpec, on_generators=False):
     """max ||W_g C_w W_g^+ - C_{gw}|| over all (g, w), with W_g =
-    conj(out_rep(g)) (x) rep(g)."""
+    conj(out_rep(g)) (x) rep(g); with ``on_generators``, over g in
+    ``group.generators()`` only."""
     sym = spec.symmetry
     worst = 0.0
-    for g in sym.group.elements():
+    for g in _rows(sym.group, on_generators)[0]:
         wg = np.kron(sym.out_rep(g).conj(), sym.rep(g))
         for w in range(spec.n_outcomes):
             worst = max(worst, frob(wg @ spec.choi[w] @ wg.conj().T - spec.choi[sym.action.apply(g, w)]))

@@ -1,12 +1,17 @@
 """The row-batched group, action, subgroup, cocycle and representation checks
 against their element-by-element loop forms in ``oracles``.
 
-Each check must report the same first violation in lexicographic order, or
-raise the same message, on valid inputs, on one corruption and on two
-corruptions at once.  The batched kernel, CP-map, observable and
-instrument covariance residuals must equal their loop forms on valid and
-perturbed inputs, and so must the stacked solve and certificate of the
-Kolmogorov decomposition.
+The action and subgroup checks must report the same first violation in
+lexicographic order, or raise the same message, as their loops over every
+element, on valid inputs, on one corruption and on two corruptions at once.
+The group table, cocycle and representation checks run on the group's
+generators: they must report the first violation of the loop restricted to
+the generators, and reach the same verdict as the loop over every element.
+The kernel, CP-map, observable and instrument covariance residuals must
+equal their loop forms over the generators on valid and perturbed inputs,
+and bound the loop over every element through ``max_word_length``; the
+stacked solve and certificate of the Kolmogorov decomposition must equal
+their loop forms.
 """
 
 from dataclasses import replace
@@ -119,6 +124,7 @@ def _non_identity(rng, group, size):
 def test_group_table_matches_loop(name):
     mul = GROUPS[name].mul
     assert group_table_violation(mul) is None
+    assert group_table_violation(mul, on_generators=True) is None
     assert _group_outcome(mul) is None
     rng = _rng(name)
     seen = set()
@@ -128,8 +134,10 @@ def test_group_table_matches_loop(name):
         for _ in range(1 + trial % 2):
             if not _swap_in_row(rng, bad):
                 return
-        expected = group_table_violation(bad)
+        expected = group_table_violation(bad, on_generators=True)
         assert _group_outcome(bad) == expected
+        # Light's test is exact: the same verdict as every middle element
+        assert (expected is None) == (group_table_violation(bad) is None)
         seen.add(expected.split(" ")[0] if expected else None)
     # the corruptions reach more than one of the axioms
     assert len(seen) >= 2
@@ -140,8 +148,9 @@ def test_group_table_reports_first_associativity_failure():
     # inverse: swap whole columns, which keeps every row and column a permutation
     mul = GROUPS["S3"].mul.copy()
     mul[3:, [1, 2]] = mul[3:, [2, 1]]
-    expected = group_table_violation(mul)
+    expected = group_table_violation(mul, on_generators=True)
     assert expected.startswith("associativity fails at")
+    assert group_table_violation(mul).startswith("associativity fails at")
     assert _group_outcome(mul) == expected
 
 
@@ -230,10 +239,11 @@ def test_cocycle_matches_loop(name):
                 a, b = (int(x) for x in rng.integers(group.order, size=2))
                 vals[a, b] *= np.exp(1e-3j)
             bad = TwoCocycle(group, vals)
-            expected = cocycle_violation_loop(bad)
+            expected = cocycle_violation_loop(bad, on_generators=True)
             # on Z_2 every normalized table is a cocycle
             assert expected is not None or group.order == 2
             assert cocycle_violation(bad) == expected
+            assert (cocycle_violation_loop(bad) is None) == (expected is None)
     # a perturbed modulus and a perturbed value at the identity
     vals = _cocycles(name)[-1].values.copy()
     vals[-1, -1] *= 1.01
@@ -254,7 +264,7 @@ def test_cocycle_two_corruptions_report_the_first():
     both = early.copy()
     both[17, 20] *= np.exp(1e-3j)
     results = [cocycle_violation(TwoCocycle(group, v)) for v in (early, late, both)]
-    assert results[2] == cocycle_violation_loop(TwoCocycle(group, both))
+    assert results[2] == cocycle_violation_loop(TwoCocycle(group, both), on_generators=True)
     assert results[2] == min(results[0], results[1])
 
 
@@ -295,14 +305,19 @@ def test_rep_matches_loop(name):
         for mats in (rephased, scaled, both):
             for flag in (True, False):
                 bad = _with(rep, mats, flag)
-                expected = rep_violation_loop(bad)
-                assert expected is not None
+                expected = rep_violation_loop(bad, on_generators=True)
+                assert expected is not None and rep_violation_loop(bad) is not None
                 assert rep_violation(bad) == expected
-        assert rep_violation(_with(rep, scaled)) == ("unitary", g2)
+        # a non-unitary generator is reported as such
+        s = group.generators()[-1]
+        scaled = rep.matrices.copy()
+        scaled[s] *= 1.01
+        assert rep_violation(_with(rep, scaled)) == ("unitary", s)
 
 
 def test_rep_identity_and_tolerances_match_loop():
     rep = _reps("S3")[1]
+    ell = rep.group.max_word_length
     mats = rep.matrices.copy()
     mats[rep.group.identity] *= np.exp(1e-6j)
     assert rep_violation(_with(rep, mats)) == rep_violation_loop(_with(rep, mats)) == ("identity",)
@@ -310,14 +325,15 @@ def test_rep_identity_and_tolerances_match_loop():
     mats = rep.matrices.copy()
     mats[4] *= np.exp(1e-7j)
     loose = Tolerances(recon_fro=1e-6)
-    assert rep_violation(_with(rep, mats)) == rep_violation_loop(_with(rep, mats)) is not None
+    assert rep_violation(_with(rep, mats)) == rep_violation_loop(_with(rep, mats), on_generators=True) is not None
+    assert rep_violation_loop(_with(rep, mats)) is not None
     assert rep_violation(_with(rep, mats), loose) is None
     assert rep_violation_loop(_with(rep, mats), loose) is None
-    # the bound scales with max(1, |rhs|): |U(g)| = sqrt(6) in the regular
-    # representation of S_3, and a phase of 0.4e-8 on one U(g) moves no
-    # product by more than 0.8e-8 |rhs|
+    # the bound scales with max(1, |rhs|) over the word length: |U(g)| =
+    # sqrt(6) in the regular representation of S_3, and a phase of 0.4e-8 /
+    # max_word_length on one U(g) moves no product by more than 0.8e-8 |rhs| / max_word_length
     mats = rep.matrices.copy()
-    mats[4] *= np.exp(0.4e-8j)
+    mats[4] *= np.exp(0.4e-8j / ell)
     assert rep_violation(_with(rep, mats)) is None
     assert rep_violation_loop(_with(rep, mats)) is None
 
@@ -360,16 +376,25 @@ def _kernels(name):
     ]
 
 
+def _bounds_every_element(group, generator_residual, full_residual):
+    """The loop over every element stays within max_word_length times the
+    generator residual, up to roundoff."""
+    return full_residual <= group.max_word_length * generator_residual + 1e-14
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
 def test_kernel_checks_match_loop(name):
     for valid, spec in _kernels(name):
         report = validate_kernel(spec)
         assert report.ok == valid
-        want_alpha, want_cov = alpha_cocycle_loop(spec), kernel_covariance_loop(spec)
+        want_alpha, want_cov = alpha_cocycle_loop(spec), kernel_covariance_loop(spec, on_generators=True)
         assert report["alpha_cocycle"].residual == pytest.approx(want_alpha, rel=1e-12, abs=1e-14)
         assert report["covariant"].residual == pytest.approx(want_cov, rel=1e-12, abs=1e-14)
+        full = kernel_covariance_loop(spec)
+        if report["alpha_cocycle"].ok:
+            assert _bounds_every_element(spec.action.group, report["covariant"].residual, full)
         if not valid:
-            assert max(want_alpha, want_cov) > 1e-4
+            assert max(want_alpha, full) > 1e-4
 
 
 def test_kernel_alpha_residual_when_sigma_is_not_a_cocycle():
@@ -430,7 +455,8 @@ def test_instrument_covariance_matches_loop():
     for spec in specs:
         check = validate_instrument(spec)["covariance"]
         assert check.ok
-        assert check.residual == pytest.approx(instrument_covariance_loop(spec), rel=1e-12, abs=1e-14)
+        assert check.residual == pytest.approx(instrument_covariance_loop(spec, on_generators=True), rel=1e-12, abs=1e-14)
+        assert _bounds_every_element(spec.symmetry.group, check.residual, instrument_covariance_loop(spec))
         choi = spec.choi.copy()
         w = int(rng.integers(spec.n_outcomes))
         x = rng.normal(size=choi.shape[1:]) + 1j * rng.normal(size=choi.shape[1:])
@@ -438,7 +464,8 @@ def test_instrument_covariance_matches_loop():
         broken = replace(spec, choi=choi)
         check = validate_instrument(broken)["covariance"]
         assert not check.ok
-        assert check.residual == pytest.approx(instrument_covariance_loop(broken), rel=1e-12)
+        assert check.residual == pytest.approx(instrument_covariance_loop(broken, on_generators=True), rel=1e-12)
+        assert instrument_covariance_loop(broken) > 1e-6
 
 
 def _hermitian_bump(rng, shape):
@@ -453,13 +480,15 @@ def test_observable_covariance_matches_loop():
     for spec in specs:
         check = validate_observable(spec)["covariance"]
         assert check.ok
-        assert check.residual == pytest.approx(observable_covariance_loop(spec), rel=1e-12, abs=1e-14)
+        assert check.residual == pytest.approx(observable_covariance_loop(spec, on_generators=True), rel=1e-12, abs=1e-14)
+        assert _bounds_every_element(spec.symmetry.group, check.residual, observable_covariance_loop(spec))
         effects = spec.effects.copy()
         effects[int(rng.integers(spec.n_outcomes))] += _hermitian_bump(rng, effects.shape[1:])
         broken = replace(spec, effects=effects)
         check = validate_observable(broken)["covariance"]
         assert not check.ok
-        assert check.residual == pytest.approx(observable_covariance_loop(broken), rel=1e-12)
+        assert check.residual == pytest.approx(observable_covariance_loop(broken, on_generators=True), rel=1e-12)
+        assert observable_covariance_loop(broken) > 1e-6
 
 
 def test_cpmap_covariance_matches_loop():
@@ -471,10 +500,12 @@ def test_cpmap_covariance_matches_loop():
     for spec in specs:
         check = cp_validate(spec)["covariant"]
         assert check.ok
-        assert check.residual == pytest.approx(cp_covariance_loop(spec), rel=1e-12, abs=1e-14)
+        assert check.residual == pytest.approx(cp_covariance_loop(spec, on_generators=True), rel=1e-12, abs=1e-14)
+        assert _bounds_every_element(spec.symmetry.group, check.residual, cp_covariance_loop(spec))
         values = spec.values.copy()
         values[0] += _hermitian_bump(rng, values.shape[1:])  # E_00 of the first block, which u moves
         broken = replace(spec, values=values)
         check = cp_validate(broken)["covariant"]
         assert not check.ok
-        assert check.residual == pytest.approx(cp_covariance_loop(broken), rel=1e-12)
+        assert check.residual == pytest.approx(cp_covariance_loop(broken, on_generators=True), rel=1e-12)
+        assert cp_covariance_loop(broken) > 1e-6

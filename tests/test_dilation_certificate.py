@@ -400,6 +400,12 @@ def test_twist_and_commutation_block_moves_match_the_dense_loops(spec, mult, bar
     assert want["sym_j"] > 1e-5 and want["sym_cocycle"] > 1e-5
     for name, value in want.items():
         assert abs(exc.value.checks[name].residual - value) <= 1e-12
+    # sym_cocycle is certified on the generator rows, which bound every row
+    group = spec.symmetry.group
+    for d, checks in ((dil, dil.checks), (broken, exc.value.checks)):
+        rows = cocycle_loop(sym_stack(d), spec.symmetry.rep.cocycle, group, on_generators=True)
+        assert abs(checks["sym_cocycle"].residual - rows) <= 1e-12
+        assert _dense_residuals(d)["sym_cocycle"] <= group.max_word_length * rows + 1e-14
 
 
 @pytest.mark.parametrize("spec", list(_cases()) + [case.values[0] for case in _symmetric_cases()])

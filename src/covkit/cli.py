@@ -3,7 +3,7 @@ engines, and emit machine-readable reports.
 
 Exit codes: 0 success, 1 validation failure, 2 parse error, 3 numeric
 tolerance failure, 4 out of memory.  Reports are byte-stable for fixed
-inputs, tolerances, and seeds; wall time goes to stderr.
+inputs, tolerances, and sample seeds; wall time goes to stderr.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from .fingroup import (
 )
 from .instruments import (
     B_from_instrument,
+    ObservableSpec,
     StructureViolation,
     as_cpmap,
     instrument_extremal,
-    lambda_from_observable,
     naimark,
-    observable_extremal,
     phase_space,
     sample_stream,
     validate_instrument,
@@ -215,10 +214,17 @@ def cmd_extremal(args) -> int:
         cert = cp_extremal(obj, None, tol)
         neighbours = [specfile.cpmap_out(p) for p in cert.perturbed] if cert.perturbed else None
     elif kind == "observable":
-        data = lambda_from_observable(obj, seed=args.seed, tol=tol)
-        cert = observable_extremal(data, tol)
+        # held to the bounds `validate` uses for an observable, then decided as
+        # the instrument with a one-dimensional output, K = 1
+        checks = validate_observable(obj, tol)
+        if not checks.ok:
+            raise ValueError(f"observable invalid: {', '.join(checks.failed())}")
+        cert = instrument_extremal(obj.as_instrument(), tol)
+        direction = "Hermitian direction X on the base-coset Kraus multiplicity space (I_K (x) X with K = 1), certifying a convex split"
         neighbours = (
-            [specfile.observable_out(p) for p in cert.perturbed] if cert.perturbed else None
+            [specfile.observable_out(ObservableSpec(p.choi, obj.symmetry)) for p in cert.perturbed]
+            if cert.perturbed
+            else None
         )
     elif kind == "instrument":
         cert = instrument_extremal(obj, tol)
@@ -334,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol-rank-rel", type=float, default=1e-9, help="relative rank cutoff (default 1e-9)")
     common.add_argument("--tol-unitary-fro", type=float, default=1e-8, help="unitarity certificate slack (default 1e-8)")
     common.add_argument("--tol-recon-fro", type=float, default=1e-8, help="reconstruction certificate slack (default 1e-8)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized decompositions (default 0)")
     # the four commands that print a report can also write it to a file
     report = argparse.ArgumentParser(add_help=False, parents=[common])
     report.add_argument("--json-out", type=str, default=None, help="also write the report to this path")
@@ -373,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("state")
     p.add_argument("-n", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0, help="seed of the outcome draws (default 0)")
     p.set_defaults(func=cmd_sample)
     return parser
 

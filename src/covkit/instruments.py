@@ -104,6 +104,12 @@ class ObservableSpec:
     def n_outcomes(self) -> int:
         return self.effects.shape[0]
 
+    def as_instrument(self) -> InstrumentSpec:
+        """The observable as the covariant instrument with a trivial
+        one-dimensional output: the Choi block of outcome w is E_w."""
+        sym = self.symmetry
+        return InstrumentSpec(self.effects, Symmetry(sym.sub, sym.rep, MultiplierRep.trivial(sym.group)))
+
 
 def validate_observable(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
     """Positivity, normalization and covariance of the effects.  Covariance
@@ -253,8 +259,8 @@ def as_cpmap(spec: InstrumentSpec) -> CPMapSpec:
 
 def naimark(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     """Minimal covariant Naimark dilation: the KSGNS dilation of the
-    observable's CP form, the observable as the instrument with a trivial
-    one-dimensional output (:func:`as_cpmap` on the functions on the outcome
+    observable's CP form, :func:`as_cpmap` of
+    :meth:`ObservableSpec.as_instrument` (on the functions on the outcome
     space, u(g) the coset permutation).
 
     Outcome w is block w of the dilation, so ``mult[w]`` is the fiber
@@ -263,9 +269,7 @@ def naimark(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilatio
     validated once, by :func:`~covkit.cpmaps.cp_validate` in
     :func:`~covkit.cpmaps.ksgns`, and normalization by the ``isometry``
     verdict j^+ j = I; an unnormalized observable raises ``ValueError``."""
-    sym = spec.symmetry
-    as_instrument = InstrumentSpec(spec.effects, Symmetry(sym.sub, sym.rep, MultiplierRep.trivial(sym.group)))
-    dil = ksgns(as_cpmap(as_instrument), tol)
+    dil = ksgns(as_cpmap(spec.as_instrument()), tol)
     res = frob(dil.j.conj().T @ dil.j - np.eye(spec.v_dim))
     dil.checks["isometry"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), res)
     if not dil.checks["isometry"].ok:
@@ -610,7 +614,9 @@ def lambda_from_observable(
 def observable_extremal(
     data: CovariantObservableData, tol: Tolerances = DEFAULT_TOL
 ) -> ExtremalityCertificate:
-    """Extremality of the covariant observable encoded by the block data.
+    """Extremality of the covariant observable encoded by the block data:
+    the lambda picture, the reference for ``instrument_extremal(
+    spec.as_instrument())``, which decides the same on the base fiber.
 
     The observable is extreme iff D = 0 is the only D on the base fiber that
     commutes with the subgroup representation and has sum_k L_k^+ D L_k = 0
@@ -819,7 +825,8 @@ def instrument_extremal(
     compression.  On non-extremality the witness is I_K (x) X, and the
     neighbours are the instruments of the families sqrt(I +- X) B, each
     assembled and validated once by :func:`instrument_from_B`; their midpoint
-    is the input."""
+    is the input.  An observable is decided as
+    :meth:`ObservableSpec.as_instrument`, with K = 1."""
     data = B_from_instrument(spec, tol)
     k, r = spec.k_dim, len(data.b_ops)
     b = np.stack(data.b_ops)

@@ -188,9 +188,13 @@ def _certify_kolmogorov(spec, factors, tol, ws=None) -> tuple[MultiplierRep, Che
     one :func:`~covkit.numlin.unitary_moves` solve over the group (or ``ws``
     as given), and their certificate: ``reconstruction``, factors[x]^+
     factors[y] = T[x, y] for every (x, y); ``unitarity``, ||W_g^+ W_g -
-    I||_F; ``cocycle``, W_a W_b = c(a, b) W_ab over all pairs at once, c =
-    sigma * rep.cocycle; ``intertwining``, the solve residual ||W_g F -
-    F_g||_F, which bounds every block's."""
+    I||_F; ``cocycle``, W_a W_b = c(a, b) W_ab for the generators a of
+    ``group.generators()`` and every b at once, c = sigma * rep.cocycle;
+    ``intertwining``, the solve residual ||W_g F - F_g||_F, which bounds
+    every block's.  With c a 2-cocycle, the rows of a and a' give the row of
+    aa' (induction on word length, as for
+    :func:`~covkit.cpmaps.ksgns`'s ``sym_cocycle``), so ``max_word_length``
+    times the ``cocycle`` residual is held to its bound."""
     group, (x_size, n, nv) = spec.action.group, factors.shape
     stacked = factors.transpose(1, 0, 2).reshape(n, x_size * nv)
     moved = factors[spec.action.table] @ spec.rep.matrices[:, None] / spec.alpha[..., None, None]
@@ -198,12 +202,13 @@ def _certify_kolmogorov(spec, factors, tol, ws=None) -> tuple[MultiplierRep, Che
     ws, unitary, intertwining = unitary_moves(stacked, moved, tol, ws)
     cocycle = spec.dilation_cocycle()
     recon = factors.conj().transpose(0, 2, 1)[:, None] @ factors[None] - spec.blocks
-    pairs = ws[:, None] @ ws[None] - cocycle.values[..., None, None] * ws[group.mul]
+    gens = list(group.generators())
+    pairs = ws[gens][:, None] @ ws[None] - cocycle.values[gens][..., None, None] * ws[group.mul[gens]]
     grand = float(np.linalg.norm(spec.grand_matrix(), 2)) if spec.blocks.size else 0.0
     recon, pairs = (float(np.linalg.norm(a, axis=(-2, -1)).max(initial=0.0)) for a in (recon, pairs))
     checks = Checks().require(tol.recon_fro * max(1.0, grand), "factor reconstruction failed", reconstruction=recon)
     checks.require(tol.unitary_fro * max(1.0, np.sqrt(n)), "dilation unitaries failed", unitarity=unitary.max())
-    checks.require(tol.recon_fro * max(1.0, np.sqrt(n)), "dilation cocycle failed", cocycle=pairs)
+    checks.require(tol.recon_fro * max(1.0, np.sqrt(n)), "dilation cocycle failed", {"cocycle": group.max_word_length}, cocycle=pairs)
     message = "covariant intertwining failed; alpha / cocycle data is inconsistent with the blocks"
     checks.require(tol.recon_fro * max(1.0, min(grand, frob(stacked))), message, intertwining=intertwining.max())
     return MultiplierRep(group, cocycle, ws), checks

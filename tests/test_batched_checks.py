@@ -32,7 +32,7 @@ from covkit.fingroup import (
 )
 from covkit.cpmaps import cp_validate
 from covkit.instruments import as_cpmap, marginal_observable, phase_space, validate_instrument, validate_observable
-from covkit.kernels import _certify_kolmogorov, kolmogorov_decompose, validate_kernel
+from covkit.kernels import DilationResidualError, _certify_kolmogorov, kolmogorov_decompose, validate_kernel
 from covkit.numlin import Tolerances
 from covkit.random import (
     all_subgroups,
@@ -44,6 +44,7 @@ from covkit.random import (
 from oracles import (
     action_violation,
     alpha_cocycle_loop,
+    cocycle_loop,
     cocycle_violation_loop,
     cp_covariance_loop,
     group_table_violation,
@@ -423,14 +424,19 @@ def test_kolmogorov_certificate_matches_loop(name):
     assert all(np.abs(spec.rep.cocycle.values - 1.0).max() > 0.1 for spec in specs)
     assert min(kolmogorov_decompose(spec).rank for spec in specs) == 0
     loose = Tolerances(recon_fro=1e6, unitary_fro=1e6)
+    group = specs[0].action.group
     for spec in specs:
         dec = kolmogorov_decompose(spec)
         sym, want = kolmogorov_loop(spec, dec.factors)
         assert list(dec.checks) == ["reconstruction", "unitarity", "cocycle", "intertwining"]
+        # the stacked intertwining residual is the loop's solve residual, and the cocycle rows are the generators
+        on_gens = cocycle_loop(dec.sym.matrices, spec.dilation_cocycle(), group, on_generators=True)
+        loops = {key: check.residual for key, check in want.items()}
+        loops.update(intertwining=want["dilation_solve"].residual, cocycle=on_gens)
         for key, check in dec.checks.items():
-            # the stacked intertwining residual is the loop's solve residual
-            loop = want["dilation_solve" if key == "intertwining" else key].residual
-            assert check.ok and check.residual == pytest.approx(loop, rel=1e-12, abs=1e-12)
+            assert check.ok and check.residual == pytest.approx(loops[key], rel=1e-12, abs=1e-12)
+        # the loop over every pair (a, b) stays within max_word_length times the generator rows
+        assert _bounds_every_element(group, on_gens, want["cocycle"].residual)
         assert np.abs(dec.sym.matrices - sym.matrices).max(initial=0.0) <= 1e-12
         if not dec.rank:
             continue
@@ -440,12 +446,32 @@ def test_kolmogorov_certificate_matches_loop(name):
         factors = dec.factors + 0.1 * (rng.normal(size=dec.factors.shape) + 1j * rng.normal(size=dec.factors.shape))
         got = _certify_kolmogorov(spec, factors, loose, turned)[1]
         want = kolmogorov_loop(spec, factors, loose, replace(dec.sym, matrices=turned))[1]
-        for key in ("reconstruction", "unitarity", "cocycle"):
+        for key in ("reconstruction", "unitarity"):
             assert got[key].residual == pytest.approx(want[key].residual, rel=1e-12)
+        on_gens = cocycle_loop(turned, spec.dilation_cocycle(), group, on_generators=True)
+        assert got["cocycle"].residual == pytest.approx(on_gens, rel=1e-12)
         # per group element over all x, against the loop's largest single block
         inter, block = got["intertwining"].residual, want["intertwining"].residual
         assert block * (1 - 1e-12) <= inter <= np.sqrt(spec.x_size) * block * (1 + 1e-12)
         assert min(check.residual for check in got.values()) > 1e-3
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_GROUPS))
+def test_kolmogorov_cocycle_bound_carries_max_word_length(name):
+    _, specs = _kolmogorov_cases(name)
+    spec, dec = next((s, d) for s in specs if (d := kolmogorov_decompose(s)).rank)
+    group = spec.action.group
+    # one generator's unitary turned by a phase: still unitary, off the cocycle by about 1e-6
+    turned = dec.sym.matrices.copy()
+    turned[group.generators()[0]] *= np.exp(1e-6j)
+    residual = cocycle_loop(turned, spec.dilation_cocycle(), group, on_generators=True)
+    assert residual > 1e-7
+    # a bound above the generator residual but below max_word_length times it fails
+    tol = Tolerances(recon_fro=2 * residual / max(1.0, np.sqrt(dec.rank)))
+    assert group.max_word_length > 2
+    with pytest.raises(DilationResidualError, match="cocycle residual") as exc:
+        _certify_kolmogorov(spec, dec.factors, tol, turned)
+    assert exc.value.checks["cocycle"].residual == pytest.approx(residual, rel=1e-12)
 
 
 def test_instrument_covariance_matches_loop():

@@ -51,6 +51,7 @@ from .kernels import (
     validate_kernel,
 )
 from .cpmaps import (
+    BlockAction,
     CPMapSpec,
     CPSymmetry,
     KSGNSDilation,

@@ -7,16 +7,20 @@ algebra and extended linearly.  Complete positivity is positivity of the
 Choi matrix of every block (Choi's criterion), and the factorizations of
 those matrices give the Kraus family and the minimal dilation, whose symmetry
 u(g) (*) W(g) needs only a unitary W_{g,i} on each block's multiplicities.
+Every per-block stage runs once per block shape, on the stack of the blocks
+of that shape: u(g) carries a block only onto one of its own size, and the
+dilation's W_{g,i} only onto one of its own multiplicity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
-from .fingroup import FiniteGroup, MultiplierRep
+from .fingroup import FiniteGroup, MultiplierRep, TwoCocycle
 from .kernels import (
     Check,
     Checks,
@@ -34,7 +38,7 @@ from .numlin import (
     frob,
     offsets,
     psd_factor,
-    psd_status,
+    psd_spectrum,
     unitary_moves,
 )
 
@@ -45,16 +49,41 @@ class InvarianceError(ValueError):
 
 
 @dataclass(frozen=True)
+class BlockAction:
+    """A block-permuting multiplier representation u on an algebra's defining
+    space, kept as its block action: u(g) carries block i to block
+    ``sigma[g, i]`` by the n_i x n_i matrix ``w[i][g]``, the (sigma_g(i), i)
+    block of u(g), and is zero elsewhere.  ``cocycle`` is the cocycle of u."""
+
+    sigma: np.ndarray  # (|G|, number of blocks)
+    w: tuple  # per block i, the (|G|, n_i, n_i) stack of w_{g,i}
+    cocycle: TwoCocycle
+
+    def fits(self, algebra: FiniteCStarAlgebra) -> bool:
+        """Whether every sigma_g permutes blocks of equal size and every
+        w_{g,i} is n_i x n_i."""
+        sizes, order = np.asarray(algebra.blocks), self.cocycle.group.order
+        sigma = np.asarray(self.sigma)
+        if sigma.shape != (order, len(sizes)) or len(self.w) != len(sizes):
+            return False
+        if any(np.shape(w) != (order, n, n) for w, n in zip(self.w, sizes)):
+            return False
+        return bool(np.all(sizes[sigma] == sizes) and np.all(np.sort(sigma, axis=1) == np.arange(len(sizes))))
+
+
+@dataclass(frozen=True)
 class CPSymmetry:
     """Symmetry data of a covariant CP map.
 
     ``u`` implements the inner action b -> u(g) b u(g)^+ on the algebra's
-    defining space (block-diagonal, possibly permuting equal-size blocks);
-    ``rep`` acts on the module fiber.  Optional ``u_factors`` carry the
-    factor implementations when the algebra is a declared tensor product.
+    defining space: a dense :class:`MultiplierRep` (user data, whose leak out
+    of the algebra :func:`cp_validate` measures) or, where the structure is
+    known at construction, its :class:`BlockAction`.  ``rep`` acts on the
+    module fiber.  Optional ``u_factors`` carry the factor implementations
+    when the algebra is a declared tensor product.
     """
 
-    u: MultiplierRep
+    u: MultiplierRep | BlockAction
     rep: MultiplierRep
     u_factors: tuple[MultiplierRep, MultiplierRep] | None = None
 
@@ -78,7 +107,8 @@ class CPMapSpec:
         if values.shape != (self.algebra.n_units, nv, nv):
             raise DimensionError("values must be (n_units, n_V, n_V)")
         if self.symmetry is not None:
-            if self.symmetry.u.dim != self.algebra.defining_dim:
+            u = self.symmetry.u
+            if not (u.fits(self.algebra) if isinstance(u, BlockAction) else u.dim == self.algebra.defining_dim):
                 raise DimensionError("symmetry u acts on the wrong space")
             if self.symmetry.rep.dim != nv:
                 raise DimensionError("symmetry rep acts on the wrong space")
@@ -97,13 +127,24 @@ class CPMapSpec:
     def unit_value(self) -> np.ndarray:
         return self.value_of(self.algebra.one())
 
-    def beta(self, g, bmat) -> np.ndarray:
+    @cached_property
+    def block_action(self) -> BlockAction:
+        """The symmetry's u as its :class:`BlockAction`; a dense u is read by
+        :meth:`~covkit.cstar.FiniteCStarAlgebra.block_action` over the whole
+        group, which drops any leak out of the algebra."""
         u = self.symmetry.u
-        return u(g) @ bmat @ u(g).conj().T
+        if isinstance(u, BlockAction):
+            return u
+        sigma, w = self.algebra.block_action(u.matrices)
+        return BlockAction(sigma, tuple(w), u.cocycle)
 
     def choi_blocks(self) -> list[np.ndarray]:
         """Choi matrix C_i[(b, v), (d, w)] = S(E^i_bd)[v, w] of every block."""
-        return _choi_blocks(self.algebra, self.values)
+        out = [None] * len(self.algebra.blocks)
+        for n, idx in _size_groups(self.algebra.blocks):
+            for i, c in zip(idx, _choi_stack(self.algebra, self.values, n, idx)):
+                out[i] = c
+        return out
 
     def choi(self) -> np.ndarray:
         """Choi matrix of a single-block algebra."""
@@ -112,32 +153,73 @@ class CPMapSpec:
         return self.choi_blocks()[0]
 
 
-def _choi_blocks(alg: FiniteCStarAlgebra, stack) -> list[np.ndarray]:
-    """Choi matrix of every block of a stack of unit images.  Because
-    E_ab^+ E_cd = delta_ac E_bd, the grand kernel [S(E_k^+ E_l)] over the
-    matrix units is the direct sum of I_{n_i} (x) C_i."""
-    d, out = stack.shape[1], []
-    for i, n in enumerate(alg.blocks):
-        part = stack[alg.unit_offsets[i] : alg.unit_offsets[i + 1]]
-        out.append(part.reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d))
-    return out
+def _size_groups(sizes) -> list[tuple[int, np.ndarray]]:
+    """The distinct block sizes n, each with the indices of its blocks."""
+    sizes = np.asarray(sizes)
+    return [(int(n), np.flatnonzero(sizes == n)) for n in np.unique(sizes)]
 
 
-def _cp_status(alg: FiniteCStarAlgebra, stack, tol) -> tuple[bool, float]:
-    """Complete positivity of a stack of unit images: every Choi block is
-    tested against its own scale, and the residual is the largest."""
-    status = [psd_status(c, tol) for c in _choi_blocks(alg, stack)]
-    return all(ok for ok, _ in status), max(res for _, res in status)
+def _layout_groups(blocks, mult) -> list[tuple[int, int, np.ndarray]]:
+    """The distinct shapes (n_i, r_i) with r_i > 0 of a dilation layout, each
+    with the indices of its blocks.  A block moves only onto one of its own
+    shape, so every sigma_g maps each index set onto itself."""
+    shapes = np.stack([np.asarray(blocks), np.asarray(mult)], axis=1).reshape(-1, 2)
+    return [
+        (int(n), int(r), np.flatnonzero((shapes[:, 0] == n) & (shapes[:, 1] == r)))
+        for n, r in np.unique(shapes, axis=0)
+        if r > 0
+    ]
+
+
+def _units(alg: FiniteCStarAlgebra, n, idx) -> np.ndarray:
+    """The matrix units of the blocks ``idx``, all of size n: (B, n^2)."""
+    return alg.unit_offsets[idx][:, None] + np.arange(n * n)
+
+
+def _choi_stack(alg: FiniteCStarAlgebra, stack, n, idx) -> np.ndarray:
+    """Choi matrices of the blocks ``idx``, all of size n, of a stack of unit
+    images (B, n d, n d).  Because E_ab^+ E_cd = delta_ac E_bd, the grand
+    kernel [S(E_k^+ E_l)] over the matrix units is the direct sum of I_{n_i}
+    (x) C_i."""
+    d = stack.shape[1]
+    return stack[_units(alg, n, idx)].reshape(len(idx), n, n, d, d).transpose(0, 1, 3, 2, 4).reshape(len(idx), n * d, n * d)
+
+
+def _choi_spectra(alg: FiniteCStarAlgebra, stack, vectors=False) -> list:
+    """One :func:`~covkit.numlin.psd_spectrum` per block size, over the
+    stacked Choi matrices of the blocks of that size: (n, idx, spectrum)."""
+    return [(n, idx, psd_spectrum(_choi_stack(alg, stack, n, idx), vectors)) for n, idx in _size_groups(alg.blocks)]
+
+
+def _cp_status(spectra, tol) -> tuple[bool, float]:
+    """Complete positivity from the Choi spectra: every block is tested
+    against its own scale, and the residual is the largest."""
+    ok = all(bool(np.all(s.passes(tol))) for _, _, s in spectra)
+    return ok, max(float(s.residual().max(initial=0.0)) for _, _, s in spectra)
+
+
+# The phase gauge of a Kraus operator makes its first entry of magnitude above
+# this floor real positive.  It picks one of the equally valid factors and
+# decides no verdict, so it is structural rather than a tolerance: a fixed
+# absolute value keeps the factors, and so every printed j, reproducible.
+_GAUGE_FLOOR = 1e-12
+
+
+def _gauge(f) -> np.ndarray:
+    """Every row of a stack of factors (..., rows, cols) turned by the phase
+    that makes its first entry above :data:`_GAUGE_FLOOR` real positive;
+    rows without one are kept."""
+    lead = np.take_along_axis(f, np.argmax(np.abs(f) > _GAUGE_FLOOR, axis=-1)[..., None], -1)
+    big = np.abs(lead) > _GAUGE_FLOOR
+    return f / np.where(big, lead / np.where(big, np.abs(lead), 1.0), 1.0)
 
 
 def kraus_from_choi(choi, k_dim, v_dim, tol: Tolerances = DEFAULT_TOL):
     """Kraus operators B_j (K x V) of a CP map from its Choi block matrix,
     with a deterministic gauge: descending eigenvalues, first significant
-    entry rotated real positive."""
+    entry rotated real positive (:func:`_gauge`)."""
     n, f = psd_factor(choi, tol)
-    lead = f[np.arange(n), np.argmax(np.abs(f) > 1e-12, axis=1)]
-    lead[np.abs(lead) <= 1e-12] = 1.0
-    return list((f / (lead / np.abs(lead))[:, None]).reshape(n, k_dim, v_dim))
+    return list(_gauge(f).reshape(n, k_dim, v_dim))
 
 
 def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
@@ -145,50 +227,59 @@ def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
     and the group's generators at once.  Normality is structural: every
     linear map between finite-dimensional algebras is normal, so it has no
     verdict.  Complete positivity passes if every block's Choi matrix passes
-    :func:`psd_status` against its own scale; the residual is the most
-    negative eigenvalue over the blocks, that of the grand kernel.
-    Covariance at g and h gives it at gh, since Ad of a multiplier
-    representation is a homomorphism, so it is checked at the generators s
-    of ``group.generators()`` and passes if ``max_word_length`` times the
-    residual is within the bound.  Where some b -> u(s) b u(s)^+ leaves the
+    :func:`~covkit.numlin.psd_status` against its own scale, from one
+    eigenvalue computation per block size; the residual is the most negative
+    eigenvalue over the blocks, that of the grand kernel.  Covariance at g
+    and h gives it at gh, since Ad of a multiplier representation is a
+    homomorphism, so it is checked at the generators s of
+    ``group.generators()`` and passes if ``max_word_length`` times the
+    residual is within the bound.  Where a dense u(s) moves some b out of the
     algebra, the residual is the largest part of a u(s) E_k u(s)^+ outside
-    it; otherwise S(beta_s(E_k)) is compared with rep(s) S(E_k) rep(s)^+
-    block by block (:func:`_moved_block`)."""
-    checks = Checks(completely_positive=Check(*_cp_status(spec.algebra, spec.values, tol)))
+    it; otherwise S(beta_s(E_k)) is compared with rep(s) S(E_k) rep(s)^+,
+    one stacked block move per block size (:func:`_moved_blocks`)."""
+    return _cp_checks(spec, _choi_spectra(spec.algebra, spec.values), tol)
+
+
+def _cp_checks(spec: CPMapSpec, spectra, tol) -> Checks:
+    """:func:`cp_validate` from the Choi spectra already computed."""
+    checks = Checks(completely_positive=Check(*_cp_status(spectra, tol)))
     covariant, worst = True, 0.0
     # the trivial group has no generators: u(e) = rep(e) = I is all there is
     if spec.symmetry is not None and spec.symmetry.group.generators():
-        alg, group = spec.algebra, spec.symmetry.group
+        alg, group, u = spec.algebra, spec.symmetry.group, spec.symmetry.u
         gens = list(group.generators())
-        u, rep = spec.symmetry.u.matrices[gens], spec.symmetry.rep.matrices[gens]
-        outside, size = alg.outside_norms(u)
-        leaks = np.any(outside > tol.recon_fro * np.maximum(1.0, size), axis=-1)
-        if leaks.any():
-            covariant, worst = False, float(outside[leaks].max())
+        rep = spec.symmetry.rep.matrices[gens]
+        if isinstance(u, BlockAction):
+            sigma, w = u.sigma[gens], [wi[gens] for wi in u.w]
         else:
-            sigma, w = alg.block_action(u)
-            uinv = rep.conj().transpose(0, 2, 1) if spec.symmetry.rep.unitary_flag else np.linalg.inv(rep)
-            expected = uinv.conj().transpose(0, 2, 1)[:, None] @ spec.values @ uinv[:, None]
-            for i, (a, b) in enumerate(zip(alg.unit_offsets, alg.unit_offsets[1:])):
-                moved = _moved_block(alg, sigma, w, spec.values, i)
-                worst = max(worst, float(_norms(moved - expected[:, a:b]).max(initial=0.0)))
-            covariant = group.max_word_length * worst <= tol.recon_fro * max(1.0, float(np.abs(spec.values).max()))
+            outside, size = alg.outside_norms(u.matrices[gens])
+            leaks = np.any(outside > tol.recon_fro * np.maximum(1.0, size), axis=-1)
+            if leaks.any():
+                checks["covariant"] = Check(False, float(outside[leaks].max()))
+                return checks
+            sigma, w = alg.block_action(u.matrices[gens])
+        uinv = rep.conj().transpose(0, 2, 1) if spec.symmetry.rep.unitary_flag else np.linalg.inv(rep)
+        expected = uinv.conj().transpose(0, 2, 1)[:, None] @ spec.values @ uinv[:, None]
+        for n, idx in _size_groups(alg.blocks):
+            moved = _moved_blocks(alg, sigma, w, spec.values, n, idx)
+            worst = max(worst, float(_norms(moved - expected[:, _units(alg, n, idx)]).max(initial=0.0)))
+        covariant = group.max_word_length * worst <= tol.recon_fro * max(1.0, float(np.abs(spec.values).max()))
     checks["covariant"] = Check(covariant, worst)
     return checks
 
 
-def _moved_block(alg: FiniteCStarAlgebra, sigma, w, stack, i) -> np.ndarray:
+def _moved_blocks(alg: FiniteCStarAlgebra, sigma, w, stack, n, idx) -> np.ndarray:
     """The linear map E_k -> stack[k] at beta_g(E^i_ab) = u(g) E^i_ab u(g)^+
-    for every g of a stack of u(g) and unit of block i, (|stack|, n_i^2,
-    ...), from the block action (sigma, w) of the stack: beta_g(E^i_ab) =
+    for every g of a block action (sigma, w) and every unit of the blocks
+    ``idx``, all of size n: (|sigma|, B, n^2, ...).  beta_g(E^i_ab) =
     sum_cd w_{g,i}[c, a] conj(w_{g,i}[d, b]) E^{sigma_g(i)}_cd, so with the
-    images of block sigma_g(i) laid out as n_i x n_i matrices M, the result
-    is w^T M conj(w)."""
-    n, wi = alg.blocks[i], w[i]
-    src = stack[alg.unit_offsets[sigma[:, i], None] + np.arange(n * n)]
-    src = src.reshape(len(wi), n, n, -1).transpose(0, 3, 1, 2)
-    moved = wi.transpose(0, 2, 1)[:, None] @ src @ wi.conj()[:, None]
-    return moved.transpose(0, 2, 3, 1).reshape((len(wi), n * n) + stack.shape[1:])
+    images of block sigma_g(i) laid out as n x n matrices M, the result is
+    w^T M conj(w)."""
+    wi = np.stack([w[i] for i in idx], axis=1)  # (|sigma|, B, n, n)
+    src = stack[alg.unit_offsets[sigma[:, idx], None] + np.arange(n * n)]
+    src = src.reshape(wi.shape[:2] + (n, n, -1)).transpose(0, 1, 4, 2, 3)
+    moved = np.swapaxes(wi, -1, -2)[:, :, None] @ src @ wi.conj()[:, :, None]
+    return moved.transpose(0, 1, 3, 4, 2).reshape(wi.shape[:2] + (n * n,) + stack.shape[1:])
 
 
 def _tensor_pattern(algebra, mult):
@@ -211,10 +302,11 @@ class KSGNSDilation:
     representation of the algebra has this form up to unitary equivalence,
     so pi is a function of the algebra and ``mult`` (:func:`_tensor_pattern`)
     and is never stored.  Nor is the symmetry: sym(g) = u(g) (*) W(g) moves
-    block i to block sigma_g(i) as w_{g,i} (x) W_{g,i}, w_{g,i} the (sigma_g(i),
-    i) block of u(g), so the twist sym(g) pi(b) = pi(beta_g(b)) sym(g) holds
-    by construction; only the multiplicity unitaries W_{g,i} are stored.  A
-    dilation off this layout cannot be built.
+    block i to block sigma_g(i) as w_{g,i} (x) W_{g,i}, (sigma, w) the block
+    action of u (:attr:`CPMapSpec.block_action`), so the twist sym(g) pi(b)
+    = pi(beta_g(b)) sym(g) holds by construction; only the multiplicity
+    unitaries W_{g,i} are stored.  A dilation off this layout cannot be
+    built.
     """
 
     spec: CPMapSpec
@@ -260,20 +352,21 @@ class KSGNSDilation:
     def sym(self, g) -> np.ndarray:
         """The dense sym(g) = u(g) (*) W(g), built on request: the N x N
         matrix whose block (sigma_g(i), i) is w_{g,i} (x) W_{g,i}."""
-        sigma, w = self.spec.algebra.block_action(self.spec.symmetry.u(g))
+        act = self.spec.block_action
         start = offsets([n * r for n, r in zip(self.spec.algebra.blocks, self.mult)])
         out = np.zeros((self.rank, self.rank), dtype=np.complex128)
-        for i, (to, wi, ws) in enumerate(zip(sigma, w, self.mult_rep)):
-            out[start[to] : start[to + 1], start[i] : start[i + 1]] = np.kron(wi, ws[g])
+        for i, (to, wi, ws) in enumerate(zip(act.sigma[g], act.w, self.mult_rep)):
+            out[start[to] : start[to + 1], start[i] : start[i + 1]] = np.kron(wi[g], ws[g])
         return out
 
 
-def _kraus_blocks(dil: KSGNSDilation) -> list[np.ndarray]:
-    """The Kraus operators A^i_l of every block i, an (r_i, n_i, n_V) stack
-    read off j: row (i, a, l) of j is row a of A^i_l."""
-    blocks, nv = dil.spec.algebra.blocks, dil.spec.n_v
-    start = offsets([n * r for n, r in zip(blocks, dil.mult)])
-    return [dil.j[a:b].reshape(n, r, nv).transpose(1, 0, 2) for a, b, n, r in zip(start, start[1:], blocks, dil.mult)]
+def _kraus_stack(dil: KSGNSDilation, n, r, idx) -> np.ndarray:
+    """The Kraus operators A^i_l of the blocks ``idx``, all of shape (n, r),
+    as a (B, r, n, n_V) stack read off j: row (i, a, l) of j is row a of
+    A^i_l."""
+    start = offsets([b * m for b, m in zip(dil.spec.algebra.blocks, dil.mult)])
+    rows = dil.j[start[idx][:, None] + np.arange(n * r)]
+    return rows.reshape(len(idx), n, r, -1).transpose(0, 2, 1, 3)
 
 
 def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
@@ -283,18 +376,31 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     (n_i x n_V), so S(b) = sum_{i,l} A^i_l^+ b_i A^i_l.  On the dilation
     space, the direct sum of C^{n_i} (x) C^{r_i}, row (i, a, l) of j is row a
     of A^i_l and pi(E^i_ab) = E_ab (x) I_{r_i} exactly, so the rank is
-    N = sum_i n_i r_i.  With a symmetry, sym(g) = u(g) (*) W(g), and the
-    multiplicity unitaries W_{g,i} come from one solve per block
-    (:func:`_certify_covariant`).  What does not hold by construction is
-    certified against the tolerances.
+    N = sum_i n_i r_i.  One eigendecomposition of the stacked Choi matrices
+    per block size gives the complete-positivity verdict of
+    :func:`cp_validate`, its residual and the Kraus factors.  With a
+    symmetry, sym(g) = u(g) (*) W(g), and the multiplicity unitaries W_{g,i}
+    come from one batched solve per block shape (:func:`_certify_covariant`).
+    What does not hold by construction is certified against the tolerances.
     """
-    report = cp_validate(spec, tol)
+    alg, nv = spec.algebra, spec.n_v
+    spectra = _choi_spectra(alg, spec.values, vectors=True)
+    report = _cp_checks(spec, spectra, tol)
     if not report.ok:
         raise ValueError(f"cp map invalid: {', '.join(report.failed())}")
-    alg, nv = spec.algebra, spec.n_v
-    kraus = [np.reshape(kraus_from_choi(c, n, nv, tol), (-1, n, nv)) for n, c in zip(alg.blocks, spec.choi_blocks())]
-    j = np.concatenate([a.transpose(1, 0, 2).reshape(-1, nv) for a in kraus]).astype(np.complex128)
-    dil = KSGNSDilation(spec, len(j), tuple(len(a) for a in kraus), j)
+    mult, factors = np.zeros(len(alg.blocks), dtype=np.int64), []
+    for n, idx, spectrum in spectra:
+        mult[idx], f = spectrum.factor(tol)
+        factors.append((idx, _gauge(f)))
+    start = offsets(np.asarray(alg.blocks) * mult)
+    j = np.zeros((int(start[-1]), nv), dtype=np.complex128)
+    for idx, f in factors:
+        n = alg.blocks[idx[0]]
+        for r in np.unique(mult[idx][mult[idx] > 0]):
+            pick = mult[idx] == r
+            kraus = f[pick, :r].reshape(-1, r, n, nv).transpose(0, 2, 1, 3)
+            j[start[idx[pick]][:, None] + np.arange(n * r)] = kraus.reshape(-1, n * r, nv)
+    dil = KSGNSDilation(spec, len(j), tuple(int(r) for r in mult), j)
     checks = _certify_reconstruction(dil, tol)
     if spec.symmetry is not None and dil.rank:
         mult_rep, covariant = _certify_covariant(dil, tol)
@@ -316,18 +422,22 @@ def _certify_reconstruction(dil: KSGNSDilation, tol) -> Checks:
     = S(E^i_ab), and minimality: the stack F of the blocks pi(E_k) j, which
     is +_i I_{n_i} (x) A^i up to order with A^i[l, (b, v)] = A^i_l[b, v],
     has full rank iff every A^i does at the cutoff of
-    :func:`~covkit.numlin.rank` over F, so F is never formed.  pi is a unital
-    *-representation exactly, by construction."""
-    kraus, nv, blocks = _kraus_blocks(dil), dil.spec.n_v, dil.spec.algebra.blocks
-    values = np.concatenate([np.einsum("lav,lbw->abvw", a.conj(), a).reshape(-1, nv, nv) for a in kraus])
+    :func:`~covkit.numlin.rank` over F, so F is never formed.  Both run
+    once per block shape (n_i, r_i), over the stacked Kraus operators.  pi
+    is a unital *-representation exactly, by construction."""
+    alg, nv = dil.spec.algebra, dil.spec.n_v
+    values, sv = np.zeros_like(dil.spec.values), []
+    for n, r, idx in _layout_groups(alg.blocks, dil.mult):
+        a = _kraus_stack(dil, n, r, idx)
+        values[_units(alg, n, idx)] = np.einsum("Blav,Blbw->Babvw", a.conj(), a).reshape(len(idx), n * n, nv, nv)
+        sv.append(np.linalg.svd(a.reshape(len(idx), r, n * nv), compute_uv=False))
     checks = Checks().require(
         tol.recon_fro * max(1.0, frob(dil.j) ** 2),
         "reconstruction failed",
         reconstruction=float(_norms(values - dil.spec.values).max(initial=0.0)),
     )
-    sv = [np.linalg.svd(a.reshape(r, n * nv), compute_uv=False) for a, n, r in zip(kraus, blocks, dil.mult)]
-    cut = tol.rank_rel * max([1.0] + [s[0] for s in sv if s.size])
-    if any(np.sum(s > cut) != r for s, r in zip(sv, dil.mult)):
+    cut = tol.rank_rel * max([1.0] + [float(s[:, 0].max()) for s in sv])
+    if any(np.any(s[:, -1] <= cut) for s in sv):
         raise DilationResidualError("dilation is not minimal", checks)
     return checks
 
@@ -356,43 +466,49 @@ def _unit_commutators(mat, alg, mult, cuts, pair) -> np.ndarray:
 
 def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
     """The multiplicity unitaries W_{g,i}, solved from (I (x) W_{g,i}) j_i =
-    (w_{g,i}^+ (x) I) j_{sigma_g(i)} rep(g) on the independent A^i_l (one
-    :func:`~covkit.numlin.unitary_moves` per block, stacked over the group)
-    or the dilation's own re-checked, and their certificate: ``sym_unitary``
-    from the blocks (w^+ w) (x) (W^+ W) of sym(g)^+ sym(g), so a non-unitary
-    u is caught too; ``sym_j``, the solve residual ||sym(g) j - j rep(g)||_F;
-    ``sym_cocycle``, the block cocycle W_{a,sigma_b(i)} W_{b,i} = conj(c_u(a,
-    b)) c_rep(a, b) W_{ab,i} for the generators a and every b at once, which
-    weighted by n_i is the dense ||sym(a) sym(b) - c_rep(a, b) sym(ab)||_F.
-    With c_u and c_rep 2-cocycles, the rows of a and a' give the row of aa'
-    (induction on word length, as in :func:`~covkit.fingroup.rep_status`),
-    so ``max_word_length`` times the residual is held to the bound."""
-    spec, group, rep, n = dil.spec, dil.spec.symmetry.group, dil.spec.symmetry.rep, dil.rank
-    sigma, w = spec.algebra.block_action(spec.symmetry.u.matrices)
-    if np.any(np.asarray(dil.mult)[sigma] != dil.mult):
+    (w_{g,i}^+ (x) I) j_{sigma_g(i)} rep(g) on the independent A^i_l, or the
+    dilation's own re-checked, and their certificate, each stage one stacked
+    call per block shape (n_i, r_i) over the whole group: the solve is one
+    batched :func:`~covkit.numlin.unitary_moves`.  ``sym_unitary`` is
+    ||sym(g)^+ sym(g) - I||_F from the blocks P (x) Q of sym(g)^+ sym(g), P =
+    w^+ w and Q = W^+ W, so a non-unitary u is caught too; with X = P - I and
+    Y = Q - I, ||X (x) Q + I (x) Y||^2 = ||X||^2 ||Q||^2 + n ||Y||^2 + 2 Re
+    conj(tr X) tr(Q^+ Y) has no cancellation.  ``sym_j`` is the solve
+    residual ||sym(g) j - j rep(g)||_F; ``sym_cocycle``, the block cocycle
+    W_{a,sigma_b(i)} W_{b,i} = conj(c_u(a, b)) c_rep(a, b) W_{ab,i} for the
+    generators a and every b at once, which weighted by n_i is the dense
+    ||sym(a) sym(b) - c_rep(a, b) sym(ab)||_F.  With c_u and c_rep
+    2-cocycles, the rows of a and a' give the row of aa' (induction on word
+    length, as in :func:`~covkit.fingroup.rep_status`), so
+    ``max_word_length`` times the residual is held to the bound."""
+    spec, group, rep = dil.spec, dil.spec.symmetry.group, dil.spec.symmetry.rep
+    act, mult, order = spec.block_action, np.asarray(dil.mult), dil.spec.symmetry.group.order
+    if np.any(mult[act.sigma] != mult):
         raise DilationResidualError("u(g) moves a block onto one of another multiplicity")
-    kraus, mult_rep, unit, moved = _kraus_blocks(dil), [], 0.0, 0.0
-    for i, a in enumerate(kraus):
-        ri, ni, nv = a.shape
-        target = np.stack([kraus[k] for k in sigma[:, i]]) @ rep.matrices[:, None]
-        target = np.einsum("gba,glbv->glav", w[i].conj(), target).reshape(group.order, ri, ni * nv)
-        given = None if dil.mult_rep is None else dil.mult_rep[i]
-        ws, _, res = unitary_moves(a.reshape(ri, ni * nv), target, tol, given)
-        grams = [x.conj().transpose(0, 2, 1) @ x for x in (w[i], ws)]
-        gram = np.einsum("gab,glm->galbm", *grams).reshape(group.order, ni * ri, ni * ri)
-        unit, moved = unit + _norms(gram - np.eye(ni * ri)) ** 2, moved + res**2
-        mult_rep.append(ws)
-    message = "covariant dilation certification failed"
-    checks = Checks().require(tol.unitary_fro * max(1.0, np.sqrt(n)), message, sym_unitary=np.sqrt(unit).max())
-    # pairs[a, b] = sum_i n_i ||W_{a,sigma_b(i)} W_{b,i} - c(a, b) W_{ab,i}||_F^2 for generators a
     gens = list(group.generators())
-    c = (spec.symmetry.u.cocycle.values.conj() * rep.cocycle.values)[gens, :, None, None]
-    pairs = 0.0
-    for i, (ni, ws) in enumerate(zip(spec.algebra.blocks, mult_rep)):
-        after = np.stack([mult_rep[k][gens] for k in sigma[:, i]]).transpose(1, 0, 2, 3)
-        pairs = pairs + ni * _norms(after @ ws - c * ws[group.mul[gens]]) ** 2
+    c = (act.cocycle.values.conj() * rep.cocycle.values)[gens, :, None, None, None]
+    mult_rep = [np.zeros((order, 0, 0), dtype=np.complex128)] * len(mult)
+    unit, moved, pairs, pos = np.zeros(order), np.zeros(order), np.zeros((len(gens), order)), np.zeros(len(mult), int)
+    for n, r, idx in _layout_groups(spec.algebra.blocks, mult):
+        pos[idx] = np.arange(len(idx))
+        to = pos[act.sigma[:, idx]]  # (|G|, B): where sigma_g(i) sits in idx
+        a, w = _kraus_stack(dil, n, r, idx), np.stack([act.w[i] for i in idx], axis=1)
+        target = np.einsum("gBca,gBlcv->gBlav", w.conj(), a[to] @ rep.matrices[:, None, None])
+        given = None if dil.mult_rep is None else np.stack([dil.mult_rep[i] for i in idx], axis=1)
+        ws, _, res = unitary_moves(a.reshape(len(idx), r, -1), target.reshape(order, len(idx), r, -1), tol, given)
+        x, y = (np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]) for m in (w, ws))
+        cross = np.trace(x, axis1=-2, axis2=-1).conj() * np.einsum("gBlm,gBlm->gB", (y + np.eye(r)).conj(), y)
+        unit += (_norms(x) ** 2 * _norms(y + np.eye(r)) ** 2 + n * _norms(y) ** 2 + 2 * cross.real).sum(1)
+        moved += (res**2).sum(1)
+        # pairs[a, b] += n ||W_{a,sigma_b(i)} W_{b,i} - c(a, b) W_{ab,i}||_F^2 for generators a
+        pairs += n * (_norms(ws[gens][:, to] @ ws - c * ws[group.mul[gens]]) ** 2).sum(-1)
+        for b, i in enumerate(idx):
+            mult_rep[i] = ws[:, b]
+    message = "covariant dilation certification failed"
+    bound = tol.unitary_fro * max(1.0, np.sqrt(dil.rank))
+    checks = Checks().require(bound, message, sym_unitary=np.sqrt(np.maximum(unit, 0.0)).max())
     residuals = {"sym_j": np.sqrt(moved).max(), "sym_cocycle": np.sqrt(pairs).max(initial=0.0)}
-    bound = tol.recon_fro * max(1.0, np.sqrt(n), frob(dil.j))
+    bound = tol.recon_fro * max(1.0, np.sqrt(dil.rank), frob(dil.j))
     checks.require(bound, message, {"sym_cocycle": group.max_word_length}, **residuals)
     return tuple(mult_rep), checks
 
@@ -410,7 +526,7 @@ def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DE
         raise NotSingleBlockError("kraus extraction needs a single full block")
     dilation = replace(dilation, spec=spec)
     _certify_reconstruction(dilation, tol)
-    return list(_kraus_blocks(dilation)[0])
+    return list(_kraus_stack(dilation, spec.algebra.blocks[0], dilation.mult[0], np.arange(1))[0])
 
 
 def _certify_layout_commutant(dil: KSGNSDilation, basis, tol):
@@ -582,7 +698,7 @@ def subminimal(
     )
 
     # complete positivity of E as a map on the right factor
-    if not _cp_status(right, e_units, tol)[0]:
+    if not _cp_status(_choi_spectra(right, e_units), tol)[0]:
         raise DilationResidualError("subminimal map is not completely positive", checks)
 
     # covariance against the second factor's action
@@ -592,10 +708,11 @@ def subminimal(
         and spec.symmetry.u_factors is not None
     ):
         sigma, w = right.block_action(spec.symmetry.u_factors[1].matrices)
-        syms = np.stack([dilation.sym(g) for g in spec.symmetry.group.elements()])[:, None]
+        syms = np.stack([dilation.sym(g) for g in spec.symmetry.group.elements()])[:, None, None]
         worst = 0.0
-        for i, (a, b) in enumerate(zip(right.unit_offsets, right.unit_offsets[1:])):
-            diff = syms @ e_units[a:b] - _moved_block(right, sigma, w, e_units, i) @ syms
+        for size, idx in _size_groups(right.blocks):
+            moved = _moved_blocks(right, sigma, w, e_units, size, idx)
+            diff = syms @ e_units[_units(right, size, idx)] - moved @ syms
             worst = max(worst, float(_norms(diff).max()))
         checks.require(lim, "subminimal map failed covariance", covariance=worst)
     return SubminimalMap(e_units=e_units, checks=checks)

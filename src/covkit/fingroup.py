@@ -458,9 +458,7 @@ class MultiplierRep:
         """Permutation representation of an action."""
         n, m = action.group.order, action.set_size
         mats = np.zeros((n, m, m), dtype=np.complex128)
-        for g in action.group.elements():
-            for x in range(m):
-                mats[g, action.apply(g, x), x] = 1.0
+        mats[np.arange(n)[:, None], action.table, np.arange(m)] = 1.0
         return MultiplierRep(action.group, TwoCocycle.trivial(action.group), mats)
 
     def direct_sum(self, other: "MultiplierRep") -> "MultiplierRep":

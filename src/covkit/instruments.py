@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import CPMapSpec, CPSymmetry, KSGNSDilation, kraus_from_choi, ksgns
+from .cpmaps import BlockAction, CPMapSpec, CPSymmetry, KSGNSDilation, kraus_from_choi, ksgns
 from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from .fingroup import (
     FiniteGroup,
@@ -182,12 +182,23 @@ class InstrumentSpec:
         return np.einsum("avcw,vw->ac", self.choi[w].conj().reshape(k, v, k, v), rho)
 
 
+def _choi_of(ops) -> np.ndarray:
+    """Choi matrices of a stack of Kraus families (..., r, K, V), one per
+    family: C[(a, v), (c, w)] = sum_l conj(B_l[a, v]) B_l[c, w]."""
+    ops = np.asarray(ops, dtype=np.complex128)
+    k, v = ops.shape[-2:]
+    choi = np.einsum("...lav,...lcw->...avcw", ops.conj(), ops)
+    return choi.reshape(ops.shape[:-3] + (k * v, k * v))
+
+
 def choi_from_kraus(ops, k_dim, v_dim) -> np.ndarray:
-    out = np.zeros((k_dim * v_dim, k_dim * v_dim), dtype=np.complex128)
-    for b in ops:
-        z = b.conj().reshape(-1)
-        out += np.outer(z, z.conj())
-    return out
+    return _choi_of(np.reshape(ops, (-1, k_dim, v_dim)))
+
+
+def _effects(spec: InstrumentSpec) -> np.ndarray:
+    """The effect of every outcome, its map at the identity: (|X|, V, V)."""
+    k, v = spec.k_dim, spec.v_dim
+    return np.einsum("wbvbx->wvx", spec.choi.reshape(-1, k, v, k, v))
 
 
 def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
@@ -197,8 +208,7 @@ def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> 
     :func:`~covkit.cpmaps.cp_validate`."""
     k, v = spec.k_dim, spec.v_dim
     checks = Checks(outcomes_cp=Check(*psd_status(spec.choi, tol)))
-    total = sum(spec.outcome_map(w, np.eye(k)) for w in range(spec.n_outcomes))
-    res = frob(total - np.eye(v))
+    res = frob(_effects(spec).sum(0) - np.eye(v))
     checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)
     sym = spec.symmetry
     worst = 0.0
@@ -213,11 +223,8 @@ def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> 
 
 
 def marginal_observable(spec: InstrumentSpec) -> ObservableSpec:
-    effects = np.stack(
-        [spec.outcome_map(w, np.eye(spec.k_dim)) for w in range(spec.n_outcomes)]
-    )
     sym = spec.symmetry
-    return ObservableSpec(effects, Symmetry(sym.sub, sym.rep))
+    return ObservableSpec(_effects(spec), Symmetry(sym.sub, sym.rep))
 
 
 def marginal_channel(spec: InstrumentSpec) -> CPMapSpec:
@@ -234,20 +241,20 @@ def marginal_channel(spec: InstrumentSpec) -> CPMapSpec:
 
 def as_cpmap(spec: InstrumentSpec) -> CPMapSpec:
     """The instrument as a covariant CP map on output-algebra (x) functions
-    on the outcome space, with the block-permuting inner implementation."""
+    on the outcome space.  Its inner implementation perm(g) (x) out_rep(g)
+    carries the block of outcome x to that of gx by out_rep(g), so it is
+    given as that :class:`~covkit.cpmaps.BlockAction` and never densely."""
     sym = spec.symmetry
     k, v, n = spec.k_dim, spec.v_dim, spec.n_outcomes
     split = TensorSplit(FiniteCStarAlgebra.full(k), FiniteCStarAlgebra.commutative(n))
     # unit (w, a, b) of the product, E_ab on outcome w, has image choi[w] at block (a, b)
     values = spec.choi.reshape(n, k, v, k, v).transpose(0, 1, 3, 2, 4).reshape(n * k * k, v, v)
-    perm_rep = MultiplierRep.from_action(sym.action)
-    mats = np.einsum("gwx,gab->gwaxb", perm_rep.matrices, sym.out_rep.matrices).reshape(-1, n * k, n * k)
-    u_total = MultiplierRep(sym.group, sym.out_rep.cocycle, mats)
+    action = BlockAction(sym.action.table, (sym.out_rep.matrices,) * n, sym.out_rep.cocycle)
     return CPMapSpec(
         split.algebra,
         ModuleSpace(k=1, n_v=v),
         values,
-        CPSymmetry(u=u_total, rep=sym.rep, u_factors=(sym.out_rep, perm_rep)),
+        CPSymmetry(u=action, rep=sym.rep, u_factors=(sym.out_rep, MultiplierRep.from_action(sym.action))),
         tensor=split,
     )
 
@@ -732,15 +739,12 @@ def _assemble_instrument(data: CovariantInstrumentData, symmetry: Symmetry, tol:
             f"total normalization fails (worst {worst_norm:.2e})", worst_norm
         )
     sub, u, rep = symmetry.sub, symmetry.out_rep, symmetry.rep
-    k, v = u.dim, rep.dim
+    k, v, b = u.dim, rep.dim, np.stack(data.b_ops)
 
     def choi_at(section):
-        out = np.zeros((sub.n_cosets, k * v, k * v), dtype=np.complex128)
-        for w in range(sub.n_cosets):
-            g_w = section[w]
-            ops = [u(g_w) @ b @ rep(g_w).conj().T for b in data.b_ops]
-            out[w] = choi_from_kraus(ops, k, v)
-        return out
+        # outcome w has the Kraus family u(g_w) B_l rep(g_w)^+, g_w = section[w]
+        g = list(section)
+        return _choi_of(u.matrices[g][:, None] @ b @ rep.matrices[g].conj().transpose(0, 2, 1)[:, None])
 
     choi = choi_at(sub.section)
     # section independence: shift every section point inside its coset
@@ -959,10 +963,7 @@ def phase_space(d: int, b_ops, tol: Tolerances = DEFAULT_TOL) -> InstrumentSpec:
         raise ValueError(f"seed normalization is {tr:.6f}, expected 1")
     data = CovariantInstrumentData(tuple(np.asarray(b, dtype=np.complex128) for b in b_ops))
     spec = instrument_from_B(data, symmetry, tol)
-    effects_total = sum(
-        spec.outcome_map(w, np.eye(d)) for w in range(spec.n_outcomes)
-    )
-    if frob(effects_total - np.eye(d)) > 1e-10 * max(1.0, d):
+    if frob(_effects(spec).sum(0) - np.eye(d)) > 1e-10 * max(1.0, d):
         raise DilationResidualError("phase-space normalization failed")
     return spec
 
@@ -981,13 +982,8 @@ class SampleResult:
 
 def outcome_distribution(spec: InstrumentSpec, state) -> np.ndarray:
     state = np.asarray(state, dtype=np.complex128)
-    p = np.array(
-        [
-            float(np.real(np.trace(state @ spec.outcome_map(w, np.eye(spec.k_dim)))))
-            for w in range(spec.n_outcomes)
-        ]
-    )
-    p = np.clip(p, 0.0, None)
+    # p_w = tr(state E_w)
+    p = np.clip(np.einsum("vx,wxv->w", state, _effects(spec)).real, 0.0, None)
     return p / p.sum()
 
 

@@ -85,11 +85,69 @@ def is_unitary(u, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def psd_check(a, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff ``a`` is Hermitian within tolerance and has no eigenvalue
-    below ``-psd_eig * max(1, ||a||)``."""
+    below ``-psd_eig * scale`` (:class:`Spectrum`)."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"psd_check needs a square matrix, got {a.shape}")
     return psd_status(a, tol)[0]
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """One eigendecomposition of the Hermitian parts h = (a + a^+)/2 of a
+    square matrix or a stack (..., n, n) of them, and what positivity reads
+    off it, matrix by matrix.
+
+    ``values`` (..., n) are ascending and ``vectors`` (..., n, n) hold the
+    eigenvectors as columns (None when not asked for).  ``scale`` is
+    max(1, ||h||_2), the largest eigenvalue magnitude floored at 1; it
+    differs from max(1, ||a||_2) by at most ||a - a^+||_2 / 2, which the
+    Hermitian verdict holds below ``psd_eig * scale / 2``.  ``skew`` is
+    ||a - a^+||_F.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray | None
+    scale: np.ndarray
+    skew: np.ndarray
+
+    def passes(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+        """Per matrix: Hermitian within ``psd_eig * scale`` and no eigenvalue
+        below ``-psd_eig * scale``."""
+        slack = tol.psd_eig * self.scale
+        return (self.skew <= slack) & (self.residual() <= slack)
+
+    def residual(self) -> np.ndarray:
+        """Per matrix, the magnitude of the most negative eigenvalue, 0 when
+        there is none."""
+        return np.maximum(0.0, -self.values[..., 0]) if self.values.shape[-1] else np.zeros(self.scale.shape)
+
+    def factor(self, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+        """Minimal-rank factors h = F^+ F, from the vectors: the ranks (...)
+        and F (..., n, n), whose rows are sqrt(eigenvalue) times the adjoint
+        eigenvector in descending eigenvalue order, zero from the rank on.
+        Eigenvalues are clamped at zero, and those up to max(rank_rel *
+        largest, psd_eig * scale) count as zero."""
+        w = np.clip(self.values[..., ::-1], 0.0, None)
+        thresh = np.maximum(tol.rank_rel * w[..., :1], tol.psd_eig * self.scale[..., None]) if w.shape[-1] else w
+        keep = w > thresh
+        f = np.where(keep, np.sqrt(w), 0.0)[..., None] * np.swapaxes(self.vectors[..., ::-1].conj(), -1, -2)
+        return keep.sum(-1), f
+
+
+def psd_spectrum(a, vectors: bool = False) -> Spectrum:
+    """The :class:`Spectrum` of a square matrix or a stack of them, from one
+    ``eigh`` (``eigvalsh`` without ``vectors``)."""
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"positivity needs square matrices, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains NaN or Inf entries")
+    adjoint = np.swapaxes(a.conj(), -1, -2)
+    h = 0.5 * (a + adjoint)
+    w, v = np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h), None)
+    top = np.maximum(-w[..., 0], w[..., -1]) if a.shape[-1] else np.zeros(a.shape[:-2])
+    return Spectrum(w, v, np.maximum(1.0, top), np.linalg.norm(a - adjoint, axis=(-2, -1)))
 
 
 def psd_status(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
@@ -100,49 +158,30 @@ def psd_status(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
     is the magnitude of the most negative eigenvalue of the Hermitian parts,
     0 when there is none.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionError(f"psd_status needs square matrices, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    if a.size == 0:
-        return True, 0.0
-    adjoint = np.swapaxes(a.conj(), -1, -2)
-    scale = np.maximum(1.0, np.linalg.norm(a, 2, axis=(-2, -1)))
-    hermitian = np.linalg.norm(a - adjoint, axis=(-2, -1)) <= tol.psd_eig * scale
-    low = np.linalg.eigvalsh(0.5 * (a + adjoint)).min(axis=-1)
-    ok = bool(np.all(hermitian) and np.all(low >= -tol.psd_eig * scale))
-    return ok, max(0.0, -float(low.min()))
+    spectrum = psd_spectrum(a)
+    return bool(np.all(spectrum.passes(tol))), float(spectrum.residual().max(initial=0.0))
 
 
 def psd_factor(a, tol: Tolerances = DEFAULT_TOL):
     """Minimal-rank factorization ``a = F.conj().T @ F`` of a PSD matrix.
 
-    Returns ``(rank, F)`` with ``F`` of shape (rank, n).  Eigenvalues within
-    ``-psd_eig * max(1, ||a||)`` of zero are clamped to zero; anything more
-    negative raises :class:`NotPositiveError`.  Rows of ``F`` are ordered by
+    Returns ``(rank, F)`` with ``F`` of shape (rank, n), from the one
+    eigendecomposition of :meth:`Spectrum.factor`.  Eigenvalues within
+    ``-psd_eig * scale`` of zero are clamped to zero; anything more negative
+    raises :class:`NotPositiveError`.  Rows of ``F`` are ordered by
     descending eigenvalue, which keeps the factorization deterministic.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"psd_factor needs a square matrix, got {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return 0, np.zeros((0, 0), dtype=np.complex128)
-    s = _scale(a)
-    if frob(a - a.conj().T) > tol.psd_eig * s:
+    spectrum = psd_spectrum(a, vectors=True)
+    if spectrum.skew > tol.psd_eig * spectrum.scale:
         raise NotPositiveError("matrix is not Hermitian", None)
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if w.min() < -tol.psd_eig * s:
-        raise NotPositiveError(
-            f"matrix is not positive semidefinite (min eigenvalue {w.min():.3e})",
-            float(w.min()),
-        )
-    w = np.clip(w, 0.0, None)
-    thresh = max(tol.rank_rel * w.max(initial=0.0), tol.psd_eig * s)
-    keep = np.where(w > thresh)[0][::-1]  # descending eigenvalue order
-    f = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
-    return len(keep), f
+    if not spectrum.passes(tol):
+        low = float(spectrum.values[0])
+        raise NotPositiveError(f"matrix is not positive semidefinite (min eigenvalue {low:.3e})", low)
+    n, f = spectrum.factor(tol)
+    return int(n), f[:n]
 
 
 def rank(a, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -271,12 +310,17 @@ def lstsq_define(pairs, tol: Tolerances = DEFAULT_TOL):
 
 def unitary_moves(src, dst, tol: Tolerances = DEFAULT_TOL, ws=None):
     """The matrices W_h with W_h src = dst[h] for a family ``src`` (r, n) of
-    independent rows and its moved copies ``dst`` (m, r, n), from one
-    least-squares solve, or ``ws`` as given.  Returns ``(ws, unitary,
-    intertwining)``: the (m, r, r) stack and, per h, ||W_h^+ W_h - I||_F and
-    ||W_h src - dst[h]||_F, which the caller bounds."""
-    m, r, n = dst.shape
-    if ws is None:
+    independent rows and its moved copies ``dst`` (m, r, n), or for a stack
+    of families ``src`` (B, r, n) and ``dst`` (m, B, r, n), or ``ws`` as
+    given.  One family is solved by one least-squares solve
+    (:func:`lstsq_define`), a stack by one batched pseudo-inverse of its
+    families.  Returns ``(ws, unitary, intertwining)``: the (m, ..., r, r)
+    stack and, per matrix, ||W_h^+ W_h - I||_F and ||W_h src - dst[h]||_F,
+    which the caller bounds."""
+    if ws is None and src.ndim == 2:
+        m, r, n = dst.shape
         ws = lstsq_define([(src, dst.reshape(m * r, n))], tol)[0].reshape(m, r, r)
-    unitary = np.linalg.norm(ws.conj().transpose(0, 2, 1) @ ws - np.eye(r), axis=(1, 2))
-    return ws, unitary, np.linalg.norm(ws @ src - dst, axis=(1, 2))
+    elif ws is None:
+        ws = dst @ np.linalg.pinv(src)
+    unitary = np.linalg.norm(np.swapaxes(ws.conj(), -1, -2) @ ws - np.eye(ws.shape[-1]), axis=(-2, -1))
+    return ws, unitary, np.linalg.norm(ws @ src - dst, axis=(-2, -1))

@@ -411,6 +411,8 @@ def cpmap_out(spec: CPMapSpec) -> dict:
         "values": [matrix_out(v) for v in spec.values],
     }
     if spec.symmetry is not None:
+        if not isinstance(spec.symmetry.u, MultiplierRep):
+            raise SpecFileError("a cpmap document needs a dense u; this symmetry is a block action")
         payload["symmetry"] = {
             "group": group_out(spec.symmetry.group),
             "u": rep_out(spec.symmetry.u),

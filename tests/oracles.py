@@ -36,7 +36,12 @@ instruments (KSGNS dilation of the instrument as a CP map over all outcome
 blocks), as the reference for the base-fiber solve of
 ``covkit.instruments.instrument_extremal``; and the Kraus-family extraction
 through the full dilation chain, as a second route to
-``covkit.instruments.B_from_instrument``.
+``covkit.instruments.B_from_instrument``; the dense u(g) = perm(g) (x)
+out_rep(g) of an instrument's CP form, which ``as_cpmap`` keeps as a block
+action; and the per-block loop forms of the KSGNS stages (the Choi verdict
+with the SVD scale, one factorization per Choi block, one least-squares
+solve and certificate per block), as references for the stacked ones in
+``covkit.cpmaps``.
 """
 
 import dataclasses
@@ -261,7 +266,7 @@ def split_oracle_cpmap(spec: CPMapSpec):
                 out = []
                 uinv = spec.symmetry.rep.inv_mat(g)
                 for k, unit in enumerate(alg.units()):
-                    coeffs = alg.coefficients(spec.beta(g, unit))
+                    coeffs = alg.coefficients(beta(spec, g, unit))
                     lhs = np.tensordot(coeffs, moved, axes=(0, 0))
                     rhs = uinv.conj().T @ moved[k] @ uinv
                     out.append(vec(lhs - rhs))
@@ -698,7 +703,7 @@ def twist_loop(dil):
     """max over group elements g and units k of ||sym(g) pi(E_k) -
     pi(beta_g(E_k)) sym(g)||, multiplying sym(g) into the whole dense stack
     of pi(E_k): the twist that the structure of sym(g) makes exact."""
-    alg, u = dil.spec.algebra, dil.spec.symmetry.u
+    alg, u = dil.spec.algebra, dense_u(dil.spec)
     worst = 0.0
     for g in dil.spec.symmetry.group.elements():
         s = dil.sym(g)
@@ -710,7 +715,7 @@ def twist_loop(dil):
 def has_bar(dil):
     """Whether :func:`sym_bar` is defined: a symmetry whose every sigma_g is
     the identity, so every u(g) lies in the algebra."""
-    sigma = None if dil.mult_rep is None else dil.spec.algebra.block_action(dil.spec.symmetry.u.matrices)[0]
+    sigma = None if dil.mult_rep is None else dil.spec.algebra.block_action(dense_u(dil.spec).matrices)[0]
     return sigma is not None and bool(np.all(sigma == np.arange(len(dil.mult))))
 
 
@@ -755,12 +760,153 @@ def sym_pinv_solve(dil):
     r_blocks = dil.r_blocks
     f = r_blocks.transpose(1, 0, 2).reshape(n, -1)
     pinv = np.linalg.pinv(f)
-    u, rep = spec.symmetry.u, spec.symmetry.rep
+    u, rep = dense_u(spec), spec.symmetry.rep
     mats = []
     for g in spec.symmetry.group.elements():
         moved = transport_loop(spec.algebra, u(g), r_blocks) @ rep(g)
         mats.append(moved.transpose(1, 0, 2).reshape(n, -1) @ pinv)
     return np.stack(mats)
+
+
+# ---------------------------------------------------------------------------
+# dense u and the per-block loop forms of the KSGNS stages
+# ---------------------------------------------------------------------------
+#
+# The CP form of an instrument keeps its inner implementation u as a block
+# action; these build the dense u that as_cpmap used to, and run the factor,
+# solve and certify stages of covkit.cpmaps one block at a time on it, as
+# they were written before they were stacked by block shape.
+
+
+def as_cpmap_dense(spec: InstrumentSpec) -> CPMapSpec:
+    """:func:`covkit.instruments.as_cpmap` with its u(g) = perm(g) (x)
+    out_rep(g) built as the dense (|G|, K|X|, K|X|) multiplier
+    representation, by one einsum over the two factors."""
+    cp = as_cpmap(spec)
+    perm, out = cp.symmetry.u_factors[1], cp.symmetry.u_factors[0]
+    n, k = spec.n_outcomes, spec.k_dim
+    mats = np.einsum("gwx,gab->gwaxb", perm.matrices, out.matrices).reshape(-1, n * k, n * k)
+    u = MultiplierRep(out.group, out.cocycle, mats)
+    return dataclasses.replace(cp, symmetry=dataclasses.replace(cp.symmetry, u=u))
+
+
+def dense_u(spec: CPMapSpec) -> MultiplierRep:
+    """The dense u of a CP map's symmetry: as given, or assembled block by
+    block from its block action, u(g) holding w_{g,i} at block (sigma_g(i), i)."""
+    u = spec.symmetry.u
+    if isinstance(u, MultiplierRep):
+        return u
+    off, dim = spec.algebra.offsets, spec.algebra.defining_dim
+    mats = np.zeros((len(u.sigma), dim, dim), dtype=complex)
+    for g in range(len(u.sigma)):
+        for i, to in enumerate(u.sigma[g]):
+            mats[g, off[to] : off[to + 1], off[i] : off[i + 1]] = u.w[i][g]
+    return MultiplierRep(u.cocycle.group, u.cocycle, mats)
+
+
+def beta(spec: CPMapSpec, g, bmat) -> np.ndarray:
+    """The inner action u(g) b u(g)^+ on the defining space, densely."""
+    u = dense_u(spec)(g)
+    return u @ bmat @ u.conj().T
+
+
+def psd_status_loop(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
+    """Positivity of one matrix with the scale max(1, ||a||_2) from an SVD
+    and the verdict from a separate eigvalsh, as numlin first had it."""
+    a = np.asarray(a, dtype=complex)
+    scale = max(1.0, float(np.linalg.norm(a, 2))) if a.size else 1.0
+    if not a.size:
+        return True, 0.0
+    low = float(np.linalg.eigvalsh(0.5 * (a + a.conj().T)).min())
+    ok = frob(a - a.conj().T) <= tol.psd_eig * scale and low >= -tol.psd_eig * scale
+    return ok, max(0.0, -low)
+
+
+def choi_blocks_loop(spec: CPMapSpec) -> list[np.ndarray]:
+    """C_i[(b, v), (d, w)] = S(E^i_bd)[v, w], one entry block at a time."""
+    nv, out = spec.n_v, []
+    for i, n in enumerate(spec.algebra.blocks):
+        c = np.zeros((n * nv, n * nv), dtype=complex)
+        for a in range(n):
+            for b in range(n):
+                c[a * nv : (a + 1) * nv, b * nv : (b + 1) * nv] = spec.values[spec.algebra.unit_offsets[i] + a * n + b]
+        out.append(c)
+    return out
+
+
+def cp_status_loop(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
+    """Complete positivity block by block: every Choi block against its own
+    scale (:func:`psd_status_loop`), the residual the largest."""
+    status = [psd_status_loop(c, tol) for c in choi_blocks_loop(spec)]
+    return all(ok for ok, _ in status), max(res for _, res in status)
+
+
+def kraus_loop(choi, k_dim, v_dim, tol: Tolerances = DEFAULT_TOL):
+    """Kraus operators of one Choi block from its own eigendecomposition,
+    with the SVD scale: descending eigenvalues, the first entry above 1e-12
+    of each rotated real positive."""
+    scale = max(1.0, float(np.linalg.norm(choi, 2))) if choi.size else 1.0
+    w, v = np.linalg.eigh(0.5 * (choi + choi.conj().T))
+    w = np.clip(w, 0.0, None)
+    keep = np.where(w > max(tol.rank_rel * w.max(initial=0.0), tol.psd_eig * scale))[0][::-1]
+    f = np.sqrt(w[keep])[:, None] * v[:, keep].conj().T
+    lead = f[np.arange(len(keep)), np.argmax(np.abs(f) > 1e-12, axis=1)]
+    lead[np.abs(lead) <= 1e-12] = 1.0
+    return (f / (lead / np.abs(lead))[:, None]).reshape(len(keep), k_dim, v_dim)
+
+
+def ksgns_j_loop(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL):
+    """(mult, j) of the minimal dilation from one factorization per block:
+    row (i, a, l) of j is row a of A^i_l."""
+    nv = spec.n_v
+    kraus = [kraus_loop(c, n, nv, tol) for n, c in zip(spec.algebra.blocks, choi_blocks_loop(spec))]
+    j = np.concatenate([a.transpose(1, 0, 2).reshape(-1, nv) for a in kraus])
+    return tuple(len(a) for a in kraus), j
+
+
+def certify_covariant_loop(dil, tol: Tolerances = DEFAULT_TOL):
+    """The multiplicity unitaries W_{g,i} and the residuals sym_unitary,
+    sym_j and sym_cocycle, one block at a time on the block action of the
+    dense u: a least-squares solve per block (or the dilation's own W), the
+    unitarity from the dense (w^+ w) (x) (W^+ W), and the cocycle rows of
+    the generators.  Returns (mult_rep, residuals)."""
+    spec = dil.spec
+    group, rep, u = spec.symmetry.group, spec.symmetry.rep, dense_u(spec)
+    sigma, w = spec.algebra.block_action(u.matrices)
+    kraus, mult_rep, unit, moved = [], [], 0.0, 0.0
+    start = 0
+    for n, r in zip(spec.algebra.blocks, dil.mult):
+        kraus.append(dil.j[start : start + n * r].reshape(n, r, spec.n_v).transpose(1, 0, 2))
+        start += n * r
+    for i, a in enumerate(kraus):
+        ri, ni, nv = a.shape
+        target = np.stack([kraus[k] for k in sigma[:, i]]) @ rep.matrices[:, None]
+        target = np.einsum("gba,glbv->glav", w[i].conj(), target).reshape(group.order, ri, ni * nv)
+        src = a.reshape(ri, ni * nv)
+        if dil.mult_rep is not None:
+            ws = dil.mult_rep[i]
+        elif ri:
+            ws = lstsq_define([(src, target.reshape(group.order * ri, ni * nv))], tol)[0].reshape(group.order, ri, ri)
+        else:
+            ws = np.zeros((group.order, 0, 0), dtype=complex)
+        res = np.linalg.norm(ws @ src - target, axis=(1, 2))
+        grams = [x.conj().transpose(0, 2, 1) @ x for x in (w[i], ws)]
+        gram = np.einsum("gab,glm->galbm", *grams).reshape(group.order, ni * ri, ni * ri)
+        unit = unit + np.linalg.norm(gram - np.eye(ni * ri), axis=(1, 2)) ** 2
+        moved = moved + res**2
+        mult_rep.append(ws)
+    gens = list(group.generators())
+    c = (u.cocycle.values.conj() * rep.cocycle.values)[gens, :, None, None]
+    pairs = 0.0
+    for i, (ni, ws) in enumerate(zip(spec.algebra.blocks, mult_rep)):
+        after = np.stack([mult_rep[k][gens] for k in sigma[:, i]]).transpose(1, 0, 2, 3)
+        pairs = pairs + ni * np.linalg.norm(after @ ws - c * ws[group.mul[gens]], axis=(-2, -1)) ** 2
+    residuals = {
+        "sym_unitary": float(np.sqrt(unit).max()),
+        "sym_j": float(np.sqrt(moved).max()),
+        "sym_cocycle": float(np.sqrt(pairs).max(initial=0.0)),
+    }
+    return tuple(mult_rep), residuals
 
 
 def unit_kernel_loop(spec: CPMapSpec):
@@ -892,11 +1038,11 @@ def cp_covariance_loop(spec: CPMapSpec, on_generators=False):
     """max over (g, k) of ||S(u(g) E_k u(g)^+) - rep(g) S(E_k) rep(g)^+||,
     one group element at a time through the loop-form transport; with
     ``on_generators``, over g in ``group.generators()`` only."""
-    sym = spec.symmetry
+    sym, u = spec.symmetry, dense_u(spec)
     worst = 0.0
     for g in _rows(sym.group, on_generators)[0]:
         uinv = sym.rep.inv_mat(g)
-        diff = transport_loop(spec.algebra, sym.u(g), spec.values) - uinv.conj().T @ spec.values @ uinv
+        diff = transport_loop(spec.algebra, u(g), spec.values) - uinv.conj().T @ spec.values @ uinv
         worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
     return worst
 

@@ -17,7 +17,8 @@ from covkit.cpmaps import (
     NotSingleBlockError,
     _certify_covariant,
     _certify_reconstruction,
-    _moved_block,
+    _moved_blocks,
+    _size_groups,
     cp_validate,
     ksgns,
 )
@@ -114,7 +115,9 @@ def test_transport_and_outside_norms_match_loops():
     # the block moves of every block-permuting u of a stack against the loop-form transport
     perms = np.stack([perm, perm @ perm, np.eye(d)])
     sigma, w = alg.block_action(perms)
-    moved = np.concatenate([_moved_block(alg, sigma, w, stack, i) for i in range(len(alg.blocks))], axis=1)
+    moved = np.zeros((len(perms), m) + stack.shape[1:], dtype=complex)
+    for n, idx in _size_groups(alg.blocks):
+        moved[:, alg.unit_offsets[idx][:, None] + np.arange(n * n)] = _moved_blocks(alg, sigma, w, stack, n, idx)
     for u, got in zip(perms, moved):
         assert np.allclose(got, transport_loop(alg, u, stack), atol=1e-13)
     # the leak of a stack, one row per u

@@ -300,3 +300,104 @@ def test_rank_plus_nullity_is_column_count(scale):
         assert numlin.rank(a) + null_space(a).shape[1] == a.shape[1]
         if scale >= 1e-3:
             assert numlin.rank(a) == r
+
+
+# ---------------------------------------------------------------------------
+# the one PSD primitive: verdict, residual, scale and factor from one eigh
+# ---------------------------------------------------------------------------
+
+
+def _hermitian_stack(rng, count, n):
+    x = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return 0.5 * (x + x.conj().transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("size", [0.01, 1.0, 30.0])
+def test_spectrum_scale_is_the_spectral_norm_on_hermitian_stacks(size):
+    rng = np.random.default_rng(int(size * 100))
+    a = size * _hermitian_stack(rng, 7, 5)
+    a[0] = size * rand_psd(rng, 5, rank=2)
+    spectrum = numlin.psd_spectrum(a)
+    want = np.maximum(1.0, np.linalg.norm(a, 2, axis=(1, 2)))
+    assert np.allclose(spectrum.scale, want, rtol=1e-12, atol=0.0)
+    assert np.all(spectrum.skew <= 1e-15 * want)
+
+
+def test_spectrum_scale_of_a_non_hermitian_matrix_is_within_half_its_skew():
+    # ||h||_2 and ||a||_2 differ by at most ||a - a^+||_2 / 2, which the Hermitian verdict bounds
+    rng = np.random.default_rng(40)
+    for skew in (1e-12, 1e-6, 1e-2, 1.0, 10.0):
+        a = 5.0 * _hermitian_stack(rng, 6, 4)
+        noise = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+        a = a + skew * (noise - noise.conj().transpose(0, 2, 1))
+        spectrum = numlin.psd_spectrum(a)
+        gap = np.abs(spectrum.scale - np.maximum(1.0, np.linalg.norm(a, 2, axis=(1, 2))))
+        half = 0.5 * np.linalg.norm(a - a.conj().transpose(0, 2, 1), 2, axis=(1, 2))
+        assert np.all(gap <= half * (1 + 1e-12) + 1e-12)
+        assert np.all(2 * half <= spectrum.skew * (1 + 1e-12))
+        hermitian = spectrum.skew <= Tolerances().psd_eig * spectrum.scale
+        assert np.all(gap[hermitian] <= 0.5 * Tolerances().psd_eig * spectrum.scale[hermitian])
+
+
+def test_psd_status_of_a_stack_is_that_of_each_matrix():
+    from oracles import psd_status_loop
+
+    rng = np.random.default_rng(41)
+    psd = np.stack([rand_psd(rng, 4, rank=r) for r in range(5)])
+    assert numlin.psd_status(psd) == (True, pytest.approx(0.0, abs=1e-12))
+    bad = psd.copy()
+    bad[2] -= 0.3 * np.eye(4)
+    bad[3, 0, 1] += 0.5
+    got = numlin.psd_spectrum(bad)
+    for k, a in enumerate(bad):
+        ok, res = psd_status_loop(a)
+        assert bool(got.passes()[k]) == ok == numlin.psd_check(a)
+        assert got.residual()[k] == pytest.approx(res, rel=1e-12, abs=1e-15)
+    assert numlin.psd_status(bad) == (False, pytest.approx(max(psd_status_loop(a)[1] for a in bad), rel=1e-12))
+
+
+def test_stacked_factor_matches_psd_factor_per_matrix():
+    rng = np.random.default_rng(42)
+    a = np.stack([rand_psd(rng, 5, rank=r) for r in (0, 1, 3, 5)])
+    ranks, f = numlin.psd_spectrum(a, vectors=True).factor()
+    assert ranks.tolist() == [0, 1, 3, 5]
+    for k, m in enumerate(a):
+        n, want = psd_factor(m)
+        assert n == ranks[k]
+        assert np.array_equal(f[k, :n], want)
+        assert not f[k, n:].any()
+        assert np.linalg.norm(f[k].conj().T @ f[k] - m) <= 1e-10 * max(1.0, np.linalg.norm(m, 2))
+
+
+def test_empty_nan_and_non_square_inputs_behave_as_before():
+    # empty: nothing to fail
+    assert numlin.psd_status(np.zeros((0, 0))) == (True, 0.0)
+    assert numlin.psd_status(np.zeros((0, 3, 3))) == (True, 0.0)
+    assert numlin.psd_status(np.zeros((2, 0, 0))) == (True, 0.0)
+    n, f = psd_factor(np.zeros((0, 0)))
+    assert n == 0 and f.shape == (0, 0)
+    assert psd_check(np.zeros((0, 0)))
+    # NaN
+    nan = np.eye(2)
+    nan[0, 1] = np.nan
+    for fn in (psd_check, psd_factor, numlin.psd_status, numlin.psd_spectrum):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            fn(nan)
+    # not square, or not a matrix
+    for bad in (np.ones((2, 3)), np.ones((4, 2, 3)), np.ones(3)):
+        for fn in (psd_check, psd_factor, numlin.psd_status, numlin.psd_spectrum):
+            with pytest.raises(DimensionError):
+                fn(bad)
+
+
+def test_unitary_moves_of_a_stack_of_families_is_each_family_solve():
+    rng = np.random.default_rng(43)
+    src = rng.normal(size=(3, 2, 6)) + 1j * rng.normal(size=(3, 2, 6))
+    q = np.linalg.qr(rng.normal(size=(4, 3, 2, 2)) + 1j * rng.normal(size=(4, 3, 2, 2)))[0]
+    ws, unitary, moved = numlin.unitary_moves(src, q @ src)
+    assert ws.shape == (4, 3, 2, 2) and unitary.shape == moved.shape == (4, 3)
+    assert np.abs(ws - q).max() <= 1e-12
+    assert unitary.max() <= 1e-12 and moved.max() <= 1e-12
+    for b in range(3):
+        single, _, _ = numlin.unitary_moves(src[b], (q @ src)[:, b])
+        assert np.abs(single - ws[:, b]).max() <= 1e-13

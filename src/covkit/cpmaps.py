@@ -153,20 +153,24 @@ class CPMapSpec:
         return self.choi_blocks()[0]
 
 
+# The distinct shapes are found with set(), not np.unique: np.unique imports
+# numpy.ma on its first call, which costs more than a small dilation.
+
+
 def _size_groups(sizes) -> list[tuple[int, np.ndarray]]:
     """The distinct block sizes n, each with the indices of its blocks."""
     sizes = np.asarray(sizes)
-    return [(int(n), np.flatnonzero(sizes == n)) for n in np.unique(sizes)]
+    return [(n, np.flatnonzero(sizes == n)) for n in sorted(set(sizes.tolist()))]
 
 
 def _layout_groups(blocks, mult) -> list[tuple[int, int, np.ndarray]]:
     """The distinct shapes (n_i, r_i) with r_i > 0 of a dilation layout, each
     with the indices of its blocks.  A block moves only onto one of its own
     shape, so every sigma_g maps each index set onto itself."""
-    shapes = np.stack([np.asarray(blocks), np.asarray(mult)], axis=1).reshape(-1, 2)
+    blocks, mult = np.asarray(blocks), np.asarray(mult)
     return [
-        (int(n), int(r), np.flatnonzero((shapes[:, 0] == n) & (shapes[:, 1] == r)))
-        for n, r in np.unique(shapes, axis=0)
+        (n, r, np.flatnonzero((blocks == n) & (mult == r)))
+        for n, r in sorted(set(zip(blocks.tolist(), mult.tolist())))
         if r > 0
     ]
 
@@ -396,7 +400,7 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     j = np.zeros((int(start[-1]), nv), dtype=np.complex128)
     for idx, f in factors:
         n = alg.blocks[idx[0]]
-        for r in np.unique(mult[idx][mult[idx] > 0]):
+        for r in sorted(set(mult[idx].tolist()) - {0}):
             pick = mult[idx] == r
             kraus = f[pick, :r].reshape(-1, r, n, nv).transpose(0, 2, 1, 3)
             j[start[idx[pick]][:, None] + np.arange(n * r)] = kraus.reshape(-1, n * r, nv)

@@ -2,13 +2,19 @@
 forms: the Choi verdict and residual, the Kraus factors and j, the
 multiplicity unitaries W_{g,i} and the covariance certificate; and the CP
 form of an instrument, whose u is a block action, against the dense u that
-as_cpmap used to build."""
+as_cpmap used to build; and the command line that dilates without
+importing ``numpy.ma``."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from covkit import specfile
 from covkit.cpmaps import (
     BlockAction,
     CPSymmetry,
@@ -227,8 +233,6 @@ def test_naimark_reads_the_block_action_too():
 
 
 def test_a_cpmap_document_needs_a_dense_u():
-    from covkit import specfile
-
     spec = _instrument_forms()[0]
     with pytest.raises(specfile.SpecFileError, match="dense u"):
         specfile.cpmap_out(spec)
@@ -243,3 +247,31 @@ def test_a_dense_u_that_leaks_fails_covariance():
     leaky = replace(dense_u(spec), matrices=np.stack([np.eye(2), mix]).astype(complex))
     check = cp_validate(replace(spec, symmetry=CPSymmetry(leaky, spec.symmetry.rep)))["covariant"]
     assert not check.ok and check.residual > 0.1
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+GUARD = """
+import sys
+from covkit.cli import main
+code = main(sys.argv[1:])
+print("numpy.ma loaded:", "numpy.ma" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_cli_dilate_never_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, which costs a fresh
+    # process more than a small dilation; the block shapes are grouped without it
+    instrument = next(_instruments())
+    cpmap = next(_mixed_shape_maps())
+    docs = {
+        "instrument": specfile.instrument_out(instrument),
+        "cpmap": specfile.cpmap_out(replace(cpmap, symmetry=CPSymmetry(dense_u(cpmap), cpmap.symmetry.rep))),
+    }
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    for kind, payload in docs.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(specfile.document(kind, payload))
+        run = subprocess.run([sys.executable, "-c", GUARD, "dilate", str(path)], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert "numpy.ma loaded: False" in run.stderr

@@ -426,22 +426,24 @@ def _certify_reconstruction(dil: KSGNSDilation, tol) -> Checks:
     = S(E^i_ab), and minimality: the stack F of the blocks pi(E_k) j, which
     is +_i I_{n_i} (x) A^i up to order with A^i[l, (b, v)] = A^i_l[b, v],
     has full rank iff every A^i does at the cutoff of
-    :func:`~covkit.numlin.rank` over F, so F is never formed.  Both run
-    once per block shape (n_i, r_i), over the stacked Kraus operators.  pi
-    is a unital *-representation exactly, by construction."""
+    :func:`~covkit.numlin.rank` over F, so F is never formed: A^i has r_i
+    singular values, each above the cutoff (a family longer than n_i n_V
+    has fewer).  Both run once per block shape (n_i, r_i), over the stacked
+    Kraus operators.  pi is a unital *-representation exactly, by
+    construction."""
     alg, nv = dil.spec.algebra, dil.spec.n_v
     values, sv = np.zeros_like(dil.spec.values), []
     for n, r, idx in _layout_groups(alg.blocks, dil.mult):
         a = _kraus_stack(dil, n, r, idx)
         values[_units(alg, n, idx)] = np.einsum("Blav,Blbw->Babvw", a.conj(), a).reshape(len(idx), n * n, nv, nv)
-        sv.append(np.linalg.svd(a.reshape(len(idx), r, n * nv), compute_uv=False))
+        sv.append((r, np.linalg.svd(a.reshape(len(idx), r, n * nv), compute_uv=False)))
     checks = Checks().require(
         tol.recon_fro * max(1.0, frob(dil.j) ** 2),
         "reconstruction failed",
         reconstruction=float(_norms(values - dil.spec.values).max(initial=0.0)),
     )
-    cut = tol.rank_rel * max([1.0] + [float(s[:, 0].max()) for s in sv])
-    if any(np.any(s[:, -1] <= cut) for s in sv):
+    cut = tol.rank_rel * max([1.0] + [float(s[:, 0].max()) for _, s in sv])
+    if any(s.shape[-1] < r or np.any(s[:, -1] <= cut) for r, s in sv):
         raise DilationResidualError("dilation is not minimal", checks)
     return checks
 
@@ -499,7 +501,7 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
         a, w = _kraus_stack(dil, n, r, idx), np.stack([act.w[i] for i in idx], axis=1)
         target = np.einsum("gBca,gBlcv->gBlav", w.conj(), a[to] @ rep.matrices[:, None, None])
         given = None if dil.mult_rep is None else np.stack([dil.mult_rep[i] for i in idx], axis=1)
-        ws, _, res = unitary_moves(a.reshape(len(idx), r, -1), target.reshape(order, len(idx), r, -1), tol, given)
+        ws, _, res = unitary_moves(a.reshape(len(idx), r, -1), target.reshape(order, len(idx), r, -1), given)
         x, y = (np.swapaxes(m.conj(), -1, -2) @ m - np.eye(m.shape[-1]) for m in (w, ws))
         cross = np.trace(x, axis1=-2, axis2=-1).conj() * np.einsum("gBlm,gBlm->gB", (y + np.eye(r)).conj(), y)
         unit += (_norms(x) ** 2 * _norms(y + np.eye(r)) ** 2 + n * _norms(y) ** 2 + 2 * cross.real).sum(1)

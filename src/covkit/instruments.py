@@ -795,15 +795,15 @@ def B_from_instrument(
 def _multiplicity_rep(data: CovariantInstrumentData, symmetry: Symmetry, tol) -> np.ndarray:
     """The unitaries W_h with u(h) B_l rep(h)^+ = sum_m W_h[l, m] B_m for the
     members h != e of the subgroup, in their order, as an (m, r, r) stack
-    (empty for a trivial subgroup): one least-squares solve on the
-    independent B_m, certified unitary and intertwining for every h."""
+    (empty for a trivial subgroup): one pseudo-inverse of the independent
+    B_m, certified unitary and intertwining for every h."""
     members = [h for h in symmetry.sub.members if h != symmetry.group.identity]
     b = np.stack(data.b_ops)
     m, r, n = len(members), len(b), b[0].size
     flat = b.reshape(r, n)
     u, rep = symmetry.out_rep.matrices[members], symmetry.rep.matrices[members]
     moved = (u[:, None] @ b @ rep.conj().transpose(0, 2, 1)[:, None]).reshape(m, r, n)
-    ws, unitary, intertwining = unitary_moves(flat, moved, tol)
+    ws, unitary, intertwining = unitary_moves(flat, moved)
     scale = np.linalg.norm(ws, 2, axis=(1, 2)).max(initial=1.0)
     Checks().require(tol.unitary_fro * scale, "multiplicity representation is not unitary", unitary=unitary.max(initial=0.0))
     Checks().require(

@@ -199,7 +199,7 @@ def _certify_kolmogorov(spec, factors, tol, ws=None) -> tuple[MultiplierRep, Che
     stacked = factors.transpose(1, 0, 2).reshape(n, x_size * nv)
     moved = factors[spec.action.table] @ spec.rep.matrices[:, None] / spec.alpha[..., None, None]
     moved = moved.transpose(0, 2, 1, 3).reshape(group.order, n, x_size * nv)
-    ws, unitary, intertwining = unitary_moves(stacked, moved, tol, ws)
+    ws, unitary, intertwining = unitary_moves(stacked, moved, ws)
     cocycle = spec.dilation_cocycle()
     recon = factors.conj().transpose(0, 2, 1)[:, None] @ factors[None] - spec.blocks
     gens = list(group.generators())
@@ -222,8 +222,8 @@ def kolmogorov_decompose(
     """Minimal covariant factorization of a valid kernel.
 
     The grand block matrix is factored through its eigendecomposition and the
-    dilation representation of the whole group is solved by one least-squares
-    solve over the spanning factor blocks, then certified
+    dilation representation of the whole group is solved by one pseudo-inverse
+    of the spanning factor blocks, then certified
     (:func:`_certify_kolmogorov`).
 
     ``basis_permutation`` optionally permutes the grand coordinates before

@@ -308,19 +308,15 @@ def lstsq_define(pairs, tol: Tolerances = DEFAULT_TOL):
     return l, residual
 
 
-def unitary_moves(src, dst, tol: Tolerances = DEFAULT_TOL, ws=None):
+def unitary_moves(src, dst, ws=None):
     """The matrices W_h with W_h src = dst[h] for a family ``src`` (r, n) of
     independent rows and its moved copies ``dst`` (m, r, n), or for a stack
     of families ``src`` (B, r, n) and ``dst`` (m, B, r, n), or ``ws`` as
-    given.  One family is solved by one least-squares solve
-    (:func:`lstsq_define`), a stack by one batched pseudo-inverse of its
-    families.  Returns ``(ws, unitary, intertwining)``: the (m, ..., r, r)
-    stack and, per matrix, ||W_h^+ W_h - I||_F and ||W_h src - dst[h]||_F,
-    which the caller bounds."""
-    if ws is None and src.ndim == 2:
-        m, r, n = dst.shape
-        ws = lstsq_define([(src, dst.reshape(m * r, n))], tol)[0].reshape(m, r, r)
-    elif ws is None:
+    given: the minimum-norm solutions dst[h] src^+, one pseudo-inverse per
+    family, broadcast over h.  Returns ``(ws, unitary, intertwining)``: the
+    (m, ..., r, r) stack and, per matrix, ||W_h^+ W_h - I||_F and ||W_h src
+    - dst[h]||_F, which the caller bounds."""
+    if ws is None:
         ws = dst @ np.linalg.pinv(src)
     unitary = np.linalg.norm(np.swapaxes(ws.conj(), -1, -2) @ ws - np.eye(ws.shape[-1]), axis=(-2, -1))
     return ws, unitary, np.linalg.norm(ws @ src - dst, axis=(-2, -1))

@@ -433,18 +433,29 @@ def test_multiplicity_unitaries_must_match_the_layout():
         replace(dil, spec=replace(dil.spec, symmetry=None))
 
 
-def _dependent_row_dilation():
+def _dependent_row_dilation(seed=21, n_v=2):
     """A dilation of an S_3 map on M_2 + M_1 whose block-0 Kraus family gains
     a copy of its first operator, with the map it reconstructs: j has a
     dependent row in every cell of block 0."""
-    spec = rand_covariant_cpmap(np.random.default_rng(21), (2, 1), FiniteGroup.symmetric(3), n_v=2)
+    spec = rand_covariant_cpmap(np.random.default_rng(seed), (2, 1), FiniteGroup.symmetric(3), n_v=n_v)
     dil = ksgns(spec)
     r0 = dil.mult[0]
-    block = dil.j[: 2 * r0].reshape(2, r0, 2)
+    block = dil.j[: 2 * r0].reshape(2, r0, n_v)
     block = np.concatenate([block, block[:, :1]], axis=1)
-    j = np.concatenate([block.reshape(-1, 2), dil.j[2 * r0 :]])
+    j = np.concatenate([block.reshape(-1, n_v), dil.j[2 * r0 :]])
     dep = KSGNSDilation(spec, dil.rank + 2, (r0 + 1, dil.mult[1]), j)
     return replace(dep, spec=replace(spec, values=j.conj().T @ dep.r_blocks))
+
+
+def test_a_family_longer_than_its_block_is_not_minimal():
+    # block 0 of this map already has Choi rank n_0 n_V = 2, so its three
+    # Kraus operators span the whole (n_0 n_V)-space: every singular value of
+    # the family is large, and only their count shows the dependent row
+    dil = _dependent_row_dilation(seed=1, n_v=1)
+    assert dil.mult[0] == 3 and not _f_is_full_rank(dil)
+    with pytest.raises(DilationResidualError, match="not minimal") as exc:
+        _certify_reconstruction(dil, DEFAULT_TOL)
+    assert exc.value.checks["reconstruction"].ok
 
 
 def _f_is_full_rank(dil):

@@ -108,16 +108,16 @@ def test_multiplicity_rep_is_unitary_and_intertwines(split_case):
 
 
 def test_non_unitary_multiplicity_rep_raises(monkeypatch, split_case):
-    solve = numlin.lstsq_define
-    monkeypatch.setattr(numlin, "lstsq_define", lambda pairs, tol: (2.0 * solve(pairs, tol)[0], 0.0))
+    solve = ins.unitary_moves
+    monkeypatch.setattr(ins, "unitary_moves", lambda src, dst: solve(src, dst, 2.0 * solve(src, dst)[0]))
     with pytest.raises(DilationResidualError, match="multiplicity representation is not unitary"):
         instrument_extremal(split_case)
 
 
 def test_unitary_multiplicity_rep_that_does_not_move_the_family_raises(monkeypatch, split_case):
     # i W_h is unitary and has the same commutant, but does not move B_l to u(h) B_l rep(h)^+
-    solve = numlin.lstsq_define
-    monkeypatch.setattr(numlin, "lstsq_define", lambda pairs, tol: (1j * solve(pairs, tol)[0], 0.0))
+    solve = ins.unitary_moves
+    monkeypatch.setattr(ins, "unitary_moves", lambda src, dst: solve(src, dst, 1j * solve(src, dst)[0]))
     with pytest.raises(DilationResidualError, match="does not move the Kraus family"):
         instrument_extremal(split_case)
 

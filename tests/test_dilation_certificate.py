@@ -447,25 +447,21 @@ def _dependent_row_dilation(seed=21, n_v=2):
     return replace(dep, spec=replace(spec, values=j.conj().T @ dep.r_blocks))
 
 
-def test_a_family_longer_than_its_block_is_not_minimal():
-    # block 0 of this map already has Choi rank n_0 n_V = 2, so its three
-    # Kraus operators span the whole (n_0 n_V)-space: every singular value of
-    # the family is large, and only their count shows the dependent row
-    dil = _dependent_row_dilation(seed=1, n_v=1)
-    assert dil.mult[0] == 3 and not _f_is_full_rank(dil)
-    with pytest.raises(DilationResidualError, match="not minimal") as exc:
-        _certify_reconstruction(dil, DEFAULT_TOL)
-    assert exc.value.checks["reconstruction"].ok
-
-
 def _f_is_full_rank(dil):
     return num_rank(dil.r_blocks.transpose(1, 0, 2).reshape(dil.rank, -1)) == dil.rank
 
 
-@pytest.mark.parametrize("case", list(_cases()) + ["dependent"])
+# (seed, n_V) of the dependent-row dilations; in "longer", block 0 already
+# has Choi rank n_0 n_V = 2, so its three Kraus operators have only two
+# singular values, both large
+_DEPENDENT = {"dependent": (21, 2), "longer": (1, 1)}
+
+
+@pytest.mark.parametrize("case", list(_cases()) + list(_DEPENDENT))
 def test_minimality_per_block_agrees_with_the_rank_of_f(case):
-    dil = _dependent_row_dilation() if case == "dependent" else ksgns(case)
-    assert _f_is_full_rank(dil) == (case != "dependent")
+    dependent = isinstance(case, str)
+    dil = _dependent_row_dilation(*_DEPENDENT[case]) if dependent else ksgns(case)
+    assert _f_is_full_rank(dil) != dependent
     if _f_is_full_rank(dil):
         assert _certify_reconstruction(dil, DEFAULT_TOL)["reconstruction"].ok
     else:

@@ -155,8 +155,8 @@ def cmd_dilate(args) -> int:
             "decomposition",
             "minimal covariant factorization of the kernel blocks",
             rank=dec.rank,
-            factors=[specfile.matrix_out(f) for f in dec.factors],
-            dilation_rep=[specfile.matrix_out(dec.sym(g)) for g in spec.action.group.elements()],
+            factors=specfile._pairs(dec.factors),
+            dilation_rep=specfile._pairs(dec.sym.matrices),
         )
     elif kind == "cpmap":
         dil = ksgns(obj, tol)
@@ -165,24 +165,22 @@ def cmd_dilate(args) -> int:
             "dilation",
             "minimal covariant dilation: intertwiner, algebra representation",
             rank=dil.rank,
-            j=specfile.matrix_out(dil.j),
-            pi_units=[specfile.matrix_out(p) for p in dil.pi_units],
-            sym=None if dil.mult_rep is None else [specfile.matrix_out(dil.sym(g)) for g in obj.symmetry.group.elements()],
+            j=specfile._pairs(dil.j),
+            pi_units=specfile._pairs(dil.pi_units),
+            sym=None if dil.mult_rep is None else specfile._pairs([dil.sym(g) for g in obj.symmetry.group.elements()]),
         )
     elif kind == "observable":
         naim = naimark(obj, tol)
         _merge_checks(report, naim.checks)
         group, table = obj.symmetry.group, obj.symmetry.action.table
+        blocks = specfile._pairs(np.stack(naim.mult_rep))  # (|X|, |G|, r, r): transitive, so one r
         report.artifact(
             "naimark",
             "minimal covariant Naimark dilation: fibers, isometry, transport blocks",
             fiber_dims=list(naim.mult),
-            isometry=specfile.matrix_out(naim.j),
+            isometry=specfile._pairs(naim.j),
             # block w of cocycle_blocks[g] carries fiber g^{-1} w into fiber w
-            cocycle_blocks={
-                str(g): [specfile.matrix_out(naim.mult_rep[v][g]) for v in table[group.inv(g)]]
-                for g in group.elements()
-            },
+            cocycle_blocks={str(g): blocks[table[group.inv(g)], g] for g in group.elements()},
         )
     elif kind == "instrument":
         dil = ksgns(as_cpmap(obj), tol)
@@ -191,7 +189,7 @@ def cmd_dilate(args) -> int:
             "dilation",
             "minimal covariant dilation of the instrument as a CP map",
             rank=dil.rank,
-            j=specfile.matrix_out(dil.j),
+            j=specfile._pairs(dil.j),
         )
     else:
         raise specfile.SpecFileError(f"dilate does not apply to kind {kind!r}")
@@ -246,7 +244,7 @@ def cmd_extremal(args) -> int:
         report.artifact(
             "witness",
             direction,
-            matrix=specfile.matrix_out(cert.witness),
+            matrix=specfile._pairs(cert.witness),
         )
     if neighbours:
         report.artifact(
@@ -271,7 +269,7 @@ def cmd_kraus(args) -> int:
             "kraus",
             "Kraus family reproducing the map; count equals the Choi rank",
             count=len(ops),
-            operators=[specfile.matrix_out(a) for a in ops],
+            operators=specfile._pairs(ops),
         )
     elif kind == "instrument":
         data = B_from_instrument(obj, tol)
@@ -280,7 +278,7 @@ def cmd_kraus(args) -> int:
             "kraus",
             "generating family extracted from the base outcome",
             count=len(data.b_ops),
-            operators=[specfile.matrix_out(b) for b in data.b_ops],
+            operators=specfile._pairs(data.b_ops),
         )
     else:
         raise specfile.SpecFileError(f"kraus does not apply to kind {kind!r}")

@@ -959,11 +959,13 @@ def phase_space(d: int, b_ops, tol: Tolerances = DEFAULT_TOL) -> InstrumentSpec:
     symmetry = Symmetry(sub, rep=w0, out_rep=w0)
     total = sum(np.asarray(b, dtype=np.complex128).conj().T @ b for b in b_ops)
     tr = float(np.trace(total).real) * d
-    if abs(tr - 1.0) > 1e-8:
+    if abs(tr - 1.0) > tol.recon_fro:
         raise ValueError(f"seed normalization is {tr:.6f}, expected 1")
     data = CovariantInstrumentData(tuple(np.asarray(b, dtype=np.complex128) for b in b_ops))
     spec = instrument_from_B(data, symmetry, tol)
-    if frob(_effects(spec).sum(0) - np.eye(d)) > 1e-10 * max(1.0, d):
+    # structural, not a tolerance: the effects sum to the clock-and-shift twirl of
+    # sum_j B_j^+ B_j, tr * I in exact arithmetic, so this catches a wrong assembly
+    if frob(_effects(spec).sum(0) - tr * np.eye(d)) > 1e-10 * max(1.0, d):
         raise DilationResidualError("phase-space normalization failed")
     return spec
 

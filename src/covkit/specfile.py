@@ -46,9 +46,16 @@ class RepresentationError(ValueError):
     a validation failure (exit code 1), not a format error."""
 
 
-def matrix_out(mat) -> list:
+def _pairs(mat) -> np.ndarray:
+    """A complex matrix or stack as a fresh float64 (..., 2) array of [re, im]
+    pairs: never a view of ``mat``, so editing a payload leaves the object alone."""
     mat = np.asarray(mat, dtype=np.complex128)
-    return np.stack([mat.real, mat.imag], -1).tolist()
+    return np.stack([mat.real, mat.imag], -1)
+
+
+def matrix_out(mat) -> list:
+    """:func:`_pairs` as nested lists, for text that ``json`` writes itself."""
+    return _pairs(mat).tolist()
 
 
 # -- output text ---------------------------------------------------------------
@@ -56,14 +63,14 @@ def matrix_out(mat) -> list:
 
 def dumps(obj) -> str:
     """The toolkit's output text: exactly the text ``json.dumps`` gives for
-    ``obj`` with sorted keys and an indent of one space.
+    ``obj``, each ndarray as its ``tolist()``, with sorted keys and indent 1.
 
     ``json`` writes an indented document with its pure-Python encoder, one
-    generator step per value.  Here a regular nested list of finite plain
-    floats has its leaves rendered in one pass and joined with precomputed
-    separators; every other value takes the recursive branch, which mirrors
-    the encoder rule for rule.  Dict keys must be strings.
-    """
+    generator step per value.  Here a non-empty finite float64 array, such as
+    a payload's matrix stack, is rendered from its shape: its leaves in one
+    pass, joined with precomputed separators.  Any other array goes through
+    ``tolist()``; every other value takes the recursive branch, which mirrors
+    the encoder rule for rule.  Dict keys must be strings."""
     return _dumps(obj, 0)
 
 
@@ -84,12 +91,13 @@ def _dumps(obj, level) -> str:
         if math.isinf(obj):
             return "Infinity" if obj > 0 else "-Infinity"
         return float.__repr__(obj)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.size and obj.ndim and np.isfinite(obj).all():
+            return _array(obj, level)
+        return _dumps(obj.tolist(), level)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        text = _bulk(obj, level)
-        if text is not None:
-            return text
         pad = "\n" + " " * (level + 1)
         items = (_dumps(v, level + 1) for v in obj)
         return "[" + pad + ("," + pad).join(items) + "\n" + " " * level + "]"
@@ -108,44 +116,32 @@ def _dumps(obj, level) -> str:
 
 
 # below this many leaves the sort that finds repeated values costs more than
-# rendering every leaf: about 20 us per list, and small reports hold dozens of lists
+# rendering every leaf: about 20 us per array, and small reports hold dozens of arrays
 _DEDUPE_FROM = 1024
 
 
-def _bulk(obj, level):
-    """The text of a regular, non-empty nested list whose leaves are all
-    finite plain floats; None for anything else.
+def _array(arr, level):
+    """The text of a non-empty float64 array of finite values.
 
     Two neighbouring leaves whose last differing index is on axis m are
     separated by the closing brackets of the deeper axes, ``",\\n"`` and the
     indent of axis m's items, and the opening brackets of the deeper axes;
     those separators repeat with the shape and are built once.
     """
-    shape, items = [], [obj]
-    while True:
-        kinds = set(map(type, items))
-        if not kinds <= {list, tuple}:
-            break
-        sizes = set(map(len, items))
-        if len(sizes) != 1 or 0 in sizes:
-            return None
-        shape.append(sizes.pop())
-        items = list(chain.from_iterable(items))
-    if kinds != {float} or not all(map(math.isfinite, items)):
-        return None
+    shape, flat = arr.shape, arr.ravel()
     opens = ["[\n" + " " * (level + m + 1) for m in range(len(shape))]
     closes = ["\n" + " " * (level + m) + "]" for m in range(len(shape))]
     seps = []  # after axis m: the separators between the leaves of one axis-m list
     for m in range(len(shape) - 1, -1, -1):
         sep = "".join(closes[:m:-1]) + ",\n" + " " * (level + m + 1) + "".join(opens[m + 1 :])
         seps = (seps + [sep]) * (shape[m] - 1) + seps
-    parts = [None] * (2 * len(items) + 1)
+    parts = [None] * (2 * flat.size + 1)
     parts[0] = "".join(opens)
-    if len(items) < _DEDUPE_FROM:
-        parts[1::2] = map(float.__repr__, items)
+    if flat.size < _DEDUPE_FROM:
+        parts[1::2] = map(float.__repr__, flat.tolist())
     else:
         # each distinct value is rendered once, keyed on its bits so that 0.0 and -0.0 stay apart
-        bits, where = np.unique(np.array(items).view(np.int64), return_inverse=True)
+        bits, where = np.unique(flat.view(np.int64), return_inverse=True)
         texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
         parts[1::2] = texts[where].tolist()
     parts[2:-1:2] = seps
@@ -177,6 +173,8 @@ def _complex_in(obj, path):
 
 
 def matrix_in(obj, path) -> np.ndarray:
+    if isinstance(obj, np.ndarray):  # as the payload builders return it
+        obj = obj.tolist()
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SpecFileError(f"{path}: matrices are nested row-major arrays")
     # the whole matrix at once: a rectangular array of [re, im] pairs whose
@@ -200,6 +198,17 @@ def matrix_in(obj, path) -> np.ndarray:
     if len(widths) != 1:
         raise SpecFileError(f"{path}: ragged matrix")
     return np.array(rows, dtype=np.complex128)
+
+
+def _stack_in(obj, path) -> np.ndarray:
+    """A ``[ matrix+ ]`` field: a non-empty array of matrices of one shape,
+    as a (count, rows, cols) complex stack."""
+    if not isinstance(obj, (list, np.ndarray)) or len(obj) == 0:
+        raise SpecFileError(f"{path}: expected a non-empty array of matrices")
+    mats = [matrix_in(m, f"{path}[{i}]") for i, m in enumerate(obj)]
+    if len({m.shape for m in mats}) > 1:
+        raise SpecFileError(f"{path}: matrices of different shapes")
+    return np.stack(mats)
 
 
 def _int_in(obj, path) -> int:
@@ -278,12 +287,14 @@ def group_out(group: FiniteGroup) -> dict:
 
 def rep_in(obj, group, path="rep") -> MultiplierRep:
     _check_fields(obj, path, ["matrices"], ["cocycle", "unitary"])
-    mats = np.stack([matrix_in(m, f"{path}.matrices[{i}]") for i, m in enumerate(obj["matrices"])])
+    mats = _stack_in(obj["matrices"], f"{path}.matrices")
     if "cocycle" in obj:
         cocycle = TwoCocycle(group, matrix_in(obj["cocycle"], f"{path}.cocycle"))
     else:
         cocycle = TwoCocycle.trivial(group)
-    return MultiplierRep(group, cocycle, mats, bool(obj.get("unitary", True)))
+    if not isinstance(obj.get("unitary", True), bool):
+        raise SpecFileError(f"{path}.unitary: expected true or false")
+    return MultiplierRep(group, cocycle, mats, obj.get("unitary", True))
 
 
 # the first violation that cocycle_violation or rep_violation reports, in words
@@ -319,9 +330,9 @@ def _valid_rep_in(obj, group, path, tol: Tolerances) -> MultiplierRep:
 
 
 def rep_out(rep: MultiplierRep) -> dict:
-    out = {"matrices": [matrix_out(rep(g)) for g in rep.group.elements()]}
+    out = {"matrices": _pairs(rep.matrices)}
     if not rep.cocycle.is_trivial():
-        out["cocycle"] = matrix_out(rep.cocycle.values)
+        out["cocycle"] = _pairs(rep.cocycle.values)
     return out
 
 
@@ -343,18 +354,16 @@ def kernel_in(payload, tol: Tolerances = DEFAULT_TOL) -> tuple[CovariantKernelSp
     module = _module_in(payload["module"])
     rows = payload["blocks"]
     x = action.set_size
-    if not isinstance(rows, list) or len(rows) != x:
+    if not isinstance(rows, (list, np.ndarray)) or len(rows) != x:
         raise SpecFileError("payload.blocks: need one row of blocks per point")
-    blocks = np.stack(
-        [
-            np.stack([matrix_in(rows[i][j], f"payload.blocks[{i}][{j}]") for j in range(x)])
-            for i in range(x)
-        ]
-    )
-    spec = CovariantKernelSpec(action, alpha, sigma, rep, module, blocks)
+    blocks = [_stack_in(row, f"payload.blocks[{i}]") for i, row in enumerate(rows)]
+    for i, row in enumerate(blocks):
+        if row.shape != (x,) + blocks[0].shape[1:]:
+            raise SpecFileError(f"payload.blocks[{i}]: need one block per point, all of one shape")
+    spec = CovariantKernelSpec(action, alpha, sigma, rep, module, np.stack(blocks))
     z = _int_table_in(payload.get("z_pairs", [[i, i] for i in range(x)]), "payload.z_pairs")
-    if len(z) and z.shape[1:] != (2,):
-        raise SpecFileError("payload.z_pairs: entries are [x, y] pairs of points")
+    if len(z) and (z.shape[1:] != (2,) or z.min() < 0 or z.max() >= x):
+        raise SpecFileError(f"payload.z_pairs: entries are [x, y] pairs of points 0 .. {x - 1}")
     z_pairs = [(int(a), int(b)) for a, b in z]
     return spec, z_pairs
 
@@ -363,14 +372,11 @@ def kernel_out(spec: CovariantKernelSpec, z_pairs=None) -> dict:
     payload = {
         "group": group_out(spec.action.group),
         "action": [[int(v) for v in row] for row in spec.action.table],
-        "alpha": matrix_out(spec.alpha),
-        "sigma": matrix_out(spec.sigma.values),
+        "alpha": _pairs(spec.alpha),
+        "sigma": _pairs(spec.sigma.values),
         "rep": rep_out(spec.rep),
         "module": {"k": spec.module.k, "n_v": spec.module.n_v},
-        "blocks": [
-            [matrix_out(spec.blocks[i, j]) for j in range(spec.x_size)]
-            for i in range(spec.x_size)
-        ],
+        "blocks": _pairs(spec.blocks),
     }
     if z_pairs is not None:
         payload["z_pairs"] = [[int(a), int(b)] for a, b in z_pairs]
@@ -381,9 +387,7 @@ def cpmap_in(payload, tol: Tolerances = DEFAULT_TOL) -> CPMapSpec:
     _check_fields(payload, "payload", ["blocks", "module", "values"], ["symmetry", "tensor"])
     algebra = FiniteCStarAlgebra(tuple(_int_list_in(payload["blocks"], "payload.blocks")))
     module = _module_in(payload["module"])
-    values = np.stack(
-        [matrix_in(v, f"payload.values[{i}]") for i, v in enumerate(payload["values"])]
-    )
+    values = _stack_in(payload["values"], "payload.values")
     symmetry = None
     if "symmetry" in payload:
         sym = payload["symmetry"]
@@ -408,7 +412,7 @@ def cpmap_out(spec: CPMapSpec) -> dict:
     payload = {
         "blocks": list(spec.algebra.blocks),
         "module": {"k": spec.module.k, "n_v": spec.module.n_v},
-        "values": [matrix_out(v) for v in spec.values],
+        "values": _pairs(spec.values),
     }
     if spec.symmetry is not None:
         if not isinstance(spec.symmetry.u, MultiplierRep):
@@ -439,9 +443,7 @@ def _symmetry_in(payload, need_out_rep, tol):
 def observable_in(payload, tol: Tolerances = DEFAULT_TOL) -> ObservableSpec:
     _check_fields(payload, "payload", ["group", "subgroup", "rep", "effects"])
     symmetry = _symmetry_in(payload, False, tol)
-    effects = np.stack(
-        [matrix_in(e, f"payload.effects[{i}]") for i, e in enumerate(payload["effects"])]
-    )
+    effects = _stack_in(payload["effects"], "payload.effects")
     return ObservableSpec(effects, symmetry)
 
 
@@ -450,16 +452,14 @@ def observable_out(spec: ObservableSpec) -> dict:
         "group": group_out(spec.symmetry.group),
         "subgroup": [int(m) for m in spec.symmetry.sub.members],
         "rep": rep_out(spec.symmetry.rep),
-        "effects": [matrix_out(e) for e in spec.effects],
+        "effects": _pairs(spec.effects),
     }
 
 
 def instrument_in(payload, tol: Tolerances = DEFAULT_TOL) -> InstrumentSpec:
     _check_fields(payload, "payload", ["group", "subgroup", "rep", "out_rep", "choi"])
     symmetry = _symmetry_in(payload, True, tol)
-    choi = np.stack(
-        [matrix_in(c, f"payload.choi[{i}]") for i, c in enumerate(payload["choi"])]
-    )
+    choi = _stack_in(payload["choi"], "payload.choi")
     return InstrumentSpec(choi, symmetry)
 
 
@@ -469,15 +469,14 @@ def instrument_out(spec: InstrumentSpec) -> dict:
         "subgroup": [int(m) for m in spec.symmetry.sub.members],
         "rep": rep_out(spec.symmetry.rep),
         "out_rep": rep_out(spec.symmetry.out_rep),
-        "choi": [matrix_out(c) for c in spec.choi],
+        "choi": _pairs(spec.choi),
     }
 
 
 def phase_space_in(payload):
     _check_fields(payload, "payload", ["d", "seed_ops"])
     d = _int_in(payload["d"], "payload.d")
-    ops = [matrix_in(b, f"payload.seed_ops[{i}]") for i, b in enumerate(payload["seed_ops"])]
-    return d, ops
+    return d, _stack_in(payload["seed_ops"], "payload.seed_ops")
 
 
 def state_in(payload) -> np.ndarray:

@@ -13,7 +13,13 @@ from covkit.instruments import (
     instrument_from_B,
     phase_space,
 )
-from covkit.random import rand_covariant_cpmap, rand_covariant_observable
+from covkit.random import (
+    all_subgroups,
+    rand_covariant_cpmap,
+    rand_covariant_instrument,
+    rand_covariant_kernel,
+    rand_covariant_observable,
+)
 
 
 def write(tmp_path, name, text):
@@ -75,6 +81,60 @@ def test_roundtrip_reparse_phase_space_instrument():
     kind, spec2 = specfile.load(doc)
     assert kind == "instrument"
     assert np.allclose(spec2.choi, spec.choi)
+
+
+def _arrays_of(payload):
+    """Every array in a payload tree."""
+    if isinstance(payload, np.ndarray):
+        return [payload]
+    values = payload.values() if isinstance(payload, dict) else payload if isinstance(payload, list) else ()
+    return [arr for v in values for arr in _arrays_of(v)]
+
+
+def _spec_arrays(kind, spec):
+    if kind == "kernel":
+        return [spec.action.table, spec.alpha, spec.sigma.values, spec.rep.matrices, spec.rep.cocycle.values, spec.blocks]
+    if kind == "cpmap":
+        u, rep = spec.symmetry.u, spec.symmetry.rep
+        return [spec.values, u.matrices, u.cocycle.values, rep.matrices, rep.cocycle.values]
+    sym = spec.symmetry
+    reps = [sym.rep] + ([sym.out_rep] if kind == "instrument" else [])
+    return [spec.effects if kind == "observable" else spec.choi] + [a for r in reps for a in (r.matrices, r.cocycle.values)]
+
+
+S3 = FiniteGroup.symmetric(3)
+ROUND_TRIP_SPECS = {
+    "kernel": lambda rng: rand_covariant_kernel(rng, S3, max_x=3, n_v=2),
+    "cpmap": lambda rng: rand_covariant_cpmap(rng, (2, 1), S3, n_v=2),
+    "observable": lambda rng: rand_covariant_observable(rng, all_subgroups(S3)[1], v_dim=2),
+    "instrument": lambda rng: rand_covariant_instrument(rng, all_subgroups(S3)[1], k_dim=2, v_dim=2),
+    "phase_space_instrument": lambda rng: phase_space(3, specfile.load(phase_space_doc(3))[1][1]),
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_SPECS)
+def test_in_memory_round_trip_and_fresh_payload_arrays(name):
+    # the payload builders hand arrays, which the readers take without a JSON pass
+    spec = ROUND_TRIP_SPECS[name](np.random.default_rng(12))
+    kind = name.split("_")[-1]
+    out, read = getattr(specfile, f"{kind}_out"), getattr(specfile, f"{kind}_in")
+    payload = out(spec)
+    loaded = read(payload)
+    if kind == "kernel":
+        loaded = loaded[0]
+    for want, got in zip(_spec_arrays(kind, spec), _spec_arrays(kind, loaded), strict=True):
+        assert np.array_equal(want, got)
+    # no payload array is a view of the spec's own, so editing one leaves the spec alone
+    before = [a.copy() for a in _spec_arrays(kind, spec)]
+    assert _arrays_of(payload)
+    for arr in _arrays_of(payload):
+        arr[...] = 7
+    for want, got in zip(before, _spec_arrays(kind, spec)):
+        assert np.array_equal(want, got)
+    # and the text of the payload is what json writes for its lists
+    text = specfile.document(kind, out(spec))
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=1)
+    assert specfile.load(text)[0] == kind
 
 
 def test_unknown_field_rejected():
@@ -448,6 +508,73 @@ def test_cli_rejects_bad_z_pairs(tmp_path, capsys):
     doc["payload"]["z_pairs"] = [[0, 0, 1]]
     assert main(["extremal", write(tmp_path, "k.json", json.dumps(doc))]) == 2
     assert "payload.z_pairs" in capsys.readouterr().err
+
+
+def _edited(text, edit):
+    doc = json.loads(text)
+    edit(doc["payload"])
+    return json.dumps(doc)
+
+
+MALFORMED = {
+    "kernel row one block short": (
+        "validate", lambda: _edited(ones_kernel_doc(), lambda p: _set(p["blocks"], 0, p["blocks"][0][:1])),
+        "payload.blocks[0]: need one block per point, all of one shape",
+    ),
+    "kernel row a number": (
+        "validate", lambda: _edited(ones_kernel_doc(), lambda p: _set(p["blocks"], 1, 3)),
+        "payload.blocks[1]: expected a non-empty array of matrices",
+    ),
+    "cpmap values a number": (
+        "validate", lambda: _edited(_cpmap_doc(), lambda p: _set(p, "values", 7)),
+        "payload.values: expected a non-empty array of matrices",
+    ),
+    "cpmap values empty": (
+        "validate", lambda: _edited(_cpmap_doc(), lambda p: _set(p, "values", [])),
+        "payload.values: expected a non-empty array of matrices",
+    ),
+    "rep matrices an object": (
+        "validate", lambda: _edited(flip_observable_doc(), lambda p: _set(p["rep"], "matrices", {})),
+        "payload.rep.matrices: expected a non-empty array of matrices",
+    ),
+    "effects of two shapes": (
+        "validate",
+        lambda: _edited(flip_observable_doc(), lambda p: _set(p["effects"], 1, specfile.matrix_out(np.eye(1)))),
+        "payload.effects: matrices of different shapes",
+    ),
+    "z_pairs point past the set": (
+        "extremal", lambda: _edited(ones_kernel_doc(), lambda p: _set(p, "z_pairs", [[0, 99]])),
+        "payload.z_pairs: entries are [x, y] pairs of points 0 .. 1",
+    ),
+    "z_pairs negative point": (
+        "extremal", lambda: _edited(ones_kernel_doc(), lambda p: _set(p, "z_pairs", [[-1, 0]])),
+        "payload.z_pairs: entries are [x, y] pairs of points 0 .. 1",
+    ),
+    "rep unitary a string": (
+        "validate", lambda: _edited(flip_observable_doc(), lambda p: _set(p["rep"], "unitary", "false")),
+        "payload.rep.unitary: expected true or false",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_cli_names_a_malformed_field(tmp_path, capsys, case):
+    command, text, message = MALFORMED[case]
+    assert main([command, write(tmp_path, "doc.json", text())]) == 2
+    err = capsys.readouterr().err
+    assert f"parse error: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_phase_space_seed_normalization_follows_tol_recon_fro(tmp_path, capsys):
+    b = np.zeros((3, 3), dtype=complex)
+    b[0, 0] = np.sqrt((1 + 1e-6) / 3)
+    path = write(tmp_path, "ps.json", specfile.document("phase_space", {"d": 3, "seed_ops": [specfile.matrix_out(b)]}))
+    assert main(["phase-space", path]) == 1
+    assert "seed normalization is 1.000001, expected 1" in capsys.readouterr().err
+    assert main(["phase-space", path, "--tol-recon-fro", "1e-4"]) == 0
+    choi = specfile.load(capsys.readouterr().out)[1].choi
+    assert np.trace(choi.sum(0)).real == pytest.approx(3 * (1 + 1e-6), rel=1e-12)
 
 
 def _validate_verdicts(tmp_path, capsys, text):

@@ -8,7 +8,7 @@ only pairs outside the generating set carry, the load-time representation
 check of kernel, cpmap, observable and instrument documents, the residuals a
 group document prints, invariance under a relabelling of the group elements,
 and the two output paths that moved with it: the predual of an outcome map
-and the bulk float rendering of ``specfile.dumps``.
+and the array rendering of ``specfile.dumps``.
 """
 
 import itertools
@@ -413,9 +413,14 @@ def test_sample_command_matches_the_per_draw_loop(tmp_path, capsys):
 )
 @pytest.mark.parametrize("copies", [1, 600])
 def test_dumps_renders_each_distinct_value_once_and_exactly(leaves, copies):
-    # 600 copies take the list past specfile._DEDUPE_FROM leaves, onto the
-    # path that renders each distinct bit pattern once
+    # 600 copies take the array past specfile._DEDUPE_FROM leaves, onto the
+    # path that renders each distinct bit pattern once; the list is rendered
+    # value by value
     rows = [list(leaves) for _ in range(copies)]
     assert (len(leaves) * copies >= specfile._DEDUPE_FROM) == (copies > 1)
     for obj in (rows, {"a": rows, "b": [rows, rows]}):
         assert specfile.dumps(obj) == json.dumps(obj, indent=1, sort_keys=True)
+    arr = np.array(rows)
+    assert specfile.dumps(arr) == json.dumps(rows, indent=1, sort_keys=True)
+    tree = {"a": rows, "b": [rows, rows]}
+    assert specfile.dumps({"a": arr, "b": [arr, rows]}) == json.dumps(tree, indent=1, sort_keys=True)

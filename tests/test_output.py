@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import sample_lines_loop
 from test_cli import flip_observable_doc, phase_space_doc, state_doc, write
 
@@ -16,8 +17,19 @@ from covkit.cli import main
 from covkit.instruments import phase_space
 
 
+def listed(obj):
+    """The tree with every ndarray replaced by its ``tolist()``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [listed(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: listed(v) for k, v in obj.items()}
+    return obj
+
+
 def reference(obj):
-    return json.dumps(obj, sort_keys=True, indent=1)
+    return json.dumps(listed(obj), sort_keys=True, indent=1)
 
 
 EDGE_CASES = [
@@ -74,6 +86,50 @@ def test_dumps_edge_cases(obj):
     assert specfile.dumps(obj) == reference(obj)
 
 
+def _arrays():
+    rng = np.random.default_rng(5)
+    out = {}
+    for ndim in range(1, 5):
+        shape = (3, 2, 4, 2)[:ndim]
+        out[f"float64_{ndim}d"] = rng.normal(size=shape)
+        out[f"int64_{ndim}d"] = rng.integers(-(2**40), 2**40, size=shape)
+    for shape in [(0,), (3, 0), (2, 0, 2), (0, 3, 2)]:
+        out[f"empty_{shape}"] = np.zeros(shape)
+    out["empty_int64"] = np.zeros((2, 0), dtype=np.int64)
+    out["nan_inf"] = np.array([[0.5, np.nan], [np.inf, -np.inf]])
+    # signed zeros and subnormals, below and past _DEDUPE_FROM leaves
+    signed = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -0.0])
+    for copies in (1, 200):
+        assert (signed.size * copies >= specfile._DEDUPE_FROM) == (copies > 1)
+        out[f"signed_{copies}"] = np.tile(signed, (copies, 1)).reshape(copies, 3, 2)
+    big = rng.normal(size=(40, 30, 2))
+    out["transposed"] = big.transpose(1, 0, 2)
+    out["T"] = rng.normal(size=(3, 5)).T
+    out["sliced"] = big[::3, 1::2]
+    out["last_axis"] = big[..., 1]
+    out["reversed_repeats"] = np.tile(signed, 300)[::-1].reshape(30, 60)
+    out["scalar"] = np.array(0.25)
+    return out
+
+
+ARRAYS = _arrays()
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_dumps_renders_arrays_as_their_lists(name):
+    arr = ARRAYS[name]
+    for obj in (arr, [arr, {"a": arr, "b": [1.5, arr]}], {"x": {"y": arr}}):
+        assert specfile.dumps(obj) == reference(obj)
+
+
+def test_dumps_rejects_a_complex_array_as_json_rejects_its_list():
+    arr = np.array([[1 + 2j, 0.5]])
+    with pytest.raises(TypeError):
+        json.dumps(arr.tolist())
+    with pytest.raises(TypeError):
+        specfile.dumps({"m": arr})
+
+
 def test_dumps_rejects_what_json_rejects():
     with pytest.raises(TypeError):
         specfile.dumps({1: 2})
@@ -93,6 +149,12 @@ LEAVES = (
     | st.text(max_size=5)
 )
 
+# float64 and int64 arrays, views among them, with empty axes, NaN, infinities and signed zeros
+NDARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.int64]),
+    hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
+) | hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=4)).map(lambda a: a.T)
+
 
 def nest(flat, shape):
     """The flat leaves as a nested list of the given shape."""
@@ -104,8 +166,8 @@ def nest(flat, shape):
 
 @st.composite
 def regular_arrays(draw):
-    # mostly plain finite floats, so the one-pass rendering is exercised;
-    # any other leaf makes the array fall back to the recursive branch
+    # regular nested lists, mostly of plain finite floats: the shape of a
+    # matrix payload written as lists, which the recursive branch renders
     shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
     size = math.prod(shape)
     leaf = draw(st.sampled_from([st.floats(allow_nan=False, allow_infinity=False), st.integers(), LEAVES]))
@@ -113,7 +175,7 @@ def regular_arrays(draw):
 
 
 TREES = st.recursive(
-    LEAVES | regular_arrays(),
+    LEAVES | regular_arrays() | NDARRAYS,
     lambda children: (
         st.lists(children, max_size=4)
         | st.lists(children, max_size=4).map(tuple)

@@ -236,25 +236,24 @@ def cp_validate(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
     eigenvalue over the blocks, that of the grand kernel.  Covariance at g
     and h gives it at gh, since Ad of a multiplier representation is a
     homomorphism, so it is checked at the generators s of
-    ``group.generators()`` and passes if ``max_word_length`` times the
-    residual is within the bound.  Where a dense u(s) moves some b out of the
-    algebra, the residual is the largest part of a u(s) E_k u(s)^+ outside
-    it; otherwise S(beta_s(E_k)) is compared with rep(s) S(E_k) rep(s)^+,
-    one stacked block move per block size (:func:`_moved_blocks`)."""
+    ``group.generators()`` (:func:`_covariance`).  Where a dense u(s) moves
+    some b out of the algebra, the residual is the largest part of a u(s)
+    E_k u(s)^+ outside it."""
     return _cp_checks(spec, _choi_spectra(spec.algebra, spec.values), tol)
 
 
 def _cp_checks(spec: CPMapSpec, spectra, tol) -> Checks:
     """:func:`cp_validate` from the Choi spectra already computed."""
     checks = Checks(completely_positive=Check(*_cp_status(spectra, tol)))
-    covariant, worst = True, 0.0
+    covariant = Check(True, 0.0)
     # the trivial group has no generators: u(e) = rep(e) = I is all there is
     if spec.symmetry is not None and spec.symmetry.group.generators():
         alg, group, u = spec.algebra, spec.symmetry.group, spec.symmetry.u
         gens = list(group.generators())
-        rep = spec.symmetry.rep.matrices[gens]
         if isinstance(u, BlockAction):
-            sigma, w = u.sigma[gens], [wi[gens] for wi in u.w]
+            # blocks that share one w stack, as in the CP form of an instrument, keep sharing it
+            rows = {id(wi): wi[gens] for wi in u.w}
+            sigma, w = u.sigma[gens], [rows[id(wi)] for wi in u.w]
         else:
             outside, size = alg.outside_norms(u.matrices[gens])
             leaks = np.any(outside > tol.recon_fro * np.maximum(1.0, size), axis=-1)
@@ -262,28 +261,49 @@ def _cp_checks(spec: CPMapSpec, spectra, tol) -> Checks:
                 checks["covariant"] = Check(False, float(outside[leaks].max()))
                 return checks
             sigma, w = alg.block_action(u.matrices[gens])
-        uinv = rep.conj().transpose(0, 2, 1) if spec.symmetry.rep.unitary_flag else np.linalg.inv(rep)
-        expected = uinv.conj().transpose(0, 2, 1)[:, None] @ spec.values @ uinv[:, None]
-        for n, idx in _size_groups(alg.blocks):
-            moved = _moved_blocks(alg, sigma, w, spec.values, n, idx)
-            worst = max(worst, float(_norms(moved - expected[:, _units(alg, n, idx)]).max(initial=0.0)))
-        covariant = group.max_word_length * worst <= tol.recon_fro * max(1.0, float(np.abs(spec.values).max()))
-    checks["covariant"] = Check(covariant, worst)
+            w = [_factor(wi, u.unitary_flag) for wi in w]
+        rep = _factor(spec.symmetry.rep.matrices[gens], spec.symmetry.rep.unitary_flag)
+        blocks = [(idx, _choi_stack(alg, spec.values, n, idx)) for n, idx in _size_groups(alg.blocks)]
+        covariant = _covariance(blocks, sigma, w, rep, group, tol)
+    checks["covariant"] = covariant
     return checks
 
 
-def _moved_blocks(alg: FiniteCStarAlgebra, sigma, w, stack, n, idx) -> np.ndarray:
-    """The linear map E_k -> stack[k] at beta_g(E^i_ab) = u(g) E^i_ab u(g)^+
-    for every g of a block action (sigma, w) and every unit of the blocks
-    ``idx``, all of size n: (|sigma|, B, n^2, ...).  beta_g(E^i_ab) =
-    sum_cd w_{g,i}[c, a] conj(w_{g,i}[d, b]) E^{sigma_g(i)}_cd, so with the
-    images of block sigma_g(i) laid out as n x n matrices M, the result is
-    w^T M conj(w)."""
-    wi = np.stack([w[i] for i in idx], axis=1)  # (|sigma|, B, n, n)
-    src = stack[alg.unit_offsets[sigma[:, idx], None] + np.arange(n * n)]
-    src = src.reshape(wi.shape[:2] + (n, n, -1)).transpose(0, 1, 4, 2, 3)
-    moved = np.swapaxes(wi, -1, -2)[:, :, None] @ src @ wi.conj()[:, :, None]
-    return moved.transpose(0, 1, 3, 4, 2).reshape(wi.shape[:2] + (n * n,) + stack.shape[1:])
+def _factor(mats, unitary: bool) -> np.ndarray:
+    """A stack of representation matrices as the factor the covariance
+    defect moves Choi blocks by: itself when unitary, else its inverse
+    adjoint."""
+    return mats if unitary else np.swapaxes(np.linalg.inv(mats).conj(), -1, -2)
+
+
+def _covariance(blocks, sigma, w, rep, group: FiniteGroup, tol) -> Check:
+    """The one covariance certificate of CP maps, instruments and
+    observables, over the rows s of a block action (sigma, w) and of a stack
+    ``rep``, the generators of ``group``.  ``blocks`` holds, per block size,
+    the indices of those blocks and their stacked Choi matrices C_i, and
+    sigma_s maps each index set onto itself.  The residual is the largest
+    ||(conj(w_{s,i}) (x) rep_s) C_i (.)^+ - C_{sigma_s(i)}||_F over s and i,
+    one stacked expression per block size; blocks that share one w stack
+    are moved by one broadcast factor.  For unitary factors it is the
+    Hilbert-Schmidt norm of b -> S(beta_s(b)) - rep_s S(b) rep_s^+ on block
+    i, whatever unit basis it is summed over.  A non-unitary factor is
+    passed as its inverse adjoint (:func:`_factor`).  The verdict holds
+    ``max_word_length`` times the residual to recon_fro max(1, max|C_i|)."""
+    worst, scale, d = [0.0], [1.0], rep.shape[-1]
+    for idx, choi in blocks:
+        first = w[idx[0]]
+        wi = first[:, None] if all(w[i] is first for i in idx) else np.stack([w[i] for i in idx], axis=1)
+        pos = np.zeros(sigma.shape[1], dtype=np.int64)
+        pos[idx] = np.arange(len(idx))
+        n = wi.shape[-1]
+        f = (wi.conj()[..., :, None, :, None] * rep[:, None, None, :, None, :]).reshape(wi.shape[:2] + (n * d, n * d))
+        defect = f @ choi @ np.swapaxes(f.conj(), -1, -2)
+        defect -= choi[pos[sigma[:, idx]]]
+        worst.append(_norms(defect).max(initial=0.0))
+        scale.append(np.abs(choi).max(initial=0.0))
+    # np.max keeps a NaN, and a non-finite bound certifies nothing
+    worst, bound = float(np.max(worst)), tol.recon_fro * float(np.max(scale))
+    return Check(bool(group.max_word_length * worst <= bound < np.inf), worst)
 
 
 def _tensor_pattern(algebra, mult):
@@ -707,18 +727,19 @@ def subminimal(
     if not _cp_status(_choi_spectra(right, e_units), tol)[0]:
         raise DilationResidualError("subminimal map is not completely positive", checks)
 
-    # covariance against the second factor's action
+    # covariance against the second factor's action: E(beta_g(c)) = sym(g) E(c) sym(g)^+
     if (
         spec.symmetry is not None
         and dilation.mult_rep is not None
         and spec.symmetry.u_factors is not None
     ):
-        sigma, w = right.block_action(spec.symmetry.u_factors[1].matrices)
-        syms = np.stack([dilation.sym(g) for g in spec.symmetry.group.elements()])[:, None, None]
-        worst = 0.0
-        for size, idx in _size_groups(right.blocks):
-            moved = _moved_blocks(right, sigma, w, e_units, size, idx)
-            diff = syms @ e_units[_units(right, size, idx)] - moved @ syms
-            worst = max(worst, float(_norms(diff).max()))
-        checks.require(lim, "subminimal map failed covariance", covariance=worst)
+        group, u = spec.symmetry.group, spec.symmetry.u_factors[1]
+        gens = list(group.generators())
+        sigma, w = right.block_action(u.matrices[gens])
+        syms = np.reshape([dilation.sym(g) for g in gens], (len(gens), n, n))
+        blocks = [(idx, _choi_stack(right, e_units, size, idx)) for size, idx in _size_groups(right.blocks)]
+        checks["covariance"] = _covariance(blocks, sigma, [_factor(wi, u.unitary_flag) for wi in w], syms, group, tol)
+        if not checks["covariance"].ok:
+            residual = checks["covariance"].residual
+            raise DilationResidualError(f"subminimal map failed covariance: residual {residual:.2e}", checks)
     return SubminimalMap(e_units=e_units, checks=checks)

@@ -245,6 +245,7 @@ class SubgroupData:
     cosets: tuple[tuple[int, ...], ...] = field(init=False, default=None)
     section: tuple[int, ...] = field(init=False, default=None)
     projection: np.ndarray = field(init=False, default=None)
+    _action: GroupAction = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         g = self.parent
@@ -281,6 +282,8 @@ class SubgroupData:
         object.__setattr__(self, "cosets", tuple(cosets))
         object.__setattr__(self, "section", tuple(section))
         object.__setattr__(self, "projection", projection)
+        # a maps the coset of s(w) to that of a s(w)
+        object.__setattr__(self, "_action", GroupAction(g, projection[g.mul[:, section]]))
 
     @property
     def n_cosets(self) -> int:
@@ -290,12 +293,8 @@ class SubgroupData:
         return int(self.projection[g])
 
     def coset_action(self) -> GroupAction:
-        g = self.parent
-        table = np.zeros((g.order, self.n_cosets), dtype=np.int64)
-        for a in g.elements():
-            for w in range(self.n_cosets):
-                table[a, w] = self.project(g.prod(a, self.section[w]))
-        return GroupAction(g, table)
+        """The action a.w = the coset of a s(w), built once."""
+        return self._action
 
     def subgroup_group(self) -> FiniteGroup:
         """H as a group in its own right (indices follow ``members``)."""
@@ -446,12 +445,7 @@ class MultiplierRep:
     @staticmethod
     def regular(group: FiniteGroup) -> "MultiplierRep":
         """Left regular representation by permutation matrices."""
-        n = group.order
-        mats = np.zeros((n, n, n), dtype=np.complex128)
-        for g in group.elements():
-            for x in group.elements():
-                mats[g, group.prod(g, x), x] = 1.0
-        return MultiplierRep(group, TwoCocycle.trivial(group), mats)
+        return MultiplierRep.from_action(GroupAction.left_translation(group))
 
     @staticmethod
     def from_action(action: GroupAction) -> "MultiplierRep":

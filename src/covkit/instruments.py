@@ -13,7 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cpmaps import BlockAction, CPMapSpec, CPSymmetry, KSGNSDilation, kraus_from_choi, ksgns
+from .cpmaps import (
+    BlockAction,
+    CPMapSpec,
+    CPSymmetry,
+    KSGNSDilation,
+    _covariance,
+    _factor,
+    kraus_from_choi,
+    ksgns,
+    marginals,
+)
 from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from .fingroup import (
     FiniteGroup,
@@ -112,22 +122,12 @@ class ObservableSpec:
 
 
 def validate_observable(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
-    """Positivity, normalization and covariance of the effects.  Covariance
-    is checked at the group's generators and passes if ``max_word_length``
-    times its residual is within the bound, as in
-    :func:`~covkit.cpmaps.cp_validate`."""
-    checks = Checks(effects_psd=Check(*psd_status(spec.effects, tol)))
-    total = spec.effects.sum(axis=0)
-    res = frob(total - np.eye(spec.v_dim))
-    checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(spec.v_dim)), res)
-    # rep(s) E_w rep(s)^+ - E_{sw} for every generator s and outcome w
-    sym, gens = spec.symmetry, list(spec.symmetry.group.generators())
-    u = sym.rep.matrices[gens, None]
-    diff = u @ spec.effects @ u.conj().transpose(0, 1, 3, 2) - spec.effects[sym.action.table[gens]]
-    worst = float(np.linalg.norm(diff, axis=(-2, -1)).max(initial=0.0))
-    bound = tol.recon_fro * max(1.0, np.sqrt(spec.v_dim))
-    checks["covariance"] = Check(sym.group.max_word_length * worst <= bound, worst)
-    return checks
+    """Positivity, normalization and covariance of the effects: the
+    verdicts of :func:`validate_instrument` on
+    :meth:`ObservableSpec.as_instrument`, whose Choi blocks are the effects,
+    with ``outcomes_cp`` named ``effects_psd``."""
+    checks = validate_instrument(spec.as_instrument(), tol)
+    return Checks(effects_psd=checks.pop("outcomes_cp"), **checks)
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +203,20 @@ def _effects(spec: InstrumentSpec) -> np.ndarray:
 
 def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
     """Complete positivity, normalization and covariance of the outcome
-    maps.  Covariance is checked at the group's generators and passes if
-    ``max_word_length`` times its residual is within the bound, as in
-    :func:`~covkit.cpmaps.cp_validate`."""
-    k, v = spec.k_dim, spec.v_dim
+    maps.  Covariance is the Choi-block certificate of
+    :func:`~covkit.cpmaps.cp_validate`, on the Choi blocks themselves: at
+    the group's generators s, conj(out_rep(s)) (x) rep(s) moves C_w onto
+    C_{sw} (:func:`~covkit.cpmaps._covariance`, sigma the coset action and
+    w = out_rep at every outcome)."""
+    v = spec.v_dim
     checks = Checks(outcomes_cp=Check(*psd_status(spec.choi, tol)))
     res = frob(_effects(spec).sum(0) - np.eye(v))
     checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)
-    sym = spec.symmetry
-    worst = 0.0
-    for g in sym.group.generators():
-        # W_g C_w W_g^+ - C_{gw} for every outcome w
-        wg = np.kron(sym.out_rep(g).conj(), sym.rep(g))
-        diff = wg @ spec.choi @ wg.conj().T - spec.choi[sym.action.table[g]]
-        worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
-    scale = max(1.0, float(np.abs(spec.choi).max()) * k * v)
-    checks["covariance"] = Check(sym.group.max_word_length * worst <= tol.recon_fro * scale, worst)
+    sym, gens = spec.symmetry, list(spec.symmetry.group.generators())
+    out = _factor(sym.out_rep.matrices[gens], sym.out_rep.unitary_flag)
+    rep = _factor(sym.rep.matrices[gens], sym.rep.unitary_flag)
+    blocks = [(np.arange(spec.n_outcomes), spec.choi)]
+    checks["covariance"] = _covariance(blocks, sym.action.table[gens], (out,) * spec.n_outcomes, rep, sym.group, tol)
     return checks
 
 
@@ -228,15 +226,8 @@ def marginal_observable(spec: InstrumentSpec) -> ObservableSpec:
 
 
 def marginal_channel(spec: InstrumentSpec) -> CPMapSpec:
-    alg = FiniteCStarAlgebra.full(spec.k_dim)
-    values = np.stack(
-        [
-            sum(spec.outcome_map(w, u) for w in range(spec.n_outcomes))
-            for u in alg.units()
-        ]
-    )
-    symmetry = CPSymmetry(u=spec.symmetry.out_rep, rep=spec.symmetry.rep)
-    return CPMapSpec(alg, ModuleSpace(k=1, n_v=spec.v_dim), values, symmetry)
+    """The channel summed over outcomes: the first marginal of the CP form."""
+    return marginals(as_cpmap(spec))[0]
 
 
 def as_cpmap(spec: InstrumentSpec) -> CPMapSpec:
@@ -781,7 +772,7 @@ def B_from_instrument(
     against the validated input certifies it."""
     report = validate_instrument(spec, tol)
     if not report.ok:
-        raise ValueError(f"instrument invalid: {report.failed()}")
+        raise ValueError(f"instrument invalid: {', '.join(report.failed())}")
     ops = kraus_from_choi(spec.choi[0], spec.k_dim, spec.v_dim, tol)
     rebuilt = _assemble_instrument(CovariantInstrumentData(tuple(ops)), spec.symmetry, tol)
     checks = Checks().require(

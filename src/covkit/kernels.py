@@ -130,6 +130,9 @@ class CovariantKernelSpec:
         return self.sigma.multiply(self.rep.cocycle)
 
 
+# |alpha|^2 and the products overflow to inf for a huge alpha; a verdict then
+# fails, since it passes only below a finite bound (inf <= inf holds)
+@np.errstate(over="ignore", invalid="ignore")
 def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
     """Check the alpha composition rule, block covariance and positivity, as
     the verdicts ``alpha_cocycle``, ``covariant`` and ``positive``.  The
@@ -140,21 +143,22 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
     and the verdict compares ``max_word_length`` times it with the bound."""
     g, table = spec.action.group, spec.action.table
     checks = Checks()
+    alpha_sq = np.abs(spec.alpha).max() ** 2
 
-    # alpha(ab, x) against sigma(a, b) alpha(b, x) alpha(a, bx)
+    # alpha(ab, x) against sigma(a, b) alpha(b, x) alpha(a, bx); np.max keeps a NaN
     composed = spec.sigma.values[:, :, None] * spec.alpha[None, :, :] * spec.alpha[:, table]
     err_unit = float(np.abs(spec.alpha[g.identity] - 1.0).max())
-    err_alpha = max(err_unit, float(np.abs(spec.alpha[g.mul] - composed).max()))
+    err_alpha = float(np.max([err_unit, np.abs(spec.alpha[g.mul] - composed).max()]))
     alpha_ok = (
         err_unit <= tol.recon_fro
-        and err_alpha <= tol.recon_fro * max(1.0, float(np.abs(spec.alpha).max()) ** 2)
+        and err_alpha <= tol.recon_fro * max(1.0, alpha_sq) < np.inf
         and cocycle_violation(spec.sigma) is None
     )
     checks["alpha_cocycle"] = Check(bool(alpha_ok), err_alpha)
 
     # T[ax, ay] - conj(alpha(a, x)) alpha(a, y) U(a)^-+ T[x, y] U(a)^-1 for every generator a and (x, y)
     gens = list(g.generators())
-    scale = max(1.0, float(np.abs(spec.blocks).max()) * float(np.abs(spec.alpha).max()) ** 2)
+    scale = max(1.0, np.abs(spec.blocks).max() * alpha_sq)
     alpha, table = spec.alpha[gens], table[gens]
     weights = np.conj(alpha)[:, :, None, None, None] * alpha[:, None, :, None, None]
     rep = spec.rep.matrices[gens]
@@ -162,7 +166,7 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
     moved = inv.conj().transpose(0, 2, 1)[:, None, None] @ spec.blocks @ inv[:, None, None]
     diff = spec.blocks[table[:, :, None], table[:, None, :]] - weights * moved
     err_cov = float(np.linalg.norm(diff, axis=(-2, -1)).max(initial=0.0))
-    checks["covariant"] = Check(g.max_word_length * err_cov <= tol.recon_fro * scale, err_cov)
+    checks["covariant"] = Check(bool(g.max_word_length * err_cov <= tol.recon_fro * scale < np.inf), err_cov)
     checks["positive"] = Check(*psd_status(spec.grand_matrix(), tol))
     return checks
 

@@ -22,7 +22,8 @@ and the loop forms of the kernel and instrument covariance residuals, as
 references for ``covkit.kernels`` and ``covkit.instruments``, of the
 Kolmogorov decomposition's per-element solve and certificate, as the
 reference for the stacked one in ``covkit.kernels``, and of the
-CP-map and observable covariance residuals; the commuting twist
+observable covariance residual and the CP-map covariance residual per
+Choi block; the commuting twist
 I (*) W(g) of a dilation whose u(g) lie in the algebra; the Naimark
 dilation by one least-squares solve per (g, w), as the reference for
 ``covkit.instruments.naimark``, the KSGNS dilation of the observable's CP
@@ -1034,16 +1035,19 @@ def kolmogorov_loop(spec: CovariantKernelSpec, factors, tol: Tolerances = DEFAUL
     return sym, checks
 
 
-def cp_covariance_loop(spec: CPMapSpec, on_generators=False):
-    """max over (g, k) of ||S(u(g) E_k u(g)^+) - rep(g) S(E_k) rep(g)^+||,
-    one group element at a time through the loop-form transport; with
-    ``on_generators``, over g in ``group.generators()`` only."""
-    sym, u = spec.symmetry, dense_u(spec)
+def choi_covariance_loop(spec: CPMapSpec, on_generators=False):
+    """max over (g, i) of the Frobenius norm, over the units k of block i,
+    of S(u(g) E_k u(g)^+) - rep(g) S(E_k) rep(g)^+, one group element and
+    one Choi block at a time through the loop-form transport; with
+    ``on_generators``, over g in ``group.generators()`` only.  For a unitary
+    u it is ||(conj(w_{g,i}) (x) rep(g)) C_i (.)^+ - C_{sigma_g(i)}||_F."""
+    sym, u, alg = spec.symmetry, dense_u(spec), spec.algebra
     worst = 0.0
     for g in _rows(sym.group, on_generators)[0]:
         uinv = sym.rep.inv_mat(g)
-        diff = transport_loop(spec.algebra, u(g), spec.values) - uinv.conj().T @ spec.values @ uinv
-        worst = max(worst, float(np.linalg.norm(diff, axis=(1, 2)).max()))
+        diff = transport_loop(alg, u(g), spec.values) - uinv.conj().T @ spec.values @ uinv
+        for i in range(len(alg.blocks)):
+            worst = max(worst, float(np.linalg.norm(diff[alg.unit_offsets[i] : alg.unit_offsets[i + 1]])))
     return worst
 
 

@@ -44,9 +44,9 @@ from covkit.random import (
 from oracles import (
     action_violation,
     alpha_cocycle_loop,
+    choi_covariance_loop,
     cocycle_loop,
     cocycle_violation_loop,
-    cp_covariance_loop,
     group_table_violation,
     instrument_covariance_loop,
     kernel_covariance_loop,
@@ -474,6 +474,22 @@ def test_kolmogorov_cocycle_bound_carries_max_word_length(name):
     assert exc.value.checks["cocycle"].residual == pytest.approx(residual, rel=1e-12)
 
 
+def test_covariance_bound_carries_max_word_length():
+    # a broken Choi block: a bound above the generator residual but below
+    # max_word_length times it fails the instrument and its CP form alike
+    rng = _rng("word length")
+    spec = rand_covariant_instrument(rng, all_subgroups(GROUPS["S3"])[0], k_dim=2, v_dim=2)
+    choi = spec.choi.copy()
+    choi[0] += _hermitian_bump(rng, choi.shape[1:])
+    broken = replace(spec, choi=choi)
+    residual, ell = validate_instrument(broken)["covariance"].residual, spec.symmetry.group.max_word_length
+    assert ell >= 2 and residual > 1e-6
+    tol = Tolerances(recon_fro=0.5 * (1 + ell) * residual / max(1.0, float(np.abs(choi).max())))
+    assert not validate_instrument(broken, tol)["covariance"].ok
+    assert not cp_validate(as_cpmap(broken), tol)["covariant"].ok
+    assert cp_validate(as_cpmap(broken), tol)["covariant"].residual == pytest.approx(residual, rel=1e-12)
+
+
 def test_instrument_covariance_matches_loop():
     rng = _rng("instrument")
     specs = [phase_space(3, [np.eye(3) / 3.0])]
@@ -526,12 +542,13 @@ def test_cpmap_covariance_matches_loop():
     for spec in specs:
         check = cp_validate(spec)["covariant"]
         assert check.ok
-        assert check.residual == pytest.approx(cp_covariance_loop(spec, on_generators=True), rel=1e-12, abs=1e-14)
-        assert _bounds_every_element(spec.symmetry.group, check.residual, cp_covariance_loop(spec))
+        # both at roundoff, reached by different arithmetic
+        assert check.residual == pytest.approx(choi_covariance_loop(spec, on_generators=True), rel=1e-12, abs=1e-13)
+        assert _bounds_every_element(spec.symmetry.group, check.residual, choi_covariance_loop(spec))
         values = spec.values.copy()
         values[0] += _hermitian_bump(rng, values.shape[1:])  # E_00 of the first block, which u moves
         broken = replace(spec, values=values)
         check = cp_validate(broken)["covariant"]
         assert not check.ok
-        assert check.residual == pytest.approx(cp_covariance_loop(broken, on_generators=True), rel=1e-12)
-        assert cp_covariance_loop(broken) > 1e-6
+        assert check.residual == pytest.approx(choi_covariance_loop(broken, on_generators=True), rel=1e-12)
+        assert choi_covariance_loop(broken) > 1e-6

@@ -5,13 +5,18 @@ import pytest
 
 from covkit import specfile
 from covkit.cli import main
+from covkit.cpmaps import cp_validate
 from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle
 from covkit.instruments import (
     CovariantInstrumentData,
+    InstrumentSpec,
     ObservableSpec,
     Symmetry,
+    as_cpmap,
     instrument_from_B,
     phase_space,
+    validate_instrument,
+    validate_observable,
 )
 from covkit.random import (
     all_subgroups,
@@ -190,6 +195,23 @@ def test_cli_validate_kernel_reports_positivity_residual(tmp_path, capsys):
     assert verdicts["covariant"]["ok"]
     assert not verdicts["positive"]["ok"]
     assert verdicts["positive"]["residual"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("command", ["validate", "dilate", "extremal"])
+def test_cli_huge_alpha_is_a_failed_verdict_not_a_traceback(tmp_path, capsys, command):
+    # |alpha|^2 = 1e320 overflows a float: the bound is inf, which certifies nothing
+    spec = rand_covariant_kernel(np.random.default_rng(16), FiniteGroup.symmetric(4), max_x=4, n_v=2)
+    doc = json.loads(specfile.document("kernel", specfile.kernel_out(spec, [(0, 0)])))
+    doc["payload"]["alpha"][1][0] = [1e160, 0.0]
+    assert main([command, write(tmp_path, "kernel.json", json.dumps(doc))]) == 1
+    captured = capsys.readouterr()
+    failures = [line for line in captured.err.splitlines() if not line.startswith("wall time")]
+    if command == "validate":
+        verdicts = json.loads(captured.out)["verdicts"]
+        assert not verdicts["alpha_cocycle"]["ok"] and not verdicts["covariant"]["ok"]
+        assert failures == []
+    else:
+        assert failures == ["validation failure: kernel invalid: alpha_cocycle, covariant"]
 
 
 def test_cli_dilate_kernel(tmp_path, capsys):
@@ -708,3 +730,41 @@ def test_memory_error_is_a_resource_failure_with_exit_code_4(tmp_path, capsys, m
     assert failures == [
         "resource failure: Unable to allocate 3.62 GiB for an array with shape (1296, 432, 432) and data type complex128"
     ]
+
+
+def broken_flip(kind):
+    """The Z_2 flip observable, or an instrument with K = 2 built the same
+    way (C_1 = W C_0 W^+, W = conj(flip) (x) flip), with covariance broken by
+    sqrt(2) 1e-8: just over the bound 1e-8 max(1, max|entry|).  Returns the
+    document and the instrument the engines check."""
+    group = FiniteGroup.cyclic(2)
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    rep = MultiplierRep(group, TwoCocycle.trivial(group), np.stack([np.eye(2, dtype=complex), flip]))
+    sub = SubgroupData(group, (0,))
+    if kind == "observable":
+        effects = np.stack([np.diag([0.9, 0.1]), np.diag([0.1, 0.9])]).astype(complex)
+        effects[:, 0, 0] += [1e-8, -1e-8]
+        spec = ObservableSpec(effects, Symmetry(sub, rep))
+        return specfile.document(kind, specfile.observable_out(spec)), spec.as_instrument()
+    choi = np.stack([np.diag([0.45, 0.05, 0.45, 0.05]), np.diag([0.05, 0.45, 0.05, 0.45])]).astype(complex)
+    choi[:, 0, 0] += [1e-8, -1e-8]
+    spec = InstrumentSpec(choi, Symmetry(sub, rep, rep))
+    return specfile.document(kind, specfile.instrument_out(spec)), spec
+
+
+@pytest.mark.parametrize("kind,commands", [("observable", "validate dilate extremal"), ("instrument", "validate dilate extremal kraus")])
+def test_cli_commands_agree_on_a_broken_covariance(tmp_path, capsys, kind, commands):
+    text, instrument = broken_flip(kind)
+    path = write(tmp_path, f"{kind}.json", text)
+    checks = [validate_instrument(instrument)["covariance"], cp_validate(as_cpmap(instrument))["covariant"]]
+    if kind == "observable":
+        checks.append(validate_observable(specfile.load(text)[1])["covariance"])
+    assert not any(check.ok for check in checks)
+    assert [check.residual for check in checks] == pytest.approx([np.sqrt(2) * 1e-8] * len(checks), rel=1e-6)
+    assert max(c.residual for c in checks) - min(c.residual for c in checks) <= 1e-12 * checks[0].residual
+    for command in commands.split():
+        capsys.readouterr()
+        assert main([command, path]) == 1, command
+        if command == "validate":
+            verdict = json.loads(capsys.readouterr().out)["verdicts"]["covariance"]
+            assert verdict == {"ok": False, "residual": checks[0].residual}

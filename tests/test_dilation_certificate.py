@@ -13,17 +13,19 @@ import pytest
 
 from covkit.cpmaps import (
     CPMapSpec,
+    CPSymmetry,
     KSGNSDilation,
     NotSingleBlockError,
     _certify_covariant,
     _certify_reconstruction,
-    _moved_blocks,
+    _choi_stack,
+    _covariance,
     _size_groups,
     cp_validate,
     ksgns,
 )
 from covkit.cstar import FiniteCStarAlgebra, ModuleSpace
-from covkit.fingroup import FiniteGroup
+from covkit.fingroup import FiniteGroup, MultiplierRep, TwoCocycle
 from covkit.instruments import as_cpmap, phase_space
 from covkit.kernels import Check, Checks, DilationResidualError
 from covkit.numlin import DEFAULT_TOL, psd_status
@@ -32,9 +34,10 @@ from covkit.random import rand_covariant_cpmap, rand_unitary
 
 from oracles import (
     cocycle_loop,
+    as_cpmap_dense,
+    choi_covariance_loop,
     coefficients_loop,
     commutation_loop,
-    cp_covariance_loop,
     element_loop,
     factor_rep_tensor,
     has_bar,
@@ -102,25 +105,60 @@ def test_coefficients_and_element_match_loops_on_stacks(blocks):
     assert np.array_equal(alg.coefficients(mats[0]), coefficients_loop(alg, mats[0]))
 
 
-def test_transport_and_outside_norms_match_loops():
+def _swap_spec(rng, values):
+    """A CP map on (2, 2, 1) covariant for nothing in particular: Z_2 acts by
+    a dense u swapping blocks 0 and 1 through a random unitary, and by a
+    reflection on the module."""
+    alg, group = FiniteCStarAlgebra((2, 2, 1)), FiniteGroup.cyclic(2)
+    v = rand_unitary(rng, 2)
+    swap = np.zeros((5, 5), dtype=complex)
+    swap[2:4, 0:2], swap[0:2, 2:4], swap[4, 4] = v, v.conj().T, -1.0
+    q = rand_unitary(rng, 2)
+    u = MultiplierRep(group, TwoCocycle.trivial(group), np.stack([np.eye(5), swap]))
+    rep = MultiplierRep(group, TwoCocycle.trivial(group), np.stack([np.eye(2), q @ np.diag([1.0, -1.0]) @ q.conj().T]))
+    return CPMapSpec(alg, ModuleSpace(k=1, n_v=2), values, CPSymmetry(u=u, rep=rep))
+
+
+def test_choi_covariance_matches_block_loop():
+    rng = np.random.default_rng(3)
+    raw = rng.normal(size=(9, 2, 2)) + 1j * rng.normal(size=(9, 2, 2))
+    spec = _swap_spec(rng, raw)
+    # the twirl of the random map over Z_2 is covariant
+    swap, refl = spec.symmetry.u(1), spec.symmetry.rep(1)
+    twirled = 0.5 * (raw + refl.conj().T @ transport_loop(spec.algebra, swap, raw) @ refl)
+    instrument = phase_space(3, [np.diag([1.0, 1.0, 0.0]) / np.sqrt(6.0)])
+    # the block action of the instrument's CP form is checked against the loop in test_batched_checks
+    cases = [spec, replace(spec, values=twirled), as_cpmap_dense(instrument)]
+    for case in cases:
+        for bumped in (False, True):
+            values = case.values.copy()
+            if bumped:
+                values[0] += 1e-4 * (1.0 + 1j)  # E_00 of the first block, which u moves
+            case = replace(case, values=values)
+            check = cp_validate(case)["covariant"]
+            assert check.residual == pytest.approx(choi_covariance_loop(case, on_generators=True), rel=1e-12, abs=1e-14)
+            assert check.ok == (check.residual < 1e-12)
+    assert cp_validate(replace(spec, values=twirled))["covariant"].ok
+    # the broadcast factor of blocks sharing one w stack against the stacked factors
+    cp = as_cpmap(instrument)
+    act, gens = cp.block_action, list(cp.symmetry.group.generators())
+    alg, rep = cp.algebra, cp.symmetry.rep.matrices[gens]
+    blocks = [(idx, _choi_stack(alg, cp.values, n, idx)) for n, idx in _size_groups(alg.blocks)]
+    shared = [act.w[0][gens]] * len(alg.blocks)
+    apart = [wi[gens].copy() for wi in act.w]
+    got = [_covariance(blocks, act.sigma[gens], w, rep, cp.symmetry.group, DEFAULT_TOL) for w in (shared, apart)]
+    assert got[0].residual == pytest.approx(got[1].residual, rel=1e-12, abs=1e-15)
+
+
+def test_outside_norms_match_loop():
     rng = np.random.default_rng(3)
     alg = FiniteCStarAlgebra((2, 2, 1))
-    d, m = alg.defining_dim, alg.n_units
-    stack = rng.normal(size=(m, 3, 2)) + 1j * rng.normal(size=(m, 3, 2))
+    d = alg.defining_dim
     # a block-permuting unitary (blocks 0 and 1 swapped) and a generic one
     perm = np.zeros((d, d), dtype=complex)
     perm[2:4, 0:2] = rand_unitary(rng, 2)
     perm[0:2, 2:4] = rand_unitary(rng, 2)
     perm[4, 4] = np.exp(0.3j)
-    # the block moves of every block-permuting u of a stack against the loop-form transport
-    perms = np.stack([perm, perm @ perm, np.eye(d)])
-    sigma, w = alg.block_action(perms)
-    moved = np.zeros((len(perms), m) + stack.shape[1:], dtype=complex)
-    for n, idx in _size_groups(alg.blocks):
-        moved[:, alg.unit_offsets[idx][:, None] + np.arange(n * n)] = _moved_blocks(alg, sigma, w, stack, n, idx)
-    for u, got in zip(perms, moved):
-        assert np.allclose(got, transport_loop(alg, u, stack), atol=1e-13)
-    # the leak of a stack, one row per u
     generic = rand_unitary(rng, d)
     outside, size = alg.outside_norms(np.stack([perm, generic]))
     for x, u in enumerate((perm, generic)):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from covkit import instruments as ins
-from covkit.cpmaps import _certify_covariant, cp_validate, ksgns, marginals, subminimal
+from covkit.cpmaps import CPMapSpec, CPSymmetry, _certify_covariant, cp_validate, ksgns, marginals, subminimal
+from covkit.cstar import ModuleSpace
 from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle, cosets, heisenberg_rep
 from covkit.instruments import (
     CovariantInstrumentData,
@@ -42,7 +43,15 @@ from covkit.random import (
     rand_covariant_observable,
     rand_density,
 )
-from oracles import cocycle_loop, has_bar, instrument_extremal_cpform, naimark_loop, structure_chain_B, sym_stack
+from oracles import (
+    choi_covariance_loop,
+    cocycle_loop,
+    has_bar,
+    instrument_extremal_cpform,
+    naimark_loop,
+    structure_chain_B,
+    sym_stack,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -559,6 +568,12 @@ def test_as_cpmap_and_subminimal_consistency():
     sub = subminimal(cp, dil)
     total = sub.e_units.sum(axis=0)
     assert np.allclose(total, np.eye(dil.rank), atol=1e-9)
+    # E(beta_g(c)) = sym(g) E(c) sym(g)^+ is the covariance of E as a CP map, against the per-block loop
+    group = cp.symmetry.group
+    syms = MultiplierRep(group, TwoCocycle.trivial(group), sym_stack(dil))
+    e_map = CPMapSpec(second.algebra, ModuleSpace(k=1, n_v=dil.rank), sub.e_units, CPSymmetry(cp.symmetry.u_factors[1], syms))
+    assert sub.checks["covariance"].ok
+    assert sub.checks["covariance"].residual == pytest.approx(choi_covariance_loop(e_map, on_generators=True), abs=1e-13)
 
 
 def test_instrument_extremal_identity():

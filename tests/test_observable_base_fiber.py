@@ -149,18 +149,20 @@ def test_cli_observable_extremal_never_imports_numpy_random(tmp_path):
 
 
 def test_cli_extremal_holds_an_observable_to_the_validate_bounds(tmp_path, capsys):
-    # a flip observable whose effects break covariance by 1.4e-8: over the observable
-    # bound 1e-8 sqrt(2), within the instrument bound 1e-8 * 2 max|E_w|
+    # a flip observable whose effects break covariance by 1.4e-8, over the bound
+    # 1e-8 max(1, max|E_w|): the observable and its one-output instrument give one
+    # verdict, so `validate` and `extremal` both exit 1
     group = FiniteGroup.cyclic(2)
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
     rep = MultiplierRep(group, TwoCocycle.trivial(group), np.stack([np.eye(2, dtype=complex), flip]))
     effects = np.stack([np.diag([0.9, 0.1]), np.diag([0.1, 0.9])]).astype(complex)
     effects[:, 0, 0] += [1e-8, -1e-8]
     spec = ObservableSpec(effects, Symmetry(SubgroupData(group, (0,)), rep))
-    assert not validate_observable(spec)["covariance"].ok
-    assert validate_instrument(spec.as_instrument()).ok
+    covariance = validate_observable(spec)["covariance"]
+    assert not covariance.ok
+    assert covariance == validate_instrument(spec.as_instrument())["covariance"]
     path = tmp_path / "obs.json"
     path.write_text(specfile.document("observable", specfile.observable_out(spec)))
     assert main(["validate", str(path)]) == 1
     assert main(["extremal", str(path)]) == 1
-    assert "observable invalid: covariance" in capsys.readouterr().err
+    assert "instrument invalid: covariance" in capsys.readouterr().err

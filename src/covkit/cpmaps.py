@@ -251,9 +251,7 @@ def _cp_checks(spec: CPMapSpec, spectra, tol) -> Checks:
         alg, group, u = spec.algebra, spec.symmetry.group, spec.symmetry.u
         gens = list(group.generators())
         if isinstance(u, BlockAction):
-            # blocks that share one w stack, as in the CP form of an instrument, keep sharing it
-            rows = {id(wi): wi[gens] for wi in u.w}
-            sigma, w = u.sigma[gens], [rows[id(wi)] for wi in u.w]
+            sigma, w = u.sigma[gens], [wi[gens] for wi in u.w]
         else:
             outside, size = alg.outside_norms(u.matrices[gens])
             leaks = np.any(outside > tol.recon_fro * np.maximum(1.0, size), axis=-1)
@@ -263,8 +261,7 @@ def _cp_checks(spec: CPMapSpec, spectra, tol) -> Checks:
             sigma, w = alg.block_action(u.matrices[gens])
             w = [_factor(wi, u.unitary_flag) for wi in w]
         rep = _factor(spec.symmetry.rep.matrices[gens], spec.symmetry.rep.unitary_flag)
-        blocks = [(idx, _choi_stack(alg, spec.values, n, idx)) for n, idx in _size_groups(alg.blocks)]
-        covariant = _covariance(blocks, sigma, w, rep, group, tol)
+        covariant = _covariance(_choi_blocks(alg, spec.values, w), sigma, rep, group, tol)
     checks["covariant"] = covariant
     return checks
 
@@ -276,27 +273,33 @@ def _factor(mats, unitary: bool) -> np.ndarray:
     return mats if unitary else np.swapaxes(np.linalg.inv(mats).conj(), -1, -2)
 
 
-def _covariance(blocks, sigma, w, rep, group: FiniteGroup, tol) -> Check:
+def _choi_blocks(alg: FiniteCStarAlgebra, values, w) -> list:
+    """Per block size of ``alg``: the indices of those blocks, their stacked
+    Choi matrices and their factors w_i stacked on axis 1, as
+    :func:`_covariance` takes them."""
+    return [(idx, _choi_stack(alg, values, n, idx), np.stack([w[i] for i in idx], axis=1)) for n, idx in _size_groups(alg.blocks)]
+
+
+def _covariance(blocks, sigma, rep, group: FiniteGroup, tol) -> Check:
     """The one covariance certificate of CP maps, instruments and
-    observables, over the rows s of a block action (sigma, w) and of a stack
-    ``rep``, the generators of ``group``.  ``blocks`` holds, per block size,
-    the indices of those blocks and their stacked Choi matrices C_i, and
-    sigma_s maps each index set onto itself.  The residual is the largest
-    ||(conj(w_{s,i}) (x) rep_s) C_i (.)^+ - C_{sigma_s(i)}||_F over s and i,
-    one stacked expression per block size; blocks that share one w stack
-    are moved by one broadcast factor.  For unitary factors it is the
-    Hilbert-Schmidt norm of b -> S(beta_s(b)) - rep_s S(b) rep_s^+ on block
-    i, whatever unit basis it is summed over.  A non-unitary factor is
-    passed as its inverse adjoint (:func:`_factor`).  The verdict holds
-    ``max_word_length`` times the residual to recon_fro max(1, max|C_i|)."""
+    observables, over the rows s of a block permutation ``sigma`` and of a
+    stack ``rep``, the generators of ``group``.  ``blocks`` holds, per block
+    size, the indices of those blocks, their stacked Choi matrices C_i and
+    their factors w_{s,i} (rows, blocks, n, n), or (rows, 1, n, n) for one
+    factor all of them share; sigma_s maps each index set onto itself.  The
+    residual is the largest ||(conj(w_{s,i}) (x) rep_s) C_i (.)^+ -
+    C_{sigma_s(i)}||_F over s and i, one stacked expression per block size.
+    For unitary factors it is the Hilbert-Schmidt norm of b -> S(beta_s(b))
+    - rep_s S(b) rep_s^+ on block i, whatever unit basis it is summed over.
+    A non-unitary factor is passed as its inverse adjoint
+    (:func:`_factor`).  The verdict holds ``max_word_length`` times the
+    residual to recon_fro max(1, max|C_i|)."""
     worst, scale, d = [0.0], [1.0], rep.shape[-1]
-    for idx, choi in blocks:
-        first = w[idx[0]]
-        wi = first[:, None] if all(w[i] is first for i in idx) else np.stack([w[i] for i in idx], axis=1)
+    for idx, choi, w in blocks:
         pos = np.zeros(sigma.shape[1], dtype=np.int64)
         pos[idx] = np.arange(len(idx))
-        n = wi.shape[-1]
-        f = (wi.conj()[..., :, None, :, None] * rep[:, None, None, :, None, :]).reshape(wi.shape[:2] + (n * d, n * d))
+        n = w.shape[-1]
+        f = (w.conj()[..., :, None, :, None] * rep[:, None, None, :, None, :]).reshape(w.shape[:2] + (n * d, n * d))
         defect = f @ choi @ np.swapaxes(f.conj(), -1, -2)
         defect -= choi[pos[sigma[:, idx]]]
         worst.append(_norms(defect).max(initial=0.0))
@@ -737,8 +740,8 @@ def subminimal(
         gens = list(group.generators())
         sigma, w = right.block_action(u.matrices[gens])
         syms = np.reshape([dilation.sym(g) for g in gens], (len(gens), n, n))
-        blocks = [(idx, _choi_stack(right, e_units, size, idx)) for size, idx in _size_groups(right.blocks)]
-        checks["covariance"] = _covariance(blocks, sigma, [_factor(wi, u.unitary_flag) for wi in w], syms, group, tol)
+        blocks = _choi_blocks(right, e_units, [_factor(wi, u.unitary_flag) for wi in w])
+        checks["covariance"] = _covariance(blocks, sigma, syms, group, tol)
         if not checks["covariance"].ok:
             residual = checks["covariance"].residual
             raise DilationResidualError(f"subminimal map failed covariance: residual {residual:.2e}", checks)

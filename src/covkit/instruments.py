@@ -19,7 +19,6 @@ from .cpmaps import (
     CPSymmetry,
     KSGNSDilation,
     _covariance,
-    _factor,
     kraus_from_choi,
     ksgns,
     marginals,
@@ -63,7 +62,9 @@ from .numlin import (
 class Symmetry:
     """Transitive outcome symmetry: a subgroup with its coset space, the
     module representation on the system space, and for instruments the
-    representation on the output space."""
+    representation on the output space.  Both representations are unitary:
+    covariance, here and in the CP form :func:`as_cpmap`, moves by rep(g)
+    and rep(g)^+."""
 
     sub: SubgroupData
     rep: MultiplierRep
@@ -75,6 +76,8 @@ class Symmetry:
             raise DimensionError("representation and subgroup use different groups")
         if self.out_rep is not None and self.out_rep.group.order != self.sub.parent.order:
             raise DimensionError("output representation uses a different group")
+        if not (self.rep.unitary_flag and (self.out_rep is None or self.out_rep.unitary_flag)):
+            raise ValueError("an outcome symmetry needs unitary representations")
         object.__setattr__(self, "action", self.sub.coset_action())
 
     @property
@@ -213,10 +216,8 @@ def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> 
     res = frob(_effects(spec).sum(0) - np.eye(v))
     checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)
     sym, gens = spec.symmetry, list(spec.symmetry.group.generators())
-    out = _factor(sym.out_rep.matrices[gens], sym.out_rep.unitary_flag)
-    rep = _factor(sym.rep.matrices[gens], sym.rep.unitary_flag)
-    blocks = [(np.arange(spec.n_outcomes), spec.choi)]
-    checks["covariance"] = _covariance(blocks, sym.action.table[gens], (out,) * spec.n_outcomes, rep, sym.group, tol)
+    blocks = [(np.arange(spec.n_outcomes), spec.choi, sym.out_rep.matrices[gens, None])]
+    checks["covariance"] = _covariance(blocks, sym.action.table[gens], sym.rep.matrices[gens], sym.group, tol)
     return checks
 
 

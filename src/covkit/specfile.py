@@ -433,11 +433,12 @@ def cpmap_out(spec: CPMapSpec) -> dict:
 def _symmetry_in(payload, need_out_rep, tol):
     group = group_in(payload["group"])
     sub = SubgroupData(group, tuple(_int_list_in(payload["subgroup"], "payload.subgroup")))
-    rep = _valid_rep_in(payload["rep"], group, "payload.rep", tol)
-    out_rep = None
-    if need_out_rep:
-        out_rep = _valid_rep_in(payload["out_rep"], group, "payload.out_rep", tol)
-    return Symmetry(sub, rep, out_rep)
+    names = ("rep", "out_rep") if need_out_rep else ("rep",)
+    for name in names:
+        # covariance of an observable or instrument moves by rep(g) and rep(g)^+
+        if isinstance(payload[name], dict) and payload[name].get("unitary") is False:
+            raise SpecFileError(f"payload.{name}.unitary: an observable or instrument representation must be unitary")
+    return Symmetry(sub, *(_valid_rep_in(payload[name], group, f"payload.{name}", tol) for name in names))
 
 
 def observable_in(payload, tol: Tolerances = DEFAULT_TOL) -> ObservableSpec:

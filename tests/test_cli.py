@@ -768,3 +768,33 @@ def test_cli_commands_agree_on_a_broken_covariance(tmp_path, capsys, kind, comma
         if command == "validate":
             verdict = json.loads(capsys.readouterr().out)["verdicts"]["covariance"]
             assert verdict == {"ok": False, "residual": checks[0].residual}
+
+
+
+def test_cli_extremal_names_an_observable_by_the_instrument_verdicts(tmp_path, capsys):
+    # diag(1.2, -0.2): covariant and normalized, one negative eigenvalue per effect
+    path = write(tmp_path, "observable.json", flip_observable_doc(1.2))
+    assert main(["validate", path]) == 1
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert [name for name, v in verdicts.items() if not v["ok"]] == ["effects_psd"]
+    assert main(["extremal", path]) == 1
+    assert "validation failure: instrument invalid: outcomes_cp\n" in capsys.readouterr().err
+
+@pytest.mark.parametrize(
+    "kind,field,commands",
+    [
+        ("observable", "rep", "validate dilate extremal"),
+        ("instrument", "rep", "validate dilate extremal kraus"),
+        ("instrument", "out_rep", "validate dilate extremal kraus"),
+    ],
+)
+def test_cli_rejects_an_outcome_rep_flagged_not_unitary(tmp_path, capsys, kind, field, commands):
+    # covariance of an observable or instrument moves by rep(g) and rep(g)^+,
+    # so every command refuses a representation flagged not unitary at load
+    obj = json.loads(DOCUMENTS[kind]())
+    obj["payload"][field]["unitary"] = False
+    path = write(tmp_path, f"{kind}.json", json.dumps(obj))
+    for command in commands.split():
+        capsys.readouterr()
+        assert main([command, path]) == 2, command
+        assert f"payload.{field}.unitary: an observable or instrument representation must be unitary" in capsys.readouterr().err

@@ -18,9 +18,6 @@ from covkit.cpmaps import (
     NotSingleBlockError,
     _certify_covariant,
     _certify_reconstruction,
-    _choi_stack,
-    _covariance,
-    _size_groups,
     cp_validate,
     ksgns,
 )
@@ -139,16 +136,23 @@ def test_choi_covariance_matches_block_loop():
             assert check.residual == pytest.approx(choi_covariance_loop(case, on_generators=True), rel=1e-12, abs=1e-14)
             assert check.ok == (check.residual < 1e-12)
     assert cp_validate(replace(spec, values=twirled))["covariant"].ok
-    # the broadcast factor of blocks sharing one w stack against the stacked factors
-    cp = as_cpmap(instrument)
-    act, gens = cp.block_action, list(cp.symmetry.group.generators())
-    alg, rep = cp.algebra, cp.symmetry.rep.matrices[gens]
-    blocks = [(idx, _choi_stack(alg, cp.values, n, idx)) for n, idx in _size_groups(alg.blocks)]
-    shared = [act.w[0][gens]] * len(alg.blocks)
-    apart = [wi[gens].copy() for wi in act.w]
-    got = [_covariance(blocks, act.sigma[gens], w, rep, cp.symmetry.group, DEFAULT_TOL) for w in (shared, apart)]
-    assert got[0].residual == pytest.approx(got[1].residual, rel=1e-12, abs=1e-15)
 
+
+
+def test_a_non_unitary_dense_u_moves_by_its_inverse_adjoint():
+    # the identity map on M_2 is covariant for a non-unitary u of Z_2 with
+    # rep = u^{-+}: S(u b u^+) = rep^{-+} S(b) rep^{-1}, so the certificate
+    # moves Choi blocks by the inverse adjoints of both
+    group, alg = FiniteGroup.cyclic(2), FiniteCStarAlgebra((2,))
+    w = np.array([[1.0, 0.7], [0.0, -1.0]], dtype=complex)
+
+    def rep(m):
+        return MultiplierRep(group, TwoCocycle.trivial(group), np.stack([np.eye(2), m]), False)
+
+    values = np.stack([alg.unit(*t) for t in alg.unit_index()])
+    for r, ok in ((np.linalg.inv(w).conj().T, True), (w, False)):
+        check = cp_validate(CPMapSpec(alg, ModuleSpace(k=1, n_v=2), values, CPSymmetry(u=rep(w), rep=rep(r))))["covariant"]
+        assert check.ok == ok and (check.residual == 0.0) == ok
 
 def test_outside_norms_match_loop():
     rng = np.random.default_rng(3)

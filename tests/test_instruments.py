@@ -115,6 +115,16 @@ def lueders_flip_instrument():
     return InstrumentSpec(choi, sym)
 
 
+
+def test_an_outcome_symmetry_needs_unitary_reps():
+    g = FiniteGroup.cyclic(2)
+    sub = SubgroupData(g, (0,))
+    rep = MultiplierRep(g, TwoCocycle.trivial(g), np.stack([np.eye(2, dtype=complex), X]))
+    flagged = MultiplierRep(g, rep.cocycle, rep.matrices, False)
+    for reps in ((flagged,), (flagged, rep), (rep, flagged)):
+        with pytest.raises(ValueError, match="unitary representations"):
+            Symmetry(sub, *reps)
+
 def test_validate_trivial_observable():
     g = FiniteGroup.cyclic(3)
     sub = SubgroupData(g, (0,))

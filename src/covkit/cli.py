@@ -1,17 +1,21 @@
 """Command-line front door: parse specification files, dispatch to the
 engines, and emit machine-readable reports.
 
-Exit codes: 0 success, 1 validation failure, 2 parse error, 3 numeric
-tolerance failure, 4 out of memory.  Reports are byte-stable for fixed
-inputs, tolerances, and sample seeds; wall time goes to stderr.
+Exit codes: 0 success, 1 validation failure, 2 parse or usage error, 3
+numeric tolerance failure, 4 out of memory.  The command line is read
+against one table, :data:`COMMANDS`, which also renders the ``-h`` text.
+Reports are byte-stable for fixed inputs, tolerances, and sample seeds;
+wall time goes to stderr.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import math
 import sys
 import time
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,22 +41,13 @@ from .kernels import (
     kolmogorov_decompose,
     validate_kernel,
 )
-from .numlin import NotPositiveError, Tolerances, frob, psd_status
+from .numlin import DEFAULT_TOL, NotPositiveError, Tolerances, frob, psd_status
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_RESOURCE = 4
-
-
-def _tolerances(args) -> Tolerances:
-    return Tolerances(
-        psd_eig=args.tol_psd_eig,
-        rank_rel=args.tol_rank_rel,
-        unitary_fro=args.tol_unitary_fro,
-        recon_fro=args.tol_recon_fro,
-    )
 
 
 class Report:
@@ -73,7 +68,11 @@ class Report:
         }
 
     def verdict(self, name, ok, residual=0.0):
-        self.body["verdicts"][name] = {"ok": bool(ok), "residual": float(residual)}
+        # a non-finite residual certifies nothing: the verdict fails and its
+        # residual is written as null, so the report stays strict JSON
+        residual = float(residual)
+        finite = math.isfinite(residual)
+        self.body["verdicts"][name] = {"ok": bool(ok) and finite, "residual": residual if finite else None}
 
     def artifact(self, name, provenance, **payload):
         self.body["artifacts"][name] = {"provenance": provenance, **payload}
@@ -98,7 +97,7 @@ def _merge_checks(report: Report, checks: Checks):
 
 
 def cmd_validate(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     kind, obj = _load_file(args.file, tol)
     report = Report("validate", kind, tol)
     if kind == "group":
@@ -137,7 +136,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_dilate(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     kind, obj = _load_file(args.file, tol)
     report = Report("dilate", kind, tol)
     if kind == "kernel":
@@ -191,7 +190,7 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     kind, obj = _load_file(args.file, tol)
     report = Report("extremal", kind, tol)
     direction = "Hermitian direction on the dilation certifying a convex split"
@@ -246,7 +245,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_kraus(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     kind, obj = _load_file(args.file, tol)
     report = Report("kraus", kind, tol)
     if kind == "cpmap":
@@ -275,7 +274,7 @@ def cmd_kraus(args) -> int:
 
 
 def cmd_phase_space(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     kind, obj = _load_file(args.file, tol)
     if kind != "phase_space":
         raise specfile.SpecFileError("phase-space needs a phase_space document")
@@ -291,7 +290,7 @@ def cmd_phase_space(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    tol = _tolerances(args)
+    tol = args.tol
     kind, obj = _load_file(args.file, tol)
     if kind == "phase_space":
         obj = phase_space(obj[0], obj[1], tol)
@@ -320,60 +319,179 @@ def _finish(report: Report, args):
             handle.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-psd-eig", type=float, default=1e-9, help="PSD eigenvalue slack (default 1e-9)")
-    common.add_argument("--tol-rank-rel", type=float, default=1e-9, help="relative rank cutoff (default 1e-9)")
-    common.add_argument("--tol-unitary-fro", type=float, default=1e-8, help="unitarity certificate slack (default 1e-8)")
-    common.add_argument("--tol-recon-fro", type=float, default=1e-8, help="reconstruction certificate slack (default 1e-8)")
-    # the four commands that print a report can also write it to a file
-    report = argparse.ArgumentParser(add_help=False, parents=[common])
-    report.add_argument("--json-out", type=str, default=None, help="also write the report to this path")
+# -- the command table and its argv reader -------------------------------------
 
-    parser = argparse.ArgumentParser(
-        prog="covkit",
-        description=(
-            "Covariant kernels, dilations, and quantum instruments over finite "
-            "symmetry groups."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[report], help="check a document against its kind's invariants")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
+class UsageError(Exception):
+    """The command line does not match the command table (exit code 2)."""
 
-    p = sub.add_parser("dilate", parents=[report], help="minimal dilation per kind (Kolmogorov / KSGNS / Naimark)")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_dilate)
 
-    p = sub.add_parser("extremal", parents=[report], help="decide extremality and emit a witness or split")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_extremal)
+class Option(NamedTuple):
+    dest: str
+    convert: Callable[[str], object]  # raises ValueError on a value outside its domain
+    default: object
+    help: str
 
-    p = sub.add_parser("kraus", parents=[report], help="extract a Kraus / generating family")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_kraus)
 
-    p = sub.add_parser("phase-space", parents=[common], help="build the discrete phase-space instrument from a seed")
-    p.add_argument("file")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=cmd_phase_space)
+class Command(NamedTuple):
+    run: Callable[[SimpleNamespace], int]
+    positionals: tuple[str, ...]
+    options: dict[str, Option]  # flag -> option, spelled in full
+    help: str
 
-    p = sub.add_parser("sample", parents=[common], help="draw outcomes and post states from an instrument")
-    p.add_argument("file")
-    p.add_argument("state")
-    p.add_argument("-n", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0, help="seed of the outcome draws (default 0)")
-    p.set_defaults(func=cmd_sample)
-    return parser
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise ValueError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("expected a path, got an empty string")
+    return text
+
+
+# every command reads these into one Tolerances
+_TOLERANCE_OPTIONS = {
+    "--tol-psd-eig": Option("psd_eig", _tolerance, DEFAULT_TOL.psd_eig, "PSD eigenvalue slack"),
+    "--tol-rank-rel": Option("rank_rel", _tolerance, DEFAULT_TOL.rank_rel, "relative rank cutoff"),
+    "--tol-unitary-fro": Option("unitary_fro", _tolerance, DEFAULT_TOL.unitary_fro, "unitarity certificate slack"),
+    "--tol-recon-fro": Option("recon_fro", _tolerance, DEFAULT_TOL.recon_fro, "reconstruction certificate slack"),
+}
+# the four commands that print a report can also write it to a file
+_REPORT_OPTIONS = {
+    **_TOLERANCE_OPTIONS,
+    "--json-out": Option("json_out", _path, None, "also write the report to this path"),
+}
+
+COMMANDS = {
+    "validate": Command(cmd_validate, ("file",), _REPORT_OPTIONS, "check a document against its kind's invariants"),
+    "dilate": Command(cmd_dilate, ("file",), _REPORT_OPTIONS, "minimal dilation per kind (Kolmogorov / KSGNS / Naimark)"),
+    "extremal": Command(cmd_extremal, ("file",), _REPORT_OPTIONS, "decide extremality and emit a witness or split"),
+    "kraus": Command(cmd_kraus, ("file",), _REPORT_OPTIONS, "extract a Kraus / generating family"),
+    "phase-space": Command(
+        cmd_phase_space,
+        ("file",),
+        {**_TOLERANCE_OPTIONS, "--out": Option("out", _path, None, "write the instrument document here, not to stdout")},
+        "build the discrete phase-space instrument from a seed",
+    ),
+    "sample": Command(
+        cmd_sample,
+        ("file", "state"),
+        {
+            **_TOLERANCE_OPTIONS,
+            "-n": Option("n", _count, 1, "number of draws"),
+            "--seed": Option("seed", _count, 0, "seed of the outcome draws"),
+        },
+        "draw outcomes and post states from an instrument",
+    ),
+}
+_HELP = ("-h", "--help")
+_DESCRIPTION = "Covariant kernels, dilations, and quantum instruments over finite symmetry groups."
+
+
+def read_argv(argv) -> tuple[str | None, SimpleNamespace | None]:
+    """The command name and its arguments, read against :data:`COMMANDS`.
+
+    Options may come before or after the positionals, as ``--flag value`` or
+    ``--flag=value``; ``--`` ends the options.  The arguments are ``None``
+    when help is asked for, and the name too for the top-level help.
+    Raises :class:`UsageError` on anything the table does not allow.
+    """
+    if not argv:
+        raise UsageError(f"missing command (one of {', '.join(COMMANDS)})")
+    name = argv[0]
+    if name in _HELP:
+        return None, None
+    command = COMMANDS.get(name)
+    if command is None:
+        raise UsageError(f"unknown command {name!r} (one of {', '.join(COMMANDS)})")
+    values = {option.dest: option.default for option in command.options.values()}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            positionals.extend(tokens)
+        elif token in _HELP:
+            return name, None
+        elif token.startswith("-") and token != "-":
+            flag, inline, text = token.partition("=")
+            option = command.options.get(flag)
+            if option is None:
+                owners = [other for other, c in COMMANDS.items() if flag in c.options]
+                if owners:
+                    raise UsageError(f"{name}: {flag} is an option of {', '.join(owners)}, not of {name}")
+                raise UsageError(f"{name}: unknown option {flag}")
+            if not inline:
+                text = next(tokens, None)
+                if text is None:
+                    raise UsageError(f"{name}: {flag} needs a value")
+            try:
+                values[option.dest] = option.convert(text)
+            except ValueError as exc:
+                raise UsageError(f"{name}: {flag}: {exc}") from None
+        else:
+            positionals.append(token)
+    wanted = command.positionals
+    if len(positionals) < len(wanted):
+        raise UsageError(f"{name}: missing {wanted[len(positionals)].upper()}")
+    if len(positionals) > len(wanted):
+        raise UsageError(f"{name}: unexpected argument {positionals[len(wanted)]!r}")
+    values.update(zip(wanted, positionals))
+    tol = Tolerances(**{option.dest: values.pop(option.dest) for option in _TOLERANCE_OPTIONS.values()})
+    return name, SimpleNamespace(tol=tol, **values)
+
+
+def _columns(rows) -> list[str]:
+    width = max(len(left) for left, _ in rows) + 2
+    return [f"  {left:<{width}}{right}" for left, right in rows]
+
+
+def help_text(name: str | None = None) -> str:
+    """The ``-h`` text of the top level, or of one command, from :data:`COMMANDS`."""
+    if name is None:
+        lines = ["usage: covkit COMMAND [OPTIONS]", "", _DESCRIPTION, "", "commands:"]
+        lines += _columns([(n, c.help) for n, c in COMMANDS.items()])
+        lines += ["", "'covkit COMMAND -h' lists the options of one command."]
+    else:
+        command = COMMANDS[name]
+        rows = [
+            (f"{flag} {o.dest.upper()}", o.help if o.default is None else f"{o.help} (default {o.default!r})")
+            for flag, o in command.options.items()
+        ]
+        rows.append(("-h, --help", "show this help"))
+        places = " ".join(p.upper() for p in command.positionals)
+        lines = [f"usage: covkit {name} {places} [OPTIONS]", "", command.help, "", "options:"] + _columns(rows)
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        name, args = read_argv(sys.argv[1:] if argv is None else list(argv))
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if args is None:
+        sys.stdout.write(help_text(name))
+        return EXIT_OK
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        code = COMMANDS[name].run(args)
     except json.JSONDecodeError as exc:
         print(f"parse error: line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_PARSE

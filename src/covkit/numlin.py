@@ -41,8 +41,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("psd_eig", "rank_rel", "unitary_fro", "recon_fro"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name} must be strictly positive")
+            if not 0 < getattr(self, name) < float("inf"):  # NaN fails too
+                raise ValueError(f"tolerance {name} must be positive and finite")
 
 
 DEFAULT_TOL = Tolerances()

@@ -63,7 +63,8 @@ def matrix_out(mat) -> list:
 
 def dumps(obj) -> str:
     """The toolkit's output text: exactly the text ``json.dumps`` gives for
-    ``obj``, each ndarray as its ``tolist()``, with sorted keys and indent 1.
+    ``obj``, each ndarray as its ``tolist()``, with sorted keys, indent 1 and
+    ``allow_nan=False``: a NaN or an infinity raises ValueError, as there.
 
     ``json`` writes an indented document with its pure-Python encoder, one
     generator step per value.  Here a non-empty finite float64 array, such as
@@ -86,10 +87,8 @@ def _dumps(obj, level) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
         return float.__repr__(obj)
     if isinstance(obj, np.ndarray):
         if obj.dtype == np.float64 and obj.size and obj.ndim and np.isfinite(obj).all():

@@ -1,10 +1,15 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covkit import specfile
-from covkit.cli import main
+from covkit.cli import Report, main
 from covkit.cpmaps import cp_validate
 from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle
 from covkit.instruments import (
@@ -18,6 +23,7 @@ from covkit.instruments import (
     validate_instrument,
     validate_observable,
 )
+from covkit.numlin import Tolerances
 from covkit.random import (
     all_subgroups,
     rand_covariant_cpmap,
@@ -197,6 +203,10 @@ def test_cli_validate_kernel_reports_positivity_residual(tmp_path, capsys):
     assert verdicts["positive"]["residual"] == pytest.approx(1.0)
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"the report holds {name}, which is not JSON")
+
+
 @pytest.mark.parametrize("command", ["validate", "dilate", "extremal"])
 def test_cli_huge_alpha_is_a_failed_verdict_not_a_traceback(tmp_path, capsys, command):
     # |alpha|^2 = 1e320 overflows a float: the bound is inf, which certifies nothing
@@ -207,8 +217,10 @@ def test_cli_huge_alpha_is_a_failed_verdict_not_a_traceback(tmp_path, capsys, co
     captured = capsys.readouterr()
     failures = [line for line in captured.err.splitlines() if not line.startswith("wall time")]
     if command == "validate":
-        verdicts = json.loads(captured.out)["verdicts"]
+        # strict JSON: the non-finite residual is written as null, never as Infinity or NaN
+        verdicts = json.loads(captured.out, parse_constant=_refuse_constant)["verdicts"]
         assert not verdicts["alpha_cocycle"]["ok"] and not verdicts["covariant"]["ok"]
+        assert verdicts["covariant"]["residual"] is None
         assert failures == []
     else:
         assert failures == ["validation failure: kernel invalid: alpha_cocycle, covariant"]
@@ -798,3 +810,145 @@ def test_cli_rejects_an_outcome_rep_flagged_not_unitary(tmp_path, capsys, kind, 
         capsys.readouterr()
         assert main([command, path]) == 2, command
         assert f"payload.{field}.unitary: an observable or instrument representation must be unitary" in capsys.readouterr().err
+
+
+# -- the front door: the command table, its help text and its usage errors -----
+
+TOL_FLAGS = ["--tol-psd-eig", "--tol-rank-rel", "--tol-unitary-fro", "--tol-recon-fro"]
+FLAGS = {
+    "validate": TOL_FLAGS + ["--json-out"],
+    "dilate": TOL_FLAGS + ["--json-out"],
+    "extremal": TOL_FLAGS + ["--json-out"],
+    "kraus": TOL_FLAGS + ["--json-out"],
+    "phase-space": TOL_FLAGS + ["--out"],
+    "sample": TOL_FLAGS + ["-n", "--seed"],
+}
+
+
+@pytest.fixture
+def docs(tmp_path):
+    d, ops = specfile.load(phase_space_doc(2))[1]
+    return {
+        "ps": write(tmp_path, "ps.json", phase_space_doc(2)),
+        "inst": write(tmp_path, "inst.json", specfile.document("instrument", specfile.instrument_out(phase_space(d, ops)))),
+        "state": write(tmp_path, "state.json", state_doc(np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]]))),
+        "tmp": str(tmp_path),
+    }
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_cli_help_lists_the_six_commands(flag, capsys):
+    assert main([flag]) == 0
+    captured = capsys.readouterr()
+    section = captured.out.split("commands:\n")[1].split("\n\n")[0]
+    assert [line.split()[0] for line in section.splitlines()] == list(FLAGS)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", FLAGS)
+def test_cli_command_help_lists_exactly_its_flags(command, flag, capsys):
+    # help wins over a missing positional, and may follow one
+    for argv in ([command, flag], [command, "doc.json", flag]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: covkit {command} ") and captured.err == ""
+        rows = captured.out.split("options:\n")[1].splitlines()
+        listed = [tok.rstrip(",") for row in rows for tok in re.split(r"\s{2,}", row.strip())[0].split() if tok.startswith("-")]
+        assert sorted(listed) == sorted(FLAGS[command] + ["-h", "--help"])
+
+
+@pytest.mark.parametrize("command", ["validate", "dilate", "extremal", "kraus"])
+def test_cli_flag_equals_value_reads_as_flag_value(command, docs, capsys):
+    spaced = [command, docs["inst"], "--tol-recon-fro", "1e-7", "--tol-psd-eig", "2e-9"]
+    joined = [command, "--tol-recon-fro=1e-7", docs["inst"], "--tol-psd-eig=2e-9"]
+    outs = []
+    for argv in (spaced, joined):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["tolerances"] == {"psd_eig": 2e-9, "rank_rel": 1e-9, "unitary_fro": 1e-8, "recon_fro": 1e-7}
+
+
+def test_cli_stream_commands_read_flag_equals_value(docs, capsys):
+    outs = []
+    for argv in (
+        ["sample", docs["ps"], docs["state"], "-n", "7", "--seed", "3"],
+        ["sample", "-n=7", "--seed=3", docs["ps"], "--", docs["state"]],
+    ):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 7
+    assert main(["sample", docs["ps"], docs["state"], "-n", "0"]) == 0
+    assert capsys.readouterr().out == ""
+    spaced, joined = (os.path.join(docs["tmp"], name) for name in ("spaced.json", "joined.json"))
+    assert main(["phase-space", docs["ps"], "--out", spaced]) == 0
+    assert main(["phase-space", f"--out={joined}", docs["ps"]]) == 0
+    assert Path(spaced).read_text() == Path(joined).read_text()
+
+
+USAGE_ERRORS = [
+    ([], "missing command (one of validate, dilate, extremal, kraus, phase-space, sample)"),
+    (["frobnicate", "{inst}"], "unknown command 'frobnicate'"),
+    (["--tol-psd-eig", "1e-9", "validate", "{inst}"], "unknown command '--tol-psd-eig'"),
+    (["validate", "{inst}", "--frobnicate", "1"], "validate: unknown option --frobnicate"),
+    # options are spelled in full: no prefix abbreviations
+    (["validate", "{inst}", "--tol-psd", "1e-3"], "validate: unknown option --tol-psd"),
+    (["validate", "{inst}", "--out", "{tmp}/x"], "validate: --out is an option of phase-space, not of validate"),
+    (["extremal", "{inst}", "--seed", "3"], "extremal: --seed is an option of sample, not of extremal"),
+    (["sample", "{ps}", "{state}", "--json-out", "{tmp}/x"], "sample: --json-out is an option of validate, dilate, extremal, kraus"),
+    (["phase-space", "{ps}", "--json-out={tmp}/x"], "phase-space: --json-out is an option of validate"),
+    (["validate"], "validate: missing FILE"),
+    (["sample", "{ps}"], "sample: missing STATE"),
+    (["validate", "{inst}", "{inst}"], "validate: unexpected argument"),
+    (["validate", "{inst}", "--json-out"], "validate: --json-out needs a value"),
+    (["phase-space", "{ps}", "--out="], "phase-space: --out: expected a path, got an empty string"),
+    (["sample", "{ps}", "{state}", "-n", "-1"], "sample: -n: expected a non-negative integer, got '-1'"),
+    (["sample", "{ps}", "{state}", "-n", "2.5"], "sample: -n: expected a non-negative integer, got '2.5'"),
+    (["sample", "{ps}", "{state}", "--seed=-1"], "sample: --seed: expected a non-negative integer, got '-1'"),
+    (["sample", "{ps}", "{state}", "--seed", "x"], "sample: --seed: expected a non-negative integer, got 'x'"),
+] + [
+    ([command, "{inst}", flag, value], f"{command}: {flag}: expected a positive finite number, got {value!r}")
+    for command, flag in (("validate", "--tol-psd-eig"), ("dilate", "--tol-rank-rel"), ("kraus", "--tol-unitary-fro"), ("extremal", "--tol-recon-fro"))
+    for value in ("nan", "inf", "-inf", "0", "-1e-9", "1e-9x")
+]
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_usage_error_is_exit_2_with_one_line(argv, message, docs, capsys):
+    assert main([a.format(**docs) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("usage error: ")
+    assert message in captured.err
+    assert not os.path.exists(os.path.join(docs["tmp"], "x"))
+
+
+def test_report_writes_a_non_finite_residual_as_a_failed_null():
+    report = Report("validate", "state", Tolerances())
+    for name, residual in (("nan", float("nan")), ("inf", float("inf")), ("huge", 1e300)):
+        report.verdict(name, True, residual)
+    assert report.body["verdicts"] == {
+        "nan": {"ok": False, "residual": None},
+        "inf": {"ok": False, "residual": None},
+        "huge": {"ok": True, "residual": 1e300},
+    }
+    assert json.loads(specfile.dumps(report.body), parse_constant=_refuse_constant)["verdicts"]["inf"]["residual"] is None
+
+
+ARGPARSE_GUARD = """
+import sys
+from covkit.cli import main
+code = main(sys.argv[1:])
+print("argparse loaded:", "argparse" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_cli_never_imports_argparse(docs):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for argv, code in ((["validate", docs["inst"]], 0), (["extremal", docs["inst"]], 0), (["sample", "-h"], 0), (["validate"], 2)):
+        run = subprocess.run([sys.executable, "-c", ARGPARSE_GUARD, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == code, run.stderr
+        assert "argparse loaded: False" in run.stderr and "Traceback" not in run.stderr

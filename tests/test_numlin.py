@@ -276,9 +276,11 @@ def test_lstsq_define_connects_two_factorizations():
     assert numlin.is_unitary(l)
 
 
-def test_tolerances_must_be_positive():
-    with pytest.raises(ValueError):
-        Tolerances(psd_eig=0.0)
+@pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", ["psd_eig", "rank_rel", "unitary_fro", "recon_fro"])
+def test_tolerances_must_be_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"tolerance {name} must be positive and finite"):
+        Tolerances(**{name: value})
 
 
 def test_rank_of_roundoff_level_matrix_is_zero():

@@ -116,12 +116,11 @@ def test_cli_observable_report_is_the_base_fiber_certificate(tmp_path, capsys):
         assert np.allclose(got.effects, nb.effects, atol=1e-15)
 
 
-def test_cli_extremal_has_no_seed_flag(tmp_path):
+def test_cli_extremal_has_no_seed_flag(tmp_path, capsys):
     path = tmp_path / "obs.json"
     path.write_text(specfile.document("observable", specfile.observable_out(CASES["S3/(0,)/v2"])))
-    with pytest.raises(SystemExit) as exc:
-        main(["extremal", str(path), "--seed", "3"])
-    assert exc.value.code == 2
+    assert main(["extremal", str(path), "--seed", "3"]) == 2
+    assert capsys.readouterr().err == "usage error: extremal: --seed is an option of sample, not of extremal\n"
 
 
 GUARD = """

@@ -1,5 +1,5 @@
 """The output text: ``specfile.dumps`` against ``json.dumps(..., sort_keys=True,
-indent=1)``, the reports and sample lines of every command, and ``--json-out``."""
+indent=1, allow_nan=False)``, the reports and sample lines of every command, and ``--json-out``."""
 
 import json
 import math
@@ -29,7 +29,19 @@ def listed(obj):
 
 
 def reference(obj):
-    return json.dumps(listed(obj), sort_keys=True, indent=1)
+    return json.dumps(listed(obj), sort_keys=True, indent=1, allow_nan=False)
+
+
+def assert_agrees(obj):
+    """``specfile.dumps`` gives json's text, or refuses a NaN or an infinity as json does."""
+    try:
+        expected = reference(obj)
+    except ValueError as exc:
+        assert "not JSON compliant" in str(exc)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            specfile.dumps(obj)
+    else:
+        assert specfile.dumps(obj) == expected
 
 
 EDGE_CASES = [
@@ -83,7 +95,7 @@ EDGE_CASES = [
 
 @pytest.mark.parametrize("obj", EDGE_CASES, ids=range(len(EDGE_CASES)))
 def test_dumps_edge_cases(obj):
-    assert specfile.dumps(obj) == reference(obj)
+    assert_agrees(obj)
 
 
 def _arrays():
@@ -119,7 +131,7 @@ ARRAYS = _arrays()
 def test_dumps_renders_arrays_as_their_lists(name):
     arr = ARRAYS[name]
     for obj in (arr, [arr, {"a": arr, "b": [1.5, arr]}], {"x": {"y": arr}}):
-        assert specfile.dumps(obj) == reference(obj)
+        assert_agrees(obj)
 
 
 def test_dumps_rejects_a_complex_array_as_json_rejects_its_list():
@@ -188,7 +200,7 @@ TREES = st.recursive(
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(TREES)
 def test_dumps_matches_json_on_random_trees(obj):
-    assert specfile.dumps(obj) == reference(obj)
+    assert_agrees(obj)
 
 
 def round_trips(out):
@@ -241,9 +253,8 @@ def test_sample_lines_round_trip(files, capsys):
 @pytest.mark.parametrize("command", ["phase-space", "sample"])
 def test_json_out_is_not_an_option_of_stream_commands(command, files, tmp_path, capsys):
     argv = [command, files["ps"]] + ([files["state"]] if command == "sample" else [])
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--json-out", str(tmp_path / "out.json")])
-    assert exc.value.code == 2
+    assert main(argv + ["--json-out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err.startswith("usage error: ")
     assert not (tmp_path / "out.json").exists()
 
 

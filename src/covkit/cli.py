@@ -91,6 +91,15 @@ def _load_file(path, tol: Tolerances):
     return specfile.load(text, tol)
 
 
+def _write_file(path, text):
+    # an unwritable path is exit 2, as an unreadable one is
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise specfile.SpecFileError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _merge_checks(report: Report, checks: Checks):
     for name, check in checks.items():
         report.verdict(name, check.ok, check.residual)
@@ -282,8 +291,7 @@ def cmd_phase_space(args) -> int:
     spec = phase_space(d, ops, tol)
     text = specfile.document("instrument", specfile.instrument_out(spec))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        _write_file(args.out, text + "\n")
     else:
         sys.stdout.write(text + "\n")
     return EXIT_OK
@@ -313,10 +321,9 @@ def cmd_sample(args) -> int:
 
 def _finish(report: Report, args):
     text = specfile.dumps(report.body) + "\n"
-    sys.stdout.write(text)
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_file(args.json_out, text)
+    sys.stdout.write(text)
 
 
 # -- the command table and its argv reader -------------------------------------

@@ -27,8 +27,7 @@ from .kernels import (
     DilationResidualError,
     ExtremalityCertificate,
     _certify_commutant,
-    _hermitian_witness,
-    _revalidate,
+    _split,
 )
 from .numlin import (
     DEFAULT_TOL,
@@ -572,12 +571,6 @@ def _certify_layout_commutant(dil: KSGNSDilation, basis, tol):
     _certify_commutant(basis, full, [(dil.j[None], dil.j[None])], tol, pattern=pattern, scale=np.sqrt(max(mult)))
 
 
-def _cp_neighbours(spec: CPMapSpec, dil: KSGNSDilation, witness) -> tuple:
-    """The maps b -> j^+ (I +- W) pi(b) j."""
-    jh, blocks = dil.j.conj().T, dil.r_blocks
-    return tuple(replace(spec, values=(jh @ (np.eye(dil.rank) + sign * witness)) @ blocks) for sign in (+1.0, -1.0))
-
-
 def cp_extremal(
     spec: CPMapSpec, dilation: KSGNSDilation | None = None, tol: Tolerances = DEFAULT_TOL
 ) -> ExtremalityCertificate:
@@ -618,15 +611,14 @@ def cp_extremal(
     compressions = [(dilation.j[None], dilation.j[None])]
     basis = constrained_commutant([dilation.sym(s) for s in group_gens], compressions, layout=layout, tol=tol)
     _certify_layout_commutant(dilation, basis, tol)
-    if not basis:
-        return ExtremalityCertificate(True, None, None, 0)
-    witness = _hermitian_witness(basis, tol)
-    if witness is None:
-        return ExtremalityCertificate(True, None, None, len(basis))
-    perturbed = _cp_neighbours(spec, dilation, witness)
+    jh, blocks = dilation.j.conj().T, dilation.r_blocks
+
+    def cpmap(d):
+        # b -> j^+ D pi(b) j
+        return replace(spec, values=(jh @ d) @ blocks)
+
     scale = max(1.0, frob(dilation.j) ** 2)
-    _revalidate(spec, perturbed, cp_validate, lambda cp: cp.values, scale, tol, unit_value=CPMapSpec.unit_value)
-    return ExtremalityCertificate(False, witness, perturbed, len(basis))
+    return _split(spec, basis, cpmap, cp_validate, lambda cp: cp.values, scale, tol, unit_value=CPMapSpec.unit_value)
 
 
 # ---------------------------------------------------------------------------

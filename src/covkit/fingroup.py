@@ -130,7 +130,7 @@ class FiniteGroup:
     def symmetric(n: int) -> "FiniteGroup":
         """Permutations of n letters, indexed in lexicographic order."""
         if n > 6:
-            raise GroupStructureError("symmetric(n) supported only for small n")
+            raise GroupStructureError("symmetric(n) supported only for n <= 6")
         perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64).reshape(-1, n)
         # (p*q)(k) = p(q(k)); lexicographic order is the order of the base-n codes
         power = n ** np.arange(n - 1, -1, -1, dtype=np.int64)

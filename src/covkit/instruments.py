@@ -40,8 +40,7 @@ from .kernels import (
     DilationResidualError,
     ExtremalityCertificate,
     _certify_commutant,
-    _hermitian_witness,
-    _revalidate,
+    _split,
 )
 from .numlin import (
     DEFAULT_TOL,
@@ -629,25 +628,16 @@ def observable_extremal(
     compressions = [(np.stack(ops), np.stack(ops)) for ops in data.lambda_blocks]
     basis = constrained_commutant(generators, compressions, tol=tol)
     _certify_commutant(basis, data.rho.matrices, compressions, tol)
-    if not basis:
-        return ExtremalityCertificate(True, None, None, 0)
-    witness = _hermitian_witness(basis, tol)
-    if witness is None:
-        return ExtremalityCertificate(True, None, None, len(basis))
-
     u = data.decomposition.rep
     lam = data.assembled_map()
     moved = np.stack([lam @ u(g).conj().T for g in data.sub.section])
     symmetry = Symmetry(data.sub, u)
 
-    def observable(mid):
-        return ObservableSpec(moved.conj().transpose(0, 2, 1) @ mid @ moved, symmetry)
+    def observable(d):
+        return ObservableSpec(moved.conj().transpose(0, 2, 1) @ d @ moved, symmetry)
 
-    eye = np.eye(data.base_dim)
-    neighbours = (observable(eye + witness), observable(eye - witness))
-    scale = max(1.0, frob(lam) ** 2)
-    _revalidate(observable(eye), neighbours, validate_observable, lambda obs: obs.effects, scale, tol)
-    return ExtremalityCertificate(False, witness, neighbours, len(basis))
+    original, scale = observable(np.eye(data.base_dim)), max(1.0, frob(lam) ** 2)
+    return _split(original, basis, observable, validate_observable, lambda obs: obs.effects, scale, tol)
 
 
 def observable_kernel_form(spec: ObservableSpec):
@@ -819,39 +809,30 @@ def instrument_extremal(
     (:func:`~covkit.numlin.constrained_commutant` on the layout (K, r), so
     r^2 unknowns).  The basis is re-checked against every W_h and the
     compression.  On non-extremality the witness is I_K (x) X, and the
-    neighbours are the instruments of the families sqrt(I +- X) B, each
-    assembled and validated once by :func:`instrument_from_B`; their midpoint
+    neighbours are the instruments with Choi blocks M_w^+ (I +- X) M_w, row
+    l of M_w the outcome's Kraus operator u(g_w) B_l rep(g_w)^+: those of
+    the families sqrt(I +- X) B.  Each is validated once, and their midpoint
     is the input.  An observable is decided as
     :meth:`ObservableSpec.as_instrument`, with K = 1."""
     data = B_from_instrument(spec, tol)
-    k, r = spec.k_dim, len(data.b_ops)
+    sym, g = spec.symmetry, list(spec.symmetry.sub.section)
+    k, r, v = spec.k_dim, len(data.b_ops), spec.v_dim
     b = np.stack(data.b_ops)
-    j = b.transpose(1, 0, 2).reshape(k * r, spec.v_dim)
-    ws = _multiplicity_rep(data, spec.symmetry, tol)
+    j = b.transpose(1, 0, 2).reshape(k * r, v)
+    ws = _multiplicity_rep(data, sym, tol)
     lifts = np.einsum("ab,hlm->halbm", np.eye(k), ws).reshape(len(ws), k * r, k * r)
-    moved = j @ spec.symmetry.rep.matrices[list(spec.symmetry.sub.section)].conj().transpose(0, 2, 1)
+    rep_adj = sym.rep.matrices[g].conj().transpose(0, 2, 1)
+    moved = j @ rep_adj
     compressions = [(moved, moved)]
     basis = constrained_commutant(list(lifts), compressions, layout=[(k, r)], tol=tol)
     _certify_commutant(basis, lifts, compressions, tol)
-    if not basis:
-        return ExtremalityCertificate(True, None, None, 0)
-    witness = _hermitian_witness(basis, tol)
-    if witness is None:
-        return ExtremalityCertificate(True, None, None, len(basis))
+    rows = (sym.out_rep.matrices[g][:, None] @ b @ rep_adj[:, None]).reshape(len(g), r, k * v)
 
-    neighbours = []
-    for sign in (1.0, -1.0):
-        w, v = np.linalg.eigh(np.eye(r) + sign * witness[:r, :r])
-        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        family = CovariantInstrumentData(tuple(np.einsum("lm,mav->lav", root, b)))
-        neighbours.append(instrument_from_B(family, spec.symmetry, tol))
-    middle = 0.5 * (neighbours[0].choi + neighbours[1].choi) - spec.choi
-    Checks().require(
-        tol.recon_fro * max(1.0, float(np.abs(spec.choi).max()) * k * spec.v_dim),
-        "neighbours do not split the input",
-        midpoint=float(np.linalg.norm(middle, axis=(1, 2)).max()),
-    )
-    return ExtremalityCertificate(False, witness, tuple(neighbours), len(basis))
+    def instrument(d):
+        return InstrumentSpec(rows.conj().transpose(0, 2, 1) @ d[:r, :r] @ rows, sym)
+
+    scale = max(1.0, float(np.abs(spec.choi).max()) * k * v)
+    return _split(spec, basis, instrument, validate_instrument, lambda ins: ins.choi, scale, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .numlin import (
     is_unitary,
     lstsq_define,
     psd_factor,
-    psd_status,
+    psd_spectrum,
     rank,
     unitary_moves,
 )
@@ -130,9 +130,6 @@ class CovariantKernelSpec:
         return self.sigma.multiply(self.rep.cocycle)
 
 
-# |alpha|^2 and the products overflow to inf for a huge alpha; a verdict then
-# fails, since it passes only below a finite bound (inf <= inf holds)
-@np.errstate(over="ignore", invalid="ignore")
 def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) -> Checks:
     """Check the alpha composition rule, block covariance and positivity, as
     the verdicts ``alpha_cocycle``, ``covariant`` and ``positive``.  The
@@ -141,6 +138,14 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
     composition rule, covariance at a and b gives it at ab, so its residual
     covers the generators a of ``group.generators()`` and every block pair,
     and the verdict compares ``max_word_length`` times it with the bound."""
+    return _kernel_checks(spec, psd_spectrum(spec.grand_matrix()), tol)
+
+
+# |alpha|^2 and the products overflow to inf for a huge alpha; a verdict then
+# fails, since it passes only below a finite bound (inf <= inf holds)
+@np.errstate(over="ignore", invalid="ignore")
+def _kernel_checks(spec: CovariantKernelSpec, spectrum, tol) -> Checks:
+    """:func:`validate_kernel` from the spectrum of the grand matrix already computed."""
     g, table = spec.action.group, spec.action.table
     checks = Checks()
     alpha_sq = np.abs(spec.alpha).max() ** 2
@@ -167,7 +172,7 @@ def validate_kernel(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) ->
     diff = spec.blocks[table[:, :, None], table[:, None, :]] - weights * moved
     err_cov = float(np.linalg.norm(diff, axis=(-2, -1)).max(initial=0.0))
     checks["covariant"] = Check(bool(g.max_word_length * err_cov <= tol.recon_fro * scale < np.inf), err_cov)
-    checks["positive"] = Check(*psd_status(spec.grand_matrix(), tol))
+    checks["positive"] = Check(bool(np.all(spectrum.passes(tol))), float(spectrum.residual().max(initial=0.0)))
     return checks
 
 
@@ -234,10 +239,12 @@ def kolmogorov_decompose(
     factoring; the result is another minimal decomposition of the same
     kernel, useful for exercising uniqueness up to a connecting unitary.
     """
-    checks = validate_kernel(spec, tol)
+    grand = spec.grand_matrix()
+    # a permuted basis is factored on its own, so this spectrum needs vectors only without one
+    spectrum = psd_spectrum(grand, vectors=basis_permutation is None)
+    checks = _kernel_checks(spec, spectrum, tol)
     if not checks.ok:
         raise KernelValidationError(f"kernel invalid: {', '.join(checks.failed())}")
-    grand = spec.grand_matrix()
     if basis_permutation is not None:
         perm = np.asarray(basis_permutation, dtype=np.int64)
         if sorted(perm.tolist()) != list(range(grand.shape[0])):
@@ -246,7 +253,8 @@ def kolmogorov_decompose(
         f = np.zeros((n_dil, grand.shape[0]), dtype=np.complex128)
         f[:, perm] = f_perm
     else:
-        n_dil, f = psd_factor(grand, tol)
+        n_dil, f = spectrum.factor(tol)
+        n_dil, f = int(n_dil), f[:n_dil]
     factors = np.ascontiguousarray(f.reshape(n_dil, spec.x_size, spec.n_v).transpose(1, 0, 2))
     sym, checks = _certify_kolmogorov(spec, factors, tol)
     return KolmogorovDecomposition(spec, n_dil, factors, sym, checks)
@@ -356,6 +364,22 @@ def _revalidate(original, neighbours, validate, parts, scale, tol, **kept):
     )
 
 
+def _split(original, basis, compress, validate, parts, scale, tol, **kept) -> ExtremalityCertificate:
+    """The certificate of a certified commutant ``basis``: extreme when its
+    span has no Hermitian witness W (an empty basis has freedom 0), else the
+    neighbours compress(I + W) and compress(I - W), which must pass
+    :func:`_revalidate`.  ``compress`` is linear, so their midpoint is
+    compress(I), the input."""
+    witness = _hermitian_witness(basis, tol)
+    if witness is None:
+        # every basis element has a part of norm >= 1/sqrt(2); only a recon_fro above that lands here
+        return ExtremalityCertificate(True, None, None, len(basis))
+    eye = np.eye(len(witness))
+    neighbours = (compress(eye + witness), compress(eye - witness))
+    _revalidate(original, neighbours, validate, parts, scale, tol, **kept)
+    return ExtremalityCertificate(False, witness, neighbours, len(basis))
+
+
 def kernel_extremal(
     spec: CovariantKernelSpec,
     z_pairs,
@@ -400,19 +424,10 @@ def kernel_extremal(
     generators = [decomp.sym(s) for s in spec.action.group.generators()]
     basis = constrained_commutant(generators, compressions, tol=tol)
     _certify_commutant(basis, decomp.sym.matrices, compressions, tol)
-    if not basis:
-        return ExtremalityCertificate(True, None, None, 0)
-
-    witness = _hermitian_witness(basis, tol)
-    if witness is None:
-        # every basis element has a part of norm >= 1/sqrt(2); only a recon_fro above that lands here
-        return ExtremalityCertificate(True, None, None, len(basis))
-
     adjoints = decomp.factors.conj().transpose(0, 2, 1)[:, None]
-    perturbed = tuple(
-        replace(spec, blocks=(adjoints @ (np.eye(decomp.rank) + sign * witness)) @ decomp.factors[None])
-        for sign in (+1.0, -1.0)
-    )
+
+    def kernel(d):
+        return replace(spec, blocks=(adjoints @ d) @ decomp.factors[None])
+
     on_z, scale = tuple(zip(*z_set)), max(1.0, frob(decomp.factors) ** 2)
-    _revalidate(spec, perturbed, validate_kernel, lambda k: k.blocks, scale, tol, z_blocks=lambda k: k.blocks[on_z])
-    return ExtremalityCertificate(False, witness, perturbed, len(basis))
+    return _split(spec, basis, kernel, validate_kernel, lambda k: k.blocks, scale, tol, z_blocks=lambda k: k.blocks[on_z])

@@ -258,6 +258,15 @@ def _module_in(obj) -> ModuleSpace:
 # -- groups ------------------------------------------------------------------
 
 
+# a named group's constructor and the field holding its size
+_NAMED_GROUPS = {
+    "cyclic": ("n", FiniteGroup.cyclic),
+    "dihedral": ("n", FiniteGroup.dihedral),
+    "symmetric": ("n", FiniteGroup.symmetric),
+    "heisenberg": ("d", lambda d: heisenberg_rep(d)[0]),
+}
+
+
 def group_in(obj, path="group") -> FiniteGroup:
     if not isinstance(obj, dict):
         raise SpecFileError(f"{path}: expected an object")
@@ -266,18 +275,13 @@ def group_in(obj, path="group") -> FiniteGroup:
         return FiniteGroup(_int_table_in(obj["mul"], f"{path}.mul"))
     _check_fields(obj, path, ["name"], ["n", "d"])
     name = obj.get("name")
-    if name == "cyclic":
-        return FiniteGroup.cyclic(_int_in(obj.get("n"), f"{path}.n"))
-    if name == "dihedral":
-        return FiniteGroup.dihedral(_int_in(obj.get("n"), f"{path}.n"))
-    if name == "symmetric":
-        n = _int_in(obj.get("n"), f"{path}.n")
-        if n > 4:
-            raise SpecFileError(f"{path}: symmetric groups supported up to n = 4")
-        return FiniteGroup.symmetric(n)
-    if name == "heisenberg":
-        return heisenberg_rep(_int_in(obj.get("d"), f"{path}.d"))[0]
-    raise SpecFileError(f"{path}: unknown group constructor {name!r}")
+    if not isinstance(name, str) or name not in _NAMED_GROUPS:
+        raise SpecFileError(f"{path}: unknown group constructor {name!r}")
+    key, build = _NAMED_GROUPS[name]
+    size = _int_in(obj.get(key), f"{path}.{key}")
+    if size < 1:
+        raise SpecFileError(f"{path}.{key}: expected an integer >= 1, got {size}")
+    return build(size)
 
 
 def group_out(group: FiniteGroup) -> dict:

@@ -35,7 +35,10 @@ and the N^2-column kron system itself, with its real Hermitian branch, as the re
 ``covkit.numlin.constrained_commutant``; the CP-form extremality route for
 instruments (KSGNS dilation of the instrument as a CP map over all outcome
 blocks), as the reference for the base-fiber solve of
-``covkit.instruments.instrument_extremal``; and the Kraus-family extraction
+``covkit.instruments.instrument_extremal``, and the split of its witness
+I_K (x) X as the instruments of the Kraus families sqrt(I +- X) B, as the
+reference for the compressed Choi blocks M_w^+ (I +- X) M_w of its
+neighbours; and the Kraus-family extraction
 through the full dilation chain, as a second route to
 ``covkit.instruments.B_from_instrument``; the dense u(g) = perm(g) (x)
 out_rep(g) of an instrument's CP form, which ``as_cpmap`` keeps as a block
@@ -54,11 +57,13 @@ from covkit.cpmaps import CPMapSpec, NotSingleBlockError, cp_extremal, cp_valida
 from covkit.cstar import ModuleSpace
 from covkit.fingroup import GroupAction, MultiplierRep, TwoCocycle
 from covkit.instruments import (
+    B_from_instrument,
     CovariantInstrumentData,
     InstrumentSpec,
     ObservableSpec,
     Symmetry,
     as_cpmap,
+    instrument_from_B,
     marginal_observable,
     sample_stream,
     validate_instrument,
@@ -1211,6 +1216,21 @@ def instrument_extremal_cpform(
         if not report.ok:
             raise DilationResidualError("perturbed instrument failed validation")
     return ExtremalityCertificate(False, cert.witness, neighbours, cert.freedom)
+
+
+def instrument_split_sqrt(spec: InstrumentSpec, witness, tol: Tolerances = DEFAULT_TOL) -> tuple:
+    """The two neighbours of an instrument extremality witness I_K (x) X
+    built as families: the instruments of sqrt(I +- X) B, B the base-coset
+    Kraus family of ``B_from_instrument``, each assembled and validated by
+    ``instrument_from_B``."""
+    b = np.stack(B_from_instrument(spec, tol).b_ops)
+    r, neighbours = len(b), []
+    for sign in (1.0, -1.0):
+        w, v = np.linalg.eigh(np.eye(r) + sign * witness[:r, :r])
+        root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+        family = CovariantInstrumentData(tuple(np.einsum("lm,mav->lav", root, b)))
+        neighbours.append(instrument_from_B(family, spec.symmetry, tol))
+    return tuple(neighbours)
 
 
 def structure_chain_B(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL):

@@ -550,6 +550,10 @@ def _edited(text, edit):
     return json.dumps(doc)
 
 
+def _group_doc(**group):
+    return lambda: specfile.document("group", {"group": group})
+
+
 MALFORMED = {
     "kernel row one block short": (
         "validate", lambda: _edited(ones_kernel_doc(), lambda p: _set(p["blocks"], 0, p["blocks"][0][:1])),
@@ -588,6 +592,12 @@ MALFORMED = {
         "validate", lambda: _edited(flip_observable_doc(), lambda p: _set(p["rep"], "unitary", "false")),
         "payload.rep.unitary: expected true or false",
     ),
+    "cyclic n 0": ("validate", _group_doc(name="cyclic", n=0), "group.n: expected an integer >= 1, got 0"),
+    "dihedral n 0": ("validate", _group_doc(name="dihedral", n=0), "group.n: expected an integer >= 1, got 0"),
+    "symmetric n 0": ("validate", _group_doc(name="symmetric", n=0), "group.n: expected an integer >= 1, got 0"),
+    "symmetric n -1": ("validate", _group_doc(name="symmetric", n=-1), "group.n: expected an integer >= 1, got -1"),
+    "heisenberg d 0": ("validate", _group_doc(name="heisenberg", d=0), "group.d: expected an integer >= 1, got 0"),
+    "symmetric above the size guard": ("validate", _group_doc(name="symmetric", n=7), "symmetric(n) supported only for n <= 6"),
 }
 
 
@@ -922,6 +932,29 @@ def test_cli_usage_error_is_exit_2_with_one_line(argv, message, docs, capsys):
     assert captured.err.count("\n") == 1 and captured.err.startswith("usage error: ")
     assert message in captured.err
     assert not os.path.exists(os.path.join(docs["tmp"], "x"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{inst}", "--json-out", "{tmp}/missing/x"],
+        ["extremal", "{inst}", "--json-out", "{tmp}"],
+        ["phase-space", "{ps}", "--out", "{tmp}/missing/x"],
+    ],
+    ids=lambda v: " ".join(v),
+)
+def test_cli_unwritable_output_path_is_exit_2_with_one_line(argv, docs, capsys):
+    argv = [a.format(**docs) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = [line for line in captured.err.splitlines() if not line.startswith("wall time: ")]
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith(f"parse error: cannot write {argv[-1]}: ")
+
+
+def test_cli_symmetric_groups_load_up_to_n_6(tmp_path):
+    for n in (5, 6):
+        assert main(["validate", write(tmp_path, "group.json", _group_doc(name="symmetric", n=n)())]) == 0
 
 
 def test_report_writes_a_non_finite_residual_as_a_failed_null():

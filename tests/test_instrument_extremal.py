@@ -11,13 +11,14 @@ from covkit.instruments import (
     B_from_instrument,
     CovariantInstrumentData,
     instrument_extremal,
+    marginal_observable,
     phase_space,
     validate_instrument,
 )
 from covkit.kernels import DilationResidualError
 from covkit.numlin import frob
 from covkit.random import all_subgroups, rand_covariant_instrument
-from oracles import instrument_extremal_cpform
+from oracles import instrument_extremal_cpform, instrument_split_sqrt
 
 
 def _phase_space(d, rank):
@@ -136,28 +137,27 @@ def test_basis_element_breaking_the_compression_raises(monkeypatch, split_case):
             instrument_extremal(spec)
 
 
-def test_neighbour_outside_the_face_raises(monkeypatch, split_case):
-    witness = ins._hermitian_witness
-    monkeypatch.setattr(ins, "_hermitian_witness", lambda basis, tol: 3.0 * witness(basis, tol))
-    for spec in (_phase_space(2, 2), split_case):
-        with pytest.raises((DilationResidualError, ins.StructureViolation)):
-            instrument_extremal(spec)
-
-
-def test_neighbours_that_do_not_split_the_input_raise(monkeypatch):
-    # both neighbours valid instruments, but the plus one is the input itself
-    spec = _phase_space(2, 2)
-    base = B_from_instrument(spec)
-    build, calls = ins.instrument_from_B, []
-
-    def plus_unperturbed(data, symmetry, tol=ins.DEFAULT_TOL):
-        calls.append(data)
-        # call 1 is the round trip inside B_from_instrument, call 2 the plus neighbour
-        return build(base if len(calls) == 2 else data, symmetry, tol)
-
-    monkeypatch.setattr(ins, "instrument_from_B", plus_unperturbed)
-    with pytest.raises(DilationResidualError, match="do not split the input"):
-        instrument_extremal(spec)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _phase_space(2, 2),
+        lambda: _phase_space(3, 2),
+        lambda: rand_covariant_instrument(
+            np.random.default_rng(2), next(s for s in all_subgroups(FiniteGroup.symmetric(3)) if len(s.members) == 3)
+        ),
+    ],
+    ids=["phase_space_d2", "phase_space_d3", "random_A3_in_S3"],
+)
+@pytest.mark.parametrize("as_observable", [False, True], ids=["instrument", "observable"])
+def test_compressed_split_matches_the_square_root_families(make, as_observable):
+    # Choi blocks M_w^+ (I +- X) M_w against the instruments of sqrt(I +- X) B
+    spec = make()
+    if as_observable:
+        spec = marginal_observable(spec).as_instrument()
+    cert = instrument_extremal(spec)
+    assert not cert.extreme
+    for nb, ref in zip(cert.perturbed, instrument_split_sqrt(spec, cert.witness), strict=True):
+        assert np.abs(nb.choi - ref.choi).max() <= 1e-12
 
 
 def test_each_neighbour_is_validated_once(monkeypatch, split_case):

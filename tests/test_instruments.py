@@ -453,14 +453,6 @@ def test_observable_extremal_flip_family():
         assert np.allclose(mid, flip_observable(p).effects, atol=1e-9)
 
 
-def test_split_with_a_non_positive_observable_neighbour_raises(monkeypatch):
-    # 3 W has spectral norm 3, so I - 3 W is not positive: one neighbour has a non-positive effect
-    witness = ins._hermitian_witness
-    monkeypatch.setattr(ins, "_hermitian_witness", lambda basis, tol: 3.0 * witness(basis, tol))
-    with pytest.raises(DilationResidualError, match="effects_psd"):
-        observable_extremal(lambda_from_observable(flip_observable(0.5), seed=5))
-
-
 def test_block_normalization_follows_recon_fro():
     data = lambda_from_observable(flip_observable(0.3), seed=5)
     checks = ins.validate_observable_data(data)

@@ -2,7 +2,8 @@
 engines, and emit machine-readable reports.
 
 Exit codes: 0 success, 1 validation failure, 2 parse or usage error, 3
-numeric tolerance failure, 4 out of memory.  The command line is read
+numeric tolerance failure, 4 out of memory; output into a pipe its reader
+closed ends quietly with 0.  The command line is read
 against one table, :data:`COMMANDS`, which also renders the ``-h`` text.
 Reports are byte-stable for fixed inputs, tolerances, and sample seeds;
 wall time goes to stderr.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -133,9 +135,10 @@ def cmd_validate(args) -> int:
     elif kind == "instrument":
         _merge_checks(report, validate_instrument(obj, tol))
     elif kind == "phase_space":
-        d, ops = obj
-        spec = phase_space(d, ops, tol)
-        _merge_checks(report, validate_instrument(spec, tol))
+        # building the instrument validates it: print that certificate
+        checks = Checks()
+        phase_space(*obj, tol, checks)
+        _merge_checks(report, checks)
     elif kind == "state":
         report.verdict("positive", *psd_status(obj, tol))
         drift = abs(np.trace(obj).real - 1.0)
@@ -514,6 +517,12 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"resource failure: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader closed stdout, as `covkit sample ... | head` does: stop
+        # writing, and point stdout at devnull so the flush at shutdown
+        # cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     finally:
         elapsed = time.perf_counter() - start
         print(f"wall time: {elapsed:.3f} s", file=sys.stderr)

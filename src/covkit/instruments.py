@@ -209,14 +209,26 @@ def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> 
     :func:`~covkit.cpmaps.cp_validate`, on the Choi blocks themselves: at
     the group's generators s, conj(out_rep(s)) (x) rep(s) moves C_w onto
     C_{sw} (:func:`~covkit.cpmaps._covariance`, sigma the coset action and
-    w = out_rep at every outcome)."""
-    v = spec.v_dim
-    checks = Checks(outcomes_cp=Check(*psd_status(spec.choi, tol)))
-    res = frob(_effects(spec).sum(0) - np.eye(v))
-    checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)
+    w = out_rep at every outcome).
+
+    Once covariance holds, complete positivity is decided on the orbit
+    representative, outcome 0.  The coset action is transitive, so every
+    C_x is reached from C_0 by at most ``max_word_length`` generator moves,
+    each unitary and within the covariance residual eps of the block it
+    lands on; so C_x is within ``max_word_length`` * eps of a unitary
+    conjugate of C_0 in Frobenius norm, and C_0's verdict carries that bound
+    (:func:`~covkit.numlin.psd_status`, Weyl's inequality).  The residual is
+    C_0's plus the carried bound.  Without covariance every block is
+    decided."""
     sym, gens = spec.symmetry, list(spec.symmetry.group.generators())
     blocks = [(np.arange(spec.n_outcomes), spec.choi, sym.out_rep.matrices[gens, None])]
-    checks["covariance"] = _covariance(blocks, sym.action.table[gens], sym.rep.matrices[gens], sym.group, tol)
+    covariance = _covariance(blocks, sym.action.table[gens], sym.rep.matrices[gens], sym.group, tol)
+    stack, carried = (spec.choi[:1], sym.group.max_word_length * covariance.residual) if covariance.ok else (spec.choi, 0.0)
+    checks = Checks(outcomes_cp=Check(*psd_status(stack, tol, carried)))
+    v = spec.v_dim
+    res = frob(_effects(spec).sum(0) - np.eye(v))
+    checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)
+    checks["covariance"] = covariance
     return checks
 
 
@@ -729,26 +741,32 @@ def _assemble_instrument(data: CovariantInstrumentData, symmetry: Symmetry, tol:
         return _choi_of(u.matrices[g][:, None] @ b @ rep.matrices[g].conj().transpose(0, 2, 1)[:, None])
 
     choi = choi_at(sub.section)
-    # section independence: shift every section point inside its coset
+    # section independence: shift every section point inside its coset; a
+    # trivial subgroup leaves each coset one point, so there is no shift
     members = list(sub.members)
-    shifted = [
-        sub.parent.prod(sub.section[w], members[(w + 1) % len(members)])
-        for w in range(sub.n_cosets)
-    ]
-    res = float(np.linalg.norm(choi_at(shifted) - choi, axis=(1, 2)).max())
-    if res > tol.recon_fro * max(1.0, float(np.abs(choi).max()) * k * v):
-        raise DilationResidualError(f"section dependence detected ({res:.2e})")
+    if len(members) > 1:
+        shifted = [sub.parent.prod(sub.section[w], members[(w + 1) % len(members)]) for w in range(sub.n_cosets)]
+        res = float(np.linalg.norm(choi_at(shifted) - choi, axis=(1, 2)).max())
+        if res > tol.recon_fro * max(1.0, float(np.abs(choi).max()) * k * v):
+            raise DilationResidualError(f"section dependence detected ({res:.2e})")
     return InstrumentSpec(choi, symmetry)
 
 
 def instrument_from_B(
-    data: CovariantInstrumentData, symmetry: Symmetry, tol: Tolerances = DEFAULT_TOL
+    data: CovariantInstrumentData,
+    symmetry: Symmetry,
+    tol: Tolerances = DEFAULT_TOL,
+    certificate: Checks | None = None,
 ) -> InstrumentSpec:
-    """The validated covariant instrument generated by a Kraus family."""
+    """The validated covariant instrument generated by a Kraus family.  Its
+    :func:`validate_instrument` certificate is also written into
+    ``certificate`` when one is given."""
     spec = _assemble_instrument(data, symmetry, tol)
     report = validate_instrument(spec, tol)
     if not report.ok:
         raise DilationResidualError(f"assembled instrument invalid: {report.failed()}")
+    if certificate is not None:
+        certificate.update(report)
     return spec
 
 
@@ -920,12 +938,14 @@ def sq_structure(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> SqStruc
     return SqStructure(seed, data.b_ops, d, checks)
 
 
-def phase_space(d: int, b_ops, tol: Tolerances = DEFAULT_TOL) -> InstrumentSpec:
+def phase_space(d: int, b_ops, tol: Tolerances = DEFAULT_TOL, certificate: Checks | None = None) -> InstrumentSpec:
     """Covariant phase-space instrument over the d x d discrete phase space.
 
     ``b_ops`` is a family with d * sum of B_j^+ B_j of unit trace (the seed
     operator divided by the square-integrability constant); the instrument
-    translates it by the clock-and-shift system.
+    translates it by the clock-and-shift system.  The validation
+    certificate is written into ``certificate`` as by
+    :func:`instrument_from_B`.
     """
     group, cocycle, w0 = heisenberg_rep(d)
     sub = SubgroupData(group, (group.identity,))
@@ -935,7 +955,7 @@ def phase_space(d: int, b_ops, tol: Tolerances = DEFAULT_TOL) -> InstrumentSpec:
     if abs(tr - 1.0) > tol.recon_fro:
         raise ValueError(f"seed normalization is {tr:.6f}, expected 1")
     data = CovariantInstrumentData(tuple(np.asarray(b, dtype=np.complex128) for b in b_ops))
-    spec = instrument_from_B(data, symmetry, tol)
+    spec = instrument_from_B(data, symmetry, tol, certificate)
     # structural, not a tolerance: the effects sum to the clock-and-shift twirl of
     # sum_j B_j^+ B_j, tr * I in exact arithmetic, so this catches a wrong assembly
     if frob(_effects(spec).sum(0) - tr * np.eye(d)) > 1e-10 * max(1.0, d):

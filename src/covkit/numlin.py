@@ -111,11 +111,15 @@ class Spectrum:
     scale: np.ndarray
     skew: np.ndarray
 
-    def passes(self, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    def passes(self, tol: Tolerances = DEFAULT_TOL, carried: float = 0.0) -> np.ndarray:
         """Per matrix: Hermitian within ``psd_eig * scale`` and no eigenvalue
-        below ``-psd_eig * scale``."""
-        slack = tol.psd_eig * self.scale
-        return (self.skew <= slack) & (self.residual() <= slack)
+        below ``-psd_eig * scale``.  With ``carried``, the verdict instead
+        covers every b within Frobenius distance ``carried`` of a unitary
+        conjugate of the matrix: b's skew is at most skew + 2 carried, and by
+        Weyl's inequality its eigenvalues, so its residual and its scale,
+        move by at most carried."""
+        slack = tol.psd_eig * np.maximum(1.0, self.scale - carried)
+        return (self.skew + 2 * carried <= slack) & (self.residual() + carried <= slack)
 
     def residual(self) -> np.ndarray:
         """Per matrix, the magnitude of the most negative eigenvalue, 0 when
@@ -150,16 +154,18 @@ def psd_spectrum(a, vectors: bool = False) -> Spectrum:
     return Spectrum(w, v, np.maximum(1.0, top), np.linalg.norm(a - adjoint, axis=(-2, -1)))
 
 
-def psd_status(a, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
+def psd_status(a, tol: Tolerances = DEFAULT_TOL, carried: float = 0.0) -> tuple[bool, float]:
     """Positivity verdict and residual for a square matrix or a stack of
     them, from one eigenvalue computation.
 
     The verdict is that of :func:`psd_check` for every matrix; the residual
     is the magnitude of the most negative eigenvalue of the Hermitian parts,
-    0 when there is none.
+    0 when there is none.  With ``carried``, both cover every matrix within
+    Frobenius distance ``carried`` of a unitary conjugate of one in ``a``
+    (:meth:`Spectrum.passes`), and the residual is raised by ``carried``.
     """
     spectrum = psd_spectrum(a)
-    return bool(np.all(spectrum.passes(tol))), float(spectrum.residual().max(initial=0.0))
+    return bool(np.all(spectrum.passes(tol, carried))), float(spectrum.residual().max(initial=0.0)) + carried
 
 
 def psd_factor(a, tol: Tolerances = DEFAULT_TOL):

@@ -19,7 +19,10 @@ pseudo-inverse solve of the dilation symmetry, as references for
 block factorization of a dense representation of the algebra; the
 grand kernel over the matrix units, as the reference for the Choi blocks;
 and the loop forms of the kernel and instrument covariance residuals, as
-references for ``covkit.kernels`` and ``covkit.instruments``, of the
+references for ``covkit.kernels`` and ``covkit.instruments``; the
+``outcomes_cp`` verdict over every Choi block, as the reference for the
+one ``validate_instrument`` reads off the orbit representative; the loop
+forms of the
 Kolmogorov decomposition's per-element solve and certificate, as the
 reference for the stacked one in ``covkit.kernels``, and of the
 observable covariance residual and the CP-map covariance residual per
@@ -89,6 +92,7 @@ from covkit.numlin import (
     null_space,
     offsets,
     psd_factor,
+    psd_status,
     rank,
 )
 from covkit.specfile import matrix_out
@@ -1067,6 +1071,13 @@ def observable_covariance_loop(spec: ObservableSpec, on_generators=False):
             lhs = ug @ spec.effects[w] @ ug.conj().T
             worst = max(worst, frob(lhs - spec.effects[sym.action.apply(g, w)]))
     return worst
+
+
+def outcomes_cp_all_blocks(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:
+    """The ``outcomes_cp`` verdict and residual with every Choi block
+    decomposed, as the reference for ``validate_instrument``, which reads
+    the orbit representative alone once covariance holds."""
+    return psd_status(spec.choi, tol)
 
 
 def instrument_covariance_loop(spec: InstrumentSpec, on_generators=False):

@@ -162,11 +162,25 @@ def test_version_checked():
         specfile.load(json.dumps(doc))
 
 
-def test_cli_validate_phase_space(tmp_path, capsys):
+def test_cli_validate_phase_space(tmp_path, capsys, monkeypatch):
+    # the instrument is validated once, while it is built, and that certificate is printed
+    import covkit.cli
+    import covkit.instruments
+
+    calls = []
+
+    def counted(spec, tol):
+        calls.append(spec)
+        return validate_instrument(spec, tol)
+
+    monkeypatch.setattr(covkit.instruments, "validate_instrument", counted)
+    monkeypatch.setattr(covkit.cli, "validate_instrument", counted)
     path = write(tmp_path, "ps.json", phase_space_doc())
     assert main(["validate", path]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert all(v["ok"] for v in report["verdicts"].values())
+    assert len(calls) == 1
+    want = validate_instrument(calls[0])
+    assert report["verdicts"] == {name: {"ok": c.ok, "residual": c.residual} for name, c in want.items()}
 
 
 def test_cli_validate_failure_exit_code(tmp_path, capsys):
@@ -985,3 +999,20 @@ def test_cli_never_imports_argparse(docs):
         run = subprocess.run([sys.executable, "-c", ARGPARSE_GUARD, *argv], capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == code, run.stderr
         assert "argparse loaded: False" in run.stderr and "Traceback" not in run.stderr
+
+
+def test_cli_sample_into_a_closed_pipe_exits_0_without_a_traceback(tmp_path):
+    # the reader takes one line and closes the pipe, as `covkit sample ... | head -1` does;
+    # 200 000 lines are far more than a pipe buffers, so a write meets the closed end
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    ps = write(tmp_path, "ps.json", phase_space_doc())
+    state = write(tmp_path, "state.json", state_doc(np.eye(2) / 2))
+    argv = [sys.executable, "-m", "covkit.cli", "sample", ps, state, "-n", "200000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert first[0] in range(4)
+    assert "Traceback" not in err and [line.split(":")[0] for line in err.splitlines()] == ["wall time"]

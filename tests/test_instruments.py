@@ -653,6 +653,21 @@ def test_phase_space_b_extraction():
     assert np.allclose(total, seed, atol=1e-10)
 
 
+def test_the_section_is_shifted_only_in_cosets_of_more_than_one_point(monkeypatch):
+    # phase space has one-point cosets, so its assembly builds one Choi stack;
+    # over A_3 < S_3 the round trip builds two, at the section and shifted in each coset
+    stacks = []
+    choi_of = ins._choi_of
+    monkeypatch.setattr(ins, "_choi_of", lambda ops: stacks.append(ops.shape) or choi_of(ops))
+    phase_space(2, _ps_seed_ops(2))
+    assert len(stacks) == 1
+    a3 = next(sub for sub in all_subgroups(FiniteGroup.symmetric(3)) if len(sub.members) == 3)
+    spec = rand_covariant_instrument(np.random.default_rng(2), a3)
+    stacks.clear()
+    B_from_instrument(spec)
+    assert len(stacks) == 2
+
+
 def test_sq_structure_phase_space():
     spec = phase_space(2, _ps_seed_ops(2))
     st = sq_structure(spec)

@@ -358,6 +358,25 @@ def test_psd_status_of_a_stack_is_that_of_each_matrix():
     assert numlin.psd_status(bad) == (False, pytest.approx(max(psd_status_loop(a)[1] for a in bad), rel=1e-12))
 
 
+def test_a_carried_bound_covers_every_matrix_near_a_unitary_conjugate():
+    # Weyl: b within Frobenius distance c of V a V^+ has its eigenvalues
+    # within c of a's, and its skew within 2 c of a's
+    rng = np.random.default_rng(43)
+    a = rand_psd(rng, 4, rank=2)
+    a /= 2 * np.linalg.norm(a, 2)  # scale 1, so the slack is psd_eig
+    c, tol = 1e-10, Tolerances()
+    ok, res = numlin.psd_status(a, tol, c)
+    assert ok and res == numlin.psd_status(a, tol)[1] + c
+    v = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    for _ in range(20):
+        e = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        near = numlin.psd_status(v @ a @ v.conj().T + c * e / np.linalg.norm(e), tol)
+        assert near[0] and near[1] <= res
+    # 0.6 psd_eig carried leaves the residual under the slack, but not twice it on the skew
+    assert numlin.psd_status(a, tol, 0.4 * tol.psd_eig)[0]
+    assert not numlin.psd_status(a, tol, 0.6 * tol.psd_eig)[0]
+
+
 def test_stacked_factor_matches_psd_factor_per_matrix():
     rng = np.random.default_rng(42)
     a = np.stack([rand_psd(rng, 5, rank=r) for r in (0, 1, 3, 5)])

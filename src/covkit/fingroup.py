@@ -111,20 +111,13 @@ class FiniteGroup:
 
     @staticmethod
     def dihedral(n: int) -> "FiniteGroup":
-        """Symmetries of the n-gon; element (r, s) -> index s*n + r."""
+        """Symmetries of the n-gon; element (r, s) -> index s*n + r, with
+        (ra, sa) * (rb, sb) = (ra + (-1)^sa rb, sa xor sb)."""
         if n < 1:
             raise GroupStructureError("dihedral needs n >= 1")
-        order = 2 * n
-
-        def compose(a, b):
-            ra, sa = a % n, a // n
-            rb, sb = b % n, b // n
-            # (ra, sa) * (rb, sb): rotation part, then reflection parity
-            r = (ra + (rb if sa == 0 else -rb)) % n
-            return (sa ^ sb) * n + r
-
-        mul = np.array([[compose(a, b) for b in range(order)] for a in range(order)])
-        return FiniteGroup(mul)
+        idx = np.arange(2 * n)
+        r, s = idx % n, idx // n
+        return FiniteGroup((s[:, None] ^ s) * n + (r[:, None] + (1 - 2 * s[:, None]) * r) % n)
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroup":
@@ -189,11 +182,14 @@ class GroupAction:
             raise GroupStructureError("action table entries out of range")
         if not np.array_equal(table[g.identity], np.arange(m)):
             raise GroupStructureError("identity must act trivially")
-        # (ab).x against a.(b.x) for every b, x, one row a at a time
-        for a in g.elements():
-            fails = np.any(table[g.mul[a]] != table[a][table], axis=1)
-            if fails.any():
-                raise GroupStructureError(f"action not compatible at ({a}, {fails.argmax()})")
+        # Light's test, as for the group table: the a with (ab).x = a.(b.x)
+        # for every b, x are closed under products, and every element is a
+        # positive word in the generators
+        gens = list(g.generators())
+        fails = np.any(table[g.mul[gens]] != table[gens][:, table], axis=2)
+        if fails.any():
+            a, b = np.argwhere(fails)[0]
+            raise GroupStructureError(f"action not compatible at ({gens[a]}, {b})")
 
     @property
     def set_size(self) -> int:
@@ -203,19 +199,21 @@ class GroupAction:
         return int(self.table[g, x])
 
     def orbit(self, x) -> list[int]:
-        return sorted({self.apply(g, x) for g in self.group.elements()})
+        hit = np.zeros(self.set_size, dtype=bool)
+        hit[self.table[:, x]] = True
+        return np.flatnonzero(hit).tolist()
 
     def orbits(self) -> list[list[int]]:
-        seen, out = set(), []
-        for x in range(self.set_size):
-            if x not in seen:
-                orb = self.orbit(x)
-                seen.update(orb)
-                out.append(orb)
-        return out
+        """The orbits, each sorted, in the order of their smallest points."""
+        if not self.set_size:
+            return []
+        least = self.table.min(axis=0)  # the smallest point of each point's orbit
+        order = np.argsort(least, kind="stable")
+        cuts = np.flatnonzero(np.diff(least[order])) + 1
+        return [orb.tolist() for orb in np.split(order, cuts)]
 
     def stabilizer(self, x) -> list[int]:
-        return [g for g in self.group.elements() if self.apply(g, x) == x]
+        return np.flatnonzero(self.table[:, x] == x).tolist()
 
     @staticmethod
     def left_translation(group: FiniteGroup) -> "GroupAction":
@@ -235,59 +233,51 @@ class GroupAction:
 class SubgroupData:
     """A subgroup H of a parent group with the left coset space G/H.
 
-    The coset space is indexed 0..n_cosets-1 with the identity coset first;
-    the section picks the smallest element index in each coset, which makes
-    it canonical, and maps the identity coset to the identity.
+    The coset space is indexed 0..n_cosets-1 with the identity coset first,
+    the others in the order of their smallest members; the section picks the
+    smallest element index in each coset, which makes it canonical, and maps
+    the identity coset to the identity.
     """
 
     parent: FiniteGroup
     members: tuple[int, ...]
-    cosets: tuple[tuple[int, ...], ...] = field(init=False, default=None)
     section: tuple[int, ...] = field(init=False, default=None)
     projection: np.ndarray = field(init=False, default=None)
     _action: GroupAction = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         g = self.parent
-        members = tuple(sorted(set(int(m) for m in self.members)))
-        object.__setattr__(self, "members", members)
-        if members and (members[0] < 0 or members[-1] >= g.order):
+        members = np.asarray(self.members).ravel()  # an object array for ints past int64
+        if members.size and (members.min() < 0 or members.max() >= g.order):
             raise GroupStructureError("subgroup members out of range")
-        if g.identity not in members:
-            raise GroupStructureError("subgroup must contain the identity")
-        cols = np.array(members)
         mask = np.zeros(g.order, dtype=bool)
-        mask[cols] = True
-        for a in members:
-            if not mask[g.inverse[a]]:
-                raise GroupStructureError("subgroup not closed under inverse")
-            if not mask[g.mul[a, cols]].all():
-                raise GroupStructureError("subgroup not closed under multiplication")
-        seen, cosets = set(), []
-        for x in g.elements():
-            if x in seen:
-                continue
-            coset = tuple(sorted(g.prod(x, h) for h in members))
-            seen.update(coset)
-            cosets.append(coset)
-        # identity coset first, the rest ordered by smallest member
-        cosets.sort(key=lambda c: (g.identity not in c, c[0]))
-        section = []
-        for i, coset in enumerate(cosets):
-            section.append(g.identity if i == 0 else coset[0])
-        projection = np.zeros(g.order, dtype=np.int64)
-        for i, coset in enumerate(cosets):
-            for x in coset:
-                projection[x] = i
-        object.__setattr__(self, "cosets", tuple(cosets))
-        object.__setattr__(self, "section", tuple(section))
+        mask[members.astype(np.int64)] = True
+        cols = np.flatnonzero(mask)
+        object.__setattr__(self, "members", tuple(cols.tolist()))
+        if not mask[g.identity]:
+            raise GroupStructureError("subgroup must contain the identity")
+        # the first member whose inverse or products leave H, inverse first
+        no_inverse = ~mask[g.inverse[cols]]
+        bad = np.flatnonzero(no_inverse | ~mask[g.mul[cols[:, None], cols]].all(axis=1))
+        if bad.size:
+            broken = "inverse" if no_inverse[bad[0]] else "multiplication"
+            raise GroupStructureError(f"subgroup not closed under {broken}")
+        # each coset xH is labelled by its smallest member; identity coset first
+        label = g.mul[:, cols].min(axis=1)
+        heads = np.flatnonzero(label == np.arange(g.order))
+        heads = np.concatenate(([label[g.identity]], heads[heads != label[g.identity]]))
+        index = np.zeros(g.order, dtype=np.int64)
+        index[heads] = np.arange(heads.size)
+        projection = index[label]
+        section = (g.identity, *heads[1:].tolist())
+        object.__setattr__(self, "section", section)
         object.__setattr__(self, "projection", projection)
         # a maps the coset of s(w) to that of a s(w)
         object.__setattr__(self, "_action", GroupAction(g, projection[g.mul[:, section]]))
 
     @property
     def n_cosets(self) -> int:
-        return len(self.cosets)
+        return len(self.section)
 
     def project(self, g) -> int:
         return int(self.projection[g])
@@ -298,13 +288,10 @@ class SubgroupData:
 
     def subgroup_group(self) -> FiniteGroup:
         """H as a group in its own right (indices follow ``members``)."""
-        pos = {m: i for i, m in enumerate(self.members)}
-        k = len(self.members)
-        mul = np.zeros((k, k), dtype=np.int64)
-        for i, a in enumerate(self.members):
-            for j, b in enumerate(self.members):
-                mul[i, j] = pos[self.parent.prod(a, b)]
-        return FiniteGroup(mul)
+        cols = np.array(self.members)
+        pos = np.zeros(self.parent.order, dtype=np.int64)
+        pos[cols] = np.arange(cols.size)
+        return FiniteGroup(pos[self.parent.mul[cols[:, None], cols]])
 
 
 def cosets(group: FiniteGroup, members) -> SubgroupData:
@@ -558,15 +545,17 @@ class IrrepDecomposition:
     blocks: tuple[IrrepBlock, ...]
     basis: np.ndarray  # the change-of-basis unitary V
 
-    def assembled(self, g) -> np.ndarray:
-        """The block-diagonal matrix the decomposition asserts for U(g)."""
-        parts = [np.kron(blk.rep(g), np.eye(blk.multiplicity)) for blk in self.blocks]
-        n = sum(p.shape[0] for p in parts)
-        out = np.zeros((n, n), dtype=np.complex128)
+    def assembled(self) -> np.ndarray:
+        """The block-diagonal matrices the decomposition asserts for the
+        U(g), stacked over g: tau_g (x) I_mult, block after block."""
+        order, n = self.rep.group.order, self.basis.shape[1]
+        out = np.zeros((order, n, n), dtype=np.complex128)
         pos = 0
-        for p in parts:
-            out[pos : pos + p.shape[0], pos : pos + p.shape[0]] = p
-            pos += p.shape[0]
+        for blk in self.blocks:
+            size = blk.dim * blk.multiplicity
+            kron = blk.rep.matrices[:, :, None, :, None] * np.eye(blk.multiplicity)[:, None, :]
+            out[:, pos : pos + size, pos : pos + size] = kron.reshape(order, size, size)
+            pos += size
         return out
 
 
@@ -574,17 +563,17 @@ def _group_average_commutant(u: MultiplierRep, rng) -> np.ndarray:
     n = u.dim
     h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     h = 0.5 * (h + h.conj().T)
-    acc = np.zeros_like(h)
-    for g in u.group.elements():
-        acc += u(g) @ h @ u(g).conj().T
-    return acc / u.group.order
+    return (u.matrices @ h @ u.matrices.conj().transpose(0, 2, 1)).sum(axis=0) / u.group.order
+
+
+def _compressed(u: MultiplierRep, cols: np.ndarray) -> np.ndarray:
+    """The stack of cols^+ U(g) cols over g."""
+    return cols.conj().T @ u.matrices @ cols
 
 
 def _character(u: MultiplierRep, basis_cols: np.ndarray) -> np.ndarray:
     """Characters of the subrepresentation on the span of basis_cols."""
-    return np.array(
-        [np.trace(basis_cols.conj().T @ u(g) @ basis_cols) for g in u.group.elements()]
-    )
+    return np.trace(_compressed(u, basis_cols), axis1=1, axis2=2)
 
 
 def _schur_intertwiner(u: MultiplierRep, p_from: np.ndarray, p_to: np.ndarray, rng):
@@ -592,12 +581,8 @@ def _schur_intertwiner(u: MultiplierRep, p_from: np.ndarray, p_to: np.ndarray, r
     or None if the two irreducible pieces are inequivalent."""
     d = p_from.shape[1]
     t0 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for g in u.group.elements():
-        a = p_to.conj().T @ u(g) @ p_to
-        b = p_from.conj().T @ u(g) @ p_from
-        acc += a @ t0 @ b.conj().T
-    acc /= u.group.order
+    b = _compressed(u, p_from)
+    acc = (_compressed(u, p_to) @ t0 @ b.conj().transpose(0, 2, 1)).sum(axis=0) / u.group.order
     nrm = frob(acc)
     if nrm < 1e-8:
         return None
@@ -623,30 +608,19 @@ def irrep_decompose(
     order = u.group.order
 
     for _ in range(_retries):
-        avg = _group_average_commutant(u, rng)
-        w, v = np.linalg.eigh(avg)
+        w, v = np.linalg.eigh(_group_average_commutant(u, rng))
         # cluster eigenvalues
-        pieces, start = [], 0
-        for i in range(1, n + 1):
-            if i == n or w[i] - w[i - 1] > 1e-7 * max(1.0, abs(w).max()):
-                pieces.append(v[:, start:i])
-                start = i
+        pieces = np.split(v, np.flatnonzero(np.diff(w) > 1e-7 * max(1.0, abs(w).max())) + 1, axis=1)
         # each piece must be irreducible: |character|^2 averages to 1
-        ok = True
-        for p in pieces:
-            chi = _character(u, p)
-            if abs(np.vdot(chi, chi) / order - 1.0) > 1e-6:
-                ok = False
-                break
-        if ok:
+        chars = [_character(u, p) for p in pieces]
+        if not any(abs(np.vdot(chi, chi) / order - 1.0) > 1e-6 for chi in chars):
             break
     else:
         raise RuntimeError("irreducible refinement failed; try another seed")
 
     # group equivalent pieces by characters
     classes: list[dict] = []
-    for p in pieces:
-        chi = _character(u, p)
+    for p, chi in zip(pieces, chars):
         for cls in classes:
             if p.shape[1] == cls["dim"] and frob(chi - cls["chi"]) < 1e-6 * order:
                 cls["pieces"].append(p)
@@ -671,25 +645,20 @@ def irrep_decompose(
                 raise RuntimeError("character match without an intertwiner")
             aligned.append(p @ wmat)
         mult = len(aligned)
-        tau_mats = np.stack(
-            [rep_piece.conj().T @ u(g) @ rep_piece for g in u.group.elements()]
-        )
-        tau = MultiplierRep(u.group, u.cocycle, tau_mats)
+        tau = MultiplierRep(u.group, u.cocycle, _compressed(u, rep_piece))
         idx = counter.get(d, 0)
         counter[d] = idx + 1
         blocks.append(IrrepBlock(f"{d}d-{idx}", d, mult, tau))
-        # basis ordered so the block matrix is tau_g (x) I_mult
-        for i in range(d):
-            for l in range(mult):
-                columns.append(aligned[l][:, i])
+        # basis ordered so the block matrix is tau_g (x) I_mult: column i * mult + l is aligned[l][:, i]
+        columns.append(np.stack(aligned, axis=2).reshape(n, d * mult))
 
-    basis = np.stack(columns, axis=1)
+    basis = np.concatenate(columns, axis=1)
     decomp = IrrepDecomposition(u, tuple(blocks), basis)
     # certify the block equation
-    for g in u.group.elements():
-        err = frob(basis.conj().T @ u(g) @ basis - decomp.assembled(g))
-        if err > tol.recon_fro * max(1.0, np.sqrt(n)):
-            raise RuntimeError(f"block equation residual {err:.2e} at g={g}")
+    err = np.linalg.norm(_compressed(u, basis) - decomp.assembled(), axis=(1, 2))
+    bad = np.flatnonzero(err > tol.recon_fro * max(1.0, np.sqrt(n)))
+    if bad.size:
+        raise RuntimeError(f"block equation residual {err[bad[0]]:.2e} at g={bad[0]}")
     return decomp
 
 
@@ -729,10 +698,8 @@ def plancherel_inverse(coefficients, irreps) -> np.ndarray:
     group = irreps[0].group
     if sum(t.dim ** 2 for t in irreps) != group.order:
         raise IncompleteIrrepsError("irreducibles do not form a complete set")
-    out = np.zeros(group.order, dtype=np.complex128)
-    for t, c in zip(irreps, coefficients):
-        for g in group.elements():
-            out[g] += t.dim * np.trace(t(g).conj().T @ c)
+    # tr(tau_g^+ c) = sum_ij conj(tau_g)_ij c_ij
+    out = sum(t.dim * np.einsum("gij,ij->g", t.matrices.conj(), c) for t, c in zip(irreps, coefficients))
     return out / group.order
 
 
@@ -753,22 +720,18 @@ def heisenberg_rep(d: int):
         raise ValueError("dimension must be positive")
     group = FiniteGroup.direct_product(FiniteGroup.cyclic(d), FiniteGroup.cyclic(d))
     omega = np.exp(2j * np.pi / d)
-    x = np.zeros((d, d), dtype=np.complex128)
-    for j in range(d):
-        x[(j - 1) % d, j] = 1.0
-    z = np.diag(omega ** np.arange(d))
-    mats = np.zeros((d * d, d, d), dtype=np.complex128)
-    for q in range(d):
-        for p in range(d):
-            mats[q * d + p] = np.linalg.matrix_power(x, q) @ np.linalg.matrix_power(z, p)
-    vals = np.ones((d * d, d * d), dtype=np.complex128)
-    for q in range(d):
-        for p in range(d):
-            for q2 in range(d):
-                for p2 in range(d):
-                    vals[q * d + p, q2 * d + p2] = omega ** ((-q2 * p) % d)
-    cocycle = TwoCocycle(group, vals)
-    rep = MultiplierRep(group, cocycle, mats)
+    j = np.arange(d)
+    # X^q Z^p as one stacked product of the permutations X^q and the powers
+    # of Z from matrix_power: its zeros carry the signs the BLAS product
+    # gives them, and the documents print those (-0.0), so the entries of
+    # Z^p are not scattered
+    shifts = np.eye(d, dtype=np.complex128)[(j[:, None] + j) % d]
+    z = np.diag(omega ** j)
+    zpow = np.stack([np.linalg.matrix_power(z, p) for p in range(d)])
+    mats = shifts[:, None] @ zpow
+    q, p = np.divmod(np.arange(d * d), d)
+    cocycle = TwoCocycle(group, omega ** ((-q * p[:, None]) % d))
+    rep = MultiplierRep(group, cocycle, mats.reshape(d * d, d, d))
     return group, cocycle, rep
 
 
@@ -777,12 +740,16 @@ def heisenberg_rep(d: int):
 # ---------------------------------------------------------------------------
 
 
-def _phase_order(z: complex, max_order: int = 1024) -> int:
+def _phase_orders(z: np.ndarray, max_order: int = 1024) -> np.ndarray:
+    """The order of each entry of ``z`` as a root of unity: the least
+    m <= max_order with |z^m - 1| < 1e-8."""
+    orders = np.zeros(z.shape, dtype=np.int64)
     for m in range(1, max_order + 1):
-        if abs(z ** m - 1.0) < 1e-8:
-            return m
+        orders[(orders == 0) & (np.abs(z ** m - 1.0) < 1e-8)] = m
+        if orders.all():
+            return orders
     raise CocycleExtensionError(
-        f"cocycle value {z!r} is not a root of unity of order <= {max_order}"
+        f"cocycle value {complex(z.flat[orders.argmin()])!r} is not a root of unity of order <= {max_order}"
     )
 
 
@@ -797,30 +764,18 @@ def central_extension(cocycle: TwoCocycle):
     this cocycle, (g, s) -> zeta^s U(g) is an ordinary representation of the
     extension.  Non-root-of-unity cocycles are rejected.
     """
-    g = cocycle.group
+    g, vals = cocycle.group, cocycle.values
     if cocycle_violation(cocycle) is not None:
         raise ValueError("not a valid cocycle")
-    m = 1
-    for a in g.elements():
-        for b in g.elements():
-            m = int(np.lcm(m, _phase_order(cocycle(a, b))))
+    m = int(np.lcm.reduce(_phase_orders(vals).ravel()))
     zeta = np.exp(2j * np.pi / m)
-    k = np.zeros((g.order, g.order), dtype=np.int64)
-    for a in g.elements():
-        for b in g.elements():
-            val = cocycle(a, b)
-            e = int(round(np.angle(val) / (2 * np.pi / m))) % m
-            if abs(zeta ** e - val) > 1e-8:
-                raise CocycleExtensionError("cocycle value off the root-of-unity grid")
-            k[a, b] = e
-    order = g.order * m
-    mul = np.zeros((order, order), dtype=np.int64)
-    for a in g.elements():
-        for s in range(m):
-            for b in g.elements():
-                for t in range(m):
-                    mul[a * m + s, b * m + t] = g.prod(a, b) * m + (s + t + k[a, b]) % m
-    ext = FiniteGroup(mul)
+    k = np.rint(np.angle(vals) / (2 * np.pi / m)).astype(np.int64) % m
+    if np.any(np.abs(zeta ** k - vals) > 1e-8):
+        raise CocycleExtensionError("cocycle value off the root-of-unity grid")
+    s = np.arange(m)
+    # (a, s)(b, t) at [a, s, b, t]
+    mul = g.mul[:, None, :, None] * m + (s[:, None, None] + s + k[:, None, :, None]) % m
+    ext = FiniteGroup(mul.reshape(g.order * m, g.order * m))
 
     def lift(elem: int, phase: int = 0) -> int:
         return elem * m + phase % m
@@ -833,8 +788,5 @@ def extend_rep(u: MultiplierRep):
     (g, s) -> zeta^s U(g)."""
     ext, lift, zeta, _ = central_extension(u.cocycle)
     m = ext.order // u.group.order
-    mats = np.zeros((ext.order, u.dim, u.dim), dtype=np.complex128)
-    for g in u.group.elements():
-        for s in range(m):
-            mats[lift(g, s)] = zeta ** s * u(g)
-    return MultiplierRep(ext, TwoCocycle.trivial(ext), mats), ext, lift
+    mats = (zeta ** np.arange(m))[:, None, None] * u.matrices[:, None]
+    return MultiplierRep(ext, TwoCocycle.trivial(ext), mats.reshape(ext.order, u.dim, u.dim)), ext, lift

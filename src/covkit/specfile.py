@@ -26,7 +26,6 @@ from .fingroup import (
     SubgroupData,
     TwoCocycle,
     cocycle_violation,
-    heisenberg_rep,
     rep_violation,
 )
 from .instruments import InstrumentSpec, ObservableSpec, Symmetry
@@ -210,6 +209,15 @@ def _stack_in(obj, path) -> np.ndarray:
     return np.stack(mats)
 
 
+def _shaped(arr, shape, path, what) -> np.ndarray:
+    """``arr``, once its shape is ``shape``: a shape that disagrees with
+    another field is a format error naming the field."""
+    if arr.shape != shape:
+        want, got = (" x ".join(map(str, dims)) for dims in (shape, arr.shape))
+        raise SpecFileError(f"{path}: need {what} ({want}), got {got}")
+    return arr
+
+
 def _int_in(obj, path) -> int:
     # bool is an int subclass; JSON floats and strings are not integers
     if type(obj) is not int:
@@ -263,7 +271,7 @@ _NAMED_GROUPS = {
     "cyclic": ("n", FiniteGroup.cyclic),
     "dihedral": ("n", FiniteGroup.dihedral),
     "symmetric": ("n", FiniteGroup.symmetric),
-    "heisenberg": ("d", lambda d: heisenberg_rep(d)[0]),
+    "heisenberg": ("d", lambda d: FiniteGroup.direct_product(FiniteGroup.cyclic(d), FiniteGroup.cyclic(d))),
 }
 
 
@@ -288,11 +296,18 @@ def group_out(group: FiniteGroup) -> dict:
     return {"mul": [[int(v) for v in row] for row in group.mul]}
 
 
+def _cocycle_in(obj, group, path) -> TwoCocycle:
+    values = matrix_in(obj, path)
+    return TwoCocycle(group, _shaped(values, (group.order,) * 2, path, "one value per pair of group elements"))
+
+
 def rep_in(obj, group, path="rep") -> MultiplierRep:
     _check_fields(obj, path, ["matrices"], ["cocycle", "unitary"])
     mats = _stack_in(obj["matrices"], f"{path}.matrices")
+    dim = mats.shape[1]
+    _shaped(mats, (group.order, dim, dim), f"{path}.matrices", "one square matrix per group element")
     if "cocycle" in obj:
-        cocycle = TwoCocycle(group, matrix_in(obj["cocycle"], f"{path}.cocycle"))
+        cocycle = _cocycle_in(obj["cocycle"], group, f"{path}.cocycle")
     else:
         cocycle = TwoCocycle.trivial(group)
     if not isinstance(obj.get("unitary", True), bool):
@@ -351,19 +366,22 @@ def kernel_in(payload, tol: Tolerances = DEFAULT_TOL) -> tuple[CovariantKernelSp
     )
     group = group_in(payload["group"])
     action = GroupAction(group, _int_table_in(payload["action"], "payload.action"))
-    alpha = matrix_in(payload["alpha"], "payload.alpha")
-    sigma = TwoCocycle(group, matrix_in(payload["sigma"], "payload.sigma"))
+    x = action.set_size
+    alpha = _shaped(matrix_in(payload["alpha"], "payload.alpha"), (group.order, x), "payload.alpha", "one value per group element and point")
+    sigma = _cocycle_in(payload["sigma"], group, "payload.sigma")
     rep = _valid_rep_in(payload["rep"], group, "payload.rep", tol)
     module = _module_in(payload["module"])
+    if module.n_v != rep.dim:
+        raise SpecFileError(f"payload.module.n_v: need the dimension of payload.rep ({rep.dim}), got {module.n_v}")
     rows = payload["blocks"]
-    x = action.set_size
     if not isinstance(rows, (list, np.ndarray)) or len(rows) != x:
         raise SpecFileError("payload.blocks: need one row of blocks per point")
     blocks = [_stack_in(row, f"payload.blocks[{i}]") for i, row in enumerate(rows)]
     for i, row in enumerate(blocks):
         if row.shape != (x,) + blocks[0].shape[1:]:
             raise SpecFileError(f"payload.blocks[{i}]: need one block per point, all of one shape")
-    spec = CovariantKernelSpec(action, alpha, sigma, rep, module, np.stack(blocks))
+    blocks = _shaped(np.stack(blocks), (x, x, rep.dim, rep.dim), "payload.blocks", "one n_V x n_V block per pair of points")
+    spec = CovariantKernelSpec(action, alpha, sigma, rep, module, blocks)
     z = _int_table_in(payload.get("z_pairs", [[i, i] for i in range(x)]), "payload.z_pairs")
     if len(z) and (z.shape[1:] != (2,) or z.min() < 0 or z.max() >= x):
         raise SpecFileError(f"payload.z_pairs: entries are [x, y] pairs of points 0 .. {x - 1}")
@@ -391,6 +409,7 @@ def cpmap_in(payload, tol: Tolerances = DEFAULT_TOL) -> CPMapSpec:
     algebra = FiniteCStarAlgebra(tuple(_int_list_in(payload["blocks"], "payload.blocks")))
     module = _module_in(payload["module"])
     values = _stack_in(payload["values"], "payload.values")
+    _shaped(values, (algebra.n_units, module.n_v, module.n_v), "payload.values", "one n_V x n_V matrix per matrix unit")
     symmetry = None
     if "symmetry" in payload:
         sym = payload["symmetry"]
@@ -400,6 +419,9 @@ def cpmap_in(payload, tol: Tolerances = DEFAULT_TOL) -> CPMapSpec:
             u=_valid_rep_in(sym["u"], group, "payload.symmetry.u", tol),
             rep=_valid_rep_in(sym["rep"], group, "payload.symmetry.rep", tol),
         )
+        n_a = algebra.defining_dim
+        _shaped(symmetry.u.matrices, (group.order, n_a, n_a), "payload.symmetry.u.matrices", "matrices on the defining space of the algebra")
+        _shaped(symmetry.rep.matrices, (group.order,) + values.shape[1:], "payload.symmetry.rep.matrices", "n_V x n_V matrices")
     tensor = None
     if "tensor" in payload:
         t = payload["tensor"]
@@ -408,6 +430,8 @@ def cpmap_in(payload, tol: Tolerances = DEFAULT_TOL) -> CPMapSpec:
             FiniteCStarAlgebra(tuple(_int_list_in(t["left_blocks"], "payload.tensor.left_blocks"))),
             FiniteCStarAlgebra(tuple(_int_list_in(t["right_blocks"], "payload.tensor.right_blocks"))),
         )
+        if tensor.algebra.blocks != algebra.blocks:
+            raise SpecFileError("payload.tensor: the products of left_blocks and right_blocks, left-major, must be payload.blocks")
     return CPMapSpec(algebra, module, values, symmetry, tensor)
 
 
@@ -447,7 +471,9 @@ def _symmetry_in(payload, need_out_rep, tol):
 def observable_in(payload, tol: Tolerances = DEFAULT_TOL) -> ObservableSpec:
     _check_fields(payload, "payload", ["group", "subgroup", "rep", "effects"])
     symmetry = _symmetry_in(payload, False, tol)
+    v = symmetry.rep.dim
     effects = _stack_in(payload["effects"], "payload.effects")
+    _shaped(effects, (symmetry.n_outcomes, v, v), "payload.effects", "one V x V effect per coset")
     return ObservableSpec(effects, symmetry)
 
 
@@ -463,7 +489,9 @@ def observable_out(spec: ObservableSpec) -> dict:
 def instrument_in(payload, tol: Tolerances = DEFAULT_TOL) -> InstrumentSpec:
     _check_fields(payload, "payload", ["group", "subgroup", "rep", "out_rep", "choi"])
     symmetry = _symmetry_in(payload, True, tol)
+    kv = symmetry.out_rep.dim * symmetry.rep.dim
     choi = _stack_in(payload["choi"], "payload.choi")
+    _shaped(choi, (symmetry.n_outcomes, kv, kv), "payload.choi", "one KV x KV Choi block per coset")
     return InstrumentSpec(choi, symmetry)
 
 
@@ -480,12 +508,16 @@ def instrument_out(spec: InstrumentSpec) -> dict:
 def phase_space_in(payload):
     _check_fields(payload, "payload", ["d", "seed_ops"])
     d = _int_in(payload["d"], "payload.d")
-    return d, _stack_in(payload["seed_ops"], "payload.seed_ops")
+    if d < 1:
+        raise SpecFileError(f"payload.d: expected an integer >= 1, got {d}")
+    ops = _stack_in(payload["seed_ops"], "payload.seed_ops")
+    return d, _shaped(ops, (len(ops), d, d), "payload.seed_ops", "d x d seed operators")
 
 
 def state_in(payload) -> np.ndarray:
     _check_fields(payload, "payload", ["matrix"])
-    return matrix_in(payload["matrix"], "payload.matrix")
+    mat = matrix_in(payload["matrix"], "payload.matrix")
+    return _shaped(mat, (len(mat),) * 2, "payload.matrix", "a square matrix")
 
 
 def group_payload_in(payload):
@@ -495,7 +527,7 @@ def group_payload_in(payload):
     if "action" in payload:
         out["action"] = GroupAction(group, _int_table_in(payload["action"], "payload.action"))
     if "cocycle" in payload:
-        out["cocycle"] = TwoCocycle(group, matrix_in(payload["cocycle"], "payload.cocycle"))
+        out["cocycle"] = _cocycle_in(payload["cocycle"], group, "payload.cocycle")
     if "rep" in payload:
         out["rep"] = rep_in(payload["rep"], group, "payload.rep")
     return out

@@ -10,7 +10,8 @@ verdict is backed by an explicit validated split.
 
 The file also keeps the element-by-element loop forms of the group, action,
 subgroup, cocycle and representation checks, over every element and
-restricted to the generators, as references for the batched checks in
+restricted to the generators, and of the coset space, the dihedral table and
+the clock-and-shift system, as references for the array expressions in
 ``covkit.fingroup``, and the loop forms of the matrix-unit
 coordinates, tables and transport, of the all-pairs multiplicativity
 residual, of the dense twist, commutation and cocycle residuals and of the
@@ -472,9 +473,11 @@ def cpmap_kernel_form(spec: CPMapSpec):
 # ---------------------------------------------------------------------------
 #
 # Element by element, exactly as the checks in covkit.fingroup were first
-# written.  The action and subgroup checks must report the same first
-# violation; the group table, cocycle and representation checks that of the
-# loop restricted to the generators (``on_generators``).
+# written.  The subgroup check must report the same first violation; the
+# group table, action, cocycle and representation checks that of the loop
+# restricted to the generators (``on_generators``).  The coset space, the
+# dihedral table and the clock-and-shift system are built the same way, as
+# references for the array expressions that build them.
 
 
 def greedy_generators_loop(mul, ident):
@@ -520,12 +523,15 @@ def group_table_violation(mul, on_generators=False):
     return None
 
 
-def action_violation(group, table):
-    """Message of the first action axiom an in-range table breaks, or None."""
+def action_violation(group, table, on_generators=False):
+    """Message of the first action axiom an in-range table breaks, or None.
+    Compatibility (ab).x = a.(b.x) is tested for every a, or with
+    ``on_generators`` for a in ``group.generators()`` only, first failure in
+    lexicographic order of (a, b)."""
     table = np.asarray(table, dtype=np.int64)
     if not np.array_equal(table[group.identity], np.arange(table.shape[1])):
         return "identity must act trivially"
-    for a in group.elements():
+    for a in _rows(group, on_generators)[0]:
         for b in group.elements():
             if not np.array_equal(table[group.prod(a, b)], table[a][table[b]]):
                 return f"action not compatible at ({a}, {b})"
@@ -544,6 +550,64 @@ def subgroup_violation(group, members):
             if group.prod(a, b) not in mem:
                 return "subgroup not closed under multiplication"
     return None
+
+
+def subgroup_loop(group, members):
+    """The coset space of a valid subgroup, coset by coset: the section, the
+    projection, the coset action table and the subgroup's own table."""
+    members = sorted(set(members))
+    seen, cosets = set(), []
+    for x in group.elements():
+        if x in seen:
+            continue
+        coset = tuple(sorted(group.prod(x, h) for h in members))
+        seen.update(coset)
+        cosets.append(coset)
+    # identity coset first, the rest ordered by smallest member
+    cosets.sort(key=lambda c: (group.identity not in c, c[0]))
+    section = tuple(group.identity if i == 0 else coset[0] for i, coset in enumerate(cosets))
+    projection = np.zeros(group.order, dtype=np.int64)
+    for i, coset in enumerate(cosets):
+        for x in coset:
+            projection[x] = i
+    action = np.array([[projection[group.prod(a, s)] for s in section] for a in group.elements()], dtype=np.int64)
+    pos = {m: i for i, m in enumerate(members)}
+    sub_mul = np.array([[pos[group.prod(a, b)] for b in members] for a in members], dtype=np.int64)
+    return section, projection, action, sub_mul
+
+
+def dihedral_loop(n):
+    """The table of the dihedral group of order 2n, element (r, s) at s*n + r."""
+
+    def compose(a, b):
+        ra, sa = a % n, a // n
+        rb, sb = b % n, b // n
+        # (ra, sa) * (rb, sb): rotation part, then reflection parity
+        r = (ra + (rb if sa == 0 else -rb)) % n
+        return (sa ^ sb) * n + r
+
+    return np.array([[compose(a, b) for b in range(2 * n)] for a in range(2 * n)])
+
+
+def heisenberg_loop(d):
+    """The clock-and-shift matrices X^q Z^p at index q*d + p and their cocycle
+    omega^(-q' p), one element and one pair at a time."""
+    omega = np.exp(2j * np.pi / d)
+    x = np.zeros((d, d), dtype=np.complex128)
+    for j in range(d):
+        x[(j - 1) % d, j] = 1.0
+    z = np.diag(omega ** np.arange(d))
+    mats = np.zeros((d * d, d, d), dtype=np.complex128)
+    for q in range(d):
+        for p in range(d):
+            mats[q * d + p] = np.linalg.matrix_power(x, q) @ np.linalg.matrix_power(z, p)
+    vals = np.ones((d * d, d * d), dtype=np.complex128)
+    for q in range(d):
+        for p in range(d):
+            for q2 in range(d):
+                for p2 in range(d):
+                    vals[q * d + p, q2 * d + p2] = omega ** ((-q2 * p) % d)
+    return mats, vals
 
 
 def _rows(group, on_generators):

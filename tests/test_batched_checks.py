@@ -1,12 +1,14 @@
 """The row-batched group, action, subgroup, cocycle and representation checks
 against their element-by-element loop forms in ``oracles``.
 
-The action and subgroup checks must report the same first violation in
-lexicographic order, or raise the same message, as their loops over every
-element, on valid inputs, on one corruption and on two corruptions at once.
-The group table, cocycle and representation checks run on the group's
-generators: they must report the first violation of the loop restricted to
-the generators, and reach the same verdict as the loop over every element.
+The subgroup check must report the same first violation in lexicographic
+order, or raise the same message, as its loop over every element, on valid
+inputs, on one corruption and on two corruptions at once.  The group table,
+action, cocycle and representation checks run on the group's generators:
+they must report the first violation of the loop restricted to the
+generators, and reach the same verdict as the loop over every element.  The
+coset space, the dihedral table and the clock-and-shift system must equal
+their loop forms bit for bit.
 The kernel, CP-map, observable and instrument covariance residuals must
 equal their loop forms over the generators on valid and perturbed inputs,
 and bound the loop over every element through ``max_word_length``; the
@@ -47,12 +49,15 @@ from oracles import (
     choi_covariance_loop,
     cocycle_loop,
     cocycle_violation_loop,
+    dihedral_loop,
     group_table_violation,
+    heisenberg_loop,
     instrument_covariance_loop,
     kernel_covariance_loop,
     kolmogorov_loop,
     observable_covariance_loop,
     rep_violation_loop,
+    subgroup_loop,
     subgroup_violation,
 )
 
@@ -65,6 +70,7 @@ GROUPS = {
     "S3": FiniteGroup.symmetric(3),
     "S4": FiniteGroup.symmetric(4),
     "Z5xZ5": FiniteGroup.direct_product(FiniteGroup.cyclic(5), FiniteGroup.cyclic(5)),
+    "Z3xZ3": FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3)),
 }
 NAMES = sorted(GROUPS)
 
@@ -178,7 +184,10 @@ def test_action_matches_loop(name):
             bad = table.copy()
             for _ in range(1 + trial % 2):
                 _swap_in_row(rng, bad)
-            assert _action_outcome(group, bad) == action_violation(group, bad)
+            expected = action_violation(group, bad, on_generators=True)
+            assert _action_outcome(group, bad) == expected
+            # Light's test is exact: the same verdict as every element
+            assert (expected is None) == (action_violation(group, bad) is None)
 
 
 def test_action_and_subgroup_reject_out_of_range_entries():
@@ -209,6 +218,32 @@ def test_subgroup_closure_matches_loop(name):
         except GroupStructureError as exc:
             outcome = str(exc)
         assert outcome == expected
+
+
+@pytest.mark.parametrize("name", ["Z6", "D4", "S3", "S4", "Z3xZ3"])
+def test_coset_space_matches_loop(name):
+    group = GROUPS[name]
+    for sub in all_subgroups(group):
+        section, projection, action, sub_mul = subgroup_loop(group, sub.members)
+        assert sub.section == section and sub.n_cosets == len(section)
+        assert sub.projection.dtype == projection.dtype and sub.projection.tobytes() == projection.tobytes()
+        assert sub.coset_action().table.tobytes() == action.tobytes()
+        assert sub.subgroup_group().mul.tobytes() == sub_mul.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dihedral_matches_loop(n):
+    mul = FiniteGroup.dihedral(n).mul
+    assert mul.dtype == np.int64 and np.array_equal(mul, dihedral_loop(n))
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_heisenberg_matches_loop(d):
+    _, cocycle, rep = heisenberg_rep(d)
+    mats, vals = heisenberg_loop(d)
+    # bit for bit, the signs of zeros included: they reach the documents as -0.0
+    assert rep.matrices.tobytes() == mats.tobytes()
+    assert cocycle.values.tobytes() == vals.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 forms: the Choi verdict and residual, the Kraus factors and j, the
 multiplicity unitaries W_{g,i} and the covariance certificate; and the CP
 form of an instrument, whose u is a block action, against the dense u that
-as_cpmap used to build; and the command line that dilates without
-importing ``numpy.ma``."""
+as_cpmap used to build; and the command line that dilates, and validates
+an observable or a phase_space document, without importing ``numpy.ma``."""
 
 import os
 import subprocess
@@ -261,17 +261,23 @@ sys.exit(code)
 
 def test_cli_dilate_never_imports_numpy_ma(tmp_path):
     # np.unique imports numpy.ma on its first call, which costs a fresh
-    # process more than a small dilation; the block shapes are grouped without it
+    # process more than a small dilation; the block shapes are grouped
+    # without it, and so are the cosets and the clock-and-shift system that
+    # validating an observable or a phase_space document builds
     instrument = next(_instruments())
     cpmap = next(_mixed_shape_maps())
-    docs = {
-        "instrument": specfile.instrument_out(instrument),
-        "cpmap": specfile.cpmap_out(replace(cpmap, symmetry=CPSymmetry(dense_u(cpmap), cpmap.symmetry.rep))),
+    observable = rand_covariant_observable(np.random.default_rng(2), all_subgroups(FiniteGroup.symmetric(3))[1], v_dim=2)
+    seed = np.diag([3 ** -0.5, 0, 0]).astype(complex)
+    runs = {
+        ("dilate", "instrument"): specfile.instrument_out(instrument),
+        ("dilate", "cpmap"): specfile.cpmap_out(replace(cpmap, symmetry=CPSymmetry(dense_u(cpmap), cpmap.symmetry.rep))),
+        ("validate", "observable"): specfile.observable_out(observable),
+        ("validate", "phase_space"): {"d": 3, "seed_ops": [specfile.matrix_out(seed)]},
     }
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
-    for kind, payload in docs.items():
+    for (command, kind), payload in runs.items():
         path = tmp_path / f"{kind}.json"
         path.write_text(specfile.document(kind, payload))
-        run = subprocess.run([sys.executable, "-c", GUARD, "dilate", str(path)], capture_output=True, text=True, env=env, timeout=120)
+        run = subprocess.run([sys.executable, "-c", GUARD, command, str(path)], capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         assert "numpy.ma loaded: False" in run.stderr

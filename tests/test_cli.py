@@ -612,6 +612,68 @@ MALFORMED = {
     "symmetric n -1": ("validate", _group_doc(name="symmetric", n=-1), "group.n: expected an integer >= 1, got -1"),
     "heisenberg d 0": ("validate", _group_doc(name="heisenberg", d=0), "group.d: expected an integer >= 1, got 0"),
     "symmetric above the size guard": ("validate", _group_doc(name="symmetric", n=7), "symmetric(n) supported only for n <= 6"),
+    # a shape that disagrees with another field
+    "group rep one matrix short": (
+        "validate",
+        lambda: specfile.document("group", {"group": {"name": "cyclic", "n": 2}, "rep": {"matrices": [specfile.matrix_out(np.eye(1))]}}),
+        "payload.rep.matrices: need one square matrix per group element (2 x 1 x 1), got 1 x 1 x 1",
+    ),
+    "group rep cocycle 1 x 1": (
+        "validate",
+        lambda: specfile.document("group", {
+            "group": {"name": "cyclic", "n": 2},
+            "rep": {"matrices": [specfile.matrix_out(np.eye(1))] * 2, "cocycle": specfile.matrix_out(np.ones((1, 1)))},
+        }),
+        "payload.rep.cocycle: need one value per pair of group elements (2 x 2), got 1 x 1",
+    ),
+    "observable two effects on one coset": (
+        "validate", lambda: _edited(flip_observable_doc(), lambda p: _set(p, "subgroup", [0, 1])),
+        "payload.effects: need one V x V effect per coset (1 x 2 x 2), got 2 x 2 x 2",
+    ),
+    "instrument one Choi block short": (
+        "validate", lambda: _edited(_instrument_doc(), lambda p: _set(p, "choi", p["choi"][:3])),
+        "payload.choi: need one KV x KV Choi block per coset (4 x 4 x 4), got 3 x 4 x 4",
+    ),
+    "kernel alpha 1 x 1": (
+        "validate", lambda: _edited(ones_kernel_doc(), lambda p: _set(p, "alpha", specfile.matrix_out(np.ones((1, 1))))),
+        "payload.alpha: need one value per group element and point (2 x 2), got 1 x 1",
+    ),
+    "kernel module n_v off the rep": (
+        "validate", lambda: _edited(ones_kernel_doc(), lambda p: _set(p["module"], "n_v", 2)),
+        "payload.module.n_v: need the dimension of payload.rep (1), got 2",
+    ),
+    "kernel blocks off n_v": (
+        "validate", lambda: _edited(ones_kernel_doc(), lambda p: _set(p, "blocks", [[specfile.matrix_out(np.eye(2))] * 2] * 2)),
+        "payload.blocks: need one n_V x n_V block per pair of points (2 x 2 x 1 x 1), got 2 x 2 x 2 x 2",
+    ),
+    "cpmap values one short": (
+        "validate", lambda: _edited(_cpmap_doc(), lambda p: _set(p, "values", p["values"][:3])),
+        "payload.values: need one n_V x n_V matrix per matrix unit (4 x 2 x 2), got 3 x 2 x 2",
+    ),
+    "cpmap u off the algebra": (
+        "validate", lambda: _edited(_cpmap_doc(), lambda p: _set(p["symmetry"], "u", {"matrices": [specfile.matrix_out(np.eye(1))] * 3})),
+        "payload.symmetry.u.matrices: need matrices on the defining space of the algebra (3 x 2 x 2), got 3 x 1 x 1",
+    ),
+    "cpmap rep off n_v": (
+        "validate", lambda: _edited(_cpmap_doc(), lambda p: _set(p["symmetry"], "rep", {"matrices": [specfile.matrix_out(np.eye(1))] * 3})),
+        "payload.symmetry.rep.matrices: need n_V x n_V matrices (3 x 2 x 2), got 3 x 1 x 1",
+    ),
+    "cpmap tensor off the blocks": (
+        "validate", lambda: _edited(_cpmap_doc(), lambda p: _set(p, "tensor", {"left_blocks": [1], "right_blocks": [1]})),
+        "payload.tensor: the products of left_blocks and right_blocks, left-major, must be payload.blocks",
+    ),
+    "phase_space seed 1 x 1 at d 2": (
+        "validate", lambda: _edited(phase_space_doc(2), lambda p: _set(p, "seed_ops", [specfile.matrix_out(np.eye(1))])),
+        "payload.seed_ops: need d x d seed operators (1 x 2 x 2), got 1 x 1 x 1",
+    ),
+    "phase_space d 0": (
+        "validate", lambda: _edited(phase_space_doc(2), lambda p: _set(p, "d", 0)),
+        "payload.d: expected an integer >= 1, got 0",
+    ),
+    "state 1 x 2": (
+        "validate", lambda: state_doc(np.array([[1.0, 0.0]])),
+        "payload.matrix: need a square matrix (1 x 1), got 1 x 2",
+    ),
 }
 
 

@@ -294,3 +294,26 @@ def test_coset_action_consistency():
     assert act.set_size == 3
     # stabilizer of the identity coset is the subgroup itself
     assert act.stabilizer(0) == list(sub.members)
+
+
+@pytest.mark.parametrize(
+    "action",
+    [
+        cosets(FiniteGroup.symmetric(4), [0, 1]).coset_action(),
+        GroupAction.trivial(FiniteGroup.cyclic(3), 4),
+        GroupAction.trivial(FiniteGroup.cyclic(3), 0),
+        # Z_2 swapping the points 1 and 3 of four
+        GroupAction(FiniteGroup.cyclic(2), np.array([[0, 1, 2, 3], [0, 3, 2, 1]])),
+    ],
+)
+def test_orbits_and_stabilizers_match_their_definitions(action):
+    g = action.group
+    seen, orbits = set(), []
+    for x in range(action.set_size):
+        if x not in seen:
+            orbits.append(sorted({action.apply(a, x) for a in g.elements()}))
+            seen.update(orbits[-1])
+    assert action.orbits() == orbits
+    for x in range(action.set_size):
+        assert action.orbit(x) == next(orb for orb in orbits if x in orb)
+        assert action.stabilizer(x) == [a for a in g.elements() if action.apply(a, x) == x]

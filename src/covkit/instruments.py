@@ -49,7 +49,6 @@ from .numlin import (
     constrained_commutant,
     frob,
     is_unitary,
-    offsets,
     psd_check,
     psd_status,
     rank,
@@ -287,6 +286,17 @@ def naimark(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilatio
     return dil
 
 
+def _fiber_pattern(perm, fiber_dims) -> tuple[np.ndarray, np.ndarray]:
+    """The fiber of every coordinate, and the mask of the cells (i, j) that
+    an operator moving fiber w to fiber T(w) may fill: fiber(i) =
+    T(fiber(j)).  Read row by row, the mask's cells are the blocks of the
+    target fibers in order, each row-major."""
+    if sorted(perm) != list(range(len(fiber_dims))):
+        raise DimensionError("perm must be a permutation of the fibers")
+    fiber = np.repeat(np.arange(len(perm)), fiber_dims)
+    return fiber, fiber[:, None] == np.asarray(perm, dtype=np.int64)[fiber][None, :]
+
+
 @dataclass(frozen=True)
 class DecomposableOp:
     """Operator on a direct sum of fibers moving fiber T^{-1}(w) to fiber w
@@ -297,18 +307,26 @@ class DecomposableOp:
     blocks: tuple[np.ndarray, ...]  # blocks[w]: fiber T^{-1}(w) -> fiber w
 
     def assemble(self) -> np.ndarray:
-        offs = offsets(self.fiber_dims)
-        inv = {self.perm[w]: w for w in range(len(self.perm))}
-        out = np.zeros((offs[-1], offs[-1]), dtype=np.complex128)
-        for w in range(len(self.perm)):
-            src = inv[w]
-            out[offs[w] : offs[w + 1], offs[src] : offs[src + 1]] = self.blocks[w]
+        _, mask = _fiber_pattern(self.perm, self.fiber_dims)
+        out = np.zeros(mask.shape, dtype=np.complex128)
+        out[mask] = np.concatenate([np.ravel(b) for b in self.blocks])
         return out
 
     def is_unitary_op(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         if any(b.shape[0] != b.shape[1] for b in self.blocks):
             return False
         return all(is_unitary(b, tol) for b in self.blocks if b.size)
+
+
+def _intertwining_residuals(op: np.ndarray, perm, fiber_dims) -> np.ndarray:
+    """||op P_w - P_{T(w)} op||_F for every outcome w.  Its nonzero cells
+    are the off-pattern cells of op in the columns of fiber w and in the
+    rows of fiber T(w), so its square is the sum of |op|^2 over those."""
+    fiber, mask = _fiber_pattern(perm, fiber_dims)
+    off = np.where(mask, 0.0, np.abs(op) ** 2)
+    by_col = np.bincount(fiber, off.sum(axis=0), minlength=len(perm))
+    by_row = np.bincount(fiber, off.sum(axis=1), minlength=len(perm))
+    return np.sqrt(by_col + by_row[list(perm)])
 
 
 def decomposable_extract(
@@ -319,46 +337,21 @@ def decomposable_extract(
     violating the intertwining, reporting the worst outcome."""
     perm = tuple(int(p) for p in perm)
     fiber_dims = tuple(int(m) for m in fiber_dims)
-    offs = offsets(fiber_dims)
-    pos = int(offs[-1])
     op = np.asarray(op, dtype=np.complex128)
-    if op.shape != (pos, pos):
+    _, mask = _fiber_pattern(perm, fiber_dims)
+    if op.shape != mask.shape:
         raise DimensionError("operator does not match the fiber layout")
-    inv = {perm[w]: w for w in range(len(perm))}
-
-    # intertwining with every singleton indicator
-    worst, worst_w = 0.0, None
-    for w in range(len(perm)):
-        p_w = np.zeros((pos, pos))
-        p_w[offs[w] : offs[w + 1], offs[w] : offs[w + 1]] = np.eye(fiber_dims[w])
-        p_tw = np.zeros((pos, pos))
-        tw = perm[w]
-        p_tw[offs[tw] : offs[tw + 1], offs[tw] : offs[tw + 1]] = np.eye(fiber_dims[tw])
-        res = frob(op @ p_w - p_tw @ op)
-        if res > worst:
-            worst, worst_w = res, w
+    res = _intertwining_residuals(op, perm, fiber_dims)
+    worst = float(res.max(initial=0.0))
     if worst > tol.recon_fro * max(1.0, frob(op)):
         raise DilationResidualError(
-            f"operator is not decomposable over the permutation; worst outcome {worst_w}"
+            f"operator is not decomposable over the permutation; worst outcome {int(np.argmax(res))}"
             f" with residual {worst:.2e}"
         )
-
-    blocks = []
-    for w in range(len(perm)):
-        src = inv[w]
-        blocks.append(op[offs[w] : offs[w + 1], offs[src] : offs[src + 1]].copy())
-    out = DecomposableOp(perm, fiber_dims, tuple(blocks))
-
-    # adjoint identity: the adjoint's block at w equals blocks[T(w)]^+
-    adj = op.conj().T
-    worst_adj = 0.0
-    for w in range(len(perm)):
-        tw = perm[w]
-        blk = adj[offs[w] : offs[w + 1], offs[tw] : offs[tw + 1]]
-        worst_adj = max(worst_adj, frob(blk - out.blocks[tw].conj().T))
-    if worst_adj > tol.recon_fro * max(1.0, frob(op)):
-        raise DilationResidualError("adjoint block identity failed")
-    return out
+    src = np.argsort(perm)  # T^{-1}
+    shapes = [(fiber_dims[w], fiber_dims[src[w]]) for w in range(len(perm))]
+    cells = np.split(op[mask], np.cumsum([r * c for r, c in shapes])[:-1])
+    return DecomposableOp(perm, fiber_dims, tuple(c.reshape(s) for c, s in zip(cells, shapes)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,51 +359,44 @@ def decomposable_extract(
 # ---------------------------------------------------------------------------
 
 
-def wigner_rotation(rho: MultiplierRep, sub: SubgroupData) -> dict:
-    """Strict cocycle (g, w) -> rho at s(w)^{-1} g s(g^{-1} w).
+def wigner_rotation(rho: MultiplierRep, sub: SubgroupData) -> np.ndarray:
+    """Strict cocycle W[g, w] = rho(s(w)^{-1} g s(g^{-1} w)), stacked as a
+    (|G|, |X|, m, m) array.
 
     ``rho`` is a representation of the subgroup as a group in its own right
-    (indices along ``sub.members``); the result maps pairs to matrices and
-    satisfies the strict cocycle identities exhaustively when rho is an
-    ordinary representation.
+    (indices along ``sub.members``); W satisfies the strict cocycle
+    identities W[ab, w] = W[a, w] W[b, a^{-1} w] when rho is an ordinary
+    representation.
     """
-    g = sub.parent
-    act = sub.coset_action()
-    pos = {m: i for i, m in enumerate(sub.members)}
-    table = {}
-    for a in g.elements():
-        for w in range(sub.n_cosets):
-            target = act.apply(g.inv(a), w)
-            h = g.prod(g.inv(sub.section[w]), g.prod(a, sub.section[target]))
-            table[(a, w)] = rho(pos[h])
-    return table
+    g, section = sub.parent, np.asarray(sub.section)
+    back = section[sub.coset_action().table[g.inverse]]  # s(g^{-1} w)
+    h = g.mul[g.inverse[section][None, :], g.mul[np.arange(g.order)[:, None], back]]
+    return rho.matrices[np.searchsorted(sub.members, h)]  # members are sorted
+
+
+def _induced_form(blocks: np.ndarray, sub: SubgroupData) -> np.ndarray:
+    """The induced block form of a (|G|, |X|, b, b) stack: the matrix of g
+    has block (w, g^{-1} w) equal to blocks[g, w] and zeros elsewhere, one
+    (|X| b, |X| b) matrix per element."""
+    order, n, b = blocks.shape[:3]
+    src = sub.coset_action().table[sub.parent.inverse]
+    out = np.zeros((order, n, b, n, b), dtype=np.complex128)
+    out[np.arange(order)[:, None], np.arange(n), :, src, :] = blocks
+    return out.reshape(order, n * b, n * b)
 
 
 @dataclass(frozen=True)
 class CanonicalSystem:
     """Canonical imprimitivity system induced from a subgroup representation:
-    the function space with the equivariance constraint, the translation
-    representation, the outcome projections, and the unitary onto the
-    product picture carrying the translation into the Wigner cocycle form."""
+    the function space with the equivariance constraint, in the coordinates
+    of the section (one rho-block per coset), with the translation
+    representation and the outcome projections."""
 
     sub: SubgroupData
     rho: MultiplierRep
     dim: int
     theta: np.ndarray  # (|G|, dim, dim)
     projections: np.ndarray  # (n_cosets, dim, dim)
-    to_product: np.ndarray  # unitary onto C^{n_cosets * dim(rho)}
-    wigner: dict
-
-    def induced_block_matrix(self, g) -> np.ndarray:
-        """The induced form: block at (w, g^{-1} w) is the Wigner cocycle."""
-        act = self.sub.coset_action()
-        m = self.rho.dim
-        n = self.sub.n_cosets
-        out = np.zeros((n * m, n * m), dtype=np.complex128)
-        for w in range(n):
-            src = act.apply(self.sub.parent.inv(g), w)
-            out[w * m : (w + 1) * m, src * m : (src + 1) * m] = self.wigner[(g, w)]
-        return out
 
 
 def canonical_system(
@@ -419,70 +405,44 @@ def canonical_system(
     """Build the canonical system concretely on equivariant functions.
 
     Requires an ordinary (trivial-cocycle) subgroup representation; the
-    function space has one rho-block of coordinates per coset, translation
-    acts by the regular permutation compressed to the space, and the
-    identification with the product picture is certified to carry the
-    translation representation onto the Wigner-cocycle form and the
-    projections onto the coordinate blocks.
+    function space has one rho-block of coordinates per coset: the function
+    with value rho(h)^+ e_i at s(w) h, scaled to unit norm.  Translation by a
+    moves the value at a^{-1} x to x, so theta(a) and the projections are
+    compressions of gathered rows of that embedding.  The section
+    coordinates are certified to carry the translation onto the induced
+    Wigner-cocycle form and the projections to satisfy the imprimitivity
+    relation.
     """
-    if not rho.cocycle.is_trivial():
+    if not rho.cocycle.is_trivial(tol.recon_fro):
         raise ValueError("canonical system needs an ordinary subgroup representation")
-    g = sub.parent
-    m = rho.dim
-    n = sub.n_cosets
+    g, m, n, section = sub.parent, rho.dim, sub.n_cosets, np.asarray(sub.section)
     dim = n * m
-    pos = {mem: i for i, mem in enumerate(sub.members)}
+    # embed[x, :, w, :]: the value at x of the function of coset w
+    owner = sub.projection
+    member = np.searchsorted(sub.members, g.mul[g.inverse[section[owner]], np.arange(g.order)])
+    embed = np.zeros((g.order, m, n, m), dtype=np.complex128)
+    embed[np.arange(g.order), :, owner, :] = rho.matrices[member].conj().transpose(0, 2, 1)
+    embed = embed.reshape(g.order, m, dim) / np.sqrt(len(sub.members))
+    flat = embed.reshape(g.order * m, dim)
 
-    # embedding of the equivariant functions into all functions G -> C^m
-    embed = np.zeros((g.order * m, dim), dtype=np.complex128)
-    for w in range(n):
-        s_w = sub.section[w]
-        for mem in sub.members:
-            gg = g.prod(s_w, mem)
-            block = rho(pos[mem]).conj().T  # value at s(w) h is rho(h)^+ e_i
-            embed[gg * m : (gg + 1) * m, w * m : (w + 1) * m] = block
-    embed /= np.sqrt(len(sub.members))
+    moved = embed[g.mul[g.inverse]].reshape(g.order, g.order * m, dim)  # row x of a: a^{-1} x
+    theta = flat.conj().T @ moved
+    scale = tol.recon_fro * max(1.0, np.sqrt(dim))
+    if np.linalg.norm(moved - flat @ theta, axis=(1, 2)).max() > scale:
+        raise DilationResidualError("function space is not translation invariant")
+    in_coset = embed[g.mul[section[:, None], list(sub.members)]].reshape(n, -1, dim)
+    projections = in_coset.conj().transpose(0, 2, 1) @ in_coset
 
-    theta = np.zeros((g.order, dim, dim), dtype=np.complex128)
-    for a in g.elements():
-        big = np.zeros((g.order * m, g.order * m), dtype=np.complex128)
-        for x in g.elements():
-            y = g.prod(a, x)
-            big[y * m : (y + 1) * m, x * m : (x + 1) * m] = np.eye(m)
-        moved = big @ embed
-        theta[a] = embed.conj().T @ moved
-        if frob(moved - embed @ theta[a]) > tol.recon_fro * max(1.0, np.sqrt(dim)):
-            raise DilationResidualError("function space is not translation invariant")
-
-    projections = np.zeros((n, dim, dim), dtype=np.complex128)
-    for w in range(n):
-        big = np.zeros((g.order * m, g.order * m), dtype=np.complex128)
-        for x in g.elements():
-            if sub.project(x) == w:
-                big[x * m : (x + 1) * m, x * m : (x + 1) * m] = np.eye(m)
-        projections[w] = embed.conj().T @ big @ embed
-
-    wigner = wigner_rotation(rho, sub)
-    to_product = np.eye(dim, dtype=np.complex128)  # section coordinates
-    system = CanonicalSystem(sub, rho, dim, theta, projections, to_product, wigner)
-
-    worst = max(
-        frob(system.theta[a] - system.induced_block_matrix(a)) for a in g.elements()
-    )
-    if worst > tol.recon_fro * max(1.0, np.sqrt(dim)):
+    worst = float(np.linalg.norm(theta - _induced_form(wigner_rotation(rho, sub), sub), axis=(1, 2)).max())
+    if worst > scale:
         raise DilationResidualError(
             f"canonical translation does not match the induced cocycle form ({worst:.2e})"
         )
-    # imprimitivity relation
-    act = sub.coset_action()
-    worst = 0.0
-    for a in g.elements():
-        for w in range(n):
-            lhs = system.theta[a] @ system.projections[w] @ system.theta[a].conj().T
-            worst = max(worst, frob(lhs - system.projections[act.apply(a, w)]))
-    if worst > tol.recon_fro * max(1.0, np.sqrt(dim)):
+    # imprimitivity relation theta(a) P_w theta(a)^+ = P_{aw}
+    conj = theta[:, None] @ projections[None] @ theta.conj().transpose(0, 2, 1)[:, None]
+    if np.linalg.norm(conj - projections[sub.coset_action().table], axis=(2, 3)).max() > scale:
         raise DilationResidualError("imprimitivity relation failed")
-    return system
+    return CanonicalSystem(sub, rho, dim, theta, projections)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +497,9 @@ def validate_observable_data(
     missing = data.base_dim - rank(lam, tol)
     checks["totality"] = Check(missing == 0, float(missing))
 
-    u = data.decomposition.rep
-    pos = {m: i for i, m in enumerate(data.sub.members)}
-    worst = 0.0
-    for mem in data.sub.members:
-        worst = max(worst, frob(lam @ u(mem) - data.rho(pos[mem]) @ lam))
+    # data.rho is indexed along the members
+    hs = data.decomposition.rep.matrices[list(data.sub.members)]
+    worst = float(np.linalg.norm(lam @ hs - data.rho.matrices @ lam, axis=(1, 2)).max())
     checks["subgroup_intertwining"] = Check(worst <= tol.recon_fro * max(1.0, frob(lam)), worst)
     return checks
 
@@ -558,22 +516,15 @@ def observable_from_lambda(
     sub = data.sub
     u = data.decomposition.rep
     lam = data.assembled_map()
-    effects = []
-    for w in range(sub.n_cosets):
-        a_w = lam @ u(sub.section[w]).conj().T
-        effects.append(a_w.conj().T @ a_w)
-    effects = np.stack(effects)
 
+    def effects_at(elements):
+        moved = lam @ u.matrices[elements].conj().swapaxes(-1, -2)
+        return moved.conj().swapaxes(-1, -2) @ moved
+
+    effects = effects_at(list(sub.section))
     # section-independence certificate: average over the whole coset
-    worst = 0.0
-    members = sub.members
-    for w in range(sub.n_cosets):
-        acc = np.zeros_like(effects[w])
-        for mem in members:
-            gg = sub.parent.prod(sub.section[w], mem)
-            a_g = lam @ u(gg).conj().T
-            acc += a_g.conj().T @ a_g
-        worst = max(worst, frob(acc / len(members) - effects[w]))
+    coset = sub.parent.mul[np.asarray(sub.section)[:, None], list(sub.members)]
+    worst = float(np.linalg.norm(effects_at(coset).mean(axis=1) - effects, axis=(1, 2)).max())
     if worst > tol.recon_fro * max(1.0, frob(lam) ** 2):
         raise DilationResidualError("effects depend on the section inside cosets")
 
@@ -866,28 +817,26 @@ class SqConstantResult:
 
 
 def sq_constant(
-    w_rep: MultiplierRep, tol: float = 1e-9, h_order: int = 1
+    w_rep: MultiplierRep, tol: Tolerances = DEFAULT_TOL, h_order: int = 1
 ) -> SqConstantResult:
-    """The square-integrability constant: the weighted sum over the group of
-    squared matrix coefficients, required equal for every pair of unit
-    vectors.  Checked exactly through the group twirl on matrix units;
-    returns the constant, or the spread on failure."""
-    n = w_rep.dim
-    twirl = np.zeros((n, n, n, n), dtype=np.complex128)
-    for g in w_rep.group.elements():
-        m = w_rep(g)
-        twirl += np.einsum("ai,bj->ijab", m, m.conj())
-    twirl /= h_order
-    # twirl[i, j] as an operator must be d * delta_ij * I
-    d_est = float(np.real(np.trace(twirl[0, 0])) / n)
-    spread = 0.0
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            target = d_est * eye if i == j else np.zeros((n, n))
-            spread = max(spread, frob(twirl[i, j] - target))
-    ok = spread <= tol * max(1.0, d_est) * n
-    return SqConstantResult(ok, d_est if ok else None, spread)
+    """The square-integrability constant d = |G| / (n h_order): the sum over
+    the group, divided by h_order, of |<phi, w_rep(g) psi>|^2, equal to d for
+    every pair of unit vectors when w_rep is irreducible.
+
+    Irreducibility of the unitary w_rep is certified by the character norm
+    sum_g |tr w_rep(g)|^2 = |G| (Schur's lemma), within ``tol.recon_fro``
+    relative.  ``spread`` is the Hilbert-Schmidt norm of the twirl defect,
+    X -> sum_g w_rep(g) X w_rep(g)^+ / h_order - d tr(X) I, which is
+    (|G| / h_order) sqrt(sum_g |tr w_rep(g)|^2 / |G| - 1); the constant is
+    returned only when the certificate holds.  A representation flagged not
+    unitary raises ``ValueError``."""
+    if not w_rep.unitary_flag:
+        raise ValueError("the character criterion needs a unitary representation")
+    order = w_rep.group.order
+    excess = float(np.sum(np.abs(np.einsum("gii->g", w_rep.matrices)) ** 2)) / order - 1.0
+    ok = excess <= tol.recon_fro
+    spread = order / h_order * np.sqrt(max(excess, 0.0))
+    return SqConstantResult(ok, order / (w_rep.dim * h_order) if ok else None, spread)
 
 
 @dataclass(frozen=True)
@@ -904,7 +853,7 @@ def sq_structure(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> SqStruc
     B_j^+ B_j equal to the seed, commuting with the subgroup restriction,
     and matching observable marginal."""
     sym = spec.symmetry
-    sq = sq_constant(sym.rep, h_order=len(sym.sub.members))
+    sq = sq_constant(sym.rep, tol, h_order=len(sym.sub.members))
     if not sq.ok:
         raise ValueError(f"representation is not square integrable (spread {sq.spread:.2e})")
     d = sq.value
@@ -917,23 +866,14 @@ def sq_structure(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> SqStruc
         positive=psd_status(seed, tol)[1],
     )
     checks.require(tol.recon_fro, "recovered seed is not trace one", trace=abs(np.trace(seed).real - 1.0))
-    subgroup_commutant = max(
-        (
-            frob(seed @ sym.rep(mem) - sym.rep(mem) @ seed)
-            for mem in sym.sub.members
-        ),
-        default=0.0,
-    )
-    marg = marginal_observable(spec)
-    worst = 0.0
-    for w in range(spec.n_outcomes):
-        us = sym.rep(sym.sub.section[w])
-        worst = max(worst, frob(marg.effects[w] - us @ seed @ us.conj().T / d))
+    hs = sym.rep.matrices[list(sym.sub.members)]
+    us = sym.rep.matrices[list(sym.sub.section)]
+    form = us @ seed @ us.conj().transpose(0, 2, 1) / d
     checks.require(
         tol.recon_fro,
         "square-integrable structure failed",
-        subgroup_commutant=subgroup_commutant,
-        observable_form=worst,
+        subgroup_commutant=float(np.linalg.norm(seed @ hs - hs @ seed, axis=(1, 2)).max()),
+        observable_form=float(np.linalg.norm(_effects(spec) - form, axis=(1, 2)).max()),
     )
     return SqStructure(seed, data.b_ops, d, checks)
 

@@ -371,11 +371,10 @@ def rand_covariant_instrument(rng, sub: SubgroupData, k_dim: int = 2, v_dim: int
     representation on the fiber sum, a module representation drawn from the
     irreducible content of the dilation, and a random intertwining isometry.
     """
-    from .instruments import InstrumentSpec, Symmetry, wigner_rotation
+    from .instruments import InstrumentSpec, Symmetry, _induced_form, wigner_rotation
 
     group = sub.parent
     n_out = sub.n_cosets
-    act = sub.coset_action()
     irreps = complete_irreps(group, seed=int(rng.integers(1 << 30)))
     c_u = rand_phases(rng, group)
     c_big = rand_phases(rng, group)
@@ -386,19 +385,10 @@ def rand_covariant_instrument(rng, sub: SubgroupData, k_dim: int = 2, v_dim: int
         for _ in range(copies - 1):
             rho = rho.direct_sum(conj_rep(u_out.restrict(sub)))
         r = rho.dim
+        # block (w, g^{-1} w) of theta(g) is u_out(g) (x) W[g, w]
         wig = wigner_rotation(rho, sub)
-
-        theta_mats = np.zeros(
-            (group.order, n_out * k_dim * r, n_out * k_dim * r), dtype=np.complex128
-        )
-        for g in group.elements():
-            for w in range(n_out):
-                src = act.apply(group.inv(g), w)
-                blk = np.kron(u_out(g), wig[(g, w)])
-                theta_mats[g][
-                    w * k_dim * r : (w + 1) * k_dim * r,
-                    src * k_dim * r : (src + 1) * k_dim * r,
-                ] = blk
+        blocks = u_out.matrices[:, None, :, None, :, None] * wig[:, :, None, :, None, :]
+        theta_mats = _induced_form(blocks.reshape(group.order, n_out, k_dim * r, k_dim * r), sub)
         theta = MultiplierRep(group, TwoCocycle.trivial(group), theta_mats)
 
         small = subrep_of_dim(rng, theta, v_dim, seed=int(rng.integers(1 << 30)))

@@ -49,7 +49,12 @@ out_rep(g) of an instrument's CP form, which ``as_cpmap`` keeps as a block
 action; and the per-block loop forms of the KSGNS stages (the Choi verdict
 with the SVD scale, one factorization per Choi block, one least-squares
 solve and certificate per block), as references for the stacked ones in
-``covkit.cpmaps``.
+``covkit.cpmaps``; and the element-by-element loop forms of the Wigner
+cocycle, of the canonical system's translation and projections (dense
+permutation and indicator matrices), of the per-outcome intertwining
+residual with dense fiber projections and of the group twirl behind the
+square-integrability constant, as references for the stacked gathers and
+the character-norm certificate in ``covkit.instruments``.
 """
 
 import dataclasses
@@ -65,6 +70,7 @@ from covkit.instruments import (
     CovariantInstrumentData,
     InstrumentSpec,
     ObservableSpec,
+    SqConstantResult,
     Symmetry,
     as_cpmap,
     instrument_from_B,
@@ -1490,3 +1496,97 @@ def _certify_naimark(data: NaimarkData, tol) -> Checks:
         "naimark covariance identities failed",
         block_cocycle=coc,
     )
+
+
+def wigner_rotation_loop(rho: MultiplierRep, sub) -> dict:
+    """Strict cocycle (g, w) -> rho at s(w)^{-1} g s(g^{-1} w), one entry per
+    pair, as the reference for the stacked ``wigner_rotation``."""
+    g = sub.parent
+    act = sub.coset_action()
+    pos = {m: i for i, m in enumerate(sub.members)}
+    table = {}
+    for a in g.elements():
+        for w in range(sub.n_cosets):
+            target = act.apply(g.inv(a), w)
+            h = g.prod(g.inv(sub.section[w]), g.prod(a, sub.section[target]))
+            table[(a, w)] = rho(pos[h])
+    return table
+
+
+def canonical_system_loop(rho: MultiplierRep, sub, tol: Tolerances = DEFAULT_TOL):
+    """Translation representation theta and outcome projections of the
+    canonical system on equivariant functions, by one dense permutation
+    matrix per element and one dense indicator per coset, as the reference
+    for the gathers of ``canonical_system``."""
+    g = sub.parent
+    m = rho.dim
+    n = sub.n_cosets
+    dim = n * m
+    pos = {mem: i for i, mem in enumerate(sub.members)}
+    embed = np.zeros((g.order * m, dim), dtype=np.complex128)
+    for w in range(n):
+        s_w = sub.section[w]
+        for mem in sub.members:
+            gg = g.prod(s_w, mem)
+            embed[gg * m : (gg + 1) * m, w * m : (w + 1) * m] = rho(pos[mem]).conj().T
+    embed /= np.sqrt(len(sub.members))
+
+    theta = np.zeros((g.order, dim, dim), dtype=np.complex128)
+    for a in g.elements():
+        big = np.zeros((g.order * m, g.order * m), dtype=np.complex128)
+        for x in g.elements():
+            y = g.prod(a, x)
+            big[y * m : (y + 1) * m, x * m : (x + 1) * m] = np.eye(m)
+        moved = big @ embed
+        theta[a] = embed.conj().T @ moved
+        if frob(moved - embed @ theta[a]) > tol.recon_fro * max(1.0, np.sqrt(dim)):
+            raise DilationResidualError("function space is not translation invariant")
+
+    projections = np.zeros((n, dim, dim), dtype=np.complex128)
+    for w in range(n):
+        big = np.zeros((g.order * m, g.order * m), dtype=np.complex128)
+        for x in g.elements():
+            if sub.project(x) == w:
+                big[x * m : (x + 1) * m, x * m : (x + 1) * m] = np.eye(m)
+        projections[w] = embed.conj().T @ big @ embed
+    return theta, projections
+
+
+def decomposable_intertwining_loop(op, perm, fiber_dims) -> list[float]:
+    """||op P_w - P_{T(w)} op||_F for every outcome w, with dense fiber
+    projections, as the reference for the off-pattern sums of
+    ``decomposable_extract``."""
+    offs = offsets(fiber_dims)
+    pos = int(offs[-1])
+    out = []
+    for w in range(len(perm)):
+        p_w = np.zeros((pos, pos))
+        p_w[offs[w] : offs[w + 1], offs[w] : offs[w + 1]] = np.eye(fiber_dims[w])
+        p_tw = np.zeros((pos, pos))
+        tw = perm[w]
+        p_tw[offs[tw] : offs[tw + 1], offs[tw] : offs[tw + 1]] = np.eye(fiber_dims[tw])
+        out.append(frob(op @ p_w - p_tw @ op))
+    return out
+
+
+def sq_twirl_loop(w_rep: MultiplierRep, tol: float = 1e-9, h_order: int = 1) -> SqConstantResult:
+    """The square-integrability constant from the group twirl on matrix
+    units, an (n, n, n, n) array accumulated over every element, with the
+    spread as the largest defect over the n^2 units: the reference for the
+    character-norm certificate of ``sq_constant``."""
+    n = w_rep.dim
+    twirl = np.zeros((n, n, n, n), dtype=np.complex128)
+    for g in w_rep.group.elements():
+        m = w_rep(g)
+        twirl += np.einsum("ai,bj->ijab", m, m.conj())
+    twirl /= h_order
+    # twirl[i, j] as an operator must be d * delta_ij * I
+    d_est = float(np.real(np.trace(twirl[0, 0])) / n)
+    spread = 0.0
+    eye = np.eye(n)
+    for i in range(n):
+        for j in range(n):
+            target = d_est * eye if i == j else np.zeros((n, n))
+            spread = max(spread, frob(twirl[i, j] - target))
+    ok = spread <= tol * max(1.0, d_est) * n
+    return SqConstantResult(ok, d_est if ok else None, spread)

@@ -299,8 +299,9 @@ def test_wigner_rotation_trivial_subgroup():
     sub = SubgroupData(g, (0,))
     rho = MultiplierRep.trivial(sub.subgroup_group(), 2)
     table = wigner_rotation(rho, sub)
-    for key, mat in table.items():
-        assert np.allclose(mat, np.eye(2))
+    for a in g.elements():
+        for w in range(sub.n_cosets):
+            assert np.allclose(table[a, w], np.eye(2))
 
 
 def test_wigner_rotation_sign_rep():
@@ -316,12 +317,12 @@ def test_wigner_rotation_sign_rep():
     for a in g.elements():
         for b in g.elements():
             for w in range(sub.n_cosets):
-                lhs = table[(g.prod(a, b), w)]
-                rhs = table[(a, w)] @ table[(b, act.apply(g.inv(a), w))]
+                lhs = table[g.prod(a, b), w]
+                rhs = table[a, w] @ table[b, act.apply(g.inv(a), w)]
                 assert np.allclose(lhs, rhs, atol=1e-12)
     # restriction to the subgroup at the base coset is the representation
-    assert np.allclose(table[(2, 0)], [[-1.0]])
-    assert np.allclose(table[(0, 0)], [[1.0]])
+    assert np.allclose(table[2, 0], [[-1.0]])
+    assert np.allclose(table[0, 0], [[1.0]])
 
 
 def test_canonical_system_trivial_rho():

@@ -117,11 +117,11 @@ def cmd_validate(args) -> int:
         if "action" in obj:
             report.verdict("action", True)
         if "cocycle" in obj:
-            bad, residual = cocycle_status(obj["cocycle"])
+            bad, residual = cocycle_status(obj["cocycle"], tol)
             report.verdict("cocycle", bad is None, residual)
         if "rep" in obj:
             # the product rows certify the representation only for a 2-cocycle
-            bad_cocycle, cocycle_residual = cocycle_status(obj["rep"].cocycle)
+            bad_cocycle, cocycle_residual = cocycle_status(obj["rep"].cocycle, tol)
             bad, residual = rep_status(obj["rep"], tol)
             report.verdict("rep", bad is None and bad_cocycle is None, max(residual, cocycle_residual))
     elif kind == "kernel":

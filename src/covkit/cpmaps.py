@@ -27,6 +27,7 @@ from .kernels import (
     DilationResidualError,
     ExtremalityCertificate,
     _certify_commutant,
+    _each,
     _split,
 )
 from .numlin import (
@@ -279,6 +280,22 @@ def _choi_blocks(alg: FiniteCStarAlgebra, values, w) -> list:
     return [(idx, _choi_stack(alg, values, n, idx), np.stack([w[i] for i in idx], axis=1)) for n, idx in _size_groups(alg.blocks)]
 
 
+# The covariance defect of one block size is formed a chunk of blocks at a
+# time, each chunk holding at most this many complex entries per stacked
+# array (2 MiB): a large map never needs its whole (rows, blocks, nd, nd)
+# defect at once.  The largest covariance check of the benchmark corpus
+# (93 312 entries) is one chunk.
+_COVARIANCE_CHUNK = 1 << 17
+
+
+def _moved(choi, w, rep) -> np.ndarray:
+    """f C f^+ for f = conj(w) (x) rep, over a stack of Choi matrices C (B, n
+    d, n d), factors w (rows, B or 1, n, n) and rep (rows, d, d)."""
+    nd = choi.shape[-1]
+    f = (w.conj()[..., :, None, :, None] * rep[:, None, None, :, None, :]).reshape(w.shape[:2] + (nd, nd))
+    return f @ choi @ np.swapaxes(f.conj(), -1, -2)
+
+
 def _covariance(blocks, sigma, rep, group: FiniteGroup, tol) -> Check:
     """The one covariance certificate of CP maps, instruments and
     observables, over the rows s of a block permutation ``sigma`` and of a
@@ -287,22 +304,24 @@ def _covariance(blocks, sigma, rep, group: FiniteGroup, tol) -> Check:
     their factors w_{s,i} (rows, blocks, n, n), or (rows, 1, n, n) for one
     factor all of them share; sigma_s maps each index set onto itself.  The
     residual is the largest ||(conj(w_{s,i}) (x) rep_s) C_i (.)^+ -
-    C_{sigma_s(i)}||_F over s and i, one stacked expression per block size.
-    For unitary factors it is the Hilbert-Schmidt norm of b -> S(beta_s(b))
-    - rep_s S(b) rep_s^+ on block i, whatever unit basis it is summed over.
-    A non-unitary factor is passed as its inverse adjoint
-    (:func:`_factor`).  The verdict holds ``max_word_length`` times the
-    residual to recon_fro max(1, max|C_i|)."""
+    C_{sigma_s(i)}||_F over s and i, one stacked expression per chunk of
+    blocks of one size (:data:`_COVARIANCE_CHUNK`); it is a maximum, so the
+    chunks change no value.  For unitary factors it is the Hilbert-Schmidt
+    norm of b -> S(beta_s(b)) - rep_s S(b) rep_s^+ on block i, whatever unit
+    basis it is summed over.  A non-unitary factor is passed as its inverse
+    adjoint (:func:`_factor`).  The verdict holds ``max_word_length`` times
+    the residual to recon_fro max(1, max|C_i|)."""
     worst, scale, d = [0.0], [1.0], rep.shape[-1]
     for idx, choi, w in blocks:
         pos = np.zeros(sigma.shape[1], dtype=np.int64)
         pos[idx] = np.arange(len(idx))
         n = w.shape[-1]
-        f = (w.conj()[..., :, None, :, None] * rep[:, None, None, :, None, :]).reshape(w.shape[:2] + (n * d, n * d))
-        defect = f @ choi @ np.swapaxes(f.conj(), -1, -2)
-        defect -= choi[pos[sigma[:, idx]]]
-        worst.append(_norms(defect).max(initial=0.0))
-        scale.append(np.abs(choi).max(initial=0.0))
+        step = max(1, _COVARIANCE_CHUNK // max(1, len(rep) * (n * d) ** 2))
+        for part in (slice(lo, lo + step) for lo in range(0, len(idx), step)):
+            defect = _moved(choi[part], w[:, part] if w.shape[1] > 1 else w, rep)
+            defect -= choi[pos[sigma[:, idx[part]]]]
+            worst.append(_norms(defect).max(initial=0.0))
+            scale.append(np.abs(choi[part]).max(initial=0.0))
     # np.max keeps a NaN, and a non-finite bound certifies nothing
     worst, bound = float(np.max(worst)), tol.recon_fro * float(np.max(scale))
     return Check(bool(group.max_word_length * worst <= bound < np.inf), worst)
@@ -618,7 +637,7 @@ def cp_extremal(
         return replace(spec, values=(jh @ d) @ blocks)
 
     scale = max(1.0, frob(dilation.j) ** 2)
-    return _split(spec, basis, cpmap, cp_validate, lambda cp: cp.values, scale, tol, unit_value=CPMapSpec.unit_value)
+    return _split(spec, basis, cpmap, _each(cp_validate), lambda cp: cp.values, scale, tol, unit_value=CPMapSpec.unit_value)
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,7 @@ class TwoCocycle:
         return bool(np.all(np.abs(self.values - 1.0) <= tol))
 
 
-def cocycle_status(c: TwoCocycle, tol: float = 1e-10):
+def cocycle_status(c: TwoCocycle, tol: Tolerances = DEFAULT_TOL):
     """First violated identity, or None if ``c`` is a genuine 2-cocycle, and
     the largest residual found.
 
@@ -355,11 +355,13 @@ def cocycle_status(c: TwoCocycle, tol: float = 1e-10):
     identity c(x, a) c(xa, y) = c(a, y) c(x, ay) is checked for a in
     ``group.generators()`` and every x, y: the a for which it holds are
     closed under products (Light's test, as for the group table), so it then
-    holds for every a.  Those rows fail where ``max_word_length`` times their
-    residual exceeds ``tol``; a violation is reported as
-    ``("cocycle", x, a, y)``, first in lexicographic order.
+    holds for every a.  Each entry fails where its modulus or normalization
+    defect exceeds ``tol.recon_fro``, and those rows where ``max_word_length``
+    times their residual does, the scale :func:`rep_status` holds the product
+    rule to; a violation is reported as ``("cocycle", x, a, y)``, first in
+    lexicographic order.
     """
-    g, v = c.group, c.values
+    g, v, tol = c.group, c.values, tol.recon_fro
     gens = list(g.generators())
     modulus = np.abs(np.abs(v) - 1.0)
     e = g.identity
@@ -379,13 +381,13 @@ def cocycle_status(c: TwoCocycle, tol: float = 1e-10):
     return None, residual
 
 
-def cocycle_violation(c: TwoCocycle, tol: float = 1e-10):
+def cocycle_violation(c: TwoCocycle, tol: Tolerances = DEFAULT_TOL):
     """First violated identity, or None if ``c`` is a genuine 2-cocycle
     (:func:`cocycle_status`)."""
     return cocycle_status(c, tol)[0]
 
 
-def validate_cocycle(c: TwoCocycle, tol: float = 1e-10) -> bool:
+def validate_cocycle(c: TwoCocycle, tol: Tolerances = DEFAULT_TOL) -> bool:
     return cocycle_violation(c, tol) is None
 
 
@@ -519,7 +521,7 @@ def rep_violation(u: MultiplierRep, tol: Tolerances = DEFAULT_TOL):
 
 
 def validate_rep(u: MultiplierRep, tol: Tolerances = DEFAULT_TOL) -> bool:
-    if not validate_cocycle(u.cocycle):
+    if not validate_cocycle(u.cocycle, tol):
         return False
     return rep_violation(u, tol) is None
 
@@ -753,7 +755,7 @@ def _phase_orders(z: np.ndarray, max_order: int = 1024) -> np.ndarray:
     )
 
 
-def central_extension(cocycle: TwoCocycle):
+def central_extension(cocycle: TwoCocycle, tol: Tolerances = DEFAULT_TOL):
     """Finite central extension trivializing a root-of-unity valued cocycle.
 
     Returns ``(extension, lift, phase_root, exponent)`` where ``extension``
@@ -762,10 +764,11 @@ def central_extension(cocycle: TwoCocycle):
     primitive m-th root zeta with cocycle(g, h) = zeta^k(g, h), and
     ``exponent[g, h] = k(g, h)``.  For a multiplier representation U with
     this cocycle, (g, s) -> zeta^s U(g) is an ordinary representation of the
-    extension.  Non-root-of-unity cocycles are rejected.
+    extension.  Non-root-of-unity cocycles are rejected, and so is a cocycle
+    that fails :func:`cocycle_status` at ``tol``.
     """
     g, vals = cocycle.group, cocycle.values
-    if cocycle_violation(cocycle) is not None:
+    if cocycle_violation(cocycle, tol) is not None:
         raise ValueError("not a valid cocycle")
     m = int(np.lcm.reduce(_phase_orders(vals).ravel()))
     zeta = np.exp(2j * np.pi / m)

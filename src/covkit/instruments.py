@@ -9,6 +9,9 @@ Outcome spaces are coset spaces of a finite group.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +43,7 @@ from .kernels import (
     DilationResidualError,
     ExtremalityCertificate,
     _certify_commutant,
+    _each,
     _split,
 )
 from .numlin import (
@@ -50,6 +54,7 @@ from .numlin import (
     frob,
     is_unitary,
     psd_check,
+    psd_spectrum,
     psd_status,
     rank,
     unitary_moves,
@@ -224,11 +229,73 @@ def validate_instrument(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> 
     covariance = _covariance(blocks, sym.action.table[gens], sym.rep.matrices[gens], sym.group, tol)
     stack, carried = (spec.choi[:1], sym.group.max_word_length * covariance.residual) if covariance.ok else (spec.choi, 0.0)
     checks = Checks(outcomes_cp=Check(*psd_status(stack, tol, carried)))
-    v = spec.v_dim
-    res = frob(_effects(spec).sum(0) - np.eye(v))
-    checks["normalization"] = Check(res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)
+    checks["normalization"] = _normalization(spec, tol)
     checks["covariance"] = covariance
     return checks
+
+
+def _normalization(spec: InstrumentSpec, tol) -> Check:
+    """The effects sum to the identity within recon_fro max(1, sqrt(V))."""
+    v = spec.v_dim
+    res = frob(_effects(spec).sum(0) - np.eye(v))
+    return Check(res <= tol.recon_fro * max(1.0, np.sqrt(v)), res)
+
+
+def _validate_rows(specs, rows, middles, tol) -> list:
+    """The certificates of :func:`validate_instrument` for instruments built
+    from one stack of Kraus rows: instrument i has Choi blocks C_w = R_w^+
+    P_i R_w, R_w the (r, K V) stack ``rows[w]`` of the outcome's operators
+    u(g_w) B_l rep(g_w)^+ and P_i the r x r ``middles[i]`` (I for a built
+    instrument, I +- X for the two extremality neighbours), without forming
+    any (K V)^2 product.  The row move is computed once for all of them.
+
+    Covariance: at each generator s, the moved rows M_{s,w} = u(s) R_w
+    rep(s)^+, which give f_s C_w f_s^+ = M^+ P M, are matched to a remix
+    W R_{s w} of the target's rows by :func:`~covkit.numlin.unitary_moves`
+    (one pseudo-inverse per outcome), with row defect rho = ||M - W R||_F.
+    Then ||f_s C_w f_s^+ - C_{sw}||_F <= ||R||_2^2 ||W^+ P W - P||_F + (2
+    ||W||_2 ||R||_2 + rho) ||P||_2 rho, R = R_{sw}, and that bound, with the
+    spectral norms bounded from above, is the residual, held like the dense
+    one to recon_fro max(1, max|C|); max|C| is the largest diagonal entry,
+    the blocks being positive.  Positivity: x^+ C_w x >= min(0,
+    lambda_min(P)) ||R_w||_2^2 |x|^2 and ||C_w - C_w^+||_F <= ||R_w||_2^2
+    ||P - P^+||_F, both from P's r x r spectrum, held to psd_eig.
+    Normalization is :func:`validate_instrument`'s.
+
+    Where this certificate fails, :func:`validate_instrument` decides: rows
+    that are linearly dependent can miss every unitary remix while the
+    blocks are covariant, so no verdict is stricter than the dense one."""
+    sym, gens = specs[0].symmetry, list(specs[0].symmetry.group.generators())
+    n, r = rows.shape[:2]
+    flat = rows.reshape(n, r, -1)
+    if not (np.isfinite(flat).all() and np.isfinite(middles).all()):
+        return [validate_instrument(spec, tol) for spec in specs]
+    # moved[s, x] holds the rows of outcome s^-1 x moved by s, so they land on outcome x
+    adjoint = sym.rep.matrices[gens].conj().transpose(0, 2, 1)[:, None, None]
+    moved = sym.out_rep.matrices[gens, None, None] @ rows[sym.action.table[sym.group.inverse[gens]]] @ adjoint
+    ws, unitary, rho = unitary_moves(flat, moved.reshape((len(gens),) + flat.shape))
+    # upper bounds: ||R||_2 <= ||R||_F, ||W||_2^2 = ||W^+ W||_2 <= 1 + ||W^+ W - I||_F, and
+    # ||P||_2 is at most its Hermitian part's (the spectrum's scale) plus its skew part's
+    size = np.linalg.norm(flat, axis=(1, 2))
+    spectrum = psd_spectrum(middles)
+    p_norm = (spectrum.scale + spectrum.skew / 2)[:, None, None]
+    p = middles[:, None, None]
+    commutes = np.linalg.norm(ws.conj().swapaxes(-1, -2) @ p @ ws - p, axis=(-2, -1))
+    bound = size**2 * commutes + (2 * np.sqrt(1 + unitary) * size + rho) * p_norm * rho
+    # np.max keeps a NaN, and a non-finite bound certifies nothing
+    worst = np.max(bound.reshape(len(specs), -1), axis=1, initial=0.0)
+    top = float(size.max(initial=0.0)) ** 2
+    negative = top * spectrum.residual()
+    positive = np.maximum(negative, top * spectrum.skew) <= tol.psd_eig
+    out = []
+    for spec, res, neg, pos in zip(specs, worst, negative, positive):
+        scale = max(1.0, float(np.abs(np.diagonal(spec.choi, axis1=-2, axis2=-1)).max(initial=0.0)))
+        covariance = Check(bool(sym.group.max_word_length * res <= tol.recon_fro * scale < np.inf), float(res))
+        if covariance.ok and pos:
+            out.append(Checks(outcomes_cp=Check(True, float(neg)), normalization=_normalization(spec, tol), covariance=covariance))
+        else:
+            out.append(validate_instrument(spec, tol))
+    return out
 
 
 def marginal_observable(spec: InstrumentSpec) -> ObservableSpec:
@@ -600,7 +667,7 @@ def observable_extremal(
         return ObservableSpec(moved.conj().transpose(0, 2, 1) @ d @ moved, symmetry)
 
     original, scale = observable(np.eye(data.base_dim)), max(1.0, frob(lam) ** 2)
-    return _split(original, basis, observable, validate_observable, lambda obs: obs.effects, scale, tol)
+    return _split(original, basis, observable, _each(validate_observable), lambda obs: obs.effects, scale, tol)
 
 
 def observable_kernel_form(spec: ObservableSpec):
@@ -668,11 +735,20 @@ def check_b_family(data: CovariantInstrumentData, symmetry: Symmetry, tol: Toler
     return float(np.linalg.norm(lhs - rhs, axis=(-2, -1)).max()), frob(total - np.eye(rep.dim))
 
 
-def _assemble_instrument(data: CovariantInstrumentData, symmetry: Symmetry, tol: Tolerances) -> InstrumentSpec:
+def _outcome_rows(b, symmetry: Symmetry, section) -> np.ndarray:
+    """The Kraus operators u(g_w) B_l rep(g_w)^+ of every outcome w, g_w =
+    section[w], for a family ``b`` (r, K, V): an (|X|, r, K, V) stack."""
+    g = list(section)
+    adjoint = symmetry.rep.matrices[g].conj().transpose(0, 2, 1)
+    return symmetry.out_rep.matrices[g][:, None] @ b @ adjoint[:, None]
+
+
+def _assemble_instrument(data: CovariantInstrumentData, symmetry: Symmetry, tol: Tolerances):
     """The covariant instrument generated by a Kraus family, not yet
-    validated: the outcome at each coset uses the section-transported
-    operators.  The invariance and normalization conditions are enforced
-    first and independence from the section choice is certified."""
+    validated, and the Kraus rows of its outcomes (:func:`_outcome_rows`):
+    the outcome at each coset uses the section-transported operators.  The
+    invariance and normalization conditions are enforced first and
+    independence from the section choice is certified."""
     worst_inv, worst_norm = check_b_family(data, symmetry, tol)
     scale = max(1.0, sum(frob(b) ** 2 for b in data.b_ops))
     if worst_inv > tol.recon_fro * scale:
@@ -683,24 +759,18 @@ def _assemble_instrument(data: CovariantInstrumentData, symmetry: Symmetry, tol:
         raise StructureViolation(
             f"total normalization fails (worst {worst_norm:.2e})", worst_norm
         )
-    sub, u, rep = symmetry.sub, symmetry.out_rep, symmetry.rep
-    k, v, b = u.dim, rep.dim, np.stack(data.b_ops)
-
-    def choi_at(section):
-        # outcome w has the Kraus family u(g_w) B_l rep(g_w)^+, g_w = section[w]
-        g = list(section)
-        return _choi_of(u.matrices[g][:, None] @ b @ rep.matrices[g].conj().transpose(0, 2, 1)[:, None])
-
-    choi = choi_at(sub.section)
+    sub, k, v, b = symmetry.sub, symmetry.out_rep.dim, symmetry.rep.dim, np.stack(data.b_ops)
+    rows = _outcome_rows(b, symmetry, sub.section)
+    choi = _choi_of(rows)
     # section independence: shift every section point inside its coset; a
     # trivial subgroup leaves each coset one point, so there is no shift
     members = list(sub.members)
     if len(members) > 1:
         shifted = [sub.parent.prod(sub.section[w], members[(w + 1) % len(members)]) for w in range(sub.n_cosets)]
-        res = float(np.linalg.norm(choi_at(shifted) - choi, axis=(1, 2)).max())
+        res = float(np.linalg.norm(_choi_of(_outcome_rows(b, symmetry, shifted)) - choi, axis=(1, 2)).max())
         if res > tol.recon_fro * max(1.0, float(np.abs(choi).max()) * k * v):
             raise DilationResidualError(f"section dependence detected ({res:.2e})")
-    return InstrumentSpec(choi, symmetry)
+    return InstrumentSpec(choi, symmetry), rows
 
 
 def instrument_from_B(
@@ -709,11 +779,11 @@ def instrument_from_B(
     tol: Tolerances = DEFAULT_TOL,
     certificate: Checks | None = None,
 ) -> InstrumentSpec:
-    """The validated covariant instrument generated by a Kraus family.  Its
-    :func:`validate_instrument` certificate is also written into
-    ``certificate`` when one is given."""
-    spec = _assemble_instrument(data, symmetry, tol)
-    report = validate_instrument(spec, tol)
+    """The validated covariant instrument generated by a Kraus family.  It is
+    certified on the rows it is built from (:func:`_validate_rows`), and that
+    certificate is also written into ``certificate`` when one is given."""
+    spec, rows = _assemble_instrument(data, symmetry, tol)
+    (report,) = _validate_rows([spec], rows, np.eye(rows.shape[1])[None], tol)
     if not report.ok:
         raise DilationResidualError(f"assembled instrument invalid: {report.failed()}")
     if certificate is not None:
@@ -734,7 +804,7 @@ def B_from_instrument(
     if not report.ok:
         raise ValueError(f"instrument invalid: {', '.join(report.failed())}")
     ops = kraus_from_choi(spec.choi[0], spec.k_dim, spec.v_dim, tol)
-    rebuilt = _assemble_instrument(CovariantInstrumentData(tuple(ops)), spec.symmetry, tol)
+    rebuilt, _ = _assemble_instrument(CovariantInstrumentData(tuple(ops)), spec.symmetry, tol)
     checks = Checks().require(
         tol.recon_fro * max(1.0, float(np.abs(spec.choi).max()) * spec.k_dim * spec.v_dim),
         "reconstruction failed, instrument covariance is broken",
@@ -780,9 +850,10 @@ def instrument_extremal(
     compression.  On non-extremality the witness is I_K (x) X, and the
     neighbours are the instruments with Choi blocks M_w^+ (I +- X) M_w, row
     l of M_w the outcome's Kraus operator u(g_w) B_l rep(g_w)^+: those of
-    the families sqrt(I +- X) B.  Each is validated once, and their midpoint
-    is the input.  An observable is decided as
-    :meth:`ObservableSpec.as_instrument`, with K = 1."""
+    the families sqrt(I +- X) B.  Both are validated once, together, on
+    those rows (:func:`_validate_rows`), and their midpoint is the input.  An
+    observable is decided as :meth:`ObservableSpec.as_instrument`, with K =
+    1."""
     data = B_from_instrument(spec, tol)
     sym, g = spec.symmetry, list(spec.symmetry.sub.section)
     k, r, v = spec.k_dim, len(data.b_ops), spec.v_dim
@@ -790,18 +861,22 @@ def instrument_extremal(
     j = b.transpose(1, 0, 2).reshape(k * r, v)
     ws = _multiplicity_rep(data, sym, tol)
     lifts = np.einsum("ab,hlm->halbm", np.eye(k), ws).reshape(len(ws), k * r, k * r)
-    rep_adj = sym.rep.matrices[g].conj().transpose(0, 2, 1)
-    moved = j @ rep_adj
+    moved = j @ sym.rep.matrices[g].conj().transpose(0, 2, 1)
     compressions = [(moved, moved)]
     basis = constrained_commutant(list(lifts), compressions, layout=[(k, r)], tol=tol)
     _certify_commutant(basis, lifts, compressions, tol)
-    rows = (sym.out_rep.matrices[g][:, None] @ b @ rep_adj[:, None]).reshape(len(g), r, k * v)
+    rows = _outcome_rows(b, sym, g)
+    flat = rows.reshape(len(g), r, k * v)
 
     def instrument(d):
-        return InstrumentSpec(rows.conj().transpose(0, 2, 1) @ d[:r, :r] @ rows, sym)
+        return InstrumentSpec(flat.conj().transpose(0, 2, 1) @ d[:r, :r] @ flat, sym)
+
+    def validate(directions, neighbours, tol):
+        # the neighbours share their rows, so one call certifies both
+        return _validate_rows(neighbours, rows, np.stack([d[:r, :r] for d in directions]), tol)
 
     scale = max(1.0, float(np.abs(spec.choi).max()) * k * v)
-    return _split(spec, basis, instrument, validate_instrument, lambda ins: ins.choi, scale, tol)
+    return _split(spec, basis, instrument, validate, lambda ins: ins.choi, scale, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -931,27 +1006,41 @@ def _checked_state(state, tol: Tolerances) -> np.ndarray:
     return state
 
 
+def _draws(p, n: int, rng_seed: int):
+    """``n`` outcomes drawn from the distribution ``p`` by the interpreter's
+    own generator, ``random.Random(rng_seed)``: inverse CDF by bisection on
+    ``random()`` scaled to the total, the index clamped to the last outcome
+    of positive probability, so an outcome of probability 0 is never drawn.
+    Python keeps the ``random()`` sequence of a seed across versions, so the
+    stream of a seed is fixed."""
+    cdf = list(itertools.accumulate(float(x) for x in p))
+    if not cdf[-1] > 0:  # NaN fails too
+        raise ValueError("the outcome probabilities have no positive total")
+    top = bisect.bisect_left(cdf, cdf[-1])
+    rng = random.Random(rng_seed)
+    for _ in range(n):
+        yield min(bisect.bisect_right(cdf, rng.random() * cdf[-1]), top)
+
+
 def sample(spec: InstrumentSpec, state, rng_seed: int, tol: Tolerances = DEFAULT_TOL) -> SampleResult:
-    """Draw one outcome and the conditional post-measurement state."""
+    """Draw one outcome and the conditional post-measurement state: the
+    first draw of :func:`sample_stream` for the seed."""
     state = _checked_state(state, tol)
     p = outcome_distribution(spec, state)
-    rng = np.random.default_rng(rng_seed)
-    w = int(rng.choice(len(p), p=p))
+    w = next(_draws(p, 1, rng_seed))
     post = spec.predual(w, state)
     post = post / np.trace(post).real
     return SampleResult(w, float(p[w]), post)
 
 
 def sample_stream(spec: InstrumentSpec, state, n: int, rng_seed: int, tol: Tolerances = DEFAULT_TOL):
-    """Sequence of outcome draws; the post state is computed once per
-    outcome, and every draw of that outcome yields the same array."""
+    """Sequence of outcome draws (:func:`_draws`); the post state is computed
+    once per outcome, and every draw of that outcome yields the same
+    array."""
     state = _checked_state(state, tol)
     p = outcome_distribution(spec, state)
-    rng = np.random.default_rng(rng_seed)
-    draws = rng.choice(len(p), size=n, p=p)
     posts = {}
-    for w in draws:
-        w = int(w)
+    for w in _draws(p, n, rng_seed):
         if w not in posts:
             post = spec.predual(w, state)
             posts[w] = post / np.trace(post).real

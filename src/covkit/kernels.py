@@ -157,7 +157,7 @@ def _kernel_checks(spec: CovariantKernelSpec, spectrum, tol) -> Checks:
     alpha_ok = (
         err_unit <= tol.recon_fro
         and err_alpha <= tol.recon_fro * max(1.0, alpha_sq) < np.inf
-        and cocycle_violation(spec.sigma) is None
+        and cocycle_violation(spec.sigma, tol) is None
     )
     checks["alpha_cocycle"] = Check(bool(alpha_ok), err_alpha)
 
@@ -345,12 +345,18 @@ def _certify_commutant(basis, full, compressions, tol, pattern=0.0, scale=1.0):
         )
 
 
-def _revalidate(original, neighbours, validate, parts, scale, tol, **kept):
-    """Both neighbours pass ``validate``, keep the value of every function in
-    ``kept``, and average to ``original`` in the stack of matrices ``parts``
-    returns, each within ``recon_fro`` times ``scale``."""
-    for nb in neighbours:
-        report = validate(nb, tol)
+def _each(validate):
+    """The neighbour validator of :func:`_split` that runs ``validate`` on
+    each neighbour on its own."""
+    return lambda directions, neighbours, tol: [validate(nb, tol) for nb in neighbours]
+
+
+def _revalidate(original, neighbours, reports, parts, scale, tol, **kept):
+    """Both neighbours' validation ``reports`` pass, the neighbours keep the
+    value of every function in ``kept``, and average to ``original`` in the
+    stack of matrices ``parts`` returns, each within ``recon_fro`` times
+    ``scale``."""
+    for report in reports:
         if not report.ok:
             raise DilationResidualError(f"perturbed neighbour failed validation: {', '.join(report.failed())}", report)
     plus, minus = neighbours
@@ -368,15 +374,18 @@ def _split(original, basis, compress, validate, parts, scale, tol, **kept) -> Ex
     """The certificate of a certified commutant ``basis``: extreme when its
     span has no Hermitian witness W (an empty basis has freedom 0), else the
     neighbours compress(I + W) and compress(I - W), which must pass
-    :func:`_revalidate`.  ``compress`` is linear, so their midpoint is
-    compress(I), the input."""
+    :func:`_revalidate`.  ``validate(directions, neighbours, tol)`` returns
+    the two neighbours' reports, given the pair I +- W they were compressed
+    from (:func:`_each` for a route that validates the neighbours alone).
+    ``compress`` is linear, so their midpoint is compress(I), the input."""
     witness = _hermitian_witness(basis, tol)
     if witness is None:
         # every basis element has a part of norm >= 1/sqrt(2); only a recon_fro above that lands here
         return ExtremalityCertificate(True, None, None, len(basis))
     eye = np.eye(len(witness))
-    neighbours = (compress(eye + witness), compress(eye - witness))
-    _revalidate(original, neighbours, validate, parts, scale, tol, **kept)
+    directions = (eye + witness, eye - witness)
+    neighbours = tuple(compress(d) for d in directions)
+    _revalidate(original, neighbours, validate(directions, neighbours, tol), parts, scale, tol, **kept)
     return ExtremalityCertificate(False, witness, neighbours, len(basis))
 
 
@@ -430,4 +439,4 @@ def kernel_extremal(
         return replace(spec, blocks=(adjoints @ d) @ decomp.factors[None])
 
     on_z, scale = tuple(zip(*z_set)), max(1.0, frob(decomp.factors) ** 2)
-    return _split(spec, basis, kernel, validate_kernel, lambda k: k.blocks, scale, tol, z_blocks=lambda k: k.blocks[on_z])
+    return _split(spec, basis, kernel, _each(validate_kernel), lambda k: k.blocks, scale, tol, z_blocks=lambda k: k.blocks[on_z])

@@ -337,7 +337,7 @@ def _valid_rep_in(obj, group, path, tol: Tolerances) -> MultiplierRep:
     otherwise a :class:`RepresentationError` naming the field and the first
     violation.  Every covariance check on the generators rests on this."""
     rep = rep_in(obj, group, path)
-    bad = cocycle_violation(rep.cocycle)
+    bad = cocycle_violation(rep.cocycle, tol)
     if bad is not None:
         raise RepresentationError(f"{path}.cocycle: {_broken(bad)}")
     bad = rep_violation(rep, tol)

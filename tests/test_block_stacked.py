@@ -255,6 +255,7 @@ import sys
 from covkit.cli import main
 code = main(sys.argv[1:])
 print("numpy.ma loaded:", "numpy.ma" in sys.modules, file=sys.stderr)
+print("numpy.random loaded:", "numpy.random" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -281,3 +282,21 @@ def test_cli_dilate_never_imports_numpy_ma(tmp_path):
         run = subprocess.run([sys.executable, "-c", GUARD, command, str(path)], capture_output=True, text=True, env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         assert "numpy.ma loaded: False" in run.stderr
+
+
+def test_cli_sample_never_imports_numpy_random(tmp_path):
+    # the sampler draws with the interpreter's random.Random: a fresh process
+    # that builds a phase-space instrument and samples it imports neither
+    # numpy.random (about 10 ms) nor numpy.ma
+    seed = np.diag([3 ** -0.5, 0, 0]).astype(complex)
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    ps, state = tmp_path / "ps.json", tmp_path / "state.json"
+    ps.write_text(specfile.document("phase_space", {"d": 3, "seed_ops": [specfile.matrix_out(seed)]}))
+    state.write_text(specfile.document("state", {"matrix": specfile.matrix_out(rho)}))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", GUARD, "sample", str(ps), str(state), "-n", "50", "--seed", "3"]
+    run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert len(run.stdout.splitlines()) == 50
+    assert "numpy.random loaded: False" in run.stderr
+    assert "numpy.ma loaded: False" in run.stderr

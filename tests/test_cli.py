@@ -163,24 +163,37 @@ def test_version_checked():
 
 
 def test_cli_validate_phase_space(tmp_path, capsys, monkeypatch):
-    # the instrument is validated once, while it is built, and that certificate is printed
+    # the instrument is validated once, on the Kraus rows it is built from, and that
+    # certificate is printed: no dense certificate runs, and its verdicts agree
     import covkit.cli
     import covkit.instruments
 
-    calls = []
+    calls, dense = [], []
+    validate_rows = covkit.instruments._validate_rows
 
-    def counted(spec, tol):
-        calls.append(spec)
+    def counted(specs, rows, middles, tol):
+        found = validate_rows(specs, rows, middles, tol)
+        calls.extend(zip(specs, found))
+        return found
+
+    def dense_counted(spec, tol):
+        dense.append(spec)
         return validate_instrument(spec, tol)
 
-    monkeypatch.setattr(covkit.instruments, "validate_instrument", counted)
-    monkeypatch.setattr(covkit.cli, "validate_instrument", counted)
+    monkeypatch.setattr(covkit.instruments, "_validate_rows", counted)
+    monkeypatch.setattr(covkit.instruments, "validate_instrument", dense_counted)
+    monkeypatch.setattr(covkit.cli, "validate_instrument", dense_counted)
     path = write(tmp_path, "ps.json", phase_space_doc())
     assert main(["validate", path]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert len(calls) == 1
-    want = validate_instrument(calls[0])
-    assert report["verdicts"] == {name: {"ok": c.ok, "residual": c.residual} for name, c in want.items()}
+    assert len(calls) == 1 and dense == []
+    spec, got = calls[0]
+    assert report["verdicts"] == {name: {"ok": c.ok, "residual": c.residual} for name, c in got.items()}
+    want = validate_instrument(spec)
+    assert {name: c.ok for name, c in got.items()} == {name: c.ok for name, c in want.items()}
+    # the row residual bounds the exact blocks' defect; the dense one adds its own rounding
+    rounding = 64 * np.finfo(float).eps * max(1.0, float(np.abs(spec.choi).max()))
+    assert want["covariance"].residual <= got["covariance"].residual + rounding
 
 
 def test_cli_validate_failure_exit_code(tmp_path, capsys):

@@ -46,6 +46,7 @@ from covkit.instruments import (
     validate_observable,
 )
 from covkit.kernels import CovariantKernelSpec, kernel_extremal, validate_kernel
+from covkit.numlin import Tolerances
 from covkit.random import (
     all_subgroups,
     rand_covariant_cpmap,
@@ -190,6 +191,29 @@ def test_group_document_prints_computed_residuals(tmp_path, capsys):
     for name in ("cocycle", "rep"):
         assert not verdicts[name]["ok"]
         assert verdicts[name]["residual"] == pytest.approx(abs(np.exp(1e-3j) - 1), rel=1e-6)
+
+
+def test_group_document_cocycle_and_rep_follow_tol_recon_fro(tmp_path, capsys):
+    # a cocycle phase of 1e-10 at a pair off the generators: max_word_length times it
+    # passes recon_fro = 1e-8 (the default) and fails 1e-12, for the cocycle identity
+    # and for the product rule of the representation that carries the same cocycle
+    group, cocycle, rep = heisenberg_rep(4)
+    a, b = _outside(group)
+    vals = cocycle.values.copy()
+    vals[a, b] *= np.exp(1e-10j)
+    broken = TwoCocycle(group, vals)
+    doc = _group_doc(group, broken, MultiplierRep(group, broken, rep.matrices))
+    assert 1e-10 < group.max_word_length * cocycle_status(broken)[1] < 1e-8
+    path = _write(tmp_path, "doc.json", doc)
+    for flags, ok in (([], True), (["--tol-recon-fro", "1e-6"], True), (["--tol-recon-fro", "1e-12"], False)):
+        code = main(["validate", path] + flags)
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert code == (0 if ok else 1)
+        assert verdicts["cocycle"]["ok"] is ok and verdicts["rep"]["ok"] is ok
+        assert verdicts["cocycle"]["residual"] == pytest.approx(abs(np.exp(1e-10j) - 1), rel=1e-3)
+    # the library defaults are the same recon_fro
+    assert cocycle_status(broken)[0] is None
+    assert cocycle_status(broken, Tolerances(recon_fro=1e-12))[0][0] == "cocycle"
 
 
 def test_group_document_rep_residual_is_the_product_residual(tmp_path, capsys):

@@ -161,12 +161,16 @@ def test_compressed_split_matches_the_square_root_families(make, as_observable):
 
 
 def test_each_neighbour_is_validated_once(monkeypatch, split_case):
-    calls = []
-    validate = ins.validate_instrument
+    calls, row_calls = [], []
+    validate, validate_rows = ins.validate_instrument, ins._validate_rows
 
     def counted(spec, tol=ins.DEFAULT_TOL):
         calls.append(spec)
         return validate(spec, tol)
+
+    def rows_counted(specs, rows, middles, tol):
+        row_calls.append(specs)
+        return validate_rows(specs, rows, middles, tol)
 
     cp_calls = []
     cp_validate = cpmaps.cp_validate
@@ -176,15 +180,17 @@ def test_each_neighbour_is_validated_once(monkeypatch, split_case):
         return cp_validate(spec, tol)
 
     monkeypatch.setattr(ins, "validate_instrument", counted)
+    monkeypatch.setattr(ins, "_validate_rows", rows_counted)
     monkeypatch.setattr(cpmaps, "cp_validate", cp_counted)
     for spec in (_phase_space(2, 2), split_case):
         calls.clear()
+        row_calls.clear()
         cert = instrument_extremal(spec)
         assert not cert.extreme
-        for nb in cert.perturbed:
-            assert sum(c is nb for c in calls) == 1
-        # the input in B_from_instrument (its round trip is not validated again), then one per neighbour
-        assert len(calls) == 3
+        # the input densely in B_from_instrument (its round trip is not validated again),
+        # then both neighbours once, together, on their Kraus rows, with no dense fallback
+        assert len(calls) == 1 and len(row_calls) == 1
+        assert len(row_calls[0]) == 2 and all(a is b for a, b in zip(row_calls[0], cert.perturbed))
     # no neighbour is validated a second time in its CP form
     assert cp_calls == []
 

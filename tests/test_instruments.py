@@ -762,3 +762,47 @@ def test_sample_deterministic_per_seed():
     a = [s.outcome for s in sample_stream(spec, plus, 20, rng_seed=7)]
     b = [s.outcome for s in sample_stream(spec, plus, 20, rng_seed=7)]
     assert a == b
+
+
+def test_sample_stream_of_a_seed_is_pinned():
+    # the draws come from random.Random(seed).random(), whose sequence Python
+    # keeps across versions: inverse CDF over p = (0.35, 0.35, 0.15, 0.15)
+    spec = phase_space(2, _ps_seed_ops(2))
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
+    assert np.allclose(ins.outcome_distribution(spec, rho), [0.35, 0.35, 0.15, 0.15], atol=1e-12)
+    stream = [s.outcome for s in sample_stream(spec, rho, 16, rng_seed=2026)]
+    assert stream == [0, 1, 1, 3, 0, 0, 1, 1, 2, 1, 2, 2, 2, 1, 0, 1]
+    assert sample(spec, rho, rng_seed=2026).outcome == stream[0]
+    # the same stream, by bisection on the cumulative distribution
+    import bisect
+    import random
+
+    rng = random.Random(2026)
+    assert stream == [bisect.bisect_right([0.35, 0.7, 0.85, 1.0], rng.random()) for _ in range(16)]
+
+
+@pytest.mark.parametrize("state", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ids=["last_zero", "first_zero"])
+def test_sample_never_draws_an_outcome_of_probability_zero(state):
+    spec = lueders_flip_instrument()
+    p = ins.outcome_distribution(spec, state)
+    assert sorted(p.tolist()) == [0.0, 1.0]
+    for seed in range(20):
+        drawn = {s.outcome for s in sample_stream(spec, state.astype(complex), 500, rng_seed=seed)}
+        assert drawn == {int(np.argmax(p))}
+
+
+def test_draws_clamp_to_the_last_positive_outcome(monkeypatch):
+    # a point at the total of the cumulative distribution, which random()
+    # (always below 1) only reaches through rounding, is clamped to the last
+    # outcome of positive probability, never to a zero tail
+    class Top:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            return 1.0
+
+    monkeypatch.setattr(ins.random, "Random", Top)
+    for p in ([0.3, 0.7, 0.0], [0.1] * 10 + [0.0, 0.0], [1.0, 0.0], [0.0, 1.0, 0.0]):
+        top = max(i for i, x in enumerate(p) if x > 0)
+        assert list(ins._draws(np.array(p), 3, 0)) == [top] * 3

@@ -1,6 +1,10 @@
 """covkit: covariant positive kernels, completely positive maps, quantum
 observables and instruments over finite symmetry groups, with minimal
-covariant dilations and extremality certificates."""
+covariant dilations and extremality certificates.
+
+The paper constructions that the command line does not run live in
+:mod:`covkit.constructions`; their names resolve here on first access, so
+``import covkit.cli`` never compiles that module."""
 
 from .numlin import (
     DEFAULT_TOL,
@@ -20,24 +24,12 @@ from .fingroup import (
     MultiplierRep,
     SubgroupData,
     TwoCocycle,
-    central_extension,
-    complete_irreps,
-    cosets,
-    fourier,
     heisenberg_rep,
     irrep_decompose,
-    plancherel_inverse,
     validate_cocycle,
     validate_rep,
 )
-from .cstar import (
-    FiniteCStarAlgebra,
-    ModuleSpace,
-    TensorSplit,
-    alg_positive,
-    form_eval,
-    form_positive,
-)
+from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from .kernels import (
     Check,
     Checks,
@@ -45,7 +37,6 @@ from .kernels import (
     DilationResidualError,
     ExtremalityCertificate,
     KolmogorovDecomposition,
-    equivalence_unitary,
     kernel_extremal,
     kolmogorov_decompose,
     validate_kernel,
@@ -59,8 +50,6 @@ from .cpmaps import (
     cp_validate,
     kraus_extract,
     ksgns,
-    marginals,
-    subminimal,
 )
 from .instruments import (
     CovariantInstrumentData,
@@ -69,23 +58,55 @@ from .instruments import (
     ObservableSpec,
     Symmetry,
     B_from_instrument,
-    decomposable_extract,
     instrument_extremal,
     instrument_from_B,
     lambda_from_observable,
-    marginal_channel,
-    marginal_observable,
     naimark,
     observable_extremal,
     observable_from_lambda,
     phase_space,
-    sample,
     sample_stream,
     sq_constant,
-    sq_structure,
     validate_instrument,
     validate_observable,
-    wigner_rotation,
 )
 
 __version__ = "0.1.0"
+
+_CONSTRUCTIONS = frozenset(
+    {
+        "alg_positive",
+        "central_extension",
+        "complete_irreps",
+        "cosets",
+        "decomposable_extract",
+        "equivalence_unitary",
+        "form_eval",
+        "form_positive",
+        "fourier",
+        "marginal_channel",
+        "marginal_observable",
+        "marginals",
+        "plancherel_inverse",
+        "sample",
+        "sq_structure",
+        "subminimal",
+        "wigner_rotation",
+    }
+)
+
+
+# ``from covkit import *`` binds every public name, the constructions too
+__all__ = sorted({name for name in globals() if not name.startswith("_")} | _CONSTRUCTIONS)
+
+
+def __getattr__(name):
+    if name in _CONSTRUCTIONS:
+        from . import constructions
+
+        return getattr(constructions, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _CONSTRUCTIONS)

@@ -38,7 +38,6 @@ from .instruments import (
 from .kernels import (
     Checks,
     DilationResidualError,
-    EquivalenceError,
     kernel_extremal,
     kolmogorov_decompose,
     validate_kernel,
@@ -304,8 +303,13 @@ def cmd_sample(args) -> int:
     tol = args.tol
     kind, obj = _load_file(args.file, tol)
     if kind == "phase_space":
+        # building the instrument certifies it on its Kraus rows
         obj = phase_space(obj[0], obj[1], tol)
-    elif kind != "instrument":
+    elif kind == "instrument":
+        checks = validate_instrument(obj, tol)
+        if not checks.ok:
+            raise ValueError(f"instrument invalid: {', '.join(checks.failed())}")
+    else:
         raise specfile.SpecFileError("sample needs an instrument or phase_space document")
     state_kind, state = _load_file(args.state, tol)
     if state_kind != "state":
@@ -508,7 +512,7 @@ def main(argv=None) -> int:
     except (specfile.SpecFileError, GroupStructureError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DilationResidualError, EquivalenceError, NotPositiveError) as exc:
+    except (DilationResidualError, NotPositiveError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

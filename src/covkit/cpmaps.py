@@ -1,6 +1,5 @@
 """Covariant completely positive maps on finite-dimensional C*-algebras:
-validation, minimal covariant dilations, Kraus extraction, extremality,
-marginals over a tensor split, and subminimal dilations.
+validation, minimal covariant dilations, Kraus extraction and extremality.
 
 A map is stored by its form matrices on the matrix-unit basis of the
 algebra and extended linearly.  Complete positivity is positivity of the
@@ -638,122 +637,3 @@ def cp_extremal(
 
     scale = max(1.0, frob(dilation.j) ** 2)
     return _split(spec, basis, cpmap, _each(cp_validate), lambda cp: cp.values, scale, tol, unit_value=CPMapSpec.unit_value)
-
-
-# ---------------------------------------------------------------------------
-# marginals and subminimal dilations
-# ---------------------------------------------------------------------------
-
-
-def marginals(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL):
-    """The two marginal maps of a CP map on a declared tensor product."""
-    if spec.tensor is None:
-        raise DimensionError("marginals need a declared tensor split")
-    split = spec.tensor
-    left, right = split.left, split.right
-
-    def build(factor, embed_one_other, own_u):
-        values = np.stack(
-            [spec.value_of(embed_one_other(u)) for u in factor.units()]
-        )
-        symmetry = None
-        if spec.symmetry is not None and own_u is not None:
-            symmetry = CPSymmetry(u=own_u, rep=spec.symmetry.rep)
-        return CPMapSpec(
-            algebra=factor, module=spec.module, values=values, symmetry=symmetry
-        )
-
-    u_left = u_right = None
-    if spec.symmetry is not None and spec.symmetry.u_factors is not None:
-        u_left, u_right = spec.symmetry.u_factors
-    first = build(left, lambda b: split.embed(b, right.one()), u_left)
-    second = build(right, lambda c: split.embed(left.one(), c), u_right)
-    return first, second
-
-
-@dataclass(frozen=True)
-class SubminimalMap:
-    """Unique unital CP map into the commutant of the first-marginal
-    dilation reproducing the joint map."""
-
-    e_units: np.ndarray  # (n_units of the second factor, N, N)
-    checks: Checks
-
-    def of(self, algebra, cmat) -> np.ndarray:
-        coeffs = algebra.coefficients(cmat)
-        return np.tensordot(coeffs, self.e_units, axes=(0, 0))
-
-
-def subminimal(
-    spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DEFAULT_TOL
-) -> SubminimalMap:
-    """Solve for the unique map E with S(b (x) c) = j^+ pi(b) E(c) j,
-    commuting with pi and covariant for the second factor's action.
-
-    ``dilation`` must be the minimal dilation of the first marginal.
-    """
-    if spec.tensor is None:
-        raise DimensionError("subminimal needs a declared tensor split")
-    split = spec.tensor
-    left, right = split.left, split.right
-    n = dilation.rank
-    nv = spec.n_v
-
-    # columns pi(b) j over the unit basis of the left factor span C^N
-    _certify_reconstruction(dilation, tol)
-    blocks = dilation.r_blocks
-    pinv = np.linalg.pinv(np.hstack(list(blocks)))
-
-    e_units = np.zeros((right.n_units, n, n), dtype=np.complex128)
-    left_adj = left.adjoint_table()
-    left_units = list(left.units())
-    for kc, cunit in enumerate(right.units()):
-        w = np.zeros((left.n_units * nv, left.n_units * nv), dtype=np.complex128)
-        for k1 in range(left.n_units):
-            b1 = left_units[left_adj[k1]]
-            for k2 in range(left.n_units):
-                w[k1 * nv : (k1 + 1) * nv, k2 * nv : (k2 + 1) * nv] = spec.value_of(
-                    split.embed(b1 @ left_units[k2], cunit)
-                )
-        e_units[kc] = pinv.conj().T @ w @ pinv
-
-    scale = max(1.0, frob(dilation.j) ** 2)
-    # reconstruction over all unit pairs
-    worst = 0.0
-    for kb, bunit in enumerate(left_units):
-        for kc, cunit in enumerate(right.units()):
-            # j^+ pi(E_kb) = (pi(E_kb^+) j)^+
-            lhs = blocks[left_adj[kb]].conj().T @ e_units[kc] @ dilation.j
-            worst = max(worst, frob(lhs - spec.value_of(split.embed(bunit, cunit))))
-    checks = Checks().require(tol.recon_fro * scale, "subminimal reconstruction failed", reconstruction=worst)
-
-    # unital and commuting with pi
-    one_coeffs = right.coefficients(right.one())
-    e_one = np.tensordot(one_coeffs, e_units, axes=(0, 0))
-    cuts, pair = _cells(left, dilation.mult)
-    worst = max(float(_unit_commutators(e, left, dilation.mult, cuts, pair).max()) for e in e_units)
-    lim = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)))
-    checks.require(
-        lim, "subminimal map failed unitality/commutation", unital=frob(e_one - np.eye(n)), commutes=worst
-    )
-
-    # complete positivity of E as a map on the right factor
-    if not _cp_status(_choi_spectra(right, e_units), tol)[0]:
-        raise DilationResidualError("subminimal map is not completely positive", checks)
-
-    # covariance against the second factor's action: E(beta_g(c)) = sym(g) E(c) sym(g)^+
-    if (
-        spec.symmetry is not None
-        and dilation.mult_rep is not None
-        and spec.symmetry.u_factors is not None
-    ):
-        group, u = spec.symmetry.group, spec.symmetry.u_factors[1]
-        gens = list(group.generators())
-        sigma, w = right.block_action(u.matrices[gens])
-        syms = np.reshape([dilation.sym(g) for g in gens], (len(gens), n, n))
-        blocks = _choi_blocks(right, e_units, [_factor(wi, u.unitary_flag) for wi in w])
-        checks["covariance"] = _covariance(blocks, sigma, syms, group, tol)
-        if not checks["covariance"].ok:
-            residual = checks["covariance"].residual
-            raise DilationResidualError(f"subminimal map failed covariance: residual {residual:.2e}", checks)
-    return SubminimalMap(e_units=e_units, checks=checks)

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, offsets, psd_check
+from .numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, offsets
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -258,24 +258,3 @@ class ModuleSpace:
         return rng.normal(size=self.element_shape()) + 1j * rng.normal(
             size=self.element_shape()
         )
-
-
-def form_eval(t, v, w) -> np.ndarray:
-    """Evaluate the form with matrix ``t``: s(v, w) = v^+ t w (a k x k matrix)."""
-    t, v, w = as_matrix(t), as_matrix(v), as_matrix(w)
-    if t.shape[0] != t.shape[1] or v.shape[0] != t.shape[0] or w.shape[0] != t.shape[0]:
-        raise DimensionError("form/element shapes disagree")
-    return v.conj().T @ t @ w
-
-
-def form_positive(t, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Positivity of the form s(v, w) = v^+ t w, equivalently of ``t``."""
-    return psd_check(t, tol)
-
-
-def alg_positive(alg: FiniteCStarAlgebra, a, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Positivity in the algebra: every diagonal block is PSD."""
-    a = as_matrix(a)
-    if not alg.contains(a, tol):
-        raise DimensionError("matrix is not an element of the algebra")
-    return all(psd_check(alg.block_of(a, i), tol) for i in range(len(alg.blocks)))

@@ -1,5 +1,5 @@
-"""Finite groups, actions, 2-cocycles, multiplier representations, and the
-finite-group Fourier transform.
+"""Finite groups, actions, 2-cocycles, multiplier representations, their
+irreducible decomposition, and the clock-and-shift system.
 
 Groups are kept as multiplication tables on element indices.  Representations
 store one matrix per element; a multiplier representation with cocycle c
@@ -18,15 +18,6 @@ from .numlin import DEFAULT_TOL, DimensionError, Tolerances, frob, is_unitary
 
 class GroupStructureError(ValueError):
     """The given tables do not define a group / action / subgroup."""
-
-
-class CocycleExtensionError(ValueError):
-    """Cocycle values are not roots of unity, so no finite central extension
-    exists; such cocycles are rejected rather than approximated."""
-
-
-class IncompleteIrrepsError(ValueError):
-    """The supplied irreducible representations do not exhaust the group."""
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +283,6 @@ class SubgroupData:
         pos = np.zeros(self.parent.order, dtype=np.int64)
         pos[cols] = np.arange(cols.size)
         return FiniteGroup(pos[self.parent.mul[cols[:, None], cols]])
-
-
-def cosets(group: FiniteGroup, members) -> SubgroupData:
-    return SubgroupData(group, tuple(members))
 
 
 # ---------------------------------------------------------------------------
@@ -664,47 +651,6 @@ def irrep_decompose(
     return decomp
 
 
-def complete_irreps(group: FiniteGroup, seed: int = 0, tol: Tolerances = DEFAULT_TOL):
-    """A complete list of pairwise inequivalent ordinary irreducibles,
-    obtained from the regular representation."""
-    dec = irrep_decompose(MultiplierRep.regular(group), seed, tol)
-    reps = [blk.rep for blk in dec.blocks]
-    if sum(r.dim ** 2 for r in reps) != group.order:
-        raise IncompleteIrrepsError("regular representation did not split completely")
-    return reps
-
-
-# ---------------------------------------------------------------------------
-# Fourier transform
-# ---------------------------------------------------------------------------
-
-
-def fourier(values, irreps) -> list[np.ndarray]:
-    """Matrix Fourier coefficients ``sum_g phi(g) tau_g`` for each irrep."""
-    phi = np.asarray(values, dtype=np.complex128)
-    if not irreps:
-        raise IncompleteIrrepsError("no irreducibles supplied")
-    group = irreps[0].group
-    if phi.shape != (group.order,):
-        raise DimensionError("need one value per group element")
-    if sum(t.dim ** 2 for t in irreps) != group.order:
-        raise IncompleteIrrepsError("irreducibles do not form a complete set")
-    return [np.tensordot(phi, t.matrices, axes=(0, 0)) for t in irreps]
-
-
-def plancherel_inverse(coefficients, irreps) -> np.ndarray:
-    """Inverse of :func:`fourier`:
-    ``phi(g) = (1/|G|) sum_tau dim(tau) tr(tau_g^+ coeff(tau))``."""
-    if not irreps:
-        raise IncompleteIrrepsError("no irreducibles supplied")
-    group = irreps[0].group
-    if sum(t.dim ** 2 for t in irreps) != group.order:
-        raise IncompleteIrrepsError("irreducibles do not form a complete set")
-    # tr(tau_g^+ c) = sum_ij conj(tau_g)_ij c_ij
-    out = sum(t.dim * np.einsum("gij,ij->g", t.matrices.conj(), c) for t, c in zip(irreps, coefficients))
-    return out / group.order
-
-
 # ---------------------------------------------------------------------------
 # discrete Weyl-Heisenberg system
 # ---------------------------------------------------------------------------
@@ -735,61 +681,3 @@ def heisenberg_rep(d: int):
     cocycle = TwoCocycle(group, omega ** ((-q * p[:, None]) % d))
     rep = MultiplierRep(group, cocycle, mats.reshape(d * d, d, d))
     return group, cocycle, rep
-
-
-# ---------------------------------------------------------------------------
-# central extension of a cocycle
-# ---------------------------------------------------------------------------
-
-
-def _phase_orders(z: np.ndarray, max_order: int = 1024) -> np.ndarray:
-    """The order of each entry of ``z`` as a root of unity: the least
-    m <= max_order with |z^m - 1| < 1e-8."""
-    orders = np.zeros(z.shape, dtype=np.int64)
-    for m in range(1, max_order + 1):
-        orders[(orders == 0) & (np.abs(z ** m - 1.0) < 1e-8)] = m
-        if orders.all():
-            return orders
-    raise CocycleExtensionError(
-        f"cocycle value {complex(z.flat[orders.argmin()])!r} is not a root of unity of order <= {max_order}"
-    )
-
-
-def central_extension(cocycle: TwoCocycle, tol: Tolerances = DEFAULT_TOL):
-    """Finite central extension trivializing a root-of-unity valued cocycle.
-
-    Returns ``(extension, lift, phase_root, exponent)`` where ``extension``
-    is the group G x Z_m with product (g, s)(h, t) = (gh, s + t + k(g, h)),
-    ``lift(g, s) = g * m + s`` indexes its elements, ``phase_root`` is the
-    primitive m-th root zeta with cocycle(g, h) = zeta^k(g, h), and
-    ``exponent[g, h] = k(g, h)``.  For a multiplier representation U with
-    this cocycle, (g, s) -> zeta^s U(g) is an ordinary representation of the
-    extension.  Non-root-of-unity cocycles are rejected, and so is a cocycle
-    that fails :func:`cocycle_status` at ``tol``.
-    """
-    g, vals = cocycle.group, cocycle.values
-    if cocycle_violation(cocycle, tol) is not None:
-        raise ValueError("not a valid cocycle")
-    m = int(np.lcm.reduce(_phase_orders(vals).ravel()))
-    zeta = np.exp(2j * np.pi / m)
-    k = np.rint(np.angle(vals) / (2 * np.pi / m)).astype(np.int64) % m
-    if np.any(np.abs(zeta ** k - vals) > 1e-8):
-        raise CocycleExtensionError("cocycle value off the root-of-unity grid")
-    s = np.arange(m)
-    # (a, s)(b, t) at [a, s, b, t]
-    mul = g.mul[:, None, :, None] * m + (s[:, None, None] + s + k[:, None, :, None]) % m
-    ext = FiniteGroup(mul.reshape(g.order * m, g.order * m))
-
-    def lift(elem: int, phase: int = 0) -> int:
-        return elem * m + phase % m
-
-    return ext, lift, zeta, k
-
-
-def extend_rep(u: MultiplierRep):
-    """Ordinary representation of the central extension of ``u.cocycle``:
-    (g, s) -> zeta^s U(g)."""
-    ext, lift, zeta, _ = central_extension(u.cocycle)
-    m = ext.order // u.group.order
-    mats = (zeta ** np.arange(m))[:, None, None] * u.matrices[:, None]
-    return MultiplierRep(ext, TwoCocycle.trivial(ext), mats.reshape(ext.order, u.dim, u.dim)), ext, lift

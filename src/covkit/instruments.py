@@ -1,8 +1,8 @@
 """Quantum observables and instruments on a finite homogeneous space with
-multiplier symmetry: Naimark dilations, imprimitivity cocycles, the
-block-operator structure of covariant observables, the Kraus-family
-structure of covariant instruments, the square-integrable specialization,
-the discrete phase-space construction, and an outcome sampler.
+multiplier symmetry: Naimark dilations, the block-operator structure of
+covariant observables, the Kraus-family structure of covariant
+instruments, the square-integrability certificate, the discrete
+phase-space construction, and an outcome sampler.
 
 Outcome spaces are coset spaces of a finite group.
 """
@@ -24,7 +24,6 @@ from .cpmaps import (
     _covariance,
     kraus_from_choi,
     ksgns,
-    marginals,
 )
 from .cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from .fingroup import (
@@ -39,7 +38,6 @@ from .fingroup import (
 from .kernels import (
     Check,
     Checks,
-    CovariantKernelSpec,
     DilationResidualError,
     ExtremalityCertificate,
     _certify_commutant,
@@ -52,7 +50,6 @@ from .numlin import (
     Tolerances,
     constrained_commutant,
     frob,
-    is_unitary,
     psd_check,
     psd_spectrum,
     psd_status,
@@ -197,10 +194,6 @@ def _choi_of(ops) -> np.ndarray:
     return choi.reshape(ops.shape[:-3] + (k * v, k * v))
 
 
-def choi_from_kraus(ops, k_dim, v_dim) -> np.ndarray:
-    return _choi_of(np.reshape(ops, (-1, k_dim, v_dim)))
-
-
 def _effects(spec: InstrumentSpec) -> np.ndarray:
     """The effect of every outcome, its map at the identity: (|X|, V, V)."""
     k, v = spec.k_dim, spec.v_dim
@@ -298,16 +291,6 @@ def _validate_rows(specs, rows, middles, tol) -> list:
     return out
 
 
-def marginal_observable(spec: InstrumentSpec) -> ObservableSpec:
-    sym = spec.symmetry
-    return ObservableSpec(_effects(spec), Symmetry(sym.sub, sym.rep))
-
-
-def marginal_channel(spec: InstrumentSpec) -> CPMapSpec:
-    """The channel summed over outcomes: the first marginal of the CP form."""
-    return marginals(as_cpmap(spec))[0]
-
-
 def as_cpmap(spec: InstrumentSpec) -> CPMapSpec:
     """The instrument as a covariant CP map on output-algebra (x) functions
     on the outcome space.  Its inner implementation perm(g) (x) out_rep(g)
@@ -329,7 +312,7 @@ def as_cpmap(spec: InstrumentSpec) -> CPMapSpec:
 
 
 # ---------------------------------------------------------------------------
-# Naimark dilation and decomposable operators
+# Naimark dilation
 # ---------------------------------------------------------------------------
 
 
@@ -351,165 +334,6 @@ def naimark(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilatio
     if not dil.checks["isometry"].ok:
         raise ValueError(f"observable invalid: the effects sum to the identity only to {res:.2e}")
     return dil
-
-
-def _fiber_pattern(perm, fiber_dims) -> tuple[np.ndarray, np.ndarray]:
-    """The fiber of every coordinate, and the mask of the cells (i, j) that
-    an operator moving fiber w to fiber T(w) may fill: fiber(i) =
-    T(fiber(j)).  Read row by row, the mask's cells are the blocks of the
-    target fibers in order, each row-major."""
-    if sorted(perm) != list(range(len(fiber_dims))):
-        raise DimensionError("perm must be a permutation of the fibers")
-    fiber = np.repeat(np.arange(len(perm)), fiber_dims)
-    return fiber, fiber[:, None] == np.asarray(perm, dtype=np.int64)[fiber][None, :]
-
-
-@dataclass(frozen=True)
-class DecomposableOp:
-    """Operator on a direct sum of fibers moving fiber T^{-1}(w) to fiber w
-    by the block ``blocks[w]``."""
-
-    perm: tuple[int, ...]  # w -> T(w)
-    fiber_dims: tuple[int, ...]
-    blocks: tuple[np.ndarray, ...]  # blocks[w]: fiber T^{-1}(w) -> fiber w
-
-    def assemble(self) -> np.ndarray:
-        _, mask = _fiber_pattern(self.perm, self.fiber_dims)
-        out = np.zeros(mask.shape, dtype=np.complex128)
-        out[mask] = np.concatenate([np.ravel(b) for b in self.blocks])
-        return out
-
-    def is_unitary_op(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        if any(b.shape[0] != b.shape[1] for b in self.blocks):
-            return False
-        return all(is_unitary(b, tol) for b in self.blocks if b.size)
-
-
-def _intertwining_residuals(op: np.ndarray, perm, fiber_dims) -> np.ndarray:
-    """||op P_w - P_{T(w)} op||_F for every outcome w.  Its nonzero cells
-    are the off-pattern cells of op in the columns of fiber w and in the
-    rows of fiber T(w), so its square is the sum of |op|^2 over those."""
-    fiber, mask = _fiber_pattern(perm, fiber_dims)
-    off = np.where(mask, 0.0, np.abs(op) ** 2)
-    by_col = np.bincount(fiber, off.sum(axis=0), minlength=len(perm))
-    by_row = np.bincount(fiber, off.sum(axis=1), minlength=len(perm))
-    return np.sqrt(by_col + by_row[list(perm)])
-
-
-def decomposable_extract(
-    op: np.ndarray, perm, fiber_dims, tol: Tolerances = DEFAULT_TOL
-) -> DecomposableOp:
-    """Read the fiber blocks off an operator intertwining the fiber
-    projections with a permutation of the outcome set; rejects operators
-    violating the intertwining, reporting the worst outcome."""
-    perm = tuple(int(p) for p in perm)
-    fiber_dims = tuple(int(m) for m in fiber_dims)
-    op = np.asarray(op, dtype=np.complex128)
-    _, mask = _fiber_pattern(perm, fiber_dims)
-    if op.shape != mask.shape:
-        raise DimensionError("operator does not match the fiber layout")
-    res = _intertwining_residuals(op, perm, fiber_dims)
-    worst = float(res.max(initial=0.0))
-    if worst > tol.recon_fro * max(1.0, frob(op)):
-        raise DilationResidualError(
-            f"operator is not decomposable over the permutation; worst outcome {int(np.argmax(res))}"
-            f" with residual {worst:.2e}"
-        )
-    src = np.argsort(perm)  # T^{-1}
-    shapes = [(fiber_dims[w], fiber_dims[src[w]]) for w in range(len(perm))]
-    cells = np.split(op[mask], np.cumsum([r * c for r, c in shapes])[:-1])
-    return DecomposableOp(perm, fiber_dims, tuple(c.reshape(s) for c, s in zip(cells, shapes)))
-
-
-# ---------------------------------------------------------------------------
-# Wigner rotations and the canonical imprimitivity system
-# ---------------------------------------------------------------------------
-
-
-def wigner_rotation(rho: MultiplierRep, sub: SubgroupData) -> np.ndarray:
-    """Strict cocycle W[g, w] = rho(s(w)^{-1} g s(g^{-1} w)), stacked as a
-    (|G|, |X|, m, m) array.
-
-    ``rho`` is a representation of the subgroup as a group in its own right
-    (indices along ``sub.members``); W satisfies the strict cocycle
-    identities W[ab, w] = W[a, w] W[b, a^{-1} w] when rho is an ordinary
-    representation.
-    """
-    g, section = sub.parent, np.asarray(sub.section)
-    back = section[sub.coset_action().table[g.inverse]]  # s(g^{-1} w)
-    h = g.mul[g.inverse[section][None, :], g.mul[np.arange(g.order)[:, None], back]]
-    return rho.matrices[np.searchsorted(sub.members, h)]  # members are sorted
-
-
-def _induced_form(blocks: np.ndarray, sub: SubgroupData) -> np.ndarray:
-    """The induced block form of a (|G|, |X|, b, b) stack: the matrix of g
-    has block (w, g^{-1} w) equal to blocks[g, w] and zeros elsewhere, one
-    (|X| b, |X| b) matrix per element."""
-    order, n, b = blocks.shape[:3]
-    src = sub.coset_action().table[sub.parent.inverse]
-    out = np.zeros((order, n, b, n, b), dtype=np.complex128)
-    out[np.arange(order)[:, None], np.arange(n), :, src, :] = blocks
-    return out.reshape(order, n * b, n * b)
-
-
-@dataclass(frozen=True)
-class CanonicalSystem:
-    """Canonical imprimitivity system induced from a subgroup representation:
-    the function space with the equivariance constraint, in the coordinates
-    of the section (one rho-block per coset), with the translation
-    representation and the outcome projections."""
-
-    sub: SubgroupData
-    rho: MultiplierRep
-    dim: int
-    theta: np.ndarray  # (|G|, dim, dim)
-    projections: np.ndarray  # (n_cosets, dim, dim)
-
-
-def canonical_system(
-    rho: MultiplierRep, sub: SubgroupData, tol: Tolerances = DEFAULT_TOL
-) -> CanonicalSystem:
-    """Build the canonical system concretely on equivariant functions.
-
-    Requires an ordinary (trivial-cocycle) subgroup representation; the
-    function space has one rho-block of coordinates per coset: the function
-    with value rho(h)^+ e_i at s(w) h, scaled to unit norm.  Translation by a
-    moves the value at a^{-1} x to x, so theta(a) and the projections are
-    compressions of gathered rows of that embedding.  The section
-    coordinates are certified to carry the translation onto the induced
-    Wigner-cocycle form and the projections to satisfy the imprimitivity
-    relation.
-    """
-    if not rho.cocycle.is_trivial(tol.recon_fro):
-        raise ValueError("canonical system needs an ordinary subgroup representation")
-    g, m, n, section = sub.parent, rho.dim, sub.n_cosets, np.asarray(sub.section)
-    dim = n * m
-    # embed[x, :, w, :]: the value at x of the function of coset w
-    owner = sub.projection
-    member = np.searchsorted(sub.members, g.mul[g.inverse[section[owner]], np.arange(g.order)])
-    embed = np.zeros((g.order, m, n, m), dtype=np.complex128)
-    embed[np.arange(g.order), :, owner, :] = rho.matrices[member].conj().transpose(0, 2, 1)
-    embed = embed.reshape(g.order, m, dim) / np.sqrt(len(sub.members))
-    flat = embed.reshape(g.order * m, dim)
-
-    moved = embed[g.mul[g.inverse]].reshape(g.order, g.order * m, dim)  # row x of a: a^{-1} x
-    theta = flat.conj().T @ moved
-    scale = tol.recon_fro * max(1.0, np.sqrt(dim))
-    if np.linalg.norm(moved - flat @ theta, axis=(1, 2)).max() > scale:
-        raise DilationResidualError("function space is not translation invariant")
-    in_coset = embed[g.mul[section[:, None], list(sub.members)]].reshape(n, -1, dim)
-    projections = in_coset.conj().transpose(0, 2, 1) @ in_coset
-
-    worst = float(np.linalg.norm(theta - _induced_form(wigner_rotation(rho, sub), sub), axis=(1, 2)).max())
-    if worst > scale:
-        raise DilationResidualError(
-            f"canonical translation does not match the induced cocycle form ({worst:.2e})"
-        )
-    # imprimitivity relation theta(a) P_w theta(a)^+ = P_{aw}
-    conj = theta[:, None] @ projections[None] @ theta.conj().transpose(0, 2, 1)[:, None]
-    if np.linalg.norm(conj - projections[sub.coset_action().table], axis=(2, 3)).max() > scale:
-        raise DilationResidualError("imprimitivity relation failed")
-    return CanonicalSystem(sub, rho, dim, theta, projections)
 
 
 # ---------------------------------------------------------------------------
@@ -668,33 +492,6 @@ def observable_extremal(
 
     original, scale = observable(np.eye(data.base_dim)), max(1.0, frob(lam) ** 2)
     return _split(original, basis, observable, _each(validate_observable), lambda obs: obs.effects, scale, tol)
-
-
-def observable_kernel_form(spec: ObservableSpec):
-    """The observable as a covariant kernel over the outcomes plus one fixed
-    total point; extremality with the total entry pinned is the kernel-level
-    route to observable extremality."""
-    sym = spec.symmetry
-    n, v = spec.n_outcomes, spec.v_dim
-    table = np.zeros((sym.group.order, n + 1), dtype=np.int64)
-    table[:, :n] = sym.action.table
-    table[:, n] = n  # the total point is fixed
-    action = GroupAction(sym.group, table)
-    blocks = np.zeros((n + 1, n + 1, v, v), dtype=np.complex128)
-    for w in range(n):
-        blocks[w, w] = spec.effects[w]
-        blocks[n, w] = spec.effects[w]
-        blocks[w, n] = spec.effects[w]
-    blocks[n, n] = np.eye(v)
-    kernel = CovariantKernelSpec(
-        action=action,
-        alpha=np.ones((sym.group.order, n + 1), dtype=np.complex128),
-        sigma=TwoCocycle.trivial(sym.group),
-        rep=sym.rep,
-        module=ModuleSpace(k=1, n_v=v),
-        blocks=blocks,
-    )
-    return kernel, [(n, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -914,45 +711,6 @@ def sq_constant(
     return SqConstantResult(ok, order / (w_rep.dim * h_order) if ok else None, spread)
 
 
-@dataclass(frozen=True)
-class SqStructure:
-    seed_matrix: np.ndarray  # PSD, trace one
-    b_ops: tuple
-    constant: float
-    checks: Checks
-
-
-def sq_structure(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> SqStructure:
-    """For an instrument covariant under an irreducible square-integrable
-    representation: recover the trace-one seed with constant * sum of
-    B_j^+ B_j equal to the seed, commuting with the subgroup restriction,
-    and matching observable marginal."""
-    sym = spec.symmetry
-    sq = sq_constant(sym.rep, tol, h_order=len(sym.sub.members))
-    if not sq.ok:
-        raise ValueError(f"representation is not square integrable (spread {sq.spread:.2e})")
-    d = sq.value
-    data = B_from_instrument(spec, tol)
-    total = sum(b.conj().T @ b for b in data.b_ops)
-    seed = d * total
-    checks = Checks().require(
-        tol.psd_eig * max(1.0, np.linalg.norm(seed, 2)),
-        "recovered seed is not positive",
-        positive=psd_status(seed, tol)[1],
-    )
-    checks.require(tol.recon_fro, "recovered seed is not trace one", trace=abs(np.trace(seed).real - 1.0))
-    hs = sym.rep.matrices[list(sym.sub.members)]
-    us = sym.rep.matrices[list(sym.sub.section)]
-    form = us @ seed @ us.conj().transpose(0, 2, 1) / d
-    checks.require(
-        tol.recon_fro,
-        "square-integrable structure failed",
-        subgroup_commutant=float(np.linalg.norm(seed @ hs - hs @ seed, axis=(1, 2)).max()),
-        observable_form=float(np.linalg.norm(_effects(spec) - form, axis=(1, 2)).max()),
-    )
-    return SqStructure(seed, data.b_ops, d, checks)
-
-
 def phase_space(d: int, b_ops, tol: Tolerances = DEFAULT_TOL, certificate: Checks | None = None) -> InstrumentSpec:
     """Covariant phase-space instrument over the d x d discrete phase space.
 
@@ -1020,17 +778,6 @@ def _draws(p, n: int, rng_seed: int):
     rng = random.Random(rng_seed)
     for _ in range(n):
         yield min(bisect.bisect_right(cdf, rng.random() * cdf[-1]), top)
-
-
-def sample(spec: InstrumentSpec, state, rng_seed: int, tol: Tolerances = DEFAULT_TOL) -> SampleResult:
-    """Draw one outcome and the conditional post-measurement state: the
-    first draw of :func:`sample_stream` for the seed."""
-    state = _checked_state(state, tol)
-    p = outcome_distribution(spec, state)
-    w = next(_draws(p, 1, rng_seed))
-    post = spec.predual(w, state)
-    post = post / np.trace(post).real
-    return SampleResult(w, float(p[w]), post)
 
 
 def sample_stream(spec: InstrumentSpec, state, n: int, rng_seed: int, tol: Tolerances = DEFAULT_TOL):

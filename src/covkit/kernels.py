@@ -20,11 +20,8 @@ from .numlin import (
     DEFAULT_TOL,
     DimensionError,
     Tolerances,
-    as_matrix,
     constrained_commutant,
     frob,
-    is_unitary,
-    lstsq_define,
     psd_factor,
     psd_spectrum,
     rank,
@@ -258,38 +255,6 @@ def kolmogorov_decompose(
     factors = np.ascontiguousarray(f.reshape(n_dil, spec.x_size, spec.n_v).transpose(1, 0, 2))
     sym, checks = _certify_kolmogorov(spec, factors, tol)
     return KolmogorovDecomposition(spec, n_dil, factors, sym, checks)
-
-
-def transform_decomposition(decomp: KolmogorovDecomposition, q) -> KolmogorovDecomposition:
-    """Unitarily transported decomposition (q factors[x], q sym q^+)."""
-    q = as_matrix(q)
-    sym = replace(decomp.sym, matrices=q @ decomp.sym.matrices @ q.conj().T)
-    return replace(decomp, factors=q @ decomp.factors, sym=sym)
-
-
-class EquivalenceError(RuntimeError):
-    """The two decompositions do not dilate the same kernel."""
-
-
-def equivalence_unitary(
-    d1: KolmogorovDecomposition, d2: KolmogorovDecomposition, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
-    """The unitary connecting two minimal decompositions of the same kernel:
-    w factors1[x] = factors2[x] for every x and w sym1(g) = sym2(g) w."""
-    if d1.spec.x_size != d2.spec.x_size or d1.spec.n_v != d2.spec.n_v:
-        raise DimensionError("decompositions live over different kernels")
-    if d1.rank != d2.rank:
-        raise EquivalenceError("ranks differ; not decompositions of one kernel")
-    w, res = lstsq_define([(d1.stacked(), d2.stacked())], tol)
-    scale = max(1.0, frob(d1.stacked()))
-    if res > tol.recon_fro * scale:
-        raise EquivalenceError(f"factor matching residual {res:.2e}")
-    if not is_unitary(w, tol):
-        raise EquivalenceError("connecting map failed the unitarity certificate")
-    worst = float(np.linalg.norm(w @ d1.sym.matrices - d2.sym.matrices @ w, axis=(1, 2)).max())
-    if worst > tol.recon_fro * max(1.0, np.sqrt(d1.rank)):
-        raise EquivalenceError(f"intertwining residual {worst:.2e}")
-    return w
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .constructions import _induced_form, complete_irreps, wigner_rotation
 from .cpmaps import CPMapSpec, CPSymmetry
 from .cstar import FiniteCStarAlgebra, ModuleSpace
 from .fingroup import (
@@ -19,9 +20,9 @@ from .fingroup import (
     SubgroupData,
     TwoCocycle,
     closure,
-    complete_irreps,
     irrep_decompose,
 )
+from .instruments import InstrumentSpec, ObservableSpec, Symmetry
 from .kernels import CovariantKernelSpec
 from .numlin import frob
 
@@ -340,8 +341,6 @@ def rand_covariant_observable(rng, sub: SubgroupData, v_dim: int = 2):
     """Random covariant observable over the coset space of ``sub``: a twirled
     positive seed transported along the section and renormalized by the
     (invariant) total."""
-    from .instruments import ObservableSpec, Symmetry
-
     group = sub.parent
     c_u = rand_phases(rng, group)
     rep = rand_ordinary_rep(rng, group, v_dim).twist(c_u)
@@ -371,8 +370,6 @@ def rand_covariant_instrument(rng, sub: SubgroupData, k_dim: int = 2, v_dim: int
     representation on the fiber sum, a module representation drawn from the
     irreducible content of the dilation, and a random intertwining isometry.
     """
-    from .instruments import InstrumentSpec, Symmetry, _induced_form, wigner_rotation
-
     group = sub.parent
     n_out = sub.n_cosets
     irreps = complete_irreps(group, seed=int(rng.integers(1 << 30)))

@@ -10,6 +10,7 @@ constructors.  Unknown fields are rejected.
 from __future__ import annotations
 
 import cmath
+import gc
 import json
 import math
 from itertools import chain
@@ -551,23 +552,34 @@ def load(text: str, tol: Tolerances = DEFAULT_TOL):
     """Parse a document into its toolkit object.  The representations of a
     kernel, cpmap, observable or instrument must satisfy their cocycles
     (:class:`RepresentationError` otherwise); a group document's are
-    reported by ``covkit validate``."""
-    kind, payload = parse_document(text)
-    if kind == "group":
-        return kind, group_payload_in(payload)
-    if kind == "kernel":
-        return kind, kernel_in(payload, tol)
-    if kind == "cpmap":
-        return kind, cpmap_in(payload, tol)
-    if kind == "observable":
-        return kind, observable_in(payload, tol)
-    if kind == "instrument":
-        return kind, instrument_in(payload, tol)
-    if kind == "phase_space":
-        return kind, phase_space_in(payload)
-    if kind == "state":
-        return kind, state_in(payload)
-    raise SpecFileError(f"unhandled kind {kind!r}")
+    reported by ``covkit validate``.
+
+    The cyclic garbage collector is paused while the document is parsed and
+    converted: a JSON tree holds no cycles, and its many small containers
+    would otherwise trigger collection passes that find nothing.  Its prior
+    state is restored on the way out, also when the load raises."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kind, payload = parse_document(text)
+        if kind == "group":
+            return kind, group_payload_in(payload)
+        if kind == "kernel":
+            return kind, kernel_in(payload, tol)
+        if kind == "cpmap":
+            return kind, cpmap_in(payload, tol)
+        if kind == "observable":
+            return kind, observable_in(payload, tol)
+        if kind == "instrument":
+            return kind, instrument_in(payload, tol)
+        if kind == "phase_space":
+            return kind, phase_space_in(payload)
+        if kind == "state":
+            return kind, state_in(payload)
+        raise SpecFileError(f"unhandled kind {kind!r}")
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def document(kind: str, payload: dict) -> str:

@@ -55,6 +55,13 @@ permutation and indicator matrices), of the per-outcome intertwining
 residual with dense fiber projections and of the group twirl behind the
 square-integrability constant, as references for the stacked gathers and
 the character-norm certificate in ``covkit.instruments``.
+
+Test-only helpers kept here rather than in ``src/``: the Choi matrix of a
+flat Kraus family, the ordinary representation of a central extension
+(the check of ``covkit.constructions.central_extension``), the unitary
+transport of a Kolmogorov decomposition, and the observable as a kernel
+with a pinned total point, the kernel-level second route to observable
+extremality.
 """
 
 import dataclasses
@@ -62,6 +69,7 @@ import json
 
 import numpy as np
 
+from covkit.constructions import central_extension, marginal_observable
 from covkit.cpmaps import CPMapSpec, NotSingleBlockError, cp_extremal, cp_validate, kraus_from_choi, ksgns
 from covkit.cstar import ModuleSpace
 from covkit.fingroup import GroupAction, MultiplierRep, TwoCocycle
@@ -72,9 +80,9 @@ from covkit.instruments import (
     ObservableSpec,
     SqConstantResult,
     Symmetry,
+    _choi_of,
     as_cpmap,
     instrument_from_B,
-    marginal_observable,
     sample_stream,
     validate_instrument,
     validate_observable,
@@ -1590,3 +1598,51 @@ def sq_twirl_loop(w_rep: MultiplierRep, tol: float = 1e-9, h_order: int = 1) -> 
             spread = max(spread, frob(twirl[i, j] - target))
     ok = spread <= tol * max(1.0, d_est) * n
     return SqConstantResult(ok, d_est if ok else None, spread)
+
+
+def choi_from_kraus(ops, k_dim, v_dim) -> np.ndarray:
+    """The Choi matrix of one Kraus family given flat, as K x V operators."""
+    return _choi_of(np.reshape(ops, (-1, k_dim, v_dim)))
+
+
+def extend_rep(u: MultiplierRep):
+    """Ordinary representation of the central extension of ``u.cocycle``:
+    (g, s) -> zeta^s U(g)."""
+    ext, lift, zeta, _ = central_extension(u.cocycle)
+    m = ext.order // u.group.order
+    mats = (zeta ** np.arange(m))[:, None, None] * u.matrices[:, None]
+    return MultiplierRep(ext, TwoCocycle.trivial(ext), mats.reshape(ext.order, u.dim, u.dim)), ext, lift
+
+
+def transform_decomposition(decomp: KolmogorovDecomposition, q) -> KolmogorovDecomposition:
+    """Unitarily transported decomposition (q factors[x], q sym q^+)."""
+    q = as_matrix(q)
+    sym = dataclasses.replace(decomp.sym, matrices=q @ decomp.sym.matrices @ q.conj().T)
+    return dataclasses.replace(decomp, factors=q @ decomp.factors, sym=sym)
+
+
+def observable_kernel_form(spec: ObservableSpec):
+    """The observable as a covariant kernel over the outcomes plus one fixed
+    total point; extremality with the total entry pinned is the kernel-level
+    route to observable extremality."""
+    sym = spec.symmetry
+    n, v = spec.n_outcomes, spec.v_dim
+    table = np.zeros((sym.group.order, n + 1), dtype=np.int64)
+    table[:, :n] = sym.action.table
+    table[:, n] = n  # the total point is fixed
+    action = GroupAction(sym.group, table)
+    blocks = np.zeros((n + 1, n + 1, v, v), dtype=np.complex128)
+    for w in range(n):
+        blocks[w, w] = spec.effects[w]
+        blocks[n, w] = spec.effects[w]
+        blocks[w, n] = spec.effects[w]
+    blocks[n, n] = np.eye(v)
+    kernel = CovariantKernelSpec(
+        action=action,
+        alpha=np.ones((sym.group.order, n + 1), dtype=np.complex128),
+        sigma=TwoCocycle.trivial(sym.group),
+        rep=sym.rep,
+        module=ModuleSpace(k=1, n_v=v),
+        blocks=blocks,
+    )
+    return kernel, [(n, n)]

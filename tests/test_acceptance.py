@@ -6,39 +6,35 @@ import time
 
 import numpy as np
 
+from covkit.constructions import (
+    DecomposableOp,
+    complete_irreps,
+    decomposable_extract,
+    equivalence_unitary,
+    fourier,
+    marginal_observable,
+    plancherel_inverse,
+    sq_structure,
+)
 from covkit.cpmaps import CPMapSpec, cp_extremal, kraus_extract, ksgns
 from covkit.cstar import FiniteCStarAlgebra, ModuleSpace
-from covkit.fingroup import (
-    FiniteGroup,
-    MultiplierRep,
-    SubgroupData,
-    TwoCocycle,
-    complete_irreps,
-    fourier,
-    heisenberg_rep,
-    plancherel_inverse,
-)
+from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle, heisenberg_rep
 from covkit.instruments import (
-    DecomposableOp,
+    B_from_instrument,
     ObservableSpec,
     Symmetry,
-    B_from_instrument,
     check_b_family,
-    decomposable_extract,
     instrument_extremal,
     instrument_from_B,
     lambda_from_observable,
-    marginal_observable,
     observable_extremal,
-    observable_kernel_form,
     phase_space,
     sample_stream,
     sq_constant,
-    sq_structure,
     validate_instrument,
     validate_observable,
 )
-from covkit.kernels import equivalence_unitary, kernel_extremal, kolmogorov_decompose
+from covkit.kernels import kernel_extremal, kolmogorov_decompose
 from covkit.numlin import frob, rank
 from covkit.random import (
     all_subgroups,
@@ -50,6 +46,7 @@ from covkit.random import (
 from oracles import (
     cpmap_kernel_form,
     observable_as_cpmap,
+    observable_kernel_form,
     split_oracle_cpmap,
     split_oracle_instrument,
     split_oracle_observable,

@@ -21,6 +21,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from covkit.constructions import marginal_observable
 from covkit.fingroup import (
     FiniteGroup,
     GroupAction,
@@ -33,7 +34,7 @@ from covkit.fingroup import (
     rep_violation,
 )
 from covkit.cpmaps import cp_validate
-from covkit.instruments import as_cpmap, marginal_observable, phase_space, validate_instrument, validate_observable
+from covkit.instruments import as_cpmap, phase_space, validate_instrument, validate_observable
 from covkit.kernels import DilationResidualError, _certify_kolmogorov, kolmogorov_decompose, validate_kernel
 from covkit.numlin import Tolerances
 from covkit.random import (

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -346,6 +347,47 @@ def test_cli_sample_stream(tmp_path, capsys):
     first = json.loads(lines[0])
     assert isinstance(first[0], int) and 0 <= first[0] < 4
     assert 0.0 <= first[1] <= 1.0
+
+
+def test_cli_sample_refuses_an_invalid_instrument(tmp_path, capsys):
+    # every Choi block of a d = 3 phase-space instrument doubled: the effects
+    # sum to 2 I, which validate fails, so sample must exit 1 with one
+    # diagnostic line and draw nothing
+    seed = np.diag([3 ** -0.5, 0, 0]).astype(complex)
+    spec = phase_space(3, [seed])
+    doubled = InstrumentSpec(2 * spec.choi, spec.symmetry)
+    inst = write(tmp_path, "inst.json", specfile.document("instrument", specfile.instrument_out(doubled)))
+    st = write(tmp_path, "state.json", state_doc(np.diag([0.5, 0.3, 0.2]).astype(complex)))
+    assert main(["validate", inst]) == 1
+    capsys.readouterr()
+    assert main(["sample", inst, st, "-n", "5", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostics = [line for line in captured.err.splitlines() if not line.startswith("wall time: ")]
+    assert diagnostics == ["validation failure: instrument invalid: normalization"]
+    # the valid instrument still samples
+    valid = write(tmp_path, "valid.json", specfile.document("instrument", specfile.instrument_out(spec)))
+    assert main(["sample", valid, st, "-n", "5", "--seed", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_restores_the_collector_state(enabled):
+    # the loader pauses the cyclic collector while it parses; the state the
+    # caller had comes back after a good document and after a malformed one
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert specfile.load(flip_observable_doc())[0] == "observable"
+        assert gc.isenabled() is enabled
+        with pytest.raises(specfile.SpecFileError):
+            specfile.load(flip_observable_doc().replace('"version": "1"', '"version": "2"'))
+        assert gc.isenabled() is enabled
+        with pytest.raises(json.JSONDecodeError):
+            specfile.load("{")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 def test_cli_reports_byte_stable(tmp_path, capsys):

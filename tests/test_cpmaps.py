@@ -6,16 +6,8 @@ import pytest
 
 from covkit import kernels, specfile
 from covkit.cli import main
-from covkit.cpmaps import (
-    CPMapSpec,
-    cp_extremal,
-    cp_validate,
-    kraus_extract,
-    kraus_from_choi,
-    ksgns,
-    marginals,
-    subminimal,
-)
+from covkit.constructions import marginals, subminimal
+from covkit.cpmaps import CPMapSpec, cp_extremal, cp_validate, kraus_extract, kraus_from_choi, ksgns
 from covkit.cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from covkit.fingroup import FiniteGroup
 from covkit.instruments import as_cpmap, phase_space

@@ -6,6 +6,7 @@ import pytest
 
 from covkit import cpmaps, kernels
 from covkit import instruments as ins
+from covkit.constructions import marginal_observable
 from covkit.cpmaps import cp_extremal, ksgns
 from covkit.cstar import ModuleSpace
 from covkit.fingroup import FiniteGroup, GroupAction, MultiplierRep, TwoCocycle
@@ -13,7 +14,6 @@ from covkit.instruments import (
     as_cpmap,
     instrument_extremal,
     lambda_from_observable,
-    marginal_observable,
     observable_extremal,
     observable_from_lambda,
     phase_space,

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from covkit.cstar import (
-    FiniteCStarAlgebra,
-    ModuleSpace,
-    TensorSplit,
-    alg_positive,
-    form_eval,
-    form_positive,
-)
+from covkit.constructions import alg_positive, form_eval, form_positive
+from covkit.cstar import FiniteCStarAlgebra, ModuleSpace, TensorSplit
 from covkit.numlin import DimensionError
 
 

@@ -16,9 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from covkit import constructions
 from covkit import instruments as ins
+from covkit.constructions import canonical_system, decomposable_extract, wigner_rotation
 from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle, heisenberg_rep
-from covkit.instruments import canonical_system, decomposable_extract, sq_constant, wigner_rotation
+from covkit.instruments import sq_constant
 from covkit.kernels import DilationResidualError
 from covkit.numlin import DimensionError, Tolerances
 from covkit.random import all_subgroups, rand_covariant_instrument, rand_ordinary_rep
@@ -89,13 +91,13 @@ def test_decomposable_residuals_match_the_loop(name, index, kind):
     assert np.abs(np.stack(dec.blocks) - wigner_rotation(rho, sub)[a]).max() <= 1e-12
 
     noisy = theta + 1e-3 * (rng.normal(size=theta.shape) + 1j * rng.normal(size=theta.shape))
-    res, reference = ins._intertwining_residuals(noisy, perm, dims), decomposable_intertwining_loop(noisy, perm, dims)
+    res, reference = constructions._intertwining_residuals(noisy, perm, dims), decomposable_intertwining_loop(noisy, perm, dims)
     assert np.abs(res - reference).max() <= 1e-12
     # the worst outcome named is one of the loop's (n = 2 ties by symmetry)
     assert reference[np.argmax(res)] >= max(reference) - 1e-12
 
     # one off-pattern entry of 1e-6 is rejected, naming the loop's worst outcome
-    _, mask = ins._fiber_pattern(perm, dims)
+    _, mask = constructions._fiber_pattern(perm, dims)
     cells = np.argwhere(~mask)
     i, j = cells[rng.integers(len(cells))]
     broken = theta.copy()
@@ -110,7 +112,7 @@ def test_decomposable_layout_needs_a_permutation_of_the_fibers(perm, dims):
     with pytest.raises(DimensionError, match="permutation"):
         decomposable_extract(np.zeros((4, 4)), perm, dims)
     with pytest.raises(DimensionError, match="permutation"):
-        ins.DecomposableOp(tuple(perm), tuple(dims), ()).assemble()
+        constructions.DecomposableOp(tuple(perm), tuple(dims), ()).assemble()
 
 
 def test_canonical_system_reads_the_callers_tolerance_for_the_cocycle():
@@ -170,7 +172,7 @@ def test_rand_covariant_instrument_matches_its_recorded_output(name, seed):
     assert np.array_equal(spec.symmetry.out_rep.matrices, recorded[f"{name}_{seed}_out_rep"])
 
 
-@pytest.mark.parametrize("module", ["fingroup.py", "instruments.py"])
+@pytest.mark.parametrize("module", ["constructions.py", "fingroup.py", "instruments.py"])
 def test_no_loop_over_group_elements(module):
     tree = ast.parse((Path(ins.__file__).parent / module).read_text())
     loops = [node.iter for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))]

@@ -6,12 +6,12 @@ import pytest
 
 from covkit import cpmaps, numlin
 from covkit import instruments as ins
+from covkit.constructions import marginal_observable
 from covkit.fingroup import FiniteGroup
 from covkit.instruments import (
     B_from_instrument,
     CovariantInstrumentData,
     instrument_extremal,
-    marginal_observable,
     phase_space,
     validate_instrument,
 )

@@ -4,36 +4,40 @@ import numpy as np
 import pytest
 
 from covkit import instruments as ins
-from covkit.cpmaps import CPMapSpec, CPSymmetry, _certify_covariant, cp_validate, ksgns, marginals, subminimal
+from covkit.constructions import (
+    DecomposableOp,
+    canonical_system,
+    cosets,
+    decomposable_extract,
+    marginal_channel,
+    marginal_observable,
+    marginals,
+    sample,
+    sq_structure,
+    subminimal,
+    wigner_rotation,
+)
+from covkit.cpmaps import CPMapSpec, CPSymmetry, _certify_covariant, cp_validate, ksgns
 from covkit.cstar import ModuleSpace
-from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle, cosets, heisenberg_rep
+from covkit.fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle, heisenberg_rep
 from covkit.instruments import (
+    B_from_instrument,
     CovariantInstrumentData,
     InstrumentSpec,
     ObservableSpec,
     Symmetry,
-    B_from_instrument,
     as_cpmap,
-    canonical_system,
-    choi_from_kraus,
-    decomposable_extract,
     instrument_extremal,
     instrument_from_B,
     lambda_from_observable,
-    marginal_channel,
-    marginal_observable,
     naimark,
     observable_extremal,
     observable_from_lambda,
-    observable_kernel_form,
     phase_space,
-    sample,
     sample_stream,
     sq_constant,
-    sq_structure,
     validate_instrument,
     validate_observable,
-    wigner_rotation,
 )
 from covkit.kernels import DilationResidualError, kernel_extremal, validate_kernel
 from covkit.numlin import Tolerances, offsets
@@ -45,10 +49,12 @@ from covkit.random import (
 )
 from oracles import (
     choi_covariance_loop,
+    choi_from_kraus,
     cocycle_loop,
     has_bar,
     instrument_extremal_cpform,
     naimark_loop,
+    observable_kernel_form,
     structure_chain_B,
     sym_stack,
 )
@@ -276,7 +282,7 @@ def test_decomposable_roundtrip_random():
             rng.normal(size=(dims[w], dims[w])) + 1j * rng.normal(size=(dims[w], dims[w]))
             for w in range(4)
         )
-        op = ins.DecomposableOp(perm, dims, blocks).assemble()
+        op = DecomposableOp(perm, dims, blocks).assemble()
         dec = decomposable_extract(op, perm, dims)
         for b1, b2 in zip(dec.blocks, blocks):
             assert np.allclose(b1, b2)

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from covkit import kernels
+from covkit.constructions import EquivalenceError, equivalence_unitary
 from covkit.cstar import ModuleSpace
 from covkit.fingroup import FiniteGroup, GroupAction, MultiplierRep, TwoCocycle
 from covkit.kernels import (
     CovariantKernelSpec,
     DilationResidualError,
-    EquivalenceError,
     KernelValidationError,
-    equivalence_unitary,
     kernel_extremal,
     kolmogorov_decompose,
-    transform_decomposition,
     validate_kernel,
 )
 from covkit.random import rand_covariant_kernel, rand_unitary
+from oracles import transform_decomposition
 
 
 def point_kernel():

@@ -14,8 +14,6 @@ access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cpmaps import (
@@ -57,6 +55,7 @@ from .numlin import (
     lstsq_define,
     psd_check,
     psd_status,
+    record,
 )
 
 
@@ -245,7 +244,7 @@ def marginals(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL):
     return first, second
 
 
-@dataclass(frozen=True)
+@record
 class SubminimalMap:
     """Unique unital CP map into the commutant of the first-marginal
     dilation reproducing the joint map."""
@@ -364,7 +363,7 @@ def _fiber_pattern(perm, fiber_dims) -> tuple[np.ndarray, np.ndarray]:
     return fiber, fiber[:, None] == np.asarray(perm, dtype=np.int64)[fiber][None, :]
 
 
-@dataclass(frozen=True)
+@record
 class DecomposableOp:
     """Operator on a direct sum of fibers moving fiber T^{-1}(w) to fiber w
     by the block ``blocks[w]``."""
@@ -452,7 +451,7 @@ def _induced_form(blocks: np.ndarray, sub: SubgroupData) -> np.ndarray:
     return out.reshape(order, n * b, n * b)
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalSystem:
     """Canonical imprimitivity system induced from a subgroup representation:
     the function space with the equivariance constraint, in the coordinates
@@ -517,8 +516,11 @@ def canonical_system(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SqStructure:
+    """The trace-one seed of a square-integrable covariant instrument, its
+    Kraus family, the square-integrability constant and their checks."""
+
     seed_matrix: np.ndarray  # PSD, trace one
     b_ops: tuple
     constant: float

@@ -13,7 +13,7 @@ dilation's W_{g,i} only onto one of its own multiplicity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,6 +38,7 @@ from .numlin import (
     offsets,
     psd_factor,
     psd_spectrum,
+    record,
     unitary_moves,
 )
 
@@ -47,7 +48,7 @@ class InvarianceError(ValueError):
     representation, so the covariant comparison class is empty."""
 
 
-@dataclass(frozen=True)
+@record
 class BlockAction:
     """A block-permuting multiplier representation u on an algebra's defining
     space, kept as its block action: u(g) carries block i to block
@@ -70,7 +71,7 @@ class BlockAction:
         return bool(np.all(sizes[sigma] == sizes) and np.all(np.sort(sigma, axis=1) == np.arange(len(sizes))))
 
 
-@dataclass(frozen=True)
+@record
 class CPSymmetry:
     """Symmetry data of a covariant CP map.
 
@@ -91,8 +92,11 @@ class CPSymmetry:
         return self.rep.group
 
 
-@dataclass(frozen=True)
+@record
 class CPMapSpec:
+    """A CP map on a finite C*-algebra as its form matrices on the matrix
+    units, with optional symmetry and tensor-product split."""
+
     algebra: FiniteCStarAlgebra
     module: ModuleSpace
     values: np.ndarray  # (n_units, n_V, n_V) form matrices on matrix units
@@ -337,7 +341,7 @@ def _tensor_pattern(algebra, mult):
     return tuple(np.concatenate(part) for part in zip(*out))
 
 
-@dataclass(frozen=True)
+@record
 class KSGNSDilation:
     """Minimal dilation S_b = j^+ pi(b) j with covariant intertwiners.
 

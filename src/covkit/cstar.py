@@ -8,12 +8,12 @@ every sesquilinear form is given by a matrix T via s(v, w) = v^+ T w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import cached_property
 
 import numpy as np
 
-from .numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, offsets
+from .numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, offsets, record
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -21,7 +21,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@record
 class FiniteCStarAlgebra:
     """Direct sum of full matrix blocks M_{n_1} + ... + M_{n_r}."""
 
@@ -193,7 +193,7 @@ class FiniteCStarAlgebra:
         return sigma, [np.take_along_axis(u[..., off[i] : off[i + 1]], r[..., None], -2) for i, r in enumerate(rows)]
 
 
-@dataclass(frozen=True)
+@record
 class TensorSplit:
     """Identification of an algebra with a tensor product left (x) right.
 
@@ -229,7 +229,7 @@ class TensorSplit:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class ModuleSpace:
     """Module of n_V x k matrices over M_k with inner product v^+ w."""
 

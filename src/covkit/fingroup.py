@@ -9,11 +9,11 @@ satisfies ``U(g) U(h) = c(g, h) U(gh)``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
-from .numlin import DEFAULT_TOL, DimensionError, Tolerances, frob, is_unitary
+from .numlin import DEFAULT_TOL, DimensionError, Tolerances, frob, is_unitary, record
 
 
 class GroupStructureError(ValueError):
@@ -25,7 +25,7 @@ class GroupStructureError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class FiniteGroup:
     """A finite group as a multiplication table on indices 0..order-1."""
 
@@ -155,7 +155,7 @@ def closure(group: FiniteGroup, gens) -> tuple[int, ...]:
     return tuple(np.flatnonzero(_walk(group.mul, group.identity, gens)[0]).tolist())
 
 
-@dataclass(frozen=True)
+@record
 class GroupAction:
     """Left action of a group on {0..set_size-1} as a lookup table."""
 
@@ -220,7 +220,7 @@ class GroupAction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SubgroupData:
     """A subgroup H of a parent group with the left coset space G/H.
 
@@ -290,7 +290,7 @@ class SubgroupData:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TwoCocycle:
     """Unit-modulus scalar 2-cocycle c(g, h) on a finite group."""
 
@@ -383,7 +383,7 @@ def validate_cocycle(c: TwoCocycle, tol: Tolerances = DEFAULT_TOL) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MultiplierRep:
     """Map g -> U(g) with U(e) = I and U(g) U(h) = cocycle(g, h) U(gh)."""
 
@@ -518,15 +518,18 @@ def validate_rep(u: MultiplierRep, tol: Tolerances = DEFAULT_TOL) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class IrrepBlock:
+    """One irreducible component of a decomposition: its label, dimension,
+    multiplicity and aligned representative."""
+
     label: str
     dim: int
     multiplicity: int
     rep: MultiplierRep  # the aligned irreducible representative
 
 
-@dataclass(frozen=True)
+@record
 class IrrepDecomposition:
     """V^+ U(g) V = direct sum over blocks of tau_g (x) I_mult."""
 

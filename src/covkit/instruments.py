@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 
@@ -54,11 +54,12 @@ from .numlin import (
     psd_spectrum,
     psd_status,
     rank,
+    record,
     unitary_moves,
 )
 
 
-@dataclass(frozen=True)
+@record
 class Symmetry:
     """Transitive outcome symmetry: a subgroup with its coset space, the
     module representation on the system space, and for instruments the
@@ -94,7 +95,7 @@ class Symmetry:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ObservableSpec:
     """Effects indexed by the coset space, summing to the identity and
     permuted by the symmetry."""
@@ -138,7 +139,7 @@ def validate_observable(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class InstrumentSpec:
     """Per-outcome completely positive maps stored as Choi blocks.
 
@@ -341,7 +342,7 @@ def naimark(spec: ObservableSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilatio
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CovariantObservableData:
     """Structure data of a covariant observable: the base-fiber subgroup
     representation and one block operator per orthonormal direction of each
@@ -499,7 +500,7 @@ def observable_extremal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CovariantInstrumentData:
     """The Kraus family generating a covariant instrument from the identity
     coset, with the ``roundtrip`` residual when extracted from one."""
@@ -681,8 +682,12 @@ def instrument_extremal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SqConstantResult:
+    """The verdict of :func:`sq_constant`: whether the representation is
+    square integrable, its constant d (None when not) and the norm of the
+    twirl defect."""
+
     ok: bool
     value: float | None
     spread: float
@@ -741,8 +746,10 @@ def phase_space(d: int, b_ops, tol: Tolerances = DEFAULT_TOL, certificate: Check
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SampleResult:
+    """One drawn outcome, its probability and the post-measurement state."""
+
     outcome: int
     probability: float
     post_state: np.ndarray
@@ -781,14 +788,14 @@ def _draws(p, n: int, rng_seed: int):
 
 
 def sample_stream(spec: InstrumentSpec, state, n: int, rng_seed: int, tol: Tolerances = DEFAULT_TOL):
-    """Sequence of outcome draws (:func:`_draws`); the post state is computed
-    once per outcome, and every draw of that outcome yields the same
-    array."""
+    """Sequence of outcome draws (:func:`_draws`); the result, with its post
+    state, is built once per outcome, and every draw of that outcome yields
+    the same :class:`SampleResult`."""
     state = _checked_state(state, tol)
     p = outcome_distribution(spec, state)
-    posts = {}
+    results = {}
     for w in _draws(p, n, rng_seed):
-        if w not in posts:
+        if w not in results:
             post = spec.predual(w, state)
-            posts[w] = post / np.trace(post).real
-        yield SampleResult(w, float(p[w]), posts[w])
+            results[w] = SampleResult(w, float(p[w]), post / np.trace(post).real)
+        yield results[w]

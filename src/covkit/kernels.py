@@ -9,7 +9,7 @@ family alpha, and a multiplier representation on the fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +25,7 @@ from .numlin import (
     psd_factor,
     psd_spectrum,
     rank,
+    record,
     unitary_moves,
 )
 
@@ -79,7 +80,7 @@ class DilationResidualError(RuntimeError):
         self.checks = Checks() if checks is None else checks
 
 
-@dataclass(frozen=True)
+@record
 class CovariantKernelSpec:
     """Blocks T[x, y] of a positive kernel covariant for (action, alpha, rep).
 
@@ -173,7 +174,7 @@ def _kernel_checks(spec: CovariantKernelSpec, spectrum, tol) -> Checks:
     return checks
 
 
-@dataclass(frozen=True)
+@record
 class KolmogorovDecomposition:
     """Minimal factorization T[x, y] = factors[x]^+ factors[y] together with
     the dilation multiplier representation intertwining the fibers."""
@@ -257,7 +258,7 @@ def kolmogorov_decompose(
     return KolmogorovDecomposition(spec, n_dil, factors, sym, checks)
 
 
-@dataclass(frozen=True)
+@record
 class ExtremalityCertificate:
     """Outcome of an extremality decision.
 

@@ -96,7 +96,7 @@ def _write_file(path, text):
     # an unwritable path is exit 2, as an unreadable one is
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            print(text, file=handle)
     except OSError as exc:
         raise specfile.SpecFileError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -116,11 +116,12 @@ def cmd_validate(args) -> int:
         if "action" in obj:
             report.verdict("action", True)
         if "cocycle" in obj:
-            bad, residual = cocycle_status(obj["cocycle"], tol)
-            report.verdict("cocycle", bad is None, residual)
+            status = cocycle_status(obj["cocycle"], tol)
+            report.verdict("cocycle", status[0] is None, status[1])
         if "rep" in obj:
-            # the product rows certify the representation only for a 2-cocycle
-            bad_cocycle, cocycle_residual = cocycle_status(obj["rep"].cocycle, tol)
+            # the product rows certify the representation only for a 2-cocycle, most often payload.cocycle itself
+            same = "cocycle" in obj and np.array_equal(obj["cocycle"].values, obj["rep"].cocycle.values)
+            bad_cocycle, cocycle_residual = status if same else cocycle_status(obj["rep"].cocycle, tol)
             bad, residual = rep_status(obj["rep"], tol)
             report.verdict("rep", bad is None and bad_cocycle is None, max(residual, cocycle_residual))
     elif kind == "kernel":
@@ -293,9 +294,9 @@ def cmd_phase_space(args) -> int:
     spec = phase_space(d, ops, tol)
     text = specfile.document("instrument", specfile.instrument_out(spec))
     if args.out:
-        _write_file(args.out, text + "\n")
+        _write_file(args.out, text)
     else:
-        sys.stdout.write(text + "\n")
+        print(text)
     return EXIT_OK
 
 
@@ -327,10 +328,11 @@ def cmd_sample(args) -> int:
 
 
 def _finish(report: Report, args):
-    text = specfile.dumps(report.body) + "\n"
+    # built whole before anything is written; print adds the newline without copying the text
+    text = specfile.dumps(report.body)
     if args.json_out:
         _write_file(args.json_out, text)
-    sys.stdout.write(text)
+    print(text)
 
 
 # -- the command table and its argv reader -------------------------------------

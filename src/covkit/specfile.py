@@ -60,58 +60,57 @@ def matrix_out(mat) -> list:
 
 # -- output text ---------------------------------------------------------------
 
+# the text json writes for a finite float; a module name, so that a test can count the renders
+_float_text = float.__repr__
+
 
 def dumps(obj) -> str:
     """The toolkit's output text: exactly the text ``json.dumps`` gives for
     ``obj``, each ndarray as its ``tolist()``, with sorted keys, indent 1 and
     ``allow_nan=False``: a NaN or an infinity raises ValueError, as there.
 
-    ``json`` writes an indented document with its pure-Python encoder, one
-    generator step per value.  Here a non-empty finite float64 array, such as
-    a payload's matrix stack, is rendered from its shape: its leaves in one
-    pass, joined with precomputed separators.  Any other array goes through
-    ``tolist()``; every other value takes the recursive branch, which mirrors
-    the encoder rule for rule.  Dict keys must be strings."""
-    return _dumps(obj, 0)
+    Every value appends its pieces to one list, joined once, so no subtree's
+    text is copied into its parent's.  A non-empty finite float64 array, such
+    as a payload's matrix stack, is written from its shape: its leaves in one
+    pass, between precomputed separators.  Any other array goes through
+    ``tolist()``; every other value follows the ``json`` encoder rule for
+    rule.  Dict keys must be strings."""
+    out = []
+    _write(obj, 0, out)
+    return "".join(out)
 
 
-def _dumps(obj, level) -> str:
+def _write(obj, level, out):
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
         if not math.isfinite(obj):
             raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
-        return float.__repr__(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype == np.float64 and obj.size and obj.ndim and np.isfinite(obj).all():
-            return _array(obj, level)
-        return _dumps(obj.tolist(), level)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
+        out.append(_float_text(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.size and obj.ndim and np.isfinite(obj).all():
+        _array(obj, level, out)
+    elif isinstance(obj, np.ndarray):
+        _write(obj.tolist(), level, out)
+    elif isinstance(obj, (list, tuple, dict)):
+        if isinstance(obj, dict):
+            if not all(isinstance(k, str) for k in obj):
+                raise TypeError("dumps: dict keys must be strings")
+            brackets, items = "{}", ((encode_basestring_ascii(k) + ": ", v) for k, v in sorted(obj.items()))
+        else:
+            brackets, items = "[]", (("", v) for v in obj)
         pad = "\n" + " " * (level + 1)
-        items = (_dumps(v, level + 1) for v in obj)
-        return "[" + pad + ("," + pad).join(items) + "\n" + " " * level + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("dumps: dict keys must be strings")
-        pad = "\n" + " " * (level + 1)
-        items = (
-            encode_basestring_ascii(k) + ": " + _dumps(v, level + 1)
-            for k, v in sorted(obj.items())
-        )
-        return "{" + pad + ("," + pad).join(items) + "\n" + " " * level + "}"
-    raise TypeError(f"dumps: {type(obj).__name__} is not JSON serializable")
+        sep = brackets[0] + pad
+        for key, v in items:
+            out.append(sep + key)
+            _write(v, level + 1, out)
+            sep = "," + pad
+        out.append("\n" + " " * level + brackets[1] if obj else brackets)
+    else:
+        raise TypeError(f"dumps: {type(obj).__name__} is not JSON serializable")
 
 
 # below this many leaves the sort that finds repeated values costs more than
@@ -119,8 +118,8 @@ def _dumps(obj, level) -> str:
 _DEDUPE_FROM = 1024
 
 
-def _array(arr, level):
-    """The text of a non-empty float64 array of finite values.
+def _array(arr, level, out):
+    """Append the text of a non-empty float64 array of finite values to ``out``.
 
     Two neighbouring leaves whose last differing index is on axis m are
     separated by the closing brackets of the deeper axes, ``",\\n"`` and the
@@ -134,18 +133,25 @@ def _array(arr, level):
     for m in range(len(shape) - 1, -1, -1):
         sep = "".join(closes[:m:-1]) + ",\n" + " " * (level + m + 1) + "".join(opens[m + 1 :])
         seps = (seps + [sep]) * (shape[m] - 1) + seps
-    parts = [None] * (2 * flat.size + 1)
-    parts[0] = "".join(opens)
     if flat.size < _DEDUPE_FROM:
-        parts[1::2] = map(float.__repr__, flat.tolist())
+        texts = map(_float_text, flat.tolist())
     else:
-        # each distinct value is rendered once, keyed on its bits so that 0.0 and -0.0 stay apart
+        # each distinct magnitude is rendered once: a negative value (sign bit set, -0.0 too) whose
+        # magnitude also occurs positive is "-" and that text, as float.__repr__ writes it
         bits, where = np.unique(flat.view(np.int64), return_inverse=True)
-        texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-        parts[1::2] = texts[where].tolist()
-    parts[2:-1:2] = seps
-    parts[-1] = "".join(closes[::-1])
-    return "".join(parts)
+        cut = np.searchsorted(bits, 0)  # as int64 the negatives sort first
+        mags, pos = bits[:cut] & np.int64(2**63 - 1), bits[cut:]
+        at = np.searchsorted(pos, mags)
+        shared = np.append(pos, -1)[at] == mags
+        rendered = np.append(~shared, np.ones(pos.size, bool))
+        table = np.empty(bits.size, dtype=object)
+        table[rendered] = list(map(_float_text, bits[rendered].view(np.float64).tolist()))
+        table[:cut][shared] = list(map("-".__add__, table[cut + at[shared]].tolist()))
+        texts = table[where].tolist()
+    start = len(out)
+    out += [None] * (2 * flat.size + 1)
+    out[start], out[-1] = "".join(opens), "".join(closes[::-1])
+    out[start + 1 :: 2], out[start + 2 : -1 : 2] = texts, seps
 
 
 def _is_real(v) -> bool:
@@ -562,21 +568,10 @@ def load(text: str, tol: Tolerances = DEFAULT_TOL):
     gc.disable()
     try:
         kind, payload = parse_document(text)
-        if kind == "group":
-            return kind, group_payload_in(payload)
-        if kind == "kernel":
-            return kind, kernel_in(payload, tol)
-        if kind == "cpmap":
-            return kind, cpmap_in(payload, tol)
-        if kind == "observable":
-            return kind, observable_in(payload, tol)
-        if kind == "instrument":
-            return kind, instrument_in(payload, tol)
-        if kind == "phase_space":
-            return kind, phase_space_in(payload)
-        if kind == "state":
-            return kind, state_in(payload)
-        raise SpecFileError(f"unhandled kind {kind!r}")
+        read = {"kernel": kernel_in, "cpmap": cpmap_in, "observable": observable_in, "instrument": instrument_in}.get(kind)
+        if read is not None:  # these check their representations at tol
+            return kind, read(payload, tol)
+        return kind, {"group": group_payload_in, "phase_space": phase_space_in, "state": state_in}[kind](payload)
     finally:
         if was_enabled:
             gc.enable()

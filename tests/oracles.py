@@ -62,6 +62,11 @@ flat Kraus family, the ordinary representation of a central extension
 transport of a Kolmogorov decomposition, and the observable as a kernel
 with a pinned total point, the kernel-level second route to observable
 extremality.
+
+Choi's criterion, linear independence of {V_i^+ V_j} over a minimal Kraus
+family, decides extremality of a CP map on one full matrix block among the
+CP maps with its unit value: the classical reference for ``cp_extremal``
+without a symmetry, and a sufficient condition for it with one.
 """
 
 import dataclasses
@@ -920,6 +925,27 @@ def choi_blocks_loop(spec: CPMapSpec) -> list[np.ndarray]:
                 c[a * nv : (a + 1) * nv, b * nv : (b + 1) * nv] = spec.values[spec.algebra.unit_offsets[i] + a * n + b]
         out.append(c)
     return out
+
+
+def choi_extreme(spec: CPMapSpec, tol: float = 1e-9) -> bool:
+    """Choi's criterion (Choi 1975, Theorem 5): b -> sum_i V_i^+ b V_i on a
+    single full block M_n, with a minimal Kraus family {V_i} (n x n_V), is
+    extreme among the CP maps with its value at the unit iff the k^2
+    matrices V_i^+ V_j are linearly independent.  The family is one operator
+    per eigenvalue of the Choi matrix above ``tol`` relative to the largest,
+    which makes it minimal; the products' rank is read off their singular
+    values at the same relative cut.  No dilation or commutant is involved."""
+    (choi,) = choi_blocks_loop(spec)
+    n, nv = spec.algebra.blocks[0], spec.n_v
+    w, v = np.linalg.eigh(choi)
+    keep = w > tol * max(1.0, w.max())
+    # C = sum_i conj(vec V_i) vec(V_i)^T with vec indexed (b, v)
+    ops = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, n, nv).conj()
+    if not len(ops):
+        return True  # the zero map is the only map with unit value zero
+    prods = np.einsum("iba,jbc->ijac", ops.conj(), ops).reshape(len(ops) ** 2, nv * nv)
+    s = np.linalg.svd(prods, compute_uv=False)
+    return int((s > tol * s[0]).sum()) == len(ops) ** 2
 
 
 def cp_status_loop(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, float]:

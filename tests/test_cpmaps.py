@@ -15,7 +15,7 @@ from covkit.kernels import DilationResidualError
 from covkit.numlin import rank as num_rank
 from covkit.random import rand_covariant_cpmap, rand_unitary
 
-from oracles import commutation_loop, factor_rep_tensor, has_bar, multiplicativity_loop, twist_loop
+from oracles import choi_extreme, commutation_loop, factor_rep_tensor, has_bar, multiplicativity_loop, twist_loop
 
 M2 = FiniteCStarAlgebra.full(2)
 
@@ -146,26 +146,11 @@ def test_kraus_reproduces_on_random_elements():
         assert np.linalg.norm(direct - via_kraus) <= 1e-8 * max(1.0, np.linalg.norm(direct))
 
 
-def oracle_choi_extreme(spec):
-    """Independence of {A_i^+ A_j} for a Choi-eigenbasis Kraus family:
-    the classical criterion for extremality at fixed unit value."""
-    choi = spec.choi()
-    w, v = np.linalg.eigh(choi)
-    n = spec.algebra.blocks[0]
-    nv = spec.n_v
-    ops = []
-    for lam in range(len(w)):
-        if w[lam] > 1e-10 * max(1.0, w.max()):
-            ops.append(np.sqrt(w[lam]) * v[:, lam].reshape(n, nv).conj())
-    prods = np.stack([(a.conj().T @ b).reshape(-1) for a in ops for b in ops])
-    return num_rank(prods) == len(ops) ** 2
-
-
 def test_identity_channel_extreme():
     spec = identity_channel()
     cert = cp_extremal(spec)
     assert cert.extreme
-    assert oracle_choi_extreme(spec)
+    assert choi_extreme(spec)
 
 
 def test_unitary_mixture_not_extreme():
@@ -175,7 +160,7 @@ def test_unitary_mixture_not_extreme():
         spec = channel_spec([np.sqrt(w) * u, np.sqrt(1 - w) * v])
         cert = cp_extremal(spec)
         assert not cert.extreme
-        assert not oracle_choi_extreme(spec)
+        assert not choi_extreme(spec)
         for neighbour in cert.perturbed:
             rep = cp_validate(neighbour)
             assert rep["completely_positive"].ok
@@ -188,8 +173,46 @@ def test_unitary_mixture_not_extreme():
 def test_depolarizing_not_extreme_matches_oracle():
     spec = depolarizing()
     cert = cp_extremal(spec)
-    assert cert.extreme == oracle_choi_extreme(spec)
+    assert cert.extreme == choi_extreme(spec)
     assert not cert.extreme
+
+
+def _document(spec):
+    """``spec`` as the cpmap document ``covkit`` reads, read back."""
+    return specfile.load(specfile.document("cpmap", specfile.cpmap_out(spec)))[1]
+
+
+def test_choi_criterion_decides_extremality_without_a_symmetry():
+    # random Kraus families on M_n: k <= n_V operators are generically
+    # independent in the V_i^+ V_j sense, k = n_V + 1 never; unitary mixtures
+    # repeat the identity among the products at every k
+    rng = np.random.default_rng(41)
+    specs = []
+    for n in (1, 2, 3):
+        for nv in (1, 2, 3):
+            for k in range(1, min(n * nv, nv + 1) + 1):
+                ops = [rng.normal(size=(n, nv)) + 1j * rng.normal(size=(n, nv)) for _ in range(k)]
+                specs.append(_document(channel_spec(ops, n)))
+    for n, weights in ((2, (0.5, 0.5)), (3, (0.2, 0.8)), (3, (0.1, 0.3, 0.6))):
+        specs.append(_document(channel_spec([np.sqrt(w) * rand_unitary(rng, n) for w in weights], n)))
+    found = [(choi_extreme(spec), cp_extremal(spec).extreme) for spec in specs]
+    assert all(oracle == engine for oracle, engine in found), found
+    assert {oracle for oracle, _ in found} == {True, False}
+
+
+def test_choi_extreme_covariant_maps_are_covariantly_extreme():
+    # an extreme point of a convex set is extreme in every convex subset that
+    # holds it, such as the covariant maps with the same unit value
+    rng = np.random.default_rng(42)
+    found = []
+    for blocks, group in (((2,), FiniteGroup.cyclic(2)), ((3,), FiniteGroup.cyclic(3)), ((2,), FiniteGroup.symmetric(3)), ((3,), FiniteGroup.dihedral(4))):
+        for _ in range(6):
+            spec = _document(rand_covariant_cpmap(rng, blocks, group, n_v=2))
+            found.append((choi_extreme(spec), cp_extremal(spec).extreme))
+    assert all(engine for oracle, engine in found if oracle), found
+    # both verdicts of the oracle occur, and the converse fails somewhere
+    assert {oracle for oracle, _ in found} == {True, False}
+    assert (False, True) in found
 
 
 @pytest.mark.parametrize(

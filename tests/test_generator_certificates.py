@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from covkit import specfile
+from covkit import cli, specfile
 from covkit.cli import main
 from covkit.cpmaps import CPSymmetry, cp_extremal, cp_validate, kraus_from_choi
 from covkit.fingroup import (
@@ -191,6 +191,27 @@ def test_group_document_prints_computed_residuals(tmp_path, capsys):
     for name in ("cocycle", "rep"):
         assert not verdicts[name]["ok"]
         assert verdicts[name]["residual"] == pytest.approx(abs(np.exp(1e-3j) - 1), rel=1e-6)
+
+
+def test_group_document_checks_a_shared_cocycle_once(tmp_path, capsys, monkeypatch):
+    # payload.cocycle and payload.rep.cocycle usually hold the same values: the
+    # second check is the first's result, and the verdicts are those of two checks
+    group, cocycle, rep = heisenberg_rep(3)
+    a, b = _outside(group)
+    vals = cocycle.values.copy()
+    vals[a, b] *= np.exp(1e-3j)
+    broken = TwoCocycle(group, vals)
+    cases = [(cocycle, rep, 1), (broken, MultiplierRep(group, broken, rep.matrices), 1), (broken, rep, 2)]
+    calls = []
+    monkeypatch.setattr(cli, "cocycle_status", lambda c, tol: calls.append(c) or cocycle_status(c, tol))
+    for c, u, count in cases:
+        calls.clear()
+        code, verdicts = _validate(tmp_path, _group_doc(group, c, u), capsys)
+        assert len(calls) == count
+        (bad_c, res_c), (bad_u, res_u), (bad_uc, res_uc) = cocycle_status(c), rep_status(u), cocycle_status(u.cocycle)
+        assert verdicts["cocycle"] == {"ok": bad_c is None, "residual": res_c}
+        assert verdicts["rep"] == {"ok": bad_u is None and bad_uc is None, "residual": max(res_u, res_uc)}
+        assert code == (0 if bad_c is None and bad_u is None and bad_uc is None else 1)
 
 
 def test_group_document_cocycle_and_rep_follow_tol_recon_fro(tmp_path, capsys):

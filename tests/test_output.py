@@ -13,7 +13,7 @@ from oracles import sample_lines_loop
 from test_cli import flip_observable_doc, phase_space_doc, state_doc, write
 
 from covkit import specfile
-from covkit.cli import main
+from covkit.cli import Report, main
 from covkit.instruments import phase_space
 
 
@@ -134,6 +134,89 @@ def test_dumps_renders_arrays_as_their_lists(name):
         assert_agrees(obj)
 
 
+def _signed_arrays():
+    """Arrays past _DEDUPE_FROM leaves whose magnitudes recur with either sign."""
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=600)
+    mags = np.abs(rng.normal(size=40))
+    out = {
+        # every magnitude with both signs, and only with a minus sign
+        "x_and_minus_x": np.stack([x, -x], -1),
+        "minus_only": -np.abs(rng.normal(size=(40, 30))),
+        # some magnitudes with both signs, some negative only, some positive only
+        "mixed": np.concatenate([mags[:10], -mags[:10], -mags[10:25], mags[25:]] * 30),
+        # a negative magnitude above every positive one, and below
+        "beyond_the_positives": np.tile([1.0, -2.0, 0.5, -0.25], 300).reshape(20, 60),
+        "zeros": np.tile([0.0, -0.0, -5e-324, 5e-324, -0.0], (250, 1)),
+        "negative_zeros_only": np.full((32, 33), -0.0),
+        "negative_subnormal_only": np.tile([-5e-324, -2.2250738585072014e-308], 520),
+        # where repr switches between positional and exponent form
+        "exponent_switch": np.tile(
+            [1e16, -1e16, 1e-5, -1e-5, 1e15, -1e15, 1e-4, -1e-4, 9999999999999998.0, -9.999999999999999e-06], (120, 1)
+        ),
+    }
+    out["transposed"] = out["x_and_minus_x"].T
+    return out
+
+
+SIGNED = _signed_arrays()
+
+
+@pytest.mark.parametrize("name", SIGNED)
+def test_dumps_shares_a_magnitude_text_between_signs(name):
+    arr = SIGNED[name]
+    assert arr.size >= specfile._DEDUPE_FROM
+    for obj in (arr, {"a": [arr, 1.5], "b": arr[::-1]}):
+        assert_agrees(obj)
+
+
+def _magnitude_bits(arr):
+    return set(np.abs(arr).ravel().view(np.int64).tolist())
+
+
+@pytest.mark.parametrize("name", ["phase_space_d6", *SIGNED])
+def test_dumps_renders_each_distinct_magnitude_once(name, monkeypatch):
+    # past _DEDUPE_FROM leaves every distinct magnitude is rendered exactly once,
+    # as itself when it occurs positive and negated otherwise: the other sign's
+    # leaves take "-" before that text
+    if name == "phase_space_d6":
+        rng = np.random.default_rng(6)
+        ops = [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(2)]
+        norm = 6 * sum(np.vdot(b, b).real for b in ops)
+        arr = specfile._pairs(phase_space(6, [b / np.sqrt(norm) for b in ops]).choi)
+    else:
+        arr = SIGNED[name]
+    rendered = []
+    monkeypatch.setattr(specfile, "_float_text", lambda x: rendered.append(x) or float.__repr__(x))
+    assert specfile.dumps(arr) == json.dumps(arr.tolist(), indent=1)
+    assert len(rendered) == len(_magnitude_bits(arr)) == len(_magnitude_bits(np.array(rendered)))
+    positive = set(arr[~np.signbit(arr)].view(np.int64).tolist())
+    for x in rendered:
+        assert math.copysign(1.0, x) == (1.0 if np.float64(abs(x)).view(np.int64) in positive else -1.0)
+    if name == "phase_space_d6":
+        # the Weyl translates repeat magnitudes with both signs
+        assert len(rendered) < len(set(arr.ravel().view(np.int64).tolist()))
+
+
+# values whose repr is positional, exponent form, subnormal or zero
+SIGN_POOL = [0.0, 5e-324, 1e-300, 1e-5, 1e-4, 1 / 3, 0.1, 1.0, 2.5, 1e15, 1e16, 1.7976931348623157e308]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(SIGN_POOL), min_size=1, max_size=6, unique=True),
+    st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    st.sampled_from([(1024,), (32, 33), (4, 16, 17), (33, 32)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_dumps_matches_json_on_arrays_of_signed_repeats(pool, negative, shape, seed):
+    # a small pool of magnitudes, each leaf negative with the given probability
+    rng = np.random.default_rng(seed)
+    arr = rng.choice(pool, size=shape) * np.where(rng.random(shape) < negative, -1.0, 1.0)
+    for obj in (arr, arr.T):
+        assert specfile.dumps(obj) == json.dumps(obj.tolist(), indent=1)
+
+
 def test_dumps_rejects_a_complex_array_as_json_rejects_its_list():
     arr = np.array([[1 + 2j, 0.5]])
     with pytest.raises(TypeError):
@@ -238,9 +321,15 @@ def test_report_round_trips_and_json_out_equals_stdout(argv, files, tmp_path, ca
     assert target.read_text(encoding="utf-8") == out
 
 
-def test_phase_space_document_round_trips(files, capsys):
+def test_phase_space_document_round_trips(files, tmp_path, capsys):
     assert main(["phase-space", files["ps"]]) == 0
-    assert round_trips(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert round_trips(out)
+    # --out writes the same bytes, its newline included, and nothing to stdout
+    target = tmp_path / "instrument.json"
+    assert main(["phase-space", files["ps"], "--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_sample_lines_round_trip(files, capsys):
@@ -248,6 +337,28 @@ def test_sample_lines_round_trip(files, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 20
     assert all(line == json.dumps(json.loads(line)) for line in lines)
+
+
+def test_a_report_that_json_refuses_writes_nothing(files, tmp_path, capsys, monkeypatch):
+    # a NaN outside the verdicts reaches dumps, which raises before a byte is written
+    artifact = Report.artifact
+    monkeypatch.setattr(Report, "artifact", lambda self, *args, **payload: artifact(self, *args, stray=math.nan, **payload))
+    target = tmp_path / "report.json"
+    assert main(["dilate", files["obs"], "--json-out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("validation failure: Out of range float values are not JSON compliant")
+    assert not target.exists()
+
+
+def test_a_phase_space_document_that_json_refuses_writes_nothing(files, tmp_path, capsys, monkeypatch):
+    instrument_out = specfile.instrument_out
+    monkeypatch.setattr(specfile, "instrument_out", lambda spec: {**instrument_out(spec), "stray": [math.inf]})
+    target = tmp_path / "instrument.json"
+    for out in ([], ["--out", str(target)]):
+        assert main(["phase-space", files["ps"]] + out) == 1
+        assert capsys.readouterr().out == ""
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("command", ["phase-space", "sample"])

@@ -171,7 +171,7 @@ def cmd_dilate(args) -> int:
             rank=dil.rank,
             j=specfile._pairs(dil.j),
             pi_units=specfile._pairs(dil.pi_units),
-            sym=None if dil.mult_rep is None else specfile._pairs([dil.sym(g) for g in obj.symmetry.group.elements()]),
+            sym=None if dil.mult_rep is None else specfile._pairs(dil.sym(np.arange(obj.symmetry.group.order))),
         )
     elif kind == "observable":
         naim = naimark(obj, tol)
@@ -208,12 +208,12 @@ def cmd_extremal(args) -> int:
     direction = "Hermitian direction on the dilation certifying a convex split"
     if kind == "kernel":
         spec, z_pairs = obj
-        cert = kernel_extremal(spec, z_pairs, None, tol)
+        cert = kernel_extremal(spec, z_pairs, tol)
         neighbours = (
             [specfile.kernel_out(p, z_pairs) for p in cert.perturbed] if cert.perturbed else None
         )
     elif kind == "cpmap":
-        cert = cp_extremal(obj, None, tol)
+        cert = cp_extremal(obj, tol)
         neighbours = [specfile.cpmap_out(p) for p in cert.perturbed] if cert.perturbed else None
     elif kind == "observable":
         cert = instrument_extremal(obj.as_instrument(), tol)

@@ -37,11 +37,9 @@ from .instruments import (
     ObservableSpec,
     SampleResult,
     Symmetry,
-    _checked_state,
-    _draws,
     _effects,
     as_cpmap,
-    outcome_distribution,
+    sample_stream,
     sq_constant,
 )
 from .kernels import Checks, DilationResidualError, KolmogorovDecomposition
@@ -303,7 +301,7 @@ def subminimal(
     # unital and commuting with pi
     one_coeffs = right.coefficients(right.one())
     e_one = np.tensordot(one_coeffs, e_units, axes=(0, 0))
-    cuts, pair = _cells(left, dilation.mult)
+    cuts, pair = _cells(dilation)
     worst = max(float(_unit_commutators(e, left, dilation.mult, cuts, pair).max()) for e in e_units)
     lim = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)))
     checks.require(
@@ -323,7 +321,7 @@ def subminimal(
         group, u = spec.symmetry.group, spec.symmetry.u_factors[1]
         gens = list(group.generators())
         sigma, w = right.block_action(u.matrices[gens])
-        syms = np.reshape([dilation.sym(g) for g in gens], (len(gens), n, n))
+        syms = dilation.sym(gens)
         blocks = _choi_blocks(right, e_units, [_factor(wi, u.unitary_flag) for wi in w])
         checks["covariance"] = _covariance(blocks, sigma, syms, group, tol)
         if not checks["covariance"].ok:
@@ -566,9 +564,4 @@ def sq_structure(spec: InstrumentSpec, tol: Tolerances = DEFAULT_TOL) -> SqStruc
 def sample(spec: InstrumentSpec, state, rng_seed: int, tol: Tolerances = DEFAULT_TOL) -> SampleResult:
     """Draw one outcome and the conditional post-measurement state: the
     first draw of :func:`sample_stream` for the seed."""
-    state = _checked_state(state, tol)
-    p = outcome_distribution(spec, state)
-    w = next(_draws(p, 1, rng_seed))
-    post = spec.predual(w, state)
-    post = post / np.trace(post).real
-    return SampleResult(w, float(p[w]), post)
+    return next(sample_stream(spec, state, 1, rng_seed, tol))

@@ -33,9 +33,9 @@ from .numlin import (
     DEFAULT_TOL,
     DimensionError,
     Tolerances,
+    block_layout,
     constrained_commutant,
     frob,
-    offsets,
     psd_factor,
     psd_spectrum,
     record,
@@ -144,7 +144,7 @@ class CPMapSpec:
     def choi_blocks(self) -> list[np.ndarray]:
         """Choi matrix C_i[(b, v), (d, w)] = S(E^i_bd)[v, w] of every block."""
         out = [None] * len(self.algebra.blocks)
-        for n, idx in _size_groups(self.algebra.blocks):
+        for n, _, idx in block_layout(self.algebra.blocks, 1)[1]:
             for i, c in zip(idx, _choi_stack(self.algebra, self.values, n, idx)):
                 out[i] = c
         return out
@@ -154,28 +154,6 @@ class CPMapSpec:
         if len(self.algebra.blocks) != 1:
             raise DimensionError("choi() needs a single full matrix block")
         return self.choi_blocks()[0]
-
-
-# The distinct shapes are found with set(), not np.unique: np.unique imports
-# numpy.ma on its first call, which costs more than a small dilation.
-
-
-def _size_groups(sizes) -> list[tuple[int, np.ndarray]]:
-    """The distinct block sizes n, each with the indices of its blocks."""
-    sizes = np.asarray(sizes)
-    return [(n, np.flatnonzero(sizes == n)) for n in sorted(set(sizes.tolist()))]
-
-
-def _layout_groups(blocks, mult) -> list[tuple[int, int, np.ndarray]]:
-    """The distinct shapes (n_i, r_i) with r_i > 0 of a dilation layout, each
-    with the indices of its blocks.  A block moves only onto one of its own
-    shape, so every sigma_g maps each index set onto itself."""
-    blocks, mult = np.asarray(blocks), np.asarray(mult)
-    return [
-        (n, r, np.flatnonzero((blocks == n) & (mult == r)))
-        for n, r in sorted(set(zip(blocks.tolist(), mult.tolist())))
-        if r > 0
-    ]
 
 
 def _units(alg: FiniteCStarAlgebra, n, idx) -> np.ndarray:
@@ -195,7 +173,7 @@ def _choi_stack(alg: FiniteCStarAlgebra, stack, n, idx) -> np.ndarray:
 def _choi_spectra(alg: FiniteCStarAlgebra, stack, vectors=False) -> list:
     """One :func:`~covkit.numlin.psd_spectrum` per block size, over the
     stacked Choi matrices of the blocks of that size: (n, idx, spectrum)."""
-    return [(n, idx, psd_spectrum(_choi_stack(alg, stack, n, idx), vectors)) for n, idx in _size_groups(alg.blocks)]
+    return [(n, idx, psd_spectrum(_choi_stack(alg, stack, n, idx), vectors)) for n, _, idx in block_layout(alg.blocks, 1)[1]]
 
 
 def _cp_status(spectra, tol) -> tuple[bool, float]:
@@ -280,7 +258,8 @@ def _choi_blocks(alg: FiniteCStarAlgebra, values, w) -> list:
     """Per block size of ``alg``: the indices of those blocks, their stacked
     Choi matrices and their factors w_i stacked on axis 1, as
     :func:`_covariance` takes them."""
-    return [(idx, _choi_stack(alg, values, n, idx), np.stack([w[i] for i in idx], axis=1)) for n, idx in _size_groups(alg.blocks)]
+    shapes = block_layout(alg.blocks, 1)[1]
+    return [(idx, _choi_stack(alg, values, n, idx), np.stack([w[i] for i in idx], axis=1)) for n, _, idx in shapes]
 
 
 # The covariance defect of one block size is formed a chunk of blocks at a
@@ -330,15 +309,17 @@ def _covariance(blocks, sigma, rep, group: FiniteGroup, tol) -> Check:
     return Check(bool(group.max_word_length * worst <= bound < np.inf), worst)
 
 
-def _tensor_pattern(algebra, mult):
+def _tensor_pattern(dil: KSGNSDilation):
     """Indices (unit, row, col) of the unit entries of every T_k = E_ab (x)
-    I_{r_i}, k = (i, a, b), on the direct sum of C^{n_i} (x) C^{r_i}."""
-    out, start = [], 0
-    for i, (n, r) in enumerate(zip(algebra.blocks, mult)):
+    I_{r_i}, k = (i, a, b), on the direct sum of C^{n_i} (x) C^{r_i}, one
+    block shape at a time."""
+    (start, shapes), unit_at = dil.layout, dil.spec.algebra.unit_offsets
+    out = [(np.zeros(0, np.int64),) * 3]
+    for n, r, idx in shapes:
         a, b, lam = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), np.arange(r), indexing="ij"))
-        out.append((algebra.unit_offsets[i] + a * n + b, start + a * r + lam, start + b * r + lam))
-        start += n * r
-    return tuple(np.concatenate(part) for part in zip(*out))
+        at = start[idx, None]
+        out.append((unit_at[idx, None] + a * n + b, at + a * r + lam, at + b * r + lam))
+    return tuple(np.concatenate([p.ravel() for p in part]) for part in zip(*out))
 
 
 @record
@@ -346,15 +327,16 @@ class KSGNSDilation:
     """Minimal dilation S_b = j^+ pi(b) j with covariant intertwiners.
 
     The dilation space is the direct sum of C^{n_i} (x) C^{r_i}, r_i =
-    ``mult[i]``, and pi(E^i_ab) = E_ab (x) I_{r_i} on it: every unital
-    representation of the algebra has this form up to unitary equivalence,
-    so pi is a function of the algebra and ``mult`` (:func:`_tensor_pattern`)
-    and is never stored.  Nor is the symmetry: sym(g) = u(g) (*) W(g) moves
-    block i to block sigma_g(i) as w_{g,i} (x) W_{g,i}, (sigma, w) the block
-    action of u (:attr:`CPMapSpec.block_action`), so the twist sym(g) pi(b)
-    = pi(beta_g(b)) sym(g) holds by construction; only the multiplicity
-    unitaries W_{g,i} are stored.  A dilation off this layout cannot be
-    built.
+    ``mult[i]``, laid out by :attr:`layout`, and pi(E^i_ab) = E_ab (x)
+    I_{r_i} on it: every unital representation of the algebra has this form
+    up to unitary equivalence, so pi is a function of the algebra and
+    ``mult`` (:func:`_tensor_pattern`) and is never stored.  Nor is the
+    symmetry: sym(g) = u(g) (*) W(g) moves block i to block sigma_g(i) as
+    w_{g,i} (x) W_{g,i}, (sigma, w) the block action of u
+    (:attr:`CPMapSpec.block_action`), so the twist sym(g) pi(b) =
+    pi(beta_g(b)) sym(g) holds by construction; only the multiplicity
+    unitaries W_{g,i} are stored, and :meth:`sym` takes an element or an
+    index array.  A dilation off this layout cannot be built.
     """
 
     spec: CPMapSpec
@@ -372,10 +354,16 @@ class KSGNSDilation:
         if self.mult_rep is not None and [np.shape(w) for w in self.mult_rep] != [(order, r, r) for r in self.mult]:
             raise DilationResidualError("multiplicity unitaries do not match the multiplicities")
 
+    @cached_property
+    def layout(self) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
+        """:func:`~covkit.numlin.block_layout` of the dilation space: the
+        start of every block and the blocks of every shape (n_i, r_i)."""
+        return block_layout(self.spec.algebra.blocks, self.mult)
+
     def pi(self, bmat) -> np.ndarray:
         """pi of an algebra element or a stack of them: the coefficients
         scattered onto the pattern."""
-        unit, rows, cols = _tensor_pattern(self.spec.algebra, self.mult)
+        unit, rows, cols = _tensor_pattern(self)
         coeffs = self.spec.algebra.coefficients(bmat)
         out = np.zeros(coeffs.shape[:-1] + (self.rank, self.rank), dtype=np.complex128)
         out[..., rows, cols] = coeffs[..., unit]
@@ -385,7 +373,7 @@ class KSGNSDilation:
     def r_blocks(self) -> np.ndarray:
         """pi(E_k) j for every matrix unit k, (n_units, N, n_V): rows of j moved
         from the column cell of T_k to its row cell."""
-        unit, rows, cols = _tensor_pattern(self.spec.algebra, self.mult)
+        unit, rows, cols = _tensor_pattern(self)
         out = np.zeros((self.spec.algebra.n_units, self.rank, self.spec.n_v), dtype=np.complex128)
         out[unit, rows] = self.j[cols]
         return out
@@ -394,26 +382,34 @@ class KSGNSDilation:
     def pi_units(self) -> np.ndarray:
         """The dense (n_units, N, N) stack of pi(E_k), built on request."""
         out = np.zeros((self.spec.algebra.n_units, self.rank, self.rank), dtype=np.complex128)
-        out[_tensor_pattern(self.spec.algebra, self.mult)] = 1.0
+        out[_tensor_pattern(self)] = 1.0
         return out
 
     def sym(self, g) -> np.ndarray:
-        """The dense sym(g) = u(g) (*) W(g), built on request: the N x N
-        matrix whose block (sigma_g(i), i) is w_{g,i} (x) W_{g,i}."""
-        act = self.spec.block_action
-        start = offsets([n * r for n, r in zip(self.spec.algebra.blocks, self.mult)])
-        out = np.zeros((self.rank, self.rank), dtype=np.complex128)
-        for i, (to, wi, ws) in enumerate(zip(act.sigma[g], act.w, self.mult_rep)):
-            out[start[to] : start[to + 1], start[i] : start[i + 1]] = np.kron(wi[g], ws[g])
-        return out
+        """The dense sym(g) = u(g) (*) W(g), built on request, of an element
+        g or, for an index array, the stack of them: the N x N matrix whose
+        block (sigma_g(i), i) is w_{g,i} (x) W_{g,i}, scattered one block
+        shape at a time."""
+        act, (start, shapes) = self.spec.block_action, self.layout
+        g = np.asarray(g, dtype=np.intp)
+        flat, m = g.reshape(-1), g.size
+        out = np.zeros((m, self.rank, self.rank), dtype=np.complex128)
+        for n, r, idx in shapes:
+            w = np.stack([act.w[i][flat] for i in idx], axis=1)  # (m, B, n, n)
+            ws = np.stack([self.mult_rep[i][flat] for i in idx], axis=1)  # (m, B, r, r)
+            # w (x) W: w[a, b] W[l, k] at row (a, l) and column (b, k)
+            kron = (w[:, :, :, None, :, None] * ws[:, :, None, :, None, :]).reshape(m, len(idx), n * r, n * r)
+            cells = np.arange(n * r)
+            rows = start[act.sigma[flat][:, idx]][:, :, None, None] + cells[:, None]
+            out[np.arange(m)[:, None, None, None], rows, start[idx, None, None] + cells] = kron
+        return out.reshape(g.shape + (self.rank, self.rank))
 
 
 def _kraus_stack(dil: KSGNSDilation, n, r, idx) -> np.ndarray:
     """The Kraus operators A^i_l of the blocks ``idx``, all of shape (n, r),
     as a (B, r, n, n_V) stack read off j: row (i, a, l) of j is row a of
     A^i_l."""
-    start = offsets([b * m for b, m in zip(dil.spec.algebra.blocks, dil.mult)])
-    rows = dil.j[start[idx][:, None] + np.arange(n * r)]
+    rows = dil.j[dil.layout[0][idx, None] + np.arange(n * r)]
     return rows.reshape(len(idx), n, r, -1).transpose(0, 2, 1, 3)
 
 
@@ -436,18 +432,15 @@ def ksgns(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> KSGNSDilation:
     report = _cp_checks(spec, spectra, tol)
     if not report.ok:
         raise ValueError(f"cp map invalid: {', '.join(report.failed())}")
-    mult, factors = np.zeros(len(alg.blocks), dtype=np.int64), []
+    mult, factors = np.zeros(len(alg.blocks), dtype=np.int64), {}
     for n, idx, spectrum in spectra:
         mult[idx], f = spectrum.factor(tol)
-        factors.append((idx, _gauge(f)))
-    start = offsets(np.asarray(alg.blocks) * mult)
+        factors.update(zip(idx.tolist(), _gauge(f)))
+    start, shapes = block_layout(alg.blocks, mult)
     j = np.zeros((int(start[-1]), nv), dtype=np.complex128)
-    for idx, f in factors:
-        n = alg.blocks[idx[0]]
-        for r in sorted(set(mult[idx].tolist()) - {0}):
-            pick = mult[idx] == r
-            kraus = f[pick, :r].reshape(-1, r, n, nv).transpose(0, 2, 1, 3)
-            j[start[idx[pick]][:, None] + np.arange(n * r)] = kraus.reshape(-1, n * r, nv)
+    for n, r, idx in shapes:
+        kraus = np.stack([factors[i][:r] for i in idx]).reshape(-1, r, n, nv).transpose(0, 2, 1, 3)
+        j[start[idx, None] + np.arange(n * r)] = kraus.reshape(-1, n * r, nv)
     dil = KSGNSDilation(spec, len(j), tuple(int(r) for r in mult), j)
     checks = _certify_reconstruction(dil, tol)
     if spec.symmetry is not None and dil.rank:
@@ -477,7 +470,7 @@ def _certify_reconstruction(dil: KSGNSDilation, tol) -> Checks:
     construction."""
     alg, nv = dil.spec.algebra, dil.spec.n_v
     values, sv = np.zeros_like(dil.spec.values), []
-    for n, r, idx in _layout_groups(alg.blocks, dil.mult):
+    for n, r, idx in dil.layout[1]:
         a = _kraus_stack(dil, n, r, idx)
         values[_units(alg, n, idx)] = np.einsum("Blav,Blbw->Babvw", a.conj(), a).reshape(len(idx), n * n, nv, nv)
         sv.append((r, np.linalg.svd(a.reshape(len(idx), r, n * nv), compute_uv=False)))
@@ -492,12 +485,12 @@ def _certify_reconstruction(dil: KSGNSDilation, tol) -> Checks:
     return checks
 
 
-def _cells(alg, mult):
+def _cells(dil: KSGNSDilation):
     """The layout of :func:`ksgns` in cells (i, a) of width r_i, numbered as
     on the defining space: the rows of every block, and the bin of every
     entry's (row cell, column cell)."""
-    start = offsets([b * r for b, r in zip(alg.blocks, mult)])
-    cell = np.repeat(np.arange(alg.defining_dim), np.repeat(mult, alg.blocks))
+    alg, start = dil.spec.algebra, dil.layout[0]
+    cell = np.repeat(np.arange(alg.defining_dim), np.repeat(dil.mult, alg.blocks))
     return [slice(a, b) for a, b in zip(start[:-1], start[1:])], (cell[:, None] * alg.defining_dim + cell).ravel()
 
 
@@ -539,7 +532,7 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
     c = (act.cocycle.values.conj() * rep.cocycle.values)[gens, :, None, None, None]
     mult_rep = [np.zeros((order, 0, 0), dtype=np.complex128)] * len(mult)
     unit, moved, pairs, pos = np.zeros(order), np.zeros(order), np.zeros((len(gens), order)), np.zeros(len(mult), int)
-    for n, r, idx in _layout_groups(spec.algebra.blocks, mult):
+    for n, r, idx in dil.layout[1]:
         pos[idx] = np.arange(len(idx))
         to = pos[act.sigma[:, idx]]  # (|G|, B): where sigma_g(i) sits in idx
         a, w = _kraus_stack(dil, n, r, idx), np.stack([act.w[i] for i in idx], axis=1)
@@ -586,16 +579,13 @@ def _certify_layout_commutant(dil: KSGNSDilation, basis, tol):
     if not basis:
         return
     alg, mult = dil.spec.algebra, dil.mult
-    cuts, pair = _cells(alg, mult)
+    cuts, pair = _cells(dil)
     pattern = max(float(_unit_commutators(d, alg, mult, cuts, pair).max()) for d in basis)
-    elements = () if dil.mult_rep is None else dil.spec.symmetry.group.elements()
-    full = np.reshape([dil.sym(g) for g in elements], (-1, dil.rank, dil.rank))
+    full = np.zeros((0, dil.rank, dil.rank)) if dil.mult_rep is None else dil.sym(np.arange(dil.spec.symmetry.group.order))
     _certify_commutant(basis, full, [(dil.j[None], dil.j[None])], tol, pattern=pattern, scale=np.sqrt(max(mult)))
 
 
-def cp_extremal(
-    spec: CPMapSpec, dilation: KSGNSDilation | None = None, tol: Tolerances = DEFAULT_TOL
-) -> ExtremalityCertificate:
+def cp_extremal(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> ExtremalityCertificate:
     """Extremality of the map among covariant CP maps with the same value at
     the algebra unit (Arveson's criterion).
 
@@ -604,23 +594,12 @@ def cp_extremal(
     :class:`KSGNSDilation`, pi(A)' = +_i I_{n_i} (x) M_{r_i}, so the system has
     sum_i r_i^2 unknowns and rows from the images of the group's generators
     only (:func:`~covkit.numlin.constrained_commutant` with the layout
-    (n_i, r_i) and the compression (j, j)).  A passed-in dilation must
-    reconstruct ``spec``, be minimal and, with a symmetry, pass the covariant
-    certificate of :func:`ksgns`, or :class:`DilationResidualError` is
-    raised.  The basis is re-checked against every group element and every
-    matrix unit.  On non-extremality both neighbours j^+ (I +- W) pi(.) j
+    (n_i, r_i) and the compression (j, j)), on the dilation of :func:`ksgns`.
+    The basis is re-checked against every group element and every matrix
+    unit.  On non-extremality both neighbours j^+ (I +- W) pi(.) j
     re-validate, keep the unit value and average to the input.
     """
-    if dilation is None:
-        dilation = ksgns(spec, tol)
-    else:
-        # a passed-in dilation is trusted only once it dilates this map, covariantly
-        dilation = replace(dilation, spec=spec)
-        _certify_reconstruction(dilation, tol)
-        if spec.symmetry is not None and dilation.rank:
-            if dilation.mult_rep is None:
-                raise DilationResidualError("the dilation carries no group representation")
-            _certify_covariant(dilation, tol)
+    dilation = ksgns(spec, tol)
     if spec.symmetry is not None:
         t1, rep = spec.unit_value(), spec.symmetry.rep.matrices
         if _norms(rep.conj().transpose(0, 2, 1) @ t1 @ rep - t1).max() > tol.recon_fro * max(1.0, frob(t1)):
@@ -628,10 +607,10 @@ def cp_extremal(
 
     if dilation.rank == 0:
         return ExtremalityCertificate(True, None, None, 0)
-    group_gens = spec.symmetry.group.generators() if spec.symmetry is not None else ()
+    syms = () if spec.symmetry is None else dilation.sym(spec.symmetry.group.generators())
     layout = list(zip(spec.algebra.blocks, dilation.mult))
     compressions = [(dilation.j[None], dilation.j[None])]
-    basis = constrained_commutant([dilation.sym(s) for s in group_gens], compressions, layout=layout, tol=tol)
+    basis = constrained_commutant(syms, compressions, layout=layout, tol=tol)
     _certify_layout_commutant(dilation, basis, tol)
     jh, blocks = dilation.j.conj().T, dilation.r_blocks
 

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, offsets, record
+from .numlin import DEFAULT_TOL, DimensionError, Tolerances, as_matrix, block_layout, record
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -53,12 +53,12 @@ class FiniteCStarAlgebra:
     @cached_property
     def offsets(self) -> np.ndarray:
         """Start of each block on the defining space, with the total last."""
-        return _frozen(offsets(self.blocks))
+        return _frozen(block_layout(self.blocks, 1)[0])
 
     @cached_property
     def unit_offsets(self) -> np.ndarray:
         """Index of each block's first matrix unit, with the total last."""
-        return _frozen(offsets([b * b for b in self.blocks]))
+        return _frozen(block_layout(self.blocks, self.blocks)[0])
 
     def block_offset(self, i: int) -> int:
         return int(self.offsets[i])

@@ -583,9 +583,13 @@ def _schur_intertwiner(u: MultiplierRep, p_from: np.ndarray, p_to: np.ndarray, r
     return acc / scale
 
 
-def irrep_decompose(
-    u: MultiplierRep, seed: int = 0, tol: Tolerances = DEFAULT_TOL, _retries: int = 8
-) -> IrrepDecomposition:
+# Random commutant elements irrep_decompose tries before it gives up: the
+# eigenspaces of one are irreducible with probability one, so a retry only
+# guards against eigenvalues that fall within the clustering cutoff.
+_REFINE_TRIES = 8
+
+
+def irrep_decompose(u: MultiplierRep, seed: int = 0, tol: Tolerances = DEFAULT_TOL) -> IrrepDecomposition:
     """Decompose a unitary multiplier representation into irreducibles.
 
     Randomized but deterministic for a fixed seed: a random Hermitian element
@@ -599,7 +603,7 @@ def irrep_decompose(
     n = u.dim
     order = u.group.order
 
-    for _ in range(_retries):
+    for _ in range(_REFINE_TRIES):
         w, v = np.linalg.eigh(_group_average_commutant(u, rng))
         # cluster eigenvalues
         pieces = np.split(v, np.flatnonzero(np.diff(w) > 1e-7 * max(1.0, abs(w).max())) + 1, axis=1)

@@ -762,10 +762,13 @@ def outcome_distribution(spec: InstrumentSpec, state) -> np.ndarray:
     return p / p.sum()
 
 
-def _checked_state(state, tol: Tolerances) -> np.ndarray:
-    """The state as a complex array; a ValueError unless it passes
-    ``psd_check`` and its trace is within ``tol.recon_fro`` of 1."""
+def _checked_state(state, v_dim: int, tol: Tolerances) -> np.ndarray:
+    """The state as a complex array; a DimensionError unless it is v_dim x
+    v_dim, and a ValueError unless it passes ``psd_check`` and its trace is
+    within ``tol.recon_fro`` of 1."""
     state = np.asarray(state, dtype=np.complex128)
+    if state.shape != (v_dim, v_dim):
+        raise DimensionError(f"state has shape {state.shape}, but the instrument acts on {v_dim} x {v_dim} states")
     if not psd_check(state, tol) or abs(np.trace(state).real - 1.0) > tol.recon_fro:
         raise ValueError("state must be positive with unit trace")
     return state
@@ -791,7 +794,7 @@ def sample_stream(spec: InstrumentSpec, state, n: int, rng_seed: int, tol: Toler
     """Sequence of outcome draws (:func:`_draws`); the result, with its post
     state, is built once per outcome, and every draw of that outcome yields
     the same :class:`SampleResult`."""
-    state = _checked_state(state, tol)
+    state = _checked_state(state, spec.v_dim, tol)
     p = outcome_distribution(spec, state)
     results = {}
     for w in _draws(p, n, rng_seed):

@@ -22,9 +22,7 @@ from .numlin import (
     Tolerances,
     constrained_commutant,
     frob,
-    psd_factor,
     psd_spectrum,
-    rank,
     record,
     unitary_moves,
 )
@@ -221,38 +219,20 @@ def _certify_kolmogorov(spec, factors, tol, ws=None) -> tuple[MultiplierRep, Che
     return MultiplierRep(group, cocycle, ws), checks
 
 
-def kolmogorov_decompose(
-    spec: CovariantKernelSpec,
-    tol: Tolerances = DEFAULT_TOL,
-    basis_permutation=None,
-) -> KolmogorovDecomposition:
+def kolmogorov_decompose(spec: CovariantKernelSpec, tol: Tolerances = DEFAULT_TOL) -> KolmogorovDecomposition:
     """Minimal covariant factorization of a valid kernel.
 
     The grand block matrix is factored through its eigendecomposition and the
     dilation representation of the whole group is solved by one pseudo-inverse
     of the spanning factor blocks, then certified
     (:func:`_certify_kolmogorov`).
-
-    ``basis_permutation`` optionally permutes the grand coordinates before
-    factoring; the result is another minimal decomposition of the same
-    kernel, useful for exercising uniqueness up to a connecting unitary.
     """
-    grand = spec.grand_matrix()
-    # a permuted basis is factored on its own, so this spectrum needs vectors only without one
-    spectrum = psd_spectrum(grand, vectors=basis_permutation is None)
+    spectrum = psd_spectrum(spec.grand_matrix(), vectors=True)
     checks = _kernel_checks(spec, spectrum, tol)
     if not checks.ok:
         raise KernelValidationError(f"kernel invalid: {', '.join(checks.failed())}")
-    if basis_permutation is not None:
-        perm = np.asarray(basis_permutation, dtype=np.int64)
-        if sorted(perm.tolist()) != list(range(grand.shape[0])):
-            raise DimensionError("basis_permutation must permute the grand coordinates")
-        n_dil, f_perm = psd_factor(grand[np.ix_(perm, perm)], tol)
-        f = np.zeros((n_dil, grand.shape[0]), dtype=np.complex128)
-        f[:, perm] = f_perm
-    else:
-        n_dil, f = spectrum.factor(tol)
-        n_dil, f = int(n_dil), f[:n_dil]
+    n_dil, f = spectrum.factor(tol)
+    n_dil, f = int(n_dil), f[:n_dil]
     factors = np.ascontiguousarray(f.reshape(n_dil, spec.x_size, spec.n_v).transpose(1, 0, 2))
     sym, checks = _certify_kolmogorov(spec, factors, tol)
     return KolmogorovDecomposition(spec, n_dil, factors, sym, checks)
@@ -355,18 +335,14 @@ def _split(original, basis, compress, validate, parts, scale, tol, **kept) -> Ex
     return ExtremalityCertificate(False, witness, neighbours, len(basis))
 
 
-def kernel_extremal(
-    spec: CovariantKernelSpec,
-    z_pairs,
-    decomp: KolmogorovDecomposition | None = None,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ExtremalityCertificate:
+def kernel_extremal(spec: CovariantKernelSpec, z_pairs, tol: Tolerances = DEFAULT_TOL) -> ExtremalityCertificate:
     """Decide extremality of the kernel in the convex set of covariant
     kernels agreeing with it on the pairs in ``z_pairs``.
 
     The kernel is extreme iff D = 0 is the only D that commutes with the
-    dilation representation and has factors[x]^+ D factors[y] = 0 for each
-    (x, y) in Z (:func:`~covkit.numlin.constrained_commutant`, one
+    dilation representation of :func:`kolmogorov_decompose` and has
+    factors[x]^+ D factors[y] = 0 for each (x, y) in Z
+    (:func:`~covkit.numlin.constrained_commutant`, one
     compression per pair).  Z is symmetrized first: a Hermitian direction
     vanishing on (x, y) vanishes on (y, x), and over the symmetrized Z the
     solution space is closed under D -> D^+, so its complex dimension equals
@@ -375,23 +351,11 @@ def kernel_extremal(
     group element and every pair.  On non-extremality the certificate
     carries a Hermitian witness and the two perturbed kernels built from I
     +- D; both re-validate, keep their blocks on Z and average to the input.
-    A passed-in decomposition must reconstruct the kernel, be minimal and
-    pass the certificate of :func:`kolmogorov_decompose` with its own sym,
-    or :class:`DilationResidualError` is raised.
     """
     z_pairs = [(int(x), int(y)) for x, y in z_pairs]
     if not z_pairs:
         raise ValueError("Z must be nonempty")
-    if decomp is None:
-        decomp = kolmogorov_decompose(spec, tol)
-    else:
-        # a passed-in decomposition is trusted only once it factors this kernel, minimally and covariantly
-        n, group = decomp.rank, spec.action.group
-        if decomp.factors.shape != (spec.x_size, n, spec.n_v) or decomp.sym.matrices.shape != (group.order, n, n):
-            raise DilationResidualError("the decomposition does not fit the kernel's shape")
-        _certify_kolmogorov(spec, decomp.factors, tol, decomp.sym.matrices)
-        if rank(decomp.stacked(), tol) != n:
-            raise DilationResidualError("the decomposition is not minimal")
+    decomp = kolmogorov_decompose(spec, tol)
     if decomp.rank == 0:
         return ExtremalityCertificate(True, None, None, 0)
     z_set = sorted(set(z_pairs) | {(y, x) for x, y in z_pairs})

@@ -228,10 +228,18 @@ def frob(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def offsets(sizes) -> np.ndarray:
-    """Start of each block of a direct sum with the given block sizes, with
-    the total last."""
-    return np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+def block_layout(blocks, mult) -> tuple[np.ndarray, list[tuple[int, int, np.ndarray]]]:
+    """The layout of the direct sum +_i C^{n_i} (x) C^{r_i}, n_i = ``blocks[i]``
+    and r_i = ``mult[i]`` (or ``mult`` for every block, as the algebra's own
+    blocks have r_i = 1): the start of every block with the total last, and
+    the distinct shapes (n, r) with r > 0, each with the indices of its
+    blocks.  The shapes are found with set(), not np.unique, which imports
+    numpy.ma on its first call."""
+    blocks = np.asarray(blocks, dtype=np.int64)
+    mult = blocks * 0 + mult  # not np.broadcast_to, whose first call in a process costs more than a small layout
+    shapes = sorted(set(zip(blocks.tolist(), mult.tolist())))
+    groups = [(n, r, np.flatnonzero((blocks == n) & (mult == r))) for n, r in shapes if r > 0]
+    return np.concatenate([[0], np.cumsum(blocks * mult)]), groups
 
 
 def _scale(a) -> float:
@@ -413,7 +421,7 @@ def constrained_commutant(
     if not sizes:
         raise DimensionError("cannot infer matrix size: no inputs and no layout")
     blocks, mult = zip(*layout) if layout is not None else ((1,), (sizes.pop()[0],))
-    start, col = offsets([n * r for n, r in zip(blocks, mult)]), offsets([r * r for r in mult])
+    (start, _), (col, _) = block_layout(blocks, mult), block_layout(mult, mult)
     cuts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
 
     rows = []

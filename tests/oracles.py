@@ -99,6 +99,7 @@ from covkit.kernels import (
     DilationResidualError,
     ExtremalityCertificate,
     KolmogorovDecomposition,
+    _certify_kolmogorov,
     validate_kernel,
 )
 from covkit.numlin import (
@@ -106,11 +107,11 @@ from covkit.numlin import (
     DimensionError,
     Tolerances,
     as_matrix,
+    block_layout,
     frob,
     is_unitary,
     lstsq_define,
     null_space,
-    offsets,
     psd_factor,
     psd_status,
     rank,
@@ -787,9 +788,20 @@ def factor_rep_tensor(pi_units, algebra, tol: Tolerances = DEFAULT_TOL):
     return tuple(mult), v
 
 
+def sym_loop(dil, g):
+    """The dense sym(g) = u(g) (*) W(g) one block at a time: np.kron(w_{g,i},
+    W_{g,i}) written into block (sigma_g(i), i)."""
+    act = dil.spec.block_action
+    start = np.concatenate([[0], np.cumsum(np.multiply(dil.spec.algebra.blocks, dil.mult))])
+    out = np.zeros((dil.rank, dil.rank), dtype=np.complex128)
+    for i, (to, wi, ws) in enumerate(zip(act.sigma[g], act.w, dil.mult_rep)):
+        out[start[to] : start[to + 1], start[i] : start[i + 1]] = np.kron(wi[g], ws[g])
+    return out
+
+
 def sym_stack(dil):
     """The dense (|G|, N, N) stack of sym(g), one element at a time."""
-    return np.stack([dil.sym(g) for g in dil.spec.symmetry.group.elements()])
+    return np.stack([sym_loop(dil, g) for g in dil.spec.symmetry.group.elements()])
 
 
 def twist_loop(dil):
@@ -1066,6 +1078,20 @@ def kernel_covariance_loop(spec: CovariantKernelSpec, on_generators=False):
     return worst
 
 
+def permuted_decomposition(spec, perm, tol: Tolerances = DEFAULT_TOL) -> KolmogorovDecomposition:
+    """Another minimal decomposition of a valid kernel: the grand matrix
+    factored by ``psd_factor`` in the grand coordinates permuted by ``perm``
+    and mapped back, with its dilation unitaries solved and certified by the
+    engine's ``_certify_kolmogorov``."""
+    grand = spec.grand_matrix()
+    n_dil, f_perm = psd_factor(grand[np.ix_(perm, perm)], tol)
+    f = np.zeros((n_dil, grand.shape[0]), dtype=np.complex128)
+    f[:, perm] = f_perm
+    factors = np.ascontiguousarray(f.reshape(n_dil, spec.x_size, spec.n_v).transpose(1, 0, 2))
+    sym, checks = _certify_kolmogorov(spec, factors, tol)
+    return KolmogorovDecomposition(spec, n_dil, factors, sym, checks)
+
+
 # -- the Kolmogorov decomposition by per-element loops -------------------------
 
 
@@ -1320,7 +1346,7 @@ def instrument_extremal_cpform(
     """Extremality among covariant instruments, decided on the instrument's
     CP-map form over output-algebra (x) outcome functions."""
     cp = as_cpmap(spec)
-    cert = cp_extremal(cp, None, tol)
+    cert = cp_extremal(cp, tol)
     if cert.extreme or cert.perturbed is None:
         return cert
     neighbours = tuple(
@@ -1419,7 +1445,7 @@ class NaimarkData:
         return int(sum(self.fiber_dims))
 
     def offsets(self) -> np.ndarray:
-        return offsets(self.fiber_dims)
+        return block_layout(self.fiber_dims, 1)[0]
 
     def isometry(self) -> np.ndarray:
         return np.vstack(list(self.factors))
@@ -1590,7 +1616,7 @@ def decomposable_intertwining_loop(op, perm, fiber_dims) -> list[float]:
     """||op P_w - P_{T(w)} op||_F for every outcome w, with dense fiber
     projections, as the reference for the off-pattern sums of
     ``decomposable_extract``."""
-    offs = offsets(fiber_dims)
+    offs = block_layout(fiber_dims, 1)[0]
     pos = int(offs[-1])
     out = []
     for w in range(len(perm)):

@@ -47,6 +47,7 @@ from oracles import (
     cpmap_kernel_form,
     observable_as_cpmap,
     observable_kernel_form,
+    permuted_decomposition,
     split_oracle_cpmap,
     split_oracle_instrument,
     split_oracle_observable,
@@ -95,9 +96,7 @@ def test_criterion_2_uniqueness_up_to_unitary():
         group = GROUPS[names[i % 4]]
         spec = rand_covariant_kernel(rng, group, max_x=3, n_v=2)
         d1 = kolmogorov_decompose(spec)
-        d2 = kolmogorov_decompose(
-            spec, basis_permutation=rng.permutation(spec.x_size * spec.n_v)
-        )
+        d2 = permuted_decomposition(spec, rng.permutation(spec.x_size * spec.n_v))
         w = equivalence_unitary(d1, d2)
         res = frob(w @ d1.stacked() - d2.stacked())
         for g in group.elements():

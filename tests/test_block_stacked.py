@@ -19,8 +19,6 @@ from covkit.cpmaps import (
     BlockAction,
     CPSymmetry,
     _certify_covariant,
-    _layout_groups,
-    cp_extremal,
     cp_validate,
     ksgns,
 )
@@ -37,6 +35,7 @@ from oracles import (
     cp_status_loop,
     dense_u,
     ksgns_j_loop,
+    sym_loop,
 )
 
 
@@ -82,7 +81,7 @@ CASES = [*_mixed_shape_maps(), _zero_block_map(), *_instrument_forms()]
 
 
 def test_the_cases_cover_several_shapes_and_a_zero_block():
-    shapes = [len(_layout_groups(s.algebra.blocks, ksgns(s).mult)) for s in _mixed_shape_maps()]
+    shapes = [len(ksgns(s).layout[1]) for s in _mixed_shape_maps()]
     assert min(shapes) >= 2
     assert ksgns(_zero_block_map()).mult[1] == 0
 
@@ -107,6 +106,29 @@ def test_stacked_stages_match_the_per_block_loops(spec):
         assert dil.checks[name].residual == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
+def _phase_space_forms():
+    """CP forms of phase-space instruments, whose u permutes |X| = d^2 blocks."""
+    rng = np.random.default_rng(36)
+    for d, rank in ((2, 1), (3, 2), (4, 2)):
+        ops = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(rank)]
+        norm = d * sum(np.vdot(b, b).real for b in ops)
+        yield as_cpmap(phase_space(d, [b / np.sqrt(norm) for b in ops]))
+
+
+@pytest.mark.parametrize("spec", [*_mixed_shape_maps(), _zero_block_map(), *_phase_space_forms()])
+def test_sym_of_an_index_array_is_the_per_block_kron_loop_bit_for_bit(spec):
+    dil = ksgns(spec)
+    order = spec.symmetry.group.order
+    stack = dil.sym(np.arange(order))
+    assert stack.shape == (order, dil.rank, dil.rank)
+    assert np.array_equal(stack, np.stack([sym_loop(dil, g) for g in range(order)]))
+    # an element gives one matrix, and an index array of any shape its stack
+    assert np.array_equal(dil.sym(order - 1), stack[-1])
+    pairs = np.array([[order - 1, 0], [1 % order, order - 1]])
+    assert np.array_equal(dil.sym(pairs), stack[pairs])
+    assert dil.sym([]).shape == (0, dil.rank, dil.rank)
+
+
 def _turned_once(dil, block):
     """The dilation with W_{g,i} of one element g != e and one block i turned
     by a phase."""
@@ -129,9 +151,6 @@ def test_a_turned_multiplicity_unitary_fails_sym_j_and_sym_cocycle_in_both(spec)
     assert not got["sym_j"].ok and not got["sym_cocycle"].ok and got["sym_unitary"].ok
     for name, value in want.items():
         assert got[name].residual == pytest.approx(value, rel=1e-12, abs=1e-12)
-    # a passed-in dilation is held to the same certificate
-    with pytest.raises(DilationResidualError, match="sym_j"):
-        cp_extremal(spec, broken)
 
 
 def _scaled_u(symmetry, factor):

@@ -371,6 +371,18 @@ def test_cli_sample_refuses_an_invalid_instrument(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
 
 
+def test_cli_sample_names_both_sizes_of_a_state_of_the_wrong_size(tmp_path, capsys):
+    # a 3 x 3 state for a d = 2 phase_space document: exit 1, one line naming
+    # both sizes, not numpy's broadcast error
+    ps = write(tmp_path, "ps.json", phase_space_doc())
+    st = write(tmp_path, "state.json", state_doc(np.eye(3, dtype=complex) / 3))
+    assert main(["sample", ps, st, "-n", "5", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diagnostics = [line for line in captured.err.splitlines() if not line.startswith("wall time: ")]
+    assert diagnostics == ["validation failure: state has shape (3, 3), but the instrument acts on 2 x 2 states"]
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_load_restores_the_collector_state(enabled):
     # the loader pauses the cyclic collector while it parses; the state the

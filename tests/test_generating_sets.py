@@ -173,7 +173,7 @@ def test_cp_commutant_over_generators_equals_full(name, monkeypatch):
         spec = rand_covariant_cpmap(rng, blocks, group, n_v=2)
         dil = ksgns(spec)
         recorder.calls.clear()
-        cp_extremal(spec, dil)
+        cp_extremal(spec)
         assert len(recorder.calls[0][0]) == len(group.generators()) < group.order
         full = list(dil.pi_units) + list(sym_stack(dil))
         _assert_same_block_commutant(recorder.calls[0], lambda j: dense_commutant(full, _compressions(j)))
@@ -205,7 +205,7 @@ def test_phase_space_block_commutant_matches_the_dense_reference(d, ops, rank, f
     dil = ksgns(spec)
     recorder = _Recorder()
     monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
-    cert = cp_extremal(spec, dil)
+    cert = cp_extremal(spec)
     assert dil.rank == rank and cert.freedom == freedom and cert.extreme == (freedom == 0)
     assert len(recorder.calls) == 1 and len(recorder.calls[0][0]) == 2
     _assert_same_block_commutant(recorder.calls[0], lambda j: cp_commutant_dense(dil, sym_stack(dil), j))
@@ -239,7 +239,7 @@ def test_cp_extremal_solves_sum_of_squared_multiplicities_unknowns(monkeypatch):
         return solve(a, tol)
 
     monkeypatch.setattr(numlin, "null_space", null_space)
-    assert cp_extremal(spec, dil).freedom == 3
+    assert cp_extremal(spec).freedom == 3
     assert shapes and all(cols == sum(r * r for r in dil.mult) == 36 for _, cols in shapes)
 
 
@@ -255,7 +255,7 @@ def test_kernel_commutant_over_generators_equals_full(name, monkeypatch):
         # one symmetric and one non-symmetric Z; the second is solved over its symmetrization
         for z in ([(0, 0)], [(0, spec.x_size - 1)]):
             recorder.calls.clear()
-            kernel_extremal(spec, z, dec)
+            kernel_extremal(spec, z)
             if not recorder.calls:
                 continue
             assert len(recorder.calls[0][0]) == len(group.generators())
@@ -351,7 +351,7 @@ def test_asymmetric_z_freedom_equals_the_hermitian_oracle(name, seed, n_v, n_pai
     dec = kernels.kolmogorov_decompose(spec)
     x = spec.x_size
     z = sorted({(int(a), int(b)) for a, b in rng.integers(0, x, size=(n_pairs, 2))} | {(0, x - 1)})
-    cert = kernel_extremal(spec, z, dec)
+    cert = kernel_extremal(spec, z)
     if dec.rank == 0:
         assert cert.extreme and cert.freedom == 0
         return
@@ -374,7 +374,7 @@ def test_kernel_recheck_rejects_a_basis_not_compressed_to_zero(monkeypatch):
     scalar = [np.eye(dec.rank) / np.sqrt(dec.rank)]
     monkeypatch.setattr(kernels, "constrained_commutant", lambda gens, comps, tol: scalar)
     with pytest.raises(DilationResidualError, match="compression"):
-        kernel_extremal(spec, [(0, 0)], dec)
+        kernel_extremal(spec, [(0, 0)])
 
 
 def test_observable_recheck_rejects_a_basis_not_compressed_to_zero(monkeypatch):

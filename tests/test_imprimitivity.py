@@ -172,7 +172,7 @@ def test_rand_covariant_instrument_matches_its_recorded_output(name, seed):
     assert np.array_equal(spec.symmetry.out_rep.matrices, recorded[f"{name}_{seed}_out_rep"])
 
 
-@pytest.mark.parametrize("module", ["constructions.py", "fingroup.py", "instruments.py"])
+@pytest.mark.parametrize("module", ["constructions.py", "cpmaps.py", "fingroup.py", "instruments.py"])
 def test_no_loop_over_group_elements(module):
     tree = ast.parse((Path(ins.__file__).parent / module).read_text())
     loops = [node.iter for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))]

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,7 +41,7 @@ from covkit.instruments import (
     validate_observable,
 )
 from covkit.kernels import DilationResidualError, kernel_extremal, validate_kernel
-from covkit.numlin import Tolerances, offsets
+from covkit.numlin import DimensionError, Tolerances, block_layout
 from covkit.random import (
     all_subgroups,
     rand_covariant_instrument,
@@ -204,7 +205,7 @@ def test_naimark_is_the_per_fiber_solve(spec):
     assert naim.mult == want.fiber_dims
     assert sorted(naim.checks) == ["isometry", "reconstruction", "sym_cocycle", "sym_j", "sym_unitary"]
     assert naim.checks.ok
-    start, group = offsets(naim.mult), spec.symmetry.group
+    start, group = block_layout(naim.mult, 1)[0], spec.symmetry.group
     factors = [naim.j[a:b] for a, b in zip(start, start[1:])]
     for f, old, effect in zip(factors, want.factors, spec.effects):
         assert np.allclose(f.conj().T @ f, old.conj().T @ old, atol=1e-12)
@@ -785,6 +786,13 @@ def test_sample_stream_of_a_seed_is_pinned():
 
     rng = random.Random(2026)
     assert stream == [bisect.bisect_right([0.35, 0.7, 0.85, 1.0], rng.random()) for _ in range(16)]
+
+
+@pytest.mark.parametrize("state", [np.eye(3) / 3, np.full(2, 0.5), np.eye(2).reshape(1, 2, 2) / 2])
+def test_sample_stream_refuses_a_state_of_another_size(state):
+    spec = phase_space(2, _ps_seed_ops(2))
+    with pytest.raises(DimensionError, match=re.escape(f"state has shape {state.shape}, but the instrument acts on 2 x 2 states")):
+        next(sample_stream(spec, state, 5, rng_seed=1))
 
 
 @pytest.mark.parametrize("state", [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ids=["last_zero", "first_zero"])

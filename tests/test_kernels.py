@@ -16,7 +16,7 @@ from covkit.kernels import (
     validate_kernel,
 )
 from covkit.random import rand_covariant_kernel, rand_unitary
-from oracles import transform_decomposition
+from oracles import permuted_decomposition, transform_decomposition
 
 
 def point_kernel():
@@ -135,7 +135,7 @@ def test_covariant_transport_consistency():
     rng = np.random.default_rng(11)
     spec = rand_covariant_kernel(rng, FiniteGroup.cyclic(3), max_x=3, n_v=2)
     dec = kolmogorov_decompose(spec)
-    dec2 = kolmogorov_decompose(spec, basis_permutation=rng.permutation(spec.x_size * spec.n_v))
+    dec2 = permuted_decomposition(spec, rng.permutation(spec.x_size * spec.n_v))
     w = equivalence_unitary(dec, dec2)
     assert np.allclose(w @ dec.stacked(), dec2.stacked(), atol=1e-8)
 
@@ -196,15 +196,13 @@ def test_equivalence_rejects_different_kernels():
 
 def test_extremal_rank_one_diagonal_z():
     spec = flip_all_ones_kernel()
-    dec = kolmogorov_decompose(spec)
-    cert = kernel_extremal(spec, [(0, 0), (1, 1)], dec)
+    cert = kernel_extremal(spec, [(0, 0), (1, 1)])
     assert cert.extreme
 
 
 def test_extremal_diagonal_kernel_not_extreme():
     spec = diagonal_kernel(2, 1)
-    dec = kolmogorov_decompose(spec)
-    cert = kernel_extremal(spec, [(0, 0), (1, 1)], dec)
+    cert = kernel_extremal(spec, [(0, 0), (1, 1)])
     assert not cert.extreme
     w = np.linalg.eigvalsh(cert.witness)
     assert np.allclose(sorted(w), [-1.0, 1.0], atol=1e-8)
@@ -220,15 +218,14 @@ def test_extremal_diagonal_kernel_not_extreme():
 
 def test_extremal_norm_split_neighbours_differ():
     spec = diagonal_kernel(3, 1)
-    cert = kernel_extremal(spec, [(x, x) for x in range(3)], None)
+    cert = kernel_extremal(spec, [(x, x) for x in range(3)])
     assert not cert.extreme
     assert np.linalg.norm(cert.perturbed[0].blocks - cert.perturbed[1].blocks) > 1e-6
 
 
 def test_extremal_asymmetric_z_uses_hermitian_directions():
     spec = diagonal_kernel(2, 1)
-    dec = kolmogorov_decompose(spec)
-    cert = kernel_extremal(spec, [(0, 1)], dec)
+    cert = kernel_extremal(spec, [(0, 1)])
     # fixing only the off-diagonal entry leaves plenty of freedom
     assert not cert.extreme
     assert np.linalg.norm(cert.witness - cert.witness.conj().T) < 1e-10
@@ -250,7 +247,7 @@ def test_extremal_verdicts_match_split_oracle_on_small_instances():
         if dec.rank > 3:
             continue
         z = [(x, x) for x in range(spec.x_size)]
-        cert = kernel_extremal(spec, z, dec)
+        cert = kernel_extremal(spec, z)
         oracle_extreme, split = split_oracle_kernel(spec, z)
         assert cert.extreme == oracle_extreme, (trial, dec.rank)
         if not oracle_extreme:
@@ -263,9 +260,8 @@ def test_extremal_verdicts_match_split_oracle_on_small_instances():
 def test_perturbed_kernels_of_random_instance_revalidate():
     rng = np.random.default_rng(13)
     spec = rand_covariant_kernel(rng, FiniteGroup.cyclic(2), max_x=2, n_v=2, dil_rank=4)
-    dec = kolmogorov_decompose(spec)
     z = [(x, x) for x in range(spec.x_size)]
-    cert = kernel_extremal(spec, z, dec)
+    cert = kernel_extremal(spec, z)
     if not cert.extreme:
         for neighbour in cert.perturbed:
             assert validate_kernel(neighbour).ok
@@ -286,62 +282,3 @@ def test_split_that_moves_the_blocks_on_z_raises(monkeypatch):
     monkeypatch.setattr(kernels, "_hermitian_witness", lambda basis, tol: 0.5 * np.eye(len(basis[0])))
     with pytest.raises(DilationResidualError, match="z_blocks"):
         kernel_extremal(diagonal_kernel(2, 1), [(0, 0), (1, 1)])
-
-
-def _z4_kernels():
-    """Five Z_4 kernels over three points from one seed: the fourth has
-    freedom 3 on Z = {(0, 0)}, the second rank 1 and the fifth rank 0."""
-    rng = np.random.default_rng(0)
-    return [rand_covariant_kernel(rng, FiniteGroup.cyclic(4), max_x=3, n_v=2) for _ in range(5)]
-
-
-def test_extremal_rejects_another_kernels_decomposition():
-    specs = _z4_kernels()
-    assert kernel_extremal(specs[3], [(0, 0)]).freedom == 3
-    other = kolmogorov_decompose(specs[1])
-    assert other.rank == 1 and other.factors.shape == (3, 1, 2)
-    with pytest.raises(DilationResidualError, match="reconstruction"):
-        kernel_extremal(specs[3], [(0, 0)], other)
-
-
-def test_extremal_rejects_a_rank_zero_decomposition_of_a_nonzero_kernel():
-    specs = _z4_kernels()
-    empty = kolmogorov_decompose(specs[4])
-    assert empty.rank == 0 and empty.factors.shape == (3, 0, 2)
-    with pytest.raises(DilationResidualError, match="reconstruction"):
-        kernel_extremal(specs[3], [(0, 0)], empty)
-    assert kernel_extremal(specs[4], [(0, 0)], empty).extreme
-
-
-def test_extremal_rejects_a_dilation_unitary_turned_by_a_phase():
-    spec = _z4_kernels()[3]
-    dec = kolmogorov_decompose(spec)
-    mats = dec.sym.matrices.copy()
-    mats[1] *= np.exp(0.3j)
-    turned = replace(dec, sym=replace(dec.sym, matrices=mats))
-    with pytest.raises(DilationResidualError, match="cocycle") as err:
-        kernel_extremal(spec, [(0, 0)], turned)
-    assert err.value.checks["reconstruction"].ok and err.value.checks["unitarity"].ok
-    assert not err.value.checks["cocycle"].ok
-
-
-def test_extremal_rejects_a_non_minimal_decomposition():
-    # (F / sqrt 2, F / sqrt 2) with sym (+) sym passes every identity of the certificate
-    spec = _z4_kernels()[3]
-    dec = kolmogorov_decompose(spec)
-    mats = np.zeros((4, 2 * dec.rank, 2 * dec.rank), dtype=complex)
-    mats[:, : dec.rank, : dec.rank] = mats[:, dec.rank :, dec.rank :] = dec.sym.matrices
-    doubled = replace(
-        dec,
-        rank=2 * dec.rank,
-        factors=np.concatenate([dec.factors, dec.factors], axis=1) / np.sqrt(2),
-        sym=replace(dec.sym, matrices=mats),
-    )
-    with pytest.raises(DilationResidualError, match="not minimal"):
-        kernel_extremal(spec, [(0, 0)], doubled)
-
-
-def test_extremal_rejects_a_decomposition_of_another_shape():
-    specs = _z4_kernels()
-    with pytest.raises(DilationResidualError, match="shape"):
-        kernel_extremal(specs[3], [(0, 0)], kolmogorov_decompose(specs[0]))

@@ -7,6 +7,7 @@ from covkit.numlin import (
     DimensionError,
     NotPositiveError,
     Tolerances,
+    block_layout,
     constrained_commutant,
     lstsq_define,
     null_space,
@@ -422,3 +423,20 @@ def test_unitary_moves_of_a_stack_of_families_is_each_family_solve():
     for b in range(3):
         single, _, _ = numlin.unitary_moves(src[b], (q @ src)[:, b])
         assert np.abs(single - ws[:, b]).max() <= 1e-13
+
+
+def test_block_layout_of_mixed_shapes_with_a_zero_multiplicity():
+    start, shapes = block_layout((2, 1, 2, 3, 1, 2), (1, 2, 1, 0, 2, 3))
+    assert start.dtype == np.int64 and start.tolist() == [0, 2, 4, 6, 6, 8, 14]
+    # sorted by (n, r); the zero-multiplicity block (3, 0) has no shape
+    assert [(n, r, idx.tolist()) for n, r, idx in shapes] == [(1, 2, [1, 4]), (2, 1, [0, 2]), (2, 3, [5])]
+
+
+def test_block_layout_with_a_scalar_multiplicity():
+    start, shapes = block_layout((3, 1, 3), 1)
+    assert start.tolist() == [0, 3, 4, 7]
+    assert [(n, r, idx.tolist()) for n, r, idx in shapes] == [(1, 1, [1]), (3, 1, [0, 2])]
+    start, shapes = block_layout((2, 2), 0)
+    assert start.tolist() == [0, 0, 0] and shapes == []
+    # mult = blocks gives the matrix units: n_i^2 of them per block
+    assert block_layout((2, 1, 3), (2, 1, 3))[0].tolist() == [0, 4, 5, 14]

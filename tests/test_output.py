@@ -41,7 +41,18 @@ def assert_agrees(obj):
         with pytest.raises(ValueError, match="not JSON compliant"):
             specfile.dumps(obj)
     else:
-        assert specfile.dumps(obj) == expected
+        assert_same_text(specfile.dumps(obj), expected)
+
+
+def assert_same_text(got, want):
+    """Fail at the first character where ``got`` leaves ``want``, showing about
+    60 characters of each around it: pytest's assertion rewriting would diff
+    the two whole texts, which takes minutes for a text of some kilobytes."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo = max(0, at - 30)
+    pytest.fail(f"texts differ at offset {at} of {len(got)} and {len(want)}: {got[lo : at + 30]!r} != {want[lo : at + 30]!r}")
 
 
 EDGE_CASES = [
@@ -188,7 +199,7 @@ def test_dumps_renders_each_distinct_magnitude_once(name, monkeypatch):
         arr = SIGNED[name]
     rendered = []
     monkeypatch.setattr(specfile, "_float_text", lambda x: rendered.append(x) or float.__repr__(x))
-    assert specfile.dumps(arr) == json.dumps(arr.tolist(), indent=1)
+    assert_same_text(specfile.dumps(arr), json.dumps(arr.tolist(), indent=1))
     assert len(rendered) == len(_magnitude_bits(arr)) == len(_magnitude_bits(np.array(rendered)))
     positive = set(arr[~np.signbit(arr)].view(np.int64).tolist())
     for x in rendered:
@@ -214,7 +225,7 @@ def test_dumps_matches_json_on_arrays_of_signed_repeats(pool, negative, shape, s
     rng = np.random.default_rng(seed)
     arr = rng.choice(pool, size=shape) * np.where(rng.random(shape) < negative, -1.0, 1.0)
     for obj in (arr, arr.T):
-        assert specfile.dumps(obj) == json.dumps(obj.tolist(), indent=1)
+        assert_same_text(specfile.dumps(obj), json.dumps(obj.tolist(), indent=1))
 
 
 def test_dumps_rejects_a_complex_array_as_json_rejects_its_list():

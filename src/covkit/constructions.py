@@ -20,14 +20,12 @@ from .cpmaps import (
     CPMapSpec,
     CPSymmetry,
     KSGNSDilation,
-    _cells,
     _certify_reconstruction,
     _choi_blocks,
     _choi_spectra,
     _covariance,
     _cp_status,
     _factor,
-    _unit_commutators,
 )
 from .cstar import FiniteCStarAlgebra
 from .fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle, cocycle_violation, irrep_decompose
@@ -48,9 +46,11 @@ from .numlin import (
     DimensionError,
     Tolerances,
     as_matrix,
+    commutant_form,
     frob,
     is_unitary,
     lstsq_define,
+    multiplicity_moves,
     psd_check,
     psd_status,
     record,
@@ -301,8 +301,9 @@ def subminimal(
     # unital and commuting with pi
     one_coeffs = right.coefficients(right.one())
     e_one = np.tensordot(one_coeffs, e_units, axes=(0, 0))
-    cuts, pair = _cells(dilation)
-    worst = max(float(_unit_commutators(e, left, dilation.mult, cuts, pair).max()) for e in e_units)
+    # off the form +_i I (x) Y_i exactly when some E(c) leaves pi(A)'
+    shapes = multiplicity_moves(layout=list(zip(left.blocks, dilation.mult)), size=n)[-1]
+    worst = float(commutant_form(e_units, shapes)[1].max(initial=0.0))
     lim = tol.recon_fro * max(1.0, np.sqrt(max(n, 1)))
     checks.require(
         lim, "subminimal map failed unitality/commutation", unital=frob(e_one - np.eye(n)), commutes=worst

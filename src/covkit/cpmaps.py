@@ -36,6 +36,7 @@ from .numlin import (
     block_layout,
     constrained_commutant,
     frob,
+    multiplicity_moves,
     psd_factor,
     psd_spectrum,
     record,
@@ -134,7 +135,10 @@ class CPMapSpec:
     def block_action(self) -> BlockAction:
         """The symmetry's u as its :class:`BlockAction`; a dense u is read by
         :meth:`~covkit.cstar.FiniteCStarAlgebra.block_action` over the whole
-        group, which drops any leak out of the algebra."""
+        group, which drops any leak out of the algebra.  A map without a
+        symmetry has none: ``ValueError``."""
+        if self.symmetry is None:
+            raise ValueError("the map has no symmetry, so no block action")
         u = self.symmetry.u
         if isinstance(u, BlockAction):
             return u
@@ -295,13 +299,11 @@ def _covariance(blocks, sigma, rep, group: FiniteGroup, tol) -> Check:
     the residual to recon_fro max(1, max|C_i|)."""
     worst, scale, d = [0.0], [1.0], rep.shape[-1]
     for idx, choi, w in blocks:
-        pos = np.zeros(sigma.shape[1], dtype=np.int64)
-        pos[idx] = np.arange(len(idx))
         n = w.shape[-1]
         step = max(1, _COVARIANCE_CHUNK // max(1, len(rep) * (n * d) ** 2))
         for part in (slice(lo, lo + step) for lo in range(0, len(idx), step)):
             defect = _moved(choi[part], w[:, part] if w.shape[1] > 1 else w, rep)
-            defect -= choi[pos[sigma[:, idx[part]]]]
+            defect -= choi[np.searchsorted(idx, sigma[:, idx[part]])]
             worst.append(_norms(defect).max(initial=0.0))
             scale.append(np.abs(choi[part]).max(initial=0.0))
     # np.max keeps a NaN, and a non-finite bound certifies nothing
@@ -389,20 +391,18 @@ class KSGNSDilation:
         """The dense sym(g) = u(g) (*) W(g), built on request, of an element
         g or, for an index array, the stack of them: the N x N matrix whose
         block (sigma_g(i), i) is w_{g,i} (x) W_{g,i}, scattered one block
-        shape at a time."""
-        act, (start, shapes) = self.spec.block_action, self.layout
-        g = np.asarray(g, dtype=np.intp)
-        flat, m = g.reshape(-1), g.size
-        out = np.zeros((m, self.rank, self.rank), dtype=np.complex128)
-        for n, r, idx in shapes:
+        shape at a time.  The dilation of a map without a symmetry has no
+        sym: ``ValueError``, from :attr:`CPMapSpec.block_action`."""
+        act = self.spec.block_action
+        flat = np.asarray(g, dtype=np.intp).reshape(-1)
+        out = np.zeros((len(flat), self.rank, self.rank), dtype=np.complex128)
+        moves = [w[flat] for w in self.mult_rep], act.sigma[flat], list(zip(self.spec.algebra.blocks, self.mult))
+        for n, r, idx, cells, ws, to in multiplicity_moves(*moves)[-1]:
             w = np.stack([act.w[i][flat] for i in idx], axis=1)  # (m, B, n, n)
-            ws = np.stack([self.mult_rep[i][flat] for i in idx], axis=1)  # (m, B, r, r)
             # w (x) W: w[a, b] W[l, k] at row (a, l) and column (b, k)
-            kron = (w[:, :, :, None, :, None] * ws[:, :, None, :, None, :]).reshape(m, len(idx), n * r, n * r)
-            cells = np.arange(n * r)
-            rows = start[act.sigma[flat][:, idx]][:, :, None, None] + cells[:, None]
-            out[np.arange(m)[:, None, None, None], rows, start[idx, None, None] + cells] = kron
-        return out.reshape(g.shape + (self.rank, self.rank))
+            kron = (w[:, :, :, None, :, None] * ws[:, :, None, :, None, :]).reshape(len(flat), len(idx), n * r, n * r)
+            out[np.arange(len(flat))[:, None, None, None], cells[to][..., None], cells[:, None]] = kron
+        return out.reshape(np.shape(g) + (self.rank, self.rank))
 
 
 def _kraus_stack(dil: KSGNSDilation, n, r, idx) -> np.ndarray:
@@ -485,28 +485,6 @@ def _certify_reconstruction(dil: KSGNSDilation, tol) -> Checks:
     return checks
 
 
-def _cells(dil: KSGNSDilation):
-    """The layout of :func:`ksgns` in cells (i, a) of width r_i, numbered as
-    on the defining space: the rows of every block, and the bin of every
-    entry's (row cell, column cell)."""
-    alg, start = dil.spec.algebra, dil.layout[0]
-    cell = np.repeat(np.arange(alg.defining_dim), np.repeat(dil.mult, alg.blocks))
-    return [slice(a, b) for a, b in zip(start[:-1], start[1:])], (cell[:, None] * alg.defining_dim + cell).ravel()
-
-
-def _unit_commutators(mat, alg, mult, cuts, pair) -> np.ndarray:
-    """||[M, T_k]||_F for every unit k of the pattern, by block moves: M T_k
-    alone off the row cell (i, a), T_k M alone off the column cell (i, b),
-    and the diagonal cells (i, a), (i, b) against each other."""
-    dim, (at, to), uoff = alg.defining_dim, alg.unit_positions, alg.unit_offsets
-    mass = np.bincount(pair, np.abs(mat).ravel() ** 2, dim**2).reshape(dim, -1) * (1 - np.eye(dim))
-    res = mass.sum(0)[at] + mass.sum(1)[to]
-    for i, (ni, ri) in enumerate(zip(alg.blocks, mult)):
-        diag = mat[cuts[i], cuts[i]].reshape(ni, ri, ni, ri)[range(ni), :, range(ni)]
-        res[uoff[i] : uoff[i + 1]] += (np.abs(diag[:, None] - diag[None]) ** 2).sum((2, 3)).ravel()
-    return np.sqrt(res)
-
-
 def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
     """The multiplicity unitaries W_{g,i}, solved from (I (x) W_{g,i}) j_i =
     (w_{g,i}^+ (x) I) j_{sigma_g(i)} rep(g) on the independent A^i_l, or the
@@ -531,10 +509,9 @@ def _certify_covariant(dil: KSGNSDilation, tol) -> tuple[tuple, Checks]:
     gens = list(group.generators())
     c = (act.cocycle.values.conj() * rep.cocycle.values)[gens, :, None, None, None]
     mult_rep = [np.zeros((order, 0, 0), dtype=np.complex128)] * len(mult)
-    unit, moved, pairs, pos = np.zeros(order), np.zeros(order), np.zeros((len(gens), order)), np.zeros(len(mult), int)
+    unit, moved, pairs = np.zeros(order), np.zeros(order), np.zeros((len(gens), order))
     for n, r, idx in dil.layout[1]:
-        pos[idx] = np.arange(len(idx))
-        to = pos[act.sigma[:, idx]]  # (|G|, B): where sigma_g(i) sits in idx
+        to = np.searchsorted(idx, act.sigma[:, idx])  # (|G|, B): where sigma_g(i) sits in the sorted idx
         a, w = _kraus_stack(dil, n, r, idx), np.stack([act.w[i] for i in idx], axis=1)
         target = np.einsum("gBca,gBlcv->gBlav", w.conj(), a[to] @ rep.matrices[:, None, None])
         given = None if dil.mult_rep is None else np.stack([dil.mult_rep[i] for i in idx], axis=1)
@@ -572,19 +549,6 @@ def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DE
     return list(_kraus_stack(dilation, spec.algebra.blocks[0], dilation.mult[0], np.arange(1))[0])
 
 
-def _certify_layout_commutant(dil: KSGNSDilation, basis, tol):
-    """Re-check a commutant basis on the layout of :func:`ksgns` against the
-    whole algebra and group: every pi unit as ||[D, T_k]|| by block moves,
-    then every sym(g) and j^+ D j through :func:`_certify_commutant`."""
-    if not basis:
-        return
-    alg, mult = dil.spec.algebra, dil.mult
-    cuts, pair = _cells(dil)
-    pattern = max(float(_unit_commutators(d, alg, mult, cuts, pair).max()) for d in basis)
-    full = np.zeros((0, dil.rank, dil.rank)) if dil.mult_rep is None else dil.sym(np.arange(dil.spec.symmetry.group.order))
-    _certify_commutant(basis, full, [(dil.j[None], dil.j[None])], tol, pattern=pattern, scale=np.sqrt(max(mult)))
-
-
 def cp_extremal(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> ExtremalityCertificate:
     """Extremality of the map among covariant CP maps with the same value at
     the algebra unit (Arveson's criterion).
@@ -592,12 +556,13 @@ def cp_extremal(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> ExtremalityCe
     The map is extreme iff D = 0 is the only D that commutes with pi(A) and
     the dilation symmetry and has j^+ D j = 0.  On the layout of a
     :class:`KSGNSDilation`, pi(A)' = +_i I_{n_i} (x) M_{r_i}, so the system has
-    sum_i r_i^2 unknowns and rows from the images of the group's generators
-    only (:func:`~covkit.numlin.constrained_commutant` with the layout
-    (n_i, r_i) and the compression (j, j)), on the dilation of :func:`ksgns`.
-    The basis is re-checked against every group element and every matrix
-    unit.  On non-extremality both neighbours j^+ (I +- W) pi(.) j
-    re-validate, keep the unit value and average to the input.
+    sum_i r_i^2 unknowns and rows from the multiplicity moves of the group's
+    generators only (:func:`~covkit.numlin.constrained_commutant` with the
+    layout (n_i, r_i), sigma and the compression (j, j)), so no dense sym(g)
+    is built.  :func:`~covkit.kernels._certify_commutant` re-checks the basis
+    against the moves of every group element, pi(A)' and (j, j).  On
+    non-extremality both neighbours j^+ (I +- W) pi(.) j re-validate, keep
+    the unit value and average to the input.
     """
     dilation = ksgns(spec, tol)
     if spec.symmetry is not None:
@@ -607,11 +572,13 @@ def cp_extremal(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> ExtremalityCe
 
     if dilation.rank == 0:
         return ExtremalityCertificate(True, None, None, 0)
-    syms = () if spec.symmetry is None else dilation.sym(spec.symmetry.group.generators())
     layout = list(zip(spec.algebra.blocks, dilation.mult))
     compressions = [(dilation.j[None], dilation.j[None])]
-    basis = constrained_commutant(syms, compressions, layout=layout, tol=tol)
-    _certify_layout_commutant(dilation, basis, tol)
+    ws, sigma, gens = (), None, []
+    if spec.symmetry is not None:
+        ws, sigma, gens = dilation.mult_rep, spec.block_action.sigma, list(spec.symmetry.group.generators())
+    basis = constrained_commutant([w[gens] for w in ws], compressions, sigma=sigma[gens] if gens else None, layout=layout, tol=tol)
+    _certify_commutant(basis, ws, compressions, tol, sigma=sigma, layout=layout)
     jh, blocks = dilation.j.conj().T, dilation.r_blocks
 
     def cpmap(d):

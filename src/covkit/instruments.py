@@ -479,10 +479,9 @@ def observable_extremal(
     and re-checked against all of it and every compression.  On
     non-extremality both neighbours, the effects of I +- W, re-validate and
     average to the input's effects."""
-    generators = [data.rho(s) for s in data.rho.group.generators()]
     compressions = [(np.stack(ops), np.stack(ops)) for ops in data.lambda_blocks]
-    basis = constrained_commutant(generators, compressions, tol=tol)
-    _certify_commutant(basis, data.rho.matrices, compressions, tol)
+    basis = constrained_commutant([data.rho.matrices[list(data.rho.group.generators())]], compressions, tol=tol)
+    _certify_commutant(basis, [data.rho.matrices], compressions, tol)
     u = data.decomposition.rep
     lam = data.assembled_map()
     moved = np.stack([lam @ u(g).conj().T for g in data.sub.section])
@@ -657,12 +656,11 @@ def instrument_extremal(
     k, r, v = spec.k_dim, len(data.b_ops), spec.v_dim
     b = np.stack(data.b_ops)
     j = b.transpose(1, 0, 2).reshape(k * r, v)
-    ws = _multiplicity_rep(data, sym, tol)
-    lifts = np.einsum("ab,hlm->halbm", np.eye(k), ws).reshape(len(ws), k * r, k * r)
+    ws = [_multiplicity_rep(data, sym, tol)]
     moved = j @ sym.rep.matrices[g].conj().transpose(0, 2, 1)
     compressions = [(moved, moved)]
-    basis = constrained_commutant(list(lifts), compressions, layout=[(k, r)], tol=tol)
-    _certify_commutant(basis, lifts, compressions, tol)
+    basis = constrained_commutant(ws, compressions, layout=[(k, r)], tol=tol)
+    _certify_commutant(basis, ws, compressions, tol, layout=[(k, r)])
     rows = _outcome_rows(b, sym, g)
     flat = rows.reshape(len(g), r, k * v)
 

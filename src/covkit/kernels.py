@@ -20,8 +20,10 @@ from .numlin import (
     DEFAULT_TOL,
     DimensionError,
     Tolerances,
+    commutant_form,
     constrained_commutant,
     frob,
+    multiplicity_moves,
     psd_spectrum,
     record,
     unitary_moves,
@@ -265,25 +267,30 @@ def _hermitian_witness(basis, tol):
     return None
 
 
-def _certify_commutant(basis, full, compressions, tol, pattern=0.0, scale=1.0):
-    """Re-check a commutant basis solved over generating sets against every
-    matrix of the full set ``full`` (an (m, n, n) stack), in one batched
-    product, so the verdict rests on the whole algebra and group; then bound
-    sum_k L_k^+ D R_k for every compression (L, R) of the solve by
-    ``recon_fro`` max(1, ||L|| ||R||).  ``pattern`` is the caller's residual
-    against the rest of the set, whose matrices have Frobenius norms up to
-    ``scale``."""
+def _certify_commutant(basis, ws, compressions, tol, sigma=None, layout=None):
+    """Re-check a basis of :func:`~covkit.numlin.constrained_commutant`
+    against the moves ``ws``, ``sigma`` and ``layout`` of every element of
+    the group (or subgroup).  The distance ||D - +_i I (x) Y_i||_F of D to
+    pi(A)' (:func:`~covkit.numlin.commutant_form`) plus its largest move
+    defect sqrt(sum_i n_i ||Y_{sigma_g(i)} W_{g,i} - W_{g,i} Y_i||_F^2),
+    which is ||[D, w (x) W]||_F for unitary w, is held to ``recon_fro``
+    times the largest Frobenius norm of a dense move, floored at 1; sum_k
+    L_k^+ D R_k, for every compression (L, R), to ``recon_fro`` max(1,
+    ||L|| ||R||)."""
     if not basis:
         return
-    d = np.stack(basis)[:, None]
-    comm = d @ full[None] - full[None] @ d
+    d = np.stack(basis)
+    parts = multiplicity_moves(ws, sigma, layout, d.shape[-1])[-1]
+    ys, off = commutant_form(d, parts)
+    moved = sum(n * (np.abs(y[:, to] @ w - w @ y[:, None]) ** 2).sum((-3, -2, -1)) for (n, *_, w, to), y in zip(parts, ys))
+    scale = sum(n * (np.abs(w) ** 2).sum((-3, -2, -1)) for n, *_, w, _ in parts)
     Checks().require(
-        tol.recon_fro * max(1.0, scale, float(np.linalg.norm(full, axis=(1, 2)).max(initial=0.0))),
+        tol.recon_fro * max(1.0, float(np.sqrt(scale).max(initial=0.0))),
         "commutant basis fails the full commutation check",
-        commutant=max(pattern, float(np.linalg.norm(comm, axis=(2, 3)).max(initial=0.0))),
+        commutant=float((off + np.sqrt(moved).max(axis=1, initial=0.0)).max()),
     )
     for left, right in compressions:
-        squeezed = (left.conj().transpose(0, 2, 1)[None] @ d @ right[None]).sum(axis=1)
+        squeezed = (left.conj().transpose(0, 2, 1)[None] @ d[:, None] @ right[None]).sum(axis=1)
         Checks().require(
             tol.recon_fro * max(1.0, frob(left) * frob(right)),
             "commutant basis is not compressed to zero",
@@ -360,9 +367,8 @@ def kernel_extremal(spec: CovariantKernelSpec, z_pairs, tol: Tolerances = DEFAUL
         return ExtremalityCertificate(True, None, None, 0)
     z_set = sorted(set(z_pairs) | {(y, x) for x, y in z_pairs})
     compressions = [(decomp.factors[x][None], decomp.factors[y][None]) for x, y in z_set]
-    generators = [decomp.sym(s) for s in spec.action.group.generators()]
-    basis = constrained_commutant(generators, compressions, tol=tol)
-    _certify_commutant(basis, decomp.sym.matrices, compressions, tol)
+    basis = constrained_commutant([decomp.sym.matrices[list(spec.action.group.generators())]], compressions, tol=tol)
+    _certify_commutant(basis, [decomp.sym.matrices], compressions, tol)
     adjoints = decomp.factors.conj().transpose(0, 2, 1)[:, None]
 
     def kernel(d):

@@ -394,70 +394,98 @@ def null_space(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return vh[r:].conj().T
 
 
+def multiplicity_moves(ws=(), sigma=None, layout=None, size=None):
+    """The moves of :func:`constrained_commutant` checked against their
+    layout: the start of every block on the space and of every X_i among the
+    unknowns, each with the total last, and per block shape (n, r) of
+    :func:`block_layout` the tuple (n, r, idx, cells, w, to) of the
+    (len(idx), n r) indices of its blocks on the space, the (m, len(idx), r,
+    r) stack of their W_{g,i} and the position of sigma_g(i) in idx.  A
+    missing layout is one block (1, r), r read off ``ws`` or ``size``.
+    ``DimensionError`` when the moves do not fit the layout or a space of
+    dimension ``size``, or carry a block onto one of another shape."""
+    if layout is None and not len(ws) and size is None:
+        raise DimensionError("cannot infer the block size without moves, a size or a layout")
+    layout = layout or [(1, np.shape(ws[0])[-1] if len(ws) else size)]
+    blocks, mult = (np.array(part, dtype=np.int64) for part in zip(*layout))
+    ws = [np.asarray(w, dtype=np.complex128) for w in ws] or [np.zeros((0, r, r), dtype=np.complex128) for r in mult]
+    (start, shapes), m = block_layout(blocks, mult), len(ws[0])
+    sigma = np.arange(len(blocks)) + np.zeros((m, 1), np.intp) if sigma is None else np.asarray(sigma)
+    fits = [w.shape for w in ws] == [(m, r, r) for r in mult] and sigma.shape == (m, len(blocks))
+    bad = not fits or size not in (None, start[-1]) or np.any((sigma < 0) | (sigma >= len(blocks)))
+    if bad or np.any(blocks[sigma] != blocks) or np.any(mult[sigma] != mult):
+        raise DimensionError("the moves do not fit the layout, or carry a block onto one of another shape")
+    # idx is sorted, and sigma_g maps it onto itself
+    return start, np.concatenate([[0], np.cumsum(mult * mult)]), [
+        (n, r, idx, start[idx, None] + np.arange(n * r), np.stack([ws[i] for i in idx], axis=1), np.searchsorted(idx, sigma[:, idx]))
+        for n, r, idx in shapes
+    ]
+
+
+def commutant_form(d, parts):
+    """Each matrix D of the stack ``d`` read as +_i I_{n_i} (x) Y_i on the
+    block shapes ``parts`` of :func:`multiplicity_moves`, Y_i the mean of
+    its diagonal cells in block i: the Y per shape, each a (k, len(idx), r,
+    r) stack, and ||D - +_i I (x) Y_i||_F, zero iff D lies in +_i I (x) M_{r_i}."""
+    off, ys = d.copy(), []
+    for n, r, idx, cells, _, _ in parts:
+        at = (slice(None), cells[:, :, None], cells[:, None])
+        y = np.einsum("kBalam->kBlm", d[at].reshape(len(d), len(idx), n, r, n, r)) / n
+        off[at] -= (np.eye(n)[:, None, :, None] * y[:, :, None, :, None]).reshape(len(d), len(idx), n * r, n * r)
+        ys.append(y)
+    return ys, np.linalg.norm(off, axis=(1, 2))
+
+
 def constrained_commutant(
-    generators, compressions=(), *, layout=None, tol: Tolerances = DEFAULT_TOL
+    ws=(), compressions=(), *, sigma=None, layout=None, tol: Tolerances = DEFAULT_TOL
 ) -> list[np.ndarray]:
-    """Frobenius-orthonormal basis of the D in +_i I_{n_i} (x) M_{r_i} with
-    [D, A] = 0 for every generator A and sum_k L_k^+ D R_k = 0 for every
+    """Frobenius-orthonormal basis of the D in +_i I_{n_i} (x) M_{r_i} that
+    commute with every generator and have sum_k L_k^+ D R_k = 0 for every
     compression (L, R); an empty list means only D = 0 qualifies.
 
     ``layout`` holds the pairs (n_i, r_i), so D = +_i I_{n_i} (x) X_i /
     sqrt(n_i) and the unknowns are the sum_i r_i^2 entries of the X_i,
-    orthonormal as D is; the default is one block (1, N), all N x N matrices.
-    Each compression is a pair of stacks of shapes (k, N, p) and (k, N, q).
-    The (j, i) block of a generator, cut into r_j x r_i cells s_ab, gives the
-    rows X_j s_ab / sqrt(n_j) - s_ab X_i / sqrt(n_i) = 0; exactly zero blocks
-    give no rows.
+    orthonormal as D is; the default is one block (1, r).  Generator g
+    carries block i onto block ``sigma[g, i]`` (by default, i) as w_{g,i}
+    (x) W_{g,i}, ``ws[i]`` the (m, r_i, r_i) stack of the W_{g,i}, so it
+    gives the r_i^2 rows of X_{sigma_g(i)} W_{g,i} - W_{g,i} X_i = 0 per
+    block; for unitary w_{g,i} they have the Gram matrix of the rows of
+    [D, w_{g,i} (x) W_{g,i}].  Each compression is a pair of stacks of
+    shapes (k, N, p) and (k, N, q), N = sum_i n_i r_i.
     """
-    generators = [as_matrix(g) for g in generators]
     compressions = [tuple(np.asarray(m, dtype=np.complex128) for m in pair) for pair in compressions]
-    if any(l.ndim != 3 or r.ndim != 3 or len(l) != len(r) for l, r in compressions):
-        raise DimensionError("a compression needs two stacks (k, N, p) and (k, N, q)")
-    sizes = {g.shape for g in generators} | {(m.shape[1],) * 2 for pair in compressions for m in pair}
-    if layout is not None:
-        sizes.add((sum(n * r for n, r in layout),) * 2)
-    if len(sizes) > 1 or any(a != b for a, b in sizes):
-        raise DimensionError(f"inconsistent sizes {sorted(sizes)}")
-    if not sizes:
-        raise DimensionError("cannot infer matrix size: no inputs and no layout")
-    blocks, mult = zip(*layout) if layout is not None else ((1,), (sizes.pop()[0],))
-    (start, _), (col, _) = block_layout(blocks, mult), block_layout(mult, mult)
-    cuts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
+    # the first compression's N stands in for a missing layout; any other must match it
+    size = next((m.shape[1] for pair in compressions for m in pair if m.ndim > 1), None)
+    start, col, parts = multiplicity_moves(ws, sigma, layout, size)
+    if any(l.ndim != 3 or r.ndim != 3 or len(l) != len(r) or {l.shape[1], r.shape[1]} != {start[-1]} for l, r in compressions):
+        raise DimensionError("a compression needs two stacks (k, N, p) and (k, N, q) on the layout's space")
 
     rows = []
-    for s in generators:
-        for jb, ib in np.ndindex(len(blocks), len(blocks)):
-            part = s[cuts[jb], cuts[ib]]
-            if not part.any():
-                continue
-            (nj, rj), (ni, ri) = (blocks[jb], mult[jb]), (blocks[ib], mult[ib])
-            part = part.reshape(nj, rj, ni, ri).transpose(0, 2, 1, 3)  # part[a, b] = s_ab
-            row = np.zeros((nj, ni, rj, ri, col[-1]), dtype=np.complex128)
-            # over the row-major entries of X: X s has rows I (x) s^T, s X has rows s (x) I
-            left = np.einsum("lp,abqm->ablmpq", np.eye(rj), part).reshape(nj, ni, rj, ri, rj * rj)
-            right = np.einsum("ablp,qm->ablmpq", part, np.eye(ri)).reshape(nj, ni, rj, ri, ri * ri)
-            row[..., col[jb] : col[jb + 1]] += left / np.sqrt(nj)
-            row[..., col[ib] : col[ib + 1]] -= right / np.sqrt(ni)
-            rows.append(row.reshape(nj * ni * rj * ri, col[-1]))
+    for _, r, idx, _, w, to in parts:
+        m, b, onto = len(w), len(idx), np.eye(len(idx))[to]  # onto[g, i, j] = 1 iff sigma_g(idx[i]) = idx[j]
+        # over the row-major entries of X: X W has rows I (x) W^T, W X has rows W (x) I
+        left = np.einsum("gij,lp,giqm->gilmjpq", onto, np.eye(r), w).reshape(m, b, r * r, b, r * r)
+        right = np.einsum("ij,gilp,qm->gilmjpq", np.eye(b), w, np.eye(r)).reshape(m, b, r * r, b, r * r)
+        row, unknowns = np.zeros((m, b, r * r, col[-1]), dtype=np.complex128), col[idx, None] + np.arange(r * r)
+        row[..., unknowns] += left
+        row[..., unknowns] -= right
+        rows.append(row.reshape(-1, col[-1]))
     for l, r in compressions:
         # (sum_k L_k^+ D R_k)[v, w] = sum_i sum_{k, a} L_k[i, a]^+ X_i R_k[i, a] / sqrt(n_i),
         # L_k[i, a] the rows (i, a, .) of L_k
         k, p, q = len(l), l.shape[2], r.shape[2]
-        parts = [
-            np.einsum("kalv,kamw->vwlm", l[:, cut].reshape(k, n, m, p).conj(), r[:, cut].reshape(k, n, m, q))
-            .reshape(p * q, m * m) / np.sqrt(n)
-            for cut, n, m in zip(cuts, blocks, mult)
-        ]
-        rows.append(np.hstack(parts))
-    x = null_space(np.vstack(rows) if rows else np.zeros((0, col[-1])), tol)
-    basis = []
-    for v in x.T:
-        d = np.zeros((start[-1], start[-1]), dtype=np.complex128)
-        for cut, n, r, c0 in zip(cuts, blocks, mult, col):
-            x_i = v[c0 : c0 + r * r].reshape(r, r) / np.sqrt(n)
-            d[cut, cut] = np.einsum("ab,lm->albm", np.eye(n), x_i).reshape(n * r, n * r)
-        basis.append(d)
-    return basis
+        row = np.zeros((p * q, col[-1]), dtype=np.complex128)
+        for i, n, c in ((i, n, c) for n, c, idx, *_ in parts for i in idx):
+            cut = slice(start[i], start[i + 1])
+            blocked = np.einsum("kalv,kamw->vwlm", l[:, cut].reshape(k, n, c, p).conj(), r[:, cut].reshape(k, n, c, q))
+            row[:, col[i] : col[i + 1]] = blocked.reshape(p * q, c * c) / np.sqrt(n)
+        rows.append(row)
+    x = null_space(np.vstack(rows) if rows else np.zeros((0, col[-1])), tol).T
+    d = np.zeros((len(x), start[-1], start[-1]), dtype=np.complex128)
+    for n, r, idx, cells, _, _ in parts:
+        y = x[:, col[idx, None] + np.arange(r * r)].reshape(len(x), len(idx), r, r) / np.sqrt(n)
+        d[:, cells[:, :, None], cells[:, None]] = np.einsum("ab,kBlm->kBalbm", np.eye(n), y).reshape(len(x), len(idx), n * r, n * r)
+    return list(d)
 
 
 def lstsq_define(pairs, tol: Tolerances = DEFAULT_TOL):

@@ -36,7 +36,9 @@ the line cache of ``covkit sample``; and a dense commutant over the
 eigenspaces of pi, as the reference for the block-coordinate commutant
 solve of ``cp_extremal`` where the N^2-column kron system is too large;
 and the N^2-column kron system itself, with its real Hermitian branch, as the reference for
-``covkit.numlin.constrained_commutant``; the CP-form extremality route for
+``covkit.numlin.constrained_commutant``, and the per-cell commutant
+builder on dense generators, as the reference for that engine's rows from
+the multiplicity moves; the CP-form extremality route for
 instruments (KSGNS dilation of the instrument as a CP map over all outcome
 blocks), as the reference for the base-fiber solve of
 ``covkit.instruments.instrument_extremal``, and the split of its witness
@@ -1327,6 +1329,67 @@ def compression_functionals(compressions) -> list[np.ndarray]:
             for w in range(r.shape[2]):
                 out.append(sum(np.outer(lk[:, v], rk[:, w].conj()) for lk, rk in zip(l, r)))
     return out
+
+
+def cell_rows(generators, compressions=(), *, layout=None) -> np.ndarray:
+    """The system of the per-cell commutant builder: dense generators on a
+    block layout (n_i, r_i), the default one block (1, N).  The (j, i) block
+    of a generator, cut into r_j x r_i cells s_ab, gives the rows X_j s_ab /
+    sqrt(n_j) - s_ab X_i / sqrt(n_i) = 0 over the entries of the X_i, D =
+    +_i I_{n_i} (x) X_i / sqrt(n_i); exactly zero blocks give no rows.  Each
+    compression (L, R) gives the rows of sum_k L_k^+ D R_k = 0.  The
+    reference for the multiplicity-move rows of
+    ``covkit.numlin.constrained_commutant``."""
+    generators = [as_matrix(g) for g in generators]
+    compressions = [tuple(np.asarray(m, dtype=np.complex128) for m in pair) for pair in compressions]
+    if layout is None:
+        sizes = {g.shape[0] for g in generators} | {m.shape[1] for pair in compressions for m in pair}
+        layout = [(1, sizes.pop())]
+    blocks, mult = zip(*layout)
+    (start, _), (col, _) = block_layout(blocks, mult), block_layout(mult, mult)
+    cuts = [slice(a, b) for a, b in zip(start[:-1], start[1:])]
+    rows = []
+    for s in generators:
+        for jb, ib in np.ndindex(len(blocks), len(blocks)):
+            part = s[cuts[jb], cuts[ib]]
+            if not part.any():
+                continue
+            (nj, rj), (ni, ri) = (blocks[jb], mult[jb]), (blocks[ib], mult[ib])
+            part = part.reshape(nj, rj, ni, ri).transpose(0, 2, 1, 3)  # part[a, b] = s_ab
+            row = np.zeros((nj, ni, rj, ri, col[-1]), dtype=np.complex128)
+            # over the row-major entries of X: X s has rows I (x) s^T, s X has rows s (x) I
+            left = np.einsum("lp,abqm->ablmpq", np.eye(rj), part).reshape(nj, ni, rj, ri, rj * rj)
+            right = np.einsum("ablp,qm->ablmpq", part, np.eye(ri)).reshape(nj, ni, rj, ri, ri * ri)
+            row[..., col[jb] : col[jb + 1]] += left / np.sqrt(nj)
+            row[..., col[ib] : col[ib + 1]] -= right / np.sqrt(ni)
+            rows.append(row.reshape(nj * ni * rj * ri, col[-1]))
+    for l, r in compressions:
+        k, p, q = len(l), l.shape[2], r.shape[2]
+        parts = [
+            np.einsum("kalv,kamw->vwlm", l[:, cut].reshape(k, n, m, p).conj(), r[:, cut].reshape(k, n, m, q))
+            .reshape(p * q, m * m) / np.sqrt(n)
+            for cut, n, m in zip(cuts, blocks, mult)
+        ]
+        rows.append(np.hstack(parts))
+    return np.vstack(rows) if rows else np.zeros((0, col[-1]), dtype=np.complex128)
+
+
+def cell_commutant(generators, compressions=(), *, layout=None, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+    """The commutant basis D = +_i I_{n_i} (x) X_i / sqrt(n_i) of the
+    per-cell system :func:`cell_rows`, Frobenius-orthonormal."""
+    if layout is None:
+        sizes = {as_matrix(g).shape[0] for g in generators} | {np.shape(m)[1] for pair in compressions for m in pair}
+        layout = [(1, sizes.pop())]
+    x = null_space(cell_rows(generators, compressions, layout=layout), tol)
+    blocks, mult = zip(*layout)
+    start, (col, _) = block_layout(blocks, mult)[0], block_layout(mult, mult)
+    basis = []
+    for v in x.T:
+        d = np.zeros((start[-1], start[-1]), dtype=np.complex128)
+        for s0, s1, n, r, c0 in zip(start[:-1], start[1:], blocks, mult, col):
+            d[s0:s1, s0:s1] = np.kron(np.eye(n), v[c0 : c0 + r * r].reshape(r, r) / np.sqrt(n))
+        basis.append(d)
+    return basis
 
 
 def instrument_from_cpmap(cp_spec: CPMapSpec, symmetry: Symmetry) -> InstrumentSpec:

@@ -236,7 +236,7 @@ def test_heisenberg_d2_matrices():
 def test_heisenberg_d3_irreducible():
     _, _, rep = heisenberg_rep(3)
     assert validate_rep(rep)
-    basis = constrained_commutant([rep(g) for g in range(9)])
+    basis = constrained_commutant([rep.matrices])
     assert len(basis) == 1
 
 

@@ -2,9 +2,10 @@
 
 The commutant of a representation equals the commutant of the images of a
 generating set, so the extremality routes solve over generating sets of the
-group and then re-check the basis against everything.  All three routes
-solve through ``numlin.constrained_commutant``; the CP route passes the block
-layout of pi(A)', which leaves only the group's generators.  These tests pin
+group and then re-check the basis against everything.  Every route solves
+through ``numlin.constrained_commutant``, given the multiplicity moves of the
+generators; the CP route passes the block layout of pi(A)' and the block
+permutation sigma, so no dense sym(g) is built.  These tests pin
 those solves down against dense references (the kron system of
 ``oracles.dense_commutant`` and the eigenspace commutant
 ``oracles.cp_commutant_dense``) on random covariant objects and phase-space
@@ -30,7 +31,7 @@ from covkit.random import (
     rand_covariant_observable,
 )
 
-from oracles import compression_functionals, cp_commutant_dense, dense_commutant, sym_stack
+from oracles import cell_commutant, compression_functionals, cp_commutant_dense, dense_commutant, sym_stack
 
 GROUPS = {
     "Z3": FiniteGroup.cyclic(3),
@@ -155,9 +156,9 @@ def _assert_same_block_commutant(call, reference):
     """The recorded block-coordinate solve against a dense reference over
     every pi unit and every group element, with the compression constraints
     and without them (a larger, rarely trivial space)."""
-    mats, ((j, _),), kwargs, basis = call
+    ws, ((j, _),), kwargs, basis = call
     assert kwargs["layout"]
-    for jj, small in ((j[0], basis), (None, _ENGINE(mats, (), layout=kwargs["layout"]))):
+    for jj, small in ((j[0], basis), (None, _ENGINE(ws, (), sigma=kwargs["sigma"], layout=kwargs["layout"]))):
         ref = reference(jj)
         assert len(small) == len(ref)
         assert _distance(small, ref) < 1e-8
@@ -174,7 +175,7 @@ def test_cp_commutant_over_generators_equals_full(name, monkeypatch):
         dil = ksgns(spec)
         recorder.calls.clear()
         cp_extremal(spec)
-        assert len(recorder.calls[0][0]) == len(group.generators()) < group.order
+        assert {len(w) for w in recorder.calls[0][0]} == {len(group.generators())} and len(group.generators()) < group.order
         full = list(dil.pi_units) + list(sym_stack(dil))
         _assert_same_block_commutant(recorder.calls[0], lambda j: dense_commutant(full, _compressions(j)))
 
@@ -207,23 +208,28 @@ def test_phase_space_block_commutant_matches_the_dense_reference(d, ops, rank, f
     monkeypatch.setattr(cpmaps, "constrained_commutant", recorder)
     cert = cp_extremal(spec)
     assert dil.rank == rank and cert.freedom == freedom and cert.extreme == (freedom == 0)
-    assert len(recorder.calls) == 1 and len(recorder.calls[0][0]) == 2
+    assert len(recorder.calls) == 1 and {len(w) for w in recorder.calls[0][0]} == {2}
     _assert_same_block_commutant(recorder.calls[0], lambda j: cp_commutant_dense(dil, sym_stack(dil), j))
 
 
 def test_dense_reference_matches_constrained_commutant():
     # the eigenspace reference of the phase-space tests against the kron system
-    # where both run, and the kron system against the engine's default layout
+    # where both run, the kron system against the per-cell builder on the dense
+    # pi units and sym(g), and against the engine on the moves of the whole group
     spec = _phase_space_cp(2, [np.diag([1.0, 0]), np.diag([0, 1.0])])
     rng = np.random.default_rng(19)
     for spec in (spec, rand_covariant_cpmap(rng, (2, 1), GROUPS["S3"], n_v=2)):
         dil = ksgns(spec)
         full = list(dil.pi_units) + list(sym_stack(dil))
+        layout = list(zip(spec.algebra.blocks, dil.mult))
         for j in (dil.j, None):
+            comps = [(j[None], j[None])] if j is not None else ()
             ref = dense_commutant(full, _compressions(j))
             dense = cp_commutant_dense(dil, sym_stack(dil), j)
             assert len(dense) == len(ref) and _distance(dense, ref) < 1e-8
-            engine = constrained_commutant(full, [(j[None], j[None])] if j is not None else ())
+            cells = cell_commutant(full, comps)
+            assert len(cells) == len(ref) and _distance(cells, ref) < 1e-8
+            engine = constrained_commutant(dil.mult_rep, comps, sigma=spec.block_action.sigma, layout=layout)
             assert len(engine) == len(ref) and _distance(engine, ref) < 1e-8
 
 
@@ -258,7 +264,7 @@ def test_kernel_commutant_over_generators_equals_full(name, monkeypatch):
             kernel_extremal(spec, z)
             if not recorder.calls:
                 continue
-            assert len(recorder.calls[0][0]) == len(group.generators())
+            assert [len(w) for w in recorder.calls[0][0]] == [len(group.generators())]
             assert len(recorder.calls[0][1]) == len({*z, *((y, x) for x, y in z)})
             _assert_same_commutant(recorder.calls[0], list(dec.sym.matrices), dec.rank)
 
@@ -274,7 +280,7 @@ def test_observable_commutant_over_generators_equals_full(name, monkeypatch):
     spec = rand_covariant_observable(rng, sub, v_dim=3)
     data = lambda_from_observable(spec, seed=3)
     observable_extremal(data)
-    assert len(recorder.calls[0][0]) == len(data.rho.group.generators())
+    assert [len(w) for w in recorder.calls[0][0]] == [len(data.rho.group.generators())]
     _assert_same_commutant(recorder.calls[0], list(data.rho.matrices), data.base_dim)
 
 
@@ -285,7 +291,7 @@ def test_phase_space_cp_extremal_stacks_at_most_ten_generators(monkeypatch):
     b2 = np.diag([0.0, 0.5]).astype(complex)
     cert = cp_extremal(as_cpmap(phase_space(2, [b1, b2])))
     assert recorder.calls
-    assert max(len(mats) for mats, *_ in recorder.calls) <= 10
+    assert max(len(w) for ws, *_ in recorder.calls for w in ws) <= 10
     assert not cert.extreme and cert.freedom == 3
 
 
@@ -297,32 +303,33 @@ def test_phase_space_cp_extremal_stacks_at_most_ten_generators(monkeypatch):
 def test_certify_commutant_rejects_a_non_commuting_basis():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     z = np.diag([1.0, -1.0]).astype(complex)
-    full = np.stack([np.eye(2, dtype=complex), x])
+    full = [np.stack([np.eye(2, dtype=complex), x])]
     _certify_commutant([np.eye(2) / np.sqrt(2), x / np.sqrt(2)], full, (), Tolerances())
     with pytest.raises(DilationResidualError):
         _certify_commutant([z / np.sqrt(2)], full, (), Tolerances())
 
 
 def test_block_commutant_recheck_covers_every_pi_unit():
-    # a map without symmetry: the re-check has no group element, only the pi units
+    # a map without symmetry: the re-check has no group element, only pi(A)' = +_i I (x) M_{r_i}
     alg, rng = FiniteCStarAlgebra((2, 1)), np.random.default_rng(31)
     # two Kraus operators per block: S(E^i_ab)[v, w] = sum_l conj(A^i_l[a, v]) A^i_l[b, w]
     ops = [rng.normal(size=(2, n, 2)) + 1j * rng.normal(size=(2, n, 2)) for n in alg.blocks]
     values = np.concatenate([np.einsum("lav,lbw->abvw", a.conj(), a).reshape(-1, 2, 2) for a in ops])
     dil = ksgns(CPMapSpec(alg, ModuleSpace(k=1, n_v=2), values))
     assert dil.mult_rep is None and dil.mult == (2, 2)
-    basis = constrained_commutant([], [(dil.j[None], dil.j[None])], layout=list(zip(alg.blocks, dil.mult)))
+    layout, comps = list(zip(alg.blocks, dil.mult)), [(dil.j[None], dil.j[None])]
+    basis = constrained_commutant((), comps, layout=layout)
     assert len(basis) == 2 * 2 * 2 - 4
-    cpmaps._certify_layout_commutant(dil, basis, Tolerances())
+    _certify_commutant(basis, (), comps, Tolerances(), layout=layout)
     # a direction off pi(A)' that still has j^+ D j = 0
     q, _ = np.linalg.qr(dil.j)
     away = np.eye(dil.rank) - q @ q.conj().T
     off = away @ (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))) @ away
     with pytest.raises(DilationResidualError, match="commutant"):
-        cpmaps._certify_layout_commutant(dil, [off / np.linalg.norm(off)], Tolerances())
+        _certify_commutant([off / np.linalg.norm(off)], (), comps, Tolerances(), layout=layout)
     # an element of pi(A)' that j does not compress to zero
     with pytest.raises(DilationResidualError, match="compression"):
-        cpmaps._certify_layout_commutant(dil, [np.eye(dil.rank) / np.sqrt(dil.rank)], Tolerances())
+        _certify_commutant([np.eye(dil.rank) / np.sqrt(dil.rank)], (), comps, Tolerances(), layout=layout)
 
 
 def test_hermitian_witness_threshold_follows_recon_fro():

@@ -154,11 +154,11 @@ def test_null_space_of_roundoff_level_system_is_everything():
     assert null_space(noise).shape == (4, 4)
     # a scalar unitary up to roundoff commutes with every matrix
     almost_scalar = np.exp(0.3j) * np.eye(2) + 1e-17 * noise[:2, :2]
-    assert len(constrained_commutant([almost_scalar])) == 4
+    assert len(constrained_commutant([almost_scalar[None]])) == 4
 
 
 def test_commutant_of_irreducible_pair_is_scalar():
-    basis = constrained_commutant([PAULI_X, PAULI_Z])
+    basis = constrained_commutant([np.stack([PAULI_X, PAULI_Z])])
     assert len(basis) == 1
     d = basis[0]
     # proportional to the identity, normalized in Frobenius norm
@@ -167,7 +167,7 @@ def test_commutant_of_irreducible_pair_is_scalar():
 
 
 def test_commutant_of_identity_is_everything():
-    basis = constrained_commutant([np.eye(2)])
+    basis = constrained_commutant([np.eye(2)[None]])
     assert len(basis) == 4
 
 
@@ -187,7 +187,7 @@ def test_commutant_hermitian_only():
 def test_commutant_members_commute():
     rng = np.random.default_rng(2)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    basis = constrained_commutant([g])
+    basis = constrained_commutant([g[None]])
     assert len(basis) == len(dense_commutant([g])) == 3
     for d in basis:
         assert np.linalg.norm(d @ g - g @ d) <= 1e-8 * np.linalg.norm(g)
@@ -195,15 +195,30 @@ def test_commutant_members_commute():
 
 def test_commutant_size_mismatch():
     with pytest.raises(DimensionError):
-        constrained_commutant([np.eye(2), np.eye(3)])
+        constrained_commutant([np.eye(2)[None], np.eye(3)[None]])
     with pytest.raises(DimensionError):
-        constrained_commutant([np.eye(3)], layout=[(1, 2)])
+        constrained_commutant([np.eye(2)[None], np.eye(2)[None]])
     with pytest.raises(DimensionError):
-        constrained_commutant([np.eye(2)], [(np.eye(2), np.eye(2))])
+        constrained_commutant([np.eye(3)[None]], layout=[(1, 2)])
     with pytest.raises(DimensionError):
-        constrained_commutant([np.ones((2, 3))])
+        constrained_commutant([np.eye(2)[None]], [(np.eye(2), np.eye(2))])
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.eye(2)[None]], [(np.eye(3)[None], np.eye(3)[None])], layout=[(1, 2)])
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.ones((1, 2, 3))])
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.eye(2)])
     with pytest.raises(DimensionError):
         constrained_commutant([])
+    # stacks of different generator counts, a sigma of the wrong shape, a move onto another shape
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.eye(2)[None], np.ones((2, 1, 1))], layout=[(1, 2), (1, 1)])
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.eye(2)[None]], sigma=[[0], [0]])
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.eye(2)[None], np.eye(1)[None]], sigma=[[1, 0]], layout=[(1, 2), (1, 1)])
+    with pytest.raises(DimensionError):
+        constrained_commutant([np.eye(1)[None], np.eye(1)[None]], sigma=[[1, 0]], layout=[(2, 1), (1, 1)])
 
 
 def _block_diagonal_reference(generators, compressions, layout):
@@ -223,33 +238,76 @@ def _block_diagonal_reference(generators, compressions, layout):
     return sum((np.outer(d.reshape(-1), d.reshape(-1).conj()) for d in basis), np.zeros((n * n, n * n)))
 
 
-@pytest.mark.parametrize("layout", [[(2, 1), (1, 2)], [(1, 3)], [(2, 2), (1, 0), (1, 1)], [(3, 1)]])
+def _dense_moves(rng, ws, sigma, layout):
+    """The dense generators of multiplicity moves: block (sigma_g(i), i) of
+    generator g is w (x) W_{g,i}, w a random n_i x n_i unitary."""
+    n = sum(b * r for b, r in layout)
+    start = np.cumsum([0] + [b * r for b, r in layout])
+    out = np.zeros((len(ws[0]) if ws else 0, n, n), dtype=complex)
+    for g in range(len(out)):
+        for i, (b, r) in enumerate(layout):
+            to = i if sigma is None else sigma[g][i]
+            w, _ = np.linalg.qr(rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b)))
+            out[g, start[to] : start[to + 1], start[i] : start[i + 1]] = np.kron(w, ws[i][g])
+    return list(out)
+
+
+@pytest.mark.parametrize("layout", [[(2, 1), (1, 2)], [(1, 3)], [(2, 2), (1, 0), (1, 1)], [(3, 1)], [(2, 2), (1, 1), (2, 2)]])
 def test_commutant_on_a_block_layout_matches_the_kron_system(layout):
     rng = np.random.default_rng(len(layout) + sum(r for _, r in layout))
-    n = sum(b * r for b, r in layout)
-    # a generator of the layout's own shape, +_i I_{n_i} (x) Y_i, a random one, and a compression stack
-    shaped = np.zeros((n, n), dtype=complex)
-    start = np.cumsum([0] + [b * r for b, r in layout])
-    for (b, r), s0 in zip(layout, start):
-        shaped[s0 : s0 + b * r, s0 : s0 + b * r] = np.kron(np.eye(b), rng.normal(size=(r, r)))
-    noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    n, b = sum(k * r for k, r in layout), len(layout)
+    # moves Y_i that leave every block in place, then random ones, with the first and last
+    # blocks exchanged when they have one shape; and a compression stack
+    swap = np.arange(b)
+    if b > 1 and layout[0] == layout[-1]:
+        swap[[0, -1]] = swap[[-1, 0]]
+    shaped = [rng.normal(size=(1, r, r)) + 0j for _, r in layout]
+    noise = [rng.normal(size=(1, r, r)) + 1j * rng.normal(size=(1, r, r)) for _, r in layout]
+    both = ([np.concatenate(pair) for pair in zip(shaped, noise)], np.stack([np.arange(b), swap]))
     left = rng.normal(size=(2, n, 1)) + 1j * rng.normal(size=(2, n, 1))
     right = rng.normal(size=(2, n, 2))
     for comps in ((), [(left, right)]):
-        for g in ([], [shaped], [shaped, noise]):
-            basis = constrained_commutant(g, comps, layout=layout)
+        for ws, sigma in (([], None), (shaped, None), both):
+            basis = constrained_commutant(ws, comps, sigma=sigma, layout=layout)
             proj = sum((np.outer(d.reshape(-1), d.reshape(-1).conj()) for d in basis), np.zeros((n * n, n * n)))
             assert len(basis) <= sum(r * r for _, r in layout)
-            assert np.linalg.norm(proj - _block_diagonal_reference(g, comps, layout)) < 1e-8
+            reference = _block_diagonal_reference(_dense_moves(rng, ws, sigma, layout), comps, layout)
+            assert np.linalg.norm(proj - reference) < 1e-8
             gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
             assert np.allclose(gram, np.eye(len(basis)))
+
+
+@pytest.mark.parametrize("layout", [[(2, 1), (1, 2)], [(1, 3)], [(2, 2), (1, 0), (1, 1)], [(3, 1)]])
+def test_commutant_form_is_the_distance_to_the_block_commutant(layout):
+    # ||D - +_i I (x) Y_i||_F against the orthogonal projection onto pi(A)' of the kron system
+    rng, n = np.random.default_rng(len(layout)), sum(k * r for k, r in layout)
+    d = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+    proj = _block_diagonal_reference([], (), layout)
+    near = (proj @ d.reshape(3, -1).T).T.reshape(3, n, n)
+    shapes = numlin.multiplicity_moves(layout=layout, size=n)[-1]
+    ys, off = numlin.commutant_form(d, shapes)
+    assert np.allclose(off, np.linalg.norm(d - near, axis=(1, 2)), atol=1e-12)
+    assert np.allclose(numlin.commutant_form(near, shapes)[1], 0.0, atol=1e-12)
+    for (k, r, idx, cells, _, _), y in zip(shapes, ys):
+        for j, i in enumerate(idx):
+            assert np.allclose(near[:, cells[j, :, None], cells[j]], np.stack([np.kron(np.eye(k), x) for x in y[:, j]]))
+
+
+def test_multiplicity_moves_reject_a_sigma_off_the_layout():
+    layout, w = [(1, 2), (1, 2)], [np.eye(2)[None]] * 2
+    assert [p[-1].tolist() for p in numlin.multiplicity_moves(w, [[1, 0]], layout)[-1]] == [[[1, 0]]]
+    for sigma in ([[2, 0]], [[-1, 0]], [[0]]):
+        with pytest.raises(DimensionError):
+            numlin.multiplicity_moves(w, sigma, layout)
+    with pytest.raises(DimensionError):
+        numlin.multiplicity_moves(w, layout=layout, size=5)
 
 
 def test_commutant_of_an_empty_block_layout_has_no_columns():
     # blocks of multiplicity 0 contribute neither rows nor unknowns
     basis = constrained_commutant([], [], layout=[(2, 0), (1, 1), (3, 0)])
     assert len(basis) == 1 and np.allclose(basis[0], np.eye(1))
-    assert constrained_commutant([np.zeros((0, 0))], layout=[(2, 0)]) == []
+    assert constrained_commutant([np.zeros((1, 0, 0))], layout=[(2, 0)]) == []
 
 
 def test_lstsq_define_exact():

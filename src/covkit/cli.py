@@ -262,7 +262,7 @@ def cmd_kraus(args) -> int:
     report = Report("kraus", kind, tol)
     if kind == "cpmap":
         dil = ksgns(obj, tol)
-        ops = kraus_extract(obj, dil, tol)
+        ops = kraus_extract(dil)
         report.verdict("reconstruction", *dil.checks["reconstruction"])
         report.artifact(
             "kraus",

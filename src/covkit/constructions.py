@@ -20,12 +20,13 @@ from .cpmaps import (
     CPMapSpec,
     CPSymmetry,
     KSGNSDilation,
-    _certify_reconstruction,
     _choi_blocks,
     _choi_spectra,
     _covariance,
     _cp_status,
     _factor,
+    _norms,
+    ksgns,
 )
 from .cstar import FiniteCStarAlgebra
 from .fingroup import FiniteGroup, MultiplierRep, SubgroupData, TwoCocycle, cocycle_violation, irrep_decompose
@@ -137,12 +138,12 @@ def plancherel_inverse(coefficients, irreps) -> np.ndarray:
     return out / group.order
 
 
-def _phase_orders(z: np.ndarray, max_order: int = 1024) -> np.ndarray:
+def _phase_orders(z: np.ndarray, cut: float, max_order: int = 1024) -> np.ndarray:
     """The order of each entry of ``z`` as a root of unity: the least
-    m <= max_order with |z^m - 1| < 1e-8."""
+    m <= max_order with |z^m - 1| < cut."""
     orders = np.zeros(z.shape, dtype=np.int64)
     for m in range(1, max_order + 1):
-        orders[(orders == 0) & (np.abs(z ** m - 1.0) < 1e-8)] = m
+        orders[(orders == 0) & (np.abs(z ** m - 1.0) < cut)] = m
         if orders.all():
             return orders
     raise CocycleExtensionError(
@@ -159,16 +160,17 @@ def central_extension(cocycle: TwoCocycle, tol: Tolerances = DEFAULT_TOL):
     primitive m-th root zeta with cocycle(g, h) = zeta^k(g, h), and
     ``exponent[g, h] = k(g, h)``.  For a multiplier representation U with
     this cocycle, (g, s) -> zeta^s U(g) is an ordinary representation of the
-    extension.  Non-root-of-unity cocycles are rejected, and so is a cocycle
+    extension.  A value counts as a root of unity, and as on the grid of
+    zeta, within ``tol.recon_fro``; others are rejected, and so is a cocycle
     that fails :func:`cocycle_status` at ``tol``.
     """
     g, vals = cocycle.group, cocycle.values
     if cocycle_violation(cocycle, tol) is not None:
         raise ValueError("not a valid cocycle")
-    m = int(np.lcm.reduce(_phase_orders(vals).ravel()))
+    m = int(np.lcm.reduce(_phase_orders(vals, tol.recon_fro).ravel()))
     zeta = np.exp(2j * np.pi / m)
     k = np.rint(np.angle(vals) / (2 * np.pi / m)).astype(np.int64) % m
-    if np.any(np.abs(zeta ** k - vals) > 1e-8):
+    if np.any(np.abs(zeta ** k - vals) > tol.recon_fro):
         raise CocycleExtensionError("cocycle value off the root-of-unity grid")
     s = np.arange(m)
     # (a, s)(b, t) at [a, s, b, t]
@@ -216,91 +218,76 @@ def equivalence_unitary(
 # ---------------------------------------------------------------------------
 
 
-def marginals(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL):
-    """The two marginal maps of a CP map on a declared tensor product."""
+def marginals(spec: CPMapSpec):
+    """The two marginal maps of a CP map on a declared tensor product, each
+    one gather of the product's unit values and one sum against the other
+    factor's unit: S(b (x) 1) = sum_c S(b (x) E_cc), and S(1 (x) c) alike."""
     if spec.tensor is None:
         raise DimensionError("marginals need a declared tensor split")
     split = spec.tensor
     left, right = split.left, split.right
-
-    def build(factor, embed_one_other, own_u):
-        values = np.stack(
-            [spec.value_of(embed_one_other(u)) for u in factor.units()]
-        )
-        symmetry = None
-        if spec.symmetry is not None and own_u is not None:
-            symmetry = CPSymmetry(u=own_u, rep=spec.symmetry.rep)
-        return CPMapSpec(
-            algebra=factor, module=spec.module, values=values, symmetry=symmetry
-        )
-
+    pairs = spec.values[split.unit_pairs]  # (left units, right units, n_V, n_V)
     u_left = u_right = None
     if spec.symmetry is not None and spec.symmetry.u_factors is not None:
         u_left, u_right = spec.symmetry.u_factors
-    first = build(left, lambda b: split.embed(b, right.one()), u_left)
-    second = build(right, lambda c: split.embed(left.one(), c), u_right)
-    return first, second
+
+    def build(factor, values, u):
+        symmetry = None if u is None else CPSymmetry(u=u, rep=spec.symmetry.rep)
+        return CPMapSpec(algebra=factor, module=spec.module, values=values, symmetry=symmetry)
+
+    first = build(left, np.tensordot(pairs, right.coefficients(right.one()), axes=(1, 0)), u_left)
+    return first, build(right, np.tensordot(left.coefficients(left.one()), pairs, axes=(0, 0)), u_right)
 
 
 @record
 class SubminimalMap:
     """Unique unital CP map into the commutant of the first-marginal
-    dilation reproducing the joint map."""
+    dilation reproducing the joint map, with that dilation."""
 
     e_units: np.ndarray  # (n_units of the second factor, N, N)
+    dilation: KSGNSDilation  # the minimal dilation of the first marginal
     checks: Checks
 
-    def of(self, algebra, cmat) -> np.ndarray:
-        coeffs = algebra.coefficients(cmat)
-        return np.tensordot(coeffs, self.e_units, axes=(0, 0))
 
-
-def subminimal(
-    spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DEFAULT_TOL
-) -> SubminimalMap:
+def subminimal(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> SubminimalMap:
     """Solve for the unique map E with S(b (x) c) = j^+ pi(b) E(c) j,
-    commuting with pi and covariant for the second factor's action.
+    commuting with pi and covariant for the second factor's action, where
+    (pi, j) is the minimal dilation :func:`~covkit.cpmaps.ksgns` builds and
+    certifies for the first marginal.
 
-    ``dilation`` must be the minimal dilation of the first marginal.
+    The columns pi(E_k) j over the left units span C^N, and the Gram kernel
+    of the unknown E(c) on them is S(E_k1^+ E_k2 (x) c), so every E(c) is one
+    product with the pseudo-inverse of those columns.  That kernel is
+    gathered for all units at once from the left factor's product and
+    adjoint tables and :attr:`~covkit.cstar.TensorSplit.unit_pairs`, zero
+    where E_k1^+ E_k2 vanishes.
     """
     if spec.tensor is None:
         raise DimensionError("subminimal needs a declared tensor split")
     split = spec.tensor
     left, right = split.left, split.right
-    n = dilation.rank
-    nv = spec.n_v
+    first = marginals(spec)[0]
+    dilation = ksgns(first, tol)
+    n, nv, kl, kr = dilation.rank, spec.n_v, left.n_units, right.n_units
+    blocks, adj = dilation.r_blocks, left.adjoint_table()
+    pinv = np.linalg.pinv(blocks.transpose(1, 0, 2).reshape(n, kl * nv))
 
-    # columns pi(b) j over the unit basis of the left factor span C^N
-    _certify_reconstruction(dilation, tol)
-    blocks = dilation.r_blocks
-    pinv = np.linalg.pinv(np.hstack(list(blocks)))
+    # w[c, (k1, v), (k2, w)] = S(E_k1^+ E_k2 (x) E_c)[v, w]
+    prod = left.unit_product_table()[adj]
+    hit = prod >= 0
+    w = np.zeros((kl, kl, kr, nv, nv), dtype=np.complex128)
+    w[hit] = spec.values[split.unit_pairs[prod[hit]]]
+    w = w.transpose(2, 0, 3, 1, 4).reshape(kr, kl * nv, kl * nv)
+    e_units = pinv.conj().T @ w @ pinv
 
-    e_units = np.zeros((right.n_units, n, n), dtype=np.complex128)
-    left_adj = left.adjoint_table()
-    left_units = list(left.units())
-    for kc, cunit in enumerate(right.units()):
-        w = np.zeros((left.n_units * nv, left.n_units * nv), dtype=np.complex128)
-        for k1 in range(left.n_units):
-            b1 = left_units[left_adj[k1]]
-            for k2 in range(left.n_units):
-                w[k1 * nv : (k1 + 1) * nv, k2 * nv : (k2 + 1) * nv] = spec.value_of(
-                    split.embed(b1 @ left_units[k2], cunit)
-                )
-        e_units[kc] = pinv.conj().T @ w @ pinv
-
+    # reconstruction over all unit pairs: j^+ pi(E_k) = (pi(E_k^+) j)^+
+    lhs = np.tensordot(blocks[adj].conj(), e_units @ dilation.j, axes=(1, 1)).transpose(0, 2, 1, 3)
+    worst = float(_norms(lhs - spec.values[split.unit_pairs]).max(initial=0.0))
     scale = max(1.0, frob(dilation.j) ** 2)
-    # reconstruction over all unit pairs
-    worst = 0.0
-    for kb, bunit in enumerate(left_units):
-        for kc, cunit in enumerate(right.units()):
-            # j^+ pi(E_kb) = (pi(E_kb^+) j)^+
-            lhs = blocks[left_adj[kb]].conj().T @ e_units[kc] @ dilation.j
-            worst = max(worst, frob(lhs - spec.value_of(split.embed(bunit, cunit))))
     checks = Checks().require(tol.recon_fro * scale, "subminimal reconstruction failed", reconstruction=worst)
 
     # unital and commuting with pi
-    one_coeffs = right.coefficients(right.one())
-    e_one = np.tensordot(one_coeffs, e_units, axes=(0, 0))
+    e_one = np.tensordot(right.coefficients(right.one()), e_units, axes=(0, 0))
     # off the form +_i I (x) Y_i exactly when some E(c) leaves pi(A)'
     shapes = multiplicity_moves(layout=list(zip(left.blocks, dilation.mult)), size=n)[-1]
     worst = float(commutant_form(e_units, shapes)[1].max(initial=0.0))
@@ -314,11 +301,7 @@ def subminimal(
         raise DilationResidualError("subminimal map is not completely positive", checks)
 
     # covariance against the second factor's action: E(beta_g(c)) = sym(g) E(c) sym(g)^+
-    if (
-        spec.symmetry is not None
-        and dilation.mult_rep is not None
-        and spec.symmetry.u_factors is not None
-    ):
+    if first.symmetry is not None and dilation.mult_rep is not None:
         group, u = spec.symmetry.group, spec.symmetry.u_factors[1]
         gens = list(group.generators())
         sigma, w = right.block_action(u.matrices[gens])
@@ -328,7 +311,7 @@ def subminimal(
         if not checks["covariance"].ok:
             residual = checks["covariance"].residual
             raise DilationResidualError(f"subminimal map failed covariance: residual {residual:.2e}", checks)
-    return SubminimalMap(e_units=e_units, checks=checks)
+    return SubminimalMap(e_units=e_units, dilation=dilation, checks=checks)
 
 
 # ---------------------------------------------------------------------------

@@ -537,16 +537,15 @@ class NotSingleBlockError(ValueError):
     """The operation needs a single full matrix block."""
 
 
-def kraus_extract(spec: CPMapSpec, dilation: KSGNSDilation, tol: Tolerances = DEFAULT_TOL):
-    """Kraus family A_l with S_b = sum_l A_l^+ b A_l, for a single-block
-    algebra: the operators that the dilation of :func:`ksgns` stacks in j
-    (row (a, l) of j is row a of A_l), so the count equals the rank of the
-    Choi matrix.  The dilation must reconstruct ``spec`` and be minimal."""
-    if len(spec.algebra.blocks) != 1:
+def kraus_extract(dilation: KSGNSDilation):
+    """Kraus family A_l with S_b = sum_l A_l^+ b A_l of a single-block map,
+    read off the dilation :func:`ksgns` built and certified for it: row (a,
+    l) of j is row a of A_l, so the count equals the rank of the Choi
+    matrix."""
+    blocks = dilation.spec.algebra.blocks
+    if len(blocks) != 1:
         raise NotSingleBlockError("kraus extraction needs a single full block")
-    dilation = replace(dilation, spec=spec)
-    _certify_reconstruction(dilation, tol)
-    return list(_kraus_stack(dilation, spec.algebra.blocks[0], dilation.mult[0], np.arange(1))[0])
+    return list(_kraus_stack(dilation, blocks[0], dilation.mult[0], np.arange(1))[0])
 
 
 def cp_extremal(spec: CPMapSpec, tol: Tolerances = DEFAULT_TOL) -> ExtremalityCertificate:

@@ -60,9 +60,6 @@ class FiniteCStarAlgebra:
         """Index of each block's first matrix unit, with the total last."""
         return _frozen(block_layout(self.blocks, self.blocks)[0])
 
-    def block_offset(self, i: int) -> int:
-        return int(self.offsets[i])
-
     def unit_index(self) -> np.ndarray:
         """(n_units, 3) array of (block, row, col), in the order the unit
         basis is listed: block-major, then row-major inside a block."""
@@ -85,7 +82,7 @@ class FiniteCStarAlgebra:
 
     def unit(self, i: int, a: int, b: int) -> np.ndarray:
         m = np.zeros((self.defining_dim, self.defining_dim), dtype=np.complex128)
-        off = self.block_offset(i)
+        off = self.offsets[i]
         m[off + a, off + b] = 1.0
         return m
 
@@ -133,7 +130,7 @@ class FiniteCStarAlgebra:
         return bool(np.all(residual <= tol.recon_fro * scale))
 
     def block_of(self, mat, i: int) -> np.ndarray:
-        off, n = self.block_offset(i), self.blocks[i]
+        off, n = self.offsets[i], self.blocks[i]
         return as_matrix(mat)[off : off + n, off : off + n]
 
     def unit_product_table(self) -> np.ndarray:
@@ -211,22 +208,23 @@ class TensorSplit:
         )
         object.__setattr__(self, "algebra", FiniteCStarAlgebra(blocks))
 
+    @cached_property
+    def unit_pairs(self) -> np.ndarray:
+        """(left units, right units) array: index of the product unit E_k (x)
+        E_l.  E^i_ab (x) E^j_ce is the unit ((a, c), (b, e)) of block (i, j),
+        of size n_i m_j, with the right index fast."""
+        (lb, a, b), (rb, c, e) = self.left.unit_index().T, self.right.unit_index().T
+        m = np.asarray(self.right.blocks)[rb]
+        blk = lb[:, None] * len(self.right.blocks) + rb
+        size = np.asarray(self.algebra.blocks)[blk]
+        return _frozen(self.algebra.unit_offsets[blk] + (a[:, None] * m + c) * size + b[:, None] * m + e)
+
     def embed(self, bmat, cmat) -> np.ndarray:
-        """b (x) c as an element of the product algebra."""
-        bmat, cmat = as_matrix(bmat), as_matrix(cmat)
-        out = np.zeros(
-            (self.algebra.defining_dim, self.algebra.defining_dim), dtype=np.complex128
-        )
-        pos = 0
-        for i, n in enumerate(self.left.blocks):
-            boff = self.left.block_offset(i)
-            bblk = bmat[boff : boff + n, boff : boff + n]
-            for j, m in enumerate(self.right.blocks):
-                coff = self.right.block_offset(j)
-                cblk = cmat[coff : coff + m, coff : coff + m]
-                out[pos : pos + n * m, pos : pos + n * m] = np.kron(bblk, cblk)
-                pos += n * m
-        return out
+        """b (x) c as an element of the product algebra: the outer product of
+        the coefficients scattered through :attr:`unit_pairs`."""
+        coeffs = np.zeros(self.algebra.n_units, dtype=np.complex128)
+        coeffs[self.unit_pairs] = np.multiply.outer(self.left.coefficients(bmat), self.right.coefficients(cmat))
+        return self.algebra.element(coeffs)
 
 
 @record

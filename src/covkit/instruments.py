@@ -544,8 +544,10 @@ def _assemble_instrument(data: CovariantInstrumentData, symmetry: Symmetry, tol:
     """The covariant instrument generated by a Kraus family, not yet
     validated, and the Kraus rows of its outcomes (:func:`_outcome_rows`):
     the outcome at each coset uses the section-transported operators.  The
-    invariance and normalization conditions are enforced first and
-    independence from the section choice is certified."""
+    invariance and normalization conditions are enforced first.  For
+    unitary u and rep, invariance is independence from the section: moving
+    a section point s to s h changes that outcome's Choi block by a unitary
+    conjugate of the invariance defect at h."""
     worst_inv, worst_norm = check_b_family(data, symmetry, tol)
     scale = max(1.0, sum(frob(b) ** 2 for b in data.b_ops))
     if worst_inv > tol.recon_fro * scale:
@@ -556,18 +558,8 @@ def _assemble_instrument(data: CovariantInstrumentData, symmetry: Symmetry, tol:
         raise StructureViolation(
             f"total normalization fails (worst {worst_norm:.2e})", worst_norm
         )
-    sub, k, v, b = symmetry.sub, symmetry.out_rep.dim, symmetry.rep.dim, np.stack(data.b_ops)
-    rows = _outcome_rows(b, symmetry, sub.section)
-    choi = _choi_of(rows)
-    # section independence: shift every section point inside its coset; a
-    # trivial subgroup leaves each coset one point, so there is no shift
-    members = list(sub.members)
-    if len(members) > 1:
-        shifted = [sub.parent.prod(sub.section[w], members[(w + 1) % len(members)]) for w in range(sub.n_cosets)]
-        res = float(np.linalg.norm(_choi_of(_outcome_rows(b, symmetry, shifted)) - choi, axis=(1, 2)).max())
-        if res > tol.recon_fro * max(1.0, float(np.abs(choi).max()) * k * v):
-            raise DilationResidualError(f"section dependence detected ({res:.2e})")
-    return InstrumentSpec(choi, symmetry), rows
+    rows = _outcome_rows(np.stack(data.b_ops), symmetry, symmetry.sub.section)
+    return InstrumentSpec(_choi_of(rows), symmetry), rows
 
 
 def instrument_from_B(
@@ -639,12 +631,12 @@ def instrument_extremal(
 
     With the base-coset Kraus family B_1 .. B_r of :func:`B_from_instrument`
     stacked as J, rows (a, l) = B_l[a, :], the instrument is extreme iff D =
-    0 is the only D on C^r that commutes with every W_h of
-    :func:`_multiplicity_rep` and has sum_w L_w^+ (I_K (x) D) L_w = 0 for
-    L_w = J rep(g_w)^+ over the section
-    (:func:`~covkit.numlin.constrained_commutant` on the layout (K, r), so
-    r^2 unknowns).  The basis is re-checked against every W_h and the
-    compression.  On non-extremality the witness is I_K (x) X, and the
+    0 is the only D on C^r that commutes with the W_h of
+    :func:`_multiplicity_rep` at the subgroup's generators, and so with
+    every W_h, and has sum_w L_w^+ (I_K (x) D) L_w = 0 for L_w = J
+    rep(g_w)^+ over the section (:func:`~covkit.numlin.constrained_commutant`
+    on the layout (K, r), so r^2 unknowns).  The basis is re-checked against
+    every W_h and the compression.  On non-extremality the witness is I_K (x) X, and the
     neighbours are the instruments with Choi blocks M_w^+ (I +- X) M_w, row
     l of M_w the outcome's Kraus operator u(g_w) B_l rep(g_w)^+: those of
     the families sqrt(I +- X) B.  Both are validated once, together, on
@@ -657,9 +649,12 @@ def instrument_extremal(
     b = np.stack(data.b_ops)
     j = b.transpose(1, 0, 2).reshape(k * r, v)
     ws = [_multiplicity_rep(data, sym, tol)]
+    # W_h of member i sits at i, less one past the identity
+    inner = sym.sub.subgroup_group()
+    gens = np.asarray(inner.generators(), dtype=np.intp)
     moved = j @ sym.rep.matrices[g].conj().transpose(0, 2, 1)
     compressions = [(moved, moved)]
-    basis = constrained_commutant(ws, compressions, layout=[(k, r)], tol=tol)
+    basis = constrained_commutant([ws[0][gens - (gens > inner.identity)]], compressions, layout=[(k, r)], tol=tol)
     _certify_commutant(basis, ws, compressions, tol, layout=[(k, r)])
     rows = _outcome_rows(b, sym, g)
     flat = rows.reshape(len(g), r, k * v)

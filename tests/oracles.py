@@ -65,6 +65,12 @@ transport of a Kolmogorov decomposition, and the observable as a kernel
 with a pinned total point, the kernel-level second route to observable
 extremality.
 
+The per-unit loops of a tensor split: b (x) c by a block loop of
+``np.kron``, the marginal values by one S(b (x) 1) per unit, and the
+subminimal map by one Gram kernel entry per (unit, unit, unit) and one
+reconstruction per unit pair, as references for the unit-table gathers of
+``covkit.cstar.TensorSplit`` and ``covkit.constructions``.
+
 Choi's criterion, linear independence of {V_i^+ V_j} over a minimal Kraus
 family, decides extremality of a CP map on one full matrix block among the
 CP maps with its unit value: the classical reference for ``cp_extremal``
@@ -77,7 +83,19 @@ import json
 import numpy as np
 
 from covkit.constructions import central_extension, marginal_observable
-from covkit.cpmaps import CPMapSpec, NotSingleBlockError, cp_extremal, cp_validate, kraus_from_choi, ksgns
+from covkit.cpmaps import (
+    CPMapSpec,
+    NotSingleBlockError,
+    _choi_blocks,
+    _choi_spectra,
+    _covariance,
+    _cp_status,
+    _factor,
+    cp_extremal,
+    cp_validate,
+    kraus_from_choi,
+    ksgns,
+)
 from covkit.cstar import ModuleSpace
 from covkit.fingroup import GroupAction, MultiplierRep, TwoCocycle
 from covkit.instruments import (
@@ -110,9 +128,11 @@ from covkit.numlin import (
     Tolerances,
     as_matrix,
     block_layout,
+    commutant_form,
     frob,
     is_unitary,
     lstsq_define,
+    multiplicity_moves,
     null_space,
     psd_factor,
     psd_status,
@@ -1761,3 +1781,68 @@ def observable_kernel_form(spec: ObservableSpec):
         blocks=blocks,
     )
     return kernel, [(n, n)]
+
+
+def embed_loop(split, bmat, cmat) -> np.ndarray:
+    """b (x) c block by block, each block (i, j) the kron of block i of b and
+    block j of c, left-major."""
+    bmat, cmat = as_matrix(bmat), as_matrix(cmat)
+    out = np.zeros((split.algebra.defining_dim,) * 2, dtype=np.complex128)
+    pos = 0
+    for i, n in enumerate(split.left.blocks):
+        bblk = split.left.block_of(bmat, i)
+        for j, m in enumerate(split.right.blocks):
+            out[pos : pos + n * m, pos : pos + n * m] = np.kron(bblk, split.right.block_of(cmat, j))
+            pos += n * m
+    return out
+
+
+def marginals_loop(spec: CPMapSpec):
+    """The values of both marginals, one S(E_k (x) 1) and one S(1 (x) E_l)
+    per unit."""
+    split = spec.tensor
+    left, right = split.left, split.right
+    first = np.stack([spec.value_of(embed_loop(split, u, right.one())) for u in left.units()])
+    return first, np.stack([spec.value_of(embed_loop(split, left.one(), u)) for u in right.units()])
+
+
+def subminimal_loop(spec: CPMapSpec, dilation, tol: Tolerances = DEFAULT_TOL):
+    """The subminimal map's unit values and residuals, from the dilation of
+    the first marginal: the Gram kernel S(E_k1^+ E_k2 (x) E_c) one entry
+    block at a time and the reconstruction one unit pair at a time; the
+    unital, commutation, complete-positivity and covariance residuals of
+    those values as ``constructions.subminimal`` measures them."""
+    split = spec.tensor
+    left, right = split.left, split.right
+    n, nv = dilation.rank, spec.n_v
+    blocks = dilation.r_blocks
+    pinv = np.linalg.pinv(np.hstack(list(blocks)))
+    left_units, right_units, adj = list(left.units()), list(right.units()), left.adjoint_table()
+    e_units = np.zeros((right.n_units, n, n), dtype=np.complex128)
+    for kc, cunit in enumerate(right_units):
+        w = np.zeros((left.n_units * nv, left.n_units * nv), dtype=np.complex128)
+        for k1 in range(left.n_units):
+            for k2 in range(left.n_units):
+                value = spec.value_of(embed_loop(split, left_units[adj[k1]] @ left_units[k2], cunit))
+                w[k1 * nv : (k1 + 1) * nv, k2 * nv : (k2 + 1) * nv] = value
+        e_units[kc] = pinv.conj().T @ w @ pinv
+    worst = 0.0
+    for kb, bunit in enumerate(left_units):
+        for kc, cunit in enumerate(right_units):
+            lhs = blocks[adj[kb]].conj().T @ e_units[kc] @ dilation.j
+            worst = max(worst, frob(lhs - spec.value_of(embed_loop(split, bunit, cunit))))
+    e_one = sum(e_units[k] for k, (_, a, b) in enumerate(right.unit_index()) if a == b)
+    shapes = multiplicity_moves(layout=list(zip(left.blocks, dilation.mult)), size=n)[-1]
+    residuals = {
+        "reconstruction": worst,
+        "unital": frob(e_one - np.eye(n)),
+        "commutes": float(commutant_form(e_units, shapes)[1].max(initial=0.0)),
+        "completely_positive": _cp_status(_choi_spectra(right, e_units), tol)[0],
+    }
+    if dilation.mult_rep is not None:
+        group, u = spec.symmetry.group, spec.symmetry.u_factors[1]
+        gens = list(group.generators())
+        sigma, w = right.block_action(u.matrices[gens])
+        stacks = _choi_blocks(right, e_units, [_factor(wi, u.unitary_flag) for wi in w])
+        residuals["covariance"] = _covariance(stacks, sigma, dilation.sym(gens), group, tol).residual
+    return e_units, residuals

@@ -131,7 +131,7 @@ def test_criterion_4_kraus_equivalence():
         group = GROUPS["Z2"] if i % 2 == 0 else GROUPS["Z3"]
         spec = rand_covariant_cpmap(rng, blocks, group, n_v=2)
         dil = ksgns(spec)
-        ops = kraus_extract(spec, dil)
+        ops = kraus_extract(dil)
         assert len(ops) == rank(spec.choi())
         n = spec.algebra.defining_dim
         for _ in range(20):

@@ -7,7 +7,8 @@ W_{g,i} X_i = 0.  These tests hold it to the per-cell builder on the dense
 generators (``oracles.cell_commutant``): the same freedom and projector on
 the CP maps of several block shapes, a map with a zero multiplicity, the CP
 forms of phase-space instruments and random instruments over subgroups of
-S_3 and D_4; the same Gram matrix for unitary w; and
+S_3 and D_4; the same Gram matrix for unitary w; the instrument route's
+moves at the subgroup's generators only, against the all-member solve; and
 ``kernels._certify_commutant``, which reads each D as +_i I (x) Y_i, against
 a basis off that form and a move of a non-generator turned by a phase.  The
 CP route builds no dense sym(g), and a map without a symmetry has no block
@@ -17,6 +18,7 @@ action.
 import numpy as np
 import pytest
 
+from covkit import instruments as ins
 from covkit import numlin
 from covkit.cpmaps import CPMapSpec, KSGNSDilation, cp_extremal, ksgns
 from covkit.cstar import FiniteCStarAlgebra, ModuleSpace
@@ -212,6 +214,29 @@ def test_cp_extremal_never_builds_the_dense_symmetry(monkeypatch):
     certs = [cp_extremal(spec) for spec in specs]
     assert [c.freedom for c in certs] == want
     assert [c.extreme for c in certs] == [f == 0 for f in want]
+
+
+def test_instrument_engine_takes_the_moves_of_the_subgroup_generators(monkeypatch):
+    # one move per generator of the subgroup (2 for S_3 and for D_4 themselves,
+    # not 5 and 7); the commutant over the generators is the commutant over every
+    # member, so freedom and projector match the all-member solve
+    seen, solve = [], ins.constrained_commutant
+    monkeypatch.setattr(ins, "constrained_commutant", lambda ws, comps, **kw: seen.append((ws, comps, kw)) or solve(ws, comps, **kw))
+    rng = np.random.default_rng(47)
+    for group in (FiniteGroup.symmetric(3), FiniteGroup.dihedral(4)):
+        for sub in all_subgroups(group):
+            spec = rand_covariant_instrument(rng, sub, k_dim=2, v_dim=2)
+            seen.clear()
+            cert = ins.instrument_extremal(spec)
+            ((ws, comps, kwargs),) = seen
+            assert len(ws[0]) == len(sub.subgroup_group().generators()) <= len(sub.members) - 1
+            if len(sub.members) == group.order:
+                assert len(ws[0]) == 2
+            every = [_multiplicity_rep(B_from_instrument(spec), spec.symmetry, numlin.DEFAULT_TOL)]
+            assert len(every[0]) == len(sub.members) - 1
+            engine, reference = solve(ws, comps, **kwargs), solve(every, comps, **kwargs)
+            assert len(engine) == len(reference) == cert.freedom
+            assert np.linalg.norm(_projector(engine) - _projector(reference)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from covkit.fingroup import (
     validate_cocycle,
     validate_rep,
 )
-from covkit.numlin import constrained_commutant, is_unitary
+from covkit.numlin import Tolerances, constrained_commutant, is_unitary
 from oracles import extend_rep
 
 
@@ -278,6 +278,22 @@ def test_central_extension_rejects_irrational_phase():
     vals[1, 1] = np.exp(1j * 1.0)  # not a root of unity of small order
     with pytest.raises(CocycleExtensionError):
         central_extension(TwoCocycle(g, vals))
+
+
+def test_central_extension_grid_cut_follows_recon_fro():
+    # the Heisenberg cocycle at d = 3 times the coboundary of b(g) = exp(i t_g),
+    # |t_g| <= 5e-8: still a cocycle, but up to 1.5e-7 off the cube roots of unity
+    group, cocycle, _ = heisenberg_rep(3)
+    t = 5e-8 * np.sin(np.arange(group.order) - group.identity)
+    b = np.exp(1j * t)
+    moved = TwoCocycle(group, cocycle.values * b[:, None] * b[None, :] / b[group.mul])
+    assert validate_cocycle(moved)
+    assert np.abs(moved.values - cocycle.values).max() > 1e-7
+    with pytest.raises(CocycleExtensionError):
+        central_extension(moved)
+    ext, _, zeta, k = central_extension(moved, Tolerances(recon_fro=1e-6))
+    assert ext.order == 27
+    assert np.abs(zeta**k - moved.values).max() < 1e-6
 
 
 def test_twist_produces_coboundary_cocycle():

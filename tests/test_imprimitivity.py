@@ -172,14 +172,15 @@ def test_rand_covariant_instrument_matches_its_recorded_output(name, seed):
     assert np.array_equal(spec.symmetry.out_rep.matrices, recorded[f"{name}_{seed}_out_rep"])
 
 
-@pytest.mark.parametrize("module", ["constructions.py", "cpmaps.py", "fingroup.py", "instruments.py"])
+@pytest.mark.parametrize("module", ["constructions.py", "cpmaps.py", "cstar.py", "fingroup.py", "instruments.py"])
 def test_no_loop_over_group_elements(module):
+    # nor over matrix units: tensor-split maps gather through the unit tables
     tree = ast.parse((Path(ins.__file__).parent / module).read_text())
     loops = [node.iter for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))]
     hits = [
-        it.lineno
+        (it.lineno, call.func.attr)
         for it in loops
         for call in ast.walk(it)
-        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "elements"
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr in ("elements", "units")
     ]
-    assert not hits, f"{module} loops over .elements() at lines {hits}"
+    assert not hits, f"{module} loops over .elements() or .units() at {hits}"

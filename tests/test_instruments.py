@@ -574,8 +574,8 @@ def test_as_cpmap_and_subminimal_consistency():
     assert cp_validate(cp).ok
     first, second = marginals(cp)
     assert cp_validate(first).ok
-    dil = ksgns(first)
-    sub = subminimal(cp, dil)
+    sub = subminimal(cp)
+    dil = sub.dilation
     total = sub.e_units.sum(axis=0)
     assert np.allclose(total, np.eye(dil.rank), atol=1e-9)
     # E(beta_g(c)) = sym(g) E(c) sym(g)^+ is the covariance of E as a CP map, against the per-block loop
@@ -661,19 +661,22 @@ def test_phase_space_b_extraction():
     assert np.allclose(total, seed, atol=1e-10)
 
 
-def test_the_section_is_shifted_only_in_cosets_of_more_than_one_point(monkeypatch):
-    # phase space has one-point cosets, so its assembly builds one Choi stack;
-    # over A_3 < S_3 the round trip builds two, at the section and shifted in each coset
+def test_assembly_builds_one_choi_stack_on_every_subgroup(monkeypatch):
+    # the invariance check is the section independence, so no assembly builds
+    # a second Choi stack at a shifted section: not on phase space's one-point
+    # cosets, and not in the round trip over any subgroup of S_3 or D_4
     stacks = []
     choi_of = ins._choi_of
     monkeypatch.setattr(ins, "_choi_of", lambda ops: stacks.append(ops.shape) or choi_of(ops))
     phase_space(2, _ps_seed_ops(2))
     assert len(stacks) == 1
-    a3 = next(sub for sub in all_subgroups(FiniteGroup.symmetric(3)) if len(sub.members) == 3)
-    spec = rand_covariant_instrument(np.random.default_rng(2), a3)
-    stacks.clear()
-    B_from_instrument(spec)
-    assert len(stacks) == 2
+    rng = np.random.default_rng(2)
+    for group in (FiniteGroup.symmetric(3), FiniteGroup.dihedral(4)):
+        for sub in all_subgroups(group):
+            spec = rand_covariant_instrument(rng, sub)
+            stacks.clear()
+            B_from_instrument(spec)
+            assert len(stacks) == 1, sub.members
 
 
 def test_sq_structure_phase_space():

@@ -37,7 +37,7 @@ from covkit.random import rand_covariant_kernel
 
 # the fields of every record at the commit before ``numlin.record``, in order
 FIELDS = {
-    "constructions.SubminimalMap": ("e_units", "checks"),
+    "constructions.SubminimalMap": ("e_units", "dilation", "checks"),
     "constructions.DecomposableOp": ("perm", "fiber_dims", "blocks"),
     "constructions.CanonicalSystem": ("sub", "rho", "dim", "theta", "projections"),
     "constructions.SqStructure": ("seed_matrix", "b_ops", "constant", "checks"),
@@ -105,7 +105,6 @@ def _examples():
     trivial = MultiplierRep(one, TwoCocycle(one, np.ones((1, 1))), np.ones((1, 1, 1)))
     split = TensorSplit(FiniteCStarAlgebra.full(2), FiniteCStarAlgebra.commutative(2))
     joint = CPMapSpec(split.algebra, ModuleSpace(k=1, n_v=1), np.stack([[[np.trace(u) / 4]] for u in split.algebra.units()]), tensor=split)
-    first = CPMapSpec(split.left, ModuleSpace(k=1, n_v=1), np.stack([[[np.trace(u) / 2]] for u in split.left.units()]))
     kernel = rand_covariant_kernel(np.random.default_rng(3), FiniteGroup.cyclic(2), max_x=2, n_v=1)
     for obj in (
         spec,
@@ -119,7 +118,7 @@ def _examples():
         sample(spec, state, 0),
         sq_structure(spec),
         kolmogorov_decompose(kernel),
-        subminimal(joint, ksgns(first)),
+        subminimal(joint),
         DecomposableOp((1, 0), (1, 1), (np.eye(1), np.eye(1))),
         canonical_system(trivial, SubgroupData(FiniteGroup.cyclic(2), (0,))),
         psd_spectrum(np.eye(2)),
